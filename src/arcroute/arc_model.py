@@ -83,6 +83,11 @@ def validate_model(n: int, arcs: list[tuple[int, int]]) -> ArcModel:
     return ArcModel(n=n, arcs=tuple((int(s), int(e)) for s, e in arcs))
 
 
+def _is_json_int(value) -> bool:
+    """JSON integer; ``true`` / ``false`` decode to bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_model(data: bytes | str) -> ArcModel:
     """Parse the canonical JSON format ``{"n": ..., "arcs": [[s, e], ...]}``."""
     if isinstance(data, bytes):
@@ -95,12 +100,12 @@ def parse_model(data: bytes | str) -> ArcModel:
         raise ModelFormatError('expected an object with keys "n" and "arcs"')
     n = obj["n"]
     raw = obj["arcs"]
-    if not isinstance(n, int) or not isinstance(raw, list):
+    if not _is_json_int(n) or not isinstance(raw, list):
         raise ModelFormatError('"n" must be an int and "arcs" a list')
     arcs = []
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(p, int) for p in entry)):
+                and all(_is_json_int(p) for p in entry)):
             raise ModelFormatError(f"arc entry {entry!r} is not a pair of ints")
         arcs.append((entry[0], entry[1]))
     return validate_model(n, arcs)

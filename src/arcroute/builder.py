@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc_model import ArcModel, Graph, intersection_graph, is_real
+from .arc_model import ArcModel, Graph, all_pairs_distances, intersection_graph
 from .clique_cycle import CliqueCycle, build_clique_cycle
-from .errors import ConstructionError, NotRealCircularArc
+from .errors import ConstructionError
 from .ring_order import CyclicOrder, RingInterval
 
 
@@ -131,6 +131,7 @@ class LabelingContext:
         self.prev_nonempty = prev_nonempty
         self._left_of = np.full(self.n, -2, dtype=np.int64)
         self._right_of = np.full(self.n, -2, dtype=np.int64)
+        self._dist: np.ndarray | None = None
 
     # -- position helpers --------------------------------------------------
 
@@ -158,6 +159,16 @@ class LabelingContext:
 
     def block_length(self, block: RingInterval) -> int:
         return self.fwd(block.a, block.b) + 1
+
+    def distances(self) -> np.ndarray:
+        """Hop-distance matrix of the graph, computed on first use.
+
+        Only plan checks and the distance-split fallback need it, so
+        builds that never reach them never pay for it.
+        """
+        if self._dist is None:
+            self._dist = all_pairs_distances(self.graph)
+        return self._dist
 
     # -- dominating-run geometry --------------------------------------------
 
@@ -495,10 +506,10 @@ def _facing_via_separator(frame: VertexFrame, ctx: LabelingContext) -> Plan:
     vertex may lack a left vertex, the left chain may die before the
     chains meet, or the separator split itself may point a far vertex at
     the wrong side (both right-reach candidates can tie at the same right
-    clique on such models).  The split is therefore validated against BFS
-    distances in place — this case requires a graph with no counter pairs
-    and no dominating vertices at all, so the extra searches stay rare —
-    and any miss falls back to the distance-derived split.
+    clique on such models).  The split is therefore validated against the
+    context's hop-distance matrix (one all-pairs computation per build,
+    made on the first check), and any miss falls back to the
+    distance-derived split.
     """
     v = frame.v
     block = frame.facing_block
@@ -524,36 +535,36 @@ def _facing_via_separator(frame: VertexFrame, ctx: LabelingContext) -> Plan:
 
 
 def _plan_serves_shortest(v: int, plan: Plan, ctx: LabelingContext) -> bool:
-    """Does every planned carrier start a shortest path to its members?"""
-    from .arc_model import bfs_distances
+    """Does every planned carrier start a shortest path to its members?
 
-    dist_v = bfs_distances(ctx.graph, v)
+    Reads rows of ``ctx.distances()``; the first check of a build computes
+    that matrix, later checks only index it.
+    """
+    dist = ctx.distances()
+    dist_v = dist[v]
     n = ctx.n
     for target, start, length in plan:
         members = ctx.items[np.arange(start, start + length) % n]
-        dist_t = bfs_distances(ctx.graph, target)
-        if not (dist_t[members] == dist_v[members] - 1).all():
+        if not (dist[target][members] == dist_v[members] - 1).all():
             return False
     return True
 
 
 def _facing_split_by_distance(frame: VertexFrame, ctx: LabelingContext) -> Plan:
-    """Split the facing block against BFS distances directly.
+    """Split the facing block against hop distances directly.
 
     The longest prefix one hop closer through the right vertex routes
     right, the rest routes through the left vertex (when it exists); a
     facing vertex served by neither is a hard error.
     """
-    from .arc_model import bfs_distances
-
     v = frame.v
     block = frame.facing_block
     members = ctx.block_vertices(block)
     r = ctx.right_vertex_of(v)
     frame.right_vertex = r
-    dist_v = bfs_distances(ctx.graph, v)
-    dist_r = bfs_distances(ctx.graph, r)
-    right_ok = dist_r[members] == dist_v[members] - 1
+    dist = ctx.distances()
+    dist_v = dist[v]
+    right_ok = dist[r][members] == dist_v[members] - 1
     prefix = int(np.argmin(right_ok)) if not right_ok.all() else len(members)
     lv = frame.left_vertex
     if lv is None:
@@ -562,8 +573,7 @@ def _facing_split_by_distance(frame: VertexFrame, ctx: LabelingContext) -> Plan:
                 "facing block unreachable through the right vertex", vertex=v
             )
         return [(r, int(ctx.pos[block.a]), len(members))]
-    dist_l = bfs_distances(ctx.graph, lv)
-    left_ok = dist_l[members] == dist_v[members] - 1
+    left_ok = dist[lv][members] == dist_v[members] - 1
     left_bad = np.flatnonzero(~left_ok)
     suffix_start = int(left_bad[-1]) + 1 if len(left_bad) else 0
     if prefix < suffix_start:
@@ -974,9 +984,11 @@ def _join_chunks(n: int, left: tuple[int, int],
 
 
 def build_scheme(model: ArcModel) -> RoutingScheme:
-    """Full pipeline from arc model to checked routing scheme."""
-    if not is_real(model):
-        raise NotRealCircularArc("arcs do not cover the whole circle")
+    """Full pipeline from arc model to checked routing scheme.
+
+    Raises NotRealCircularArc (from ``build_clique_cycle``) when the arcs
+    leave part of the circle uncovered.
+    """
     graph = intersection_graph(model)
     cycle = build_clique_cycle(model, graph)
     vorder = build_vertex_order(cycle)

@@ -13,7 +13,13 @@ from pathlib import Path
 
 from .arc_model import intersection_graph, parse_model
 from .builder import RoutingScheme, build_scheme
-from .errors import ArcRouteError, NotRealCircularArc, RouteError, StructuralSchemeError
+from .errors import (
+    ArcRouteError,
+    NotRealCircularArc,
+    RouteError,
+    SettingError,
+    StructuralSchemeError,
+)
 from .generator import gen_complete, gen_random, gen_ring, gen_wheel
 from .oracle import DEFAULT_VERTEX_LIMIT, has_shortest_path_1irs
 from .verifier import interval_stats, route, verify_scheme
@@ -34,7 +40,12 @@ def _load_scheme(path: str) -> RoutingScheme:
 def _default_threads() -> int:
     env = os.environ.get("CARC_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise SettingError(
+                f"CARC_THREADS must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 
@@ -152,9 +163,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except RouteError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

@@ -58,6 +58,16 @@ def test_parse_garbage():
         parse_model('{"n": 2, "arcs": [[0, 1]]}')
 
 
+@pytest.mark.parametrize("payload", [
+    '{"n": true, "arcs": [[0, 1]]}',
+    '{"n": 2, "arcs": [[0, 2], [3, true]]}',
+    '{"n": 2, "arcs": [[false, 2], [3, 1]]}',
+])
+def test_parse_rejects_json_booleans(payload):
+    with pytest.raises(ModelFormatError, match="int"):
+        parse_model(payload)
+
+
 def test_model_json_round_trip():
     model = load(C4_MODEL)
     again = parse_model(model.to_json())

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from arcroute import (
@@ -19,9 +22,11 @@ from arcroute import (
     label_right,
     right_vertex,
     separator,
+    validate_model,
+    verify_scheme,
 )
 from arcroute.builder import LabelingContext
-from arcroute.errors import ConstructionError
+from arcroute.errors import ConstructionError, NotRealCircularArc
 from arcroute.ring_order import interval_members
 from conftest import C4_MODEL, load
 
@@ -436,7 +441,135 @@ def test_interval_model_with_covering_arcs_still_routes():
         ctx.left_vertex_of(v) is None
         for v in range(5) if not ctx.dominating[v]
     )
-    from arcroute import verify_scheme
-
     scheme = build_scheme(model)
     assert verify_scheme(ctx.graph, scheme).passed
+
+
+# -- distance checks -----------------------------------------------------------
+
+
+def perturbed_ring(n, seed):
+    """Arc i starts at ring step i + U[0, 1) and runs 2 to 4 steps; the 2n
+    real endpoints are ranked to integer positions.  Sparse, covering, with
+    no dominating vertex and no counter pair, so every vertex takes the
+    separator case."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(n):
+        start = i + rng.random()
+        end = start + 2 + 2 * rng.random()
+        points.append((start % n, i, 0))
+        points.append((end % n, i, 1))
+    points.sort()
+    arcs = [[0, 0] for _ in range(n)]
+    for rank, (_, arc, side) in enumerate(points):
+        arcs[arc][side] = rank
+    return validate_model(n, [tuple(a) for a in arcs])
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Count calls of the per-source BFS and of the all-pairs matrix."""
+    import arcroute.arc_model
+    import arcroute.builder
+
+    calls = {"bfs_distances": 0, "all_pairs_distances": 0}
+
+    def counting(name):
+        real = getattr(arcroute.arc_model, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for module in (arcroute.arc_model, arcroute.builder):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+
+    counting("bfs_distances")
+    counting("all_pairs_distances")
+    return calls
+
+
+@pytest.mark.parametrize("model", [gen_ring(32), perturbed_ring(40, 5)],
+                         ids=["ring32", "perturbed_ring40"])
+def test_separator_builds_use_one_distance_matrix(model, search_calls):
+    scheme = build_scheme(model)
+    assert search_calls["bfs_distances"] == 0
+    assert search_calls["all_pairs_distances"] <= 1
+    assert verify_scheme(intersection_graph(model), scheme).passed
+
+
+def test_perturbed_ring_has_no_dominating_vertex_or_counter_pair():
+    ctx = context_for(perturbed_ring(40, 5))
+    assert not ctx.any_dominating and not ctx.any_counter_pair
+
+
+def test_distance_fallback_reads_the_matrix(search_calls):
+    # gen_random(8, 22) takes the distance-split fallback on some vertex
+    model = gen_random(8, 22)
+    scheme = build_scheme(model)
+    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 1}
+    assert verify_scheme(intersection_graph(model), scheme).passed
+
+
+def test_dense_build_never_computes_distances(search_calls):
+    build_scheme(gen_random(64, 3))
+    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 0}
+
+
+def test_plan_check_rejects_a_carrier_off_every_shortest_path():
+    from arcroute.builder import _plan_serves_shortest
+
+    ctx = context_for(gen_ring(8))
+    assert ctx.vorder.items == tuple(range(8))
+    # from 0, vertices 2 and 3 lie behind neighbor 1, but 5 and 6 lie
+    # behind neighbor 7: routing them through 1 is not shortest
+    assert _plan_serves_shortest(0, [(1, int(ctx.pos[2]), 2)], ctx)
+    assert _plan_serves_shortest(0, [(7, int(ctx.pos[5]), 2)], ctx)
+    assert not _plan_serves_shortest(0, [(1, int(ctx.pos[5]), 2)], ctx)
+    assert not _plan_serves_shortest(
+        0, [(1, int(ctx.pos[2]), 2), (1, int(ctx.pos[5]), 2)], ctx)
+
+
+def test_coverage_is_checked_once_per_build(monkeypatch):
+    import arcroute.arc_model
+    import arcroute.builder
+    import arcroute.clique_cycle
+
+    calls = []
+    real = arcroute.arc_model.is_real
+    for module in (arcroute.arc_model, arcroute.builder, arcroute.clique_cycle):
+        monkeypatch.setattr(module, "is_real",
+                            lambda model: calls.append(1) or real(model),
+                            raising=False)
+    build_scheme(gen_ring(6))
+    assert len(calls) == 1
+    with pytest.raises(NotRealCircularArc):
+        build_scheme(load({"n": 2, "arcs": [[0, 1], [2, 3]]}))
+
+
+# sha256 of to_json(), recorded before the distance checks moved from
+# per-vertex BFS to one matrix; any change of the emitted bytes fails here
+GOLDEN_SCHEMES = [
+    ("ring12", lambda: gen_ring(12),
+     "4919542bdf3115801ec89382ccf93aed042d9042fdbc47326df9d2b9a0168ab1"),
+    ("wheel7", lambda: gen_wheel(7),
+     "88ad32f25e0702eef8faebbacdf49a403dedf8944ccc996623fb4296d832cbbd"),
+    ("random8_22", lambda: gen_random(8, 22),
+     "86d3eff6c7683b5f262eea036b12d94527e1f695954e86ecd279a8c5a84dff0b"),
+    ("random10_6", lambda: gen_random(10, 6),
+     "17e772b244bcae1ca83e3ab1fd48659cd8912ddd338072cb26c3311e9e3a9943"),
+    ("random40_1", lambda: gen_random(40, 1),
+     "20f1d402f71b17c069b0303daef114c6f48b31bae04cdbf688f9b526e47d1aed"),
+    ("perturbed_ring24_3", lambda: perturbed_ring(24, 3),
+     "fbbe10f9e0052f102025eb36acff04e179952cf3513442541933887b04977c8f"),
+    ("perturbed_ring40_5", lambda: perturbed_ring(40, 5),
+     "756debf980616b201fc0090e3c16fc57bfd33ffed669ab5fa479d908b8229f5d"),
+]
+
+
+@pytest.mark.parametrize("make,digest", [g[1:] for g in GOLDEN_SCHEMES],
+                         ids=[g[0] for g in GOLDEN_SCHEMES])
+def test_scheme_json_is_byte_identical_to_the_recorded_one(make, digest):
+    text = build_scheme(make()).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

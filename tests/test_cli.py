@@ -146,3 +146,11 @@ def test_verify_threads_flag(tmp_path, c4_file, capsys):
     capsys.readouterr()
     assert run(["verify", "--model", c4_file, "--scheme", out,
                 "--threads", 2]) == 0
+
+
+def test_bad_threads_env_is_a_clean_failure(monkeypatch, c4_file, capsys):
+    monkeypatch.setenv("CARC_THREADS", "abc")
+    assert run(["build", "--model", c4_file]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "bad-setting" in err and "CARC_THREADS" in err
