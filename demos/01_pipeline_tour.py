@@ -40,7 +40,7 @@ def main() -> None:
     print(f"vertex order: {vorder.items}")
 
     ctx = LabelingContext(cycle, graph, vorder)
-    frame = compute_frame(vorder, cycle, graph, 0, ctx)
+    frame = compute_frame(ctx, 0)
     print(f"frame of vertex 0: left vertex {frame.left_vertex}, "
           f"middle vertex {frame.middle_vertex}")
     print(f"  right block  {frame.right_block}  (adjacent, one singleton each)")

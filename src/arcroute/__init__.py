@@ -25,9 +25,6 @@ from .builder import (
     build_scheme,
     build_vertex_order,
     compute_frame,
-    label_face_to_face,
-    label_left,
-    label_right,
     right_vertex,
     separator,
 )
@@ -51,10 +48,7 @@ from .ring_order import (
     CyclicOrder,
     RingInterval,
     interval_contains,
-    interval_members,
-    join,
     ring_sequence,
-    successor,
 )
 from .verifier import (
     IntervalStats,
@@ -99,14 +93,9 @@ __all__ = [
     "gen_wheel",
     "has_shortest_path_1irs",
     "interval_contains",
-    "interval_members",
     "interval_stats",
     "intersection_graph",
     "is_real",
-    "join",
-    "label_face_to_face",
-    "label_left",
-    "label_right",
     "parse_model",
     "reaches_further_left",
     "reaches_further_right",
@@ -114,7 +103,6 @@ __all__ = [
     "ring_sequence",
     "route",
     "separator",
-    "successor",
     "validate_model",
     "verify_scheme",
 ]

@@ -46,13 +46,6 @@ class ArcModel:
         s, length = self.gap_span(i)
         return (gap - s) % self.circle_size < length
 
-    def arcs_intersect(self, i: int, j: int) -> bool:
-        """Closed arcs ``i`` and ``j`` share at least one gap."""
-        si, li = self.gap_span(i)
-        sj, lj = self.gap_span(j)
-        m = self.circle_size
-        return (sj - si) % m < li or (si - sj) % m < lj
-
     def to_json(self) -> str:
         arcs = ", ".join(f"[{s}, {e}]" for s, e in self.arcs)
         return f'{{"n": {self.n}, "arcs": [{arcs}]}}'
@@ -111,23 +104,25 @@ def parse_model(data: bytes | str) -> ArcModel:
     return validate_model(n, arcs)
 
 
+def gap_coverage(model: ArcModel) -> np.ndarray:
+    """Number of arcs covering each gap of the circle.
+
+    One difference-array sweep over the circle unrolled twice, so that
+    arcs wrapping past position 0 need no special case.
+    """
+    size = model.circle_size
+    arcs = np.asarray(model.arcs, dtype=np.int64)
+    starts = arcs[:, 0]
+    ends = starts + (arcs[:, 1] - starts) % size
+    diff = (np.bincount(starts, minlength=2 * size)
+            - np.bincount(ends, minlength=2 * size))
+    coverage = np.cumsum(diff)
+    return coverage[:size] + coverage[size:]
+
+
 def is_real(model: ArcModel) -> bool:
     """True when the arcs jointly cover every gap of the circle."""
-    size = model.circle_size
-    diff = np.zeros(size + 1, dtype=np.int64)
-    for i in range(model.n):
-        s, length = model.gap_span(i)
-        end = s + length
-        if end <= size:
-            diff[s] += 1
-            diff[end] -= 1
-        else:
-            diff[s] += 1
-            diff[size] -= 1
-            diff[0] += 1
-            diff[end - size] -= 1
-    coverage = np.cumsum(diff[:size])
-    return bool((coverage > 0).all())
+    return bool((gap_coverage(model) > 0).all())
 
 
 class Graph:
@@ -199,16 +194,10 @@ def all_pairs_distances(graph: Graph) -> np.ndarray:
 
     mat = csr_matrix(graph.adj)
     dist = shortest_path(mat, method="D", unweighted=True, directed=False)
-    out = np.full((graph.n, graph.n), UNREACHABLE, dtype=np.int64)
-    finite = np.isfinite(dist)
-    out[finite] = dist[finite].astype(np.int64)
-    return out
-
-
-def is_connected(graph: Graph) -> bool:
-    if graph.n == 0:
-        return True
-    return int((bfs_distances(graph, 0) != UNREACHABLE).sum()) == graph.n
+    # mark unreachable pairs in place and convert once, so the float64
+    # result and one boolean mask are the only n-by-n temporaries
+    dist[np.isinf(dist)] = UNREACHABLE
+    return dist.astype(np.int64)
 
 
 def first_vertices(graph: Graph, u: int, w: int) -> set[int]:

@@ -16,8 +16,7 @@ the facing block is the delicate part and branches on whether dominating
 vertices or counter pairs exist.
 
 Label assignments are planned as (target, start position, length) triples
-so the full build stays in bulk integer arrays; the per-operation API
-exposes the same plans as ring-intervals written into a draft mapping.
+so the full build stays in bulk integer arrays.
 """
 
 from __future__ import annotations
@@ -26,10 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc_model import ArcModel, Graph, all_pairs_distances, intersection_graph
+from .arc_model import (
+    ArcModel,
+    Graph,
+    _is_json_int,
+    all_pairs_distances,
+    intersection_graph,
+)
 from .clique_cycle import CliqueCycle, build_clique_cycle
-from .errors import ConstructionError
-from .ring_order import CyclicOrder, RingInterval
+from .errors import ConstructionError, StructuralSchemeError
+from .ring_order import CyclicOrder, RingInterval, expand_runs
 
 
 class VertexOrder:
@@ -49,9 +54,6 @@ class VertexOrder:
     @property
     def items(self) -> tuple[int, ...]:
         return self.order.items
-
-    def position(self, v: int) -> int:
-        return self.order.position(v)
 
 
 def build_vertex_order(cycle: CliqueCycle) -> VertexOrder:
@@ -107,6 +109,10 @@ class LabelingContext:
         self.n = graph.n
         self.order = vorder.order
         self.items = np.asarray(self.order.items, dtype=np.int64)
+        # the order written out twice: any block is one slice of it, and
+        # the slices handed out are views, so the array is read-only
+        self._ring = np.concatenate([self.items, self.items])
+        self._ring.flags.writeable = False
         self.pos = np.empty(self.n, dtype=np.int64)
         self.pos[self.items] = np.arange(self.n, dtype=np.int64)
         self.counter = cycle.counter_matrix()
@@ -150,9 +156,7 @@ class LabelingContext:
 
     def block_vertices(self, block: RingInterval) -> np.ndarray:
         lo = int(self.pos[block.a])
-        length = self.fwd(block.a, block.b) + 1
-        idx = np.arange(lo, lo + length) % self.n
-        return self.items[idx]
+        return self._ring[lo:lo + self.block_length(block)]
 
     def block_contains(self, block: RingInterval, v: int) -> bool:
         return self.fwd(block.a, v) <= self.fwd(block.a, block.b)
@@ -279,25 +283,8 @@ class LabelingContext:
         return int(cached)
 
 
-def make_context(cycle: CliqueCycle, graph: Graph,
-                 vorder: VertexOrder) -> LabelingContext:
-    return LabelingContext(cycle, graph, vorder)
-
-
-def _fresh_context(cycle: CliqueCycle, graph: Graph) -> LabelingContext:
-    return LabelingContext(cycle, graph, build_vertex_order(cycle))
-
-
-def compute_frame(
-    vorder: VertexOrder,
-    cycle: CliqueCycle,
-    graph: Graph,
-    v: int,
-    ctx: LabelingContext | None = None,
-) -> VertexFrame:
+def compute_frame(ctx: LabelingContext, v: int) -> VertexFrame:
     """Blocks and distinguished neighbors of a non-dominating vertex."""
-    if ctx is None:
-        ctx = LabelingContext(cycle, graph, vorder)
     if ctx.dominating[v]:
         raise ConstructionError("frames are undefined for dominating vertices",
                                 vertex=v)
@@ -515,9 +502,9 @@ def _facing_via_separator(frame: VertexFrame, ctx: LabelingContext) -> Plan:
     block = frame.facing_block
     if frame.left_vertex is None:
         return _facing_split_by_distance(frame, ctx)
-    r = right_vertex(frame, ctx.cycle, ctx.graph, ctx)
+    r = right_vertex(frame, ctx)
     try:
-        s = separator(frame, ctx.vorder, ctx.cycle, ctx.graph, ctx)
+        s = separator(frame, ctx)
     except _LeftChainBroke:
         return _facing_split_by_distance(frame, ctx)
     lv = frame.left_vertex
@@ -541,13 +528,10 @@ def _plan_serves_shortest(v: int, plan: Plan, ctx: LabelingContext) -> bool:
     that matrix, later checks only index it.
     """
     dist = ctx.distances()
-    dist_v = dist[v]
-    n = ctx.n
-    for target, start, length in plan:
-        members = ctx.items[np.arange(start, start + length) % n]
-        if not (dist[target][members] == dist_v[members] - 1).all():
-            return False
-    return True
+    targets, starts, lengths = np.array(plan, dtype=np.int64).reshape(-1, 3).T
+    run, positions = expand_runs(starts, lengths, ctx.n)
+    members = ctx.items[positions]
+    return bool((dist[targets[run], members] == dist[v, members] - 1).all())
 
 
 def _facing_split_by_distance(frame: VertexFrame, ctx: LabelingContext) -> Plan:
@@ -597,12 +581,9 @@ class _LeftChainBroke(ConstructionError):
     to the distance-checked split."""
 
 
-def right_vertex(frame: VertexFrame, cycle: CliqueCycle, graph: Graph,
-                 ctx: LabelingContext | None = None) -> int:
+def right_vertex(frame: VertexFrame, ctx: LabelingContext) -> int:
     """Farthest-clockwise-reaching neighbor; only defined when the graph
     has no dominating vertices and v has no counter partner."""
-    if ctx is None:
-        ctx = _fresh_context(cycle, graph)
     if ctx.any_dominating:
         raise ConstructionError("right vertex undefined with dominating vertices")
     if ctx.has_counter[frame.v]:
@@ -613,16 +594,13 @@ def right_vertex(frame: VertexFrame, cycle: CliqueCycle, graph: Graph,
     return r
 
 
-def apex_number(frame: VertexFrame, cycle: CliqueCycle, graph: Graph,
-                ctx: LabelingContext | None = None) -> int:
+def apex_number(frame: VertexFrame, ctx: LabelingContext) -> int:
     """Depth at which the iterated left/right vertices of v meet.
 
     Depth 1 means the spans of the two first-step neighbors already meet
     around the far side of the clique cycle; otherwise it is the smallest
     i > 1 with the i-th left and right iterates adjacent or equal.
     """
-    if ctx is None:
-        ctx = _fresh_context(cycle, graph)
     if ctx.any_dominating or ctx.any_counter_pair:
         raise ConstructionError("apex undefined with dominating or counter vertices")
     v = frame.v
@@ -630,6 +608,7 @@ def apex_number(frame: VertexFrame, cycle: CliqueCycle, graph: Graph,
     if l1 is None:
         raise ConstructionError("left vertex missing", vertex=v)
     r1 = ctx.right_vertex_of(v)
+    cycle = ctx.cycle
     k = cycle.k
     lc_l1 = int(cycle.left[l1])
     rc_r1 = int(cycle.right[r1])
@@ -646,7 +625,7 @@ def apex_number(frame: VertexFrame, cycle: CliqueCycle, graph: Graph,
             raise _LeftChainBroke("left chain broke", vertex=v)
         li = nl
         ri = ctx.right_vertex_of(ri)
-        if li == ri or graph.adjacent(li, ri):
+        if li == ri or ctx.graph.adjacent(li, ri):
             frame.apex = i
             return i
     raise ConstructionError("left/right chains never met", vertex=v)
@@ -661,19 +640,16 @@ def _interval_proper_subset(k: int, a: int, alen: int, b: int, blen: int) -> boo
     return (a - b) % k + alen <= blen
 
 
-def separator(frame: VertexFrame, vorder: VertexOrder, cycle: CliqueCycle,
-              graph: Graph, ctx: LabelingContext | None = None) -> int:
+def separator(frame: VertexFrame, ctx: LabelingContext) -> int:
     """Boundary vertex splitting the facing block.
 
     Everything from the facing block's start through the separator routes
     via the right vertex; the rest routes via the left vertex.
     """
-    if ctx is None:
-        ctx = _fresh_context(cycle, graph)
     if frame.apex is None:
-        apex_number(frame, cycle, graph, ctx)
+        apex_number(frame, ctx)
     if frame.right_vertex is None:
-        right_vertex(frame, cycle, graph, ctx)
+        right_vertex(frame, ctx)
     v = frame.v
     lv = frame.left_vertex
     if lv is None:
@@ -690,14 +666,14 @@ def separator(frame: VertexFrame, vorder: VertexOrder, cycle: CliqueCycle,
         if li is None:
             raise _LeftChainBroke("left chain broke", vertex=v)
         ri = ctx.right_vertex_of(ri)
-    c = int(cycle.right[ri])
+    c = int(ctx.cycle.right[ri])
     tail = int(ctx.vorder.tail[c])
     if tail == -1:
         raise ConstructionError("empty block at the right chain's last clique",
                                 vertex=v)
     w = ctx.succ(tail)
     for _ in range(ctx.fwd(w, lv) + 1):
-        if w == li or graph.adjacent(w, li):
+        if w == li or ctx.graph.adjacent(w, li):
             break
         w = ctx.succ(w)
     else:
@@ -710,75 +686,6 @@ def separator(frame: VertexFrame, vorder: VertexOrder, cycle: CliqueCycle,
     s = ctx.pred(w)
     frame.split_vertex = s
     return s
-
-
-# ---------------------------------------------------------------------------
-# Draft API: the planning functions exposed as per-operation labelers that
-# write ring-intervals into a mapping, joining abutting intervals per arc.
-# ---------------------------------------------------------------------------
-
-Draft = dict[tuple[int, int], list[RingInterval]]
-
-
-def _draft_add(draft: Draft, ctx: LabelingContext, v: int,
-               target: int, start: int, length: int) -> None:
-    ivl = RingInterval(ctx.vertex_at(start), ctx.vertex_at(start + length - 1))
-    existing = draft.setdefault((v, target), [])
-    existing.append(ivl)
-    # join abutting intervals until no pair fits together
-    changed = True
-    while changed and len(existing) > 1:
-        changed = False
-        for i in range(len(existing)):
-            for j in range(len(existing)):
-                if i == j:
-                    continue
-                merged = _try_join(ctx, existing[i], existing[j])
-                if merged is not None:
-                    keep = [x for t, x in enumerate(existing) if t not in (i, j)]
-                    existing[:] = keep + [merged]
-                    changed = True
-                    break
-            if changed:
-                break
-
-
-def _try_join(ctx: LabelingContext, left: RingInterval,
-              right: RingInterval) -> RingInterval | None:
-    if ctx.succ(left.b) == right.a:
-        return RingInterval(left.a, right.b)
-    if ctx.succ(right.b) == left.a:
-        return RingInterval(right.a, left.b)
-    return None
-
-
-def label_right(frame: VertexFrame, draft: Draft, ctx: LabelingContext) -> None:
-    """Every right-block vertex is adjacent: it gets its own singleton."""
-    plan = _plan_right(frame, ctx)
-    if plan is None:
-        return
-    for t, s, length in zip(*plan):
-        _draft_add(draft, ctx, frame.v, int(t), int(s), int(length))
-
-
-def label_left(frame: VertexFrame, draft: Draft, ctx: LabelingContext) -> None:
-    """Left-block distribution: v-adjacent members carry the stretch up to
-    the next adjacent member."""
-    plan = _plan_left(frame, ctx)
-    if plan is None:
-        return
-    for t, s, length in zip(*plan):
-        _draft_add(draft, ctx, frame.v, int(t), int(s), int(length))
-
-
-def label_face_to_face(frame: VertexFrame, vorder: VertexOrder,
-                       cycle: CliqueCycle, graph: Graph,
-                       draft: Draft, ctx: LabelingContext | None = None) -> None:
-    """Distribute the facing block; see _plan_facing for the case split."""
-    if ctx is None:
-        ctx = _fresh_context(cycle, graph)
-    for t, s, length in _plan_facing(frame, ctx):
-        _draft_add(draft, ctx, frame.v, int(t), int(s), int(length))
 
 
 # ---------------------------------------------------------------------------
@@ -833,9 +740,6 @@ class RoutingScheme:
             self._labels = {arc: tuple(ivls) for arc, ivls in out.items()}
         return self._labels
 
-    def arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.labels.keys())
-
     @classmethod
     def from_labels(cls, order: CyclicOrder,
                     labels: dict[tuple[int, int], tuple[RingInterval, ...]],
@@ -871,8 +775,6 @@ class RoutingScheme:
     def from_json(cls, data: bytes | str) -> "RoutingScheme":
         import json
 
-        from .errors import StructuralSchemeError
-
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         try:
@@ -881,20 +783,30 @@ class RoutingScheme:
             raise StructuralSchemeError(f"invalid scheme JSON: {exc}") from exc
         if not isinstance(obj, dict) or "order" not in obj or "labels" not in obj:
             raise StructuralSchemeError('scheme needs "order" and "labels"')
+        raw_order, raw_labels = obj["order"], obj["labels"]
+        if not (isinstance(raw_order, list) and all(map(_is_json_int, raw_order))):
+            raise StructuralSchemeError('"order" must be a list of integers')
+        if not isinstance(raw_labels, dict):
+            raise StructuralSchemeError('"labels" must be an object')
         try:
-            order = CyclicOrder(obj["order"])
-        except (ValueError, TypeError) as exc:
+            order = CyclicOrder(raw_order)
+        except ValueError as exc:
             raise StructuralSchemeError(str(exc)) from exc
+        n = order.n
         labels: dict[tuple[int, int], tuple[RingInterval, ...]] = {}
-        for key, ivls in obj["labels"].items():
+        for key, ivls in raw_labels.items():
             try:
                 a, b = key.split("->")
                 arc = (int(a), int(b))
-                parsed = tuple(RingInterval(int(x), int(y)) for x, y in ivls)
+                parsed = tuple(RingInterval(x, y) for x, y in ivls)
             except (ValueError, TypeError) as exc:
                 raise StructuralSchemeError(f"bad labels entry {key!r}") from exc
             for ivl in parsed:
-                if not (ivl.a in order and ivl.b in order):
+                if not (_is_json_int(ivl.a) and _is_json_int(ivl.b)):
+                    raise StructuralSchemeError(
+                        f"bad labels entry {key!r}: interval ends must be integers"
+                    )
+                if not (0 <= ivl.a < n and 0 <= ivl.b < n):
                     raise StructuralSchemeError(
                         f"interval [{ivl.a}, {ivl.b}] outside the order"
                     )
@@ -903,10 +815,9 @@ class RoutingScheme:
 
 
 class _Accumulator:
-    """Bulk collector of plan entries for the fast build path."""
+    """Bulk collector of plan entries as column arrays."""
 
-    def __init__(self, ctx: LabelingContext):
-        self.ctx = ctx
+    def __init__(self):
         self.srcs: list[np.ndarray] = []
         self.dsts: list[np.ndarray] = []
         self.starts: list[np.ndarray] = []
@@ -926,10 +837,10 @@ class _Accumulator:
                 np.concatenate(self.starts), np.concatenate(self.lengths))
 
 
-def _label_vertex_fast(v: int, ctx: LabelingContext, acc: _Accumulator) -> None:
+def _label_vertex(v: int, ctx: LabelingContext, acc: _Accumulator) -> None:
     """Plan all three blocks of v, merging facing-block extras into the
     base interval their target already carries."""
-    frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, v, ctx)
+    frame = compute_frame(ctx, v)
     extras = _plan_facing(frame, ctx)
     n = ctx.n
 
@@ -993,7 +904,7 @@ def build_scheme(model: ArcModel) -> RoutingScheme:
     cycle = build_clique_cycle(model, graph)
     vorder = build_vertex_order(cycle)
     ctx = LabelingContext(cycle, graph, vorder)
-    acc = _Accumulator(ctx)
+    acc = _Accumulator()
     n = model.n
     all_pos = np.arange(n, dtype=np.int64)
     for v in range(n):
@@ -1003,7 +914,7 @@ def build_scheme(model: ArcModel) -> RoutingScheme:
             targets = ctx.items[starts]
             acc.add_bulk(v, targets, starts, np.ones(n - 1, dtype=np.int64))
         else:
-            _label_vertex_fast(v, ctx, acc)
+            _label_vertex(v, ctx, acc)
     src, dst, start, length = acc.concat()
     _check_scheme_shape(ctx, src, dst, start, length)
     return RoutingScheme(ctx.order, src, dst, start, length, vorder)
@@ -1024,11 +935,10 @@ def _check_scheme_shape(ctx: LabelingContext, src, dst, start, length) -> None:
         raise ConstructionError(
             f"intervals cover {int(totals[v])} of {n - 1} destinations", vertex=v
         )
-    # with per-vertex totals exact, tiling holds iff no slot is hit twice
-    within = np.arange(int(length.sum()), dtype=np.int64) - np.repeat(
-        np.cumsum(length) - length, length
-    )
-    slots = np.repeat(src * (n - 1) + rel - 1, length) + within
+    # with per-vertex totals exact, tiling holds iff no slot is hit twice;
+    # source v owns slots v * (n - 1) .. v * (n - 1) + n - 2, one per
+    # destination, and the range check above keeps every run inside them
+    slots = expand_runs(src * (n - 1) + rel - 1, length, n * (n - 1))[1]
     slot_counts = np.bincount(slots, minlength=n * (n - 1))
     if (slot_counts > 1).any():
         v = int(np.flatnonzero(slot_counts > 1)[0] // (n - 1))

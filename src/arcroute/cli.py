@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failure, 2 parse/structural errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -17,7 +16,6 @@ from .errors import (
     ArcRouteError,
     NotRealCircularArc,
     RouteError,
-    SettingError,
     StructuralSchemeError,
 )
 from .generator import gen_complete, gen_random, gen_ring, gen_wheel
@@ -37,18 +35,6 @@ def _load_scheme(path: str) -> RoutingScheme:
     return RoutingScheme.from_json(Path(path).read_bytes())
 
 
-def _default_threads() -> int:
-    env = os.environ.get("CARC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SettingError(
-                f"CARC_THREADS must be an integer, got {env!r}"
-            ) from None
-    return os.cpu_count() or 1
-
-
 def _cmd_build(args) -> int:
     model = _load_model(args.model)
     scheme = build_scheme(model)
@@ -65,7 +51,7 @@ def _cmd_verify(args) -> int:
     model = _load_model(args.model)
     scheme = _load_scheme(args.scheme)
     graph = intersection_graph(model)
-    report = verify_scheme(graph, scheme, threads=args.threads)
+    report = verify_scheme(graph, scheme)
     print(report.to_json())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -135,7 +121,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a scheme against a model")
     p.add_argument("--model", required=True)
     p.add_argument("--scheme", required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=None,
+                   help="ignored; verify runs on one thread")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("route", help="simulate a route between two vertices")

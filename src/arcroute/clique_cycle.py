@@ -21,9 +21,9 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .arc_model import ArcModel, Graph, intersection_graph, is_real
+from .arc_model import ArcModel, Graph, gap_coverage, intersection_graph
 from .errors import ConstructionError, NotRealCircularArc, UndefinedComparisonError
-from .ring_order import CyclicOrder, RingInterval, ring_sequence
+from .ring_order import CyclicOrder, ring_sequence
 
 FURTHER = "further"
 EQUAL = "equal"
@@ -36,7 +36,7 @@ class CliqueCycle:
         "nat_left", "nat_right", "nat_len",
         "left", "right", "span_len",
         "dominating", "dominating_set", "z",
-        "_members_cache",
+        "_members_cache", "_counter",
     )
 
     def __init__(self, model: ArcModel, graph: Graph, anchors: list[int],
@@ -60,6 +60,7 @@ class CliqueCycle:
         self.span_len = (self.right - self.left) % k + 1
         self.span_len[self.dominating] = k
         self._members_cache: dict[int, tuple[int, ...]] = {}
+        self._counter: np.ndarray | None = None
 
     @property
     def k(self) -> int:
@@ -85,39 +86,29 @@ class CliqueCycle:
         """Membership per the pinned spans (differs only for all-adjacent v)."""
         return (clique - self.left[v]) % self.k < self.span_len[v]
 
-    def span_interval(self, v: int) -> RingInterval:
-        return RingInterval(int(self.left[v]), int(self.right[v]))
-
-    def is_counter_pair(self, u: int, v: int) -> bool:
-        """Adjacent with a clique run split in two pieces (arcs overlapping
-        at both ends of the circle)."""
-        if u == v or not self.graph.adjacent(u, v):
-            return False
-        k = self.k
-        if self.nat_len[u] == k or self.nat_len[v] == k:
-            return False
-        if self.nat_left[u] == self.nat_left[v]:
-            return False
-        return (
-            self.natural_contains(u, int(self.nat_left[v]))
-            and self.natural_contains(v, int(self.nat_left[u]))
-        )
-
     def counter_matrix(self) -> np.ndarray:
-        """Boolean n-by-n matrix of counter pairs (vectorized)."""
-        k = self.k
-        lc = self.nat_left
-        ln = self.nat_len
-        rel = (lc[None, :] - lc[:, None]) % k
-        contains = rel < ln[:, None]  # contains[u, v]: u's run holds v's left clique
-        proper = ln < k
-        mat = (
-            contains & contains.T
-            & (lc[:, None] != lc[None, :])
-            & proper[:, None] & proper[None, :]
-            & self.graph.adj
-        )
-        return mat
+        """Boolean n-by-n matrix of counter pairs, computed once.
+
+        ``u`` and ``v`` form a counter pair when they are adjacent and
+        their shared clique run splits in two pieces (arcs overlapping at
+        both ends of the circle): neither run is the whole cycle, the runs
+        start at different cliques, and each holds the other's start.
+        """
+        if self._counter is None:
+            k = self.k
+            lc = self.nat_left
+            ln = self.nat_len
+            rel = (lc[None, :] - lc[:, None]) % k
+            contains = rel < ln[:, None]  # contains[u, v]: u's run holds v's left clique
+            proper = ln < k
+            self._counter = (
+                contains & contains.T
+                & (lc[:, None] != lc[None, :])
+                & proper[:, None] & proper[None, :]
+                & self.graph.adj
+            )
+            self._counter.flags.writeable = False  # shared by every caller
+        return self._counter
 
     def dump(self) -> str:
         """Debug text: cliques in cyclic order, then per-vertex spans."""
@@ -155,9 +146,11 @@ def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCyc
     """Derive the clique-cycle of a circle-covering model.
 
     Raises NotRealCircularArc when some gap is uncovered (interval-graph
-    models are out of scope for the scheme construction).
+    models are out of scope for the scheme construction).  The per-gap
+    coverage serves both that check and as the point-clique sizes.
     """
-    if not is_real(model):
+    sizes = gap_coverage(model)
+    if not (sizes > 0).all():
         raise NotRealCircularArc("arcs do not cover the whole circle")
     if graph is None:
         graph = intersection_graph(model)
@@ -166,7 +159,6 @@ def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCyc
     size = model.circle_size
     spans = [model.gap_span(i) for i in range(n)]
 
-    sizes = _gap_clique_sizes(model)
     lam, rho = _common_coverage_extents(model, spans)
     candidates = _window_survivors(sizes, lam, rho)
     anchors = _exact_maximal_anchors(model, spans, sizes, candidates)
@@ -194,29 +186,13 @@ def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCyc
     return CliqueCycle(model, graph, anchor_arr, nat_left, nat_right, nat_len)
 
 
-def _gap_clique_sizes(model: ArcModel) -> np.ndarray:
-    size = model.circle_size
-    diff = np.zeros(size + 1, dtype=np.int64)
-    for i in range(model.n):
-        s, length = model.gap_span(i)
-        end = s + length
-        if end <= size:
-            diff[s] += 1
-            diff[end] -= 1
-        else:
-            diff[s] += 1
-            diff[size] -= 1
-            diff[0] += 1
-            diff[end - size] -= 1
-    return np.cumsum(diff[:size])
-
-
 def _common_coverage_extents(model, spans) -> tuple[np.ndarray, np.ndarray]:
     """Per gap: how far the intersection of all covering arcs extends.
 
     Returns (lam, rho): every arc covering gap g also covers all gaps in
     [g - lam[g], g + rho[g]].  Uses one unrolled sweep with lazy-deletion
-    heaps keyed by unrolled start resp. end of the alive arcs.
+    heaps keyed by unrolled start resp. end of the alive arcs; the caller
+    has checked that every gap is covered, so no heap runs empty.
     """
     size = model.circle_size
     add_at: list[list[int]] = [[] for _ in range(size)]
@@ -245,8 +221,6 @@ def _common_coverage_extents(model, spans) -> tuple[np.ndarray, np.ndarray]:
             heapq.heappop(start_heap)
         while end_heap and end_heap[0][0] < t:
             heapq.heappop(end_heap)
-        if not start_heap or not end_heap:
-            raise NotRealCircularArc(f"gap {t} is uncovered")
         latest_start = -start_heap[0][0]
         lam[t] = t - latest_start
         rho[t] = end_heap[0][0] - t
@@ -359,9 +333,8 @@ def _exact_maximal_anchors(model, spans, sizes: np.ndarray,
 
 def counter_vertices(cycle: CliqueCycle, graph: Graph, v: int) -> set[int]:
     """Neighbors of ``v`` whose shared clique run splits in two pieces."""
-    return {
-        int(w) for w in graph.neighbors[v] if cycle.is_counter_pair(v, int(w))
-    }
+    counter = cycle.counter_matrix()[v]
+    return {int(w) for w in graph.neighbors[v] if counter[w]}
 
 
 def _check_comparable(cycle: CliqueCycle, v: int, w: int, at: int) -> None:
@@ -369,7 +342,7 @@ def _check_comparable(cycle: CliqueCycle, v: int, w: int, at: int) -> None:
         raise UndefinedComparisonError(
             f"vertices {v}, {w} are not both in clique {at}"
         )
-    if cycle.is_counter_pair(v, w):
+    if cycle.counter_matrix()[v, w]:
         raise UndefinedComparisonError(
             f"reach of counter vertices {v}, {w} is incomparable"
         )

@@ -27,12 +27,6 @@ class DegenerateArcError(ModelFormatError):
     code = "degenerate-arc"
 
 
-class SettingError(ArcRouteError):
-    """An environment setting such as ``CARC_THREADS`` has a bad value."""
-
-    code = "bad-setting"
-
-
 class NotRealCircularArc(ArcRouteError):
     """The arcs of the model do not cover the whole circle.
 

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import random
 
-from .arc_model import ArcModel, is_real, validate_model
+import numpy as np
+
+from .arc_model import ArcModel, gap_coverage, is_real, validate_model
 
 
 def gen_ring(k: int) -> ArcModel:
@@ -112,7 +114,5 @@ def _grow_to_cover(arcs: list[tuple[int, int]], n: int) -> list[tuple[int, int]]
 
 
 def _first_uncovered_gap(model: ArcModel) -> int | None:
-    for g in range(model.circle_size):
-        if not any(model.covers_gap(i, g) for i in range(model.n)):
-            return g
-    return None
+    uncovered = np.flatnonzero(gap_coverage(model) == 0)
+    return int(uncovered[0]) if len(uncovered) else None

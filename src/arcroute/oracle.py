@@ -19,7 +19,7 @@ import numpy as np
 
 from .arc_model import Graph, all_pairs_distances
 from .errors import ConstructionError, OracleLimitError
-from .ring_order import CyclicOrder, RingInterval
+from .ring_order import CyclicOrder, RingInterval, expand_runs
 
 log = logging.getLogger(__name__)
 
@@ -186,24 +186,24 @@ def _certify_witness(graph, dist, order, labels, strict) -> None:
     """Re-check the witness against the relaxed scheme constraints."""
     n = graph.n
     cyc = CyclicOrder(order)
-    for v in range(n):
-        seen = np.zeros(n, dtype=np.int64)
-        for (src, w), ivl in labels.items():
-            if src != v:
-                continue
-            lo = cyc.position(ivl.a)
-            length = cyc.distance(ivl.a, ivl.b) + 1
-            for p in range(lo, lo + length):
-                u = order[p % n]
-                seen[u] += 1
-                if u == v:
-                    if strict:
-                        raise ConstructionError("strict witness covers itself")
-                    continue
-                if dist[w, u] != dist[v, u] - 1:
-                    raise ConstructionError("witness labels a non-shortest hop")
-        if (seen > 1).any():
-            raise ConstructionError("witness intervals overlap")
-        others = [u for u in range(n) if u != v]
-        if not all(seen[u] == 1 for u in others):
-            raise ConstructionError("witness misses a destination")
+    arcs = list(labels.items())
+    src = np.array([v for (v, _), _ in arcs], dtype=np.int64)
+    tgt = np.array([w for (_, w), _ in arcs], dtype=np.int64)
+    run, positions = expand_runs(
+        [cyc.position(ivl.a) for _, ivl in arcs],
+        [cyc.distance(ivl.a, ivl.b) + 1 for _, ivl in arcs],
+        n,
+    )
+    v, w, u = src[run], tgt[run], np.asarray(order, dtype=np.int64)[positions]
+    own = u == v
+    if strict and own.any():
+        raise ConstructionError("strict witness covers itself")
+    hop = ~own
+    if (dist[w[hop], u[hop]] != dist[v[hop], u[hop]] - 1).any():
+        raise ConstructionError("witness labels a non-shortest hop")
+    seen = np.bincount(v * n + u, minlength=n * n).reshape(n, n)
+    if (seen > 1).any():
+        raise ConstructionError("witness intervals overlap")
+    np.fill_diagonal(seen, 1)
+    if not (seen == 1).all():
+        raise ConstructionError("witness misses a destination")

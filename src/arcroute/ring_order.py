@@ -4,12 +4,16 @@ A cyclic order arranges ``n`` distinct element ids on a clock face; a
 ring-interval ``[a, b]`` is the run of elements met when walking clockwise
 from ``a`` to ``b``, both included.  Every other module does its arithmetic
 on these two types, so all operations here are O(1) or output-sensitive.
+Bulk code stores an interval as a run (start position, length) and
+expands runs with ``expand_runs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import UnknownElementError
 
@@ -67,9 +71,6 @@ class CyclicOrder:
     def successor(self, x: int) -> int:
         return self.items[(self.position(x) + 1) % len(self.items)]
 
-    def predecessor(self, x: int) -> int:
-        return self.items[(self.position(x) - 1) % len(self.items)]
-
     def distance(self, a: int, b: int) -> int:
         """Clockwise steps from ``a`` to ``b`` (0 when equal)."""
         return (self.position(b) - self.position(a)) % len(self.items)
@@ -91,11 +92,6 @@ class RingInterval:
         yield self.b
 
 
-def successor(order: CyclicOrder, a: int) -> int:
-    """Next element after ``a`` in clockwise direction."""
-    return order.successor(a)
-
-
 def ring_sequence(order: CyclicOrder, a: int, b: int) -> list[int]:
     """Elements from ``a`` to ``b`` clockwise, as a list starting at ``a``."""
     i = order.position(a)
@@ -105,35 +101,24 @@ def ring_sequence(order: CyclicOrder, a: int, b: int) -> list[int]:
     return [order.items[(i + k) % n] for k in range(steps + 1)]
 
 
-def interval_size(order: CyclicOrder, ivl: RingInterval) -> int:
-    return order.distance(ivl.a, ivl.b) + 1
-
-
 def interval_contains(order: CyclicOrder, ivl: RingInterval, x: int) -> bool:
     """O(1) membership test, equivalent to scanning ``ring_sequence``."""
     return order.distance(ivl.a, x) <= order.distance(ivl.a, ivl.b)
 
 
-def interval_members(order: CyclicOrder, ivl: RingInterval) -> list[int]:
-    return ring_sequence(order, ivl.a, ivl.b)
+def expand_runs(starts, lengths, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expand runs of order positions into (run index, position) rows.
 
-
-def intervals_disjoint(order: CyclicOrder, left: RingInterval, right: RingInterval) -> bool:
-    return not (
-        interval_contains(order, left, right.a)
-        or interval_contains(order, right, left.a)
-    )
-
-
-def join(order: CyclicOrder, left: RingInterval, right: RingInterval) -> RingInterval | None:
-    """Concatenate two intervals into one when they abut.
-
-    Returns ``[left.a, right.b]`` when the intervals are disjoint and
-    ``right`` starts immediately after ``left`` ends; ``None`` (no join)
-    otherwise.  The member set of the result is the union of the inputs.
+    Run ``i`` holds the ``lengths[i]`` positions ``starts[i]``,
+    ``starts[i] + 1``, ... modulo ``n``; the rows list the runs in input
+    order, each one clockwise from its start.
     """
-    if not intervals_disjoint(order, left, right):
-        return None
-    if order.successor(left.b) != right.a:
-        return None
-    return RingInterval(left.a, right.b)
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    run = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    # row r of run i sits at starts[i] + r - (first row of run i); built in
+    # place so the rows cost three int64 arrays at most
+    positions = np.arange(len(run), dtype=np.int64)
+    positions += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    positions %= n
+    return run, positions

@@ -10,7 +10,6 @@ accounting live here too.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     RoutingLoopError,
     StructuralSchemeError,
 )
+from .ring_order import expand_runs, interval_contains
 
 AMBIGUOUS = -2
 UNCOVERED = -1
@@ -90,38 +90,28 @@ def _verify_vertex(graph: Graph, scheme: RoutingScheme, dist: np.ndarray,
     n = graph.n
     items = np.asarray(scheme.order.items, dtype=np.int64)
     order = scheme.order
-    if outgoing:
-        ws = np.array([w for w, _ in outgoing], dtype=np.int64)
-        starts = np.array([order.position(ivl.a) for _, ivl in outgoing],
-                          dtype=np.int64)
-        lengths = np.array(
-            [order.distance(ivl.a, ivl.b) + 1 for _, ivl in outgoing],
-            dtype=np.int64,
+    ws = np.array([w for w, _ in outgoing], dtype=np.int64)
+    starts = [order.position(ivl.a) for _, ivl in outgoing]
+    lengths = [order.distance(ivl.a, ivl.b) + 1 for _, ivl in outgoing]
+    run, positions = expand_runs(starts, lengths, n)
+    flat_w = ws[run]
+    dests = items[positions]
+    counts = np.bincount(dests, minlength=n)
+    bad = dist[flat_w, dests] != dist[v, dests] - 1
+    for w, u in zip(flat_w[bad], dests[bad]):
+        report.shortest_violations.append(
+            {"vertex": v, "arc": [v, int(w)], "destination": int(u)}
         )
-        total = int(lengths.sum())
-        within = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths,
-                                              lengths)
-        flat_pos = (np.repeat(starts, lengths) + within) % n
-        flat_w = np.repeat(ws, lengths)
-        dests = items[flat_pos]
-        counts = np.bincount(dests, minlength=n)
-        bad = dist[flat_w, dests] != dist[v, dests] - 1
-        for w, u in zip(flat_w[bad], dests[bad]):
-            report.shortest_violations.append(
-                {"vertex": v, "arc": [v, int(w)], "destination": int(u)}
-            )
-    else:
-        counts = np.zeros(n, dtype=np.int64)
     if counts[v] > 0:
         for w, ivl in outgoing:
-            if interval_covers(scheme, ivl, v):
+            if interval_contains(order, ivl, v):
                 report.strictness_violations.append(
                     {"vertex": v, "arc": [v, w], "interval": [ivl.a, ivl.b]}
                 )
         counts[v] = 0  # do not double-report as a disjointness issue
     for u in np.flatnonzero(counts > 1):
         arcs = [[v, w] for w, ivl in outgoing
-                if interval_covers(scheme, ivl, int(u))]
+                if interval_contains(order, ivl, int(u))]
         report.disjoint_violations.append(
             {"vertex": v, "destination": int(u), "arcs": arcs}
         )
@@ -132,17 +122,13 @@ def _verify_vertex(graph: Graph, scheme: RoutingScheme, dist: np.ndarray,
             )
 
 
-def interval_covers(scheme: RoutingScheme, ivl, u: int) -> bool:
-    order = scheme.order
-    return order.distance(ivl.a, u) <= order.distance(ivl.a, ivl.b)
-
-
-def verify_scheme(graph: Graph, scheme: RoutingScheme,
-                  threads: int = 1) -> VerificationReport:
+def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:
     """Check a scheme against the graph; collects every violation.
 
     Raises StructuralSchemeError for malformed schemes (wrong vertex set,
     labels on non-edges); verification failures are reported, not raised.
+    Runs on one thread: the per-vertex checks are numpy calls too short
+    for a thread pool to pay off.
     """
     _check_structure(graph, scheme)
     dist = all_pairs_distances(graph)
@@ -153,25 +139,8 @@ def verify_scheme(graph: Graph, scheme: RoutingScheme,
         for ivl in ivls:
             by_source[v].append((w, ivl))
 
-    if threads and threads > 1:
-        chunks = np.array_split(np.arange(graph.n), threads)
-        reports = [VerificationReport(True, True, True, True) for _ in chunks]
-
-        def work(args):
-            chunk, rep = args
-            for v in chunk:
-                _verify_vertex(graph, scheme, dist, int(v), by_source[int(v)], rep)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, zip(chunks, reports)))
-        for rep in reports:
-            report.strictness_violations.extend(rep.strictness_violations)
-            report.disjoint_violations.extend(rep.disjoint_violations)
-            report.coverage_violations.extend(rep.coverage_violations)
-            report.shortest_violations.extend(rep.shortest_violations)
-    else:
-        for v in range(graph.n):
-            _verify_vertex(graph, scheme, dist, v, by_source[v], report)
+    for v in range(graph.n):
+        _verify_vertex(graph, scheme, dist, v, by_source[v], report)
 
     report.strictness_ok = not report.strictness_violations
     report.disjoint_ok = not report.disjoint_violations
@@ -193,13 +162,9 @@ def _route_table(scheme: RoutingScheme, src: int) -> np.ndarray:
         table = np.full(n, UNCOVERED, dtype=np.int64)
         lo = int(np.searchsorted(scheme.src, src, side="left"))
         hi = int(np.searchsorted(scheme.src, src, side="right"))
-        for w, s, ln in zip(scheme.dst[lo:hi], scheme.start[lo:hi],
-                            scheme.length[lo:hi]):
-            pos = np.arange(s, s + ln) % n
-            clash = table[pos] != UNCOVERED
-            table[pos] = int(w)
-            if clash.any():
-                table[pos[clash]] = AMBIGUOUS
+        run, positions = expand_runs(scheme.start[lo:hi], scheme.length[lo:hi], n)
+        table[positions] = scheme.dst[lo:hi][run]
+        table[np.bincount(positions, minlength=n) > 1] = AMBIGUOUS
         scheme._route_tables[src] = table
     return table
 

@@ -17,17 +17,20 @@ from arcroute import (
     gen_ring,
     gen_wheel,
     intersection_graph,
-    label_face_to_face,
-    label_left,
-    label_right,
     right_vertex,
     separator,
     validate_model,
     verify_scheme,
 )
-from arcroute.builder import LabelingContext
+from arcroute.builder import (
+    LabelingContext,
+    _join_chunks,
+    _plan_facing,
+    _plan_left,
+    _plan_right,
+)
 from arcroute.errors import ConstructionError, NotRealCircularArc
-from arcroute.ring_order import interval_members
+from arcroute.ring_order import ring_sequence
 from conftest import C4_MODEL, load
 
 
@@ -95,7 +98,7 @@ def test_wheel_hub_sits_in_its_pinned_block():
 def test_c4_frame_of_vertex_0():
     model = load(C4_MODEL)
     ctx = context_for(model)
-    frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, 0, ctx)
+    frame = compute_frame(ctx, 0)
     assert frame.left_vertex == 3
     assert frame.middle_vertex == 1
     assert frame.right_block == RingInterval(1, 1)
@@ -108,7 +111,7 @@ def test_ring_frames_have_unit_side_blocks():
         model = gen_ring(k)
         ctx = context_for(model)
         for v in range(k):
-            frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, v, ctx)
+            frame = compute_frame(ctx, v)
             assert ctx.block_length(frame.right_block) == 1
             assert ctx.block_length(frame.left_block) == 1
             assert ctx.block_length(frame.facing_block) == k - 3
@@ -118,7 +121,7 @@ def test_frame_rejects_dominating_vertex():
     model = gen_wheel(6)
     ctx = context_for(model)
     with pytest.raises(ConstructionError):
-        compute_frame(ctx.vorder, ctx.cycle, ctx.graph, 6, ctx)
+        compute_frame(ctx, 6)
 
 
 def test_empty_right_block_when_vertex_closes_its_clique():
@@ -130,7 +133,7 @@ def test_empty_right_block_when_vertex_closes_its_clique():
     for v in range(30):
         if ctx.dominating[v]:
             continue
-        frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, v, ctx)
+        frame = compute_frame(ctx, v)
         if frame.middle_vertex == v:
             assert frame.right_block is None
             found = True
@@ -144,7 +147,7 @@ def test_frames_partition_the_order():
         for v in range(n):
             if ctx.dominating[v]:
                 continue
-            frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, v, ctx)
+            frame = compute_frame(ctx, v)
             seen = {v}
             for block in (frame.right_block, frame.facing_block,
                           frame.left_block):
@@ -184,20 +187,21 @@ def test_left_vertex_bounds_all_candidates():
 # -- labeling operations -------------------------------------------------------
 
 
+def plan_rows(plan):
+    return [tuple(int(x) for x in row) for row in zip(*plan)]
+
+
 def test_label_right_assigns_singletons():
+    # plans are (target, start position, length) rows; C4's order is 0..3
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, 0, ctx)
-    draft = {}
-    label_right(frame, draft, ctx)
-    assert draft == {(0, 1): [RingInterval(1, 1)]}
+    frame = compute_frame(ctx, 0)
+    assert plan_rows(_plan_right(frame, ctx)) == [(1, 1, 1)]
 
 
 def test_label_left_c4():
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, 0, ctx)
-    draft = {}
-    label_left(frame, draft, ctx)
-    assert draft == {(0, 3): [RingInterval(3, 3)]}
+    frame = compute_frame(ctx, 0)
+    assert plan_rows(_plan_left(frame, ctx)) == [(3, 3, 1)]
 
 
 def test_label_left_carries_non_adjacent_riders():
@@ -212,24 +216,21 @@ def test_label_left_carries_non_adjacent_riders():
     for v in range(20):
         if ctx.dominating[v]:
             continue
-        frame = compute_frame(ctx.vorder, ctx.cycle, graph, v, ctx)
+        frame = compute_frame(ctx, v)
         if frame.left_block is None:
             continue
         members = ctx.block_vertices(frame.left_block)
         if len(members) < 2 or graph.adj[v][members].all():
             continue
-        draft = {}
-        label_left(frame, draft, ctx)
         covered = []
-        for (src, w), ivls in draft.items():
-            assert src == v and graph.adjacent(v, w)
-            for ivl in ivls:
-                stretch = interval_members(ctx.order, ivl)
-                assert stretch[0] == w
-                for u in stretch:
-                    # carrier starts a shortest path to everything it carries
-                    assert w == u or w in first_vertices(graph, v, int(u))
-                covered.extend(stretch)
+        for w, start, length in plan_rows(_plan_left(frame, ctx)):
+            assert graph.adjacent(v, w)
+            stretch = [ctx.vertex_at(start + i) for i in range(length)]
+            assert stretch[0] == w
+            for u in stretch:
+                # carrier starts a shortest path to everything it carries
+                assert w == u or w in first_vertices(graph, v, u)
+            covered.extend(stretch)
         assert sorted(covered) == sorted(int(x) for x in members)
         dist_ok += 1
     assert dist_ok > 0
@@ -237,8 +238,8 @@ def test_label_left_carries_non_adjacent_riders():
 
 def test_right_vertex_c4():
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, 0, ctx)
-    assert right_vertex(frame, ctx.cycle, ctx.graph, ctx) == 1
+    frame = compute_frame(ctx, 0)
+    assert right_vertex(frame, ctx) == 1
     assert frame.right_vertex == 1  # equals the middle vertex here
 
 
@@ -250,7 +251,7 @@ def test_right_vertex_prefers_left_vertex_when_it_reaches_farthest():
         if ctx.any_dominating or ctx.any_counter_pair:
             continue
         for v in range(8):
-            frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, v, ctx)
+            frame = compute_frame(ctx, v)
             lv = frame.left_vertex
             if lv is None:
                 continue
@@ -263,23 +264,23 @@ def test_right_vertex_prefers_left_vertex_when_it_reaches_farthest():
             cand = nb[((rc - ctx.cycle.nat_left[nb]) % k) < ctx.cycle.nat_len[nb]]
             reach = (ctx.cycle.nat_right[cand] - rc) % k
             if (ctx.cycle.nat_right[lv] - rc) % k == int(reach.max()):
-                assert right_vertex(frame, ctx.cycle, ctx.graph, ctx) == lv
+                assert right_vertex(frame, ctx) == lv
                 found = True
     assert found
 
 
 def test_apex_c4():
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, 0, ctx)
-    assert apex_number(frame, ctx.cycle, ctx.graph, ctx) == 2
+    frame = compute_frame(ctx, 0)
+    assert apex_number(frame, ctx) == 2
 
 
 def test_apex_c6_chains_meet_at_depth_three():
     # on the 6-ring the depth-2 iterates (two hops out both ways) are
     # still two apart; the chains first touch at depth 3
     ctx = context_for(gen_ring(6))
-    frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, 0, ctx)
-    assert apex_number(frame, ctx.cycle, ctx.graph, ctx) == 3
+    frame = compute_frame(ctx, 0)
+    assert apex_number(frame, ctx) == 3
 
 
 def test_apex_one_when_first_neighbors_meet_around():
@@ -290,18 +291,18 @@ def test_apex_one_when_first_neighbors_meet_around():
         if ctx.any_dominating or ctx.any_counter_pair:
             continue
         for v in range(7):
-            frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, v, ctx)
+            frame = compute_frame(ctx, v)
             if frame.left_vertex is None:
                 continue
-            if apex_number(frame, ctx.cycle, ctx.graph, ctx) == 1:
+            if apex_number(frame, ctx) == 1:
                 found = True
     assert found
 
 
 def test_separator_c4():
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, 0, ctx)
-    assert separator(frame, ctx.vorder, ctx.cycle, ctx.graph, ctx) == 2
+    frame = compute_frame(ctx, 0)
+    assert separator(frame, ctx) == 2
 
 
 def test_separator_split_matches_first_vertices():
@@ -315,11 +316,11 @@ def test_separator_split_matches_first_vertices():
             continue
         graph = ctx.graph
         for v in range(graph.n):
-            frame = compute_frame(ctx.vorder, ctx.cycle, graph, v, ctx)
+            frame = compute_frame(ctx, v)
             if frame.facing_block is None or frame.left_vertex is None:
                 continue
-            r = right_vertex(frame, ctx.cycle, graph, ctx)
-            s = separator(frame, ctx.vorder, ctx.cycle, graph, ctx)
+            r = right_vertex(frame, ctx)
+            s = separator(frame, ctx)
             block = frame.facing_block
             for w in ctx.block_vertices(block):
                 w = int(w)
@@ -329,25 +330,19 @@ def test_separator_split_matches_first_vertices():
 
 
 def test_face_to_face_c4_compresses_to_one_interval():
+    # the facing vertex 2 rides on the right-block arc (0, 1), and the two
+    # runs join into the single interval [1, 2]
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, 0, ctx)
-    draft = {}
-    label_right(frame, draft, ctx)
-    label_left(frame, draft, ctx)
-    label_face_to_face(frame, ctx.vorder, ctx.cycle, ctx.graph, draft, ctx)
-    assert draft == {
-        (0, 1): [RingInterval(1, 2)],
-        (0, 3): [RingInterval(3, 3)],
-    }
+    frame = compute_frame(ctx, 0)
+    assert _plan_facing(frame, ctx) == [(1, 2, 1)]
+    assert _join_chunks(ctx.n, (1, 1), (2, 1)) == (1, 2)
 
 
 def test_face_to_face_noop_when_block_empty():
     ctx = context_for(gen_random(5, 22))
-    frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, 0, ctx)
+    frame = compute_frame(ctx, 0)
     assert frame.facing_block is None
-    draft = {}
-    label_face_to_face(frame, ctx.vorder, ctx.cycle, ctx.graph, draft, ctx)
-    assert draft == {}
+    assert _plan_facing(frame, ctx) == []
 
 
 # -- full schemes ---------------------------------------------------------------
@@ -384,43 +379,13 @@ def test_scheme_shape_invariants_on_random_corpus():
             if len(ivls) == 2:
                 per_vertex_doubles[v] = per_vertex_doubles.get(v, 0) + 1
             for ivl in ivls:
-                members = set(interval_members(order, ivl))
+                members = set(ring_sequence(order, ivl.a, ivl.b))
                 assert v not in members
                 assert not (covered[v] & members)
                 covered[v] |= members
         for v in range(n):
             assert covered[v] == set(range(n)) - {v}
             assert per_vertex_doubles.get(v, 0) <= 1
-
-
-def test_operation_path_matches_fast_path():
-    # assembling a scheme arc by arc through the public labeling
-    # operations gives exactly the bulk builder's intervals
-    from arcroute.builder import Draft, _draft_add
-
-    cases = [load(C4_MODEL), gen_ring(7), gen_wheel(5), gen_complete(5),
-             gen_random(12, 1), gen_random(12, 60), gen_random(20, 83),
-             gen_random(5, 101), gen_random(30, 6)]
-    for model in cases:
-        ctx = context_for(model)
-        draft: Draft = {}
-        for v in range(model.n):
-            if ctx.dominating[v]:
-                for w in range(model.n):
-                    if w != v:
-                        _draft_add(draft, ctx, v, w, int(ctx.pos[w]), 1)
-                continue
-            frame = compute_frame(ctx.vorder, ctx.cycle, ctx.graph, v, ctx)
-            label_right(frame, draft, ctx)
-            label_left(frame, draft, ctx)
-            label_face_to_face(frame, ctx.vorder, ctx.cycle, ctx.graph,
-                               draft, ctx)
-        fast = build_scheme(model)
-        assert set(draft.keys()) == set(fast.labels.keys())
-        for arc, ivls in fast.labels.items():
-            assert sorted((i.a, i.b) for i in ivls) == sorted(
-                (i.a, i.b) for i in draft[arc]
-            ), arc
 
 
 def test_scheme_json_round_trip():
@@ -537,9 +502,9 @@ def test_coverage_is_checked_once_per_build(monkeypatch):
     import arcroute.clique_cycle
 
     calls = []
-    real = arcroute.arc_model.is_real
+    real = arcroute.arc_model.gap_coverage
     for module in (arcroute.arc_model, arcroute.builder, arcroute.clique_cycle):
-        monkeypatch.setattr(module, "is_real",
+        monkeypatch.setattr(module, "gap_coverage",
                             lambda model: calls.append(1) or real(model),
                             raising=False)
     build_scheme(gen_ring(6))

@@ -132,25 +132,21 @@ def test_missing_file_is_structural(capsys):
     assert run(["build", "--model", "/nonexistent/x.json"]) == 2
 
 
-def test_threads_env_override(monkeypatch):
-    from arcroute.cli import make_parser
-
-    monkeypatch.setenv("CARC_THREADS", "3")
-    args = make_parser().parse_args(["verify", "--model", "m", "--scheme", "s"])
-    assert args.threads == 3
-
-
-def test_verify_threads_flag(tmp_path, c4_file, capsys):
+def test_verify_threads_flag(tmp_path, monkeypatch, c4_file, capsys):
+    # verify runs on one thread; --threads and CARC_THREADS are accepted
+    # and ignored so older scripts keep working
+    monkeypatch.setenv("CARC_THREADS", "abc")
     out = tmp_path / "scheme.json"
-    run(["build", "--model", c4_file, "--out", out])
+    assert run(["build", "--model", c4_file, "--out", out]) == 0
     capsys.readouterr()
     assert run(["verify", "--model", c4_file, "--scheme", out,
                 "--threads", 2]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
-def test_bad_threads_env_is_a_clean_failure(monkeypatch, c4_file, capsys):
-    monkeypatch.setenv("CARC_THREADS", "abc")
-    assert run(["build", "--model", c4_file]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "bad-setting" in err and "CARC_THREADS" in err
+def test_non_integer_scheme_values_are_structural(tmp_path, c4_file, capsys):
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps(
+        {"order": [0, 1.9, 2, 3], "labels": {"0->1": [[True, 1.5]]}}))
+    assert run(["verify", "--model", c4_file, "--scheme", scheme]) == 2
+    assert "structural" in capsys.readouterr().err

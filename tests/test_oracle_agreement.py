@@ -44,7 +44,7 @@ def corrupted_variants(scheme, graph, rng, count):
     classified identically by the two oracles.
     """
     from arcroute import first_vertices
-    from arcroute.ring_order import interval_members
+    from arcroute.ring_order import ring_sequence
 
     arcs = sorted(scheme.labels)
     for _ in range(count):
@@ -59,7 +59,7 @@ def corrupted_variants(scheme, graph, rng, count):
         yield moved_interval(scheme, v, w, index, rng.choice(others))
         # a deliberate validity-preserving move, when one exists
         ivl = labels[(v, w)][index]
-        members = interval_members(scheme.order, ivl)
+        members = ring_sequence(scheme.order, ivl.a, ivl.b)
         shared = set(others)
         for u in members:
             shared &= first_vertices(graph, v, int(u))

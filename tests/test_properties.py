@@ -19,7 +19,7 @@ from arcroute import (
     verify_scheme,
 )
 from arcroute.errors import StructuralSchemeError
-from arcroute.ring_order import interval_members
+from arcroute.ring_order import ring_sequence
 from arcroute.verifier import route_lengths
 
 model_params = st.tuples(
@@ -72,7 +72,7 @@ def test_every_interval_member_routes_through_its_arc(params):
     scheme = build_scheme(model)
     for (v, w), ivls in scheme.labels.items():
         for ivl in ivls:
-            for u in interval_members(scheme.order, ivl):
+            for u in ring_sequence(scheme.order, ivl.a, ivl.b):
                 assert w == u or w in first_vertices(graph, v, int(u))
 
 
@@ -98,6 +98,13 @@ def test_scheme_json_rejects_malformed_payloads():
         json.dumps({"order": obj["order"], "labels": {"0->x": [[1, 2]]}}),
         json.dumps({"order": obj["order"], "labels": {"0->1": [[1, 99]]}}),
         json.dumps({"order": obj["order"], "labels": {"0->1": [[1]]}}),
+        # non-integer values must not be truncated by int()
+        json.dumps({"order": [0, 1.9, 2],
+                    "labels": {"0->1": [[True, 1.5]], "0->2": [[2, 2]]}}),
+        json.dumps({"order": [0, True, 2], "labels": {}}),
+        json.dumps({"order": [0, 1, 2], "labels": {"0->1": [[True, True]]}}),
+        json.dumps({"order": [0, 1, 2], "labels": {"0->1": [[1, 1.0]]}}),
+        json.dumps({"order": obj["order"], "labels": [[0, 1]]}),
     ]
     for payload in broken:
         with pytest.raises(StructuralSchemeError):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arcroute import CyclicOrder, RingInterval, interval_contains, join, ring_sequence, successor
+from arcroute import CyclicOrder, RingInterval, interval_contains, ring_sequence
+from arcroute.builder import _join_chunks
 from arcroute.errors import UnknownElementError
-from arcroute.ring_order import interval_members, intervals_disjoint, interval_size
+from arcroute.ring_order import expand_runs
 
 orders = st.integers(min_value=1, max_value=9).flatmap(
     lambda n: st.permutations(list(range(n)))
@@ -15,26 +16,26 @@ orders = st.integers(min_value=1, max_value=9).flatmap(
 
 def test_successor_single_element_is_fixed_point():
     order = CyclicOrder([0])
-    assert successor(order, 0) == 0
+    assert order.successor(0) == 0
 
 
 def test_successor_wraps_around():
     order = CyclicOrder([0, 1, 2, 3])
-    assert successor(order, 3) == 0
+    assert order.successor(3) == 0
 
 
 def test_successor_four_times_returns_to_start():
     order = CyclicOrder([0, 1, 2, 3])
     x = 1
     for _ in range(4):
-        x = successor(order, x)
+        x = order.successor(x)
     assert x == 1
 
 
 def test_successor_unknown_element():
     order = CyclicOrder([0, 1, 2])
     with pytest.raises(UnknownElementError):
-        successor(order, 7)
+        order.successor(7)
 
 
 def test_ring_sequence_base_case():
@@ -75,30 +76,56 @@ def test_contains_matches_sequence_exhaustively():
             assert interval_contains(order, RingInterval(a, b), x) == expected
 
 
+def run_members(n, run):
+    return set(expand_runs([run[0]], [run[1]], n)[1].tolist())
+
+
 def test_join_adjacent_singletons():
-    order = CyclicOrder([0, 1, 2, 3])
-    assert join(order, RingInterval(1, 1), RingInterval(2, 2)) == RingInterval(1, 2)
+    # runs are (start position, length); either argument may come first
+    assert _join_chunks(4, (1, 1), (2, 1)) == (1, 2)
+    assert _join_chunks(4, (2, 1), (1, 1)) == (1, 2)
+    assert _join_chunks(4, (3, 1), (0, 1)) == (3, 2)
 
 
 def test_join_rejects_overlap():
-    order = CyclicOrder([0, 1, 2, 3])
-    assert join(order, RingInterval(0, 1), RingInterval(1, 2)) is None
+    assert _join_chunks(4, (0, 2), (1, 2)) is None
 
 
 def test_join_member_sets_exhaustively():
-    # all disjoint adjacent pairs on orders up to 6 elements
+    # all pairs of runs that fit on the ring together, orders up to 6
     for n in range(2, 7):
-        order = CyclicOrder(range(n))
-        for a, b, c, d in itertools.product(range(n), repeat=4):
-            left, right = RingInterval(a, b), RingInterval(c, d)
-            ms_left = set(interval_members(order, left))
-            ms_right = set(interval_members(order, right))
-            result = join(order, left, right)
-            if ms_left & ms_right or successor(order, b) != c:
+        runs = [(s, ln) for s in range(n) for ln in range(1, n)]
+        for left, right in itertools.product(runs, repeat=2):
+            if left[1] + right[1] > n:
+                continue
+            ms_left, ms_right = run_members(n, left), run_members(n, right)
+            result = _join_chunks(n, left, right)
+            abut = ((left[0] + left[1]) % n == right[0]
+                    or (right[0] + right[1]) % n == left[0])
+            if not abut:
                 assert result is None
             else:
-                assert result is not None
-                assert set(interval_members(order, result)) == ms_left | ms_right
+                assert not ms_left & ms_right
+                assert result[1] == left[1] + right[1]
+                assert run_members(n, result) == ms_left | ms_right
+
+
+@given(st.integers(min_value=3, max_value=9), st.data())
+def test_join_chain_is_associative_on_member_sets(n, data):
+    # a chain of adjacent disjoint runs joins to the same member set
+    # regardless of association order
+    cuts = data.draw(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=3,
+                 max_size=3, unique=True)
+    )
+    cuts.sort()
+    pieces = [(cuts[i], (cuts[(i + 1) % 3] - cuts[i]) % n) for i in range(3)]
+    left_first = _join_chunks(n, _join_chunks(n, pieces[0], pieces[1]), pieces[2])
+    right_first = _join_chunks(n, pieces[0], _join_chunks(n, pieces[1], pieces[2]))
+    # three pieces tile the whole order, so both joins give the full circle
+    assert left_first is not None and right_first is not None
+    assert run_members(n, left_first) == set(range(n))
+    assert run_members(n, right_first) == set(range(n))
 
 
 @given(orders, st.data())
@@ -107,42 +134,22 @@ def test_sequence_length_formula(order, data):
     b = data.draw(st.sampled_from(order.items))
     seq = ring_sequence(order, a, b)
     assert len(seq) == order.distance(a, b) + 1
-    assert len(seq) == interval_size(order, RingInterval(a, b))
     assert seq[0] == a and seq[-1] == b
 
 
-@given(orders, st.data())
-def test_disjointness_matches_member_sets(order, data):
-    a = data.draw(st.sampled_from(order.items))
-    b = data.draw(st.sampled_from(order.items))
-    c = data.draw(st.sampled_from(order.items))
-    d = data.draw(st.sampled_from(order.items))
-    left, right = RingInterval(a, b), RingInterval(c, d)
-    expected = not (
-        set(interval_members(order, left)) & set(interval_members(order, right))
-    )
-    assert intervals_disjoint(order, left, right) == expected
-
-
-@given(st.integers(min_value=3, max_value=9), st.data())
-def test_join_chain_is_associative_on_member_sets(n, data):
-    # a chain of adjacent disjoint intervals joins to the same member set
-    # regardless of association order
-    order = CyclicOrder(range(n))
-    cuts = data.draw(
-        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=3,
-                 max_size=3, unique=True)
-    )
-    cuts.sort()
-    pieces = [
-        RingInterval(cuts[i], (cuts[(i + 1) % 3] - 1) % n) for i in range(3)
-    ]
-    left_first = join(order, join(order, pieces[0], pieces[1]), pieces[2])
-    right_first = join(order, pieces[0], join(order, pieces[1], pieces[2]))
-    # three pieces tile the whole order, so both joins give the full circle
-    assert left_first is not None and right_first is not None
-    assert set(interval_members(order, left_first)) == set(range(n))
-    assert set(interval_members(order, right_first)) == set(range(n))
+def test_expand_runs_matches_ring_sequence_exhaustively():
+    # every (start, length) run for orders up to 7 elements, expanded in
+    # one call and compared run by run
+    for n in range(1, 8):
+        order = CyclicOrder(reversed(range(n)))
+        runs = [(s, ln) for s in range(n) for ln in range(1, n + 1)]
+        run, positions = expand_runs([s for s, _ in runs],
+                                     [ln for _, ln in runs], n)
+        assert run.tolist() == sorted(run.tolist())
+        for i, (s, ln) in enumerate(runs):
+            got = [order.at(p) for p in positions[run == i].tolist()]
+            assert got == ring_sequence(order, order.at(s), order.at(s + ln - 1))
+    assert [len(rows) for rows in expand_runs([], [], 5)] == [0, 0]
 
 
 def test_bijection_invariant():

@@ -141,16 +141,6 @@ def test_all_failures_enumerated():
     assert report.disjoint_violations and report.coverage_violations
 
 
-def test_threaded_verification_matches_serial():
-    model = gen_random(24, 13)
-    graph = intersection_graph(model)
-    scheme = build_scheme(model)
-    serial = verify_scheme(graph, scheme, threads=1)
-    threaded = verify_scheme(graph, scheme, threads=4)
-    assert serial.passed and threaded.passed
-    assert serial.total_intervals == threaded.total_intervals
-
-
 def test_route_c4():
     graph, scheme = c4_setup()
     assert route(scheme, graph, 0, 2) == [0, 1, 2]
