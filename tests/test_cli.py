@@ -132,16 +132,25 @@ def test_missing_file_is_structural(capsys):
     assert run(["build", "--model", "/nonexistent/x.json"]) == 2
 
 
-def test_verify_threads_flag(tmp_path, monkeypatch, c4_file, capsys):
-    # verify runs on one thread; --threads and CARC_THREADS are accepted
-    # and ignored so older scripts keep working
-    monkeypatch.setenv("CARC_THREADS", "abc")
+def test_verify_threads_flag(tmp_path, c4_file, capsys):
+    # verify runs on one thread; --threads is accepted and ignored so
+    # older scripts keep working
     out = tmp_path / "scheme.json"
     assert run(["build", "--model", c4_file, "--out", out]) == 0
     capsys.readouterr()
     assert run(["verify", "--model", c4_file, "--scheme", out,
                 "--threads", 2]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_bad_threads_env_is_a_clean_failure(monkeypatch, c4_file, capsys):
+    # CARC_THREADS is no longer read, so a value that is not an integer
+    # cannot fail a command that never used threads
+    monkeypatch.setenv("CARC_THREADS", "abc")
+    assert run(["build", "--model", c4_file]) == 0
+    assert run(["gen", "--family", "ring", "--n", 4]) == 0
+    err = capsys.readouterr().err
+    assert "error" not in err and "CARC_THREADS" not in err
 
 
 def test_non_integer_scheme_values_are_structural(tmp_path, c4_file, capsys):
