@@ -47,7 +47,6 @@ from .oracle import OracleResult, has_shortest_path_1irs
 from .ring_order import (
     CyclicOrder,
     RingInterval,
-    interval_contains,
     ring_sequence,
 )
 from .verifier import (
@@ -92,7 +91,6 @@ __all__ = [
     "gen_ring",
     "gen_wheel",
     "has_shortest_path_1irs",
-    "interval_contains",
     "interval_stats",
     "intersection_graph",
     "is_real",

@@ -21,7 +21,9 @@ so the full build stays in bulk integer arrays.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -694,18 +696,17 @@ def separator(frame: VertexFrame, ctx: LabelingContext) -> int:
 
 
 class RoutingScheme:
-    """A vertex order plus per-arc destination intervals.
+    """A cyclic vertex order plus the intervals of every directed arc.
 
-    Intervals live in parallel arrays (source, target, start position,
-    length), sorted by arc; ``labels`` materializes the conventional
-    mapping arc -> tuple of ring-intervals on first use.
+    Interval ``i`` labels arc ``(src[i], dst[i])`` with the ``length[i]``
+    order positions clockwise from ``start[i]``.  The four arrays are kept
+    sorted by arc, each arc's intervals in their given order; an arc
+    without intervals has no rows.
     """
 
-    __slots__ = ("order", "src", "dst", "start", "length",
-                 "vertex_order", "_labels", "_route_tables")
+    __slots__ = ("order", "src", "dst", "start", "length", "_route_tables")
 
-    def __init__(self, order: CyclicOrder, src, dst, start, length,
-                 vertex_order: VertexOrder | None = None):
+    def __init__(self, order: CyclicOrder, src, dst, start, length):
         self.order = order
         self.src = np.asarray(src, dtype=np.int64)
         self.dst = np.asarray(dst, dtype=np.int64)
@@ -719,41 +720,11 @@ class RoutingScheme:
             self.dst = self.dst[idx]
             self.start = self.start[idx]
             self.length = self.length[idx]
-        self.vertex_order = vertex_order
-        self._labels: dict[tuple[int, int], tuple[RingInterval, ...]] | None = None
         self._route_tables: dict[int, np.ndarray] = {}
 
     @property
     def n(self) -> int:
         return len(self.order.items)
-
-    @property
-    def labels(self) -> dict[tuple[int, int], tuple[RingInterval, ...]]:
-        if self._labels is None:
-            items = self.order.items
-            n = len(items)
-            out: dict[tuple[int, int], list[RingInterval]] = {}
-            for v, w, s, ln in zip(self.src.tolist(), self.dst.tolist(),
-                                   self.start.tolist(), self.length.tolist()):
-                ivl = RingInterval(items[s], items[(s + ln - 1) % n])
-                out.setdefault((v, w), []).append(ivl)
-            self._labels = {arc: tuple(ivls) for arc, ivls in out.items()}
-        return self._labels
-
-    @classmethod
-    def from_labels(cls, order: CyclicOrder,
-                    labels: dict[tuple[int, int], tuple[RingInterval, ...]],
-                    vertex_order: VertexOrder | None = None) -> "RoutingScheme":
-        src, dst, start, length = [], [], [], []
-        for (v, w) in sorted(labels.keys()):
-            for ivl in labels[(v, w)]:
-                src.append(v)
-                dst.append(w)
-                start.append(order.position(ivl.a))
-                length.append(order.distance(ivl.a, ivl.b) + 1)
-        scheme = cls(order, src, dst, start, length, vertex_order)
-        scheme._labels = {arc: tuple(ivls) for arc, ivls in labels.items()}
-        return scheme
 
     def to_json(self) -> str:
         items = self.order.items
@@ -778,7 +749,7 @@ class RoutingScheme:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         try:
-            obj = json.loads(data)
+            obj = json.loads(data, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise StructuralSchemeError(f"invalid scheme JSON: {exc}") from exc
         if not isinstance(obj, dict) or "order" not in obj or "labels" not in obj:
@@ -793,25 +764,50 @@ class RoutingScheme:
         except ValueError as exc:
             raise StructuralSchemeError(str(exc)) from exc
         n = order.n
-        labels: dict[tuple[int, int], tuple[RingInterval, ...]] = {}
-        for key, ivls in raw_labels.items():
-            try:
-                a, b = key.split("->")
-                arc = (int(a), int(b))
-                parsed = tuple(RingInterval(x, y) for x, y in ivls)
-            except (ValueError, TypeError) as exc:
-                raise StructuralSchemeError(f"bad labels entry {key!r}") from exc
-            for ivl in parsed:
-                if not (_is_json_int(ivl.a) and _is_json_int(ivl.b)):
-                    raise StructuralSchemeError(
-                        f"bad labels entry {key!r}: interval ends must be integers"
-                    )
-                if not (0 <= ivl.a < n and 0 <= ivl.b < n):
-                    raise StructuralSchemeError(
-                        f"interval [{ivl.a}, {ivl.b}] outside the order"
-                    )
-            labels[arc] = parsed
-        return cls.from_labels(order, labels)
+        keys, lists = list(raw_labels), list(raw_labels.values())
+        for key, ivls in zip(keys, lists):
+            if _ARC_KEY.fullmatch(key) is None or not isinstance(ivls, list):
+                raise StructuralSchemeError(f"bad labels entry {key!r}")
+        ends = list(chain.from_iterable(lists))
+        pairs = set(map(type, ends)) <= {list} and set(map(len, ends)) <= {2}
+        # type() is exact: JSON booleans decode to bool, a subclass of int
+        if not (pairs and set(map(type, chain.from_iterable(ends))) <= {int}):
+            key = next(k for k, ivls in zip(keys, lists) if not all(
+                type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                for e in ivls))
+            raise StructuralSchemeError(
+                f"bad labels entry {key!r}: intervals must be pairs of integers"
+            )
+        try:
+            arcs = np.array(" ".join(keys).replace("->", " ").split(),
+                            dtype=np.int64).reshape(-1, 2)
+            ab = np.array(ends, dtype=np.int64).reshape(-1, 2)
+        except OverflowError as exc:
+            raise StructuralSchemeError("vertex id outside the order") from exc
+        if (arcs >= n).any():
+            key = keys[int(np.flatnonzero((arcs >= n).any(axis=1))[0])]
+            raise StructuralSchemeError(f"arc {key!r} outside the order")
+        outside = ((ab < 0) | (ab >= n)).any(axis=1)
+        if outside.any():
+            a, b = ab[outside][0].tolist()
+            raise StructuralSchemeError(f"interval [{a}, {b}] outside the order")
+        pos = np.argsort(np.asarray(order.items, dtype=np.int64))
+        start = pos[ab[:, 0]]
+        counts = list(map(len, lists))
+        return cls(order, np.repeat(arcs[:, 0], counts), np.repeat(arcs[:, 1], counts),
+                   start, (pos[ab[:, 1]] - start) % n + 1)
+
+
+# canonical arc key: two decimal vertex ids without sign or leading zero
+_ARC_KEY = re.compile(r"(?:0|[1-9][0-9]*)->(?:0|[1-9][0-9]*)")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` object hook that rejects a key given twice."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise StructuralSchemeError("scheme JSON repeats an object key")
+    return obj
 
 
 class _Accumulator:
@@ -917,7 +913,7 @@ def build_scheme(model: ArcModel) -> RoutingScheme:
             _label_vertex(v, ctx, acc)
     src, dst, start, length = acc.concat()
     _check_scheme_shape(ctx, src, dst, start, length)
-    return RoutingScheme(ctx.order, src, dst, start, length, vorder)
+    return RoutingScheme(ctx.order, src, dst, start, length)
 
 
 def _check_scheme_shape(ctx: LabelingContext, src, dst, start, length) -> None:
@@ -935,20 +931,22 @@ def _check_scheme_shape(ctx: LabelingContext, src, dst, start, length) -> None:
         raise ConstructionError(
             f"intervals cover {int(totals[v])} of {n - 1} destinations", vertex=v
         )
-    # with per-vertex totals exact, tiling holds iff no slot is hit twice;
-    # source v owns slots v * (n - 1) .. v * (n - 1) + n - 2, one per
-    # destination, and the range check above keeps every run inside them
-    slots = expand_runs(src * (n - 1) + rel - 1, length, n * (n - 1))[1]
-    slot_counts = np.bincount(slots, minlength=n * (n - 1))
-    if (slot_counts > 1).any():
-        v = int(np.flatnonzero(slot_counts > 1)[0] // (n - 1))
+    # with per-vertex totals exact, the runs of a source tile its offsets
+    # 1 .. n - 1 iff, taken by offset, each starts where the previous ends
+    idx = np.lexsort((rel, src))
+    by_src, by_rel = src[idx], rel[idx]
+    expected = np.ones_like(by_rel)
+    expected[1:] = by_rel[:-1] + length[idx[:-1]]
+    expected[1:][by_src[1:] != by_src[:-1]] = 1
+    if (by_rel != expected).any():
+        v = int(by_src[by_rel != expected][0])
         raise ConstructionError("intervals overlap or leave a hole", vertex=v)
-    arc_counts = np.bincount(src * n + dst, minlength=n * n)
-    if (arc_counts > 2).any():
-        v = int(np.flatnonzero(arc_counts > 2)[0] // n)
+    arcs, per_arc = np.unique(src * n + dst, return_counts=True)
+    if (per_arc > 2).any():
+        v = int(arcs[per_arc > 2][0] // n)
         raise ConstructionError("an arc carries more than two intervals",
                                 vertex=v)
-    doubles = (arc_counts == 2).reshape(n, n).sum(axis=1)
+    doubles = np.bincount(arcs[per_arc == 2] // n, minlength=n)
     if (doubles > 1).any():
         v = int(np.flatnonzero(doubles > 1)[0])
         raise ConstructionError("more than one outgoing arc carries two intervals",

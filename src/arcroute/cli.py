@@ -94,12 +94,10 @@ def _cmd_oracle1(args) -> int:
         for (v, w) in sorted(result.witness_labels):
             ivl = result.witness_labels[(v, w)]
             entries.append(f'"{v}->{w}": [[{ivl.a}, {ivl.b}]]')
-        print(f'{{"order": [{order}], "labels": {{{", ".join(entries)}}}}}')
+        witness = f'{{"order": [{order}], "labels": {{{", ".join(entries)}}}}}'
+        print(witness)
         if args.witness_out:
-            Path(args.witness_out).write_text(
-                f'{{"order": [{order}], "labels": {{{", ".join(entries)}}}}}\n',
-                encoding="utf-8",
-            )
+            Path(args.witness_out).write_text(witness + "\n", encoding="utf-8")
     else:
         print("no 1-IRS", file=sys.stderr)
         print('{"exists_1irs": false}')

@@ -16,7 +16,6 @@ keeps them in one block of the vertex order.  The pinned span is what
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -159,8 +158,12 @@ def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCyc
     size = model.circle_size
     spans = [model.gap_span(i) for i in range(n)]
 
-    lam, rho = _common_coverage_extents(model, spans)
-    candidates = _window_survivors(sizes, lam, rho)
+    # a gap opened by an arc start and closed by an arc end holds one arc
+    # more than both neighbours; any other gap has a neighbour holding its
+    # arcs plus one, so only these gaps can carry a maximal clique
+    opens = np.zeros(size, dtype=bool)
+    opens[[s for s, _ in model.arcs]] = True
+    candidates = np.flatnonzero(opens & ~np.roll(opens, -1)).tolist()
     anchors = _exact_maximal_anchors(model, spans, sizes, candidates)
 
     anchor_arr = sorted(anchors)
@@ -184,80 +187,6 @@ def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCyc
         nat_len[v] = count
 
     return CliqueCycle(model, graph, anchor_arr, nat_left, nat_right, nat_len)
-
-
-def _common_coverage_extents(model, spans) -> tuple[np.ndarray, np.ndarray]:
-    """Per gap: how far the intersection of all covering arcs extends.
-
-    Returns (lam, rho): every arc covering gap g also covers all gaps in
-    [g - lam[g], g + rho[g]].  Uses one unrolled sweep with lazy-deletion
-    heaps keyed by unrolled start resp. end of the alive arcs; the caller
-    has checked that every gap is covered, so no heap runs empty.
-    """
-    size = model.circle_size
-    add_at: list[list[int]] = [[] for _ in range(size)]
-    # heap entries carry their own unrolled window; an arc wrapping past
-    # gap 0 is alive in two unrolled windows and gets two entries
-    start_heap: list[tuple[int, int, int]] = []  # (-u_start, u_end, arc)
-    end_heap: list[tuple[int, int]] = []  # (u_end, arc)
-
-    for a, (s, length) in enumerate(spans):
-        behind = (0 - s) % size
-        if behind < length:  # alive at gap 0 through its wrapped tail
-            u_end = -behind + length - 1
-            heapq.heappush(start_heap, (behind, u_end, a))
-            heapq.heappush(end_heap, (u_end, a))
-        if s != 0:
-            add_at[s].append(a)
-
-    lam = np.zeros(size, dtype=np.int64)
-    rho = np.zeros(size, dtype=np.int64)
-    for t in range(size):
-        for a in add_at[t]:
-            length = spans[a][1]
-            heapq.heappush(start_heap, (-t, t + length - 1, a))
-            heapq.heappush(end_heap, (t + length - 1, a))
-        while start_heap and start_heap[0][1] < t:
-            heapq.heappop(start_heap)
-        while end_heap and end_heap[0][0] < t:
-            heapq.heappop(end_heap)
-        latest_start = -start_heap[0][0]
-        lam[t] = t - latest_start
-        rho[t] = end_heap[0][0] - t
-    return lam, rho
-
-
-def _window_survivors(sizes: np.ndarray, lam: np.ndarray,
-                      rho: np.ndarray) -> list[int]:
-    """Prune gaps dominated inside their contiguous common-coverage window.
-
-    Every arc covering gap g also covers [g - lam[g], g + rho[g]], so a
-    strictly larger clique inside that window is a strict superset.  This
-    is sound but not complete: arcs can all reach a far gap around the
-    other side of the circle, so survivors still need the exact filter.
-    """
-    size = len(sizes)
-    doubled = np.concatenate([sizes, sizes])
-    table = [doubled]
-    j = 1
-    while (1 << j) <= len(doubled):
-        prev = table[-1]
-        half = 1 << (j - 1)
-        table.append(np.maximum(prev[: len(doubled) - (1 << j) + 1],
-                                prev[half: len(doubled) - (1 << j) + 1 + half]))
-        j += 1
-
-    out = []
-    for g in range(size):
-        width = min(int(lam[g] + rho[g]) + 1, size)
-        lo = (g - int(lam[g])) % size
-        hi = lo + width - 1
-        level = width.bit_length() - 1
-        t = table[level]
-        best = max(int(t[lo]), int(t[hi - (1 << level) + 1]))
-        if best == int(sizes[g]):
-            out.append(g)
-    return out
 
 
 def _gap_masks(model, spans, gaps: list[int]) -> list[int]:
@@ -288,7 +217,7 @@ def _gap_masks(model, spans, gaps: list[int]) -> list[int]:
 
 def _exact_maximal_anchors(model, spans, sizes: np.ndarray,
                            candidates: list[int]) -> list[int]:
-    """Exact inclusion filter on the window survivors, by member bitmask.
+    """Exact inclusion filter on the candidate gaps, by member bitmask.
 
     Candidates are deduplicated (first gap per member set wins), ordered
     by decreasing clique size, and each is tested against the already

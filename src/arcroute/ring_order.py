@@ -11,7 +11,7 @@ expands runs with ``expand_runs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,10 +87,6 @@ class RingInterval:
     a: int
     b: int
 
-    def __iter__(self) -> Iterator[int]:  # allows tuple(ivl) in serializers
-        yield self.a
-        yield self.b
-
 
 def ring_sequence(order: CyclicOrder, a: int, b: int) -> list[int]:
     """Elements from ``a`` to ``b`` clockwise, as a list starting at ``a``."""
@@ -99,11 +95,6 @@ def ring_sequence(order: CyclicOrder, a: int, b: int) -> list[int]:
     n = len(order.items)
     steps = (j - i) % n
     return [order.items[(i + k) % n] for k in range(steps + 1)]
-
-
-def interval_contains(order: CyclicOrder, ivl: RingInterval, x: int) -> bool:
-    """O(1) membership test, equivalent to scanning ``ring_sequence``."""
-    return order.distance(ivl.a, x) <= order.distance(ivl.a, ivl.b)
 
 
 def expand_runs(starts, lengths, n: int) -> tuple[np.ndarray, np.ndarray]:

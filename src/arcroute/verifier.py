@@ -1,11 +1,12 @@
 """Independent validation of routing schemes.
 
 The verifier never looks at arc geometry or clique-cycles: it recomputes
-shortest-path structure from the graph alone (BFS) and checks a scheme
-against the defining constraints — disjoint intervals per vertex, full
-strict coverage, and every labeled destination reachable through a
-first vertex of some shortest path.  Route simulation and interval
-accounting live here too.
+shortest-path structure from the graph alone (one scipy all-pairs
+shortest-path matrix) and checks a scheme against the defining
+constraints — disjoint intervals per vertex, full strict coverage, and
+every labeled destination reachable through a first vertex of some
+shortest path.  Route simulation and interval accounting live here too.
+All of it reads the scheme's interval arrays directly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     RoutingLoopError,
     StructuralSchemeError,
 )
-from .ring_order import expand_runs, interval_contains
+from .ring_order import expand_runs
 
 AMBIGUOUS = -2
 UNCOVERED = -1
@@ -77,70 +78,65 @@ def _check_structure(graph: Graph, scheme: RoutingScheme) -> None:
         raise StructuralSchemeError(
             f"scheme order covers {scheme.n} vertices, graph has {n}"
         )
-    for (v, w) in scheme.labels:
-        if not (0 <= v < n and 0 <= w < n) or v == w:
-            raise StructuralSchemeError(f"arc ({v}, {w}) is not a valid arc")
-        if not graph.adjacent(v, w):
-            raise StructuralSchemeError(f"arc ({v}, {w}) is not a graph edge")
+    src, dst = scheme.src, scheme.dst
+    invalid = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
+    bad = invalid.copy()
+    bad[~invalid] = ~graph.adj[src[~invalid], dst[~invalid]]
+    if bad.any():
+        first = np.lexsort((dst[bad], src[bad]))[0]
+        v, w = int(src[bad][first]), int(dst[bad][first])
+        problem = "a valid arc" if invalid[bad][first] else "a graph edge"
+        raise StructuralSchemeError(f"arc ({v}, {w}) is not {problem}")
 
 
-def _verify_vertex(graph: Graph, scheme: RoutingScheme, dist: np.ndarray,
-                   v: int, outgoing: list[tuple[int, object]],
-                   report: VerificationReport) -> None:
-    n = graph.n
-    items = np.asarray(scheme.order.items, dtype=np.int64)
-    order = scheme.order
-    ws = np.array([w for w, _ in outgoing], dtype=np.int64)
-    starts = [order.position(ivl.a) for _, ivl in outgoing]
-    lengths = [order.distance(ivl.a, ivl.b) + 1 for _, ivl in outgoing]
+def _verify_vertex(dist: np.ndarray, items: np.ndarray, scheme: RoutingScheme,
+                   v: int, lo: int, hi: int, report: VerificationReport) -> None:
+    """Check the intervals ``lo:hi`` of the scheme arrays, all leaving v."""
+    n = len(items)
+    ws = scheme.dst[lo:hi]
+    starts, lengths = scheme.start[lo:hi], scheme.length[lo:hi]
     run, positions = expand_runs(starts, lengths, n)
     flat_w = ws[run]
     dests = items[positions]
     counts = np.bincount(dests, minlength=n)
     bad = dist[flat_w, dests] != dist[v, dests] - 1
-    for w, u in zip(flat_w[bad], dests[bad]):
+    for w, u in zip(flat_w[bad].tolist(), dests[bad].tolist()):
         report.shortest_violations.append(
-            {"vertex": v, "arc": [v, int(w)], "destination": int(u)}
+            {"vertex": v, "arc": [v, w], "destination": u}
         )
     if counts[v] > 0:
-        for w, ivl in outgoing:
-            if interval_contains(order, ivl, v):
-                report.strictness_violations.append(
-                    {"vertex": v, "arc": [v, w], "interval": [ivl.a, ivl.b]}
-                )
-        counts[v] = 0  # do not double-report as a disjointness issue
-    for u in np.flatnonzero(counts > 1):
-        arcs = [[v, w] for w, ivl in outgoing
-                if interval_contains(order, ivl, int(u))]
-        report.disjoint_violations.append(
-            {"vertex": v, "destination": int(u), "arcs": arcs}
-        )
-    for u in np.flatnonzero(counts == 0):
-        if int(u) != v:
-            report.coverage_violations.append(
-                {"vertex": v, "destination": int(u)}
+        for i in np.unique(run[dests == v]).tolist():
+            ends = items[[starts[i], (starts[i] + lengths[i] - 1) % n]]
+            report.strictness_violations.append(
+                {"vertex": v, "arc": [v, int(ws[i])], "interval": ends.tolist()}
             )
+        counts[v] = 0  # do not double-report as a disjointness issue
+    for u in np.flatnonzero(counts > 1).tolist():
+        report.disjoint_violations.append(
+            {"vertex": v, "destination": u,
+             "arcs": [[v, w] for w in flat_w[dests == u].tolist()]}
+        )
+    for u in np.flatnonzero(counts == 0).tolist():
+        if u != v:
+            report.coverage_violations.append({"vertex": v, "destination": u})
 
 
 def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:
     """Check a scheme against the graph; collects every violation.
 
     Raises StructuralSchemeError for malformed schemes (wrong vertex set,
-    labels on non-edges); verification failures are reported, not raised.
-    Runs on one thread: the per-vertex checks are numpy calls too short
-    for a thread pool to pay off.
+    intervals on non-edges); verification failures are reported, not
+    raised.  Runs on one thread: the per-vertex checks are numpy calls too
+    short for a thread pool to pay off.
     """
     _check_structure(graph, scheme)
     dist = all_pairs_distances(graph)
     report = VerificationReport(True, True, True, True)
 
-    by_source: dict[int, list[tuple[int, object]]] = {v: [] for v in range(graph.n)}
-    for (v, w), ivls in scheme.labels.items():
-        for ivl in ivls:
-            by_source[v].append((w, ivl))
-
+    items = np.asarray(scheme.order.items, dtype=np.int64)
+    bounds = np.searchsorted(scheme.src, np.arange(graph.n + 1)).tolist()
     for v in range(graph.n):
-        _verify_vertex(graph, scheme, dist, v, by_source[v], report)
+        _verify_vertex(dist, items, scheme, v, bounds[v], bounds[v + 1], report)
 
     report.strictness_ok = not report.strictness_violations
     report.disjoint_ok = not report.disjoint_violations
@@ -281,18 +277,15 @@ class IntervalStats:
 
 
 def interval_stats(scheme: RoutingScheme) -> IntervalStats:
-    total = 0
-    max_per_arc = 0
-    doubles: dict[int, int] = {}
-    for (v, w), ivls in scheme.labels.items():
-        total += len(ivls)
-        max_per_arc = max(max_per_arc, len(ivls))
-        if len(ivls) >= 2:
-            doubles[v] = doubles.get(v, 0) + 1
+    n = scheme.n
+    arcs, per_arc = np.unique(scheme.src * n + scheme.dst, return_counts=True)
+    doubles = np.bincount(arcs[per_arc >= 2] // n, minlength=n)
     return IntervalStats(
-        total_intervals=total,
-        max_intervals_per_arc=max_per_arc,
-        double_labeled_arcs_per_vertex=doubles,
-        arc_count=len(scheme.labels),
-        vertex_count=scheme.n,
+        total_intervals=len(scheme.src),
+        max_intervals_per_arc=int(per_arc.max(initial=0)),
+        double_labeled_arcs_per_vertex={
+            v: int(doubles[v]) for v in np.flatnonzero(doubles).tolist()
+        },
+        arc_count=len(arcs),
+        vertex_count=n,
     )

@@ -19,6 +19,12 @@ def load(model_dict: dict) -> ArcModel:
     return parse_model(json.dumps(model_dict))
 
 
+def labels_of(scheme) -> dict[tuple[int, int], list[list[int]]]:
+    """A scheme's intervals as its JSON writes them, keyed by arc (v, w)."""
+    labels = json.loads(scheme.to_json())["labels"]
+    return {tuple(map(int, key.split("->"))): ivls for key, ivls in labels.items()}
+
+
 @pytest.fixture
 def c4_model() -> ArcModel:
     return load(C4_MODEL)

@@ -24,6 +24,7 @@ from arcroute import (
     verify_scheme,
 )
 from arcroute.verifier import route_lengths
+from conftest import labels_of
 
 SWEEP_SIZES = (5, 10, 30, 64)
 SWEEP_SEEDS = 1000
@@ -132,12 +133,10 @@ def test_criterion_5_complete_graph_singletons():
         model = gen_complete(n)
         graph = intersection_graph(model)
         scheme = build_scheme(model)
-        singletons = all(
-            len(ivls) == 1 and ivls[0].a == ivls[0].b == arc[1]
-            for arc, ivls in scheme.labels.items()
-        )
+        labels = labels_of(scheme)
+        singletons = all(ivls == [[w, w]] for (v, w), ivls in labels.items())
         ok = ok and singletons and verify_scheme(graph, scheme).passed
-        ok = ok and len(scheme.labels) == n * (n - 1)
+        ok = ok and len(labels) == n * (n - 1)
     report(5, ok, "K4 and K6 carry one singleton per directed arc, verified")
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from arcroute import (
@@ -24,6 +26,7 @@ from arcroute import (
 )
 from arcroute.builder import (
     LabelingContext,
+    _check_scheme_shape,
     _join_chunks,
     _plan_facing,
     _plan_left,
@@ -31,7 +34,7 @@ from arcroute.builder import (
 )
 from arcroute.errors import ConstructionError, NotRealCircularArc
 from arcroute.ring_order import ring_sequence
-from conftest import C4_MODEL, load
+from conftest import C4_MODEL, labels_of, load
 
 
 def context_for(model):
@@ -362,9 +365,8 @@ def test_c4_scheme_is_the_frozen_one():
 def test_complete_graph_schemes_are_singletons():
     for n in (4, 6):
         scheme = build_scheme(gen_complete(n))
-        for arc, ivls in scheme.labels.items():
-            assert len(ivls) == 1
-            assert ivls[0].a == ivls[0].b == arc[1]
+        for (v, w), ivls in labels_of(scheme).items():
+            assert ivls == [[w, w]]
 
 
 def test_scheme_shape_invariants_on_random_corpus():
@@ -374,12 +376,12 @@ def test_scheme_shape_invariants_on_random_corpus():
         order = scheme.order
         per_vertex_doubles = {}
         covered = {v: set() for v in range(n)}
-        for (v, w), ivls in scheme.labels.items():
+        for (v, w), ivls in labels_of(scheme).items():
             assert len(ivls) <= 2
             if len(ivls) == 2:
                 per_vertex_doubles[v] = per_vertex_doubles.get(v, 0) + 1
-            for ivl in ivls:
-                members = set(ring_sequence(order, ivl.a, ivl.b))
+            for a, b in ivls:
+                members = set(ring_sequence(order, a, b))
                 assert v not in members
                 assert not (covered[v] & members)
                 covered[v] |= members
@@ -392,8 +394,44 @@ def test_scheme_json_round_trip():
     scheme = build_scheme(gen_random(14, 5))
     again = RoutingScheme.from_json(scheme.to_json())
     assert again.order == scheme.order
-    assert again.labels == scheme.labels
+    for name in ("src", "dst", "start", "length"):
+        assert (getattr(again, name) == getattr(scheme, name)).all()
     assert again.to_json() == scheme.to_json()
+
+
+def singleton_arrays(n):
+    """Every vertex of an identity order sends each destination its own arc."""
+    src, dst = zip(*[(v, w) for v in range(n) for w in range(n) if v != w])
+    return list(src), list(dst), list(dst), [1] * len(src)
+
+
+def with_runs(arrays, v, runs):
+    """Replace the (target, start, length) runs of vertex v."""
+    rows = [row for row in zip(*arrays) if row[0] != v]
+    rows += [(v, w, s, ln) for w, s, ln in runs]
+    return [list(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("runs,message", [
+    # vertex 2 of an identity order on 5 vertices sees destinations 3, 4,
+    # 0, 1 at offsets 1 .. 4; runs are (target, start position, length)
+    ([(3, 3, 2), (4, 4, 2)], "intervals overlap or leave a hole"),
+    ([(3, 3, 1), (0, 0, 2)], "intervals cover 3 of 4 destinations"),
+    ([(3, 3, 2), (1, 0, 3)], "interval covers its own source"),
+    ([(3, 3, 1), (3, 4, 1), (3, 0, 1), (1, 1, 1)],
+     "an arc carries more than two intervals"),
+    ([(3, 3, 1), (4, 4, 1), (3, 0, 1), (4, 1, 1)],
+     "more than one outgoing arc carries two intervals"),
+])
+def test_shape_check_rejects_broken_arrays(runs, message):
+    n = 5
+    ctx = SimpleNamespace(n=n, pos=np.arange(n))
+    good = [np.array(col) for col in singleton_arrays(n)]
+    _check_scheme_shape(ctx, *good)
+    broken = [np.array(col) for col in with_runs(singleton_arrays(n), 2, runs)]
+    with pytest.raises(ConstructionError, match=message) as info:
+        _check_scheme_shape(ctx, *broken)
+    assert info.value.vertex == 2
 
 
 def test_interval_model_with_covering_arcs_still_routes():

@@ -108,6 +108,7 @@ def test_oracle1_ring(tmp_path, capsys):
     assert "1-IRS exists" in captured.err
     payload = json.loads(witness.read_text())
     assert sorted(payload["order"]) == [0, 1, 2, 3, 4]
+    assert witness.read_text() == captured.out
 
 
 def test_oracle1_reports_absence(tmp_path, capsys):
@@ -157,5 +158,13 @@ def test_non_integer_scheme_values_are_structural(tmp_path, c4_file, capsys):
     scheme = tmp_path / "scheme.json"
     scheme.write_text(json.dumps(
         {"order": [0, 1.9, 2, 3], "labels": {"0->1": [[True, 1.5]]}}))
+    assert run(["verify", "--model", c4_file, "--scheme", scheme]) == 2
+    assert "structural" in capsys.readouterr().err
+
+
+def test_malformed_arc_key_is_structural(tmp_path, c4_file, capsys):
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text('{"order": [0, 1, 2, 3], "labels": '
+                      '{"0->1": [[1, 2]], "00->1": [[3, 3]]}}')
     assert run(["verify", "--model", c4_file, "--scheme", scheme]) == 2
     assert "structural" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,7 +12,9 @@ from arcroute import (
     intersection_graph,
     reaches_further_left,
     reaches_further_right,
+    validate_model,
 )
+from arcroute.arc_model import is_real
 from arcroute.clique_cycle import EQUAL, FURTHER, LESS
 from arcroute.errors import NotRealCircularArc, UndefinedComparisonError
 from conftest import C4_MODEL, COUNTER_MODEL, K3_MODEL, load
@@ -182,3 +185,25 @@ def test_dump_format(c4_model):
     assert lines[0] == "0: {0, 3}"
     assert lines[4] == "0: lc=0 rc=1"
     assert len(lines) == cycle.k + 4
+
+
+def test_anchors_are_the_first_gaps_of_the_maximal_cliques():
+    # brute force over every gap: a gap's member set is a clique of the
+    # cycle iff no other gap's set strictly contains it, and its anchor is
+    # the first gap holding that set
+    rng = random.Random(11)
+    checked = 0
+    for n in list(range(2, 8)) * 150:
+        ends = rng.sample(range(2 * n), 2 * n)
+        model = validate_model(n, list(zip(ends[::2], ends[1::2])))
+        if not is_real(model):
+            continue
+        sets = [frozenset(a for a in range(n) if model.covers_gap(a, g))
+                for g in range(model.circle_size)]
+        first: dict[frozenset, int] = {}
+        for g, members in enumerate(sets):
+            if not any(members < other for other in sets):
+                first.setdefault(members, g)
+        assert build_clique_cycle(model).anchors.tolist() == sorted(first.values())
+        checked += 1
+    assert checked > 100

@@ -6,6 +6,7 @@ implementations, so a corruption campaign checks that they accept and
 reject exactly the same schemes.
 """
 
+import json
 import random
 
 from arcroute import (
@@ -18,6 +19,7 @@ from arcroute import (
 )
 from arcroute.errors import RouteError
 from arcroute.verifier import route_lengths
+from conftest import labels_of
 
 
 def routes_shortest(scheme, graph) -> bool:
@@ -28,12 +30,10 @@ def routes_shortest(scheme, graph) -> bool:
 
 
 def moved_interval(scheme, v, w, index, new_w):
-    labels = {arc: list(ivls) for arc, ivls in scheme.labels.items()}
-    ivl = labels[(v, w)].pop(index)
-    labels.setdefault((v, new_w), []).append(ivl)
-    return RoutingScheme.from_labels(
-        scheme.order, {arc: tuple(ivls) for arc, ivls in labels.items()}
-    )
+    obj = json.loads(scheme.to_json())
+    ivl = obj["labels"][f"{v}->{w}"].pop(index)
+    obj["labels"].setdefault(f"{v}->{new_w}", []).append(ivl)
+    return RoutingScheme.from_json(json.dumps(obj))
 
 
 def corrupted_variants(scheme, graph, rng, count):
@@ -46,20 +46,20 @@ def corrupted_variants(scheme, graph, rng, count):
     from arcroute import first_vertices
     from arcroute.ring_order import ring_sequence
 
-    arcs = sorted(scheme.labels)
+    labels = labels_of(scheme)
+    arcs = sorted(labels)
     for _ in range(count):
-        labels = scheme.labels
         (v, w) = arcs[rng.randrange(len(arcs))]
-        if not labels[(v, w)]:
+        ivls = labels[(v, w)]
+        if not ivls:
             continue
-        index = rng.randrange(len(labels[(v, w)]))
+        index = rng.randrange(len(ivls))
         others = [int(u) for u in graph.neighbors[v] if int(u) != w]
         if not others:
             continue
         yield moved_interval(scheme, v, w, index, rng.choice(others))
         # a deliberate validity-preserving move, when one exists
-        ivl = labels[(v, w)][index]
-        members = ring_sequence(scheme.order, ivl.a, ivl.b)
+        members = ring_sequence(scheme.order, *ivls[index])
         shared = set(others)
         for u in members:
             shared &= first_vertices(graph, v, int(u))
@@ -90,11 +90,9 @@ def test_dropping_an_interval_fails_both_ways():
     model = gen_random(9, 2)
     graph = intersection_graph(model)
     scheme = build_scheme(model)
-    labels = {arc: list(ivls) for arc, ivls in scheme.labels.items()}
-    victim = next(arc for arc in sorted(labels) if labels[arc])
-    labels[victim] = []
-    broken = RoutingScheme.from_labels(
-        scheme.order, {arc: tuple(ivls) for arc, ivls in labels.items()}
-    )
+    obj = json.loads(scheme.to_json())
+    victim = next(iter(obj["labels"]))  # the JSON lists arcs in sorted order
+    obj["labels"][victim] = []
+    broken = RoutingScheme.from_json(json.dumps(obj))
     assert not verify_scheme(graph, broken).passed
     assert not routes_shortest(broken, graph)

@@ -21,6 +21,7 @@ from arcroute import (
 from arcroute.errors import StructuralSchemeError
 from arcroute.ring_order import ring_sequence
 from arcroute.verifier import route_lengths
+from conftest import labels_of
 
 model_params = st.tuples(
     st.integers(min_value=3, max_value=24),
@@ -70,9 +71,9 @@ def test_every_interval_member_routes_through_its_arc(params):
     model = gen_random(min(n, 12), seed)
     graph = intersection_graph(model)
     scheme = build_scheme(model)
-    for (v, w), ivls in scheme.labels.items():
-        for ivl in ivls:
-            for u in ring_sequence(scheme.order, ivl.a, ivl.b):
+    for (v, w), ivls in labels_of(scheme).items():
+        for a, b in ivls:
+            for u in ring_sequence(scheme.order, a, b):
                 assert w == u or w in first_vertices(graph, v, int(u))
 
 
@@ -105,6 +106,24 @@ def test_scheme_json_rejects_malformed_payloads():
         json.dumps({"order": [0, 1, 2], "labels": {"0->1": [[True, True]]}}),
         json.dumps({"order": [0, 1, 2], "labels": {"0->1": [[1, 1.0]]}}),
         json.dumps({"order": obj["order"], "labels": [[0, 1]]}),
+        # arc keys must be canonical: decimal, no sign, leading zero or "_"
+        '{"order": [0, 1, 2], "labels": {"0->1": [[1, 1]], "00->1": [[2, 2]], '
+        '"1_0->2": [[0, 0]]}}',
+        *(json.dumps({"order": [0, 1, 2], "labels": {key: [[1, 1]]}})
+          for key in ["00->1", "0->01", "1_0->2", "+0->1", "-0->1", " 0->1",
+                      "0->1 ", "0->1\n", "0->1\n1->0", "0 ->1", "0->\u0661",
+                      "3->1", "0->3", "0->", "->1", "1->" + "9" * 30]),
+        # a key given twice, also when the copies are identical
+        '{"order": [0, 1, 2], "labels": {"0->1": [[1, 1]], "0->1": [[2, 2]]}}',
+        '{"order": [0, 1, 2], "labels": {"0->1": [[1, 1]], "0->1": [[1, 1]]}}',
+        '{"order": [0, 1, 2], "order": [0, 1, 2], "labels": {}}',
+        # ... or spelled with a JSON escape, which decodes to the same key
+        '{"order": [0, 1, 2], "labels": {"0->1": [[1, 1]], "\\u0030->1": [[2, 2]]}}',
+        # an arc's intervals must be a list of pairs
+        json.dumps({"order": [0, 1, 2], "labels": {"0->1": {}}}),
+        json.dumps({"order": [0, 1, 2], "labels": {"0->1": "12"}}),
+        json.dumps({"order": [0, 1, 2], "labels": {"0->1": [[1, 2, 2]]}}),
+        json.dumps({"order": [0, 1, 2], "labels": {"0->1": [[1, 2 ** 70]]}}),
     ]
     for payload in broken:
         with pytest.raises(StructuralSchemeError):
@@ -171,8 +190,7 @@ def test_two_vertex_covering_model():
     cycle.validate()
     scheme = build_scheme(model)
     assert verify_scheme(graph, scheme).passed
-    assert {arc: [(i.a, i.b) for i in ivls] for arc, ivls in scheme.labels.items()} \
-        == {(0, 1): [(1, 1)], (1, 0): [(0, 0)]}
+    assert labels_of(scheme) == {(0, 1): [[1, 1]], (1, 0): [[0, 0]]}
 
 
 def test_single_vertex_scheme_verifies():

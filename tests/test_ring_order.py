@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arcroute import CyclicOrder, RingInterval, interval_contains, ring_sequence
+from arcroute import CyclicOrder, ring_sequence
 from arcroute.builder import _join_chunks
 from arcroute.errors import UnknownElementError
 from arcroute.ring_order import expand_runs
@@ -53,27 +53,6 @@ def test_ring_sequence_almost_full_circle():
     # entire order exactly once
     order = CyclicOrder([0, 1, 2, 3])
     assert ring_sequence(order, 1, 0) == [1, 2, 3, 0]
-
-
-def test_interval_contains_singleton():
-    order = CyclicOrder([0, 1, 2, 3])
-    ivl = RingInterval(0, 0)
-    assert interval_contains(order, ivl, 0)
-    assert not interval_contains(order, ivl, 1)
-
-
-def test_interval_contains_wrapping():
-    order = CyclicOrder([0, 1, 2, 3])
-    assert interval_contains(order, RingInterval(3, 1), 0)
-
-
-def test_contains_matches_sequence_exhaustively():
-    # every (from, to, x) triple for orders up to 8 elements
-    for n in range(1, 9):
-        order = CyclicOrder(range(n))
-        for a, b, x in itertools.product(range(n), repeat=3):
-            expected = x in ring_sequence(order, a, b)
-            assert interval_contains(order, RingInterval(a, b), x) == expected
 
 
 def run_members(n, run):

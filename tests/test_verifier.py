@@ -1,11 +1,11 @@
 import itertools
 import json
+import re
 
 import pytest
 
 from arcroute import (
     CyclicOrder,
-    RingInterval,
     RoutingScheme,
     all_pairs_distances,
     build_scheme,
@@ -33,11 +33,10 @@ def c4_setup():
 
 
 def scheme_from(order, labels):
-    return RoutingScheme.from_labels(
-        CyclicOrder(order),
-        {arc: tuple(RingInterval(a, b) for a, b in ivls)
-         for arc, ivls in labels.items()},
-    )
+    return RoutingScheme.from_json(json.dumps({
+        "order": order,
+        "labels": {f"{v}->{w}": ivls for (v, w), ivls in labels.items()},
+    }))
 
 
 def test_builder_scheme_passes():
@@ -101,6 +100,25 @@ def test_overlap_reported_per_destination():
     assert report.disjoint_violations[0]["destination"] == 2
 
 
+def test_each_interval_of_a_violation_is_listed():
+    # both arcs of vertex 0 cover 0 itself and destination 2
+    graph, _ = c4_setup()
+    doubly = scheme_from([0, 1, 2, 3], {
+        (0, 1): [(0, 2)], (0, 3): [(2, 0)],
+        (1, 0): [(0, 0)], (1, 2): [(2, 3)],
+        (2, 1): [(1, 1)], (2, 3): [(3, 0)],
+        (3, 0): [(0, 1)], (3, 2): [(2, 2)],
+    })
+    report = verify_scheme(graph, doubly)
+    assert report.strictness_violations == [
+        {"vertex": 0, "arc": [0, 1], "interval": [0, 2]},
+        {"vertex": 0, "arc": [0, 3], "interval": [2, 0]},
+    ]
+    assert report.disjoint_violations == [
+        {"vertex": 0, "destination": 2, "arcs": [[0, 1], [0, 3]]},
+    ]
+
+
 def test_non_shortest_assignment_reported():
     graph, _ = c4_setup()
     detour = scheme_from([0, 1, 2, 3], {
@@ -119,6 +137,42 @@ def test_structural_error_on_non_edge_label():
     phantom = scheme_from([0, 1, 2, 3], {(0, 2): [(1, 3)]})
     with pytest.raises(StructuralSchemeError):
         verify_scheme(graph, phantom)
+
+
+def test_structural_error_names_the_first_bad_arc():
+    graph, _ = c4_setup()
+    order = CyclicOrder([0, 1, 2, 3])
+    for arcs, message in [
+        ([(2, 0), (1, 1), (3, 9)], "arc (1, 1) is not a valid arc"),
+        ([(3, 9), (2, 0)], "arc (2, 0) is not a graph edge"),
+        ([(0, 1), (3, -1)], "arc (3, -1) is not a valid arc"),
+        ([(1, 1), (0, 9)], "arc (0, 9) is not a valid arc"),
+    ]:
+        src, dst = zip(*arcs)
+        ones = [1] * len(arcs)
+        with pytest.raises(StructuralSchemeError, match=re.escape(message)):
+            verify_scheme(graph, RoutingScheme(order, src, dst, ones, ones))
+
+
+def test_arc_written_without_intervals_is_no_arc():
+    # an empty interval list leaves no rows: it is neither counted as an
+    # arc nor checked as one, even when it names a non-edge
+    graph, scheme = c4_setup()
+    obj = json.loads(scheme.to_json())
+    obj["labels"]["0->2"] = []
+    again = RoutingScheme.from_json(json.dumps(obj))
+    assert again.to_json() == scheme.to_json()
+    assert verify_scheme(graph, again).passed
+    assert interval_stats(again).arc_count == 8
+    emptied = scheme_from([0, 1, 2, 3], {
+        (0, 1): [], (0, 3): [(1, 3)],
+        (1, 0): [(0, 0)], (1, 2): [(2, 3)],
+        (2, 1): [(1, 1)], (2, 3): [(3, 0)],
+        (3, 0): [(0, 1)], (3, 2): [(2, 2)],
+    })
+    stats = interval_stats(emptied)
+    assert (stats.arc_count, stats.edge_count, stats.total_intervals) == (7, 3, 7)
+    assert stats.total_within_bound
 
 
 def test_structural_error_on_vertex_mismatch():
