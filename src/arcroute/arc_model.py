@@ -84,7 +84,10 @@ def _is_json_int(value) -> bool:
 def parse_model(data: bytes | str) -> ArcModel:
     """Parse the canonical JSON format ``{"n": ..., "arcs": [[s, e], ...]}``."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"model is not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:

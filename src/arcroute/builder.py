@@ -36,7 +36,7 @@ from .arc_model import (
 )
 from .clique_cycle import CliqueCycle, build_clique_cycle
 from .errors import ConstructionError, StructuralSchemeError
-from .ring_order import CyclicOrder, RingInterval, expand_runs
+from .ring_order import CyclicOrder, RingInterval
 
 
 class VertexOrder:
@@ -86,8 +86,8 @@ class VertexFrame:
     """Per-vertex view of the order: distinguished neighbors and blocks.
 
     Blocks are ring-intervals in the vertex order (``None`` when empty);
-    ``right_vertex``, ``apex`` and ``split_vertex`` stay ``None`` until
-    the facing block is distributed by the corresponding case.
+    ``right_vertex`` and ``apex`` stay ``None`` until the facing block is
+    distributed by the corresponding case.
     """
 
     v: int
@@ -98,7 +98,6 @@ class VertexFrame:
     left_block: RingInterval | None
     right_vertex: int | None = None
     apex: int | None = None
-    split_vertex: int | None = None
 
 
 class LabelingContext:
@@ -128,8 +127,15 @@ class LabelingContext:
         self.dominating = cycle.dominating
         self.any_dominating = bool(cycle.dominating_set)
         self._dom_run: tuple[int, int] | None = None
-        # nearest clique at or counterclockwise of c with a nonempty block
         k = cycle.k
+        # a cut: a clique boundary c -> c + 1 crossed by no clique run; run v
+        # crosses boundaries nat_left[v] .. nat_left[v] + nat_len[v] - 2
+        lo = cycle.nat_left
+        hi = lo + cycle.nat_len - 1
+        crossing = np.cumsum(np.bincount(lo, minlength=2 * k)
+                             - np.bincount(hi, minlength=2 * k))
+        self.has_cut = bool((crossing[:k] + crossing[k:] == 0).any())
+        # nearest clique at or counterclockwise of c with a nonempty block
         prev_nonempty = np.full(k, -1, dtype=np.int64)
         last = -1
         for c in list(range(k)) * 2:
@@ -169,8 +175,8 @@ class LabelingContext:
     def distances(self) -> np.ndarray:
         """Hop-distance matrix of the graph, computed on first use.
 
-        Only plan checks and the distance-split fallback need it, so
-        builds that never reach them never pay for it.
+        Only the distance split of a clique cycle with a cut needs it, so
+        every other build runs no graph search.
         """
         if self._dist is None:
             self._dist = all_pairs_distances(self.graph)
@@ -390,7 +396,8 @@ def _plan_facing(frame: VertexFrame, ctx: LabelingContext) -> Plan:
       vertex is adjacent to the whole block and carries it alone;
       a counter pair exists elsewhere -> carried by the pair member / the
       farthest-reaching neighbors, split by position;
-      otherwise -> split at the separator between right and left vertex.
+      otherwise -> split at the separator between right and left vertex,
+      or by distance when the clique cycle has a cut.
     """
     if frame.facing_block is None:
         return []
@@ -450,7 +457,8 @@ def _facing_via_shared_neighbor(frame: VertexFrame, ctx: LabelingContext,
 def _facing_near_counter_pair(frame: VertexFrame, ctx: LabelingContext,
                               members: np.ndarray) -> Plan:
     """No dominating vertices, v itself has no counter partner, but some
-    counter pair exists; v is adjacent to at least one of its members."""
+    counter pair exists; v is adjacent to at least one of its members.
+    A counter pair's runs cross every clique boundary, so there is no cut."""
     v = frame.v
     block = frame.facing_block
     w0, c0 = ctx.first_counter_pair
@@ -483,32 +491,24 @@ def _facing_near_counter_pair(frame: VertexFrame, ctx: LabelingContext,
     rest_start = ctx.succ(m_r)
     if rest_start != lv:
         plan.append((lv, int(ctx.pos[rest_start]), ctx.fwd(rest_start, lv)))
-    if not _plan_serves_shortest(v, plan, ctx):
-        return _facing_split_by_distance(frame, ctx)
     return plan
 
 
 def _facing_via_separator(frame: VertexFrame, ctx: LabelingContext) -> Plan:
     """Plain case: split the block at the separator.
 
-    Covering models of interval graphs escape the usual guarantees: a
-    vertex may lack a left vertex, the left chain may die before the
-    chains meet, or the separator split itself may point a far vertex at
-    the wrong side (both right-reach candidates can tie at the same right
-    clique on such models).  The split is therefore validated against the
-    context's hop-distance matrix (one all-pairs computation per build,
-    made on the first check), and any miss falls back to the
-    distance-derived split.
+    A clique cycle with a cut (the covering model of an interval graph)
+    escapes the geometric guarantees: a vertex may lack a left vertex,
+    the left chain may die before the chains meet, and both right-reach
+    candidates can tie at the same right clique.  Such a model takes the
+    distance split instead; every other model is split from geometry
+    alone.
     """
-    v = frame.v
+    if ctx.has_cut:
+        return _facing_split_by_distance(frame, ctx)
     block = frame.facing_block
-    if frame.left_vertex is None:
-        return _facing_split_by_distance(frame, ctx)
     r = right_vertex(frame, ctx)
-    try:
-        s = separator(frame, ctx)
-    except _LeftChainBroke:
-        return _facing_split_by_distance(frame, ctx)
+    s = separator(frame, ctx)
     lv = frame.left_vertex
     plan: Plan = []
     if ctx.block_contains(block, s):
@@ -518,30 +518,16 @@ def _facing_via_separator(frame: VertexFrame, ctx: LabelingContext) -> Plan:
         left_start = block.a
     if left_start != lv:
         plan.append((lv, int(ctx.pos[left_start]), ctx.fwd(left_start, lv)))
-    if not _plan_serves_shortest(v, plan, ctx):
-        return _facing_split_by_distance(frame, ctx)
     return plan
-
-
-def _plan_serves_shortest(v: int, plan: Plan, ctx: LabelingContext) -> bool:
-    """Does every planned carrier start a shortest path to its members?
-
-    Reads rows of ``ctx.distances()``; the first check of a build computes
-    that matrix, later checks only index it.
-    """
-    dist = ctx.distances()
-    targets, starts, lengths = np.array(plan, dtype=np.int64).reshape(-1, 3).T
-    run, positions = expand_runs(starts, lengths, ctx.n)
-    members = ctx.items[positions]
-    return bool((dist[targets[run], members] == dist[v, members] - 1).all())
 
 
 def _facing_split_by_distance(frame: VertexFrame, ctx: LabelingContext) -> Plan:
     """Split the facing block against hop distances directly.
 
-    The longest prefix one hop closer through the right vertex routes
-    right, the rest routes through the left vertex (when it exists); a
-    facing vertex served by neither is a hard error.
+    Only clique cycles with a cut come here.  The longest prefix one hop
+    closer through the right vertex routes right, the rest routes through
+    the left vertex (when it exists); a facing vertex served by neither is
+    a hard error.
     """
     v = frame.v
     block = frame.facing_block
@@ -572,15 +558,7 @@ def _facing_split_by_distance(frame: VertexFrame, ctx: LabelingContext) -> Plan:
     if split < len(members):
         rest = int(members[split])
         plan.append((lv, int(ctx.pos[rest]), len(members) - split))
-    frame.split_vertex = int(members[split - 1]) if split else None
     return plan
-
-
-class _LeftChainBroke(ConstructionError):
-    """Iterated left vertices hit a vertex with no left candidates.
-
-    Happens only on covering models of interval graphs; callers fall back
-    to the distance-checked split."""
 
 
 def right_vertex(frame: VertexFrame, ctx: LabelingContext) -> int:
@@ -624,7 +602,7 @@ def apex_number(frame: VertexFrame, ctx: LabelingContext) -> int:
     for i in range(2, ctx.n + 2):
         nl = ctx.left_vertex_of(li)
         if nl is None:
-            raise _LeftChainBroke("left chain broke", vertex=v)
+            raise ConstructionError("left chain broke", vertex=v)
         li = nl
         ri = ctx.right_vertex_of(ri)
         if li == ri or ctx.graph.adjacent(li, ri):
@@ -657,16 +635,14 @@ def separator(frame: VertexFrame, ctx: LabelingContext) -> int:
     if lv is None:
         raise ConstructionError("separator needs a left vertex", vertex=v)
     if frame.apex == 1:
-        s = ctx.pred(lv)
-        frame.split_vertex = s
-        return s
+        return ctx.pred(lv)
     # walk both chains to depth apex-1, then scan for the first vertex
     # that reaches the left chain
     li, ri = lv, frame.right_vertex
     for _ in range(frame.apex - 2):
         li = ctx.left_vertex_of(li)
         if li is None:
-            raise _LeftChainBroke("left chain broke", vertex=v)
+            raise ConstructionError("left chain broke", vertex=v)
         ri = ctx.right_vertex_of(ri)
     c = int(ctx.cycle.right[ri])
     tail = int(ctx.vorder.tail[c])
@@ -685,9 +661,7 @@ def separator(frame: VertexFrame, ctx: LabelingContext) -> int:
         if ctx.fwd(frame.facing_block.a, w) > ctx.fwd(frame.facing_block.a, lv):
             raise ConstructionError("separator landed outside the facing block",
                                     vertex=v)
-    s = ctx.pred(w)
-    frame.split_vertex = s
-    return s
+    return ctx.pred(w)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +721,10 @@ class RoutingScheme:
         import json
 
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
+            try:
+                data = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise StructuralSchemeError(f"scheme is not UTF-8 text: {exc}") from exc
         try:
             obj = json.loads(data, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:

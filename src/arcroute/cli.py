@@ -1,7 +1,7 @@
 """Command-line front end: build, verify, route, gen, oracle1.
 
 Data goes to stdout (JSON or plain ids), diagnostics to stderr.
-Exit codes: 0 success, 1 verification failure, 2 parse/structural errors.
+Exit codes: 0 success, 1 verification failure, 2 unusable input of any kind.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from .verifier import interval_stats, route, verify_scheme
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_STRUCTURAL = 2
+
+
+class BadArgumentError(ArcRouteError):
+    code = "bad-argument"  # an argument the library rejects with ValueError
 
 
 def _load_model(path: str):
@@ -60,20 +64,26 @@ def _cmd_route(args) -> int:
     model = _load_model(args.model)
     scheme = _load_scheme(args.scheme)
     graph = intersection_graph(model)
-    path = route(scheme, graph, args.src, args.dst)
+    try:
+        path = route(scheme, graph, args.src, args.dst)
+    except ValueError as exc:  # a route from a vertex to itself
+        raise BadArgumentError(str(exc)) from exc
     print(" ".join(str(v) for v in path))
     return EXIT_OK
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "ring":
-        model = gen_ring(args.n)
-    elif args.family == "wheel":
-        model = gen_wheel(args.n)
-    elif args.family == "complete":
-        model = gen_complete(args.n)
-    else:
-        model = gen_random(args.n, args.seed)
+    try:
+        if args.family == "ring":
+            model = gen_ring(args.n)
+        elif args.family == "wheel":
+            model = gen_wheel(args.n)
+        elif args.family == "complete":
+            model = gen_complete(args.n)
+        else:
+            model = gen_random(args.n, args.seed)
+    except ValueError as exc:  # too few vertices for the family
+        raise BadArgumentError(str(exc)) from exc
     text = model.to_json()
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -160,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     except ArcRouteError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
 

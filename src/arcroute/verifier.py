@@ -87,6 +87,13 @@ def _check_structure(graph: Graph, scheme: RoutingScheme) -> None:
         v, w = int(src[bad][first]), int(dst[bad][first])
         problem = "a valid arc" if invalid[bad][first] else "a graph edge"
         raise StructuralSchemeError(f"arc ({v}, {w}) is not {problem}")
+    # the arcs are valid, so the rows are in (source, target) order
+    start, length = scheme.start, scheme.length
+    outside = (start < 0) | (start >= n) | (length < 1) | (length > n)
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        raise StructuralSchemeError(
+            f"arc ({src[i]}, {dst[i]}) has an interval outside the order")
 
 
 def _verify_vertex(dist: np.ndarray, items: np.ndarray, scheme: RoutingScheme,

@@ -1,8 +1,18 @@
 import json
+import random
 
 import pytest
 
-from arcroute import ArcModel, Graph, intersection_graph, parse_model
+from arcroute import (
+    ArcModel,
+    Graph,
+    build_clique_cycle,
+    build_vertex_order,
+    intersection_graph,
+    parse_model,
+    validate_model,
+)
+from arcroute.builder import LabelingContext
 
 # ring of four arcs; the running example across the suite
 C4_MODEL = {"n": 4, "arcs": [[0, 3], [2, 5], [4, 7], [6, 1]]}
@@ -17,6 +27,31 @@ COUNTER_MODEL = {"n": 4, "arcs": [[0, 5], [4, 1], [2, 7], [6, 3]]}
 
 def load(model_dict: dict) -> ArcModel:
     return parse_model(json.dumps(model_dict))
+
+
+def context_for(model) -> LabelingContext:
+    graph = intersection_graph(model)
+    cycle = build_clique_cycle(model, graph)
+    return LabelingContext(cycle, graph, build_vertex_order(cycle))
+
+
+def perturbed_ring(n, seed):
+    """Arc i starts at ring step i + U[0, 1) and runs 2 to 4 steps; the 2n
+    real endpoints are ranked to integer positions.  Sparse, covering, with
+    no dominating vertex and no counter pair, so every vertex takes the
+    separator case."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(n):
+        start = i + rng.random()
+        end = start + 2 + 2 * rng.random()
+        points.append((start % n, i, 0))
+        points.append((end % n, i, 1))
+    points.sort()
+    arcs = [[0, 0] for _ in range(n)]
+    for rank, (_, arc, side) in enumerate(points):
+        arcs[arc][side] = rank
+    return validate_model(n, [tuple(a) for a in arcs])
 
 
 def labels_of(scheme) -> dict[tuple[int, int], list[list[int]]]:
@@ -43,3 +78,26 @@ def k3_model() -> ArcModel:
 @pytest.fixture
 def counter_model() -> ArcModel:
     return load(COUNTER_MODEL)
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Count calls of the per-source BFS and of the all-pairs matrix."""
+    import arcroute.arc_model
+    import arcroute.builder
+
+    calls = {"bfs_distances": 0, "all_pairs_distances": 0}
+
+    def counting(name):
+        real = getattr(arcroute.arc_model, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for module in (arcroute.arc_model, arcroute.builder):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+
+    counting("bfs_distances")
+    counting("all_pairs_distances")
+    return calls

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The random sweep
 (criteria 1 and 2) covers 1000 seeded models at each size in
-{5, 10, 30, 64} and dominates the runtime (a few minutes).
+{5, 10, 30, 64} and dominates the runtime (a few minutes).  Criterion 1
+also sweeps perturbed rings, where every vertex takes the separator case.
 """
 
 import time
@@ -24,10 +25,12 @@ from arcroute import (
     verify_scheme,
 )
 from arcroute.verifier import route_lengths
-from conftest import labels_of
+from conftest import context_for, labels_of, perturbed_ring
 
 SWEEP_SIZES = (5, 10, 30, 64)
 SWEEP_SEEDS = 1000
+PERTURBED_SIZES = (8, 16, 40, 120)
+PERTURBED_SEEDS = 25
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -79,6 +82,38 @@ def test_criterion_1_random_correctness_sweep():
         f"{SWEEP_SEEDS} seeds at each n in {SWEEP_SIZES}: "
         f"{len(verify_failures)} verification failures, "
         f"{len(route_mismatches)} route/distance mismatches",
+    )
+
+
+def test_criterion_1_perturbed_ring_sweep(search_calls):
+    """Separator plans are emitted unchecked, so only this sweep checks
+    them: verify plus every simulated route on perturbed rings.  A build
+    of a model without a cut in its clique cycle must run no graph
+    search; small random models add cut models and counter pairs."""
+    models = [(f"perturbed_ring({n}, {seed})", perturbed_ring(n, seed))
+              for n in PERTURBED_SIZES for seed in range(PERTURBED_SEEDS)]
+    models += [(f"gen_random({n}, {seed})", gen_random(n, seed))
+               for n in (5, 10) for seed in range(100)]
+    failures, searched, cuts = [], [], 0
+    for name, model in models:
+        search_calls.update(bfs_distances=0, all_pairs_distances=0)
+        scheme = build_scheme(model)
+        if context_for(model).has_cut:
+            cuts += 1
+        elif any(search_calls.values()):
+            searched.append(name)
+        graph = intersection_graph(model)
+        if not (verify_scheme(graph, scheme).passed
+                and (route_lengths(scheme, graph)
+                     == all_pairs_distances(graph)).all()):
+            failures.append(name)
+    report(
+        1, not failures and not searched,
+        f"{PERTURBED_SEEDS} perturbed rings at each n in {PERTURBED_SIZES} "
+        f"and {len(models) - PERTURBED_SEEDS * len(PERTURBED_SIZES)} small random "
+        f"models: {len(failures)} verification or route failures; "
+        f"{len(searched)} of {len(models) - cuts} cut-free builds "
+        f"computed distances" + (f" ({searched[:5]})" if searched else ""),
     )
 
 
@@ -142,23 +177,27 @@ def test_criterion_5_complete_graph_singletons():
 
 def test_criterion_6_build_time_scaling():
     sizes = (250, 500, 1000, 2000)
-    times = {}
-    for n in sizes:
-        model = gen_random(n, 1)
-        best = float("inf")
-        for _ in range(2 if n <= 500 else 1):
-            started = time.perf_counter()
-            build_scheme(model)
-            best = min(best, time.perf_counter() - started)
-        times[n] = best
-    slope = float(np.polyfit(np.log(sizes), np.log([times[n] for n in sizes]), 1)[0])
-    ok = slope <= 2.3 and times[2000] < 10.0
-    report(
-        6, ok,
-        f"power-law exponent {slope:.2f} (<= 2.3), "
-        f"n=2000 build {times[2000]:.2f}s (< 10s); "
-        + ", ".join(f"n={n}: {times[n]:.2f}s" for n in sizes),
-    )
+    ok = True
+    details = []
+    for family, make in (("random", gen_random), ("perturbed_ring", perturbed_ring)):
+        times = {}
+        for n in sizes:
+            model = make(n, 1)
+            best = float("inf")
+            for _ in range(2 if n <= 500 else 1):
+                started = time.perf_counter()
+                build_scheme(model)
+                best = min(best, time.perf_counter() - started)
+            times[n] = best
+        slope = float(np.polyfit(np.log(sizes),
+                                 np.log([times[n] for n in sizes]), 1)[0])
+        ok = ok and slope <= 2.3 and times[2000] < 10.0
+        details.append(
+            f"{family}: power-law exponent {slope:.2f} (<= 2.3), "
+            f"n=2000 build {times[2000]:.2f}s (< 10s); "
+            + ", ".join(f"n={n}: {times[n]:.2f}s" for n in sizes)
+        )
+    report(6, ok, "; ".join(details))
 
 
 def test_criterion_7_oracle_cross_validation():

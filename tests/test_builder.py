@@ -8,10 +8,9 @@ import pytest
 from arcroute import (
     RingInterval,
     RoutingScheme,
+    all_pairs_distances,
     apex_number,
-    build_clique_cycle,
     build_scheme,
-    build_vertex_order,
     compute_frame,
     first_vertices,
     gen_complete,
@@ -25,7 +24,6 @@ from arcroute import (
     verify_scheme,
 )
 from arcroute.builder import (
-    LabelingContext,
     _check_scheme_shape,
     _join_chunks,
     _plan_facing,
@@ -34,14 +32,8 @@ from arcroute.builder import (
 )
 from arcroute.errors import ConstructionError, NotRealCircularArc
 from arcroute.ring_order import ring_sequence
-from conftest import C4_MODEL, labels_of, load
-
-
-def context_for(model):
-    graph = intersection_graph(model)
-    cycle = build_clique_cycle(model, graph)
-    vorder = build_vertex_order(cycle)
-    return LabelingContext(cycle, graph, vorder)
+from arcroute.verifier import route_lengths
+from conftest import C4_MODEL, context_for, labels_of, load, perturbed_ring
 
 
 # -- vertex order ------------------------------------------------------------
@@ -448,57 +440,76 @@ def test_interval_model_with_covering_arcs_still_routes():
     assert verify_scheme(ctx.graph, scheme).passed
 
 
+# -- cuts of the clique cycle ----------------------------------------------------
+
+
+def crossed_geometrically(model, cycle, c):
+    """Does one arc cover every gap from clique c's anchor clockwise
+    through clique c + 1's anchor?"""
+    size = model.circle_size
+    a = int(cycle.anchors[c])
+    b = int(cycle.anchors[(c + 1) % cycle.k])
+    stretch = [(a + i) % size for i in range((b - a - 1) % size + 2)]
+    return any(all(model.covers_gap(v, g) for g in stretch)
+               for v in range(model.n))
+
+
+def test_cut_flag_matches_the_geometric_definition():
+    rng = random.Random(5)
+    seen = {False: 0, True: 0}
+    for _ in range(3000):
+        n = rng.randint(2, 8)
+        ends = list(range(2 * n))
+        rng.shuffle(ends)
+        model = validate_model(n, list(zip(ends[::2], ends[1::2])))
+        try:
+            ctx = context_for(model)
+        except NotRealCircularArc:
+            continue
+        cut = not all(crossed_geometrically(model, ctx.cycle, c)
+                      for c in range(ctx.cycle.k))
+        assert ctx.has_cut is cut, model
+        assert not (cut and ctx.any_counter_pair), model
+        seen[cut] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("model,cut", [
+    (gen_random(6, 546), True),
+    (gen_random(5, 101), True),
+    (gen_random(8, 22), True),
+    (gen_ring(3), False),
+    (gen_ring(12), False),
+    (gen_wheel(3), False),
+    (gen_wheel(9), False),
+    (perturbed_ring(24, 3), False),
+    (perturbed_ring(40, 5), False),
+], ids=["random6_546", "random5_101", "random8_22", "ring3", "ring12",
+        "wheel3", "wheel9", "perturbed_ring24_3", "perturbed_ring40_5"])
+def test_cut_flag_on_named_models(model, cut):
+    assert context_for(model).has_cut is cut
+
+
+def test_cut_model_splits_by_distance_and_routes_shortest(search_calls):
+    # on gen_random(6, 546) the separator plan of vertex 5 sends a facing
+    # vertex off every shortest path; the clique cycle has a cut, so the
+    # block is split by distance instead, from one matrix
+    model = gen_random(6, 546)
+    scheme = build_scheme(model)
+    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 1}
+    graph = intersection_graph(model)
+    assert verify_scheme(graph, scheme).passed
+    assert (route_lengths(scheme, graph) == all_pairs_distances(graph)).all()
+
+
 # -- distance checks -----------------------------------------------------------
-
-
-def perturbed_ring(n, seed):
-    """Arc i starts at ring step i + U[0, 1) and runs 2 to 4 steps; the 2n
-    real endpoints are ranked to integer positions.  Sparse, covering, with
-    no dominating vertex and no counter pair, so every vertex takes the
-    separator case."""
-    rng = random.Random(seed)
-    points = []
-    for i in range(n):
-        start = i + rng.random()
-        end = start + 2 + 2 * rng.random()
-        points.append((start % n, i, 0))
-        points.append((end % n, i, 1))
-    points.sort()
-    arcs = [[0, 0] for _ in range(n)]
-    for rank, (_, arc, side) in enumerate(points):
-        arcs[arc][side] = rank
-    return validate_model(n, [tuple(a) for a in arcs])
-
-
-@pytest.fixture
-def search_calls(monkeypatch):
-    """Count calls of the per-source BFS and of the all-pairs matrix."""
-    import arcroute.arc_model
-    import arcroute.builder
-
-    calls = {"bfs_distances": 0, "all_pairs_distances": 0}
-
-    def counting(name):
-        real = getattr(arcroute.arc_model, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        for module in (arcroute.arc_model, arcroute.builder):
-            monkeypatch.setattr(module, name, wrapper, raising=False)
-
-    counting("bfs_distances")
-    counting("all_pairs_distances")
-    return calls
 
 
 @pytest.mark.parametrize("model", [gen_ring(32), perturbed_ring(40, 5)],
                          ids=["ring32", "perturbed_ring40"])
-def test_separator_builds_use_one_distance_matrix(model, search_calls):
+def test_separator_builds_compute_no_distances(model, search_calls):
     scheme = build_scheme(model)
-    assert search_calls["bfs_distances"] == 0
-    assert search_calls["all_pairs_distances"] <= 1
+    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 0}
     assert verify_scheme(intersection_graph(model), scheme).passed
 
 
@@ -518,20 +529,6 @@ def test_distance_fallback_reads_the_matrix(search_calls):
 def test_dense_build_never_computes_distances(search_calls):
     build_scheme(gen_random(64, 3))
     assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 0}
-
-
-def test_plan_check_rejects_a_carrier_off_every_shortest_path():
-    from arcroute.builder import _plan_serves_shortest
-
-    ctx = context_for(gen_ring(8))
-    assert ctx.vorder.items == tuple(range(8))
-    # from 0, vertices 2 and 3 lie behind neighbor 1, but 5 and 6 lie
-    # behind neighbor 7: routing them through 1 is not shortest
-    assert _plan_serves_shortest(0, [(1, int(ctx.pos[2]), 2)], ctx)
-    assert _plan_serves_shortest(0, [(7, int(ctx.pos[5]), 2)], ctx)
-    assert not _plan_serves_shortest(0, [(1, int(ctx.pos[5]), 2)], ctx)
-    assert not _plan_serves_shortest(
-        0, [(1, int(ctx.pos[2]), 2), (1, int(ctx.pos[5]), 2)], ctx)
 
 
 def test_coverage_is_checked_once_per_build(monkeypatch):

@@ -168,3 +168,42 @@ def test_malformed_arc_key_is_structural(tmp_path, c4_file, capsys):
                       '{"0->1": [[1, 2]], "00->1": [[3, 3]]}}')
     assert run(["verify", "--model", c4_file, "--scheme", scheme]) == 2
     assert "structural" in capsys.readouterr().err
+
+
+def one_error_line(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error"), lines
+    return lines[0]
+
+
+def test_undecodable_model_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"n": 4}'.encode("utf-16-le"))
+    assert run(["build", "--model", path]) == 2
+    assert "bad-format" in one_error_line(capsys)
+
+
+def test_undecodable_scheme_is_structural(tmp_path, c4_file, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"order": [0]}'.encode("utf-16-le"))
+    assert run(["verify", "--model", c4_file, "--scheme", path]) == 2
+    assert "structural" in one_error_line(capsys)
+
+
+def test_directory_as_model_is_an_error(tmp_path, capsys):
+    assert run(["build", "--model", tmp_path]) == 2
+    one_error_line(capsys)
+
+
+def test_route_to_itself_is_an_error(tmp_path, c4_file, capsys):
+    out = tmp_path / "scheme.json"
+    run(["build", "--model", c4_file, "--out", out])
+    capsys.readouterr()
+    assert run(["route", "--model", c4_file, "--scheme", out,
+                "--src", 1, "--dst", 1]) == 2
+    assert "bad-argument" in one_error_line(capsys)
+
+
+def test_too_small_ring_is_an_error(capsys):
+    assert run(["gen", "--family", "ring", "--n", 2]) == 2
+    assert "bad-argument" in one_error_line(capsys)

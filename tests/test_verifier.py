@@ -154,6 +154,25 @@ def test_structural_error_names_the_first_bad_arc():
             verify_scheme(graph, RoutingScheme(order, src, dst, ones, ones))
 
 
+def test_structural_error_names_the_first_interval_outside_the_order():
+    graph, _ = c4_setup()
+    order = CyclicOrder([0, 1, 2, 3])
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    for starts, lengths, message in [
+        ([0, 1, 2, 3], [1, 1, 1, -1], "arc (3, 0) has an interval outside the order"),
+        ([0, 1, 7, 3], [1, 9, 1, 1], "arc (1, 2) has an interval outside the order"),
+        ([0, -1, 2, 3], [0, 1, 1, 1], "arc (0, 1) has an interval outside the order"),
+        ([4, 1, 2, 3], [1, 1, 1, 1], "arc (0, 1) has an interval outside the order"),
+    ]:
+        src, dst = zip(*arcs)
+        scheme = RoutingScheme(order, src, dst, starts, lengths)
+        with pytest.raises(StructuralSchemeError, match=re.escape(message)):
+            verify_scheme(graph, scheme)
+    # the whole order is one interval: a strictness failure, not structural
+    full = RoutingScheme(order, src, dst, [1, 2, 3, 0], [4, 4, 4, 4])
+    assert not verify_scheme(graph, full).strictness_ok
+
+
 def test_arc_written_without_intervals_is_no_arc():
     # an empty interval list leaves no rows: it is neither counted as an
     # arc nor checked as one, even when it names a non-edge
