@@ -31,9 +31,6 @@ from .builder import (
 from .clique_cycle import (
     CliqueCycle,
     build_clique_cycle,
-    counter_vertices,
-    reaches_further_left,
-    reaches_further_right,
 )
 from .errors import (
     ArcRouteError,
@@ -83,7 +80,6 @@ __all__ = [
     "build_scheme",
     "build_vertex_order",
     "compute_frame",
-    "counter_vertices",
     "dominating_vertices",
     "first_vertices",
     "gen_complete",
@@ -95,8 +91,6 @@ __all__ = [
     "intersection_graph",
     "is_real",
     "parse_model",
-    "reaches_further_left",
-    "reaches_further_right",
     "right_vertex",
     "ring_sequence",
     "route",

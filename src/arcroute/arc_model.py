@@ -90,7 +90,7 @@ def parse_model(data: bytes | str) -> ArcModel:
             raise ModelFormatError(f"model is not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "arcs" not in obj:
         raise ModelFormatError('expected an object with keys "n" and "arcs"')

@@ -61,19 +61,24 @@ class VertexOrder:
 def build_vertex_order(cycle: CliqueCycle) -> VertexOrder:
     """Emit vertices clique block by clique block.
 
-    Inside a block every earlier vertex reaches at most as far clockwise
-    as the later ones, so blocks sort by span length; equal spans (true
-    twins) break by vertex id.
+    The block of clique ``c`` holds the vertices whose clique run begins
+    at ``c``.  Inside a block every earlier vertex reaches at most as far
+    clockwise as the later ones, so blocks sort by span length; equal
+    spans (true twins) break by vertex id.  The all-adjacent vertices are
+    placed apart from their runs: they close the block of clique ``1 % k``
+    in id order, as if each ran around the whole cycle from there.
     """
     k = cycle.k
     buckets: list[list[int]] = [[] for _ in range(k)]
-    for v in range(cycle.model.n):
+    for v in np.flatnonzero(~cycle.dominating).tolist():
         buckets[int(cycle.left[v])].append(v)
     items: list[int] = []
     head = np.full(k, -1, dtype=np.int64)
     tail = np.full(k, -1, dtype=np.int64)
     for c in range(k):
         block = sorted(buckets[c], key=lambda v: (int(cycle.span_len[v]), v))
+        if c == 1 % k:
+            block += np.flatnonzero(cycle.dominating).tolist()
         if block:
             head[c] = block[0]
             tail[c] = block[-1]
@@ -85,9 +90,7 @@ def build_vertex_order(cycle: CliqueCycle) -> VertexOrder:
 class VertexFrame:
     """Per-vertex view of the order: distinguished neighbors and blocks.
 
-    Blocks are ring-intervals in the vertex order (``None`` when empty);
-    ``right_vertex`` and ``apex`` stay ``None`` until the facing block is
-    distributed by the corresponding case.
+    Blocks are ring-intervals in the vertex order (``None`` when empty).
     """
 
     v: int
@@ -96,8 +99,6 @@ class VertexFrame:
     right_block: RingInterval | None
     facing_block: RingInterval | None
     left_block: RingInterval | None
-    right_vertex: int | None = None
-    apex: int | None = None
 
 
 class LabelingContext:
@@ -125,13 +126,13 @@ class LabelingContext:
             w = int(np.flatnonzero(self.counter[u])[0])
             self.first_counter_pair = (min(u, w), max(u, w))
         self.dominating = cycle.dominating
-        self.any_dominating = bool(cycle.dominating_set)
+        self.any_dominating = bool(self.dominating.any())
         self._dom_run: tuple[int, int] | None = None
         k = cycle.k
         # a cut: a clique boundary c -> c + 1 crossed by no clique run; run v
-        # crosses boundaries nat_left[v] .. nat_left[v] + nat_len[v] - 2
-        lo = cycle.nat_left
-        hi = lo + cycle.nat_len - 1
+        # crosses boundaries left[v] .. left[v] + span_len[v] - 2
+        lo = cycle.left
+        hi = lo + cycle.span_len - 1
         crossing = np.cumsum(np.bincount(lo, minlength=2 * k)
                              - np.bincount(hi, minlength=2 * k))
         self.has_cut = bool((crossing[:k] + crossing[k:] == 0).any())
@@ -144,7 +145,7 @@ class LabelingContext:
             prev_nonempty[c] = last
         self.prev_nonempty = prev_nonempty
         self._left_of = np.full(self.n, -2, dtype=np.int64)
-        self._right_of = np.full(self.n, -2, dtype=np.int64)
+        self._right_of = np.full(self.n, -1, dtype=np.int64)
         self._dist: np.ndarray | None = None
 
     # -- position helpers --------------------------------------------------
@@ -187,7 +188,7 @@ class LabelingContext:
     def dominating_run(self) -> tuple[int, int]:
         """Head and tail of the contiguous run of dominating vertices."""
         if self._dom_run is None:
-            doms = sorted(self.cycle.dominating_set)
+            doms = np.flatnonzero(self.dominating).tolist()
             if not doms:
                 raise ConstructionError("no dominating vertices to locate")
             heads = [d for d in doms if not self.dominating[self.pred(d)]]
@@ -240,10 +241,10 @@ class LabelingContext:
         best_dist = 0
         nb = self.graph.neighbors[v]
         if len(nb):
-            reach = ((lc - cyc.nat_left[nb]) % k) < cyc.nat_len[nb]
+            reach = ((lc - cyc.left[nb]) % k) < cyc.span_len[nb]
             mask = (
                 reach
-                & (cyc.nat_left[nb] != lc)
+                & (cyc.left[nb] != lc)
                 & ~self.dominating[nb]
                 & ~self.counter[v, nb]
             )
@@ -261,34 +262,31 @@ class LabelingContext:
         self._left_of[v] = best
         return None if best == -1 else best
 
-    def farthest_right_neighbor(self, v: int) -> int:
-        """Neighbor reaching farthest clockwise; prefers the left vertex,
-        then the middle vertex, then the candidate soonest after v."""
+    def right_vertex_of(self, v: int) -> int:
+        """Neighbor reaching farthest clockwise from v's right clique;
+        prefers the left vertex, then the middle vertex, then the candidate
+        soonest after v."""
+        cached = self._right_of[v]
+        if cached != -1:
+            return int(cached)
         cyc = self.cycle
         k = cyc.k
         rc = int(cyc.right[v])
         nb = self.graph.neighbors[v]
-        holds_rc = ((rc - cyc.nat_left[nb]) % k) < cyc.nat_len[nb]
-        cand = nb[holds_rc]
+        cand = nb[((rc - cyc.left[nb]) % k) < cyc.span_len[nb]]
         if len(cand) == 0:
             raise ConstructionError("no neighbor shares the right clique", vertex=v)
-        reach = (cyc.nat_right[cand] - rc) % k
-        best = cand[reach == int(reach.max())]
-        best_set = {int(x) for x in best}
-        lv = self.left_vertex_of(v)
-        if lv is not None and lv in best_set:
-            return lv
-        m = self.middle_vertex_of(v)
-        if m != v and m in best_set:
-            return m
-        return min(best_set, key=lambda u: self.fwd(v, u))
-
-    def right_vertex_of(self, v: int) -> int:
-        cached = self._right_of[v]
-        if cached == -2:
-            cached = self.farthest_right_neighbor(v)
-            self._right_of[v] = cached
-        return int(cached)
+        reach = (cyc.right[cand] - rc) % k
+        best_set = {int(x) for x in cand[reach == int(reach.max())]}
+        best = self.left_vertex_of(v)
+        if best not in best_set:
+            m = self.middle_vertex_of(v)
+            if m != v and m in best_set:
+                best = m
+            else:
+                best = min(best_set, key=lambda u: self.fwd(v, u))
+        self._right_of[v] = best
+        return best
 
 
 def compute_frame(ctx: LabelingContext, v: int) -> VertexFrame:
@@ -439,7 +437,7 @@ def _facing_via_shared_neighbor(frame: VertexFrame, ctx: LabelingContext,
     """A counter partner of v or a dominating vertex is adjacent to every
     facing vertex and to v; give it the whole block."""
     v = frame.v
-    candidates = set(ctx.cycle.dominating_set)
+    candidates = set(np.flatnonzero(ctx.dominating).tolist())
     candidates.update(int(w) for w in np.flatnonzero(ctx.counter[v]))
     if not candidates:
         raise ConstructionError("no carrier for the facing block", vertex=v)
@@ -475,23 +473,14 @@ def _facing_near_counter_pair(frame: VertexFrame, ctx: LabelingContext,
         raise ConstructionError(
             "neither counter member covers the facing block", vertex=v
         )
-    lv = frame.left_vertex
     r = ctx.right_vertex_of(v)
-    frame.right_vertex = r
-    m_r = ctx.middle_vertex_of(r)
-    start = ctx.succ(frame.middle_vertex)
-    boundary = lv if lv is not None else v
-    if ctx.fwd(start, boundary) <= ctx.fwd(start, m_r):
-        # the whole block sits inside the right vertex's own right block
-        return [(r, int(ctx.pos[block.a]), ctx.block_length(block))]
-    if lv is None:
+    # the right vertex carries the part of the block inside its right block
+    length = ctx.block_length(block)
+    count = min(ctx.fwd(block.a, ctx.middle_vertex_of(r)) + 1, length)
+    if count < length and frame.left_vertex is None:
         raise ConstructionError("left vertex missing near a counter pair",
                                 vertex=v)
-    plan: Plan = [(r, int(ctx.pos[block.a]), ctx.fwd(block.a, m_r) + 1)]
-    rest_start = ctx.succ(m_r)
-    if rest_start != lv:
-        plan.append((lv, int(ctx.pos[rest_start]), ctx.fwd(rest_start, lv)))
-    return plan
+    return _split_facing(frame, ctx, r, count)
 
 
 def _facing_via_separator(frame: VertexFrame, ctx: LabelingContext) -> Plan:
@@ -509,16 +498,8 @@ def _facing_via_separator(frame: VertexFrame, ctx: LabelingContext) -> Plan:
     block = frame.facing_block
     r = right_vertex(frame, ctx)
     s = separator(frame, ctx)
-    lv = frame.left_vertex
-    plan: Plan = []
-    if ctx.block_contains(block, s):
-        plan.append((r, int(ctx.pos[block.a]), ctx.fwd(block.a, s) + 1))
-        left_start = ctx.succ(s)
-    else:
-        left_start = block.a
-    if left_start != lv:
-        plan.append((lv, int(ctx.pos[left_start]), ctx.fwd(left_start, lv)))
-    return plan
+    count = ctx.fwd(block.a, s) + 1 if ctx.block_contains(block, s) else 0
+    return _split_facing(frame, ctx, r, count)
 
 
 def _facing_split_by_distance(frame: VertexFrame, ctx: LabelingContext) -> Plan:
@@ -533,7 +514,6 @@ def _facing_split_by_distance(frame: VertexFrame, ctx: LabelingContext) -> Plan:
     block = frame.facing_block
     members = ctx.block_vertices(block)
     r = ctx.right_vertex_of(v)
-    frame.right_vertex = r
     dist = ctx.distances()
     dist_v = dist[v]
     right_ok = dist[r][members] == dist_v[members] - 1
@@ -544,20 +524,28 @@ def _facing_split_by_distance(frame: VertexFrame, ctx: LabelingContext) -> Plan:
             raise ConstructionError(
                 "facing block unreachable through the right vertex", vertex=v
             )
-        return [(r, int(ctx.pos[block.a]), len(members))]
-    left_ok = dist[lv][members] == dist_v[members] - 1
-    left_bad = np.flatnonzero(~left_ok)
-    suffix_start = int(left_bad[-1]) + 1 if len(left_bad) else 0
-    if prefix < suffix_start:
-        raise ConstructionError("facing block has an unservable middle",
-                                vertex=v)
-    split = prefix  # favor the right side, mirroring the separator split
+    else:
+        left_bad = np.flatnonzero(dist[lv][members] != dist_v[members] - 1)
+        suffix_start = int(left_bad[-1]) + 1 if len(left_bad) else 0
+        if prefix < suffix_start:
+            raise ConstructionError("facing block has an unservable middle",
+                                    vertex=v)
+    # favor the right side, mirroring the separator split
+    return _split_facing(frame, ctx, r, prefix)
+
+
+def _split_facing(frame: VertexFrame, ctx: LabelingContext, r: int,
+                  count: int) -> Plan:
+    """The first ``count`` facing vertices route via ``r``, the rest via
+    the left vertex."""
+    block = frame.facing_block
+    a = int(ctx.pos[block.a])
+    length = ctx.block_length(block)
     plan: Plan = []
-    if split > 0:
-        plan.append((r, int(ctx.pos[block.a]), split))
-    if split < len(members):
-        rest = int(members[split])
-        plan.append((lv, int(ctx.pos[rest]), len(members) - split))
+    if count > 0:
+        plan.append((r, a, count))
+    if count < length:
+        plan.append((frame.left_vertex, (a + count) % ctx.n, length - count))
     return plan
 
 
@@ -569,9 +557,7 @@ def right_vertex(frame: VertexFrame, ctx: LabelingContext) -> int:
     if ctx.has_counter[frame.v]:
         raise ConstructionError("right vertex undefined for counter vertices",
                                 vertex=frame.v)
-    r = ctx.right_vertex_of(frame.v)
-    frame.right_vertex = r
-    return r
+    return ctx.right_vertex_of(frame.v)
 
 
 def apex_number(frame: VertexFrame, ctx: LabelingContext) -> int:
@@ -581,33 +567,36 @@ def apex_number(frame: VertexFrame, ctx: LabelingContext) -> int:
     around the far side of the clique cycle; otherwise it is the smallest
     i > 1 with the i-th left and right iterates adjacent or equal.
     """
+    return _walk_chains(frame, ctx)[0]
+
+
+def _walk_chains(frame: VertexFrame, ctx: LabelingContext) -> tuple[int, int, int]:
+    """Apex number of v, with the left and right iterates one step before
+    the chains meet (the first ones when the apex number is 1)."""
     if ctx.any_dominating or ctx.any_counter_pair:
         raise ConstructionError("apex undefined with dominating or counter vertices")
     v = frame.v
-    l1 = ctx.left_vertex_of(v)
-    if l1 is None:
+    li = ctx.left_vertex_of(v)
+    if li is None:
         raise ConstructionError("left vertex missing", vertex=v)
-    r1 = ctx.right_vertex_of(v)
+    ri = ctx.right_vertex_of(v)
     cycle = ctx.cycle
     k = cycle.k
-    lc_l1 = int(cycle.left[l1])
-    rc_r1 = int(cycle.right[r1])
+    lc_l1 = int(cycle.left[li])
+    rc_r1 = int(cycle.right[ri])
     if lc_l1 == rc_r1 or _interval_proper_subset(
         k, int(cycle.left[v]), int(cycle.span_len[v]),
         rc_r1, (lc_l1 - rc_r1) % k + 1,
     ):
-        frame.apex = 1
-        return 1
-    li, ri = l1, r1
+        return 1, li, ri
     for i in range(2, ctx.n + 2):
         nl = ctx.left_vertex_of(li)
         if nl is None:
             raise ConstructionError("left chain broke", vertex=v)
-        li = nl
-        ri = ctx.right_vertex_of(ri)
-        if li == ri or ctx.graph.adjacent(li, ri):
-            frame.apex = i
-            return i
+        nr = ctx.right_vertex_of(ri)
+        if nl == nr or ctx.graph.adjacent(nl, nr):
+            return i, li, ri
+        li, ri = nl, nr
     raise ConstructionError("left/right chains never met", vertex=v)
 
 
@@ -624,26 +613,18 @@ def separator(frame: VertexFrame, ctx: LabelingContext) -> int:
     """Boundary vertex splitting the facing block.
 
     Everything from the facing block's start through the separator routes
-    via the right vertex; the rest routes via the left vertex.
+    via the right vertex; the rest routes via the left vertex.  With apex
+    number 1 the whole block routes right.  Otherwise the one walk of the
+    chains gives the left and right iterates one step before they meet,
+    and the separator is the vertex before the first one, after the block
+    of the right iterate's right clique, that is the left iterate or
+    adjacent to it.
     """
-    if frame.apex is None:
-        apex_number(frame, ctx)
-    if frame.right_vertex is None:
-        right_vertex(frame, ctx)
+    apex, li, ri = _walk_chains(frame, ctx)
     v = frame.v
     lv = frame.left_vertex
-    if lv is None:
-        raise ConstructionError("separator needs a left vertex", vertex=v)
-    if frame.apex == 1:
+    if apex == 1:
         return ctx.pred(lv)
-    # walk both chains to depth apex-1, then scan for the first vertex
-    # that reaches the left chain
-    li, ri = lv, frame.right_vertex
-    for _ in range(frame.apex - 2):
-        li = ctx.left_vertex_of(li)
-        if li is None:
-            raise ConstructionError("left chain broke", vertex=v)
-        ri = ctx.right_vertex_of(ri)
     c = int(ctx.cycle.right[ri])
     tail = int(ctx.vorder.tail[c])
     if tail == -1:
@@ -694,7 +675,8 @@ class RoutingScheme:
             self.dst = self.dst[idx]
             self.start = self.start[idx]
             self.length = self.length[idx]
-        self._route_tables: dict[int, np.ndarray] = {}
+        # the verifier's forwarding tables: graph -> source -> table
+        self._route_tables: dict[Graph, dict[int, np.ndarray]] = {}
 
     @property
     def n(self) -> int:
@@ -727,7 +709,7 @@ class RoutingScheme:
                 raise StructuralSchemeError(f"scheme is not UTF-8 text: {exc}") from exc
         try:
             obj = json.loads(data, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise StructuralSchemeError(f"invalid scheme JSON: {exc}") from exc
         if not isinstance(obj, dict) or "order" not in obj or "labels" not in obj:
             raise StructuralSchemeError('scheme needs "order" and "labels"')

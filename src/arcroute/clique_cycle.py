@@ -3,15 +3,14 @@
 Every gap of the circle induces a point-clique (the arcs covering it).
 The clique-cycle keeps the point-cliques that are maximal under inclusion,
 deduplicated by member set and ordered clockwise by their first gap.  Each
-vertex then owns a contiguous run of these cliques; the run's two ends are
-the vertex's left and right clique, and those spans drive everything the
-scheme builder does.
+vertex then owns a contiguous run of these cliques, its geometric clique
+run; the run's two ends are the vertex's left and right clique, and those
+spans drive everything the scheme builder does.
 
-Vertices adjacent to all others have no canonical span: the whole cycle
-contains them.  Following the construction they are all pinned to the same
-span ``(successor(z), z)`` with ``z`` the clique at the lowest gap, which
-keeps them in one block of the vertex order.  The pinned span is what
-``left/right`` report; ``nat_left/nat_right`` keep the geometric run.
+Only a vertex adjacent to all others can own a run of all k cliques, but
+such a vertex may own a shorter run too.  Following the construction, the
+vertex order ignores the runs of these all-adjacent vertices and places
+them together, in id order, at the end of the block of clique ``1 % k``.
 """
 
 from __future__ import annotations
@@ -21,44 +20,22 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from .arc_model import ArcModel, Graph, gap_coverage, intersection_graph
-from .errors import ConstructionError, NotRealCircularArc, UndefinedComparisonError
-from .ring_order import CyclicOrder, ring_sequence
-
-FURTHER = "further"
-EQUAL = "equal"
-LESS = "less"
+from .errors import ConstructionError, NotRealCircularArc
 
 
 class CliqueCycle:
-    __slots__ = (
-        "model", "graph", "order", "anchors",
-        "nat_left", "nat_right", "nat_len",
-        "left", "right", "span_len",
-        "dominating", "dominating_set", "z",
-        "_members_cache", "_counter",
-    )
+    __slots__ = ("model", "graph", "anchors", "left", "right", "span_len",
+                 "dominating", "_counter")
 
     def __init__(self, model: ArcModel, graph: Graph, anchors: list[int],
-                 nat_left: np.ndarray, nat_right: np.ndarray, nat_len: np.ndarray):
+                 left: np.ndarray, right: np.ndarray, span_len: np.ndarray):
         self.model = model
         self.graph = graph
         self.anchors = np.asarray(anchors, dtype=np.int64)
-        k = len(anchors)
-        self.order = CyclicOrder(range(k))
-        self.nat_left = nat_left
-        self.nat_right = nat_right
-        self.nat_len = nat_len
+        self.left = left
+        self.right = right
+        self.span_len = span_len
         self.dominating = graph.degrees == graph.n - 1
-        self.dominating_set = {int(v) for v in np.flatnonzero(self.dominating)}
-        # all-adjacent vertices get one shared span ending at the lowest clique
-        self.z = 0
-        self.left = nat_left.copy()
-        self.right = nat_right.copy()
-        self.left[self.dominating] = 1 % k
-        self.right[self.dominating] = 0
-        self.span_len = (self.right - self.left) % k + 1
-        self.span_len[self.dominating] = k
-        self._members_cache: dict[int, tuple[int, ...]] = {}
         self._counter: np.ndarray | None = None
 
     @property
@@ -68,22 +45,9 @@ class CliqueCycle:
 
     def members(self, clique: int) -> tuple[int, ...]:
         """Vertices of a clique (arcs covering its anchor gap)."""
-        cached = self._members_cache.get(clique)
-        if cached is None:
-            gap = int(self.anchors[clique])
-            cached = tuple(
-                v for v in range(self.model.n) if self.model.covers_gap(v, gap)
-            )
-            self._members_cache[clique] = cached
-        return cached
-
-    def natural_contains(self, v: int, clique: int) -> bool:
-        """Geometric membership: clique lies in the vertex's clique run."""
-        return (clique - self.nat_left[v]) % self.k < self.nat_len[v]
-
-    def span_contains(self, v: int, clique: int) -> bool:
-        """Membership per the pinned spans (differs only for all-adjacent v)."""
-        return (clique - self.left[v]) % self.k < self.span_len[v]
+        gap = int(self.anchors[clique])
+        return tuple(v for v in range(self.model.n)
+                     if self.model.covers_gap(v, gap))
 
     def counter_matrix(self) -> np.ndarray:
         """Boolean n-by-n matrix of counter pairs, computed once.
@@ -95,8 +59,8 @@ class CliqueCycle:
         """
         if self._counter is None:
             k = self.k
-            lc = self.nat_left
-            ln = self.nat_len
+            lc = self.left
+            ln = self.span_len
             rel = (lc[None, :] - lc[:, None]) % k
             contains = rel < ln[:, None]  # contains[u, v]: u's run holds v's left clique
             proper = ln < k
@@ -131,13 +95,12 @@ class CliqueCycle:
                     raise ConstructionError(f"clique {a} not maximal (inside {b})")
         for v in range(self.model.n):
             run = {c for c in range(k) if v in member_sets[c]}
-            expected = set(
-                ring_sequence(self.order, int(self.nat_left[v]), int(self.nat_right[v]))
-            )
+            expected = {(int(self.left[v]) + i) % k
+                        for i in range(int(self.span_len[v]))}
             if run != expected:
                 raise ConstructionError(
                     f"clique run of vertex {v} is not the ring-interval "
-                    f"[{self.nat_left[v]}, {self.nat_right[v]}]"
+                    f"[{self.left[v]}, {self.right[v]}]"
                 )
 
 
@@ -168,9 +131,9 @@ def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCyc
 
     anchor_arr = sorted(anchors)
     k = len(anchor_arr)
-    nat_left = np.zeros(n, dtype=np.int64)
-    nat_right = np.zeros(n, dtype=np.int64)
-    nat_len = np.zeros(n, dtype=np.int64)
+    left = np.zeros(n, dtype=np.int64)
+    right = np.zeros(n, dtype=np.int64)
+    span_len = np.zeros(n, dtype=np.int64)
     doubled = anchor_arr + [a + size for a in anchor_arr]
     for v in range(n):
         s, length = spans[v]
@@ -182,11 +145,11 @@ def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCyc
                 f"arc {v} covers no maximal clique anchor", vertex=v
             )
         count = min(count, k)
-        nat_left[v] = lo % k
-        nat_right[v] = (lo + count - 1) % k
-        nat_len[v] = count
+        left[v] = lo % k
+        right[v] = (lo + count - 1) % k
+        span_len[v] = count
 
-    return CliqueCycle(model, graph, anchor_arr, nat_left, nat_right, nat_len)
+    return CliqueCycle(model, graph, anchor_arr, left, right, span_len)
 
 
 def _gap_masks(model, spans, gaps: list[int]) -> list[int]:
@@ -258,49 +221,3 @@ def _exact_maximal_anchors(model, spans, sizes: np.ndarray,
         filled += 1
         anchors.append(g)
     return sorted(anchors)
-
-
-def counter_vertices(cycle: CliqueCycle, graph: Graph, v: int) -> set[int]:
-    """Neighbors of ``v`` whose shared clique run splits in two pieces."""
-    counter = cycle.counter_matrix()[v]
-    return {int(w) for w in graph.neighbors[v] if counter[w]}
-
-
-def _check_comparable(cycle: CliqueCycle, v: int, w: int, at: int) -> None:
-    if not (cycle.span_contains(v, at) and cycle.span_contains(w, at)):
-        raise UndefinedComparisonError(
-            f"vertices {v}, {w} are not both in clique {at}"
-        )
-    if cycle.counter_matrix()[v, w]:
-        raise UndefinedComparisonError(
-            f"reach of counter vertices {v}, {w} is incomparable"
-        )
-
-
-def reaches_further_left(cycle: CliqueCycle, v: int, w: int, at: int) -> str:
-    """How far ``v`` reaches counterclockwise from clique ``at`` versus ``w``.
-
-    Returns FURTHER / EQUAL / LESS for v's reach relative to w's.
-    """
-    _check_comparable(cycle, v, w, at)
-    k = cycle.k
-    dv = (at - cycle.left[v]) % k
-    dw = (at - cycle.left[w]) % k
-    if dv > dw:
-        return FURTHER
-    if dv == dw:
-        return EQUAL
-    return LESS
-
-
-def reaches_further_right(cycle: CliqueCycle, v: int, w: int, at: int) -> str:
-    """Clockwise analogue of reaches_further_left."""
-    _check_comparable(cycle, v, w, at)
-    k = cycle.k
-    dv = (cycle.right[v] - at) % k
-    dw = (cycle.right[w] - at) % k
-    if dv > dw:
-        return FURTHER
-    if dv == dw:
-        return EQUAL
-    return LESS

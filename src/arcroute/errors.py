@@ -48,12 +48,6 @@ class UnreachablePairError(ArcRouteError):
     code = "unreachable-pair"
 
 
-class UndefinedComparisonError(ArcRouteError):
-    """Reach comparison requested for a pair whose common cliques split."""
-
-    code = "undefined-comparison"
-
-
 class ConstructionError(ArcRouteError):
     """Internal invariant of the scheme construction failed.
 

@@ -136,7 +136,7 @@ def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:
     raised.  Runs on one thread: the per-vertex checks are numpy calls too
     short for a thread pool to pay off.
     """
-    _check_structure(graph, scheme)
+    _checked(scheme, graph)
     dist = all_pairs_distances(graph)
     report = VerificationReport(True, True, True, True)
 
@@ -157,9 +157,20 @@ def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:
     return report
 
 
-def _route_table(scheme: RoutingScheme, src: int) -> np.ndarray:
+def _checked(scheme: RoutingScheme, graph: Graph) -> dict[int, np.ndarray]:
+    """Check the scheme against the graph, once per graph; returns the
+    scheme's forwarding tables on that graph, built on demand by source."""
+    tables = scheme._route_tables.get(graph)
+    if tables is None:
+        _check_structure(graph, scheme)
+        tables = scheme._route_tables[graph] = {}
+    return tables
+
+
+def _route_table(scheme: RoutingScheme, graph: Graph, src: int) -> np.ndarray:
     """Destination position -> forwarding target for one source vertex."""
-    table = scheme._route_tables.get(src)
+    tables = _checked(scheme, graph)
+    table = tables.get(src)
     if table is None:
         n = scheme.n
         table = np.full(n, UNCOVERED, dtype=np.int64)
@@ -168,7 +179,7 @@ def _route_table(scheme: RoutingScheme, src: int) -> np.ndarray:
         run, positions = expand_runs(scheme.start[lo:hi], scheme.length[lo:hi], n)
         table[positions] = scheme.dst[lo:hi][run]
         table[np.bincount(positions, minlength=n) > 1] = AMBIGUOUS
-        scheme._route_tables[src] = table
+        tables[src] = table
     return table
 
 
@@ -176,19 +187,19 @@ def route(scheme: RoutingScheme, graph: Graph, src: int, dst: int) -> list[int]:
     """Simulate forwarding from src to dst; returns the vertex path.
 
     Raises CoverageHoleError / AmbiguousRouteError / RoutingLoopError when
-    the scheme fails to route; the hop cap is the vertex count.
+    the scheme fails to route; the hop cap is the vertex count.  Raises
+    StructuralSchemeError, as verify_scheme does, when the scheme does not
+    fit the graph.
     """
     n = graph.n
     if not (0 <= src < n and 0 <= dst < n):
         raise StructuralSchemeError("route endpoints outside the graph")
     if src == dst:
         raise ValueError("route endpoints must differ")
-    pos_dst = scheme.order.position(dst)
     path = [src]
     x = src
     for _ in range(n):
-        table = _route_table(scheme, x)
-        nxt = int(table[pos_dst])
+        nxt = int(_route_table(scheme, graph, x)[scheme.order.position(dst)])
         if nxt == UNCOVERED:
             raise CoverageHoleError(f"no interval at {x} contains {dst}")
         if nxt == AMBIGUOUS:
@@ -205,10 +216,11 @@ def route_lengths(scheme: RoutingScheme, graph: Graph) -> np.ndarray:
 
     Uses the same forwarding tables as route(), stepped synchronously over
     all (source, destination) cells; raises on the first hole, ambiguity,
-    or undelivered route.  Entry [u, w] is the hop count from u to w.
+    or undelivered route, and StructuralSchemeError as verify_scheme does.
+    Entry [u, w] is the hop count from u to w.
     """
     n = graph.n
-    tables = np.stack([_route_table(scheme, v) for v in range(n)])
+    tables = np.stack([_route_table(scheme, graph, v) for v in range(n)])
     items = np.asarray(scheme.order.items, dtype=np.int64)
     dest_vertex = items  # vertex sitting at each order position
     cur = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, n))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from arcroute import (
 )
 from arcroute.builder import (
     _check_scheme_shape,
+    _interval_proper_subset,
     _join_chunks,
     _plan_facing,
     _plan_left,
@@ -45,7 +47,7 @@ def test_c4_vertex_order():
 
 
 def test_complete_graph_order_is_by_id():
-    # all vertices share the pinned span, ties broken by id
+    # every vertex is all-adjacent; they all close one block, by id
     ctx = context_for(gen_complete(4))
     assert ctx.vorder.items == (0, 1, 2, 3)
 
@@ -56,12 +58,16 @@ def test_blocks_are_contiguous_and_sorted_by_reach():
         ctx = context_for(model)
         cycle = ctx.cycle
         items = ctx.vorder.items
+        # an all-adjacent vertex counts as starting at clique 1 and running
+        # around the whole cycle
+        start = np.where(ctx.dominating, 1 % cycle.k, cycle.left)
+        span = np.where(ctx.dominating, cycle.k, cycle.span_len)
         # same starting clique => consecutive, with shorter spans first
         for i in range(n):
             v, w = items[i], items[(i + 1) % n]
-            if cycle.left[v] == cycle.left[w]:
-                assert (cycle.span_len[v], v) < (cycle.span_len[w], w)
-        starts = [int(cycle.left[v]) for v in items]
+            if start[v] == start[w]:
+                assert (span[v], v) < (span[w], w)
+        starts = [int(start[v]) for v in items]
         # blocks appear in ascending clique order (the emit order) and
         # no starting clique recurs after its block ended
         distinct = [c for i, c in enumerate(starts) if i == 0 or starts[i - 1] != c]
@@ -79,12 +85,46 @@ def test_block_tail_links_to_next_head():
 
 
 def test_wheel_hub_sits_in_its_pinned_block():
+    # the all-adjacent hub is placed at the end of the block of clique 1
     model = gen_wheel(6)
     ctx = context_for(model)
     hub = 6
-    assert int(ctx.cycle.left[hub]) == 1
+    assert int(ctx.vorder.tail[1]) == hub
     block_head = int(ctx.vorder.head[1])
     assert ctx.fwd(block_head, hub) < ctx.n
+
+
+def dominating_placement_models():
+    models = [gen_wheel(k) for k in range(3, 20)]
+    models += [gen_complete(n) for n in range(2, 12)]
+    for n in (5, 8, 12, 20, 40):
+        for seed in range(20):
+            model = gen_random(n, seed)
+            if (intersection_graph(model).degrees == n - 1).any():
+                models.append(model)
+    return models
+
+
+def test_all_adjacent_vertices_close_the_block_of_clique_1():
+    checked = 0
+    for model in dominating_placement_models():
+        ctx = context_for(model)
+        cycle = ctx.cycle
+        c = 1 % cycle.k
+        doms = np.flatnonzero(ctx.dominating).tolist()
+        assert doms
+        others = sorted((v for v in range(model.n)
+                         if not ctx.dominating[v] and cycle.left[v] == c),
+                        key=lambda v: (int(cycle.span_len[v]), v))
+        head = int(ctx.vorder.head[c])
+        block = [ctx.vertex_at(ctx.pos[head] + i)
+                 for i in range(len(others) + len(doms))]
+        assert block == others + doms
+        assert int(ctx.vorder.tail[c]) == doms[-1]
+        if len(doms) < model.n:  # a run of every vertex has no head
+            assert ctx.dominating_run() == (doms[0], doms[-1])
+        checked += 1
+    assert checked >= 60
 
 
 # -- frames ------------------------------------------------------------------
@@ -170,8 +210,8 @@ def test_left_vertex_bounds_all_candidates():
             for u in graph.neighbors[v]:
                 u = int(u)
                 further_left = (
-                    cycle.natural_contains(u, int(cycle.left[v]))
-                    and cycle.nat_left[u] != cycle.left[v]
+                    (cycle.left[v] - cycle.left[u]) % cycle.k < cycle.span_len[u]
+                    and cycle.left[u] != cycle.left[v]
                     and not ctx.dominating[u]
                     and not ctx.counter[v, u]
                 )
@@ -235,7 +275,7 @@ def test_right_vertex_c4():
     ctx = context_for(load(C4_MODEL))
     frame = compute_frame(ctx, 0)
     assert right_vertex(frame, ctx) == 1
-    assert frame.right_vertex == 1  # equals the middle vertex here
+    assert frame.middle_vertex == 1  # the right vertex is the middle one here
 
 
 def test_right_vertex_prefers_left_vertex_when_it_reaches_farthest():
@@ -250,15 +290,15 @@ def test_right_vertex_prefers_left_vertex_when_it_reaches_farthest():
             lv = frame.left_vertex
             if lv is None:
                 continue
-            rc = int(ctx.cycle.right[v])
-            k = ctx.cycle.k
-            holds = ctx.cycle.natural_contains(lv, rc)
-            if not holds:
+            cycle = ctx.cycle
+            rc = int(cycle.right[v])
+            k = cycle.k
+            if (rc - cycle.left[lv]) % k >= cycle.span_len[lv]:
                 continue
             nb = ctx.graph.neighbors[v]
-            cand = nb[((rc - ctx.cycle.nat_left[nb]) % k) < ctx.cycle.nat_len[nb]]
-            reach = (ctx.cycle.nat_right[cand] - rc) % k
-            if (ctx.cycle.nat_right[lv] - rc) % k == int(reach.max()):
+            cand = nb[((rc - cycle.left[nb]) % k) < cycle.span_len[nb]]
+            reach = (cycle.right[cand] - rc) % k
+            if (cycle.right[lv] - rc) % k == int(reach.max()):
                 assert right_vertex(frame, ctx) == lv
                 found = True
     assert found
@@ -322,6 +362,74 @@ def test_separator_split_matches_first_vertices():
                 goes_right = ctx.fwd(block.a, w) <= ctx.fwd(block.a, s)
                 carrier = r if goes_right else frame.left_vertex
                 assert carrier in first_vertices(graph, v, w), (v, w)
+
+
+def two_walk_apex(ctx, v):
+    """The apex number as computed when separator walked the chains again."""
+    l1, r1 = ctx.left_vertex_of(v), ctx.right_vertex_of(v)
+    cycle = ctx.cycle
+    k = cycle.k
+    lc_l1, rc_r1 = int(cycle.left[l1]), int(cycle.right[r1])
+    if lc_l1 == rc_r1 or _interval_proper_subset(
+        k, int(cycle.left[v]), int(cycle.span_len[v]),
+        rc_r1, (lc_l1 - rc_r1) % k + 1,
+    ):
+        return 1
+    li, ri = l1, r1
+    for i in range(2, ctx.n + 2):
+        li = ctx.left_vertex_of(li)
+        ri = ctx.right_vertex_of(ri)
+        if li == ri or ctx.graph.adjacent(li, ri):
+            return i
+    raise AssertionError("chains never met")
+
+
+def two_walk_separator(ctx, v):
+    """The separator as found by walking both chains a second time, to
+    depth apex - 1, before the scan."""
+    apex = two_walk_apex(ctx, v)
+    lv = ctx.left_vertex_of(v)
+    if apex == 1:
+        return ctx.pred(lv)
+    li, ri = lv, ctx.right_vertex_of(v)
+    for _ in range(apex - 2):
+        li = ctx.left_vertex_of(li)
+        ri = ctx.right_vertex_of(ri)
+    w = ctx.succ(int(ctx.vorder.tail[int(ctx.cycle.right[ri])]))
+    while not (w == li or ctx.graph.adjacent(w, li)):
+        w = ctx.succ(w)
+    return ctx.pred(w)
+
+
+def separator_case_models():
+    """Rings 4-64, perturbed rings and the small random models that have no
+    cut, dominating vertex or counter pair, each with its family name."""
+    models = [("ring", gen_ring(k)) for k in range(4, 65)]
+    models += [("perturbed_ring", perturbed_ring(n, seed))
+               for n in (8, 16, 40, 120) for seed in range(10)]
+    models += [("random", gen_random(n, seed))
+               for n in range(4, 13) for seed in range(400)]
+    return models
+
+
+def test_one_chain_walk_matches_the_two_walk_apex_and_separator():
+    models = Counter()
+    apexes = Counter()
+    for family, model in separator_case_models():
+        ctx = context_for(model)
+        if ctx.any_dominating or ctx.any_counter_pair or ctx.has_cut:
+            continue
+        models[family] += 1
+        for v in range(model.n):
+            frame = compute_frame(ctx, v)
+            if frame.facing_block is None:
+                continue
+            apex = apex_number(frame, ctx)
+            assert apex == two_walk_apex(ctx, v), (model, v)
+            assert separator(frame, ctx) == two_walk_separator(ctx, v), (model, v)
+            apexes[min(apex, 3)] += 1
+    assert models == {"ring": 61, "perturbed_ring": 38, "random": 27}
+    assert min(apexes[a] for a in (1, 2, 3)) >= 20, apexes
 
 
 def test_face_to_face_c4_compresses_to_one_interval():
@@ -573,3 +681,28 @@ GOLDEN_SCHEMES = [
 def test_scheme_json_is_byte_identical_to_the_recorded_one(make, digest):
     text = build_scheme(make()).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def digest_corpus():
+    """504 models, 85 of them with a cut: rings, wheels, complete graphs,
+    small to mid-size random models and perturbed rings."""
+    models = [gen_ring(k) for k in range(3, 40)]
+    models += [gen_wheel(k) for k in range(3, 20)]
+    models += [gen_complete(n) for n in range(2, 12)]
+    models += [gen_random(n, seed) for n in (4, 6, 8, 12, 16, 24, 32, 64)
+               for seed in range(50)]
+    models += [perturbed_ring(n, seed) for n in (8, 16, 40, 120) for seed in range(10)]
+    return models
+
+
+# sha256 of the corpus's to_json() texts joined by newlines, recorded
+# before the vertex order stopped reading pinned spans and the separator
+# stopped walking the chains a second time
+CORPUS_DIGEST = "91e129d01ce23a301d67a93445b2b7b9e77980e699aa16bf5c3af48868fbab1b"
+
+
+def test_corpus_schemes_are_byte_identical_to_the_recorded_ones():
+    texts = [build_scheme(model).to_json() for model in digest_corpus()]
+    assert len(texts) == 504
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == CORPUS_DIGEST
+

@@ -207,3 +207,34 @@ def test_route_to_itself_is_an_error(tmp_path, c4_file, capsys):
 def test_too_small_ring_is_an_error(capsys):
     assert run(["gen", "--family", "ring", "--n", 2]) == 2
     assert "bad-argument" in one_error_line(capsys)
+
+
+def test_route_over_a_non_edge_is_structural(tmp_path, c4_file, capsys):
+    path = tmp_path / "phantom.json"
+    path.write_text(json.dumps({
+        "order": [0, 1, 2, 3],
+        "labels": {"0->2": [[1, 3]], "1->0": [[2, 0]],
+                   "2->1": [[3, 1]], "3->0": [[0, 2]]},
+    }))
+    for command in (["route", "--src", 0, "--dst", 2], ["verify"]):
+        assert run(command + ["--model", c4_file, "--scheme", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error [structural]: arc (0, 2) is not a graph edge\n"
+
+
+def deeply_nested(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 2000 + "]" * 2000)
+    return path
+
+
+def test_deeply_nested_model_is_a_format_error(tmp_path, capsys):
+    assert run(["build", "--model", deeply_nested(tmp_path)]) == 2
+    assert "bad-format" in one_error_line(capsys)
+
+
+def test_deeply_nested_scheme_is_structural(tmp_path, c4_file, capsys):
+    assert run(["verify", "--model", c4_file,
+                "--scheme", deeply_nested(tmp_path)]) == 2
+    assert "structural" in one_error_line(capsys)

@@ -1,22 +1,20 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from arcroute import (
     build_clique_cycle,
-    counter_vertices,
+    build_vertex_order,
     gen_random,
     gen_ring,
     gen_wheel,
     intersection_graph,
-    reaches_further_left,
-    reaches_further_right,
     validate_model,
 )
 from arcroute.arc_model import is_real
-from arcroute.clique_cycle import EQUAL, FURTHER, LESS
-from arcroute.errors import NotRealCircularArc, UndefinedComparisonError
+from arcroute.errors import NotRealCircularArc
 from conftest import C4_MODEL, COUNTER_MODEL, K3_MODEL, load
 
 
@@ -28,6 +26,11 @@ def cycle_of(payload):
 
 def member_sets(cycle):
     return [set(cycle.members(c)) for c in range(cycle.k)]
+
+
+def counter_partners(cycle, v):
+    """Neighbors of v whose shared clique run splits in two pieces."""
+    return {int(w) for w in np.flatnonzero(cycle.counter_matrix()[v])}
 
 
 def test_rejects_non_real_model():
@@ -59,9 +62,9 @@ def test_wheel_hub_spans_whole_cycle():
     cycle = build_clique_cycle(model, graph)
     hub = 6
     assert all(hub in cycle.members(c) for c in range(cycle.k))
-    # spans of an all-adjacent vertex are pinned next to the lowest clique
-    assert int(cycle.left[hub]) == 1 and int(cycle.right[hub]) == 0
     assert int(cycle.span_len[hub]) == cycle.k
+    # the all-adjacent hub closes the block of clique 1
+    assert int(build_vertex_order(cycle).tail[1]) == hub
     cycle.validate()
 
 
@@ -74,16 +77,16 @@ def test_clique_count_bounded_by_positions():
 
 
 def test_counter_pair_detected():
-    cycle, graph = cycle_of(COUNTER_MODEL)
-    assert counter_vertices(cycle, graph, 0) == {1}
-    assert counter_vertices(cycle, graph, 2) == {3}
+    cycle, _ = cycle_of(COUNTER_MODEL)
+    assert counter_partners(cycle, 0) == {1}
+    assert counter_partners(cycle, 2) == {3}
     cycle.validate()
 
 
 def test_c4_has_no_counter_pairs():
-    cycle, graph = cycle_of(C4_MODEL)
+    cycle, _ = cycle_of(C4_MODEL)
     for v in range(4):
-        assert counter_vertices(cycle, graph, v) == set()
+        assert counter_partners(cycle, v) == set()
 
 
 def test_counter_relation_is_symmetric():
@@ -92,8 +95,8 @@ def test_counter_relation_is_symmetric():
         graph = intersection_graph(model)
         cycle = build_clique_cycle(model, graph)
         for v in range(n):
-            for w in counter_vertices(cycle, graph, v):
-                assert v in counter_vertices(cycle, graph, w)
+            for w in counter_partners(cycle, v):
+                assert v in counter_partners(cycle, w)
 
 
 def test_counter_matches_membership_definition():
@@ -113,7 +116,7 @@ def test_counter_matches_membership_definition():
                     runs += 1
             if shared and shared[0] == 0 and shared[-1] == cycle.k - 1 and runs > 1:
                 runs -= 1  # wrap joins the two border runs
-            assert (w in counter_vertices(cycle, graph, v)) == (runs > 1)
+            assert (w in counter_partners(cycle, v)) == (runs > 1)
 
 
 def test_vertices_with_counter_partner_dominate_jointly():
@@ -123,7 +126,7 @@ def test_vertices_with_counter_partner_dominate_jointly():
         graph = intersection_graph(model)
         cycle = build_clique_cycle(model, graph)
         for v in range(n):
-            partners = counter_vertices(cycle, graph, v)
+            partners = counter_partners(cycle, v)
             if not partners:
                 continue
             for u in range(n):
@@ -132,43 +135,14 @@ def test_vertices_with_counter_partner_dominate_jointly():
                 assert all(graph.adjacent(u, w) or u == w for w in partners)
 
 
-def test_reaches_further_left_c4():
-    cycle, _ = cycle_of(C4_MODEL)
-    # at the wrap clique {0,3}: vertex 3 entered one clique earlier
-    assert reaches_further_left(cycle, 3, 0, 0) == FURTHER
-    assert reaches_further_left(cycle, 0, 3, 0) == LESS
-    assert reaches_further_left(cycle, 0, 0, 0) == EQUAL
-
-
-def test_reaches_further_right_c4():
-    cycle, _ = cycle_of(C4_MODEL)
-    # at clique {0,1}: vertex 1 continues into {1,2}, vertex 0 stops
-    assert reaches_further_right(cycle, 1, 0, 1) == FURTHER
-    assert reaches_further_right(cycle, 0, 1, 1) == LESS
-
-
-def test_reach_comparison_requires_shared_clique():
-    cycle, _ = cycle_of(C4_MODEL)
-    with pytest.raises(UndefinedComparisonError):
-        reaches_further_left(cycle, 0, 2, 0)
-
-
-def test_reach_comparison_rejects_counter_pair():
-    cycle, graph = cycle_of(COUNTER_MODEL)
-    # both members of the counter pair share clique 0, yet the comparison
-    # is undefined for them
-    assert {0, 1} <= set(cycle.members(0))
-    with pytest.raises(UndefinedComparisonError):
-        reaches_further_left(cycle, 0, 1, 0)
-
-
 def test_span_membership_equals_clique_membership():
     for k in (4, 7):
         cycle = build_clique_cycle(gen_ring(k))
         sets = member_sets(cycle)
         for v in range(k):
             for c in range(cycle.k):
-                assert cycle.natural_contains(v, c) == (v in sets[c])
+                in_run = (c - cycle.left[v]) % cycle.k < cycle.span_len[v]
+                assert in_run == (v in sets[c])
 
 
 def test_maximality_no_clique_inside_another():

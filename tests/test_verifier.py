@@ -282,6 +282,70 @@ def test_route_rejects_equal_endpoints():
         route(scheme, graph, 1, 1)
 
 
+# the C4 scheme whose arc (0, 2) is no graph edge: route 0 -> 2 would
+# take it in one hop
+PHANTOM_LABELS = {(0, 2): [(1, 3)], (1, 0): [(2, 0)],
+                  (2, 1): [(3, 1)], (3, 0): [(0, 2)]}
+
+
+def c4_arrays(starts, lengths):
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    src, dst = zip(*arcs)
+    return RoutingScheme(CyclicOrder([0, 1, 2, 3]), src, dst, starts, lengths)
+
+
+@pytest.mark.parametrize("make,source", [
+    (lambda: scheme_from([0, 1, 2, 3], PHANTOM_LABELS), 0),
+    (lambda: c4_arrays([0, 1, 2, 3], [1, 1, 1, -1]), 3),
+    (lambda: c4_arrays([0, 1, 7, 3], [1, 1, 1, 1]), 2),
+    (lambda: scheme_from([0, 1, 2], {(0, 1): [(1, 2)]}), 0),
+], ids=["non_edge", "negative_length", "start_outside", "small_order"])
+def test_route_and_route_lengths_reject_what_verify_rejects(make, source):
+    graph, _ = c4_setup()
+    scheme = make()
+    with pytest.raises(StructuralSchemeError) as verified:
+        verify_scheme(graph, scheme)
+    message = re.escape(str(verified.value))
+    with pytest.raises(StructuralSchemeError, match=message):
+        route_lengths(make(), graph)
+    with pytest.raises(StructuralSchemeError, match=message):
+        route(make(), graph, source, (source + 1) % 3)
+
+
+def test_a_scheme_is_checked_once_per_graph(monkeypatch):
+    import arcroute.verifier
+
+    graph, _ = c4_setup()
+    phantom = scheme_from([0, 1, 2, 3], PHANTOM_LABELS)
+    # the route 1 -> 0 never visits vertex 0, whose arc (0, 2) is no edge
+    with pytest.raises(StructuralSchemeError, match=re.escape(
+            "arc (0, 2) is not a graph edge")):
+        route(phantom, graph, 1, 0)
+    calls = []
+    real = arcroute.verifier._check_structure
+    monkeypatch.setattr(arcroute.verifier, "_check_structure",
+                        lambda g, s: calls.append(g) or real(g, s))
+    _, scheme = c4_setup()
+    assert verify_scheme(graph, scheme).passed
+    route_lengths(scheme, graph)
+    route(scheme, graph, 0, 2)
+    route(scheme, graph, 3, 1)
+    assert calls == [graph]
+    same_edges = intersection_graph(load(C4_MODEL))
+    route(scheme, same_edges, 0, 2)
+    assert calls == [graph, same_edges]
+
+
+def test_route_checks_a_cached_scheme_against_each_graph():
+    k4 = gen_complete(4)
+    scheme = build_scheme(k4)
+    assert route(scheme, intersection_graph(k4), 0, 2) == [0, 2]
+    c4_graph, _ = c4_setup()
+    with pytest.raises(StructuralSchemeError, match=re.escape(
+            "arc (0, 2) is not a graph edge")):
+        route(scheme, c4_graph, 0, 2)
+
+
 def test_interval_stats_c4():
     _, scheme = c4_setup()
     stats = interval_stats(scheme)
