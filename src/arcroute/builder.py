@@ -13,7 +13,9 @@ v's own run; always adjacent to v), the left block (from v's left vertex
 up to v; served by its adjacent members), and the facing block in between
 (never adjacent to v unless a vertex dominates the graph).  Distributing
 the facing block is the delicate part and branches on whether dominating
-vertices or counter pairs exist.
+vertices or counter pairs exist, and in the plain case on whether the
+clique cycle has a cut.  Every case reads the arc geometry alone: a build
+runs no graph search.
 
 Label assignments are planned as (target, start position, length) triples
 so the full build stays in bulk integer arrays.
@@ -27,13 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .arc_model import (
-    ArcModel,
-    Graph,
-    _is_json_int,
-    all_pairs_distances,
-    intersection_graph,
-)
+from .arc_model import ArcModel, Graph, _is_json_int, intersection_graph
 from .clique_cycle import CliqueCycle, build_clique_cycle
 from .errors import ConstructionError, StructuralSchemeError
 from .ring_order import CyclicOrder, RingInterval
@@ -102,7 +98,12 @@ class VertexFrame:
 
 
 class LabelingContext:
-    """Shared precomputed state for labeling all vertices of one graph."""
+    """Shared precomputed state for labeling all vertices of one graph.
+
+    ``has_cut``: a clique boundary ``c -> c + 1`` (a *cut*) is crossed by no
+    clique run, so the arcs describe an interval graph.  ``cut_head`` is the
+    first vertex of clique ``c + 1``'s block, or ``None`` without a cut.
+    """
 
     def __init__(self, cycle: CliqueCycle, graph: Graph, vorder: VertexOrder):
         self.cycle = cycle
@@ -127,15 +128,15 @@ class LabelingContext:
             self.first_counter_pair = (min(u, w), max(u, w))
         self.dominating = cycle.dominating
         self.any_dominating = bool(self.dominating.any())
-        self._dom_run: tuple[int, int] | None = None
         k = cycle.k
-        # a cut: a clique boundary c -> c + 1 crossed by no clique run; run v
-        # crosses boundaries left[v] .. left[v] + span_len[v] - 2
+        # run v crosses boundaries left[v] .. left[v] + span_len[v] - 2
         lo = cycle.left
         hi = lo + cycle.span_len - 1
         crossing = np.cumsum(np.bincount(lo, minlength=2 * k)
                              - np.bincount(hi, minlength=2 * k))
-        self.has_cut = bool((crossing[:k] + crossing[k:] == 0).any())
+        cuts = np.flatnonzero(crossing[:k] + crossing[k:] == 0)
+        self.has_cut = len(cuts) > 0
+        self.cut_head = int(vorder.head[(cuts[0] + 1) % k]) if len(cuts) else None
         # nearest clique at or counterclockwise of c with a nonempty block
         prev_nonempty = np.full(k, -1, dtype=np.int64)
         last = -1
@@ -146,7 +147,6 @@ class LabelingContext:
         self.prev_nonempty = prev_nonempty
         self._left_of = np.full(self.n, -2, dtype=np.int64)
         self._right_of = np.full(self.n, -1, dtype=np.int64)
-        self._dist: np.ndarray | None = None
 
     # -- position helpers --------------------------------------------------
 
@@ -173,38 +173,23 @@ class LabelingContext:
     def block_length(self, block: RingInterval) -> int:
         return self.fwd(block.a, block.b) + 1
 
-    def distances(self) -> np.ndarray:
-        """Hop-distance matrix of the graph, computed on first use.
-
-        Only the distance split of a clique cycle with a cut needs it, so
-        every other build runs no graph search.
-        """
-        if self._dist is None:
-            self._dist = all_pairs_distances(self.graph)
-        return self._dist
-
     # -- dominating-run geometry --------------------------------------------
 
     def dominating_run(self) -> tuple[int, int]:
-        """Head and tail of the contiguous run of dominating vertices."""
-        if self._dom_run is None:
-            doms = np.flatnonzero(self.dominating).tolist()
-            if not doms:
-                raise ConstructionError("no dominating vertices to locate")
-            heads = [d for d in doms if not self.dominating[self.pred(d)]]
-            if len(heads) != 1:
-                raise ConstructionError(
-                    "dominating vertices are not consecutive in the order"
-                )
-            h = heads[0]
-            t = self.vertex_at(self.pos[h] + len(doms) - 1)
-            if not all(self.dominating[self.vertex_at(self.pos[h] + i)]
-                       for i in range(len(doms))):
-                raise ConstructionError(
-                    "dominating vertices are not consecutive in the order"
-                )
-            self._dom_run = (h, t)
-        return self._dom_run
+        """First and last of the dominating vertices in the order.
+
+        ``build_vertex_order`` places them consecutively in id order at the
+        end of the block of clique ``1 % k``, so they are the first and the
+        last dominating id, also when every vertex dominates.
+        """
+        doms = np.flatnonzero(self.dominating)
+        if len(doms) == 0:
+            raise ConstructionError("no dominating vertices to locate")
+        if (np.diff(self.pos[doms]) != 1).any():
+            raise ConstructionError(
+                "dominating vertices are not consecutive in the order"
+            )
+        return int(doms[0]), int(doms[-1])
 
     # -- distinguished neighbors ---------------------------------------------
 
@@ -394,8 +379,8 @@ def _plan_facing(frame: VertexFrame, ctx: LabelingContext) -> Plan:
       vertex is adjacent to the whole block and carries it alone;
       a counter pair exists elsewhere -> carried by the pair member / the
       farthest-reaching neighbors, split by position;
-      otherwise -> split at the separator between right and left vertex,
-      or by distance when the clique cycle has a cut.
+      otherwise -> split between right and left vertex, at the separator,
+      or at the cut when the clique cycle has one.
     """
     if frame.facing_block is None:
         return []
@@ -420,15 +405,11 @@ def _facing_via_dominating_members(frame: VertexFrame,
         raise ConstructionError(
             "dominating run straddles the facing block boundary", vertex=v
         )
-    a = int(ctx.pos[block.a])
-    if d_head == d_tail:
-        return [(d_head, a, ctx.block_length(block))]
-    plan: Plan = [(d_head, a, ctx.fwd(block.a, d_head) + 1)]
-    d = ctx.succ(d_head)
-    while d != d_tail:
-        plan.append((d, int(ctx.pos[d]), 1))
-        d = ctx.succ(d)
-    plan.append((d_tail, int(ctx.pos[d_tail]), ctx.fwd(d_tail, block.b) + 1))
+    run = ctx.block_vertices(RingInterval(d_head, d_tail)).tolist()
+    plan: Plan = [(d, int(ctx.pos[d]), 1) for d in run]
+    plan[0] = (d_head, int(ctx.pos[block.a]), ctx.fwd(block.a, d_head) + 1)
+    t, s, ln = plan[-1]
+    plan[-1] = (t, s, ln + ctx.fwd(d_tail, block.b))
     return plan
 
 
@@ -484,54 +465,37 @@ def _facing_near_counter_pair(frame: VertexFrame, ctx: LabelingContext,
 
 
 def _facing_via_separator(frame: VertexFrame, ctx: LabelingContext) -> Plan:
-    """Plain case: split the block at the separator.
+    """Plain case: the right vertex ``r`` carries a prefix of the block,
+    the left vertex the rest.
 
-    A clique cycle with a cut (the covering model of an interval graph)
-    escapes the geometric guarantees: a vertex may lack a left vertex,
-    the left chain may die before the chains meet, and both right-reach
-    candidates can tie at the same right clique.  Such a model takes the
-    distance split instead; every other model is split from geometry
-    alone.
+    Without a cut the prefix ends at the separator.  A clique cycle with a
+    cut (an interval graph) escapes the separator's geometry: a vertex may
+    lack a left vertex, and the left chain may die before the chains meet.
+    There the order runs along the line from the cut head, so the facing
+    vertices before the cut head lie on r's side and the rest on the left
+    vertex's.  ``r`` carries the whole block when v has no left vertex
+    (then v is the cut head) or when r's clique run starts with the left
+    vertex's and so contains it.
     """
-    if ctx.has_cut:
-        return _facing_split_by_distance(frame, ctx)
+    v, lv, head = frame.v, frame.left_vertex, ctx.cut_head
     block = frame.facing_block
     r = right_vertex(frame, ctx)
-    s = separator(frame, ctx)
-    count = ctx.fwd(block.a, s) + 1 if ctx.block_contains(block, s) else 0
-    return _split_facing(frame, ctx, r, count)
-
-
-def _facing_split_by_distance(frame: VertexFrame, ctx: LabelingContext) -> Plan:
-    """Split the facing block against hop distances directly.
-
-    Only clique cycles with a cut come here.  The longest prefix one hop
-    closer through the right vertex routes right, the rest routes through
-    the left vertex (when it exists); a facing vertex served by neither is
-    a hard error.
-    """
-    v = frame.v
-    block = frame.facing_block
-    members = ctx.block_vertices(block)
-    r = ctx.right_vertex_of(v)
-    dist = ctx.distances()
-    dist_v = dist[v]
-    right_ok = dist[r][members] == dist_v[members] - 1
-    prefix = int(np.argmin(right_ok)) if not right_ok.all() else len(members)
-    lv = frame.left_vertex
-    if lv is None:
-        if prefix < len(members):
+    if not ctx.has_cut:
+        s = separator(frame, ctx)
+        count = ctx.fwd(block.a, s) + 1 if ctx.block_contains(block, s) else 0
+    elif lv is None:
+        if head != v:
             raise ConstructionError(
-                "facing block unreachable through the right vertex", vertex=v
-            )
+                "vertex without a left vertex is not the cut head", vertex=v)
+        count = ctx.block_length(block)
+    elif head != lv and not ctx.block_contains(block, head):
+        raise ConstructionError(
+            "cut head is neither in the facing block nor the left vertex", vertex=v)
+    elif ctx.cycle.left[r] == ctx.cycle.left[lv]:
+        count = ctx.block_length(block)
     else:
-        left_bad = np.flatnonzero(dist[lv][members] != dist_v[members] - 1)
-        suffix_start = int(left_bad[-1]) + 1 if len(left_bad) else 0
-        if prefix < suffix_start:
-            raise ConstructionError("facing block has an unservable middle",
-                                    vertex=v)
-    # favor the right side, mirroring the separator split
-    return _split_facing(frame, ctx, r, prefix)
+        count = ctx.fwd(block.a, head)
+    return _split_facing(frame, ctx, r, count)
 
 
 def _split_facing(frame: VertexFrame, ctx: LabelingContext, r: int,

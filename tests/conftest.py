@@ -1,5 +1,7 @@
 import json
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,19 @@ from arcroute import (
     validate_model,
 )
 from arcroute.builder import LabelingContext
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict[str, str]:
+    """This environment with the repository's ``src`` first on PYTHONPATH,
+    for tests that run a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
 
 # ring of four arcs; the running example across the suite
 C4_MODEL = {"n": 4, "arcs": [[0, 3], [2, 5], [4, 7], [6, 1]]}

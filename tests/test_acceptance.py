@@ -86,22 +86,24 @@ def test_criterion_1_random_correctness_sweep():
 
 
 def test_criterion_1_perturbed_ring_sweep(search_calls):
-    """Separator plans are emitted unchecked, so only this sweep checks
-    them: verify plus every simulated route on perturbed rings.  A build
-    of a model without a cut in its clique cycle must run no graph
-    search; small random models add cut models and counter pairs."""
+    """Separator and cut plans are emitted unchecked, so only this sweep
+    checks them: verify plus every simulated route on perturbed rings.  No
+    build may run a graph search; small random models add cut models and
+    counter pairs."""
     models = [(f"perturbed_ring({n}, {seed})", perturbed_ring(n, seed))
               for n in PERTURBED_SIZES for seed in range(PERTURBED_SEEDS)]
     models += [(f"gen_random({n}, {seed})", gen_random(n, seed))
                for n in (5, 10) for seed in range(100)]
+    # cut models with separator-case facing blocks, which are split at the cut
+    models += [(f"gen_random({n}, {seed})", gen_random(n, seed))
+               for n, seed in ((6, 546), (5, 101), (8, 22))]
     failures, searched, cuts = [], [], 0
     for name, model in models:
         search_calls.update(bfs_distances=0, all_pairs_distances=0)
         scheme = build_scheme(model)
-        if context_for(model).has_cut:
-            cuts += 1
-        elif any(search_calls.values()):
+        if any(search_calls.values()):
             searched.append(name)
+        cuts += context_for(model).has_cut
         graph = intersection_graph(model)
         if not (verify_scheme(graph, scheme).passed
                 and (route_lengths(scheme, graph)
@@ -112,7 +114,7 @@ def test_criterion_1_perturbed_ring_sweep(search_calls):
         f"{PERTURBED_SEEDS} perturbed rings at each n in {PERTURBED_SIZES} "
         f"and {len(models) - PERTURBED_SEEDS * len(PERTURBED_SIZES)} small random "
         f"models: {len(failures)} verification or route failures; "
-        f"{len(searched)} of {len(models) - cuts} cut-free builds "
+        f"{len(searched)} of {len(models)} builds ({cuts} with a cut) "
         f"computed distances" + (f" ({searched[:5]})" if searched else ""),
     )
 

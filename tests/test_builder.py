@@ -1,5 +1,7 @@
 import hashlib
 import random
+import subprocess
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -31,11 +33,12 @@ from arcroute.builder import (
     _plan_facing,
     _plan_left,
     _plan_right,
+    _split_facing,
 )
 from arcroute.errors import ConstructionError, NotRealCircularArc
 from arcroute.ring_order import ring_sequence
 from arcroute.verifier import route_lengths
-from conftest import C4_MODEL, context_for, labels_of, load, perturbed_ring
+from conftest import C4_MODEL, context_for, labels_of, load, perturbed_ring, src_env
 
 
 # -- vertex order ------------------------------------------------------------
@@ -121,8 +124,7 @@ def test_all_adjacent_vertices_close_the_block_of_clique_1():
                  for i in range(len(others) + len(doms))]
         assert block == others + doms
         assert int(ctx.vorder.tail[c]) == doms[-1]
-        if len(doms) < model.n:  # a run of every vertex has no head
-            assert ctx.dominating_run() == (doms[0], doms[-1])
+        assert ctx.dominating_run() == (doms[0], doms[-1])
         checked += 1
     assert checked >= 60
 
@@ -536,7 +538,7 @@ def test_shape_check_rejects_broken_arrays(runs, message):
 
 def test_interval_model_with_covering_arcs_still_routes():
     # a covering model whose graph is an interval graph: the left-vertex
-    # machinery degenerates and the distance-checked split takes over
+    # machinery degenerates and the split at the cut takes over
     model = gen_random(5, 101)
     ctx = context_for(model)
     assert not ctx.any_dominating and not ctx.any_counter_pair
@@ -598,16 +600,79 @@ def test_cut_flag_on_named_models(model, cut):
     assert context_for(model).has_cut is cut
 
 
-def test_cut_model_splits_by_distance_and_routes_shortest(search_calls):
+def distance_split(frame, ctx, dist):
+    """The facing-block split of a cut model by hop distances: the longest
+    prefix one hop closer through the right vertex r routes via r, and
+    every later facing vertex must be one hop closer through the left
+    vertex.  Returns r and the prefix length."""
+    v = frame.v
+    members = ctx.block_vertices(frame.facing_block)
+    r = ctx.right_vertex_of(v)
+    right_ok = dist[r][members] == dist[v][members] - 1
+    prefix = int(np.argmin(right_ok)) if not right_ok.all() else len(members)
+    rest = members[prefix:]
+    if frame.left_vertex is None:
+        assert len(rest) == 0, v
+    else:
+        assert (dist[frame.left_vertex][rest] == dist[v][rest] - 1).all(), v
+    return r, prefix
+
+
+def test_cut_split_equals_the_distance_split():
+    branches = Counter()
+    models = 0
+    for n in range(5, 17):
+        for seed in range(1000):
+            model = gen_random(n, seed)
+            ctx = context_for(model)
+            if not ctx.has_cut or ctx.any_dominating:
+                continue
+            assert not ctx.any_counter_pair, (n, seed)
+            models += 1
+            dist = all_pairs_distances(ctx.graph)
+            for v in range(n):
+                frame = compute_frame(ctx, v)
+                if frame.facing_block is None:
+                    continue
+                r, prefix = distance_split(frame, ctx, dist)
+                assert _plan_facing(frame, ctx) == _split_facing(
+                    frame, ctx, r, prefix), (n, seed, v)
+                lv = frame.left_vertex
+                if lv is None:
+                    branches["no left vertex"] += 1
+                elif ctx.cycle.left[r] == ctx.cycle.left[lv]:
+                    branches["shared left clique"] += 1
+                else:
+                    branches["at the cut head"] += 1
+    assert models >= 37, models
+    assert branches["no left vertex"] >= 37, branches
+    assert branches["shared left clique"] >= 59, branches
+    assert branches["at the cut head"] >= 155, branches
+
+
+def test_cut_model_splits_at_the_cut_without_distances(search_calls):
     # on gen_random(6, 546) the separator plan of vertex 5 sends a facing
     # vertex off every shortest path; the clique cycle has a cut, so the
-    # block is split by distance instead, from one matrix
+    # block is split at the cut instead, with no distance computed
     model = gen_random(6, 546)
     scheme = build_scheme(model)
-    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 1}
+    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 0}
     graph = intersection_graph(model)
     assert verify_scheme(graph, scheme).passed
     assert (route_lengths(scheme, graph) == all_pairs_distances(graph)).all()
+
+
+def test_cut_split_rejects_a_misplaced_cut_head():
+    # gen_random(6, 546) in order 5 2 0 3 1 4 with cut head 0: vertex 0 has
+    # no left vertex, vertex 1 has left vertex 3 and facing block 2 0
+    ctx = context_for(gen_random(6, 546))
+    assert ctx.cut_head == 0
+    frames = [compute_frame(ctx, v) for v in (0, 1)]
+    ctx.cut_head = 5
+    with pytest.raises(ConstructionError, match="is not the cut head"):
+        _plan_facing(frames[0], ctx)
+    with pytest.raises(ConstructionError, match="neither in the facing block"):
+        _plan_facing(frames[1], ctx)
 
 
 # -- distance checks -----------------------------------------------------------
@@ -626,17 +691,38 @@ def test_perturbed_ring_has_no_dominating_vertex_or_counter_pair():
     assert not ctx.any_dominating and not ctx.any_counter_pair
 
 
-def test_distance_fallback_reads_the_matrix(search_calls):
-    # gen_random(8, 22) takes the distance-split fallback on some vertex
+def test_cut_split_computes_no_distances(search_calls):
+    # gen_random(8, 22) has a cut, and some vertex of it has no left vertex
     model = gen_random(8, 22)
     scheme = build_scheme(model)
-    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 1}
-    assert verify_scheme(intersection_graph(model), scheme).passed
+    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 0}
+    graph = intersection_graph(model)
+    assert verify_scheme(graph, scheme).passed
+    assert (route_lengths(scheme, graph) == all_pairs_distances(graph)).all()
 
 
 def test_dense_build_never_computes_distances(search_calls):
     build_scheme(gen_random(64, 3))
     assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 0}
+
+
+BUILDS_WITHOUT_SCIPY = """
+import sys
+from arcroute import build_scheme, gen_complete, gen_random, gen_ring, gen_wheel
+for model in (gen_ring(12), gen_wheel(9), gen_complete(6), gen_random(64, 3),
+              gen_random(6, 546), gen_random(5, 101), gen_random(8, 22)):
+    build_scheme(model)
+assert "scipy" not in sys.modules, "a build loaded scipy"
+"""
+
+
+def test_builds_never_load_scipy():
+    # a fresh interpreter sees any graph search through scipy, whatever
+    # name calls it; the last three models have a cut
+    done = subprocess.run([sys.executable, "-c", BUILDS_WITHOUT_SCIPY],
+                          env=src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_coverage_is_checked_once_per_build(monkeypatch):

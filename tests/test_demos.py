@@ -1,13 +1,12 @@
 """Smoke test: every narrative script in demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, src_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,11 +16,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=src_env(),
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
