@@ -43,9 +43,14 @@ def main() -> None:
     frame = compute_frame(ctx, 0)
     print(f"frame of vertex 0: left vertex {frame.left_vertex}, "
           f"middle vertex {frame.middle_vertex}")
-    print(f"  right block  {frame.right_block}  (adjacent, one singleton each)")
-    print(f"  facing block {frame.facing_block}  (not adjacent, split by cases)")
-    print(f"  left block   {frame.left_block}  (served by its adjacent members)\n")
+    # the blocks are runs of offsets after the vertex: 1 .. lo-1, lo .. hi-1
+    # and hi .. n-1
+    print(f"  right block  {ctx.run(0, 1, frame.lo).tolist()}  "
+          f"(adjacent, one singleton each)")
+    print(f"  facing block {ctx.run(0, frame.lo, frame.hi).tolist()}  "
+          f"(not adjacent, split by cases)")
+    print(f"  left block   {ctx.run(0, frame.hi, ctx.n).tolist()}  "
+          f"(served by its adjacent members)\n")
 
     scheme = build_scheme(model)
     print(f"scheme: {scheme.to_json()}\n")

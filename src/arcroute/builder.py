@@ -17,8 +17,9 @@ vertices or counter pairs exist, and in the plain case on whether the
 clique cycle has a cut.  Every case reads the arc geometry alone: a build
 runs no graph search.
 
-Label assignments are planned as (target, start position, length) triples
-so the full build stays in bulk integer arrays.
+Each block is a run of offsets clockwise after the vertex, and each label
+assignment a run (target, offset, length).  The runs of all vertices are
+joined in one bulk pass, so the full build stays in integer arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .arc_model import ArcModel, Graph, _is_json_int, intersection_graph
 from .clique_cycle import CliqueCycle, build_clique_cycle
 from .errors import ConstructionError, StructuralSchemeError
-from .ring_order import CyclicOrder, RingInterval
+from .ring_order import CyclicOrder
 
 
 class VertexOrder:
@@ -86,15 +87,16 @@ def build_vertex_order(cycle: CliqueCycle) -> VertexOrder:
 class VertexFrame:
     """Per-vertex view of the order: distinguished neighbors and blocks.
 
-    Blocks are ring-intervals in the vertex order (``None`` when empty).
+    The blocks are three runs of offsets clockwise after v: offsets
+    ``1 .. lo - 1`` are the right block, ``lo .. hi - 1`` the facing block
+    and ``hi .. n - 1`` the left block, each empty when its bounds meet.
     """
 
     v: int
     left_vertex: int | None
     middle_vertex: int
-    right_block: RingInterval | None
-    facing_block: RingInterval | None
-    left_block: RingInterval | None
+    lo: int
+    hi: int
 
 
 class LabelingContext:
@@ -163,15 +165,11 @@ class LabelingContext:
     def pred(self, v: int) -> int:
         return self.vertex_at(self.pos[v] - 1)
 
-    def block_vertices(self, block: RingInterval) -> np.ndarray:
-        lo = int(self.pos[block.a])
-        return self._ring[lo:lo + self.block_length(block)]
-
-    def block_contains(self, block: RingInterval, v: int) -> bool:
-        return self.fwd(block.a, v) <= self.fwd(block.a, block.b)
-
-    def block_length(self, block: RingInterval) -> int:
-        return self.fwd(block.a, block.b) + 1
+    def run(self, v: int, a: int, b: int) -> np.ndarray:
+        """Vertices at offsets ``a .. b - 1`` clockwise after v
+        (``0 <= a <= b <= n``)."""
+        p = int(self.pos[v])
+        return self._ring[p + a:p + b]
 
     # -- dominating-run geometry --------------------------------------------
 
@@ -275,66 +273,38 @@ class LabelingContext:
 
 
 def compute_frame(ctx: LabelingContext, v: int) -> VertexFrame:
-    """Blocks and distinguished neighbors of a non-dominating vertex."""
+    """Distinguished neighbors and blocks of a non-dominating vertex.
+
+    The right block runs from v's successor through its middle vertex
+    (empty when the middle vertex is v itself), the left block from v's
+    left vertex up to v (empty without a left vertex), and the facing block
+    is what lies between them.
+    """
     if ctx.dominating[v]:
         raise ConstructionError("frames are undefined for dominating vertices",
                                 vertex=v)
-    n = ctx.n
     m = ctx.middle_vertex_of(v)
-    right_block = RingInterval(ctx.succ(v), m) if m != v else None
     lv = ctx.left_vertex_of(v)
-    left_block = RingInterval(lv, ctx.pred(v)) if lv is not None else None
-    boundary = lv if lv is not None else v
-    gap = ctx.fwd(m, boundary)
-    facing_block = None
-    if gap == 0:
-        # no left candidates and nothing follows v inside its own span:
-        # every other vertex faces v (star-leaf shape)
-        if m != v or lv is not None:
-            raise ConstructionError("blocks wrapped onto themselves", vertex=v)
-        if n > 1:
-            facing_block = RingInterval(ctx.succ(v), ctx.pred(v))
-    elif gap > 1:
-        facing_block = RingInterval(ctx.succ(m), ctx.pred(boundary))
-    frame = VertexFrame(
-        v=v,
-        left_vertex=lv,
-        middle_vertex=m,
-        right_block=right_block,
-        facing_block=facing_block,
-        left_block=left_block,
-    )
-    _check_partition(frame, ctx)
-    return frame
-
-
-def _check_partition(frame: VertexFrame, ctx: LabelingContext) -> None:
-    """Blocks must tile the order minus v; right block all adjacent,
-    facing block non-adjacent except dominating members."""
-    total = 1
-    for block in (frame.right_block, frame.facing_block, frame.left_block):
-        if block is not None:
-            total += ctx.block_length(block)
-    if total != ctx.n:
-        raise ConstructionError("blocks do not partition the order",
-                                vertex=frame.v)
-    adj = ctx.graph.adj[frame.v]
-    if frame.right_block is not None:
-        if not adj[ctx.block_vertices(frame.right_block)].all():
-            raise ConstructionError("right block holds a non-neighbor",
-                                    vertex=frame.v)
-    if frame.facing_block is not None:
-        members = ctx.block_vertices(frame.facing_block)
-        if (adj[members] & ~ctx.dominating[members]).any():
-            raise ConstructionError(
-                "facing block holds a non-dominating neighbor", vertex=frame.v
-            )
+    lo = ctx.fwd(v, m) + 1
+    hi = ctx.n if lv is None else ctx.fwd(v, lv)
+    if lo > hi:
+        raise ConstructionError("blocks wrapped onto themselves", vertex=v)
+    # right block all adjacent, facing block non-adjacent except dominating
+    adj = ctx.graph.adj[v]
+    if not adj[ctx.run(v, 1, lo)].all():
+        raise ConstructionError("right block holds a non-neighbor", vertex=v)
+    facing = ctx.run(v, lo, hi)
+    if (adj[facing] & ~ctx.dominating[facing]).any():
+        raise ConstructionError(
+            "facing block holds a non-dominating neighbor", vertex=v
+        )
+    return VertexFrame(v=v, left_vertex=lv, middle_vertex=m, lo=lo, hi=hi)
 
 
 # ---------------------------------------------------------------------------
-# Assignment planning.  A plan entry is (target, start position, length):
-# the ring-interval of `length` vertices starting at order position `start`
-# is assigned to arc (v, target).
+# Assignment planning.  A run is (target, offset, length): the `length`
+# vertices from `offset` steps clockwise after v on are assigned to arc
+# (v, target).
 # ---------------------------------------------------------------------------
 
 Plan = list[tuple[int, int, int]]
@@ -342,12 +312,8 @@ Plan = list[tuple[int, int, int]]
 
 def _plan_right(frame: VertexFrame, ctx: LabelingContext):
     """Singleton for every right-block vertex (all adjacent)."""
-    if frame.right_block is None:
-        return None
-    targets = ctx.block_vertices(frame.right_block)
-    starts = ctx.pos[targets]
-    lengths = np.ones(len(targets), dtype=np.int64)
-    return targets, starts, lengths
+    offsets = np.arange(1, frame.lo, dtype=np.int64)
+    return ctx.run(frame.v, 1, frame.lo), offsets, np.ones_like(offsets)
 
 
 def _plan_left(frame: VertexFrame, ctx: LabelingContext):
@@ -356,18 +322,19 @@ def _plan_left(frame: VertexFrame, ctx: LabelingContext):
     Each adjacent member carries itself plus the non-adjacent vertices up
     to the next adjacent one; those sit one hop behind their carrier.
     """
-    if frame.left_block is None:
-        return None
     v = frame.v
-    members = ctx.block_vertices(frame.left_block)
-    targets = members[ctx.graph.adj[v][members]]
-    if len(targets) == 0 or int(targets[0]) != frame.left_vertex:
+    members = ctx.run(v, frame.hi, ctx.n)
+    adjacent = ctx.graph.adj[v][members]
+    if len(members) and not adjacent[0]:
         raise ConstructionError("left block must start at the left vertex",
                                 vertex=v)
-    starts = ctx.pos[targets]
-    offsets = (starts - starts[0]) % ctx.n  # increasing along the block
-    lengths = np.diff(np.append(offsets, ctx.fwd(int(targets[0]), v)))
-    return targets, starts, lengths
+    offsets = frame.hi + np.flatnonzero(adjacent)
+    return members[adjacent], offsets, np.diff(np.append(offsets, ctx.n))
+
+
+def _faces(frame: VertexFrame, ctx: LabelingContext, w: int) -> bool:
+    """Is w in the facing block of the frame's vertex?"""
+    return frame.lo <= ctx.fwd(frame.v, w) < frame.hi
 
 
 def _plan_facing(frame: VertexFrame, ctx: LabelingContext) -> Plan:
@@ -382,9 +349,9 @@ def _plan_facing(frame: VertexFrame, ctx: LabelingContext) -> Plan:
       otherwise -> split between right and left vertex, at the separator,
       or at the cut when the clique cycle has one.
     """
-    if frame.facing_block is None:
+    if frame.lo == frame.hi:
         return []
-    members = ctx.block_vertices(frame.facing_block)
+    members = ctx.run(frame.v, frame.lo, frame.hi)
     if ctx.dominating[members].any():
         return _facing_via_dominating_members(frame, ctx)
     if ctx.has_counter[frame.v] or ctx.any_dominating:
@@ -398,19 +365,17 @@ def _facing_via_dominating_members(frame: VertexFrame,
                                    ctx: LabelingContext) -> Plan:
     """Dominating vertices sit consecutively; slice the block around them."""
     v = frame.v
-    block = frame.facing_block
     d_head, d_tail = ctx.dominating_run()
-    if not (ctx.block_contains(block, d_head)
-            and ctx.block_contains(block, d_tail)):
+    if not (_faces(frame, ctx, d_head) and _faces(frame, ctx, d_tail)):
         raise ConstructionError(
             "dominating run straddles the facing block boundary", vertex=v
         )
-    run = ctx.block_vertices(RingInterval(d_head, d_tail)).tolist()
-    plan: Plan = [(d, int(ctx.pos[d]), 1) for d in run]
-    plan[0] = (d_head, int(ctx.pos[block.a]), ctx.fwd(block.a, d_head) + 1)
-    t, s, ln = plan[-1]
-    plan[-1] = (t, s, ln + ctx.fwd(d_tail, block.b))
-    return plan
+    first, last = ctx.fwd(v, d_head), ctx.fwd(v, d_tail)
+    # the first slice reaches back to the block's start, the last one on
+    # to its end
+    bounds = [frame.lo, *range(first + 1, last + 1), frame.hi]
+    doms = ctx.run(v, first, last + 1).tolist()
+    return [(d, a, b - a) for d, a, b in zip(doms, bounds, bounds[1:])]
 
 
 def _facing_via_shared_neighbor(frame: VertexFrame, ctx: LabelingContext,
@@ -424,13 +389,12 @@ def _facing_via_shared_neighbor(frame: VertexFrame, ctx: LabelingContext,
         raise ConstructionError("no carrier for the facing block", vertex=v)
     m = frame.middle_vertex
     u = m if m in candidates else min(candidates)
-    block = frame.facing_block
-    if ctx.block_contains(block, u):
+    if _faces(frame, ctx, u):
         raise ConstructionError("carrier lies inside the facing block", vertex=v)
     if not ctx.graph.adj[u][members].all():
         raise ConstructionError("carrier misses part of the facing block",
                                 vertex=v)
-    return [(u, int(ctx.pos[block.a]), ctx.block_length(block))]
+    return [(u, frame.lo, frame.hi - frame.lo)]
 
 
 def _facing_near_counter_pair(frame: VertexFrame, ctx: LabelingContext,
@@ -439,7 +403,6 @@ def _facing_near_counter_pair(frame: VertexFrame, ctx: LabelingContext,
     counter pair exists; v is adjacent to at least one of its members.
     A counter pair's runs cross every clique boundary, so there is no cut."""
     v = frame.v
-    block = frame.facing_block
     w0, c0 = ctx.first_counter_pair
     adj = ctx.graph.adj
     a0, a1 = bool(adj[v, w0]), bool(adj[v, c0])
@@ -447,21 +410,22 @@ def _facing_near_counter_pair(frame: VertexFrame, ctx: LabelingContext,
         raise ConstructionError(
             "vertex sees neither member of the counter pair", vertex=v
         )
+    length = frame.hi - frame.lo
     if a0 and a1:
         for u in (w0, c0):
             if adj[u][members].all():
-                return [(u, int(ctx.pos[block.a]), ctx.block_length(block))]
+                return [(u, frame.lo, length)]
         raise ConstructionError(
             "neither counter member covers the facing block", vertex=v
         )
     r = ctx.right_vertex_of(v)
     # the right vertex carries the part of the block inside its right block
-    length = ctx.block_length(block)
-    count = min(ctx.fwd(block.a, ctx.middle_vertex_of(r)) + 1, length)
+    reach = (ctx.fwd(v, ctx.middle_vertex_of(r)) - frame.lo) % ctx.n + 1
+    count = min(reach, length)
     if count < length and frame.left_vertex is None:
         raise ConstructionError("left vertex missing near a counter pair",
                                 vertex=v)
-    return _split_facing(frame, ctx, r, count)
+    return _split_facing(frame, r, count)
 
 
 def _facing_via_separator(frame: VertexFrame, ctx: LabelingContext) -> Plan:
@@ -478,38 +442,35 @@ def _facing_via_separator(frame: VertexFrame, ctx: LabelingContext) -> Plan:
     vertex's and so contains it.
     """
     v, lv, head = frame.v, frame.left_vertex, ctx.cut_head
-    block = frame.facing_block
     r = right_vertex(frame, ctx)
     if not ctx.has_cut:
         s = separator(frame, ctx)
-        count = ctx.fwd(block.a, s) + 1 if ctx.block_contains(block, s) else 0
+        count = ctx.fwd(v, s) - frame.lo + 1 if _faces(frame, ctx, s) else 0
     elif lv is None:
         if head != v:
             raise ConstructionError(
                 "vertex without a left vertex is not the cut head", vertex=v)
-        count = ctx.block_length(block)
-    elif head != lv and not ctx.block_contains(block, head):
+        count = frame.hi - frame.lo
+    elif head != lv and not _faces(frame, ctx, head):
         raise ConstructionError(
             "cut head is neither in the facing block nor the left vertex", vertex=v)
     elif ctx.cycle.left[r] == ctx.cycle.left[lv]:
-        count = ctx.block_length(block)
+        count = frame.hi - frame.lo
     else:
-        count = ctx.fwd(block.a, head)
-    return _split_facing(frame, ctx, r, count)
+        # the left vertex sits at offset hi, so this holds for head == lv too
+        count = ctx.fwd(v, head) - frame.lo
+    return _split_facing(frame, r, count)
 
 
-def _split_facing(frame: VertexFrame, ctx: LabelingContext, r: int,
-                  count: int) -> Plan:
+def _split_facing(frame: VertexFrame, r: int, count: int) -> Plan:
     """The first ``count`` facing vertices route via ``r``, the rest via
     the left vertex."""
-    block = frame.facing_block
-    a = int(ctx.pos[block.a])
-    length = ctx.block_length(block)
+    lo, hi = frame.lo, frame.hi
     plan: Plan = []
     if count > 0:
-        plan.append((r, a, count))
-    if count < length:
-        plan.append((frame.left_vertex, (a + count) % ctx.n, length - count))
+        plan.append((r, lo, count))
+    if count < hi - lo:
+        plan.append((frame.left_vertex, lo + count, hi - lo - count))
     return plan
 
 
@@ -602,10 +563,9 @@ def separator(frame: VertexFrame, ctx: LabelingContext) -> int:
     else:
         raise ConstructionError("separator scan exhausted the facing block",
                                 vertex=v)
-    if frame.facing_block is not None:
-        if ctx.fwd(frame.facing_block.a, w) > ctx.fwd(frame.facing_block.a, lv):
-            raise ConstructionError("separator landed outside the facing block",
-                                    vertex=v)
+    if frame.lo < frame.hi and not frame.lo <= ctx.fwd(v, w) <= frame.hi:
+        raise ConstructionError("separator landed outside the facing block",
+                                vertex=v)
     return ctx.pred(w)
 
 
@@ -627,10 +587,17 @@ class RoutingScheme:
 
     def __init__(self, order: CyclicOrder, src, dst, start, length):
         self.order = order
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
-        self.start = np.asarray(start, dtype=np.int64)
-        self.length = np.asarray(length, dtype=np.int64)
+        bad = StructuralSchemeError(
+            "src, dst, start and length must be one-dimensional integer "
+            "arrays of equal length")
+        try:
+            self.src, self.dst, self.start, self.length = (
+                np.asarray(a, dtype=np.int64) for a in (src, dst, start, length))
+        except (TypeError, ValueError) as exc:  # ragged or not numbers
+            raise bad from exc
+        shapes = {a.shape for a in (self.src, self.dst, self.start, self.length)}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise bad
         # forwarding-table construction bisects on the source column
         key = self.src * len(order.items) + self.dst
         if len(key) > 1 and (np.diff(key) < 0).any():
@@ -733,84 +700,41 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-class _Accumulator:
-    """Bulk collector of plan entries as column arrays."""
-
-    def __init__(self):
-        self.srcs: list[np.ndarray] = []
-        self.dsts: list[np.ndarray] = []
-        self.starts: list[np.ndarray] = []
-        self.lengths: list[np.ndarray] = []
-
-    def add_bulk(self, v: int, targets, starts, lengths) -> None:
-        self.srcs.append(np.full(len(targets), v, dtype=np.int64))
-        self.dsts.append(np.asarray(targets, dtype=np.int64))
-        self.starts.append(np.asarray(starts, dtype=np.int64))
-        self.lengths.append(np.asarray(lengths, dtype=np.int64))
-
-    def concat(self):
-        if not self.srcs:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy(), empty.copy()
-        return (np.concatenate(self.srcs), np.concatenate(self.dsts),
-                np.concatenate(self.starts), np.concatenate(self.lengths))
-
-
-def _label_vertex(v: int, ctx: LabelingContext, acc: _Accumulator) -> None:
-    """Plan all three blocks of v, merging facing-block extras into the
-    base interval their target already carries."""
+def _vertex_runs(v: int, ctx: LabelingContext):
+    """Targets, offsets and lengths of the runs of v: one singleton per
+    other vertex for a dominating v, else the plans of its three blocks."""
+    if ctx.dominating[v]:
+        offsets = np.arange(1, ctx.n, dtype=np.int64)
+        return ctx.run(v, 1, ctx.n), offsets, np.ones_like(offsets)
     frame = compute_frame(ctx, v)
-    extras = _plan_facing(frame, ctx)
-    n = ctx.n
-
-    merged: dict[int, tuple[int, int]] = {}
-    for t, s, ln in extras:
-        if t in merged:
-            joined = _join_chunks(n, merged[t], (s, ln))
-            if joined is None:
-                raise ConstructionError("conflicting facing assignments",
-                                        vertex=v)
-            merged[t] = joined
-        else:
-            merged[t] = (s, ln)
-
-    plan_r = _plan_right(frame, ctx)
-    plan_l = _plan_left(frame, ctx)
-    for plan in (plan_r, plan_l):
-        if plan is None:
-            continue
-        targets, starts, lengths = plan
-        if merged:
-            hit = np.isin(targets, np.fromiter(merged, dtype=np.int64,
-                                               count=len(merged)))
-            if hit.any():
-                for t, s, ln in zip(targets[hit], starts[hit], lengths[hit]):
-                    t = int(t)
-                    joined = _join_chunks(n, (int(s), int(ln)), merged[t])
-                    if joined is not None:
-                        merged[t] = joined
-                    else:
-                        acc.add_bulk(v, [t], [int(s)], [int(ln)])
-                targets = targets[~hit]
-                starts = starts[~hit]
-                lengths = lengths[~hit]
-        if len(targets):
-            acc.add_bulk(v, targets, starts, lengths)
-    if merged:
-        ts = list(merged)
-        acc.add_bulk(v, ts, [merged[t][0] for t in ts],
-                     [merged[t][1] for t in ts])
+    facing = np.array(_plan_facing(frame, ctx), dtype=np.int64).reshape(-1, 3).T
+    return [np.concatenate(cols) for cols in
+            zip(_plan_right(frame, ctx), facing, _plan_left(frame, ctx))]
 
 
-def _join_chunks(n: int, left: tuple[int, int],
-                 right: tuple[int, int]) -> tuple[int, int] | None:
-    s1, l1 = left
-    s2, l2 = right
-    if (s1 + l1) % n == s2 % n:
-        return (s1 % n, l1 + l2)
-    if (s2 + l2) % n == s1 % n:
-        return (s2 % n, l1 + l2)
-    return None
+def _join_runs(pos: np.ndarray, src, dst, offset, length):
+    """Join runs into the scheme's interval rows, in one bulk pass.
+
+    Run ``i`` assigns the ``length[i]`` vertices from ``offset[i]`` steps
+    clockwise after ``src[i]`` on to arc ``(src[i], dst[i])``; ``pos`` maps
+    a vertex to its order position.  Taken by source and offset, runs of
+    one arc that abut become one.  The rows come out sorted by arc, the run
+    that holds its target first, with offsets turned into start positions.
+    """
+    n = len(pos)
+    idx = np.lexsort((offset, src))
+    src, dst, offset, length = src[idx], dst[idx], offset[idx], length[idx]
+    end = offset + length
+    new = np.ones(len(src), dtype=bool)
+    new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (offset[1:] != end[:-1])
+    # a joined run ends where its last row ends, the row before the next new one
+    length = end[np.roll(new, -1)] - offset[new]
+    src, dst, offset = src[new], dst[new], offset[new]
+    target = (pos[dst] - pos[src]) % n
+    holds = (offset <= target) & (target < offset + length)
+    idx = np.lexsort((~holds, dst, src))
+    src, dst, offset, length = src[idx], dst[idx], offset[idx], length[idx]
+    return src, dst, (pos[src] + offset) % n, length
 
 
 def build_scheme(model: ArcModel) -> RoutingScheme:
@@ -823,18 +747,11 @@ def build_scheme(model: ArcModel) -> RoutingScheme:
     cycle = build_clique_cycle(model, graph)
     vorder = build_vertex_order(cycle)
     ctx = LabelingContext(cycle, graph, vorder)
-    acc = _Accumulator()
-    n = model.n
-    all_pos = np.arange(n, dtype=np.int64)
-    for v in range(n):
-        if ctx.dominating[v]:
-            pos_v = int(ctx.pos[v])
-            starts = np.concatenate([all_pos[:pos_v], all_pos[pos_v + 1:]])
-            targets = ctx.items[starts]
-            acc.add_bulk(v, targets, starts, np.ones(n - 1, dtype=np.int64))
-        else:
-            _label_vertex(v, ctx, acc)
-    src, dst, start, length = acc.concat()
+    runs = [_vertex_runs(v, ctx) for v in range(model.n)]
+    targets, offsets, lengths = (np.concatenate(col) for col in zip(*runs))
+    sources = np.repeat(np.arange(model.n, dtype=np.int64),
+                        [len(t) for t, _, _ in runs])
+    src, dst, start, length = _join_runs(ctx.pos, sources, targets, offsets, lengths)
     _check_scheme_shape(ctx, src, dst, start, length)
     return RoutingScheme(ctx.order, src, dst, start, length)
 

@@ -2,10 +2,10 @@
 
 A cyclic order arranges ``n`` distinct element ids on a clock face; a
 ring-interval ``[a, b]`` is the run of elements met when walking clockwise
-from ``a`` to ``b``, both included.  Every other module does its arithmetic
-on these two types, so all operations here are O(1) or output-sensitive.
-Bulk code stores an interval as a run (start position, length) and
-expands runs with ``expand_runs``.
+from ``a`` to ``b``, both included.  Only the oracle does its arithmetic on
+``RingInterval``; the builder and the verifier store an interval as a run
+(start position, or offset from a vertex, and length) and expand runs with
+``expand_runs``.  All operations here are O(1) or output-sensitive.
 """
 
 from __future__ import annotations

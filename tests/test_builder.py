@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from arcroute import (
-    RingInterval,
     RoutingScheme,
     all_pairs_distances,
     apex_number,
@@ -29,7 +28,6 @@ from arcroute import (
 from arcroute.builder import (
     _check_scheme_shape,
     _interval_proper_subset,
-    _join_chunks,
     _plan_facing,
     _plan_left,
     _plan_right,
@@ -138,9 +136,10 @@ def test_c4_frame_of_vertex_0():
     frame = compute_frame(ctx, 0)
     assert frame.left_vertex == 3
     assert frame.middle_vertex == 1
-    assert frame.right_block == RingInterval(1, 1)
-    assert frame.facing_block == RingInterval(2, 2)
-    assert frame.left_block == RingInterval(3, 3)
+    assert (frame.lo, frame.hi) == (2, 3)
+    assert ctx.run(0, 1, frame.lo).tolist() == [1]
+    assert ctx.run(0, frame.lo, frame.hi).tolist() == [2]
+    assert ctx.run(0, frame.hi, ctx.n).tolist() == [3]
 
 
 def test_ring_frames_have_unit_side_blocks():
@@ -149,9 +148,10 @@ def test_ring_frames_have_unit_side_blocks():
         ctx = context_for(model)
         for v in range(k):
             frame = compute_frame(ctx, v)
-            assert ctx.block_length(frame.right_block) == 1
-            assert ctx.block_length(frame.left_block) == 1
-            assert ctx.block_length(frame.facing_block) == k - 3
+            assert (frame.lo, frame.hi) == (2, k - 1)
+            assert ctx.run(v, 1, frame.lo).tolist() == [(v + 1) % k]
+            assert ctx.run(v, frame.hi, k).tolist() == [(v - 1) % k]
+            assert len(ctx.run(v, frame.lo, frame.hi)) == k - 3
 
 
 def test_frame_rejects_dominating_vertex():
@@ -172,7 +172,8 @@ def test_empty_right_block_when_vertex_closes_its_clique():
             continue
         frame = compute_frame(ctx, v)
         if frame.middle_vertex == v:
-            assert frame.right_block is None
+            assert frame.lo == 1
+            assert len(ctx.run(v, 1, frame.lo)) == 0
             found = True
     assert found
 
@@ -185,15 +186,20 @@ def test_frames_partition_the_order():
             if ctx.dominating[v]:
                 continue
             frame = compute_frame(ctx, v)
+            assert 1 <= frame.lo <= frame.hi <= n
             seen = {v}
-            for block in (frame.right_block, frame.facing_block,
-                          frame.left_block):
-                if block is None:
-                    continue
-                members = {int(x) for x in ctx.block_vertices(block)}
+            for a, b in [(1, frame.lo), (frame.lo, frame.hi), (frame.hi, n)]:
+                members = {int(x) for x in ctx.run(v, a, b)}
+                assert len(members) == b - a
                 assert not (members & seen)
                 seen |= members
             assert seen == set(range(n))
+            if frame.lo > 1:
+                assert ctx.run(v, frame.lo - 1, frame.lo)[0] == frame.middle_vertex
+            if frame.left_vertex is None:
+                assert frame.hi == n
+            else:
+                assert ctx.run(v, frame.hi, frame.hi + 1)[0] == frame.left_vertex
 
 
 def test_left_vertex_bounds_all_candidates():
@@ -229,7 +235,7 @@ def plan_rows(plan):
 
 
 def test_label_right_assigns_singletons():
-    # plans are (target, start position, length) rows; C4's order is 0..3
+    # plans are (target, offset after v, length) rows; C4's order is 0..3
     ctx = context_for(load(C4_MODEL))
     frame = compute_frame(ctx, 0)
     assert plan_rows(_plan_right(frame, ctx)) == [(1, 1, 1)]
@@ -254,15 +260,14 @@ def test_label_left_carries_non_adjacent_riders():
         if ctx.dominating[v]:
             continue
         frame = compute_frame(ctx, v)
-        if frame.left_block is None:
-            continue
-        members = ctx.block_vertices(frame.left_block)
+        members = ctx.run(v, frame.hi, ctx.n)
         if len(members) < 2 or graph.adj[v][members].all():
             continue
         covered = []
-        for w, start, length in plan_rows(_plan_left(frame, ctx)):
+        for w, offset, length in plan_rows(_plan_left(frame, ctx)):
             assert graph.adjacent(v, w)
-            stretch = [ctx.vertex_at(start + i) for i in range(length)]
+            stretch = ctx.run(v, offset, offset + length).tolist()
+            assert len(stretch) == length
             assert stretch[0] == w
             for u in stretch:
                 # carrier starts a shortest path to everything it carries
@@ -354,14 +359,13 @@ def test_separator_split_matches_first_vertices():
         graph = ctx.graph
         for v in range(graph.n):
             frame = compute_frame(ctx, v)
-            if frame.facing_block is None or frame.left_vertex is None:
+            if frame.lo == frame.hi or frame.left_vertex is None:
                 continue
             r = right_vertex(frame, ctx)
             s = separator(frame, ctx)
-            block = frame.facing_block
-            for w in ctx.block_vertices(block):
+            for w in ctx.run(v, frame.lo, frame.hi):
                 w = int(w)
-                goes_right = ctx.fwd(block.a, w) <= ctx.fwd(block.a, s)
+                goes_right = ctx.fwd(v, w) <= ctx.fwd(v, s)
                 carrier = r if goes_right else frame.left_vertex
                 assert carrier in first_vertices(graph, v, w), (v, w)
 
@@ -424,7 +428,7 @@ def test_one_chain_walk_matches_the_two_walk_apex_and_separator():
         models[family] += 1
         for v in range(model.n):
             frame = compute_frame(ctx, v)
-            if frame.facing_block is None:
+            if frame.lo == frame.hi:
                 continue
             apex = apex_number(frame, ctx)
             assert apex == two_walk_apex(ctx, v), (model, v)
@@ -440,13 +444,13 @@ def test_face_to_face_c4_compresses_to_one_interval():
     ctx = context_for(load(C4_MODEL))
     frame = compute_frame(ctx, 0)
     assert _plan_facing(frame, ctx) == [(1, 2, 1)]
-    assert _join_chunks(ctx.n, (1, 1), (2, 1)) == (1, 2)
+    assert labels_of(build_scheme(load(C4_MODEL)))[(0, 1)] == [[1, 2]]
 
 
 def test_face_to_face_noop_when_block_empty():
     ctx = context_for(gen_random(5, 22))
     frame = compute_frame(ctx, 0)
-    assert frame.facing_block is None
+    assert frame.lo == frame.hi
     assert _plan_facing(frame, ctx) == []
 
 
@@ -606,7 +610,7 @@ def distance_split(frame, ctx, dist):
     every later facing vertex must be one hop closer through the left
     vertex.  Returns r and the prefix length."""
     v = frame.v
-    members = ctx.block_vertices(frame.facing_block)
+    members = ctx.run(v, frame.lo, frame.hi)
     r = ctx.right_vertex_of(v)
     right_ok = dist[r][members] == dist[v][members] - 1
     prefix = int(np.argmin(right_ok)) if not right_ok.all() else len(members)
@@ -632,11 +636,11 @@ def test_cut_split_equals_the_distance_split():
             dist = all_pairs_distances(ctx.graph)
             for v in range(n):
                 frame = compute_frame(ctx, v)
-                if frame.facing_block is None:
+                if frame.lo == frame.hi:
                     continue
                 r, prefix = distance_split(frame, ctx, dist)
                 assert _plan_facing(frame, ctx) == _split_facing(
-                    frame, ctx, r, prefix), (n, seed, v)
+                    frame, r, prefix), (n, seed, v)
                 lv = frame.left_vertex
                 if lv is None:
                     branches["no left vertex"] += 1
@@ -791,4 +795,18 @@ def test_corpus_schemes_are_byte_identical_to_the_recorded_ones():
     texts = [build_scheme(model).to_json() for model in digest_corpus()]
     assert len(texts) == 504
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == CORPUS_DIGEST
+
+
+# sha256 of the to_json() texts of five dense gen_random(200) models and
+# three sparse perturbed_ring(300) models, joined by newlines, recorded
+# before the builder joined all runs in one bulk pass; the dense models
+# give that join most of its rows
+BENCH_SIZE_DIGEST = "42fd6091de03f38e3d6f0213c854ffb169da93ba1e551fa413d297200dd645c4"
+
+
+def test_benchmark_size_schemes_are_byte_identical_to_the_recorded_ones():
+    models = [gen_random(200, seed) for seed in range(5)]
+    models += [perturbed_ring(300, seed) for seed in range(3)]
+    texts = [build_scheme(model).to_json() for model in models]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == BENCH_SIZE_DIGEST
 

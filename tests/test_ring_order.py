@@ -1,11 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from arcroute import CyclicOrder, ring_sequence
-from arcroute.builder import _join_chunks
+from arcroute.builder import _join_runs
 from arcroute.errors import UnknownElementError
 from arcroute.ring_order import expand_runs
 
@@ -55,56 +56,102 @@ def test_ring_sequence_almost_full_circle():
     assert ring_sequence(order, 1, 0) == [1, 2, 3, 0]
 
 
-def run_members(n, run):
-    return set(expand_runs([run[0]], [run[1]], n)[1].tolist())
+def join(items, rows):
+    """``_join_runs`` on (source, target, offset, length) rows over the
+    order ``items``, back as (source, target, start position, length)."""
+    pos = np.argsort(np.asarray(items, dtype=np.int64))
+    cols = [np.array(col, dtype=np.int64) for col in zip(*rows)]
+    return [tuple(map(int, row)) for row in zip(*_join_runs(pos, *cols))]
+
+
+def destinations(items, rows, starts_are_offsets):
+    """Destination -> target of every (source, target, start, length) row."""
+    n = len(items)
+    pos = {v: i for i, v in enumerate(items)}
+    src, dst, start, length = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    if starts_are_offsets:
+        start = (np.array([pos[v] for v in src.tolist()]) + start) % n
+    run, positions = expand_runs(start, length, n)
+    got = {}
+    for i, p in zip(run.tolist(), positions.tolist()):
+        key = (int(src[i]), items[p])
+        assert key not in got
+        got[key] = int(dst[i])
+    return got
 
 
 def test_join_adjacent_singletons():
-    # runs are (start position, length); either argument may come first
-    assert _join_chunks(4, (1, 1), (2, 1)) == (1, 2)
-    assert _join_chunks(4, (2, 1), (1, 1)) == (1, 2)
-    assert _join_chunks(4, (3, 1), (0, 1)) == (3, 2)
+    # abutting runs of one arc join, whichever comes first in the input;
+    # offsets count clockwise from the source
+    assert join(range(4), [(0, 1, 1, 1), (0, 1, 2, 1)]) == [(0, 1, 1, 2)]
+    assert join(range(4), [(0, 1, 2, 1), (0, 1, 1, 1)]) == [(0, 1, 1, 2)]
+    # from source 2, offsets 1 and 2 are positions 3 and 0
+    assert join(range(4), [(2, 3, 2, 1), (2, 3, 1, 1)]) == [(2, 3, 3, 2)]
+    # a different target or a gap keeps runs apart
+    assert join(range(4), [(0, 1, 1, 1), (0, 2, 2, 1)]) == [(0, 1, 1, 1), (0, 2, 2, 1)]
+    assert join(range(4), [(0, 1, 1, 1), (0, 1, 3, 1)]) == [(0, 1, 1, 1), (0, 1, 3, 1)]
+    empty = np.empty(0, dtype=np.int64)
+    assert [len(col) for col in _join_runs(np.arange(3), *[empty] * 4)] == [0] * 4
 
 
-def test_join_rejects_overlap():
-    assert _join_chunks(4, (0, 2), (1, 2)) is None
+def compositions(total):
+    """Every way to cut offsets 1 .. total into consecutive runs, as
+    (offset, length) lists."""
+    for mask in range(2 ** max(total - 1, 0)):
+        cuts = [1] + [c + 2 for c in range(total - 1) if mask >> c & 1] + [total + 1]
+        yield [(a, b - a) for a, b in zip(cuts, cuts[1:])]
 
 
 def test_join_member_sets_exhaustively():
-    # all pairs of runs that fit on the ring together, orders up to 6
+    # every tiling of one source's offsets by runs with every choice of
+    # targets, orders up to 6, sources at every position in turn
+    cases = 0
     for n in range(2, 7):
-        runs = [(s, ln) for s in range(n) for ln in range(1, n)]
-        for left, right in itertools.product(runs, repeat=2):
-            if left[1] + right[1] > n:
-                continue
-            ms_left, ms_right = run_members(n, left), run_members(n, right)
-            result = _join_chunks(n, left, right)
-            abut = ((left[0] + left[1]) % n == right[0]
-                    or (right[0] + right[1]) % n == left[0])
-            if not abut:
-                assert result is None
-            else:
-                assert not ms_left & ms_right
-                assert result[1] == left[1] + right[1]
-                assert run_members(n, result) == ms_left | ms_right
+        items = list(reversed(range(n)))
+        for runs in compositions(n - 1):
+            for targets in itertools.product(range(n - 1), repeat=len(runs)):
+                v = items[cases % n]
+                others = [w for w in items if w != v]
+                rows = [(v, others[t], a, ln) for t, (a, ln) in zip(targets, runs)]
+                joined = join(items, rows[::-1])
+                assert destinations(items, joined, False) == destinations(items, rows, True)
+                ends = {(s + ln) % n: w for _, w, s, ln in joined}
+                assert all(ends.get(s) != w for _, w, s, _ in joined)
+                arcs = [(s, w) for s, w, _, _ in joined]
+                assert arcs == sorted(arcs)
+                # of the two runs of an arc, the one that holds the target
+                # comes first
+                holds = [(items.index(w) - s) % n < ln for _, w, s, ln in joined]
+                assert not any(arcs[i] == arcs[i + 1] and holds[i + 1] and not holds[i]
+                               for i in range(len(arcs) - 1))
+                cases += 1
+    # m (m + 1) ** (m - 1) cases for m = n - 1 offsets
+    assert cases == 1 + 6 + 48 + 500 + 6480
 
 
-@given(st.integers(min_value=3, max_value=9), st.data())
+@given(st.integers(min_value=4, max_value=9), st.data())
 def test_join_chain_is_associative_on_member_sets(n, data):
-    # a chain of adjacent disjoint runs joins to the same member set
-    # regardless of association order
-    cuts = data.draw(
-        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=3,
+    # a chain of three abutting runs of one arc (so at least three offsets,
+    # n >= 4) joins to one run, whatever order the rows come in
+    cuts = sorted(data.draw(
+        st.lists(st.integers(min_value=1, max_value=n - 1), min_size=3,
                  max_size=3, unique=True)
-    )
-    cuts.sort()
-    pieces = [(cuts[i], (cuts[(i + 1) % 3] - cuts[i]) % n) for i in range(3)]
-    left_first = _join_chunks(n, _join_chunks(n, pieces[0], pieces[1]), pieces[2])
-    right_first = _join_chunks(n, pieces[0], _join_chunks(n, pieces[1], pieces[2]))
-    # three pieces tile the whole order, so both joins give the full circle
-    assert left_first is not None and right_first is not None
-    assert run_members(n, left_first) == set(range(n))
-    assert run_members(n, right_first) == set(range(n))
+    ))
+    v = data.draw(st.integers(min_value=0, max_value=n - 1))
+    w = (v + 1) % n
+    pieces = [(v, w, a, b - a) for a, b in zip(cuts, cuts[1:] + [n])]
+    rows = data.draw(st.permutations(pieces))
+    assert join(range(n), rows) == [(v, w, (v + cuts[0]) % n, n - cuts[0])]
+
+
+def test_join_puts_the_run_holding_the_target_first():
+    # from source 0 on the order 0..4, arc (0, 3) carries offset 1 and
+    # offset 3; the run at offset 3 holds vertex 3 and comes first
+    rows = [(0, 3, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1), (0, 4, 4, 1)]
+    assert join(range(5), rows) == [(0, 2, 2, 1), (0, 3, 3, 1), (0, 3, 1, 1), (0, 4, 4, 1)]
+    # from source 3 the offsets 1 .. 4 wrap past position 0 to 4 0 1 2
+    rows = [(3, 1, 1, 1), (3, 0, 2, 1), (3, 1, 3, 2)]
+    assert join(range(5), rows) == [(3, 0, 0, 1), (3, 1, 1, 2), (3, 1, 4, 1)]
 
 
 @given(orders, st.data())

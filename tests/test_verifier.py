@@ -201,6 +201,20 @@ def test_structural_error_on_vertex_mismatch():
         verify_scheme(graph, small)
 
 
+@pytest.mark.parametrize("arrays", [
+    ([0, 1], [1], [1, 2], [1, 1]),
+    ([[0]], [[1]], [[1]], [[1]]),
+    (0, 1, 1, 1),
+    ([[0], [1, 2]], [1, 2], [1, 2], [1, 1]),
+    (["a"], [1], [1], [1]),
+], ids=["unequal_lengths", "two_dimensional", "scalars", "ragged", "not_numbers"])
+def test_scheme_arrays_must_be_flat_and_of_equal_length(arrays):
+    # the first two once reached verify_scheme and failed inside numpy
+    with pytest.raises(StructuralSchemeError,
+                       match="one-dimensional integer arrays of equal length"):
+        RoutingScheme(CyclicOrder([0, 1, 2, 3]), *arrays)
+
+
 def test_all_failures_enumerated():
     graph, _ = c4_setup()
     # vertex 0 both overlaps on 2 and misses 3
