@@ -591,14 +591,19 @@ class RoutingScheme:
             "src, dst, start and length must be one-dimensional integer "
             "arrays of equal length")
         try:
-            self.src, self.dst, self.start, self.length = (
-                np.asarray(a, dtype=np.int64) for a in (src, dst, start, length))
-        except (TypeError, ValueError) as exc:  # ragged or not numbers
+            arrays = [np.asarray(a) for a in (src, dst, start, length)]
+        except (TypeError, ValueError) as exc:  # ragged
             raise bad from exc
+        # a cast would truncate floats and read booleans as 0 / 1; an empty
+        # list is float64, so only non-empty arrays must hold integers
+        if any(a.size and a.dtype.kind not in "iu" for a in arrays):
+            raise bad
+        self.src, self.dst, self.start, self.length = (
+            a.astype(np.int64, copy=False) for a in arrays)
         shapes = {a.shape for a in (self.src, self.dst, self.start, self.length)}
         if len(shapes) != 1 or len(shapes.pop()) != 1:
             raise bad
-        # forwarding-table construction bisects on the source column
+        # the verifier bisects on the source column
         key = self.src * len(order.items) + self.dst
         if len(key) > 1 and (np.diff(key) < 0).any():
             idx = np.argsort(key, kind="stable")
@@ -606,8 +611,9 @@ class RoutingScheme:
             self.dst = self.dst[idx]
             self.start = self.start[idx]
             self.length = self.length[idx]
-        # the verifier's forwarding tables: graph -> source -> table
-        self._route_tables: dict[Graph, dict[int, np.ndarray]] = {}
+        # the graphs the verifier has checked the scheme against, each with
+        # its forwarding table once a route needs it
+        self._route_tables: dict[Graph, np.ndarray | None] = {}
 
     @property
     def n(self) -> int:

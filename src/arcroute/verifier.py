@@ -7,6 +7,12 @@ constraints — disjoint intervals per vertex, full strict coverage, and
 every labeled destination reachable through a first vertex of some
 shortest path.  Route simulation and interval accounting live here too.
 All of it reads the scheme's interval arrays directly.
+
+Routes read one forwarding table per (scheme, graph), built in one bulk
+pass over all intervals.  ``route_lengths`` checks every first hop for
+holes and ambiguities up front, then follows all n^2 routes at once by
+pointer doubling: ceil(log2 n) rounds, each one doubling the hops every
+route has covered, instead of one round per hop.
 """
 
 from __future__ import annotations
@@ -157,29 +163,27 @@ def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:
     return report
 
 
-def _checked(scheme: RoutingScheme, graph: Graph) -> dict[int, np.ndarray]:
-    """Check the scheme against the graph, once per graph; returns the
-    scheme's forwarding tables on that graph, built on demand by source."""
-    tables = scheme._route_tables.get(graph)
-    if tables is None:
+def _checked(scheme: RoutingScheme, graph: Graph) -> None:
+    """Check the scheme against the graph, once per graph."""
+    if graph not in scheme._route_tables:
         _check_structure(graph, scheme)
-        tables = scheme._route_tables[graph] = {}
-    return tables
+        scheme._route_tables[graph] = None
 
 
-def _route_table(scheme: RoutingScheme, graph: Graph, src: int) -> np.ndarray:
-    """Destination position -> forwarding target for one source vertex."""
-    tables = _checked(scheme, graph)
-    table = tables.get(src)
+def _forwarding_table(scheme: RoutingScheme, graph: Graph) -> np.ndarray:
+    """``table[v, p]``: where v forwards a packet for the vertex at order
+    position p; UNCOVERED where no interval at v holds p, AMBIGUOUS where
+    several do.  Checked and built once per graph, from all rows at once."""
+    _checked(scheme, graph)
+    table = scheme._route_tables[graph]
     if table is None:
         n = scheme.n
-        table = np.full(n, UNCOVERED, dtype=np.int64)
-        lo = int(np.searchsorted(scheme.src, src, side="left"))
-        hi = int(np.searchsorted(scheme.src, src, side="right"))
-        run, positions = expand_runs(scheme.start[lo:hi], scheme.length[lo:hi], n)
-        table[positions] = scheme.dst[lo:hi][run]
-        table[np.bincount(positions, minlength=n) > 1] = AMBIGUOUS
-        tables[src] = table
+        run, cells = expand_runs(scheme.start, scheme.length, n)
+        cells += scheme.src[run] * n
+        table = np.full(n * n, UNCOVERED, dtype=np.int64)
+        table[cells] = scheme.dst[run]
+        table[np.bincount(cells, minlength=n * n) > 1] = AMBIGUOUS
+        table = scheme._route_tables[graph] = table.reshape(n, n)
     return table
 
 
@@ -196,10 +200,11 @@ def route(scheme: RoutingScheme, graph: Graph, src: int, dst: int) -> list[int]:
         raise StructuralSchemeError("route endpoints outside the graph")
     if src == dst:
         raise ValueError("route endpoints must differ")
+    column = _forwarding_table(scheme, graph)[:, scheme.order.position(dst)]
     path = [src]
     x = src
     for _ in range(n):
-        nxt = int(_route_table(scheme, graph, x)[scheme.order.position(dst)])
+        nxt = int(column[x])
         if nxt == UNCOVERED:
             raise CoverageHoleError(f"no interval at {x} contains {dst}")
         if nxt == AMBIGUOUS:
@@ -214,40 +219,47 @@ def route(scheme: RoutingScheme, graph: Graph, src: int, dst: int) -> list[int]:
 def route_lengths(scheme: RoutingScheme, graph: Graph) -> np.ndarray:
     """Hop counts of simulated routes for every ordered pair at once.
 
-    Uses the same forwarding tables as route(), stepped synchronously over
-    all (source, destination) cells; raises on the first hole, ambiguity,
-    or undelivered route, and StructuralSchemeError as verify_scheme does.
-    Entry [u, w] is the hop count from u to w.
+    Reads the forwarding table route() uses.  Every first hop is checked
+    up front: the first hole, then the first ambiguity, in (source, order
+    position) order, raises.  Then ceil(log2 n) pointer-doubling rounds
+    follow every route at once (fewer once all routes have settled), and
+    an undelivered route raises RoutingLoopError; StructuralSchemeError is
+    raised as verify_scheme does.  Entry [u, w] is the hop count from u
+    to w.
     """
     n = graph.n
-    tables = np.stack([_route_table(scheme, graph, v) for v in range(n)])
+    table = _forwarding_table(scheme, graph)
     items = np.asarray(scheme.order.items, dtype=np.int64)
-    dest_vertex = items  # vertex sitting at each order position
-    cur = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, n))
-    lengths = np.zeros((n, n), dtype=np.int64)
-    active = cur != dest_vertex[None, :]
-    for _ in range(n):
-        if not active.any():
+    positions = np.arange(n, dtype=np.int64)
+    arrived = np.zeros((n, n), dtype=bool)
+    arrived[items, positions] = True  # the cell of each position's vertex
+    for code, error, problem in (
+            (UNCOVERED, CoverageHoleError, "no interval covers"),
+            (AMBIGUOUS, AmbiguousRouteError, "overlapping intervals for")):
+        bad = (table == code) & ~arrived
+        if bad.any():
+            u, p = divmod(int(np.argmax(bad)), n)
+            raise error(f"{problem} {int(items[p])} along the route from {u}")
+    # cell p * n + v is a packet at v for position p, so a route never
+    # leaves its row; jump maps a cell to the cell 2**r hops on after r
+    # rounds, and steps counts the hops it took to get there
+    home = positions * n + items
+    jump = table.T + (positions * n)[:, None]
+    jump[positions, items] = home
+    jump = jump.ravel()
+    steps = (~arrived.T).ravel().astype(np.int64)
+    covered = 1
+    while covered < n:
+        steps += steps[jump]
+        nxt = jump[jump]
+        covered *= 2
+        if np.array_equal(nxt, jump):  # a fixed point: nothing moves on
             break
-        rows, cols = np.nonzero(active)
-        nxt = tables[cur[rows, cols], cols]
-        if (nxt == UNCOVERED).any():
-            u, p = rows[nxt == UNCOVERED][0], cols[nxt == UNCOVERED][0]
-            raise CoverageHoleError(
-                f"no interval covers {int(items[p])} along the route from {int(u)}"
-            )
-        if (nxt == AMBIGUOUS).any():
-            u, p = rows[nxt == AMBIGUOUS][0], cols[nxt == AMBIGUOUS][0]
-            raise AmbiguousRouteError(
-                f"overlapping intervals for {int(items[p])} along the route from {int(u)}"
-            )
-        cur[rows, cols] = nxt
-        lengths[rows, cols] += 1
-        active = cur != dest_vertex[None, :]
-    if active.any():
+        jump = nxt
+    if (jump.reshape(n, n) != home[:, None]).any():
         raise RoutingLoopError(f"undelivered routes after {n} hops")
     out = np.empty((n, n), dtype=np.int64)
-    out[:, items] = lengths
+    out[:, items] = steps.reshape(n, n).T
     return out
 
 

@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The random sweep
 (criteria 1 and 2) covers 1000 seeded models at each size in
 {5, 10, 30, 64} and dominates the runtime (a few minutes).  Criterion 1
-also sweeps perturbed rings, where every vertex takes the separator case.
+also sweeps perturbed rings up to n = 1000, where every vertex takes the
+separator case.
 """
 
 import time
@@ -31,6 +32,8 @@ SWEEP_SIZES = (5, 10, 30, 64)
 SWEEP_SEEDS = 1000
 PERTURBED_SIZES = (8, 16, 40, 120)
 PERTURBED_SEEDS = 25
+LARGE_RING_SIZE = 1000
+LARGE_RING_SEEDS = 3
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -43,7 +46,7 @@ def random_sweep():
     """Build + verify + exhaustive route sweep over the random corpus.
 
     Routing is simulated for every ordered pair through the same
-    forwarding tables route() uses (the vectorized all-pairs stepper;
+    forwarding table route() uses (the all-pairs pointer doubling;
     agreement with route() is pinned by unit tests), with literal route()
     calls sampled on every model.
     """
@@ -92,6 +95,10 @@ def test_criterion_1_perturbed_ring_sweep(search_calls):
     counter pairs."""
     models = [(f"perturbed_ring({n}, {seed})", perturbed_ring(n, seed))
               for n in PERTURBED_SIZES for seed in range(PERTURBED_SEEDS)]
+    models += [(f"perturbed_ring({LARGE_RING_SIZE}, {seed})",
+                perturbed_ring(LARGE_RING_SIZE, seed))
+               for seed in range(LARGE_RING_SEEDS)]
+    rings = len(models)
     models += [(f"gen_random({n}, {seed})", gen_random(n, seed))
                for n in (5, 10) for seed in range(100)]
     # cut models with separator-case facing blocks, which are split at the cut
@@ -111,9 +118,9 @@ def test_criterion_1_perturbed_ring_sweep(search_calls):
             failures.append(name)
     report(
         1, not failures and not searched,
-        f"{PERTURBED_SEEDS} perturbed rings at each n in {PERTURBED_SIZES} "
-        f"and {len(models) - PERTURBED_SEEDS * len(PERTURBED_SIZES)} small random "
-        f"models: {len(failures)} verification or route failures; "
+        f"{PERTURBED_SEEDS} perturbed rings at each n in {PERTURBED_SIZES}, "
+        f"{LARGE_RING_SEEDS} at n = {LARGE_RING_SIZE} and {len(models) - rings} "
+        f"small random models: {len(failures)} verification or route failures; "
         f"{len(searched)} of {len(models)} builds ({cuts} with a cut) "
         f"computed distances" + (f" ({searched[:5]})" if searched else ""),
     )

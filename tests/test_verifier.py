@@ -1,7 +1,9 @@
 import itertools
 import json
+import random
 import re
 
+import numpy as np
 import pytest
 
 from arcroute import (
@@ -11,19 +13,28 @@ from arcroute import (
     build_scheme,
     gen_complete,
     gen_random,
+    gen_ring,
+    gen_wheel,
     intersection_graph,
     interval_stats,
     route,
     verify_scheme,
 )
+from arcroute.arc_model import validate_model
 from arcroute.errors import (
     AmbiguousRouteError,
     CoverageHoleError,
     RoutingLoopError,
     StructuralSchemeError,
 )
-from arcroute.verifier import route_lengths
-from conftest import C4_MODEL, load
+from arcroute.ring_order import expand_runs
+from arcroute.verifier import (
+    AMBIGUOUS,
+    UNCOVERED,
+    _check_structure,
+    route_lengths,
+)
+from conftest import C4_MODEL, load, perturbed_ring
 
 
 def c4_setup():
@@ -207,12 +218,35 @@ def test_structural_error_on_vertex_mismatch():
     (0, 1, 1, 1),
     ([[0], [1, 2]], [1, 2], [1, 2], [1, 1]),
     (["a"], [1], [1], [1]),
-], ids=["unequal_lengths", "two_dimensional", "scalars", "ragged", "not_numbers"])
+    ([0], [1.9], [1], [1]),
+    ([True], [1], [1], [1]),
+    ([0], [1], [1], [2 ** 70]),
+], ids=["unequal_lengths", "two_dimensional", "scalars", "ragged", "not_numbers",
+        "float", "boolean", "too_large"])
 def test_scheme_arrays_must_be_flat_and_of_equal_length(arrays):
     # the first two once reached verify_scheme and failed inside numpy
     with pytest.raises(StructuralSchemeError,
                        match="one-dimensional integer arrays of equal length"):
         RoutingScheme(CyclicOrder([0, 1, 2, 3]), *arrays)
+
+
+def test_scheme_arrays_of_floats_are_not_truncated():
+    # dst[0] = 1.9 once loaded as 1, and the scheme passed verification
+    _, scheme = c4_setup()
+    dst = scheme.dst.astype(float)
+    dst[0] += 0.9
+    with pytest.raises(StructuralSchemeError, match="integer arrays"):
+        RoutingScheme(scheme.order, scheme.src, dst, scheme.start, scheme.length)
+
+
+def test_empty_scheme_arrays_load():
+    # np.asarray([]) is float64, but holds no value to truncate
+    scheme = RoutingScheme(CyclicOrder([0, 1, 2, 3]), [], [], [], [])
+    assert all(getattr(scheme, a).dtype == np.int64
+               for a in ("src", "dst", "start", "length"))
+    graph, _ = c4_setup()
+    assert verify_scheme(graph, scheme).coverage_violations[0] == {
+        "vertex": 0, "destination": 1}
 
 
 def test_all_failures_enumerated():
@@ -264,6 +298,9 @@ def test_route_detects_coverage_hole():
     })
     with pytest.raises(CoverageHoleError):
         route(holey, graph, 0, 2)
+    with pytest.raises(CoverageHoleError, match=re.escape(
+            "no interval covers 2 along the route from 0")):
+        route_lengths(holey, graph)
 
 
 def test_route_detects_ambiguity():
@@ -276,6 +313,9 @@ def test_route_detects_ambiguity():
     })
     with pytest.raises(AmbiguousRouteError):
         route(overlapping, graph, 0, 2)
+    with pytest.raises(AmbiguousRouteError, match=re.escape(
+            "overlapping intervals for 2 along the route from 0")):
+        route_lengths(overlapping, graph)
 
 
 def test_route_detects_loop():
@@ -288,6 +328,158 @@ def test_route_detects_loop():
     })
     with pytest.raises(RoutingLoopError):
         route(loopy, graph, 0, 2)
+    # vertex 1 also covers 3 twice: the all-pairs check sees that first
+    with pytest.raises(AmbiguousRouteError, match=re.escape(
+            "overlapping intervals for 3 along the route from 1")):
+        route_lengths(loopy, graph)
+
+
+def hop_by_hop_route_lengths(scheme, graph):
+    """route_lengths as it was before pointer doubling: one forwarding
+    table per source, every route advanced one hop per step."""
+    _check_structure(graph, scheme)
+    n = graph.n
+    tables = np.full((n, n), UNCOVERED, dtype=np.int64)
+    for v in range(n):
+        rows = scheme.src == v
+        run, positions = expand_runs(scheme.start[rows], scheme.length[rows], n)
+        tables[v, positions] = scheme.dst[rows][run]
+        tables[v, np.bincount(positions, minlength=n) > 1] = AMBIGUOUS
+    items = np.asarray(scheme.order.items, dtype=np.int64)
+    cur = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, n))
+    lengths = np.zeros((n, n), dtype=np.int64)
+    active = cur != items[None, :]
+    for _ in range(n):
+        if not active.any():
+            break
+        rows, cols = np.nonzero(active)
+        nxt = tables[cur[rows, cols], cols]
+        if (nxt == UNCOVERED).any():
+            u, p = rows[nxt == UNCOVERED][0], cols[nxt == UNCOVERED][0]
+            raise CoverageHoleError(
+                f"no interval covers {int(items[p])} along the route from {int(u)}"
+            )
+        if (nxt == AMBIGUOUS).any():
+            u, p = rows[nxt == AMBIGUOUS][0], cols[nxt == AMBIGUOUS][0]
+            raise AmbiguousRouteError(
+                f"overlapping intervals for {int(items[p])} along the route from {int(u)}"
+            )
+        cur[rows, cols] = nxt
+        lengths[rows, cols] += 1
+        active = cur != items[None, :]
+    if active.any():
+        raise RoutingLoopError(f"undelivered routes after {n} hops")
+    out = np.empty((n, n), dtype=np.int64)
+    out[:, items] = lengths
+    return out
+
+
+def routing_outcome(lengths_of, scheme, graph):
+    try:
+        return lengths_of(scheme, graph).tolist()
+    except (CoverageHoleError, AmbiguousRouteError, RoutingLoopError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def corrupt_one_row(scheme, graph, rng):
+    """Retarget one interval to another neighbour, shift its start, or
+    change its length; the scheme still fits the graph."""
+    n = scheme.n
+    src, dst, start, length = (
+        a.copy() for a in (scheme.src, scheme.dst, scheme.start, scheme.length))
+    i = rng.randrange(len(src))
+    kind = rng.randrange(3)
+    if kind == 0:
+        others = [w for w in np.flatnonzero(graph.adj[src[i]]).tolist()
+                  if w != dst[i]]
+        dst[i] = rng.choice(others or [int(dst[i])])
+    elif kind == 1:
+        start[i] = (start[i] + rng.randrange(1, n)) % n
+    else:
+        length[i] = rng.randrange(1, n + 1)
+    return RoutingScheme(scheme.order, src, dst, start, length)
+
+
+def test_route_lengths_matches_the_hop_by_hop_reference():
+    models = [gen_random(n, seed) for n in range(3, 16) for seed in range(16)]
+    models += [gen_ring(k) for k in range(3, 13)]
+    models += [gen_wheel(k) for k in range(3, 10)]
+    models += [perturbed_ring(n, seed) for n in (8, 16, 30) for seed in range(5)]
+    outcomes = {}
+    for index, model in enumerate(models):
+        graph = intersection_graph(model)
+        built = build_scheme(model)
+        rng = random.Random(index)
+        for scheme in [built] + [corrupt_one_row(built, graph, rng) for _ in range(4)]:
+            got = routing_outcome(route_lengths, scheme, graph)
+            assert got == routing_outcome(hop_by_hop_route_lengths, scheme, graph)
+            kind = got[0] if isinstance(got, tuple) else "delivered"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert sum(outcomes.values()) >= 1000
+    assert set(outcomes) == {"delivered", "CoverageHoleError",
+                             "AmbiguousRouteError", "RoutingLoopError"}
+
+
+def test_route_lengths_names_the_first_hole_in_source_order():
+    # 0 misses 3 and 1 misses 2: source order names (0, 3), although
+    # position 2 comes first
+    graph, _ = c4_setup()
+    holey = scheme_from([0, 1, 2, 3], {
+        (0, 1): [(1, 2)], (1, 0): [(3, 0)],
+        (2, 1): [(1, 1)], (2, 3): [(3, 0)],
+        (3, 0): [(0, 1)], (3, 2): [(2, 2)],
+    })
+    message = re.escape("no interval covers 3 along the route from 0")
+    with pytest.raises(CoverageHoleError, match=message):
+        route_lengths(holey, graph)
+    with pytest.raises(CoverageHoleError, match=message):
+        hop_by_hop_route_lengths(holey, graph)
+
+
+# C4 with vertex 1 sending 2 back to 0: routes to 2 from 0 and 1 circle
+TWO_CYCLE_LABELS = {(0, 1): [(1, 2)], (0, 3): [(3, 3)],
+                    (1, 0): [(2, 0)],
+                    (2, 1): [(1, 1)], (2, 3): [(3, 0)],
+                    (3, 0): [(0, 1)], (3, 2): [(2, 2)]}
+# K4 with routes to 3 circling 0 -> 1 -> 2 -> 0
+THREE_CYCLE_LABELS = {(0, 1): [(1, 1), (3, 3)], (0, 2): [(2, 2)],
+                      (1, 0): [(0, 0)], (1, 2): [(2, 3)],
+                      (2, 0): [(3, 0)], (2, 1): [(1, 1)],
+                      (3, 0): [(0, 0)], (3, 1): [(1, 1)], (3, 2): [(2, 2)]}
+
+
+@pytest.mark.parametrize("graph_of,labels", [
+    (lambda: c4_setup()[0], TWO_CYCLE_LABELS),
+    (lambda: intersection_graph(gen_complete(4)), THREE_CYCLE_LABELS),
+], ids=["two_cycle", "three_cycle"])
+def test_route_lengths_detects_loops_of_any_length(graph_of, labels):
+    # a 2-cycle is a fixed point of every doubled jump, a 3-cycle of none
+    graph = graph_of()
+    scheme = scheme_from([0, 1, 2, 3], labels)
+    message = re.escape("undelivered routes after 4 hops")
+    with pytest.raises(RoutingLoopError, match=message):
+        route_lengths(scheme, graph)
+    with pytest.raises(RoutingLoopError, match=message):
+        hop_by_hop_route_lengths(scheme, graph)
+    with pytest.raises(RoutingLoopError):
+        route(scheme, graph, 0, 2 if labels is TWO_CYCLE_LABELS else 3)
+
+
+def test_route_lengths_on_one_and_two_vertices():
+    one = intersection_graph(validate_model(1, [(0, 1)]))
+    empty = RoutingScheme(CyclicOrder([0]), [], [], [], [])
+    assert route_lengths(empty, one).tolist() == [[0]]
+    k2 = gen_complete(2)
+    assert route_lengths(build_scheme(k2), intersection_graph(k2)).tolist() == [
+        [0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("k", [255, 256, 257])
+def test_ring_route_lengths_at_the_round_count_boundary(k):
+    model = gen_ring(k)
+    lengths = route_lengths(build_scheme(model), intersection_graph(model))
+    gap = np.abs(np.arange(k)[:, None] - np.arange(k)[None, :])
+    assert (lengths == np.minimum(gap, k - gap)).all()
 
 
 def test_route_rejects_equal_endpoints():
