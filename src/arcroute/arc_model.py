@@ -151,6 +151,8 @@ class Graph:
         for u, v in edges:
             if u == v:
                 raise ValueError("self-loops are not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has an id outside 0..{n - 1}")
             adj[u, v] = adj[v, u] = True
         return cls(n, adj)
 

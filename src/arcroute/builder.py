@@ -18,8 +18,10 @@ clique cycle has a cut.  Every case reads the arc geometry alone: a build
 runs no graph search.
 
 Each block is a run of offsets clockwise after the vertex, and each label
-assignment a run (target, offset, length).  The runs of all vertices are
-joined in one bulk pass, so the full build stays in integer arrays.
+assignment a run (target, offset, length).  One pass over the directed edges
+gives the frames of all vertices and the runs of every right and left block;
+only the facing blocks are planned vertex by vertex.  All runs are joined in
+one bulk pass.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import ConstructionError, StructuralSchemeError
 from .ring_order import CyclicOrder
 
 
+@dataclass(eq=False)
 class VertexOrder:
     """Cyclic vertex order grouped in per-clique blocks.
 
@@ -43,12 +46,9 @@ class VertexOrder:
     at clique ``c`` (-1 when no vertex starts there).
     """
 
-    __slots__ = ("order", "head", "tail")
-
-    def __init__(self, order: CyclicOrder, head: np.ndarray, tail: np.ndarray):
-        self.order = order
-        self.head = head
-        self.tail = tail
+    order: CyclicOrder
+    head: np.ndarray
+    tail: np.ndarray
 
     @property
     def items(self) -> tuple[int, ...]:
@@ -105,6 +105,13 @@ class LabelingContext:
     ``has_cut``: a clique boundary ``c -> c + 1`` (a *cut*) is crossed by no
     clique run, so the arcs describe an interval graph.  ``cut_head`` is the
     first vertex of clique ``c + 1``'s block, or ``None`` without a cut.
+
+    One pass over the directed edges gives every vertex's frame: its
+    distinguished neighbors ``middle_of``, ``left_of`` and ``right_of`` (-1
+    where undefined: for dominating vertices, and ``right_of`` throughout
+    when some vertex dominates) and its block bounds ``lo`` and ``hi`` (both
+    ``n`` for a dominating vertex: one right block of everything), and the
+    (source, target, offset, length) ``side_runs`` of all right and left blocks.
     """
 
     def __init__(self, cycle: CliqueCycle, graph: Graph, vorder: VertexOrder):
@@ -123,11 +130,9 @@ class LabelingContext:
         self.counter = cycle.counter_matrix()
         self.has_counter = self.counter.any(axis=1)
         self.any_counter_pair = bool(self.has_counter.any())
-        self.first_counter_pair: tuple[int, int] | None = None
-        if self.any_counter_pair:
-            u = int(np.flatnonzero(self.has_counter)[0])
-            w = int(np.flatnonzero(self.counter[u])[0])
-            self.first_counter_pair = (min(u, w), max(u, w))
+        pairs = np.argwhere(self.counter)
+        self.first_counter_pair = (tuple(sorted(pairs[0].tolist()))
+                                   if len(pairs) else None)
         self.dominating = cycle.dominating
         self.any_dominating = bool(self.dominating.any())
         k = cycle.k
@@ -139,16 +144,80 @@ class LabelingContext:
         cuts = np.flatnonzero(crossing[:k] + crossing[k:] == 0)
         self.has_cut = len(cuts) > 0
         self.cut_head = int(vorder.head[(cuts[0] + 1) % k]) if len(cuts) else None
-        # nearest clique at or counterclockwise of c with a nonempty block
-        prev_nonempty = np.full(k, -1, dtype=np.int64)
-        last = -1
-        for c in list(range(k)) * 2:
-            if vorder.head[c] != -1:
-                last = c
-            prev_nonempty[c] = last
-        self.prev_nonempty = prev_nonempty
-        self._left_of = np.full(self.n, -2, dtype=np.int64)
-        self._right_of = np.full(self.n, -1, dtype=np.int64)
+        self._compute_frames()
+
+    def _compute_frames(self) -> None:
+        """Fill the frame arrays and ``side_runs``, checking every frame."""
+        cyc, n, k, dom = self.cycle, self.n, self.cycle.k, self.dominating
+        head, tail = self.vorder.head, self.vorder.tail
+        # int32 halves the memory traffic of the per-edge arithmetic below
+        lc, rc, span, pos, items = (a.astype(np.int32) for a in (
+            cyc.left, cyc.right, cyc.span_len, self.pos, self.items))
+        # middle vertex: the tail of the last nonempty block at or before
+        # v's right clique, read off the block heads written out twice
+        marks = np.where(np.tile(head != -1, 2), np.arange(2 * k), -1)
+        last = np.maximum.accumulate(marks)[k + rc] % k
+        _reject_first(~dom & ((last - lc) % k >= span),
+                      "no block found inside own span")
+        middle = tail[last]
+        # every directed edge, by source and then clockwise by the target's
+        # position; ``off`` counts the steps from source to target, and
+        # ``np.repeat(x, deg)`` is the faster ``x[src]``
+        adj, deg = self.graph.adj[:, self.items], self.graph.degrees
+        src, col = (a.astype(np.int32) for a in np.nonzero(adj))
+        # ``starts[i]:ends[i]`` holds the edges of the i-th source that has any
+        has = deg > 0
+        ends = np.cumsum(deg)[has]
+        starts = ends - deg[has]
+        tgt = items[col]
+        off = (col - np.repeat(pos, deg)) % n
+        # left vertex: the candidate neighbor farthest behind v (reaching
+        # further counterclockwise, not dominating, no counter partner), or
+        # the head of v's block when that lies further behind
+        lc_src, lc_tgt = np.repeat(lc, deg), lc[tgt]
+        cand = ((lc_src - lc_tgt) % k < span[tgt]) & (lc_tgt != lc_src) & ~dom[tgt]
+        if self.any_counter_pair:
+            cand &= ~self.counter[:, self.items][adj]
+        back = np.zeros(n, dtype=np.int32)
+        back[has] = np.maximum.reduceat(np.where(cand, n - off, 0), starts)
+        back = np.where(dom, 0, np.maximum(back, (pos - pos[head[lc]]) % n))
+        self.left_of = np.where(back > 0, items[(pos - back) % n], -1)
+        self.middle_of = np.where(dom, -1, middle)
+        self.lo = lo = np.where(dom, n, (pos[middle] - pos) % n + 1)
+        self.hi = hi = n - back
+        _reject_first(lo > hi, "blocks wrapped onto themselves")
+        # right block all adjacent, facing block non-adjacent except dominating
+        lo_src = np.repeat(lo, deg)
+        right = off < lo_src
+        _reject_first(np.bincount(src[right], minlength=n) != lo - 1,
+                      "right block holds a non-neighbor")
+        side = right | (off >= np.repeat(hi, deg))
+        _reject_first(np.bincount(src[~side & ~dom[tgt]], minlength=n) > 0,
+                      "facing block holds a non-dominating neighbor")
+        _reject_first((hi < n) & ~adj[np.arange(n), (pos + hi) % n],
+                      "left block must start at the left vertex")
+        # right vertex: among the neighbors holding v's right clique, one
+        # reaching farthest clockwise; the left vertex first, then the
+        # middle vertex, then the one soonest after v
+        self.right_of = np.full(n, -1, dtype=np.int64)
+        if not self.any_dominating:
+            rc_src = np.repeat(rc, deg)
+            holds = (rc_src - lc_tgt) % k < span[tgt]
+            rank = np.where(tgt == np.repeat(self.left_of, deg), 0,
+                            np.where(tgt == np.repeat(middle, deg), 1, 2))
+            # the largest key has the farthest reach, then the lowest rank,
+            # then the smallest offset, which it leaves as ``-key % n``
+            reach = (rc[tgt] - rc_src) % k
+            key = (reach * 3 + 3 - rank).astype(np.int64) * n - off
+            best = np.zeros(n, dtype=np.int64)
+            best[has] = np.maximum.reduceat(np.where(holds, key, 0), starts)
+            self.right_of[best > 0] = items[(pos - best)[best > 0] % n]
+        # a side-block neighbor carries itself and the non-neighbors up to
+        # the next neighbor clockwise, never past the end of its block
+        gap = np.roll(col, -1) - col
+        gap[ends - 1] = col[starts] + n - col[ends - 1]
+        length = np.minimum(gap, np.where(right, lo_src, n) - off)
+        self.side_runs = (src[side], tgt[side], off[side], length[side])
 
     # -- position helpers --------------------------------------------------
 
@@ -189,91 +258,22 @@ class LabelingContext:
             )
         return int(doms[0]), int(doms[-1])
 
-    # -- distinguished neighbors ---------------------------------------------
-
-    def middle_vertex_of(self, v: int) -> int:
-        """Last vertex after v whose clique run starts inside v's span.
-
-        Found via the last nonempty block within the span, so no scan of
-        the order is needed.  Returns v itself when no such vertex exists.
-        """
-        cyc = self.cycle
-        k = cyc.k
-        lc = int(cyc.left[v])
-        span = int(cyc.span_len[v])
-        c_star = int(self.prev_nonempty[int(cyc.right[v])])
-        # the walk stops at v's own block at the latest, so c_star is in span
-        if (c_star - lc) % k >= span:
-            raise ConstructionError("no block found inside own span", vertex=v)
-        return int(self.vorder.tail[c_star])
-
-    def left_vertex_of(self, v: int) -> int | None:
-        """The candidate neighbor farthest behind v in the order.
-
-        Candidates are neighbors that reach strictly further
-        counterclockwise than v (skipping dominating vertices and counter
-        partners of v) plus the same-block vertices placed before v.
-        """
-        cached = self._left_of[v]
-        if cached != -2:
-            return None if cached == -1 else int(cached)
-        cyc = self.cycle
-        k = cyc.k
-        lc = int(cyc.left[v])
-        best = -1
-        best_dist = 0
-        nb = self.graph.neighbors[v]
-        if len(nb):
-            reach = ((lc - cyc.left[nb]) % k) < cyc.span_len[nb]
-            mask = (
-                reach
-                & (cyc.left[nb] != lc)
-                & ~self.dominating[nb]
-                & ~self.counter[v, nb]
-            )
-            if mask.any():
-                cand = nb[mask]
-                dists = (self.pos[v] - self.pos[cand]) % self.n
-                i = int(np.argmax(dists))
-                best = int(cand[i])
-                best_dist = int(dists[i])
-        h = int(self.vorder.head[lc])
-        if h != v:
-            d = self.fwd(h, v)
-            if d > best_dist:
-                best, best_dist = h, d
-        self._left_of[v] = best
-        return None if best == -1 else best
-
     def right_vertex_of(self, v: int) -> int:
-        """Neighbor reaching farthest clockwise from v's right clique;
-        prefers the left vertex, then the middle vertex, then the candidate
-        soonest after v."""
-        cached = self._right_of[v]
-        if cached != -1:
-            return int(cached)
-        cyc = self.cycle
-        k = cyc.k
-        rc = int(cyc.right[v])
-        nb = self.graph.neighbors[v]
-        cand = nb[((rc - cyc.left[nb]) % k) < cyc.span_len[nb]]
-        if len(cand) == 0:
+        """``right_of[v]``, raising where v has no right vertex."""
+        if self.right_of[v] == -1:
             raise ConstructionError("no neighbor shares the right clique", vertex=v)
-        reach = (cyc.right[cand] - rc) % k
-        best_set = {int(x) for x in cand[reach == int(reach.max())]}
-        best = self.left_vertex_of(v)
-        if best not in best_set:
-            m = self.middle_vertex_of(v)
-            if m != v and m in best_set:
-                best = m
-            else:
-                best = min(best_set, key=lambda u: self.fwd(v, u))
-        self._right_of[v] = best
-        return best
+        return int(self.right_of[v])
+
+
+def _reject_first(bad: np.ndarray, message: str) -> None:
+    """Raise ``message`` naming the lowest vertex id flagged in ``bad``."""
+    if bad.any():
+        raise ConstructionError(message, vertex=int(np.argmax(bad)))
 
 
 def compute_frame(ctx: LabelingContext, v: int) -> VertexFrame:
-    """Distinguished neighbors and blocks of a non-dominating vertex.
+    """Distinguished neighbors and blocks of a non-dominating vertex, read
+    from the context's frame arrays.
 
     The right block runs from v's successor through its middle vertex
     (empty when the middle vertex is v itself), the left block from v's
@@ -283,22 +283,10 @@ def compute_frame(ctx: LabelingContext, v: int) -> VertexFrame:
     if ctx.dominating[v]:
         raise ConstructionError("frames are undefined for dominating vertices",
                                 vertex=v)
-    m = ctx.middle_vertex_of(v)
-    lv = ctx.left_vertex_of(v)
-    lo = ctx.fwd(v, m) + 1
-    hi = ctx.n if lv is None else ctx.fwd(v, lv)
-    if lo > hi:
-        raise ConstructionError("blocks wrapped onto themselves", vertex=v)
-    # right block all adjacent, facing block non-adjacent except dominating
-    adj = ctx.graph.adj[v]
-    if not adj[ctx.run(v, 1, lo)].all():
-        raise ConstructionError("right block holds a non-neighbor", vertex=v)
-    facing = ctx.run(v, lo, hi)
-    if (adj[facing] & ~ctx.dominating[facing]).any():
-        raise ConstructionError(
-            "facing block holds a non-dominating neighbor", vertex=v
-        )
-    return VertexFrame(v=v, left_vertex=lv, middle_vertex=m, lo=lo, hi=hi)
+    lv = int(ctx.left_of[v])
+    return VertexFrame(v=v, left_vertex=None if lv == -1 else lv,
+                       middle_vertex=int(ctx.middle_of[v]),
+                       lo=int(ctx.lo[v]), hi=int(ctx.hi[v]))
 
 
 # ---------------------------------------------------------------------------
@@ -308,28 +296,6 @@ def compute_frame(ctx: LabelingContext, v: int) -> VertexFrame:
 # ---------------------------------------------------------------------------
 
 Plan = list[tuple[int, int, int]]
-
-
-def _plan_right(frame: VertexFrame, ctx: LabelingContext):
-    """Singleton for every right-block vertex (all adjacent)."""
-    offsets = np.arange(1, frame.lo, dtype=np.int64)
-    return ctx.run(frame.v, 1, frame.lo), offsets, np.ones_like(offsets)
-
-
-def _plan_left(frame: VertexFrame, ctx: LabelingContext):
-    """Split the left block at its v-adjacent members.
-
-    Each adjacent member carries itself plus the non-adjacent vertices up
-    to the next adjacent one; those sit one hop behind their carrier.
-    """
-    v = frame.v
-    members = ctx.run(v, frame.hi, ctx.n)
-    adjacent = ctx.graph.adj[v][members]
-    if len(members) and not adjacent[0]:
-        raise ConstructionError("left block must start at the left vertex",
-                                vertex=v)
-    offsets = frame.hi + np.flatnonzero(adjacent)
-    return members[adjacent], offsets, np.diff(np.append(offsets, ctx.n))
 
 
 def _faces(frame: VertexFrame, ctx: LabelingContext, w: int) -> bool:
@@ -382,13 +348,11 @@ def _facing_via_shared_neighbor(frame: VertexFrame, ctx: LabelingContext,
                                 members: np.ndarray) -> Plan:
     """A counter partner of v or a dominating vertex is adjacent to every
     facing vertex and to v; give it the whole block."""
-    v = frame.v
-    candidates = set(np.flatnonzero(ctx.dominating).tolist())
-    candidates.update(int(w) for w in np.flatnonzero(ctx.counter[v]))
-    if not candidates:
+    v, m = frame.v, frame.middle_vertex
+    carriers = ctx.dominating | ctx.counter[v]
+    if not carriers.any():
         raise ConstructionError("no carrier for the facing block", vertex=v)
-    m = frame.middle_vertex
-    u = m if m in candidates else min(candidates)
+    u = m if carriers[m] else int(np.argmax(carriers))
     if _faces(frame, ctx, u):
         raise ConstructionError("carrier lies inside the facing block", vertex=v)
     if not ctx.graph.adj[u][members].all():
@@ -420,7 +384,7 @@ def _facing_near_counter_pair(frame: VertexFrame, ctx: LabelingContext,
         )
     r = ctx.right_vertex_of(v)
     # the right vertex carries the part of the block inside its right block
-    reach = (ctx.fwd(v, ctx.middle_vertex_of(r)) - frame.lo) % ctx.n + 1
+    reach = (ctx.fwd(v, int(ctx.middle_of[r])) - frame.lo) % ctx.n + 1
     count = min(reach, length)
     if count < length and frame.left_vertex is None:
         raise ConstructionError("left vertex missing near a counter pair",
@@ -466,12 +430,8 @@ def _split_facing(frame: VertexFrame, r: int, count: int) -> Plan:
     """The first ``count`` facing vertices route via ``r``, the rest via
     the left vertex."""
     lo, hi = frame.lo, frame.hi
-    plan: Plan = []
-    if count > 0:
-        plan.append((r, lo, count))
-    if count < hi - lo:
-        plan.append((frame.left_vertex, lo + count, hi - lo - count))
-    return plan
+    plan = [(r, lo, count), (frame.left_vertex, lo + count, hi - lo - count)]
+    return [run for run in plan if run[2] > 0]
 
 
 def right_vertex(frame: VertexFrame, ctx: LabelingContext) -> int:
@@ -501,8 +461,8 @@ def _walk_chains(frame: VertexFrame, ctx: LabelingContext) -> tuple[int, int, in
     if ctx.any_dominating or ctx.any_counter_pair:
         raise ConstructionError("apex undefined with dominating or counter vertices")
     v = frame.v
-    li = ctx.left_vertex_of(v)
-    if li is None:
+    li = int(ctx.left_of[v])
+    if li == -1:
         raise ConstructionError("left vertex missing", vertex=v)
     ri = ctx.right_vertex_of(v)
     cycle = ctx.cycle
@@ -515,8 +475,8 @@ def _walk_chains(frame: VertexFrame, ctx: LabelingContext) -> tuple[int, int, in
     ):
         return 1, li, ri
     for i in range(2, ctx.n + 2):
-        nl = ctx.left_vertex_of(li)
-        if nl is None:
+        nl = int(ctx.left_of[li])
+        if nl == -1:
             raise ConstructionError("left chain broke", vertex=v)
         nr = ctx.right_vertex_of(ri)
         if nl == nr or ctx.graph.adjacent(nl, nr):
@@ -706,18 +666,6 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _vertex_runs(v: int, ctx: LabelingContext):
-    """Targets, offsets and lengths of the runs of v: one singleton per
-    other vertex for a dominating v, else the plans of its three blocks."""
-    if ctx.dominating[v]:
-        offsets = np.arange(1, ctx.n, dtype=np.int64)
-        return ctx.run(v, 1, ctx.n), offsets, np.ones_like(offsets)
-    frame = compute_frame(ctx, v)
-    facing = np.array(_plan_facing(frame, ctx), dtype=np.int64).reshape(-1, 3).T
-    return [np.concatenate(cols) for cols in
-            zip(_plan_right(frame, ctx), facing, _plan_left(frame, ctx))]
-
-
 def _join_runs(pos: np.ndarray, src, dst, offset, length):
     """Join runs into the scheme's interval rows, in one bulk pass.
 
@@ -753,11 +701,11 @@ def build_scheme(model: ArcModel) -> RoutingScheme:
     cycle = build_clique_cycle(model, graph)
     vorder = build_vertex_order(cycle)
     ctx = LabelingContext(cycle, graph, vorder)
-    runs = [_vertex_runs(v, ctx) for v in range(model.n)]
-    targets, offsets, lengths = (np.concatenate(col) for col in zip(*runs))
-    sources = np.repeat(np.arange(model.n, dtype=np.int64),
-                        [len(t) for t, _, _ in runs])
-    src, dst, start, length = _join_runs(ctx.pos, sources, targets, offsets, lengths)
+    facing = [(v, *run) for v in np.flatnonzero(ctx.lo < ctx.hi).tolist()
+              for run in _plan_facing(compute_frame(ctx, v), ctx)]
+    facing = np.array(facing, dtype=np.int64).reshape(-1, 4).T
+    runs = (np.concatenate(cols) for cols in zip(ctx.side_runs, facing))
+    src, dst, start, length = _join_runs(ctx.pos, *runs)
     _check_scheme_shape(ctx, src, dst, start, length)
     return RoutingScheme(ctx.order, src, dst, start, length)
 

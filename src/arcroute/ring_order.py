@@ -48,7 +48,8 @@ class CyclicOrder:
         return len(self.items)
 
     def __contains__(self, x: object) -> bool:
-        return isinstance(x, int) and 0 <= x < len(self.items)
+        return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                and 0 <= x < len(self.items))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CyclicOrder) and self.items == other.items
@@ -60,10 +61,9 @@ class CyclicOrder:
         return f"CyclicOrder({list(self.items)})"
 
     def position(self, x: int) -> int:
-        try:
-            return self._pos[x]
-        except (IndexError, TypeError):
-            raise UnknownElementError(f"element {x!r} not in order of size {self.n}") from None
+        if x not in self:
+            raise UnknownElementError(f"element {x!r} not in order of size {self.n}")
+        return self._pos[x]
 
     def at(self, position: int) -> int:
         return self.items[position % len(self.items)]

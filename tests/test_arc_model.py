@@ -141,6 +141,14 @@ def test_bfs_unreachable_sentinel():
     assert bfs_distances(graph, 0).tolist() == [0, UNREACHABLE]
 
 
+@pytest.mark.parametrize("edge", [(0, -1), (-3, 1), (0, 3), (7, 1)])
+def test_from_edges_rejects_ids_outside_the_graph(edge):
+    # a negative id used to wrap to the last vertex; one of n or more
+    # escaped as numpy's IndexError
+    with pytest.raises(ValueError, match="outside 0..2"):
+        Graph.from_edges(3, [(0, 1), edge])
+
+
 def test_all_pairs_matches_bfs():
     graph = intersection_graph(load(C4_MODEL))
     dist = all_pairs_distances(graph)

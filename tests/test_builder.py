@@ -12,7 +12,9 @@ from arcroute import (
     RoutingScheme,
     all_pairs_distances,
     apex_number,
+    build_clique_cycle,
     build_scheme,
+    build_vertex_order,
     compute_frame,
     first_vertices,
     gen_complete,
@@ -20,23 +22,32 @@ from arcroute import (
     gen_ring,
     gen_wheel,
     intersection_graph,
+    is_real,
     right_vertex,
     separator,
     validate_model,
     verify_scheme,
 )
 from arcroute.builder import (
+    LabelingContext,
+    VertexOrder,
     _check_scheme_shape,
     _interval_proper_subset,
     _plan_facing,
-    _plan_left,
-    _plan_right,
     _split_facing,
 )
 from arcroute.errors import ConstructionError, NotRealCircularArc
-from arcroute.ring_order import ring_sequence
+from arcroute.ring_order import CyclicOrder, ring_sequence
 from arcroute.verifier import route_lengths
-from conftest import C4_MODEL, context_for, labels_of, load, perturbed_ring, src_env
+from conftest import (
+    C4_MODEL,
+    COUNTER_MODEL,
+    context_for,
+    labels_of,
+    load,
+    perturbed_ring,
+    src_env,
+)
 
 
 # -- vertex order ------------------------------------------------------------
@@ -157,8 +168,10 @@ def test_ring_frames_have_unit_side_blocks():
 def test_frame_rejects_dominating_vertex():
     model = gen_wheel(6)
     ctx = context_for(model)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError,
+                       match="frames are undefined for dominating vertices") as info:
         compute_frame(ctx, 6)
+    assert info.value.vertex == 6
 
 
 def test_empty_right_block_when_vertex_closes_its_clique():
@@ -211,8 +224,8 @@ def test_left_vertex_bounds_all_candidates():
         for v in range(n):
             if ctx.dominating[v]:
                 continue
-            lv = ctx.left_vertex_of(v)
-            if lv is None:
+            lv = int(ctx.left_of[v])
+            if lv == -1:
                 continue
             span = ctx.fwd(lv, v)
             for u in graph.neighbors[v]:
@@ -227,24 +240,200 @@ def test_left_vertex_bounds_all_candidates():
                     assert ctx.fwd(lv, u) <= span
 
 
+@pytest.mark.parametrize("model,swap,head,message,vertex", [
+    # C4's order is 0..3 with one block per clique; vertex v spans cliques
+    # v and v + 1, and W5's order is 0 1 5 2 3 4 with the hub 5 dominating
+    (load(C4_MODEL), None, {0: -1, 1: -1}, "no block found inside own span", 0),
+    (load(C4_MODEL), (0, 1), {}, "blocks wrapped onto themselves", 0),
+    (gen_wheel(5), (2, 3), {}, "right block holds a non-neighbor", 0),
+    (gen_wheel(5), (1, 2), {}, "facing block holds a non-dominating neighbor", 0),
+    (load(C4_MODEL), None, {0: 2}, "left block must start at the left vertex", 0),
+], ids=["no_block_in_span", "wrapped", "right_non_neighbor", "facing_neighbor",
+        "left_start"])
+def test_frame_checks_name_the_first_offending_vertex(model, swap, head, message,
+                                                      vertex):
+    # a doctored vertex order: two positions swapped, or block heads (and
+    # the tails of emptied blocks) overwritten
+    graph = intersection_graph(model)
+    cycle = build_clique_cycle(model, graph)
+    vorder = build_vertex_order(cycle)
+    LabelingContext(cycle, graph, vorder)
+    items = list(vorder.items)
+    if swap:
+        i, j = swap
+        items[i], items[j] = items[j], items[i]
+    heads, tails = vorder.head.copy(), vorder.tail.copy()
+    for c, h in head.items():
+        heads[c] = h
+        if h == -1:
+            tails[c] = -1
+    doctored = VertexOrder(CyclicOrder(items), heads, tails)
+    with pytest.raises(ConstructionError, match=message) as info:
+        LabelingContext(cycle, graph, doctored)
+    assert info.value.vertex == vertex
+
+
+# -- per-vertex references -----------------------------------------------------
+# The context computes every frame and side run in one pass over the edges;
+# these are the per-vertex definitions that pass replaced.
+
+
+def ref_middle_vertex(ctx, v):
+    """Tail of the last nonempty block at or before v's right clique."""
+    cycle = ctx.cycle
+    c = int(cycle.right[v])
+    while ctx.vorder.head[c] == -1:
+        c = (c - 1) % cycle.k
+    if (c - cycle.left[v]) % cycle.k >= cycle.span_len[v]:
+        raise ConstructionError("no block found inside own span", vertex=v)
+    return int(ctx.vorder.tail[c])
+
+
+def ref_left_vertex(ctx, v):
+    """The candidate neighbor farthest behind v in the order, or the head
+    of v's block when that lies further behind; None when neither lies
+    behind v.  Candidates reach strictly further counterclockwise than v
+    and are neither dominating nor counter partners of v."""
+    cycle = ctx.cycle
+    k = cycle.k
+    lc = int(cycle.left[v])
+    best, best_dist = None, 0
+    for u in ctx.graph.neighbors[v].tolist():
+        if ((lc - cycle.left[u]) % k < cycle.span_len[u] and cycle.left[u] != lc
+                and not ctx.dominating[u] and not ctx.counter[v, u]
+                and ctx.fwd(u, v) > best_dist):
+            best, best_dist = u, ctx.fwd(u, v)
+    h = int(ctx.vorder.head[lc])
+    if h != v and ctx.fwd(h, v) > best_dist:
+        best = h
+    return best
+
+
+def ref_right_vertex(ctx, v):
+    """Neighbor reaching farthest clockwise from v's right clique; prefers
+    the left vertex, then the middle vertex, then the one soonest after v."""
+    cycle = ctx.cycle
+    k = cycle.k
+    rc = int(cycle.right[v])
+    reach = {u: int((cycle.right[u] - rc) % k)
+             for u in ctx.graph.neighbors[v].tolist()
+             if (rc - cycle.left[u]) % k < cycle.span_len[u]}
+    if not reach:
+        raise ConstructionError("no neighbor shares the right clique", vertex=v)
+    best_set = {u for u, r in reach.items() if r == max(reach.values())}
+    lv = ref_left_vertex(ctx, v)
+    if lv in best_set:
+        return lv
+    m = ref_middle_vertex(ctx, v)
+    if m != v and m in best_set:
+        return m
+    return min(best_set, key=lambda u: ctx.fwd(v, u))
+
+
+def ref_plan_right(frame, ctx):
+    """Singleton (target, offset, length) for every right-block vertex."""
+    return [(int(w), a, 1) for a, w in enumerate(ctx.run(frame.v, 1, frame.lo), 1)]
+
+
+def ref_plan_left(frame, ctx):
+    """Split the left block at its v-adjacent members: each carries itself
+    plus the non-adjacent vertices up to the next adjacent one."""
+    v = frame.v
+    members = ctx.run(v, frame.hi, ctx.n)
+    adjacent = ctx.graph.adj[v][members]
+    if len(members) and not adjacent[0]:
+        raise ConstructionError("left block must start at the left vertex",
+                                vertex=v)
+    offsets = (frame.hi + np.flatnonzero(adjacent)).tolist()
+    return [(ctx.vertex_at(ctx.pos[v] + a), a, b - a)
+            for a, b in zip(offsets, offsets[1:] + [ctx.n])]
+
+
+def facing_case(frame, ctx):
+    """Which case of ``_plan_facing`` a nonempty facing block takes."""
+    if ctx.dominating[ctx.run(frame.v, frame.lo, frame.hi)].any():
+        return "dominating members"
+    if ctx.has_counter[frame.v] or ctx.any_dominating:
+        return "shared neighbor"
+    if ctx.any_counter_pair:
+        return "near counter pair"
+    return "cut" if ctx.has_cut else "separator"
+
+
+def frame_corpus():
+    """Dominating vertices, counter pairs, cut models, separator-case rings
+    and perturbed rings, small random models, and 1,000 covering random
+    endpoint permutations."""
+    models = dominating_placement_models()
+    models += [load(COUNTER_MODEL), gen_random(6, 546), gen_random(5, 101),
+               gen_random(8, 22)]
+    models += [gen_ring(k) for k in range(3, 41)]
+    models += [perturbed_ring(n, seed) for n in (8, 16, 40) for seed in range(5)]
+    models += [gen_random(n, seed) for n in range(4, 13) for seed in range(40)]
+    rng = random.Random(3)
+    permutations = 0
+    while permutations < 1000:
+        n = rng.randint(2, 10)
+        ends = list(range(2 * n))
+        rng.shuffle(ends)
+        model = validate_model(n, list(zip(ends[::2], ends[1::2])))
+        if is_real(model):
+            models.append(model)
+            permutations += 1
+    return models
+
+
+def test_frame_arrays_and_side_runs_match_the_per_vertex_references():
+    cases = Counter()
+    for model in frame_corpus():
+        ctx = context_for(model)
+        n = model.n
+        for v in range(n):
+            runs = side_rows(ctx, v, 1, n)
+            if ctx.dominating[v]:
+                assert (ctx.middle_of[v], ctx.left_of[v]) == (-1, -1)
+                assert (ctx.lo[v], ctx.hi[v]) == (n, n)
+                assert runs == [(ctx.vertex_at(ctx.pos[v] + a), a, 1)
+                                for a in range(1, n)]
+                continue
+            m, lv = ref_middle_vertex(ctx, v), ref_left_vertex(ctx, v)
+            frame = compute_frame(ctx, v)
+            assert (frame.middle_vertex, frame.left_vertex) == (m, lv), (model, v)
+            assert frame.lo == ctx.fwd(v, m) + 1, (model, v)
+            assert frame.hi == (n if lv is None else ctx.fwd(v, lv)), (model, v)
+            assert runs == ref_plan_right(frame, ctx) + ref_plan_left(frame, ctx)
+            if not ctx.any_dominating:
+                assert ctx.right_of[v] == ref_right_vertex(ctx, v), (model, v)
+            if frame.lo < frame.hi:
+                cases[facing_case(frame, ctx)] += 1
+    assert min(cases[case] for case in ("dominating members", "shared neighbor",
+                                        "near counter pair", "cut",
+                                        "separator")) >= 20, cases
+
+
 # -- labeling operations -------------------------------------------------------
 
 
-def plan_rows(plan):
-    return [tuple(int(x) for x in row) for row in zip(*plan)]
+def side_rows(ctx, v, a, b):
+    """The (target, offset after v, length) side runs of v whose offsets
+    lie in ``a .. b - 1``, by offset."""
+    src, dst, offset, length = ctx.side_runs
+    mine = (src == v) & (offset >= a) & (offset < b)
+    return sorted(zip(dst[mine].tolist(), offset[mine].tolist(),
+                      length[mine].tolist()), key=lambda row: row[1])
 
 
 def test_label_right_assigns_singletons():
-    # plans are (target, offset after v, length) rows; C4's order is 0..3
+    # C4's order is 0..3
     ctx = context_for(load(C4_MODEL))
     frame = compute_frame(ctx, 0)
-    assert plan_rows(_plan_right(frame, ctx)) == [(1, 1, 1)]
+    assert side_rows(ctx, 0, 1, frame.lo) == [(1, 1, 1)]
 
 
 def test_label_left_c4():
     ctx = context_for(load(C4_MODEL))
     frame = compute_frame(ctx, 0)
-    assert plan_rows(_plan_left(frame, ctx)) == [(3, 3, 1)]
+    assert side_rows(ctx, 0, frame.hi, ctx.n) == [(3, 3, 1)]
 
 
 def test_label_left_carries_non_adjacent_riders():
@@ -264,7 +453,7 @@ def test_label_left_carries_non_adjacent_riders():
         if len(members) < 2 or graph.adj[v][members].all():
             continue
         covered = []
-        for w, offset, length in plan_rows(_plan_left(frame, ctx)):
+        for w, offset, length in side_rows(ctx, v, frame.hi, ctx.n):
             assert graph.adjacent(v, w)
             stretch = ctx.run(v, offset, offset + length).tolist()
             assert len(stretch) == length
@@ -372,7 +561,7 @@ def test_separator_split_matches_first_vertices():
 
 def two_walk_apex(ctx, v):
     """The apex number as computed when separator walked the chains again."""
-    l1, r1 = ctx.left_vertex_of(v), ctx.right_vertex_of(v)
+    l1, r1 = int(ctx.left_of[v]), int(ctx.right_of[v])
     cycle = ctx.cycle
     k = cycle.k
     lc_l1, rc_r1 = int(cycle.left[l1]), int(cycle.right[r1])
@@ -383,8 +572,8 @@ def two_walk_apex(ctx, v):
         return 1
     li, ri = l1, r1
     for i in range(2, ctx.n + 2):
-        li = ctx.left_vertex_of(li)
-        ri = ctx.right_vertex_of(ri)
+        li = int(ctx.left_of[li])
+        ri = int(ctx.right_of[ri])
         if li == ri or ctx.graph.adjacent(li, ri):
             return i
     raise AssertionError("chains never met")
@@ -394,13 +583,13 @@ def two_walk_separator(ctx, v):
     """The separator as found by walking both chains a second time, to
     depth apex - 1, before the scan."""
     apex = two_walk_apex(ctx, v)
-    lv = ctx.left_vertex_of(v)
+    lv = int(ctx.left_of[v])
     if apex == 1:
         return ctx.pred(lv)
-    li, ri = lv, ctx.right_vertex_of(v)
+    li, ri = lv, int(ctx.right_of[v])
     for _ in range(apex - 2):
-        li = ctx.left_vertex_of(li)
-        ri = ctx.right_vertex_of(ri)
+        li = int(ctx.left_of[li])
+        ri = int(ctx.right_of[ri])
     w = ctx.succ(int(ctx.vorder.tail[int(ctx.cycle.right[ri])]))
     while not (w == li or ctx.graph.adjacent(w, li)):
         w = ctx.succ(w)
@@ -547,7 +736,7 @@ def test_interval_model_with_covering_arcs_still_routes():
     ctx = context_for(model)
     assert not ctx.any_dominating and not ctx.any_counter_pair
     assert any(
-        ctx.left_vertex_of(v) is None
+        ctx.left_of[v] == -1
         for v in range(5) if not ctx.dominating[v]
     )
     scheme = build_scheme(model)

@@ -39,6 +39,30 @@ def test_successor_unknown_element():
         order.successor(7)
 
 
+@pytest.mark.parametrize("x", [-1, -3, 3, True, False, None, "1", 1.0, np.bool_(True)])
+def test_position_rejects_anything_but_an_element_id(x):
+    # a negative id used to index from the end, and a boolean as 0 / 1
+    order = CyclicOrder([0, 1, 2])
+    assert x not in order
+    with pytest.raises(UnknownElementError):
+        order.position(x)
+
+
+def test_negative_ids_are_unknown_to_every_position_reader():
+    order = CyclicOrder([0, 1, 2])
+    for call in (lambda: order.distance(-1, 0), lambda: order.distance(0, -1),
+                 lambda: order.successor(-1), lambda: ring_sequence(order, -1, 0)):
+        with pytest.raises(UnknownElementError):
+            call()
+
+
+def test_position_accepts_numpy_integers():
+    order = CyclicOrder([2, 0, 1])
+    assert np.int64(1) in order
+    assert order.position(np.int64(1)) == 2
+    assert order.distance(np.int32(2), np.uint8(1)) == 2
+
+
 def test_ring_sequence_base_case():
     order = CyclicOrder([0, 1, 2, 3])
     assert ring_sequence(order, 0, 0) == [0]
