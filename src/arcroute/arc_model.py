@@ -22,6 +22,7 @@ from .errors import (
     PositionOutOfRangeError,
     UnreachablePairError,
 )
+from .ring_order import is_id
 
 UNREACHABLE = -1
 
@@ -149,6 +150,9 @@ class Graph:
     def from_edges(cls, n: int, edges: list[tuple[int, int]]) -> "Graph":
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
+            if not (is_id(u) and is_id(v)):
+                raise ValueError(f"edge ({u!r}, {v!r}) has an id that is not "
+                                 "an integer")
             if u == v:
                 raise ValueError("self-loops are not allowed")
             if not (0 <= u < n and 0 <= v < n):

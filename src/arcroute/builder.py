@@ -18,10 +18,10 @@ clique cycle has a cut.  Every case reads the arc geometry alone: a build
 runs no graph search.
 
 Each block is a run of offsets clockwise after the vertex, and each label
-assignment a run (target, offset, length).  One pass over the directed edges
-gives the frames of all vertices and the runs of every right and left block;
-only the facing blocks are planned vertex by vertex.  All runs are joined in
-one bulk pass.
+assignment a run (source, target, offset, length).  One pass over the
+directed edges gives the frames of all vertices and the runs of every right
+and left block, one bulk pass plans every facing block, walking the chains
+of all vertices together, and one more joins all runs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .arc_model import ArcModel, Graph, _is_json_int, intersection_graph
 from .clique_cycle import CliqueCycle, build_clique_cycle
 from .errors import ConstructionError, StructuralSchemeError
-from .ring_order import CyclicOrder
+from .ring_order import CyclicOrder, expand_runs
 
 
 @dataclass(eq=False)
@@ -65,22 +65,17 @@ def build_vertex_order(cycle: CliqueCycle) -> VertexOrder:
     placed apart from their runs: they close the block of clique ``1 % k``
     in id order, as if each ran around the whole cycle from there.
     """
-    k = cycle.k
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    for v in np.flatnonzero(~cycle.dominating).tolist():
-        buckets[int(cycle.left[v])].append(v)
-    items: list[int] = []
-    head = np.full(k, -1, dtype=np.int64)
-    tail = np.full(k, -1, dtype=np.int64)
-    for c in range(k):
-        block = sorted(buckets[c], key=lambda v: (int(cycle.span_len[v]), v))
-        if c == 1 % k:
-            block += np.flatnonzero(cycle.dominating).tolist()
-        if block:
-            head[c] = block[0]
-            tail[c] = block[-1]
-            items.extend(block)
-    return VertexOrder(CyclicOrder(items), head, tail)
+    k, dom = cycle.k, cycle.dominating
+    start = np.where(dom, 1 % k, cycle.left)
+    # by block, then all-adjacent last, then span length; the sort is
+    # stable, so ties keep id order
+    items = np.lexsort((np.where(dom, 0, cycle.span_len), dom, start))
+    starts = start[items]
+    first = np.flatnonzero(np.diff(starts, prepend=-1))
+    head, tail = np.full((2, k), -1, dtype=np.int64)
+    head[starts[first]] = items[first]
+    tail[starts[first]] = items[np.append(first[1:], len(items)) - 1]
+    return VertexOrder(CyclicOrder(items.tolist()), head, tail)
 
 
 @dataclass
@@ -130,9 +125,6 @@ class LabelingContext:
         self.counter = cycle.counter_matrix()
         self.has_counter = self.counter.any(axis=1)
         self.any_counter_pair = bool(self.has_counter.any())
-        pairs = np.argwhere(self.counter)
-        self.first_counter_pair = (tuple(sorted(pairs[0].tolist()))
-                                   if len(pairs) else None)
         self.dominating = cycle.dominating
         self.any_dominating = bool(self.dominating.any())
         k = cycle.k
@@ -218,29 +210,17 @@ class LabelingContext:
         gap[ends - 1] = col[starts] + n - col[ends - 1]
         length = np.minimum(gap, np.where(right, lo_src, n) - off)
         self.side_runs = (src[side], tgt[side], off[side], length[side])
-
-    # -- position helpers --------------------------------------------------
-
-    def fwd(self, a: int, b: int) -> int:
-        """Clockwise steps from vertex a to vertex b in the order."""
-        return int((self.pos[b] - self.pos[a]) % self.n)
-
-    def vertex_at(self, position: int) -> int:
-        return int(self.items[position % self.n])
-
-    def succ(self, v: int) -> int:
-        return self.vertex_at(self.pos[v] + 1)
-
-    def pred(self, v: int) -> int:
-        return self.vertex_at(self.pos[v] - 1)
+        # every edge as source * n + target position, ascending, for the
+        # separator search, which contexts with dominating vertices or
+        # counter pairs never run
+        self.edges = (None if self.any_dominating or self.any_counter_pair
+                      else src.astype(np.int64) * n + col)
 
     def run(self, v: int, a: int, b: int) -> np.ndarray:
         """Vertices at offsets ``a .. b - 1`` clockwise after v
         (``0 <= a <= b <= n``)."""
         p = int(self.pos[v])
         return self._ring[p + a:p + b]
-
-    # -- dominating-run geometry --------------------------------------------
 
     def dominating_run(self) -> tuple[int, int]:
         """First and last of the dominating vertices in the order.
@@ -258,17 +238,13 @@ class LabelingContext:
             )
         return int(doms[0]), int(doms[-1])
 
-    def right_vertex_of(self, v: int) -> int:
-        """``right_of[v]``, raising where v has no right vertex."""
-        if self.right_of[v] == -1:
-            raise ConstructionError("no neighbor shares the right clique", vertex=v)
-        return int(self.right_of[v])
 
-
-def _reject_first(bad: np.ndarray, message: str) -> None:
-    """Raise ``message`` naming the lowest vertex id flagged in ``bad``."""
+def _reject_first(bad: np.ndarray, message: str, names=None) -> None:
+    """Raise ``message`` naming the lowest vertex flagged in ``bad``, whose
+    entry i stands for vertex ``names[i]`` (vertex i without ``names``)."""
     if bad.any():
-        raise ConstructionError(message, vertex=int(np.argmax(bad)))
+        vertex = np.argmax(bad) if names is None else names[bad].min()
+        raise ConstructionError(message, vertex=int(vertex))
 
 
 def compute_frame(ctx: LabelingContext, v: int) -> VertexFrame:
@@ -290,159 +266,164 @@ def compute_frame(ctx: LabelingContext, v: int) -> VertexFrame:
 
 
 # ---------------------------------------------------------------------------
-# Assignment planning.  A run is (target, offset, length): the `length`
-# vertices from `offset` steps clockwise after v on are assigned to arc
-# (v, target).
+# Facing-block planning, for all vertices at once.
 # ---------------------------------------------------------------------------
 
-Plan = list[tuple[int, int, int]]
 
+def _plan_facings(ctx: LabelingContext) -> list[np.ndarray]:
+    """The (source, target, offset, length) runs of every nonempty facing
+    block, each block spread over at most two carrier arcs.
 
-def _faces(frame: VertexFrame, ctx: LabelingContext, w: int) -> bool:
-    """Is w in the facing block of the frame's vertex?"""
-    return frame.lo <= ctx.fwd(frame.v, w) < frame.hi
-
-
-def _plan_facing(frame: VertexFrame, ctx: LabelingContext) -> Plan:
-    """Distribute the facing block over at most two carrier arcs.
-
-    Exactly one case applies:
+    Exactly one case applies to a vertex v, each a mask over the vertices:
       dominating vertices inside the block -> they carry it in slices;
       a counter partner of v or any dominating vertex exists -> one such
       vertex is adjacent to the whole block and carries it alone;
-      a counter pair exists elsewhere -> carried by the pair member / the
-      farthest-reaching neighbors, split by position;
+      a counter pair exists elsewhere -> carried by a pair member, or split
+      between the right and the left vertex;
       otherwise -> split between right and left vertex, at the separator,
       or at the cut when the clique cycle has one.
+    Outside the first case v's first ``count`` facing vertices route via a
+    carrier ``r`` and the rest via v's left vertex.
     """
-    if frame.lo == frame.hi:
-        return []
-    members = ctx.run(frame.v, frame.lo, frame.hi)
-    if ctx.dominating[members].any():
-        return _facing_via_dominating_members(frame, ctx)
-    if ctx.has_counter[frame.v] or ctx.any_dominating:
-        return _facing_via_shared_neighbor(frame, ctx, members)
-    if ctx.any_counter_pair:
-        return _facing_near_counter_pair(frame, ctx, members)
-    return _facing_via_separator(frame, ctx)
-
-
-def _facing_via_dominating_members(frame: VertexFrame,
-                                   ctx: LabelingContext) -> Plan:
-    """Dominating vertices sit consecutively; slice the block around them."""
-    v = frame.v
-    d_head, d_tail = ctx.dominating_run()
-    if not (_faces(frame, ctx, d_head) and _faces(frame, ctx, d_tail)):
-        raise ConstructionError(
-            "dominating run straddles the facing block boundary", vertex=v
-        )
-    first, last = ctx.fwd(v, d_head), ctx.fwd(v, d_tail)
-    # the first slice reaches back to the block's start, the last one on
-    # to its end
-    bounds = [frame.lo, *range(first + 1, last + 1), frame.hi]
-    doms = ctx.run(v, first, last + 1).tolist()
-    return [(d, a, b - a) for d, a, b in zip(doms, bounds, bounds[1:])]
-
-
-def _facing_via_shared_neighbor(frame: VertexFrame, ctx: LabelingContext,
-                                members: np.ndarray) -> Plan:
-    """A counter partner of v or a dominating vertex is adjacent to every
-    facing vertex and to v; give it the whole block."""
-    v, m = frame.v, frame.middle_vertex
-    carriers = ctx.dominating | ctx.counter[v]
-    if not carriers.any():
-        raise ConstructionError("no carrier for the facing block", vertex=v)
-    u = m if carriers[m] else int(np.argmax(carriers))
-    if _faces(frame, ctx, u):
-        raise ConstructionError("carrier lies inside the facing block", vertex=v)
-    if not ctx.graph.adj[u][members].all():
-        raise ConstructionError("carrier misses part of the facing block",
-                                vertex=v)
-    return [(u, frame.lo, frame.hi - frame.lo)]
-
-
-def _facing_near_counter_pair(frame: VertexFrame, ctx: LabelingContext,
-                              members: np.ndarray) -> Plan:
-    """No dominating vertices, v itself has no counter partner, but some
-    counter pair exists; v is adjacent to at least one of its members.
-    A counter pair's runs cross every clique boundary, so there is no cut."""
-    v = frame.v
-    w0, c0 = ctx.first_counter_pair
-    adj = ctx.graph.adj
-    a0, a1 = bool(adj[v, w0]), bool(adj[v, c0])
-    if not (a0 or a1):
-        raise ConstructionError(
-            "vertex sees neither member of the counter pair", vertex=v
-        )
-    length = frame.hi - frame.lo
-    if a0 and a1:
-        for u in (w0, c0):
-            if adj[u][members].all():
-                return [(u, frame.lo, length)]
-        raise ConstructionError(
-            "neither counter member covers the facing block", vertex=v
-        )
-    r = ctx.right_vertex_of(v)
-    # the right vertex carries the part of the block inside its right block
-    reach = (ctx.fwd(v, int(ctx.middle_of[r])) - frame.lo) % ctx.n + 1
-    count = min(reach, length)
-    if count < length and frame.left_vertex is None:
-        raise ConstructionError("left vertex missing near a counter pair",
-                                vertex=v)
-    return _split_facing(frame, r, count)
-
-
-def _facing_via_separator(frame: VertexFrame, ctx: LabelingContext) -> Plan:
-    """Plain case: the right vertex ``r`` carries a prefix of the block,
-    the left vertex the rest.
-
-    Without a cut the prefix ends at the separator.  A clique cycle with a
-    cut (an interval graph) escapes the separator's geometry: a vertex may
-    lack a left vertex, and the left chain may die before the chains meet.
-    There the order runs along the line from the cut head, so the facing
-    vertices before the cut head lie on r's side and the rest on the left
-    vertex's.  ``r`` carries the whole block when v has no left vertex
-    (then v is the cut head) or when r's clique run starts with the left
-    vertex's and so contains it.
-    """
-    v, lv, head = frame.v, frame.left_vertex, ctx.cut_head
-    r = right_vertex(frame, ctx)
-    if not ctx.has_cut:
-        s = separator(frame, ctx)
-        count = ctx.fwd(v, s) - frame.lo + 1 if _faces(frame, ctx, s) else 0
-    elif lv is None:
-        if head != v:
-            raise ConstructionError(
-                "vertex without a left vertex is not the cut head", vertex=v)
-        count = frame.hi - frame.lo
-    elif head != lv and not _faces(frame, ctx, head):
-        raise ConstructionError(
-            "cut head is neither in the facing block nor the left vertex", vertex=v)
-    elif ctx.cycle.left[r] == ctx.cycle.left[lv]:
-        count = frame.hi - frame.lo
+    vs = np.flatnonzero(ctx.lo < ctx.hi)
+    runs = []
+    if ctx.any_dominating or ctx.any_counter_pair:
+        # dominating members of each block, off prefix sums over the order
+        # written twice
+        seen = np.concatenate([[0], np.cumsum(ctx.dominating[ctx._ring])])
+        sliced = seen[ctx.pos[vs] + ctx.hi[vs]] > seen[ctx.pos[vs] + ctx.lo[vs]]
+        if sliced.any():
+            runs.append(_dominating_slices(ctx, vs[sliced]))
+        vs = vs[~sliced]
+        shared = ctx.has_counter[vs] | ctx.any_dominating
+        r, count = np.zeros_like(vs), ctx.hi[vs] - ctx.lo[vs]
+        r[shared] = _shared_carriers(ctx, vs[shared])
+        if not shared.all():
+            r[~shared], count[~shared] = _counter_split(ctx, vs[~shared])
     else:
-        # the left vertex sits at offset hi, so this holds for head == lv too
-        count = ctx.fwd(v, head) - frame.lo
-    return _split_facing(frame, r, count)
+        r = _right_vertices(ctx, vs)
+        if ctx.has_cut:
+            count = _cut_counts(ctx, vs, r)
+        else:
+            # the right vertex carries the block through the separator
+            to_sep = _offsets(ctx, vs, _separators(ctx, vs))
+            count = np.where(_facing(ctx, vs, to_sep), to_sep - ctx.lo[vs] + 1, 0)
+    lo, hi = ctx.lo[vs], ctx.hi[vs]
+    split = [np.concatenate(pair) for pair in (
+        (vs, vs), (r, ctx.left_of[vs]), (lo, lo + count), (count, hi - lo - count))]
+    runs.append([col[split[3] > 0] for col in split])
+    return [np.concatenate(cols).astype(np.int64, copy=False) for cols in zip(*runs)]
 
 
-def _split_facing(frame: VertexFrame, r: int, count: int) -> Plan:
-    """The first ``count`` facing vertices route via ``r``, the rest via
-    the left vertex."""
-    lo, hi = frame.lo, frame.hi
-    plan = [(r, lo, count), (frame.left_vertex, lo + count, hi - lo - count)]
-    return [run for run in plan if run[2] > 0]
+def _facing(ctx: LabelingContext, vs: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Does ``offset[i]`` lie in the facing block of ``vs[i]``?"""
+    return (ctx.lo[vs] <= offset) & (offset < ctx.hi[vs])
+
+
+def _offsets(ctx: LabelingContext, vs: np.ndarray, ws) -> np.ndarray:
+    """Clockwise steps from each of ``vs`` to the matching one of ``ws``."""
+    return (ctx.pos[ws] - ctx.pos[vs]) % ctx.n
+
+
+def _sees_facing(ctx: LabelingContext, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Is ``us[i]`` adjacent to every facing vertex of ``vs[i]``?"""
+    lo = ctx.lo[vs]
+    row, position = expand_runs(ctx.pos[vs] + lo, ctx.hi[vs] - lo, ctx.n)
+    missed = ~ctx.graph.adj[us[row], ctx.items[position]]
+    return np.bincount(row[missed], minlength=len(vs)) == 0
+
+
+def _dominating_slices(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Dominating vertices sit consecutively; slice each block around them.
+    The first slice reaches back to the block's start, the last one on to
+    its end."""
+    d_head, d_tail = ctx.dominating_run()
+    first, last = _offsets(ctx, vs, d_head), _offsets(ctx, vs, d_tail)
+    _reject_first(~(_facing(ctx, vs, first) & _facing(ctx, vs, last)),
+                  "dominating run straddles the facing block boundary", vs)
+    doms = ctx.run(d_head, 0, ctx.pos[d_tail] - ctx.pos[d_head] + 1)
+    bounds = np.column_stack([ctx.lo[vs], first[:, None] + np.arange(1, len(doms)),
+                              ctx.hi[vs]])
+    return (np.repeat(vs, len(doms)), np.tile(doms, len(vs)), bounds[:, :-1].ravel(),
+            np.diff(bounds).ravel())
+
+
+def _shared_carriers(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
+    """A counter partner of v or a dominating vertex is adjacent to every
+    facing vertex and to v: v's middle vertex if it is one, else the one
+    with the lowest id carries the block."""
+    carriers = ctx.counter[vs] | ctx.dominating
+    _reject_first(~carriers.any(axis=1), "no carrier for the facing block", vs)
+    m = ctx.middle_of[vs]
+    u = np.where(carriers[np.arange(len(vs)), m], m, np.argmax(carriers, axis=1))
+    _reject_first(_facing(ctx, vs, _offsets(ctx, vs, u)),
+                  "carrier lies inside the facing block", vs)
+    _reject_first(~_sees_facing(ctx, u, vs),
+                  "carrier misses part of the facing block", vs)
+    return u
+
+
+def _counter_split(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Carrier and count of each vertex with no counter partner, when no
+    vertex dominates but some counter pair exists (and so no cut: a counter
+    pair's runs cross every clique boundary).  Seeing both members, v gives
+    its block to the first one adjacent to all of it; seeing one, its right
+    vertex carries the part of the block inside the right vertex's right
+    block."""
+    w0, c0 = sorted(np.argwhere(ctx.counter)[0].tolist())
+    a0, a1 = ctx.graph.adj[vs, w0], ctx.graph.adj[vs, c0]
+    _reject_first(~(a0 | a1), "vertex sees neither member of the counter pair", vs)
+    both = a0 & a1
+    r = np.empty(len(vs), dtype=np.int64)
+    covers = [_sees_facing(ctx, np.full(both.sum(), u), vs[both]) for u in (w0, c0)]
+    _reject_first(~(covers[0] | covers[1]),
+                  "neither counter member covers the facing block", vs[both])
+    r[both] = np.where(covers[0], w0, c0)
+    r[~both] = _right_vertices(ctx, vs[~both])
+    length = ctx.hi[vs] - ctx.lo[vs]
+    reach = (_offsets(ctx, vs, ctx.middle_of[r]) - ctx.lo[vs]) % ctx.n + 1
+    count = np.where(both, length, np.minimum(reach, length))
+    _reject_first((count < length) & (ctx.left_of[vs] == -1),
+                  "left vertex missing near a counter pair", vs)
+    return r, count
+
+
+def _cut_counts(ctx: LabelingContext, vs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Plain case on a clique cycle with a cut (an interval graph), which
+    escapes the separator's geometry: a vertex may lack a left vertex, and
+    the left chain may die before the chains meet.  The order runs along
+    the line from the cut head, so the facing vertices before the cut head
+    lie on the right vertex r's side and the rest on the left vertex's.
+    ``r`` carries the whole block when v has no left vertex (then v is the
+    cut head) or when r's clique run starts with the left vertex's and so
+    contains it."""
+    head, lv = ctx.cut_head, ctx.left_of[vs]
+    alone = lv == -1
+    _reject_first(alone & (vs != head),
+                  "vertex without a left vertex is not the cut head", vs)
+    to_head = _offsets(ctx, vs, head)
+    _reject_first(~alone & (lv != head) & ~_facing(ctx, vs, to_head),
+                  "cut head is neither in the facing block nor the left vertex", vs)
+    whole = alone | (ctx.cycle.left[r] == ctx.cycle.left[lv])
+    # the left vertex sits at offset hi, so this holds for head == lv too
+    return np.where(whole, ctx.hi[vs], to_head) - ctx.lo[vs]
+
+
+def _right_vertices(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
+    """The right vertices of ``vs``, as ``right_vertex`` defines them."""
+    if ctx.any_dominating:
+        raise ConstructionError("right vertex undefined with dominating vertices")
+    _reject_first(ctx.has_counter[vs], "right vertex undefined for counter vertices",
+                  vs)
+    r = ctx.right_of[vs]
+    _reject_first(r == -1, "no neighbor shares the right clique", vs)
+    return r
 
 
 def right_vertex(frame: VertexFrame, ctx: LabelingContext) -> int:
     """Farthest-clockwise-reaching neighbor; only defined when the graph
     has no dominating vertices and v has no counter partner."""
-    if ctx.any_dominating:
-        raise ConstructionError("right vertex undefined with dominating vertices")
-    if ctx.has_counter[frame.v]:
-        raise ConstructionError("right vertex undefined for counter vertices",
-                                vertex=frame.v)
-    return ctx.right_vertex_of(frame.v)
+    return int(_right_vertices(ctx, np.array([frame.v]))[0])
 
 
 def apex_number(frame: VertexFrame, ctx: LabelingContext) -> int:
@@ -452,46 +433,39 @@ def apex_number(frame: VertexFrame, ctx: LabelingContext) -> int:
     around the far side of the clique cycle; otherwise it is the smallest
     i > 1 with the i-th left and right iterates adjacent or equal.
     """
-    return _walk_chains(frame, ctx)[0]
+    return int(_walk_chains(ctx, np.array([frame.v]))[0][0])
 
 
-def _walk_chains(frame: VertexFrame, ctx: LabelingContext) -> tuple[int, int, int]:
-    """Apex number of v, with the left and right iterates one step before
-    the chains meet (the first ones when the apex number is 1)."""
+def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Apex numbers of ``vs``, with the left and right iterates one step
+    before the chains meet (the first ones where the apex number is 1).
+    All chains advance together, one step per depth."""
     if ctx.any_dominating or ctx.any_counter_pair:
         raise ConstructionError("apex undefined with dominating or counter vertices")
-    v = frame.v
-    li = int(ctx.left_of[v])
-    if li == -1:
-        raise ConstructionError("left vertex missing", vertex=v)
-    ri = ctx.right_vertex_of(v)
-    cycle = ctx.cycle
-    k = cycle.k
-    lc_l1 = int(cycle.left[li])
-    rc_r1 = int(cycle.right[ri])
-    if lc_l1 == rc_r1 or _interval_proper_subset(
-        k, int(cycle.left[v]), int(cycle.span_len[v]),
-        rc_r1, (lc_l1 - rc_r1) % k + 1,
-    ):
-        return 1, li, ri
-    for i in range(2, ctx.n + 2):
-        nl = int(ctx.left_of[li])
-        if nl == -1:
-            raise ConstructionError("left chain broke", vertex=v)
-        nr = ctx.right_vertex_of(ri)
-        if nl == nr or ctx.graph.adjacent(nl, nr):
-            return i, li, ri
-        li, ri = nl, nr
-    raise ConstructionError("left/right chains never met", vertex=v)
-
-
-def _interval_proper_subset(k: int, a: int, alen: int, b: int, blen: int) -> bool:
-    """Is the clique interval (a, alen) strictly inside (b, blen)?"""
-    if alen >= blen:
-        return False
-    if blen >= k:
-        return True
-    return (a - b) % k + alen <= blen
+    cycle, k = ctx.cycle, ctx.cycle.k
+    li = ctx.left_of[vs].astype(np.int64)
+    _reject_first(li == -1, "left vertex missing", vs)
+    ri = _right_vertices(ctx, vs)
+    # depth 1: the first iterates share a clique, or v's clique run lies
+    # strictly inside the one from ri's right clique to li's left clique
+    lc_l1, rc_r1 = cycle.left[li], cycle.right[ri]
+    alen, blen = cycle.span_len[vs], (lc_l1 - rc_r1) % k + 1
+    inside = (alen < blen) & ((blen >= k)
+                              | ((cycle.left[vs] - rc_r1) % k + alen <= blen))
+    apex = np.where((lc_l1 == rc_r1) | inside, 1, 0)
+    walking = np.flatnonzero(apex == 0)
+    for depth in range(2, ctx.n + 2):
+        if len(walking) == 0:
+            break
+        nl = ctx.left_of[li[walking]]
+        _reject_first(nl == -1, "left chain broke", vs[walking])
+        nr = _right_vertices(ctx, ri[walking])
+        met = (nl == nr) | ctx.graph.adj[nl, nr]
+        apex[walking[met]] = depth
+        walking, nl, nr = walking[~met], nl[~met], nr[~met]
+        li[walking], ri[walking] = nl, nr
+    _reject_first(apex == 0, "left/right chains never met", vs)
+    return apex, li, ri
 
 
 def separator(frame: VertexFrame, ctx: LabelingContext) -> int:
@@ -505,28 +479,33 @@ def separator(frame: VertexFrame, ctx: LabelingContext) -> int:
     of the right iterate's right clique, that is the left iterate or
     adjacent to it.
     """
-    apex, li, ri = _walk_chains(frame, ctx)
-    v = frame.v
-    lv = frame.left_vertex
-    if apex == 1:
-        return ctx.pred(lv)
-    c = int(ctx.cycle.right[ri])
-    tail = int(ctx.vorder.tail[c])
-    if tail == -1:
-        raise ConstructionError("empty block at the right chain's last clique",
-                                vertex=v)
-    w = ctx.succ(tail)
-    for _ in range(ctx.fwd(w, lv) + 1):
-        if w == li or ctx.graph.adjacent(w, li):
-            break
-        w = ctx.succ(w)
-    else:
-        raise ConstructionError("separator scan exhausted the facing block",
-                                vertex=v)
-    if frame.lo < frame.hi and not frame.lo <= ctx.fwd(v, w) <= frame.hi:
-        raise ConstructionError("separator landed outside the facing block",
-                                vertex=v)
-    return ctx.pred(w)
+    return int(_separators(ctx, np.array([frame.v]))[0])
+
+
+def _separators(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
+    """The separators of ``vs``, each found by one search among the left
+    iterate's neighbors, which ``edges`` lists by position."""
+    n = ctx.n
+    apex, li, ri = _walk_chains(ctx, vs)
+    walked = apex > 1
+    tail = ctx.vorder.tail[ctx.cycle.right[ri]]
+    _reject_first(walked & (tail == -1),
+                  "empty block at the right chain's last clique", vs)
+    start = (ctx.pos[tail] + 1) % n
+    # li's first neighbor at or after ``start`` clockwise, else its first
+    # one; li has neighbors, as it is the left vertex of a vertex
+    base = li * n
+    first, at, end = (np.searchsorted(ctx.edges, base + x) for x in (0, start, n))
+    hit = ctx.edges[np.where(at < end, at, first)]
+    step = np.minimum((hit - base - start) % n, (ctx.pos[li] - start) % n)
+    lv = ctx.left_of[vs]
+    _reject_first(walked & (step > (ctx.pos[lv] - start) % n),
+                  "separator scan exhausted the facing block", vs)
+    w = (start + step) % n
+    to_w, lo, hi = (w - ctx.pos[vs]) % n, ctx.lo[vs], ctx.hi[vs]
+    _reject_first(walked & (lo < hi) & ((to_w < lo) | (to_w > hi)),
+                  "separator landed outside the facing block", vs)
+    return ctx.items[np.where(walked, w, ctx.pos[lv]) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +655,9 @@ def _join_runs(pos: np.ndarray, src, dst, offset, length):
     that holds its target first, with offsets turned into start positions.
     """
     n = len(pos)
-    idx = np.lexsort((offset, src))
+    # one key per sort: (source, offset), then (source, target, the run
+    # holding its target first); no key outlives its sort
+    idx = np.argsort(np.multiply(src, n, dtype=np.int64) + offset, kind="stable")
     src, dst, offset, length = src[idx], dst[idx], offset[idx], length[idx]
     end = offset + length
     new = np.ones(len(src), dtype=bool)
@@ -686,7 +667,8 @@ def _join_runs(pos: np.ndarray, src, dst, offset, length):
     src, dst, offset = src[new], dst[new], offset[new]
     target = (pos[dst] - pos[src]) % n
     holds = (offset <= target) & (target < offset + length)
-    idx = np.lexsort((~holds, dst, src))
+    idx = np.argsort((np.multiply(src, n, dtype=np.int64) + dst) * 2 + ~holds,
+                     kind="stable")
     src, dst, offset, length = src[idx], dst[idx], offset[idx], length[idx]
     return src, dst, (pos[src] + offset) % n, length
 
@@ -701,10 +683,7 @@ def build_scheme(model: ArcModel) -> RoutingScheme:
     cycle = build_clique_cycle(model, graph)
     vorder = build_vertex_order(cycle)
     ctx = LabelingContext(cycle, graph, vorder)
-    facing = [(v, *run) for v in np.flatnonzero(ctx.lo < ctx.hi).tolist()
-              for run in _plan_facing(compute_frame(ctx, v), ctx)]
-    facing = np.array(facing, dtype=np.int64).reshape(-1, 4).T
-    runs = (np.concatenate(cols) for cols in zip(ctx.side_runs, facing))
+    runs = (np.concatenate(cols) for cols in zip(ctx.side_runs, _plan_facings(ctx)))
     src, dst, start, length = _join_runs(ctx.pos, *runs)
     _check_scheme_shape(ctx, src, dst, start, length)
     return RoutingScheme(ctx.order, src, dst, start, length)
@@ -713,8 +692,6 @@ def build_scheme(model: ArcModel) -> RoutingScheme:
 def _check_scheme_shape(ctx: LabelingContext, src, dst, start, length) -> None:
     """Per-vertex strictness, exact tiling, and the two-interval shape."""
     n = ctx.n
-    if n == 1:
-        return
     rel = (start - ctx.pos[src]) % n
     if (rel < 1).any() or (rel + length > n).any():
         v = int(src[(rel < 1) | (rel + length > n)][0])

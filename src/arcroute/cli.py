@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .arc_model import intersection_graph, parse_model
 from .builder import RoutingScheme, build_scheme
 from .errors import (
@@ -20,6 +22,7 @@ from .errors import (
 )
 from .generator import gen_complete, gen_random, gen_ring, gen_wheel
 from .oracle import DEFAULT_VERTEX_LIMIT, has_shortest_path_1irs
+from .ring_order import CyclicOrder
 from .verifier import interval_stats, route, verify_scheme
 
 EXIT_OK = 0
@@ -99,12 +102,11 @@ def _cmd_oracle1(args) -> int:
                                     strict=args.strict)
     if result.exists_1irs:
         print("1-IRS exists", file=sys.stderr)
-        order = ", ".join(str(v) for v in result.witness_order)
-        entries = []
-        for (v, w) in sorted(result.witness_labels):
-            ivl = result.witness_labels[(v, w)]
-            entries.append(f'"{v}->{w}": [[{ivl.a}, {ivl.b}]]')
-        witness = f'{{"order": [{order}], "labels": {{{", ".join(entries)}}}}}'
+        order = CyclicOrder(result.witness_order)
+        rows = [(v, w, order.position(ivl.a), order.distance(ivl.a, ivl.b) + 1)
+                for (v, w), ivl in result.witness_labels.items()]
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        witness = RoutingScheme(order, *columns).to_json()
         print(witness)
         if args.witness_out:
             Path(args.witness_out).write_text(witness + "\n", encoding="utf-8")

@@ -18,6 +18,11 @@ import numpy as np
 from .errors import UnknownElementError
 
 
+def is_id(x: object) -> bool:
+    """An integer, Python or numpy, but not a bool (``True`` is not id 1)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class CyclicOrder:
     """Immutable cyclic arrangement of the dense ids ``0 .. n-1``.
 
@@ -28,16 +33,16 @@ class CyclicOrder:
     __slots__ = ("items", "_pos")
 
     def __init__(self, items: Sequence[int]):
-        items = tuple(int(x) for x in items)
+        items = tuple(items)
         n = len(items)
         if n == 0:
             raise ValueError("cyclic order needs at least one element")
         pos = [-1] * n
         for i, x in enumerate(items):
-            if not 0 <= x < n or pos[x] != -1:
+            if not is_id(x) or not 0 <= x < n or pos[x] != -1:
                 raise ValueError(f"items must be a permutation of 0..{n - 1}")
             pos[x] = i
-        self.items = items
+        self.items = tuple(map(int, items))
         self._pos = pos
 
     @property
@@ -48,8 +53,7 @@ class CyclicOrder:
         return len(self.items)
 
     def __contains__(self, x: object) -> bool:
-        return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-                and 0 <= x < len(self.items))
+        return is_id(x) and 0 <= x < len(self.items)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CyclicOrder) and self.items == other.items

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from arcroute import (
@@ -147,6 +148,20 @@ def test_from_edges_rejects_ids_outside_the_graph(edge):
     # escaped as numpy's IndexError
     with pytest.raises(ValueError, match="outside 0..2"):
         Graph.from_edges(3, [(0, 1), edge])
+
+
+@pytest.mark.parametrize("edge", [(True, 2), (0, False), (np.True_, 2), (0.0, 2),
+                                  (1.5, 2), (0, "1")])
+def test_from_edges_rejects_ids_that_are_not_integers(edge):
+    # a boolean id used to act as a numpy mask, so (True, 2) became the
+    # self-loop (2, 2); a float id escaped as numpy's IndexError
+    with pytest.raises(ValueError, match="not an integer"):
+        Graph.from_edges(3, [edge])
+
+
+def test_from_edges_accepts_numpy_integer_ids():
+    graph = Graph.from_edges(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
+    assert graph.edges() == [(0, 2), (1, 2)]
 
 
 def test_all_pairs_matches_bfs():

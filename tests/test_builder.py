@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from arcroute import (
+    Graph,
     RoutingScheme,
     all_pairs_distances,
     apex_number,
@@ -32,9 +33,9 @@ from arcroute.builder import (
     LabelingContext,
     VertexOrder,
     _check_scheme_shape,
-    _interval_proper_subset,
-    _plan_facing,
-    _split_facing,
+    _plan_facings,
+    _separators,
+    _walk_chains,
 )
 from arcroute.errors import ConstructionError, NotRealCircularArc
 from arcroute.ring_order import CyclicOrder, ring_sequence
@@ -48,6 +49,26 @@ from conftest import (
     perturbed_ring,
     src_env,
 )
+
+
+# -- positions in a context's vertex order -------------------------------------
+
+
+def fwd(ctx, a, b):
+    """Clockwise steps from vertex a to vertex b in the order."""
+    return int((ctx.pos[b] - ctx.pos[a]) % ctx.n)
+
+
+def vertex_at(ctx, position):
+    return int(ctx.items[position % ctx.n])
+
+
+def succ(ctx, v):
+    return vertex_at(ctx, ctx.pos[v] + 1)
+
+
+def pred(ctx, v):
+    return vertex_at(ctx, ctx.pos[v] - 1)
 
 
 # -- vertex order ------------------------------------------------------------
@@ -93,7 +114,7 @@ def test_block_tail_links_to_next_head():
         head, tail = ctx.vorder.head, ctx.vorder.tail
         nonempty = [c for c in range(ctx.cycle.k) if head[c] != -1]
         for a, b in zip(nonempty, nonempty[1:] + nonempty[:1]):
-            assert ctx.succ(int(tail[a])) == int(head[b])
+            assert succ(ctx, int(tail[a])) == int(head[b])
 
 
 def test_wheel_hub_sits_in_its_pinned_block():
@@ -103,7 +124,7 @@ def test_wheel_hub_sits_in_its_pinned_block():
     hub = 6
     assert int(ctx.vorder.tail[1]) == hub
     block_head = int(ctx.vorder.head[1])
-    assert ctx.fwd(block_head, hub) < ctx.n
+    assert fwd(ctx, block_head, hub) < ctx.n
 
 
 def dominating_placement_models():
@@ -129,7 +150,7 @@ def test_all_adjacent_vertices_close_the_block_of_clique_1():
                          if not ctx.dominating[v] and cycle.left[v] == c),
                         key=lambda v: (int(cycle.span_len[v]), v))
         head = int(ctx.vorder.head[c])
-        block = [ctx.vertex_at(ctx.pos[head] + i)
+        block = [vertex_at(ctx, ctx.pos[head] + i)
                  for i in range(len(others) + len(doms))]
         assert block == others + doms
         assert int(ctx.vorder.tail[c]) == doms[-1]
@@ -227,7 +248,7 @@ def test_left_vertex_bounds_all_candidates():
             lv = int(ctx.left_of[v])
             if lv == -1:
                 continue
-            span = ctx.fwd(lv, v)
+            span = fwd(ctx, lv, v)
             for u in graph.neighbors[v]:
                 u = int(u)
                 further_left = (
@@ -237,7 +258,7 @@ def test_left_vertex_bounds_all_candidates():
                     and not ctx.counter[v, u]
                 )
                 if further_left:
-                    assert ctx.fwd(lv, u) <= span
+                    assert fwd(ctx, lv, u) <= span
 
 
 @pytest.mark.parametrize("model,swap,head,message,vertex", [
@@ -301,10 +322,10 @@ def ref_left_vertex(ctx, v):
     for u in ctx.graph.neighbors[v].tolist():
         if ((lc - cycle.left[u]) % k < cycle.span_len[u] and cycle.left[u] != lc
                 and not ctx.dominating[u] and not ctx.counter[v, u]
-                and ctx.fwd(u, v) > best_dist):
-            best, best_dist = u, ctx.fwd(u, v)
+                and fwd(ctx, u, v) > best_dist):
+            best, best_dist = u, fwd(ctx, u, v)
     h = int(ctx.vorder.head[lc])
-    if h != v and ctx.fwd(h, v) > best_dist:
+    if h != v and fwd(ctx, h, v) > best_dist:
         best = h
     return best
 
@@ -327,7 +348,7 @@ def ref_right_vertex(ctx, v):
     m = ref_middle_vertex(ctx, v)
     if m != v and m in best_set:
         return m
-    return min(best_set, key=lambda u: ctx.fwd(v, u))
+    return min(best_set, key=lambda u: fwd(ctx, v, u))
 
 
 def ref_plan_right(frame, ctx):
@@ -345,12 +366,186 @@ def ref_plan_left(frame, ctx):
         raise ConstructionError("left block must start at the left vertex",
                                 vertex=v)
     offsets = (frame.hi + np.flatnonzero(adjacent)).tolist()
-    return [(ctx.vertex_at(ctx.pos[v] + a), a, b - a)
+    return [(vertex_at(ctx, ctx.pos[v] + a), a, b - a)
             for a, b in zip(offsets, offsets[1:] + [ctx.n])]
 
 
+# The facing blocks are planned for all vertices at once; these are the
+# per-vertex planners, chain walk and separator scan that bulk pass replaced.
+# A plan is a list of (target, offset, length) runs of one vertex.
+
+
+def ref_right_vertex_of(ctx, v):
+    if ctx.right_of[v] == -1:
+        raise ConstructionError("no neighbor shares the right clique", vertex=v)
+    return int(ctx.right_of[v])
+
+
+def ref_faces(frame, ctx, w):
+    return frame.lo <= fwd(ctx, frame.v, w) < frame.hi
+
+
+def ref_plan_facing(frame, ctx):
+    if frame.lo == frame.hi:
+        return []
+    members = ctx.run(frame.v, frame.lo, frame.hi)
+    if ctx.dominating[members].any():
+        return ref_facing_via_dominating_members(frame, ctx)
+    if ctx.has_counter[frame.v] or ctx.any_dominating:
+        return ref_facing_via_shared_neighbor(frame, ctx, members)
+    if ctx.any_counter_pair:
+        return ref_facing_near_counter_pair(frame, ctx, members)
+    return ref_facing_via_separator(frame, ctx)
+
+
+def ref_facing_via_dominating_members(frame, ctx):
+    v = frame.v
+    d_head, d_tail = ctx.dominating_run()
+    if not (ref_faces(frame, ctx, d_head) and ref_faces(frame, ctx, d_tail)):
+        raise ConstructionError(
+            "dominating run straddles the facing block boundary", vertex=v
+        )
+    first, last = fwd(ctx, v, d_head), fwd(ctx, v, d_tail)
+    bounds = [frame.lo, *range(first + 1, last + 1), frame.hi]
+    doms = ctx.run(v, first, last + 1).tolist()
+    return [(d, a, b - a) for d, a, b in zip(doms, bounds, bounds[1:])]
+
+
+def ref_facing_via_shared_neighbor(frame, ctx, members):
+    v, m = frame.v, frame.middle_vertex
+    carriers = ctx.dominating | ctx.counter[v]
+    if not carriers.any():
+        raise ConstructionError("no carrier for the facing block", vertex=v)
+    u = m if carriers[m] else int(np.argmax(carriers))
+    if ref_faces(frame, ctx, u):
+        raise ConstructionError("carrier lies inside the facing block", vertex=v)
+    if not ctx.graph.adj[u][members].all():
+        raise ConstructionError("carrier misses part of the facing block",
+                                vertex=v)
+    return [(u, frame.lo, frame.hi - frame.lo)]
+
+
+def ref_facing_near_counter_pair(frame, ctx, members):
+    v = frame.v
+    w0, c0 = sorted(np.argwhere(ctx.counter)[0].tolist())
+    adj = ctx.graph.adj
+    a0, a1 = bool(adj[v, w0]), bool(adj[v, c0])
+    if not (a0 or a1):
+        raise ConstructionError(
+            "vertex sees neither member of the counter pair", vertex=v
+        )
+    length = frame.hi - frame.lo
+    if a0 and a1:
+        for u in (w0, c0):
+            if adj[u][members].all():
+                return [(u, frame.lo, length)]
+        raise ConstructionError(
+            "neither counter member covers the facing block", vertex=v
+        )
+    r = ref_right_vertex_of(ctx, v)
+    reach = (fwd(ctx, v, int(ctx.middle_of[r])) - frame.lo) % ctx.n + 1
+    count = min(reach, length)
+    if count < length and frame.left_vertex is None:
+        raise ConstructionError("left vertex missing near a counter pair",
+                                vertex=v)
+    return ref_split_facing(frame, r, count)
+
+
+def ref_facing_via_separator(frame, ctx):
+    v, lv, head = frame.v, frame.left_vertex, ctx.cut_head
+    r = ref_right_vertex_of(ctx, v)
+    if not ctx.has_cut:
+        s = ref_separator(frame, ctx)
+        count = fwd(ctx, v, s) - frame.lo + 1 if ref_faces(frame, ctx, s) else 0
+    elif lv is None:
+        if head != v:
+            raise ConstructionError(
+                "vertex without a left vertex is not the cut head", vertex=v)
+        count = frame.hi - frame.lo
+    elif head != lv and not ref_faces(frame, ctx, head):
+        raise ConstructionError(
+            "cut head is neither in the facing block nor the left vertex", vertex=v)
+    elif ctx.cycle.left[r] == ctx.cycle.left[lv]:
+        count = frame.hi - frame.lo
+    else:
+        count = fwd(ctx, v, head) - frame.lo
+    return ref_split_facing(frame, r, count)
+
+
+def ref_split_facing(frame, r, count):
+    lo, hi = frame.lo, frame.hi
+    plan = [(r, lo, count), (frame.left_vertex, lo + count, hi - lo - count)]
+    return [run for run in plan if run[2] > 0]
+
+
+def ref_walk_chains(frame, ctx):
+    """Apex number of v, with the left and right iterates one step before
+    the chains meet (the first ones when the apex number is 1)."""
+    if ctx.any_dominating or ctx.any_counter_pair:
+        raise ConstructionError("apex undefined with dominating or counter vertices")
+    v = frame.v
+    li = int(ctx.left_of[v])
+    if li == -1:
+        raise ConstructionError("left vertex missing", vertex=v)
+    ri = ref_right_vertex_of(ctx, v)
+    cycle = ctx.cycle
+    k = cycle.k
+    lc_l1 = int(cycle.left[li])
+    rc_r1 = int(cycle.right[ri])
+    if lc_l1 == rc_r1 or ref_interval_proper_subset(
+        k, int(cycle.left[v]), int(cycle.span_len[v]),
+        rc_r1, (lc_l1 - rc_r1) % k + 1,
+    ):
+        return 1, li, ri
+    for i in range(2, ctx.n + 2):
+        nl = int(ctx.left_of[li])
+        if nl == -1:
+            raise ConstructionError("left chain broke", vertex=v)
+        nr = ref_right_vertex_of(ctx, ri)
+        if nl == nr or ctx.graph.adjacent(nl, nr):
+            return i, li, ri
+        li, ri = nl, nr
+    raise ConstructionError("left/right chains never met", vertex=v)
+
+
+def ref_interval_proper_subset(k, a, alen, b, blen):
+    """Is the clique interval (a, alen) strictly inside (b, blen)?"""
+    if alen >= blen:
+        return False
+    if blen >= k:
+        return True
+    return (a - b) % k + alen <= blen
+
+
+def ref_separator(frame, ctx):
+    """Scan the order from after the right iterate's last block for the
+    first vertex that is the left iterate or adjacent to it."""
+    apex, li, ri = ref_walk_chains(frame, ctx)
+    v = frame.v
+    lv = frame.left_vertex
+    if apex == 1:
+        return pred(ctx, lv)
+    c = int(ctx.cycle.right[ri])
+    tail = int(ctx.vorder.tail[c])
+    if tail == -1:
+        raise ConstructionError("empty block at the right chain's last clique",
+                                vertex=v)
+    w = succ(ctx, tail)
+    for _ in range(fwd(ctx, w, lv) + 1):
+        if w == li or ctx.graph.adjacent(w, li):
+            break
+        w = succ(ctx, w)
+    else:
+        raise ConstructionError("separator scan exhausted the facing block",
+                                vertex=v)
+    if frame.lo < frame.hi and not frame.lo <= fwd(ctx, v, w) <= frame.hi:
+        raise ConstructionError("separator landed outside the facing block",
+                                vertex=v)
+    return pred(ctx, w)
+
+
 def facing_case(frame, ctx):
-    """Which case of ``_plan_facing`` a nonempty facing block takes."""
+    """Which case of ``ref_plan_facing`` a nonempty facing block takes."""
     if ctx.dominating[ctx.run(frame.v, frame.lo, frame.hi)].any():
         return "dominating members"
     if ctx.has_counter[frame.v] or ctx.any_dominating:
@@ -393,14 +588,14 @@ def test_frame_arrays_and_side_runs_match_the_per_vertex_references():
             if ctx.dominating[v]:
                 assert (ctx.middle_of[v], ctx.left_of[v]) == (-1, -1)
                 assert (ctx.lo[v], ctx.hi[v]) == (n, n)
-                assert runs == [(ctx.vertex_at(ctx.pos[v] + a), a, 1)
+                assert runs == [(vertex_at(ctx, ctx.pos[v] + a), a, 1)
                                 for a in range(1, n)]
                 continue
             m, lv = ref_middle_vertex(ctx, v), ref_left_vertex(ctx, v)
             frame = compute_frame(ctx, v)
             assert (frame.middle_vertex, frame.left_vertex) == (m, lv), (model, v)
-            assert frame.lo == ctx.fwd(v, m) + 1, (model, v)
-            assert frame.hi == (n if lv is None else ctx.fwd(v, lv)), (model, v)
+            assert frame.lo == fwd(ctx, v, m) + 1, (model, v)
+            assert frame.hi == (n if lv is None else fwd(ctx, v, lv)), (model, v)
             assert runs == ref_plan_right(frame, ctx) + ref_plan_left(frame, ctx)
             if not ctx.any_dominating:
                 assert ctx.right_of[v] == ref_right_vertex(ctx, v), (model, v)
@@ -409,6 +604,55 @@ def test_frame_arrays_and_side_runs_match_the_per_vertex_references():
     assert min(cases[case] for case in ("dominating members", "shared neighbor",
                                         "near counter pair", "cut",
                                         "separator")) >= 20, cases
+
+
+def facing_rows(runs, v):
+    """The (target, offset, length) rows of v among the (source, target,
+    offset, length) columns ``runs``, by offset."""
+    src, dst, offset, length = runs
+    mine = src == v
+    return sorted(zip(dst[mine].tolist(), offset[mine].tolist(),
+                      length[mine].tolist()), key=lambda row: row[1])
+
+
+def test_bulk_facing_plans_match_the_per_vertex_planners():
+    cases = Counter()
+    walked = 0
+    for model in frame_corpus():
+        ctx = context_for(model)
+        plans, errors = {}, set()
+        for v in np.flatnonzero(ctx.lo < ctx.hi).tolist():
+            frame = compute_frame(ctx, v)
+            cases[facing_case(frame, ctx)] += 1
+            try:
+                plans[v] = ref_plan_facing(frame, ctx)
+            except ConstructionError as exc:
+                errors.add(str(exc))
+        if errors:
+            with pytest.raises(ConstructionError) as info:
+                _plan_facings(ctx)
+            assert str(info.value) in errors, model
+            continue
+        runs = _plan_facings(ctx)
+        assert len(runs[0]) == sum(map(len, plans.values())), model
+        for v, plan in plans.items():
+            assert facing_rows(runs, v) == sorted(plan, key=lambda row: row[1]), (
+                model, v)
+        if ctx.any_dominating or ctx.any_counter_pair or ctx.has_cut:
+            continue
+        # all chains walked together, against one walk per vertex
+        vs = np.flatnonzero((ctx.lo < ctx.hi) & (ctx.left_of != -1))
+        frames = [compute_frame(ctx, v) for v in vs.tolist()]
+        apex, li, ri = _walk_chains(ctx, vs)
+        assert list(zip(apex.tolist(), li.tolist(), ri.tolist())) == [
+            ref_walk_chains(frame, ctx) for frame in frames], model
+        assert _separators(ctx, vs).tolist() == [
+            ref_separator(frame, ctx) for frame in frames], model
+        walked += len(vs)
+    assert min(cases[case] for case in ("dominating members", "shared neighbor",
+                                        "near counter pair", "cut",
+                                        "separator")) >= 20, cases
+    assert walked >= 1000, walked
 
 
 # -- labeling operations -------------------------------------------------------
@@ -554,7 +798,7 @@ def test_separator_split_matches_first_vertices():
             s = separator(frame, ctx)
             for w in ctx.run(v, frame.lo, frame.hi):
                 w = int(w)
-                goes_right = ctx.fwd(v, w) <= ctx.fwd(v, s)
+                goes_right = fwd(ctx, v, w) <= fwd(ctx, v, s)
                 carrier = r if goes_right else frame.left_vertex
                 assert carrier in first_vertices(graph, v, w), (v, w)
 
@@ -565,7 +809,7 @@ def two_walk_apex(ctx, v):
     cycle = ctx.cycle
     k = cycle.k
     lc_l1, rc_r1 = int(cycle.left[l1]), int(cycle.right[r1])
-    if lc_l1 == rc_r1 or _interval_proper_subset(
+    if lc_l1 == rc_r1 or ref_interval_proper_subset(
         k, int(cycle.left[v]), int(cycle.span_len[v]),
         rc_r1, (lc_l1 - rc_r1) % k + 1,
     ):
@@ -585,15 +829,15 @@ def two_walk_separator(ctx, v):
     apex = two_walk_apex(ctx, v)
     lv = int(ctx.left_of[v])
     if apex == 1:
-        return ctx.pred(lv)
+        return pred(ctx, lv)
     li, ri = lv, int(ctx.right_of[v])
     for _ in range(apex - 2):
         li = int(ctx.left_of[li])
         ri = int(ctx.right_of[ri])
-    w = ctx.succ(int(ctx.vorder.tail[int(ctx.cycle.right[ri])]))
+    w = succ(ctx, int(ctx.vorder.tail[int(ctx.cycle.right[ri])]))
     while not (w == li or ctx.graph.adjacent(w, li)):
-        w = ctx.succ(w)
-    return ctx.pred(w)
+        w = succ(ctx, w)
+    return pred(ctx, w)
 
 
 def separator_case_models():
@@ -631,8 +875,7 @@ def test_face_to_face_c4_compresses_to_one_interval():
     # the facing vertex 2 rides on the right-block arc (0, 1), and the two
     # runs join into the single interval [1, 2]
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx, 0)
-    assert _plan_facing(frame, ctx) == [(1, 2, 1)]
+    assert facing_rows(_plan_facings(ctx), 0) == [(1, 2, 1)]
     assert labels_of(build_scheme(load(C4_MODEL)))[(0, 1)] == [[1, 2]]
 
 
@@ -640,7 +883,117 @@ def test_face_to_face_noop_when_block_empty():
     ctx = context_for(gen_random(5, 22))
     frame = compute_frame(ctx, 0)
     assert frame.lo == frame.hi
-    assert _plan_facing(frame, ctx) == []
+    assert facing_rows(_plan_facings(ctx), 0) == []
+
+
+# -- planner checks --------------------------------------------------------------
+# Each check of the facing-block planner, the chain walk and the separator,
+# reached on a context whose arrays are doctored after the frames were
+# computed.  gen_random(5, 0) has order 1 2 4 0 3 with the dominating 0 and
+# 3 last, inside the facing blocks of 1 and 2.  gen_random(8, 118) has the
+# one counter pair (1, 6) and no dominating vertex; vertex 2 sees both
+# members and has facing block 3 4 5, vertex 7 sees 6 only and splits its
+# block.  C12 has order 0 .. 11; vertex 0 has facing block 2 .. 10, its
+# chains meet at depth 6 with iterates 7 and 5, and its separator is 6.
+
+
+def drop_edges(ctx, *pairs):
+    adj = ctx.graph.adj.copy()
+    for u, w in pairs:
+        adj[u, w] = adj[w, u] = False
+    ctx.graph = Graph(ctx.n, adj)
+
+
+def set_row(ctx, name, index, value):
+    array = getattr(ctx, name).copy()
+    array[index] = value
+    setattr(ctx, name, array)
+
+
+def plan(ctx):
+    return _plan_facings(ctx)
+
+
+def of_vertex_0(reader):
+    return lambda ctx: reader(compute_frame(ctx, 0), ctx)
+
+
+PLANNER_CHECKS = [
+    ("straddle", lambda: gen_random(5, 0), lambda ctx: set_row(ctx, "hi", 1, 4),
+     plan, "dominating run straddles the facing block boundary", 1),
+    ("not_consecutive", lambda: gen_random(5, 0),
+     lambda ctx: set_row(ctx, "dominating", 4, True),
+     plan, "dominating vertices are not consecutive in the order", None),
+    ("no_dominating", lambda: load(C4_MODEL), None,
+     lambda ctx: ctx.dominating_run(), "no dominating vertices to locate", None),
+    ("no_carrier", lambda: gen_random(8, 118),
+     lambda ctx: set_row(ctx, "has_counter", 2, True),
+     plan, "no carrier for the facing block", 2),
+    ("carrier_inside", lambda: gen_random(8, 118),
+     lambda ctx: (set_row(ctx, "counter", (1, 7), True),
+                  set_row(ctx, "middle_of", 1, 7)),
+     plan, "carrier lies inside the facing block", 1),
+    ("carrier_misses", lambda: gen_random(8, 118), lambda ctx: drop_edges(ctx, (6, 7)),
+     plan, "carrier misses part of the facing block", 1),
+    ("sees_neither", lambda: gen_random(8, 118),
+     lambda ctx: drop_edges(ctx, (2, 1), (2, 6)),
+     plan, "vertex sees neither member of the counter pair", 2),
+    ("neither_covers", lambda: gen_random(8, 118),
+     lambda ctx: drop_edges(ctx, (1, 4), (6, 4)),
+     plan, "neither counter member covers the facing block", 2),
+    ("left_missing_near_pair", lambda: gen_random(8, 118),
+     lambda ctx: set_row(ctx, "left_of", 7, -1),
+     plan, "left vertex missing near a counter pair", 7),
+    ("no_right_vertex", lambda: gen_ring(12),
+     lambda ctx: set_row(ctx, "right_of", 3, -1), plan, "no neighbor shares the right clique", 3),
+    ("no_right_vertex_in_chain", lambda: gen_ring(12),
+     lambda ctx: set_row(ctx, "right_of", 2, -1),
+     of_vertex_0(apex_number), "no neighbor shares the right clique", 2),
+    # the chains of 5 and 11 start at 6 and 0; both lack a right vertex at
+    # depth 2, and the lower chain member is named
+    ("no_right_vertex_in_two_chains", lambda: gen_ring(12),
+     lambda ctx: (set_row(ctx, "right_of", 6, -1), set_row(ctx, "right_of", 0, -1)),
+     lambda ctx: _walk_chains(ctx, np.array([5, 11])),
+     "no neighbor shares the right clique", 0),
+    ("right_with_dominating", lambda: gen_wheel(5), None, of_vertex_0(right_vertex),
+     "right vertex undefined with dominating vertices", None),
+    ("right_of_counter_vertex", lambda: gen_ring(12),
+     lambda ctx: set_row(ctx, "has_counter", 2, True),
+     plan, "right vertex undefined for counter vertices", 2),
+    ("apex_with_dominating", lambda: gen_wheel(5), None,
+     of_vertex_0(apex_number), "apex undefined with dominating or counter vertices",
+     None),
+    ("left_missing", lambda: gen_ring(12), lambda ctx: set_row(ctx, "left_of", 4, -1),
+     plan, "left vertex missing", 4),
+    ("chain_broke", lambda: gen_ring(12), lambda ctx: set_row(ctx, "left_of", 11, -1),
+     of_vertex_0(apex_number), "left chain broke", 0),
+    ("never_met", lambda: gen_ring(12),
+     lambda ctx: (set_row(ctx, "left_of", 11, 11), set_row(ctx, "right_of", 1, 1)),
+     of_vertex_0(apex_number), "left/right chains never met", 0),
+    ("empty_tail", lambda: gen_ring(12), lambda ctx: ctx.vorder.tail.__setitem__(6, -1),
+     of_vertex_0(separator), "empty block at the right chain's last clique", 0),
+    ("scan_exhausted", lambda: gen_ring(12),
+     lambda ctx: ctx.vorder.tail.__setitem__(6, 8),
+     of_vertex_0(separator), "separator scan exhausted the facing block", 0),
+    ("landed_outside", lambda: gen_ring(12), lambda ctx: set_row(ctx, "lo", 0, 8),
+     of_vertex_0(separator), "separator landed outside the facing block", 0),
+]
+
+
+@pytest.mark.parametrize("make,doctor,call,message,vertex",
+                         [c[1:] for c in PLANNER_CHECKS],
+                         ids=[c[0] for c in PLANNER_CHECKS])
+def test_planner_checks_name_the_offending_vertex(make, doctor, call, message,
+                                                  vertex):
+    ctx = context_for(make())
+    if doctor is not None:  # else the reader rejects the context as it is
+        call(ctx)  # the undoctored context passes every check
+        doctor(ctx)
+    with pytest.raises(ConstructionError, match=message) as info:
+        call(ctx)
+    assert info.value.vertex == vertex
+    assert str(info.value).startswith(f"vertex {vertex}: " if vertex is not None
+                                      else message)
 
 
 # -- full schemes ---------------------------------------------------------------
@@ -800,7 +1153,7 @@ def distance_split(frame, ctx, dist):
     vertex.  Returns r and the prefix length."""
     v = frame.v
     members = ctx.run(v, frame.lo, frame.hi)
-    r = ctx.right_vertex_of(v)
+    r = right_vertex(frame, ctx)
     right_ok = dist[r][members] == dist[v][members] - 1
     prefix = int(np.argmin(right_ok)) if not right_ok.all() else len(members)
     rest = members[prefix:]
@@ -823,12 +1176,13 @@ def test_cut_split_equals_the_distance_split():
             assert not ctx.any_counter_pair, (n, seed)
             models += 1
             dist = all_pairs_distances(ctx.graph)
+            runs = _plan_facings(ctx)
             for v in range(n):
                 frame = compute_frame(ctx, v)
                 if frame.lo == frame.hi:
                     continue
                 r, prefix = distance_split(frame, ctx, dist)
-                assert _plan_facing(frame, ctx) == _split_facing(
+                assert facing_rows(runs, v) == ref_split_facing(
                     frame, r, prefix), (n, seed, v)
                 lv = frame.left_vertex
                 if lv is None:
@@ -860,12 +1214,15 @@ def test_cut_split_rejects_a_misplaced_cut_head():
     # no left vertex, vertex 1 has left vertex 3 and facing block 2 0
     ctx = context_for(gen_random(6, 546))
     assert ctx.cut_head == 0
-    frames = [compute_frame(ctx, v) for v in (0, 1)]
     ctx.cut_head = 5
-    with pytest.raises(ConstructionError, match="is not the cut head"):
-        _plan_facing(frames[0], ctx)
-    with pytest.raises(ConstructionError, match="neither in the facing block"):
-        _plan_facing(frames[1], ctx)
+    with pytest.raises(ConstructionError, match="is not the cut head") as info:
+        _plan_facings(ctx)
+    assert info.value.vertex == 0
+    # with vertex 0's facing block emptied, vertex 1 fails first
+    ctx.lo[0] = ctx.hi[0]
+    with pytest.raises(ConstructionError, match="neither in the facing block") as info:
+        _plan_facings(ctx)
+    assert info.value.vertex == 1
 
 
 # -- distance checks -----------------------------------------------------------

@@ -15,6 +15,21 @@ orders = st.integers(min_value=1, max_value=9).flatmap(
 ).map(CyclicOrder)
 
 
+@pytest.mark.parametrize("items", [[1.9, 0], [True, 0], [0, False], [0.0, 1],
+                                   [np.float64(1), 0], ["1", 0], [np.True_, 0]])
+def test_order_rejects_items_that_are_not_integers(items):
+    # int() used to truncate 1.9 and read True as 1, so both loaded as (1, 0)
+    with pytest.raises(ValueError, match="permutation of 0..1"):
+        CyclicOrder(items)
+
+
+def test_order_accepts_numpy_integers_and_keeps_python_ints():
+    order = CyclicOrder(np.array([2, 0, 1]))
+    assert order.items == (2, 0, 1)
+    assert {type(x) for x in order.items} == {int}
+    assert order.position(np.int32(0)) == 1
+
+
 def test_successor_single_element_is_fixed_point():
     order = CyclicOrder([0])
     assert order.successor(0) == 0
