@@ -21,7 +21,8 @@ Each block is a run of offsets clockwise after the vertex, and each label
 assignment a run (source, target, offset, length).  One pass over the
 directed edges gives the frames of all vertices and the runs of every right
 and left block, one bulk pass plans every facing block, walking the chains
-of all vertices together, and one more joins all runs.
+of all vertices together, and one more joins all runs and checks the
+scheme's shape.
 """
 
 from __future__ import annotations
@@ -370,7 +371,9 @@ def _counter_split(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ..
     its block to the first one adjacent to all of it; seeing one, its right
     vertex carries the part of the block inside the right vertex's right
     block."""
-    w0, c0 = sorted(np.argwhere(ctx.counter)[0].tolist())
+    # the lowest counter vertex and its lowest partner, which lies above it
+    w0 = int(np.argmax(ctx.has_counter))
+    c0 = int(np.argmax(ctx.counter[w0]))
     a0, a1 = ctx.graph.adj[vs, w0], ctx.graph.adj[vs, c0]
     _reject_first(~(a0 | a1), "vertex sees neither member of the counter pair", vs)
     both = a0 & a1
@@ -646,13 +649,20 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _join_runs(pos: np.ndarray, src, dst, offset, length):
-    """Join runs into the scheme's interval rows, in one bulk pass.
+    """Join runs into the scheme's interval rows in one bulk pass, checking
+    the scheme's shape.
 
     Run ``i`` assigns the ``length[i]`` vertices from ``offset[i]`` steps
     clockwise after ``src[i]`` on to arc ``(src[i], dst[i])``; ``pos`` maps
     a vertex to its order position.  Taken by source and offset, runs of
     one arc that abut become one.  The rows come out sorted by arc, the run
     that holds its target first, with offsets turned into start positions.
+
+    ConstructionError names the lowest vertex with a joined row that starts
+    at it or runs past it, with rows that cover other than n - 1 vertices,
+    with rows that overlap or leave a hole when taken by offset, with an arc
+    that carries more than two intervals, or with two arcs that carry two.
+    Joining merges only abutting runs of one arc, so it changes no verdict.
     """
     n = len(pos)
     # one key per sort: (source, offset), then (source, target, the run
@@ -663,18 +673,40 @@ def _join_runs(pos: np.ndarray, src, dst, offset, length):
     new = np.ones(len(src), dtype=bool)
     new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (offset[1:] != end[:-1])
     # a joined run ends where its last row ends, the row before the next new one
-    length = end[np.roll(new, -1)] - offset[new]
+    end = end[np.roll(new, -1)]
     src, dst, offset = src[new], dst[new], offset[new]
+    _reject_first((offset < 1) | (offset >= n) | (end > n),
+                  "interval covers its own source", src)
+    length = end - offset
+    totals = np.bincount(src, weights=length, minlength=n).astype(np.int64)
+    if (totals != n - 1).any():
+        v = int(np.argmax(totals != n - 1))
+        raise ConstructionError(
+            f"intervals cover {int(totals[v])} of {n - 1} destinations", vertex=v
+        )
+    # with every total exact, a source's rows tile its offsets 1 .. n - 1
+    # iff each starts where the one before it ends, the first at 1
+    expected = np.where(np.diff(src, prepend=-1) != 0, 1, np.roll(end, 1))
+    _reject_first(offset != expected, "intervals overlap or leave a hole", src)
     target = (pos[dst] - pos[src]) % n
-    holds = (offset <= target) & (target < offset + length)
+    holds = (offset <= target) & (target < end)
     idx = np.argsort((np.multiply(src, n, dtype=np.int64) + dst) * 2 + ~holds,
                      kind="stable")
     src, dst, offset, length = src[idx], dst[idx], offset[idx], length[idx]
+    arc = np.flatnonzero(np.diff(np.multiply(src, n, dtype=np.int64) + dst, prepend=-1))
+    per_arc = np.diff(arc, append=len(src))
+    _reject_first(per_arc > 2, "an arc carries more than two intervals", src[arc])
+    _reject_first(np.bincount(src[arc[per_arc == 2]], minlength=n) > 1,
+                  "more than one outgoing arc carries two intervals")
     return src, dst, (pos[src] + offset) % n, length
 
 
 def build_scheme(model: ArcModel) -> RoutingScheme:
     """Full pipeline from arc model to checked routing scheme.
+
+    Joining the runs checks the scheme's shape: no interval holds its
+    source, each source's intervals tile the other n - 1 vertices, and no
+    arc carries more than two, nor more than one arc per source two.
 
     Raises NotRealCircularArc (from ``build_clique_cycle``) when the arcs
     leave part of the circle uncovered.
@@ -684,41 +716,4 @@ def build_scheme(model: ArcModel) -> RoutingScheme:
     vorder = build_vertex_order(cycle)
     ctx = LabelingContext(cycle, graph, vorder)
     runs = (np.concatenate(cols) for cols in zip(ctx.side_runs, _plan_facings(ctx)))
-    src, dst, start, length = _join_runs(ctx.pos, *runs)
-    _check_scheme_shape(ctx, src, dst, start, length)
-    return RoutingScheme(ctx.order, src, dst, start, length)
-
-
-def _check_scheme_shape(ctx: LabelingContext, src, dst, start, length) -> None:
-    """Per-vertex strictness, exact tiling, and the two-interval shape."""
-    n = ctx.n
-    rel = (start - ctx.pos[src]) % n
-    if (rel < 1).any() or (rel + length > n).any():
-        v = int(src[(rel < 1) | (rel + length > n)][0])
-        raise ConstructionError("interval covers its own source", vertex=v)
-    totals = np.bincount(src, weights=length, minlength=n).astype(np.int64)
-    if (totals != n - 1).any():
-        v = int(np.flatnonzero(totals != n - 1)[0])
-        raise ConstructionError(
-            f"intervals cover {int(totals[v])} of {n - 1} destinations", vertex=v
-        )
-    # with per-vertex totals exact, the runs of a source tile its offsets
-    # 1 .. n - 1 iff, taken by offset, each starts where the previous ends
-    idx = np.lexsort((rel, src))
-    by_src, by_rel = src[idx], rel[idx]
-    expected = np.ones_like(by_rel)
-    expected[1:] = by_rel[:-1] + length[idx[:-1]]
-    expected[1:][by_src[1:] != by_src[:-1]] = 1
-    if (by_rel != expected).any():
-        v = int(by_src[by_rel != expected][0])
-        raise ConstructionError("intervals overlap or leave a hole", vertex=v)
-    arcs, per_arc = np.unique(src * n + dst, return_counts=True)
-    if (per_arc > 2).any():
-        v = int(arcs[per_arc > 2][0] // n)
-        raise ConstructionError("an arc carries more than two intervals",
-                                vertex=v)
-    doubles = np.bincount(arcs[per_arc == 2] // n, minlength=n)
-    if (doubles > 1).any():
-        v = int(np.flatnonzero(doubles > 1)[0])
-        raise ConstructionError("more than one outgoing arc carries two intervals",
-                                vertex=v)
+    return RoutingScheme(ctx.order, *_join_runs(ctx.pos, *runs))

@@ -193,7 +193,7 @@ def test_criterion_6_build_time_scaling():
         for n in sizes:
             model = make(n, 1)
             best = float("inf")
-            for _ in range(2 if n <= 500 else 1):
+            for _ in range(3):
                 started = time.perf_counter()
                 build_scheme(model)
                 best = min(best, time.perf_counter() - started)

@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from arcroute import (
 from arcroute.builder import (
     LabelingContext,
     VertexOrder,
-    _check_scheme_shape,
+    _join_runs,
     _plan_facings,
     _separators,
     _walk_chains,
@@ -1047,38 +1046,40 @@ def test_scheme_json_round_trip():
     assert again.to_json() == scheme.to_json()
 
 
-def singleton_arrays(n):
-    """Every vertex of an identity order sends each destination its own arc."""
-    src, dst = zip(*[(v, w) for v in range(n) for w in range(n) if v != w])
-    return list(src), list(dst), list(dst), [1] * len(src)
+def singleton_runs(n):
+    """Every vertex of an identity order sends each destination over its
+    own arc, as (source, target, offset, length) runs."""
+    return [(v, w, (w - v) % n, 1) for v in range(n) for w in range(n) if v != w]
 
 
-def with_runs(arrays, v, runs):
-    """Replace the (target, start, length) runs of vertex v."""
-    rows = [row for row in zip(*arrays) if row[0] != v]
-    rows += [(v, w, s, ln) for w, s, ln in runs]
-    return [list(col) for col in zip(*rows)]
+def join_runs(rows, n):
+    """``_join_runs`` over an identity order on n vertices."""
+    return _join_runs(np.arange(n), *(np.array(col, dtype=np.int64)
+                                      for col in zip(*rows)))
 
 
 @pytest.mark.parametrize("runs,message", [
-    # vertex 2 of an identity order on 5 vertices sees destinations 3, 4,
-    # 0, 1 at offsets 1 .. 4; runs are (target, start position, length)
-    ([(3, 3, 2), (4, 4, 2)], "intervals overlap or leave a hole"),
-    ([(3, 3, 1), (0, 0, 2)], "intervals cover 3 of 4 destinations"),
-    ([(3, 3, 2), (1, 0, 3)], "interval covers its own source"),
-    ([(3, 3, 1), (3, 4, 1), (3, 0, 1), (1, 1, 1)],
+    # vertex 2 of an identity order on 7 vertices sees destinations 3 .. 6,
+    # 0, 1 at offsets 1 .. 6; runs are (target, offset, length), and the
+    # runs of one arc do not abut, so the join keeps them apart
+    ([(3, 1, 3), (4, 3, 3)], "intervals overlap or leave a hole"),
+    ([(3, 1, 1), (0, 4, 2)], "intervals cover 3 of 6 destinations"),
+    ([(3, 1, 2), (1, 3, 5)], "interval covers its own source"),
+    ([(3, 1, 1), (4, 2, 1), (3, 3, 1), (5, 4, 1), (3, 5, 1), (6, 6, 1)],
      "an arc carries more than two intervals"),
-    ([(3, 3, 1), (4, 4, 1), (3, 0, 1), (4, 1, 1)],
+    ([(3, 1, 1), (4, 2, 1), (3, 3, 1), (4, 4, 1), (5, 5, 2)],
      "more than one outgoing arc carries two intervals"),
+    # a vertex without any run, which a check over the sources that have
+    # rows would miss
+    ([], "intervals cover 0 of 6 destinations"),
 ])
 def test_shape_check_rejects_broken_arrays(runs, message):
-    n = 5
-    ctx = SimpleNamespace(n=n, pos=np.arange(n))
-    good = [np.array(col) for col in singleton_arrays(n)]
-    _check_scheme_shape(ctx, *good)
-    broken = [np.array(col) for col in with_runs(singleton_arrays(n), 2, runs)]
+    n = 7
+    good = singleton_runs(n)
+    assert [len(col) for col in join_runs(good, n)] == [len(good)] * 4
+    broken = [row for row in good if row[0] != 2] + [(2, *run) for run in runs]
     with pytest.raises(ConstructionError, match=message) as info:
-        _check_scheme_shape(ctx, *broken)
+        join_runs(broken, n)
     assert info.value.vertex == 2
 
 

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from arcroute import CyclicOrder, ring_sequence
 from arcroute.builder import _join_runs
-from arcroute.errors import UnknownElementError
+from arcroute.errors import ConstructionError, UnknownElementError
 from arcroute.ring_order import expand_runs
 
 orders = st.integers(min_value=1, max_value=9).flatmap(
@@ -97,10 +98,17 @@ def test_ring_sequence_almost_full_circle():
 
 def join(items, rows):
     """``_join_runs`` on (source, target, offset, length) rows over the
-    order ``items``, back as (source, target, start position, length)."""
+    order ``items``, back as (source, target, start position, length).
+    Every other vertex sends offsets 1 .. n - 1 to its successor, so that
+    the join's shape check passes, and those rows are left out."""
+    n = len(items)
     pos = np.argsort(np.asarray(items, dtype=np.int64))
+    sources = {v for v, _, _, _ in rows}
+    rows = list(rows) + [(v, items[(i + 1) % n], 1, n - 1)
+                         for i, v in enumerate(items) if v not in sources]
     cols = [np.array(col, dtype=np.int64) for col in zip(*rows)]
-    return [tuple(map(int, row)) for row in zip(*_join_runs(pos, *cols))]
+    joined = [tuple(map(int, row)) for row in zip(*_join_runs(pos, *cols))]
+    return [row for row in joined if row[0] in sources]
 
 
 def destinations(items, rows, starts_are_offsets):
@@ -121,16 +129,23 @@ def destinations(items, rows, starts_are_offsets):
 
 def test_join_adjacent_singletons():
     # abutting runs of one arc join, whichever comes first in the input;
-    # offsets count clockwise from the source
-    assert join(range(4), [(0, 1, 1, 1), (0, 1, 2, 1)]) == [(0, 1, 1, 2)]
-    assert join(range(4), [(0, 1, 2, 1), (0, 1, 1, 1)]) == [(0, 1, 1, 2)]
-    # from source 2, offsets 1 and 2 are positions 3 and 0
-    assert join(range(4), [(2, 3, 2, 1), (2, 3, 1, 1)]) == [(2, 3, 3, 2)]
+    # offsets count clockwise from the source, and a run to another target
+    # covers the offsets left over
+    assert join(range(4), [(0, 1, 1, 1), (0, 1, 2, 1), (0, 3, 3, 1)]) == [
+        (0, 1, 1, 2), (0, 3, 3, 1)]
+    assert join(range(4), [(0, 1, 2, 1), (0, 1, 1, 1), (0, 3, 3, 1)]) == [
+        (0, 1, 1, 2), (0, 3, 3, 1)]
+    # from source 2, offsets 1, 2 and 3 are positions 3, 0 and 1
+    assert join(range(4), [(2, 3, 2, 1), (2, 3, 1, 1), (2, 1, 3, 1)]) == [
+        (2, 1, 1, 1), (2, 3, 3, 2)]
     # a different target or a gap keeps runs apart
-    assert join(range(4), [(0, 1, 1, 1), (0, 2, 2, 1)]) == [(0, 1, 1, 1), (0, 2, 2, 1)]
-    assert join(range(4), [(0, 1, 1, 1), (0, 1, 3, 1)]) == [(0, 1, 1, 1), (0, 1, 3, 1)]
+    assert join(range(4), [(0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1)]) == [
+        (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1)]
+    assert join(range(4), [(0, 1, 1, 1), (0, 1, 3, 1), (0, 2, 2, 1)]) == [
+        (0, 1, 1, 1), (0, 1, 3, 1), (0, 2, 2, 1)]
+    # on an order of one vertex no rows tile the empty set of destinations
     empty = np.empty(0, dtype=np.int64)
-    assert [len(col) for col in _join_runs(np.arange(3), *[empty] * 4)] == [0] * 4
+    assert [len(col) for col in _join_runs(np.arange(1), *[empty] * 4)] == [0] * 4
 
 
 def compositions(total):
@@ -143,8 +158,10 @@ def compositions(total):
 
 def test_join_member_sets_exhaustively():
     # every tiling of one source's offsets by runs with every choice of
-    # targets, orders up to 6, sources at every position in turn
+    # targets, orders up to 6, sources at every position in turn; a tiling
+    # whose joined runs put three on one arc, or two on two arcs, is refused
     cases = 0
+    refused = Counter()
     for n in range(2, 7):
         items = list(reversed(range(n)))
         for runs in compositions(n - 1):
@@ -152,6 +169,18 @@ def test_join_member_sets_exhaustively():
                 v = items[cases % n]
                 others = [w for w in items if w != v]
                 rows = [(v, others[t], a, ln) for t, (a, ln) in zip(targets, runs)]
+                cases += 1
+                # runs of one target at consecutive offsets join
+                per_arc = list(Counter(t for t, _ in itertools.groupby(targets)).values())
+                message = ("an arc carries more than two" if max(per_arc) > 2 else
+                           "more than one outgoing arc carries two"
+                           if per_arc.count(2) > 1 else None)
+                if message:
+                    refused[message] += 1
+                    with pytest.raises(ConstructionError, match=message) as info:
+                        join(items, rows[::-1])
+                    assert info.value.vertex == v
+                    continue
                 joined = join(items, rows[::-1])
                 assert destinations(items, joined, False) == destinations(items, rows, True)
                 ends = {(s + ln) % n: w for _, w, s, ln in joined}
@@ -163,9 +192,9 @@ def test_join_member_sets_exhaustively():
                 holds = [(items.index(w) - s) % n < ln for _, w, s, ln in joined]
                 assert not any(arcs[i] == arcs[i + 1] and holds[i + 1] and not holds[i]
                                for i in range(len(arcs) - 1))
-                cases += 1
     # m (m + 1) ** (m - 1) cases for m = n - 1 offsets
     assert cases == 1 + 6 + 48 + 500 + 6480
+    assert min(refused.values()) >= 50 and len(refused) == 2, refused
 
 
 @given(st.integers(min_value=4, max_value=9), st.data())
@@ -179,8 +208,13 @@ def test_join_chain_is_associative_on_member_sets(n, data):
     v = data.draw(st.integers(min_value=0, max_value=n - 1))
     w = (v + 1) % n
     pieces = [(v, w, a, b - a) for a, b in zip(cuts, cuts[1:] + [n])]
+    expected = [(v, w, (v + cuts[0]) % n, n - cuts[0])]
+    if cuts[0] > 1:
+        # another target covers the offsets before the chain
+        pieces.append((v, (v + 2) % n, 1, cuts[0] - 1))
+        expected = sorted(expected + [(v, (v + 2) % n, w, cuts[0] - 1)])
     rows = data.draw(st.permutations(pieces))
-    assert join(range(n), rows) == [(v, w, (v + cuts[0]) % n, n - cuts[0])]
+    assert join(range(n), rows) == expected
 
 
 def test_join_puts_the_run_holding_the_target_first():
