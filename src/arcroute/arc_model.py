@@ -108,6 +108,13 @@ def parse_model(data: bytes | str) -> ArcModel:
     return validate_model(n, arcs)
 
 
+def arc_spans(model: ArcModel) -> tuple[np.ndarray, np.ndarray]:
+    """(first covered gap, number of covered gaps) of every arc, as arrays."""
+    arcs = np.asarray(model.arcs, dtype=np.int64)
+    starts = arcs[:, 0]
+    return starts, (arcs[:, 1] - starts) % model.circle_size
+
+
 def gap_coverage(model: ArcModel) -> np.ndarray:
     """Number of arcs covering each gap of the circle.
 
@@ -115,11 +122,9 @@ def gap_coverage(model: ArcModel) -> np.ndarray:
     arcs wrapping past position 0 need no special case.
     """
     size = model.circle_size
-    arcs = np.asarray(model.arcs, dtype=np.int64)
-    starts = arcs[:, 0]
-    ends = starts + (arcs[:, 1] - starts) % size
+    starts, lengths = arc_spans(model)
     diff = (np.bincount(starts, minlength=2 * size)
-            - np.bincount(ends, minlength=2 * size))
+            - np.bincount(starts + lengths, minlength=2 * size))
     coverage = np.cumsum(diff)
     return coverage[:size] + coverage[size:]
 
@@ -132,17 +137,16 @@ def is_real(model: ArcModel) -> bool:
 class Graph:
     """Undirected graph with dense ids, immutable after construction.
 
-    Keeps sorted neighbor arrays plus a boolean adjacency matrix so that
-    hot paths get O(1) adjacency tests; fine for the n <= a few thousand
-    instances this package targets.
+    Keeps a boolean adjacency matrix so that hot paths get O(1) adjacency
+    tests; fine for the n <= a few thousand instances this package
+    targets.  A vertex's sorted neighbors are ``np.flatnonzero(adj[v])``.
     """
 
-    __slots__ = ("n", "m", "neighbors", "adj", "degrees")
+    __slots__ = ("n", "m", "adj", "degrees")
 
     def __init__(self, n: int, adj: np.ndarray):
         self.n = n
         self.adj = adj
-        self.neighbors = [np.flatnonzero(adj[v]) for v in range(n)]
         self.degrees = adj.sum(axis=1).astype(np.int64)
         self.m = int(self.degrees.sum()) // 2
 
@@ -170,15 +174,12 @@ class Graph:
 
 def intersection_graph(model: ArcModel) -> Graph:
     """Graph with one vertex per arc, edges between intersecting arcs."""
-    n = model.n
-    size = model.circle_size
-    starts = np.array([model.gap_span(i)[0] for i in range(n)], dtype=np.int64)
-    lengths = np.array([model.gap_span(i)[1] for i in range(n)], dtype=np.int64)
+    starts, lengths = arc_spans(model)
     # arcs i, j intersect iff one's first gap lies within the other's range
-    rel = (starts[None, :] - starts[:, None]) % size
+    rel = (starts[None, :] - starts[:, None]) % model.circle_size
     adj = (rel < lengths[:, None]) | (rel.T < lengths[None, :])
     np.fill_diagonal(adj, False)
-    return Graph(n, adj)
+    return Graph(model.n, adj)
 
 
 def bfs_distances(graph: Graph, source: int) -> np.ndarray:
@@ -189,7 +190,7 @@ def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     while queue:
         u = queue.popleft()
         du = dist[u] + 1
-        for v in graph.neighbors[u]:
+        for v in np.flatnonzero(graph.adj[u]):
             if dist[v] == UNREACHABLE:
                 dist[v] = du
                 queue.append(int(v))
@@ -217,7 +218,7 @@ def first_vertices(graph: Graph, u: int, w: int) -> set[int]:
     if dist[u] == UNREACHABLE:
         raise UnreachablePairError(f"no path between {u} and {w}")
     target = dist[u] - 1
-    return {int(v) for v in graph.neighbors[u] if dist[v] == target}
+    return {int(v) for v in np.flatnonzero(graph.adj[u]) if dist[v] == target}
 
 
 def dominating_vertices(graph: Graph) -> set[int]:

@@ -5,7 +5,10 @@ The clique-cycle keeps the point-cliques that are maximal under inclusion,
 deduplicated by member set and ordered clockwise by their first gap.  Each
 vertex then owns a contiguous run of these cliques, its geometric clique
 run; the run's two ends are the vertex's left and right clique, and those
-spans drive everything the scheme builder does.
+spans drive everything the scheme builder does.  ``clique_runs`` finds
+the cliques and the runs from the arc geometry in a few sorts and
+searches, testing containment by counting arcs and never writing out a
+member set.
 
 Only a vertex adjacent to all others can own a run of all k cliques, but
 such a vertex may own a shorter run too.  Following the construction, the
@@ -15,19 +18,18 @@ them together, in id order, at the end of the block of clique ``1 % k``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 import numpy as np
 
-from .arc_model import ArcModel, Graph, gap_coverage, intersection_graph
+from .arc_model import ArcModel, Graph, arc_spans, gap_coverage, intersection_graph
 from .errors import ConstructionError, NotRealCircularArc
+from .ring_order import expand_runs
 
 
 class CliqueCycle:
     __slots__ = ("model", "graph", "anchors", "left", "right", "span_len",
                  "dominating", "_counter")
 
-    def __init__(self, model: ArcModel, graph: Graph, anchors: list[int],
+    def __init__(self, model: ArcModel, graph: Graph, anchors: np.ndarray,
                  left: np.ndarray, right: np.ndarray, span_len: np.ndarray):
         self.model = model
         self.graph = graph
@@ -109,115 +111,93 @@ def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCyc
 
     Raises NotRealCircularArc when some gap is uncovered (interval-graph
     models are out of scope for the scheme construction).  The per-gap
-    coverage serves both that check and as the point-clique sizes.
+    coverage serves both that check and as the point-clique sizes, which
+    ``clique_runs`` compares with arc counts to test containment exactly.
     """
     sizes = gap_coverage(model)
     if not (sizes > 0).all():
         raise NotRealCircularArc("arcs do not cover the whole circle")
     if graph is None:
         graph = intersection_graph(model)
+    return CliqueCycle(model, graph, *clique_runs(model, sizes))
 
-    n = model.n
+
+def clique_runs(model: ArcModel, sizes: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Anchors of the maximal cliques, then each arc's left clique, right
+    clique and run length, from the arc geometry alone.
+
+    Only a candidate gap ``g`` (position ``g`` opens an arc ``a`` and
+    position ``g + 1`` closes an arc ``b``) can anchor a maximal clique.
+    Its clique lies inside the clique at another gap ``h`` only if both
+    ``a`` and ``b`` cover ``h``, that is if ``h`` lies in their far
+    overlap, ``size - |b| + 1`` to ``|a| - 1`` gaps clockwise from ``g``.
+    For ``h`` at ``d`` gaps from ``g``, an arc covers both gaps exactly
+    when it covers ``g`` and runs on at least ``d`` more gaps, or covers
+    ``h`` and runs on at least ``size - d``; no arc does both, as it would
+    cover the whole circle.  So the clique at ``g`` lies inside the one at
+    ``h`` iff these two counts add up to ``sizes[g]``.  ``g`` is dropped
+    when that clique is larger, or equal with an earlier first gap, which
+    keeps the first gap of every maximal member set.  Memory is linear in
+    the candidate memberships plus the (candidate, far-overlap candidate)
+    pairs; no member set is ever written out.
+    """
     size = model.circle_size
-    spans = [model.gap_span(i) for i in range(n)]
-
+    starts, lengths = arc_spans(model)
     # a gap opened by an arc start and closed by an arc end holds one arc
     # more than both neighbours; any other gap has a neighbour holding its
     # arcs plus one, so only these gaps can carry a maximal clique
     opens = np.zeros(size, dtype=bool)
-    opens[[s for s, _ in model.arcs]] = True
-    candidates = np.flatnonzero(opens & ~np.roll(opens, -1)).tolist()
-    anchors = _exact_maximal_anchors(model, spans, sizes, candidates)
+    opens[starts] = True
+    cand = np.flatnonzero(opens & ~np.roll(opens, -1))
+    n_cand = len(cand)
 
-    anchor_arr = sorted(anchors)
-    k = len(anchor_arr)
-    left = np.zeros(n, dtype=np.int64)
-    right = np.zeros(n, dtype=np.int64)
-    span_len = np.zeros(n, dtype=np.int64)
-    doubled = anchor_arr + [a + size for a in anchor_arr]
-    for v in range(n):
-        s, length = spans[v]
-        lo = bisect_left(doubled, s)
-        hi = bisect_right(doubled, s + length - 1)
-        count = hi - lo
-        if count < 1:
-            raise ConstructionError(
-                f"arc {v} covers no maximal clique anchor", vertex=v
-            )
-        count = min(count, k)
-        left[v] = lo % k
-        right[v] = (lo + count - 1) % k
-        span_len[v] = count
+    # (arc, covered candidate) pairs, keyed by candidate and the number of
+    # gaps the arc runs on past it; one sort answers every count below
+    lo, count = _points_in_spans(cand, starts, lengths, size)
+    arc, at = expand_runs(lo, count, n_cand)
+    keys = np.sort(at * size + lengths[arc] - 1 - (cand[at] - starts[arc]) % size)
+    block_end = np.searchsorted(keys, np.arange(1, n_cand + 1) * size)
 
-    return CliqueCycle(model, graph, anchor_arr, left, right, span_len)
+    def running_on(c, d):
+        """Arcs covering candidate ``c`` that run on at least ``d`` gaps."""
+        return block_end[c] - np.searchsorted(keys, c * size + d)
 
+    # pair each candidate with the candidates in the far overlap of the
+    # arcs opening and closing it; an index order is a gap order
+    opened = np.zeros(size, dtype=np.int64)
+    opened[starts] = lengths
+    closed = np.zeros(size, dtype=np.int64)
+    closed[(starts + lengths) % size] = lengths
+    len_a = opened[cand]
+    len_b = closed[(cand + 1) % size]
+    lo, count = _points_in_spans(cand, cand + size - len_b + 1,
+                                 len_a + len_b - size - 1, size)
+    g, h = expand_runs(lo, count, n_cand)
+    d = (cand[h] - cand[g]) % size
+    clique = sizes[cand]
+    inside = running_on(g, d) + running_on(h, size - d) == clique[g]
+    beaten = inside & ((clique[h] > clique[g]) | (h < g))
+    dropped = np.zeros(n_cand, dtype=bool)
+    dropped[g[beaten]] = True
+    anchors = cand[~dropped]
 
-def _gap_masks(model, spans, gaps: list[int]) -> list[int]:
-    """Member bitmask of each requested gap, via one sweep of the circle."""
-    size = model.circle_size
-    wanted = set(gaps)
-    add_at: list[list[int]] = [[] for _ in range(size)]
-    drop_at: list[list[int]] = [[] for _ in range(size)]
-    mask = 0
-    for a, (s, length) in enumerate(spans):
-        if (0 - s) % size < length:
-            mask |= 1 << a
-        if s != 0:
-            add_at[s].append(a)
-        drop_at[(s + length) % size].append(a)
-
-    out: dict[int, int] = {}
-    for g in range(size):
-        if g > 0:
-            for a in drop_at[g]:
-                mask &= ~(1 << a)
-            for a in add_at[g]:
-                mask |= 1 << a
-        if g in wanted:
-            out[g] = mask
-    return [out[g] for g in gaps]
+    k = len(anchors)
+    lo, count = _points_in_spans(anchors, starts, lengths, size)
+    if (count < 1).any():
+        v = int(np.flatnonzero(count < 1)[0])
+        raise ConstructionError(f"arc {v} covers no maximal clique anchor",
+                                vertex=v)
+    # a span is shorter than the circle, so it holds each anchor once
+    return anchors, lo % k, (lo + count - 1) % k, count
 
 
-def _exact_maximal_anchors(model, spans, sizes: np.ndarray,
-                           candidates: list[int]) -> list[int]:
-    """Exact inclusion filter on the candidate gaps, by member bitmask.
-
-    Candidates are deduplicated (first gap per member set wins), ordered
-    by decreasing clique size, and each is tested against the already
-    accepted cliques; transitivity makes testing against accepted maximal
-    sets sufficient.
-    """
-    masks = _gap_masks(model, spans, candidates)
-    first_of_mask: dict[int, int] = {}
-    for g, mask in zip(candidates, masks):
-        first_of_mask.setdefault(mask, g)
-    distinct = sorted(first_of_mask.items(),
-                      key=lambda item: (-int(sizes[item[1]]), item[1]))
-
-    n = model.n
-    words = (n + 63) // 64
-    word_mask = (1 << 64) - 1
-
-    def to_words(mask: int) -> list[int]:
-        return [(mask >> (64 * w)) & word_mask for w in range(words)]
-
-    accepted_sizes: list[int] = []
-    anchors: list[int] = []
-    arr = np.empty((len(distinct), words), dtype=np.uint64)
-    filled = 0
-    for mask, g in distinct:
-        size_g = int(sizes[g])
-        row = np.array(to_words(mask), dtype=np.uint64)
-        # only strictly larger accepted cliques can strictly contain this one
-        upper = 0
-        while upper < filled and accepted_sizes[upper] > size_g:
-            upper += 1
-        if upper:
-            outside = (row[None, :] & ~arr[:upper]) != 0
-            if not outside.any(axis=1).all():
-                continue  # some accepted clique contains every member
-        arr[filled] = row
-        accepted_sizes.append(size_g)
-        filled += 1
-        anchors.append(g)
-    return sorted(anchors)
+def _points_in_spans(points: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray, size: int):
+    """First index and count of the sorted gaps ``points`` that each span
+    of ``lengths`` gaps from ``starts`` covers (none for a length below
+    one); the indices run into ``points`` written out twice, so a span may
+    cross position 0."""
+    twice = np.concatenate([points, points + size])
+    lo = np.searchsorted(twice, starts)
+    return lo, np.searchsorted(twice, starts + np.maximum(lengths, 0)) - lo

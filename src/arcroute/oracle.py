@@ -54,10 +54,10 @@ def has_shortest_path_1irs(
         return OracleResult(False)
 
     # allowed[v][w]: bitmask of destinations u with w on a shortest v->u path
+    nbrs = [np.flatnonzero(graph.adj[v]).tolist() for v in range(n)]
     allowed: list[dict[int, int]] = [{} for _ in range(n)]
     for v in range(n):
-        for w in graph.neighbors[v]:
-            w = int(w)
+        for w in nbrs[v]:
             mask = 0
             for u in range(n):
                 if u != v and dist[w, u] == dist[v, u] - 1:
@@ -75,7 +75,7 @@ def has_shortest_path_1irs(
         assignment: dict[tuple[int, int], RingInterval] = {}
         feasible = True
         for v in by_degree:
-            segs = _segments_for_vertex(graph, order, allowed, v, strict)
+            segs = _segments_for_vertex(order, allowed, v, nbrs[v], strict)
             if segs is None:
                 feasible = False
                 break
@@ -90,8 +90,9 @@ def has_shortest_path_1irs(
     return OracleResult(False)
 
 
-def _segments_for_vertex(graph, order, allowed, v, strict):
-    """One interval per distinct arc covering everyone but v, or None.
+def _segments_for_vertex(order, allowed, v, nbrs, strict):
+    """One interval per distinct arc (to a neighbor in ``nbrs``) covering
+    everyone but v, or None.
 
     The cyclic order is cut just after v, giving a line of n-1 targets;
     a non-strict solution may additionally let one arc's interval wrap
@@ -101,7 +102,6 @@ def _segments_for_vertex(graph, order, allowed, v, strict):
     pos = {u: i for i, u in enumerate(order)}
     seq = [order[(pos[v] + 1 + i) % n] for i in range(n - 1)]
     length = n - 1
-    nbrs = [int(w) for w in graph.neighbors[v]]
     masks = [allowed[v][w] for w in nbrs]
     d = len(nbrs)
 

@@ -265,7 +265,14 @@ def route_lengths(scheme: RoutingScheme, graph: Graph) -> np.ndarray:
 
 @dataclass
 class IntervalStats:
-    """Interval accounting for one scheme."""
+    """Interval accounting for one scheme.
+
+    ``arc_count`` counts the arcs that carry an interval, and
+    ``edge_count`` is half of it.  In a shortest-path scheme the only
+    shortest path from a vertex to a neighbour is their edge, so every
+    graph arc carries an interval and ``arc_count == 2 m`` on any scheme
+    that passes ``verify_scheme``.
+    """
 
     total_intervals: int
     max_intervals_per_arc: int

@@ -248,7 +248,7 @@ def test_left_vertex_bounds_all_candidates():
             if lv == -1:
                 continue
             span = fwd(ctx, lv, v)
-            for u in graph.neighbors[v]:
+            for u in np.flatnonzero(graph.adj[v]):
                 u = int(u)
                 further_left = (
                     (cycle.left[v] - cycle.left[u]) % cycle.k < cycle.span_len[u]
@@ -318,7 +318,7 @@ def ref_left_vertex(ctx, v):
     k = cycle.k
     lc = int(cycle.left[v])
     best, best_dist = None, 0
-    for u in ctx.graph.neighbors[v].tolist():
+    for u in np.flatnonzero(ctx.graph.adj[v]).tolist():
         if ((lc - cycle.left[u]) % k < cycle.span_len[u] and cycle.left[u] != lc
                 and not ctx.dominating[u] and not ctx.counter[v, u]
                 and fwd(ctx, u, v) > best_dist):
@@ -336,7 +336,7 @@ def ref_right_vertex(ctx, v):
     k = cycle.k
     rc = int(cycle.right[v])
     reach = {u: int((cycle.right[u] - rc) % k)
-             for u in ctx.graph.neighbors[v].tolist()
+             for u in np.flatnonzero(ctx.graph.adj[v]).tolist()
              if (rc - cycle.left[u]) % k < cycle.span_len[u]}
     if not reach:
         raise ConstructionError("no neighbor shares the right clique", vertex=v)
@@ -734,7 +734,7 @@ def test_right_vertex_prefers_left_vertex_when_it_reaches_farthest():
             k = cycle.k
             if (rc - cycle.left[lv]) % k >= cycle.span_len[lv]:
                 continue
-            nb = ctx.graph.neighbors[v]
+            nb = np.flatnonzero(ctx.graph.adj[v])
             cand = nb[((rc - cycle.left[nb]) % k) < cycle.span_len[nb]]
             reach = (cycle.right[cand] - rc) % k
             if (cycle.right[lv] - rc) % k == int(reach.max()):

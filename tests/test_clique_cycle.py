@@ -1,5 +1,7 @@
 import itertools
 import random
+import tracemalloc
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -7,15 +9,17 @@ import pytest
 from arcroute import (
     build_clique_cycle,
     build_vertex_order,
+    gen_complete,
     gen_random,
     gen_ring,
     gen_wheel,
     intersection_graph,
     validate_model,
 )
-from arcroute.arc_model import is_real
+from arcroute.arc_model import gap_coverage, is_real
+from arcroute.clique_cycle import clique_runs
 from arcroute.errors import NotRealCircularArc
-from conftest import C4_MODEL, COUNTER_MODEL, K3_MODEL, load
+from conftest import C4_MODEL, COUNTER_MODEL, K3_MODEL, load, perturbed_ring
 
 
 def cycle_of(payload):
@@ -181,3 +185,174 @@ def test_anchors_are_the_first_gaps_of_the_maximal_cliques():
         assert build_clique_cycle(model).anchors.tolist() == sorted(first.values())
         checked += 1
     assert checked > 100
+
+
+# Reference: the member-bitmask filter and the per-vertex run loop that
+# clique_runs replaced, kept to check the geometric containment test.
+
+def _gap_masks(model, spans, gaps: list[int]) -> list[int]:
+    """Member bitmask of each requested gap, via one sweep of the circle."""
+    size = model.circle_size
+    wanted = set(gaps)
+    add_at: list[list[int]] = [[] for _ in range(size)]
+    drop_at: list[list[int]] = [[] for _ in range(size)]
+    mask = 0
+    for a, (s, length) in enumerate(spans):
+        if (0 - s) % size < length:
+            mask |= 1 << a
+        if s != 0:
+            add_at[s].append(a)
+        drop_at[(s + length) % size].append(a)
+
+    out: dict[int, int] = {}
+    for g in range(size):
+        if g > 0:
+            for a in drop_at[g]:
+                mask &= ~(1 << a)
+            for a in add_at[g]:
+                mask |= 1 << a
+        if g in wanted:
+            out[g] = mask
+    return [out[g] for g in gaps]
+
+
+def _exact_maximal_anchors(model, spans, sizes, candidates, drops):
+    """Exact inclusion filter on the candidate gaps, by member bitmask.
+
+    Candidates are deduplicated (first gap per member set wins), ordered
+    by decreasing clique size, and each is tested against the already
+    accepted cliques; transitivity makes testing against accepted maximal
+    sets sufficient.  ``drops`` counts the candidates dropped as an equal
+    set with a later first gap and those dropped inside a larger clique.
+    """
+    masks = _gap_masks(model, spans, candidates)
+    first_of_mask: dict[int, int] = {}
+    for g, mask in zip(candidates, masks):
+        first_of_mask.setdefault(mask, g)
+    drops["equal"] += len(candidates) - len(first_of_mask)
+    distinct = sorted(first_of_mask.items(),
+                      key=lambda item: (-int(sizes[item[1]]), item[1]))
+
+    words = (model.n + 63) // 64
+    word_mask = (1 << 64) - 1
+
+    def to_words(mask: int) -> list[int]:
+        return [(mask >> (64 * w)) & word_mask for w in range(words)]
+
+    accepted_sizes: list[int] = []
+    anchors: list[int] = []
+    arr = np.empty((len(distinct), words), dtype=np.uint64)
+    filled = 0
+    for mask, g in distinct:
+        size_g = int(sizes[g])
+        row = np.array(to_words(mask), dtype=np.uint64)
+        # only strictly larger accepted cliques can strictly contain this one
+        upper = 0
+        while upper < filled and accepted_sizes[upper] > size_g:
+            upper += 1
+        if upper:
+            outside = (row[None, :] & ~arr[:upper]) != 0
+            if not outside.any(axis=1).all():
+                drops["inside"] += 1
+                continue  # some accepted clique contains every member
+        arr[filled] = row
+        accepted_sizes.append(size_g)
+        filled += 1
+        anchors.append(g)
+    return sorted(anchors)
+
+
+def reference_clique_runs(model, drops):
+    """Anchors, left, right and span_len by bitmask filter and bisection."""
+    n = model.n
+    size = model.circle_size
+    spans = [model.gap_span(i) for i in range(n)]
+    opens = np.zeros(size, dtype=bool)
+    opens[[s for s, _ in model.arcs]] = True
+    candidates = np.flatnonzero(opens & ~np.roll(opens, -1)).tolist()
+    anchors = _exact_maximal_anchors(model, spans, gap_coverage(model),
+                                     candidates, drops)
+    drops["far"] += _far_overlap_count(model, candidates)
+
+    k = len(anchors)
+    left, right, span_len = [], [], []
+    doubled = anchors + [a + size for a in anchors]
+    for v in range(n):
+        s, length = spans[v]
+        lo = bisect_left(doubled, s)
+        count = bisect_right(doubled, s + length - 1) - lo
+        assert count >= 1, f"arc {v} covers no maximal clique anchor"
+        count = min(count, k)
+        left.append(lo % k)
+        right.append((lo + count - 1) % k)
+        span_len.append(count)
+    return anchors, left, right, span_len
+
+
+def _far_overlap_count(model, candidates) -> int:
+    """Candidates g with another candidate covered by both the arc opening
+    at g and the arc closing at g + 1."""
+    size = model.circle_size
+    opening = {s: a for a, (s, _) in enumerate(model.arcs)}
+    closing = {e: b for b, (_, e) in enumerate(model.arcs)}
+    found = 0
+    for g in candidates:
+        a, b = opening[g], closing[(g + 1) % size]
+        found += any(h != g and model.covers_gap(a, h) and model.covers_gap(b, h)
+                     for h in candidates)
+    return found
+
+
+def _differential_corpus():
+    rng = random.Random(0)
+    permutations = 0
+    while permutations < 3000:
+        n = rng.randint(1, 13)
+        ends = rng.sample(range(2 * n), 2 * n)
+        model = validate_model(n, list(zip(ends[::2], ends[1::2])))
+        if is_real(model):
+            permutations += 1
+            yield model
+    for n in range(3, 64, 3):
+        for seed in range(20):
+            yield gen_random(n, seed)
+    for k in range(3, 40):
+        yield gen_ring(k)
+        yield gen_wheel(k)
+    for n in range(2, 20):
+        yield gen_complete(n)
+    for n in (8, 16, 40, 120):
+        for seed in range(5):
+            yield perturbed_ring(n, seed)
+
+
+def test_clique_runs_match_the_bitmask_reference():
+    drops = {"far": 0, "inside": 0, "equal": 0}
+    models = 0
+    for model in _differential_corpus():
+        anchors, left, right, span_len = clique_runs(model, gap_coverage(model))
+        expected = reference_clique_runs(model, drops)
+        got = (anchors.tolist(), left.tolist(), right.tolist(), span_len.tolist())
+        assert got == expected, model.to_json()
+        models += 1
+    assert models > 3500
+    # the corpus reaches every branch of the containment test: candidates
+    # with something in their far overlap, and both kinds of drop
+    assert drops["far"] > 5000
+    assert drops["inside"] > 2000
+    assert drops["equal"] > 400
+
+
+def test_clique_runs_memory_is_linear_in_the_arcs():
+    # any k-by-n membership structure (k ~ n cliques) would take hundreds
+    # of MiB at n = 20000, and even a bitset 50 MB
+    model = perturbed_ring(20000, 0)
+    sizes = gap_coverage(model)
+    tracemalloc.start()
+    try:
+        anchors, left, right, span_len = clique_runs(model, sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(anchors) > 1000 and (span_len >= 1).all()
+    assert peak < 16 * 2**20

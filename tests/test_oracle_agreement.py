@@ -9,6 +9,8 @@ reject exactly the same schemes.
 import json
 import random
 
+import numpy as np
+
 from arcroute import (
     RoutingScheme,
     all_pairs_distances,
@@ -54,7 +56,7 @@ def corrupted_variants(scheme, graph, rng, count):
         if not ivls:
             continue
         index = rng.randrange(len(ivls))
-        others = [int(u) for u in graph.neighbors[v] if int(u) != w]
+        others = [int(u) for u in np.flatnonzero(graph.adj[v]) if int(u) != w]
         if not others:
             continue
         yield moved_interval(scheme, v, w, index, rng.choice(others))

@@ -12,7 +12,10 @@ from arcroute import (
     build_clique_cycle,
     build_scheme,
     first_vertices,
+    gen_complete,
     gen_random,
+    gen_ring,
+    gen_wheel,
     has_shortest_path_1irs,
     intersection_graph,
     interval_stats,
@@ -21,7 +24,7 @@ from arcroute import (
 from arcroute.errors import StructuralSchemeError
 from arcroute.ring_order import ring_sequence
 from arcroute.verifier import route_lengths
-from conftest import labels_of
+from conftest import labels_of, perturbed_ring
 
 model_params = st.tuples(
     st.integers(min_value=3, max_value=24),
@@ -44,6 +47,19 @@ def test_every_random_model_builds_a_valid_scheme(params):
     assert stats.total_within_bound
     assert stats.per_arc_within_bound
     assert stats.doubles_within_bound
+    assert stats.arc_count == 2 * graph.m
+
+
+@pytest.mark.parametrize("model", [
+    gen_ring(9), gen_wheel(7), gen_complete(6), perturbed_ring(40, 3),
+], ids=["ring", "wheel", "complete", "perturbed-ring"])
+def test_every_graph_arc_of_a_passing_scheme_carries_an_interval(model):
+    # the only shortest path from v to a neighbour w is the edge itself,
+    # so the interval count per arc cannot hide an edge from the stats
+    graph = intersection_graph(model)
+    scheme = build_scheme(model)
+    assert verify_scheme(graph, scheme).passed
+    assert interval_stats(scheme).arc_count == 2 * graph.m
 
 
 @settings(max_examples=25, deadline=None,
