@@ -22,7 +22,7 @@ from .errors import (
     PositionOutOfRangeError,
     UnreachablePairError,
 )
-from .ring_order import is_id
+from .ring_order import _points_in_spans, expand_runs, is_id, ring_coverage
 
 UNREACHABLE = -1
 
@@ -116,17 +116,8 @@ def arc_spans(model: ArcModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gap_coverage(model: ArcModel) -> np.ndarray:
-    """Number of arcs covering each gap of the circle.
-
-    One difference-array sweep over the circle unrolled twice, so that
-    arcs wrapping past position 0 need no special case.
-    """
-    size = model.circle_size
-    starts, lengths = arc_spans(model)
-    diff = (np.bincount(starts, minlength=2 * size)
-            - np.bincount(starts + lengths, minlength=2 * size))
-    coverage = np.cumsum(diff)
-    return coverage[:size] + coverage[size:]
+    """Number of arcs covering each gap of the circle."""
+    return ring_coverage(*arc_spans(model), model.circle_size)
 
 
 def is_real(model: ArcModel) -> bool:
@@ -174,12 +165,17 @@ class Graph:
 
 def intersection_graph(model: ArcModel) -> Graph:
     """Graph with one vertex per arc, edges between intersecting arcs."""
+    n, size = model.n, model.circle_size
     starts, lengths = arc_spans(model)
     # arcs i, j intersect iff one's first gap lies within the other's range
-    rel = (starts[None, :] - starts[:, None]) % model.circle_size
-    adj = (rel < lengths[:, None]) | (rel.T < lengths[None, :])
+    by_start = np.argsort(starts)
+    lo, count = _points_in_spans(starts[by_start], starts, lengths, size)
+    arc, at = expand_runs(lo, count, n)
+    other = by_start[at]
+    adj = np.zeros((n, n), dtype=bool)
+    adj[arc, other] = adj[other, arc] = True
     np.fill_diagonal(adj, False)
-    return Graph(model.n, adj)
+    return Graph(n, adj)
 
 
 def bfs_distances(graph: Graph, source: int) -> np.ndarray:

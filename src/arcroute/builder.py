@@ -34,9 +34,9 @@ from itertools import chain
 import numpy as np
 
 from .arc_model import ArcModel, Graph, _is_json_int, intersection_graph
-from .clique_cycle import CliqueCycle, build_clique_cycle
+from .clique_cycle import CliqueCycle, build_clique_cycle, counter_pairs
 from .errors import ConstructionError, StructuralSchemeError
-from .ring_order import CyclicOrder, expand_runs
+from .ring_order import CyclicOrder, expand_runs, ring_coverage
 
 
 @dataclass(eq=False)
@@ -102,10 +102,11 @@ class LabelingContext:
     clique run, so the arcs describe an interval graph.  ``cut_head`` is the
     first vertex of clique ``c + 1``'s block, or ``None`` without a cut.
 
-    One pass over the directed edges gives every vertex's frame: its
-    distinguished neighbors ``middle_of``, ``left_of`` and ``right_of`` (-1
-    where undefined: for dominating vertices, and ``right_of`` throughout
-    when some vertex dominates) and its block bounds ``lo`` and ``hi`` (both
+    One pass over the directed edges gives every vertex's lowest counter
+    partner ``partner`` (``n`` for none) and frame: its distinguished
+    neighbors ``middle_of``, ``left_of`` and ``right_of`` (-1 where
+    undefined: for dominating vertices, and ``right_of`` throughout when
+    some vertex dominates) and its block bounds ``lo`` and ``hi`` (both
     ``n`` for a dominating vertex: one right block of everything), and the
     (source, target, offset, length) ``side_runs`` of all right and left blocks.
     """
@@ -123,18 +124,11 @@ class LabelingContext:
         self._ring.flags.writeable = False
         self.pos = np.empty(self.n, dtype=np.int64)
         self.pos[self.items] = np.arange(self.n, dtype=np.int64)
-        self.counter = cycle.counter_matrix()
-        self.has_counter = self.counter.any(axis=1)
-        self.any_counter_pair = bool(self.has_counter.any())
         self.dominating = cycle.dominating
         self.any_dominating = bool(self.dominating.any())
         k = cycle.k
-        # run v crosses boundaries left[v] .. left[v] + span_len[v] - 2
-        lo = cycle.left
-        hi = lo + cycle.span_len - 1
-        crossing = np.cumsum(np.bincount(lo, minlength=2 * k)
-                             - np.bincount(hi, minlength=2 * k))
-        cuts = np.flatnonzero(crossing[:k] + crossing[k:] == 0)
+        # run v crosses the boundaries after its first span_len[v] - 1 cliques
+        cuts = np.flatnonzero(ring_coverage(cycle.left, cycle.span_len - 1, k) == 0)
         self.has_cut = len(cuts) > 0
         self.cut_head = int(vorder.head[(cuts[0] + 1) % k]) if len(cuts) else None
         self._compute_frames()
@@ -164,13 +158,18 @@ class LabelingContext:
         starts = ends - deg[has]
         tgt = items[col]
         off = (col - np.repeat(pos, deg)) % n
+        # the counter pairs are edges, so one test per edge finds them all
+        lc_src, lc_tgt, span_tgt = np.repeat(lc, deg), lc[tgt], span[tgt]
+        counter = counter_pairs(lc_src, np.repeat(span, deg), lc_tgt, span_tgt, k)
+        self.partner = np.full(n, n, dtype=np.int32)
+        self.partner[has] = np.minimum.reduceat(np.where(counter, tgt, n), starts)
+        self.has_counter = self.partner < n
+        self.any_counter_pair = bool(self.has_counter.any())
         # left vertex: the candidate neighbor farthest behind v (reaching
         # further counterclockwise, not dominating, no counter partner), or
         # the head of v's block when that lies further behind
-        lc_src, lc_tgt = np.repeat(lc, deg), lc[tgt]
-        cand = ((lc_src - lc_tgt) % k < span[tgt]) & (lc_tgt != lc_src) & ~dom[tgt]
-        if self.any_counter_pair:
-            cand &= ~self.counter[:, self.items][adj]
+        cand = (((lc_src - lc_tgt) % k < span_tgt) & (lc_tgt != lc_src) & ~dom[tgt]
+                & ~counter)
         back = np.zeros(n, dtype=np.int32)
         back[has] = np.maximum.reduceat(np.where(cand, n - off, 0), starts)
         back = np.where(dom, 0, np.maximum(back, (pos - pos[head[lc]]) % n))
@@ -353,10 +352,13 @@ def _shared_carriers(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
     """A counter partner of v or a dominating vertex is adjacent to every
     facing vertex and to v: v's middle vertex if it is one, else the one
     with the lowest id carries the block."""
-    carriers = ctx.counter[vs] | ctx.dominating
-    _reject_first(~carriers.any(axis=1), "no carrier for the facing block", vs)
-    m = ctx.middle_of[vs]
-    u = np.where(carriers[np.arange(len(vs)), m], m, np.argmax(carriers, axis=1))
+    first_dom = np.argmax(ctx.dominating) if ctx.any_dominating else ctx.n
+    lowest = np.minimum(ctx.partner[vs], first_dom)
+    _reject_first(lowest == ctx.n, "no carrier for the facing block", vs)
+    cyc, m = ctx.cycle, ctx.middle_of[vs]
+    carries = ctx.dominating[m] | counter_pairs(cyc.left[vs], cyc.span_len[vs],
+                                                cyc.left[m], cyc.span_len[m], cyc.k)
+    u = np.where(carries, m, lowest)
     _reject_first(_facing(ctx, vs, _offsets(ctx, vs, u)),
                   "carrier lies inside the facing block", vs)
     _reject_first(~_sees_facing(ctx, u, vs),
@@ -373,7 +375,7 @@ def _counter_split(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ..
     block."""
     # the lowest counter vertex and its lowest partner, which lies above it
     w0 = int(np.argmax(ctx.has_counter))
-    c0 = int(np.argmax(ctx.counter[w0]))
+    c0 = int(ctx.partner[w0])
     a0, a1 = ctx.graph.adj[vs, w0], ctx.graph.adj[vs, c0]
     _reject_first(~(a0 | a1), "vertex sees neither member of the counter pair", vs)
     both = a0 & a1
@@ -562,20 +564,20 @@ class RoutingScheme:
         return len(self.order.items)
 
     def to_json(self) -> str:
-        items = self.order.items
-        order = ", ".join(str(v) for v in items)
-        grouped: dict[tuple[int, int], list[str]] = {}
-        n = len(items)
-        for v, w, s, ln in zip(self.src.tolist(), self.dst.tolist(),
-                               self.start.tolist(), self.length.tolist()):
-            grouped.setdefault((v, w), []).append(
-                f"[{items[s]}, {items[(s + ln - 1) % n]}]"
-            )
-        entries = [
-            f'"{v}->{w}": [{", ".join(grouped[(v, w)])}]'
-            for (v, w) in sorted(grouped)
-        ]
-        return f'{{"order": [{order}], "labels": {{{", ".join(entries)}}}}}'
+        items = np.asarray(self.order.items)
+        first = items[self.start].tolist()
+        last = items[(self.start + self.length - 1) % len(items)].tolist()
+        # the rows are sorted by arc: where src or dst changes, a row closes
+        # the entry before and opens its arc's, else it joins the same list
+        opens = ((np.diff(self.src, prepend=-1) != 0)
+                 | (np.diff(self.dst, prepend=-1) != 0))
+        rows = "".join(
+            f']], "{v}->{w}": [[{a}, {b}' if new else f'], [{a}, {b}'
+            for new, v, w, a, b in zip(opens.tolist(), self.src.tolist(),
+                                       self.dst.tolist(), first, last))
+        labels = rows[len("]], "):] + "]]" if rows else ""
+        order = ", ".join(map(str, items.tolist()))
+        return f'{{"order": [{order}], "labels": {{{labels}}}}}'
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "RoutingScheme":

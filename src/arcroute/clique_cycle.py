@@ -10,6 +10,9 @@ the cliques and the runs from the arc geometry in a few sorts and
 searches, testing containment by counting arcs and never writing out a
 member set.
 
+Arcs whose runs overlap at both ends of the cycle form a counter pair,
+which ``counter_pairs`` tells from the two runs alone, edge by edge.
+
 Only a vertex adjacent to all others can own a run of all k cliques, but
 such a vertex may own a shorter run too.  Following the construction, the
 vertex order ignores the runs of these all-adjacent vertices and places
@@ -22,12 +25,12 @@ import numpy as np
 
 from .arc_model import ArcModel, Graph, arc_spans, gap_coverage, intersection_graph
 from .errors import ConstructionError, NotRealCircularArc
-from .ring_order import expand_runs
+from .ring_order import _points_in_spans, expand_runs
 
 
 class CliqueCycle:
     __slots__ = ("model", "graph", "anchors", "left", "right", "span_len",
-                 "dominating", "_counter")
+                 "dominating")
 
     def __init__(self, model: ArcModel, graph: Graph, anchors: np.ndarray,
                  left: np.ndarray, right: np.ndarray, span_len: np.ndarray):
@@ -38,7 +41,6 @@ class CliqueCycle:
         self.right = right
         self.span_len = span_len
         self.dominating = graph.degrees == graph.n - 1
-        self._counter: np.ndarray | None = None
 
     @property
     def k(self) -> int:
@@ -50,30 +52,6 @@ class CliqueCycle:
         gap = int(self.anchors[clique])
         return tuple(v for v in range(self.model.n)
                      if self.model.covers_gap(v, gap))
-
-    def counter_matrix(self) -> np.ndarray:
-        """Boolean n-by-n matrix of counter pairs, computed once.
-
-        ``u`` and ``v`` form a counter pair when they are adjacent and
-        their shared clique run splits in two pieces (arcs overlapping at
-        both ends of the circle): neither run is the whole cycle, the runs
-        start at different cliques, and each holds the other's start.
-        """
-        if self._counter is None:
-            k = self.k
-            lc = self.left
-            ln = self.span_len
-            rel = (lc[None, :] - lc[:, None]) % k
-            contains = rel < ln[:, None]  # contains[u, v]: u's run holds v's left clique
-            proper = ln < k
-            self._counter = (
-                contains & contains.T
-                & (lc[:, None] != lc[None, :])
-                & proper[:, None] & proper[None, :]
-                & self.graph.adj
-            )
-            self._counter.flags.writeable = False  # shared by every caller
-        return self._counter
 
     def dump(self) -> str:
         """Debug text: cliques in cyclic order, then per-vertex spans."""
@@ -104,6 +82,15 @@ class CliqueCycle:
                     f"clique run of vertex {v} is not the ring-interval "
                     f"[{self.left[v]}, {self.right[v]}]"
                 )
+
+
+def counter_pairs(lc_u, len_u, lc_v, len_v, k: int):
+    """Elementwise: do arcs with clique runs ``(lc_u, len_u)`` and ``(lc_v,
+    len_v)`` overlap at both ends of the circle?  They do when neither run
+    is the whole cycle, the runs start at different cliques and each holds
+    the other's start; such a pair shares a clique, so it is an edge."""
+    return ((lc_u != lc_v) & (len_u < k) & (len_v < k)
+            & ((lc_v - lc_u) % k < len_u) & ((lc_u - lc_v) % k < len_v))
 
 
 def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCycle:
@@ -191,13 +178,3 @@ def clique_runs(model: ArcModel, sizes: np.ndarray
     # a span is shorter than the circle, so it holds each anchor once
     return anchors, lo % k, (lo + count - 1) % k, count
 
-
-def _points_in_spans(points: np.ndarray, starts: np.ndarray,
-                     lengths: np.ndarray, size: int):
-    """First index and count of the sorted gaps ``points`` that each span
-    of ``lengths`` gaps from ``starts`` covers (none for a length below
-    one); the indices run into ``points`` written out twice, so a span may
-    cross position 0."""
-    twice = np.concatenate([points, points + size])
-    lo = np.searchsorted(twice, starts)
-    return lo, np.searchsorted(twice, starts + np.maximum(lengths, 0)) - lo

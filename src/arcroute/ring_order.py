@@ -117,3 +117,23 @@ def expand_runs(starts, lengths, n: int) -> tuple[np.ndarray, np.ndarray]:
     positions += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     positions %= n
     return run, positions
+
+
+def _points_in_spans(points: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray, size: int):
+    """First index and count of the sorted positions ``points`` that each
+    span of ``lengths`` positions from ``starts`` covers, on a ring of
+    ``size`` (none for a length below one); the indices run into ``points``
+    written out twice, so a span may cross position 0."""
+    twice = np.concatenate([points, points + size])
+    lo = np.searchsorted(twice, starts)
+    return lo, np.searchsorted(twice, starts + np.maximum(lengths, 0)) - lo
+
+
+def ring_coverage(starts, lengths, size: int) -> np.ndarray:
+    """How many spans (``lengths[i]`` positions from ``starts[i]``) cover
+    each position of a ring of ``size``: one difference-array sweep over the
+    ring written out twice, so a span may cross position 0."""
+    coverage = np.cumsum(np.bincount(starts, minlength=2 * size)
+                         - np.bincount(starts + lengths, minlength=2 * size))
+    return coverage[:size] + coverage[size:]

@@ -3,6 +3,7 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from arcroute import (
@@ -14,6 +15,7 @@ from arcroute import (
     parse_model,
     validate_model,
 )
+from arcroute.arc_model import arc_spans
 from arcroute.builder import LabelingContext
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +69,40 @@ def perturbed_ring(n, seed):
     for rank, (_, arc, side) in enumerate(points):
         arcs[arc][side] = rank
     return validate_model(n, [tuple(a) for a in arcs])
+
+
+# References: the n-by-n broadcasts that the sweep in ``intersection_graph``
+# and the per-edge ``counter_pairs`` test replaced.
+
+
+def reference_intersection_graph(model) -> Graph:
+    """Adjacency by comparing every pair of arcs at once."""
+    starts, lengths = arc_spans(model)
+    # arcs i, j intersect iff one's first gap lies within the other's range
+    rel = (starts[None, :] - starts[:, None]) % model.circle_size
+    adj = (rel < lengths[:, None]) | (rel.T < lengths[None, :])
+    np.fill_diagonal(adj, False)
+    return Graph(model.n, adj)
+
+
+def reference_counter_matrix(cycle) -> np.ndarray:
+    """Boolean n-by-n matrix of counter pairs.
+
+    ``u`` and ``v`` form a counter pair when they are adjacent and their
+    shared clique run splits in two pieces (arcs overlapping at both ends
+    of the circle): neither run is the whole cycle, the runs start at
+    different cliques, and each holds the other's start.
+    """
+    k = cycle.k
+    lc = cycle.left
+    ln = cycle.span_len
+    rel = (lc[None, :] - lc[:, None]) % k
+    contains = rel < ln[:, None]  # contains[u, v]: u's run holds v's left clique
+    proper = ln < k
+    return (contains & contains.T
+            & (lc[:, None] != lc[None, :])
+            & proper[:, None] & proper[None, :]
+            & cycle.graph.adj)
 
 
 def labels_of(scheme) -> dict[tuple[int, int], list[list[int]]]:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from arcroute import (
     intersection_graph,
     is_real,
     parse_model,
+    validate_model,
 )
 from arcroute.arc_model import UNREACHABLE, all_pairs_distances
 from arcroute.errors import (
@@ -20,7 +22,7 @@ from arcroute.errors import (
     PositionOutOfRangeError,
     UnreachablePairError,
 )
-from conftest import C4_MODEL, load
+from conftest import C4_MODEL, load, reference_intersection_graph
 
 
 def test_parse_single_vertex_model():
@@ -103,6 +105,20 @@ def test_intersection_matches_pairwise_gap_check():
                 for g in range(model.circle_size)
             )
             assert graph.adjacent(i, j) == share
+
+
+def test_intersection_graph_matches_the_broadcast_reference():
+    # random endpoint permutations, covering the circle or not
+    rng = random.Random(14)
+    uncovered = 0
+    for _ in range(3000):
+        n = rng.randint(1, 13)
+        ends = rng.sample(range(2 * n), 2 * n)
+        model = validate_model(n, list(zip(ends[::2], ends[1::2])))
+        expected = reference_intersection_graph(model).adj
+        assert (intersection_graph(model).adj == expected).all(), model.to_json()
+        uncovered += not is_real(model)
+    assert uncovered > 500
 
 
 def test_is_real_c4():

@@ -2,6 +2,7 @@ import hashlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -46,6 +47,7 @@ from conftest import (
     labels_of,
     load,
     perturbed_ring,
+    reference_counter_matrix,
     src_env,
 )
 
@@ -241,6 +243,7 @@ def test_left_vertex_bounds_all_candidates():
         model = gen_random(n, seed)
         ctx = context_for(model)
         cycle, graph = ctx.cycle, ctx.graph
+        counter = reference_counter_matrix(cycle)
         for v in range(n):
             if ctx.dominating[v]:
                 continue
@@ -254,7 +257,7 @@ def test_left_vertex_bounds_all_candidates():
                     (cycle.left[v] - cycle.left[u]) % cycle.k < cycle.span_len[u]
                     and cycle.left[u] != cycle.left[v]
                     and not ctx.dominating[u]
-                    and not ctx.counter[v, u]
+                    and not counter[v, u]
                 )
                 if further_left:
                     assert fwd(ctx, lv, u) <= span
@@ -317,10 +320,11 @@ def ref_left_vertex(ctx, v):
     cycle = ctx.cycle
     k = cycle.k
     lc = int(cycle.left[v])
+    counter = reference_counter_matrix(cycle)
     best, best_dist = None, 0
     for u in np.flatnonzero(ctx.graph.adj[v]).tolist():
         if ((lc - cycle.left[u]) % k < cycle.span_len[u] and cycle.left[u] != lc
-                and not ctx.dominating[u] and not ctx.counter[v, u]
+                and not ctx.dominating[u] and not counter[v, u]
                 and fwd(ctx, u, v) > best_dist):
             best, best_dist = u, fwd(ctx, u, v)
     h = int(ctx.vorder.head[lc])
@@ -412,7 +416,7 @@ def ref_facing_via_dominating_members(frame, ctx):
 
 def ref_facing_via_shared_neighbor(frame, ctx, members):
     v, m = frame.v, frame.middle_vertex
-    carriers = ctx.dominating | ctx.counter[v]
+    carriers = ctx.dominating | reference_counter_matrix(ctx.cycle)[v]
     if not carriers.any():
         raise ConstructionError("no carrier for the facing block", vertex=v)
     u = m if carriers[m] else int(np.argmax(carriers))
@@ -426,7 +430,7 @@ def ref_facing_via_shared_neighbor(frame, ctx, members):
 
 def ref_facing_near_counter_pair(frame, ctx, members):
     v = frame.v
-    w0, c0 = sorted(np.argwhere(ctx.counter)[0].tolist())
+    w0, c0 = sorted(np.argwhere(reference_counter_matrix(ctx.cycle))[0].tolist())
     adj = ctx.graph.adj
     a0, a1 = bool(adj[v, w0]), bool(adj[v, c0])
     if not (a0 or a1):
@@ -929,8 +933,7 @@ PLANNER_CHECKS = [
      lambda ctx: set_row(ctx, "has_counter", 2, True),
      plan, "no carrier for the facing block", 2),
     ("carrier_inside", lambda: gen_random(8, 118),
-     lambda ctx: (set_row(ctx, "counter", (1, 7), True),
-                  set_row(ctx, "middle_of", 1, 7)),
+     lambda ctx: (set_row(ctx, "partner", 1, 7), set_row(ctx, "middle_of", 1, 7)),
      plan, "carrier lies inside the facing block", 1),
     ("carrier_misses", lambda: gen_random(8, 118), lambda ctx: drop_edges(ctx, (6, 7)),
      plan, "carrier misses part of the facing block", 1),
@@ -1044,6 +1047,43 @@ def test_scheme_json_round_trip():
     for name in ("src", "dst", "start", "length"):
         assert (getattr(again, name) == getattr(scheme, name)).all()
     assert again.to_json() == scheme.to_json()
+
+
+def reference_to_json(scheme):
+    """The scheme's JSON by grouping the rows per arc through a dict and
+    sorting the arcs, as ``to_json`` wrote it before it read the rows in
+    their stored order."""
+    items = scheme.order.items
+    order = ", ".join(str(v) for v in items)
+    grouped: dict[tuple[int, int], list[str]] = {}
+    n = len(items)
+    for v, w, s, ln in zip(scheme.src.tolist(), scheme.dst.tolist(),
+                           scheme.start.tolist(), scheme.length.tolist()):
+        grouped.setdefault((v, w), []).append(
+            f"[{items[s]}, {items[(s + ln - 1) % n]}]"
+        )
+    entries = [
+        f'"{v}->{w}": [{", ".join(grouped[(v, w)])}]'
+        for (v, w) in sorted(grouped)
+    ]
+    return f'{{"order": [{order}], "labels": {{{", ".join(entries)}}}}}'
+
+
+def test_to_json_matches_the_grouping_reference():
+    for model in digest_corpus():
+        scheme = build_scheme(model)
+        assert scheme.to_json() == reference_to_json(scheme), model.to_json()
+    # keys out of order, arcs with two intervals in either order, and no arcs
+    shuffled = RoutingScheme.from_json(
+        '{"order": [2, 0, 3, 1], "labels": {"3->0": [[0, 0], [1, 2]], '
+        '"0->1": [[1, 3]], "1->0": [[3, 0]], "0->3": [[2, 2], [0, 3]], '
+        '"2->1": [[1, 1]]}}')
+    assert shuffled.to_json() == reference_to_json(shuffled) == (
+        '{"order": [2, 0, 3, 1], "labels": {"0->1": [[1, 3]], '
+        '"0->3": [[2, 2], [0, 3]], "1->0": [[3, 0]], "2->1": [[1, 1]], '
+        '"3->0": [[0, 0], [1, 2]]}}')
+    empty = RoutingScheme.from_json('{"order": [0], "labels": {}}')
+    assert empty.to_json() == reference_to_json(empty)
 
 
 def singleton_runs(n):
@@ -1265,6 +1305,19 @@ for model in (gen_ring(12), gen_wheel(9), gen_complete(6), gen_random(64, 3),
     build_scheme(model)
 assert "scipy" not in sys.modules, "a build loaded scipy"
 """
+
+
+def test_sparse_build_holds_no_n_by_n_int64_array():
+    # one 3000 x 3000 int64 array alone is 69 MiB; the n-by-n boolean
+    # adjacency is 9 MiB
+    model = perturbed_ring(3000, 0)
+    tracemalloc.start()
+    try:
+        build_scheme(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_builds_never_load_scipy():

@@ -17,9 +17,18 @@ from arcroute import (
     validate_model,
 )
 from arcroute.arc_model import gap_coverage, is_real
-from arcroute.clique_cycle import clique_runs
+from arcroute.builder import LabelingContext
+from arcroute.clique_cycle import clique_runs, counter_pairs
 from arcroute.errors import NotRealCircularArc
-from conftest import C4_MODEL, COUNTER_MODEL, K3_MODEL, load, perturbed_ring
+from conftest import (
+    C4_MODEL,
+    COUNTER_MODEL,
+    K3_MODEL,
+    load,
+    perturbed_ring,
+    reference_counter_matrix,
+    reference_intersection_graph,
+)
 
 
 def cycle_of(payload):
@@ -34,7 +43,7 @@ def member_sets(cycle):
 
 def counter_partners(cycle, v):
     """Neighbors of v whose shared clique run splits in two pieces."""
-    return {int(w) for w in np.flatnonzero(cycle.counter_matrix()[v])}
+    return {int(w) for w in np.flatnonzero(reference_counter_matrix(cycle)[v])}
 
 
 def test_rejects_non_real_model():
@@ -341,6 +350,29 @@ def test_clique_runs_match_the_bitmask_reference():
     assert drops["far"] > 5000
     assert drops["inside"] > 2000
     assert drops["equal"] > 400
+
+
+def test_counter_pairs_and_adjacency_match_the_n_by_n_references():
+    models = with_pairs = 0
+    for model in _differential_corpus():
+        graph = intersection_graph(model)
+        assert (graph.adj == reference_intersection_graph(model).adj).all(), \
+            model.to_json()
+        cycle = build_clique_cycle(model, graph)
+        lc, ln = cycle.left, cycle.span_len
+        pairs = counter_pairs(lc[:, None], ln[:, None], lc[None, :], ln[None, :],
+                              cycle.k)
+        # the predicate reads no adjacency: a counter pair shares a clique
+        assert not (pairs & ~graph.adj).any(), model.to_json()
+        expected = reference_counter_matrix(cycle)
+        assert (pairs == expected).all(), model.to_json()
+        ctx = LabelingContext(cycle, graph, build_vertex_order(cycle))
+        lowest = np.where(expected.any(axis=1), expected.argmax(axis=1), model.n)
+        assert ctx.partner.tolist() == lowest.tolist(), model.to_json()
+        models += 1
+        with_pairs += bool(expected.any())
+    assert models > 3500
+    assert with_pairs > 1000
 
 
 def test_clique_runs_memory_is_linear_in_the_arcs():
