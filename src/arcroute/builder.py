@@ -547,10 +547,10 @@ class RoutingScheme:
         shapes = {a.shape for a in (self.src, self.dst, self.start, self.length)}
         if len(shapes) != 1 or len(shapes.pop()) != 1:
             raise bad
-        # the verifier bisects on the source column
-        key = self.src * len(order.items) + self.dst
-        if len(key) > 1 and (np.diff(key) < 0).any():
-            idx = np.argsort(key, kind="stable")
+        # rows by (source, target), compared as pairs so that any ids sort
+        s, d = self.src, self.dst
+        if ((s[1:] < s[:-1]) | ((s[1:] == s[:-1]) & (d[1:] < d[:-1]))).any():
+            idx = np.lexsort((d, s))
             self.src = self.src[idx]
             self.dst = self.dst[idx]
             self.start = self.start[idx]
@@ -569,8 +569,9 @@ class RoutingScheme:
         last = items[(self.start + self.length - 1) % len(items)].tolist()
         # the rows are sorted by arc: where src or dst changes, a row closes
         # the entry before and opens its arc's, else it joins the same list
-        opens = ((np.diff(self.src, prepend=-1) != 0)
-                 | (np.diff(self.dst, prepend=-1) != 0))
+        opens = np.ones(len(self.src), dtype=bool)
+        opens[1:] = ((self.src[1:] != self.src[:-1])
+                     | (self.dst[1:] != self.dst[:-1]))
         rows = "".join(
             f']], "{v}->{w}": [[{a}, {b}' if new else f'], [{a}, {b}'
             for new, v, w, a, b in zip(opens.tolist(), self.src.tolist(),

@@ -3,10 +3,13 @@
 The verifier never looks at arc geometry or clique-cycles: it recomputes
 shortest-path structure from the graph alone (one scipy all-pairs
 shortest-path matrix) and checks a scheme against the defining
-constraints — disjoint intervals per vertex, full strict coverage, and
-every labeled destination reachable through a first vertex of some
-shortest path.  Route simulation and interval accounting live here too.
-All of it reads the scheme's interval arrays directly.
+constraints — no interval holds its own source, the intervals at a
+vertex are disjoint and cover every other vertex, and every labeled
+destination is reached through a first vertex of some shortest path.
+It checks all rows in one pass (one expansion into (row, destination)
+pairs, one bincount over their cells) and never reads the forwarding
+table, so the route check below stays independent.  Route simulation
+and interval accounting live here too, on the scheme's arrays.
 
 Routes read one forwarding table per (scheme, graph), built in one bulk
 pass over all intervals.  ``route_lengths`` checks every first hop for
@@ -18,6 +21,7 @@ route has covered, instead of one round per hop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -102,65 +106,59 @@ def _check_structure(graph: Graph, scheme: RoutingScheme) -> None:
             f"arc ({src[i]}, {dst[i]}) has an interval outside the order")
 
 
-def _verify_vertex(dist: np.ndarray, items: np.ndarray, scheme: RoutingScheme,
-                   v: int, lo: int, hi: int, report: VerificationReport) -> None:
-    """Check the intervals ``lo:hi`` of the scheme arrays, all leaving v."""
-    n = len(items)
-    ws = scheme.dst[lo:hi]
-    starts, lengths = scheme.start[lo:hi], scheme.length[lo:hi]
-    run, positions = expand_runs(starts, lengths, n)
-    flat_w = ws[run]
-    dests = items[positions]
-    counts = np.bincount(dests, minlength=n)
-    bad = dist[flat_w, dests] != dist[v, dests] - 1
-    for w, u in zip(flat_w[bad].tolist(), dests[bad].tolist()):
-        report.shortest_violations.append(
-            {"vertex": v, "arc": [v, w], "destination": u}
-        )
-    if counts[v] > 0:
-        for i in np.unique(run[dests == v]).tolist():
-            ends = items[[starts[i], (starts[i] + lengths[i] - 1) % n]]
-            report.strictness_violations.append(
-                {"vertex": v, "arc": [v, int(ws[i])], "interval": ends.tolist()}
-            )
-        counts[v] = 0  # do not double-report as a disjointness issue
-    for u in np.flatnonzero(counts > 1).tolist():
-        report.disjoint_violations.append(
-            {"vertex": v, "destination": u,
-             "arcs": [[v, w] for w in flat_w[dests == u].tolist()]}
-        )
-    for u in np.flatnonzero(counts == 0).tolist():
-        if u != v:
-            report.coverage_violations.append({"vertex": v, "destination": u})
-
-
 def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:
     """Check a scheme against the graph; collects every violation.
 
     Raises StructuralSchemeError for malformed schemes (wrong vertex set,
     intervals on non-edges); verification failures are reported, not
-    raised.  Runs on one thread: the per-vertex checks are numpy calls too
-    short for a thread pool to pay off.
+    raised.  Every row is checked in one pass; each list runs by source
+    vertex, then by row (strictness, shortest paths) or by destination.
     """
     _checked(scheme, graph)
-    dist = all_pairs_distances(graph)
-    report = VerificationReport(True, True, True, True)
-
+    n = graph.n
+    src, dst, start, length = scheme.src, scheme.dst, scheme.start, scheme.length
     items = np.asarray(scheme.order.items, dtype=np.int64)
-    bounds = np.searchsorted(scheme.src, np.arange(graph.n + 1)).tolist()
-    for v in range(graph.n):
-        _verify_vertex(dist, items, scheme, v, bounds[v], bounds[v + 1], report)
+    flat = all_pairs_distances(graph).ravel()
+    # pair i of the expansion: its row's source v holds destination u in
+    # cell v * n + u, and the row's hop w must be one step nearer to u;
+    # built in place, each temporary dropped once read
+    run, cell = expand_runs(start, length, n)
+    cell = items[cell]
+    hop = dst[run] * n
+    hop += cell
+    cell += src[run] * n
+    del run
+    hop = flat[hop]
+    hop -= flat[cell]
+    detours = np.flatnonzero(hop != -1)
+    del hop
+    counts = np.bincount(cell, minlength=n * n)
+    counts[::n + 1] = 1  # a vertex's own cell is a strictness matter
+    doubled = np.flatnonzero((counts > 1)[cell])
+    doubled = doubled[np.argsort(cell[doubled], kind="stable")]
+    holes = np.flatnonzero(counts == 0)
 
-    report.strictness_ok = not report.strictness_violations
-    report.disjoint_ok = not report.disjoint_violations
-    report.coverage_ok = not report.coverage_violations
-    report.shortest_ok = not report.shortest_violations
+    def pairs(index):  # (v, u, w) of the pairs at these indices
+        w = dst[np.searchsorted(np.cumsum(length), index, side="right")]
+        return zip((cell[index] // n).tolist(), (cell[index] % n).tolist(), w.tolist())
 
+    # rows that hold their own source; argsort(items)[v] is v's order position
+    held = np.flatnonzero((np.argsort(items)[src] - start) % n < length)
+    first = start[held]
+    ends = items[np.column_stack([first, (first + length[held] - 1) % n])]
+    strict = [{"vertex": v, "arc": [v, w], "interval": e} for v, w, e in
+              zip(src[held].tolist(), dst[held].tolist(), ends.tolist())]
+    disjoint = [{"vertex": v, "destination": u, "arcs": [[v, w] for *_, w in group]}
+                for (v, u), group in groupby(pairs(doubled), key=lambda p: p[:2])]
+    coverage = [{"vertex": v, "destination": u}
+                for v, u in zip((holes // n).tolist(), (holes % n).tolist())]
+    shortest = [{"vertex": v, "arc": [v, w], "destination": u}
+                for v, u, w in pairs(detours)]
     stats = interval_stats(scheme)
-    report.total_intervals = stats.total_intervals
-    report.max_intervals_per_arc = stats.max_intervals_per_arc
-    report.double_labeled_arcs_per_vertex = stats.double_labeled_arcs_per_vertex
-    return report
+    return VerificationReport(
+        not strict, not disjoint, not coverage, not shortest,
+        strict, disjoint, coverage, shortest, stats.total_intervals,
+        stats.max_intervals_per_arc, stats.double_labeled_arcs_per_vertex)
 
 
 def _checked(scheme: RoutingScheme, graph: Graph) -> None:

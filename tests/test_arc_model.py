@@ -9,6 +9,10 @@ from arcroute import (
     bfs_distances,
     dominating_vertices,
     first_vertices,
+    gen_complete,
+    gen_random,
+    gen_ring,
+    gen_wheel,
     intersection_graph,
     is_real,
     parse_model,
@@ -22,7 +26,7 @@ from arcroute.errors import (
     PositionOutOfRangeError,
     UnreachablePairError,
 )
-from conftest import C4_MODEL, load, reference_intersection_graph
+from conftest import C4_MODEL, load, perturbed_ring, reference_intersection_graph
 
 
 def test_parse_single_vertex_model():
@@ -181,10 +185,23 @@ def test_from_edges_accepts_numpy_integer_ids():
 
 
 def test_all_pairs_matches_bfs():
-    graph = intersection_graph(load(C4_MODEL))
-    dist = all_pairs_distances(graph)
-    for v in range(4):
-        assert (dist[v] == bfs_distances(graph, v)).all()
+    models = [load(C4_MODEL)]
+    models += [gen_ring(k) for k in range(3, 14)]
+    models += [gen_wheel(k) for k in range(3, 10)]
+    models += [gen_complete(n) for n in range(2, 8)]
+    models += [gen_random(n, seed) for n in (5, 12, 30, 60) for seed in range(3)]
+    models += [perturbed_ring(n, seed) for n in (8, 20, 50) for seed in range(2)]
+    graphs = [intersection_graph(model) for model in models]
+    # two components and an isolated vertex: rows with UNREACHABLE cells
+    graphs.append(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]))
+    unreachable = 0
+    for graph in graphs:
+        dist = all_pairs_distances(graph)
+        assert dist.shape == (graph.n, graph.n) and dist.dtype == np.int64
+        for v in range(graph.n):
+            assert (dist[v] == bfs_distances(graph, v)).all()
+        unreachable += int((dist == UNREACHABLE).sum())
+    assert unreachable == 2 * (4 * 2 + 4 * 1 + 2 * 1)
 
 
 def test_first_vertices_c4():

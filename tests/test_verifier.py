@@ -8,6 +8,7 @@ import pytest
 
 from arcroute import (
     CyclicOrder,
+    Graph,
     RoutingScheme,
     all_pairs_distances,
     build_scheme,
@@ -20,7 +21,7 @@ from arcroute import (
     route,
     verify_scheme,
 )
-from arcroute.arc_model import validate_model
+from arcroute.arc_model import UNREACHABLE, validate_model
 from arcroute.errors import (
     AmbiguousRouteError,
     CoverageHoleError,
@@ -31,10 +32,12 @@ from arcroute.ring_order import expand_runs
 from arcroute.verifier import (
     AMBIGUOUS,
     UNCOVERED,
+    VerificationReport,
     _check_structure,
     route_lengths,
 )
 from conftest import C4_MODEL, load, perturbed_ring
+from test_oracle_agreement import corrupted_variants
 
 
 def c4_setup():
@@ -260,6 +263,26 @@ def test_all_failures_enumerated():
     })
     report = verify_scheme(graph, messy)
     assert report.disjoint_violations and report.coverage_violations
+
+
+def test_rows_sort_by_source_then_target_whatever_the_ids():
+    # the rows were once sorted on src * n + dst, which put "1->0" before
+    # "0->5" on two vertices and overflows for huge ids
+    scheme = RoutingScheme(CyclicOrder([0, 1]), [0, 1], [5, 0], [1, 0], [1, 1])
+    assert scheme.to_json() == (
+        '{"order": [0, 1], "labels": {"0->5": [[1, 1]], "1->0": [[0, 0]]}}')
+    huge = 2 ** 62
+    scheme = RoutingScheme(CyclicOrder([0, 1]), [huge, 0, 0, -1], [0, huge, 3, 7],
+                           [1, 0, 1, 0], [1, 1, 2, 1])
+    assert scheme.src.tolist() == [-1, 0, 0, huge]
+    assert scheme.dst.tolist() == [7, 3, huge, 0]
+    # the first row opens its arc's entry even when its ids are -1
+    assert json.loads(RoutingScheme(
+        CyclicOrder([0, 1]), [-1], [-1], [0], [1]).to_json())["labels"] == {
+            "-1->-1": [[0, 0]]}
+    with pytest.raises(StructuralSchemeError, match=re.escape(
+            "arc (-1, 7) is not a valid arc")):
+        verify_scheme(Graph.from_edges(2, [(0, 1)]), scheme)
 
 
 def test_route_c4():
@@ -586,3 +609,129 @@ def test_report_json_shape():
         "shortest_ok", "total_intervals",
     ]
     assert payload["passed"] is True
+
+
+# Reference: verify_scheme as it was before the bulk pass, one expansion
+# and one bincount per vertex.
+
+
+def _reference_verify_vertex(dist, items, scheme, v, lo, hi, report):
+    n = len(items)
+    ws = scheme.dst[lo:hi]
+    starts, lengths = scheme.start[lo:hi], scheme.length[lo:hi]
+    run, positions = expand_runs(starts, lengths, n)
+    flat_w = ws[run]
+    dests = items[positions]
+    counts = np.bincount(dests, minlength=n)
+    bad = dist[flat_w, dests] != dist[v, dests] - 1
+    for w, u in zip(flat_w[bad].tolist(), dests[bad].tolist()):
+        report.shortest_violations.append(
+            {"vertex": v, "arc": [v, w], "destination": u}
+        )
+    if counts[v] > 0:
+        for i in np.unique(run[dests == v]).tolist():
+            ends = items[[starts[i], (starts[i] + lengths[i] - 1) % n]]
+            report.strictness_violations.append(
+                {"vertex": v, "arc": [v, int(ws[i])], "interval": ends.tolist()}
+            )
+        counts[v] = 0  # do not double-report as a disjointness issue
+    for u in np.flatnonzero(counts > 1).tolist():
+        report.disjoint_violations.append(
+            {"vertex": v, "destination": u,
+             "arcs": [[v, w] for w in flat_w[dests == u].tolist()]}
+        )
+    for u in np.flatnonzero(counts == 0).tolist():
+        if u != v:
+            report.coverage_violations.append({"vertex": v, "destination": u})
+
+
+def reference_verify_scheme(graph, scheme):
+    _check_structure(graph, scheme)
+    dist = all_pairs_distances(graph)
+    report = VerificationReport(True, True, True, True)
+    items = np.asarray(scheme.order.items, dtype=np.int64)
+    bounds = np.searchsorted(scheme.src, np.arange(graph.n + 1)).tolist()
+    for v in range(graph.n):
+        _reference_verify_vertex(dist, items, scheme, v, bounds[v], bounds[v + 1],
+                                 report)
+    report.strictness_ok = not report.strictness_violations
+    report.disjoint_ok = not report.disjoint_violations
+    report.coverage_ok = not report.coverage_violations
+    report.shortest_ok = not report.shortest_violations
+    stats = interval_stats(scheme)
+    report.total_intervals = stats.total_intervals
+    report.max_intervals_per_arc = stats.max_intervals_per_arc
+    report.double_labeled_arcs_per_vertex = stats.double_labeled_arcs_per_vertex
+    return report
+
+
+def random_scheme(graph, rng):
+    """Zero to two random intervals on every arc of the graph, under a
+    random order: any mix of violations, and holes on isolated vertices."""
+    items = list(range(graph.n))
+    rng.shuffle(items)
+    labels = {}
+    for v, w in itertools.permutations(range(graph.n), 2):
+        if graph.adj[v, w]:
+            labels[(v, w)] = [[rng.choice(items), rng.choice(items)]
+                              for _ in range(rng.randrange(3))]
+    return scheme_from(items, labels)
+
+
+# vertex 0 of C4 breaks every constraint: its arc (0, 1) holds 0 itself
+# and detours to 3, its arc (0, 3) overlaps (0, 1) on 1, and nothing
+# covers 2; the other vertices route as the built scheme does
+ALL_BROKEN_AT_0 = {(0, 1): [(3, 1)], (0, 3): [(1, 1)],
+                   (1, 0): [(0, 0)], (1, 2): [(2, 3)],
+                   (2, 1): [(1, 1)], (2, 3): [(3, 0)],
+                   (3, 0): [(0, 1)], (3, 2): [(2, 2)]}
+
+
+def verify_corpus():
+    """(graph, scheme) pairs: built schemes, corrupted ones, hand-built C4
+    schemes and random schemes on disconnected graphs."""
+    models = [gen_ring(k) for k in range(3, 11)]
+    models += [gen_wheel(k) for k in range(3, 9)]
+    models += [gen_complete(n) for n in range(2, 8)]
+    models += [gen_random(n, seed) for n in range(3, 15) for seed in range(6)]
+    models += [perturbed_ring(n, seed) for n in (8, 16, 30) for seed in range(3)]
+    rng = random.Random(15)
+    for index, model in enumerate(models):
+        graph = intersection_graph(model)
+        built = build_scheme(model)
+        yield graph, built
+        yield graph, corrupt_one_row(built, graph, rng)
+        if index % 4 == 0:
+            for variant in corrupted_variants(built, graph, rng, 6):
+                yield graph, variant
+    c4 = intersection_graph(load(C4_MODEL))
+    yield c4, scheme_from([0, 1, 2, 3], ALL_BROKEN_AT_0)
+    yield c4, scheme_from([0, 1, 2, 3], {**ALL_BROKEN_AT_0, (0, 1): [(3, 1), (2, 0)]})
+    yield c4, scheme_from([0, 1, 2, 3], {**ALL_BROKEN_AT_0, (0, 1): []})
+    yield c4, scheme_from([2, 0, 3, 1], {(0, 1): [(1, 1)], (1, 2): [(2, 0)]})
+    yield c4, RoutingScheme(CyclicOrder([0, 1, 2, 3]), [], [], [], [])
+    for n, edges in [(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]),
+                     (5, [(0, 1), (1, 2), (3, 4)]),
+                     (4, [(0, 1), (1, 2)]),
+                     (1, [])]:
+        graph = Graph.from_edges(n, edges)
+        for _ in range(12):
+            yield graph, random_scheme(graph, rng)
+
+
+def test_bulk_verify_matches_the_per_vertex_reference():
+    schemes = 0
+    kinds = {"passed": 0, "strictness": 0, "disjoint": 0, "coverage": 0,
+             "shortest": 0, "unreachable": 0}
+    for graph, scheme in verify_corpus():
+        report = verify_scheme(graph, scheme)
+        assert report.to_json() == reference_verify_scheme(graph, scheme).to_json()
+        schemes += 1
+        kinds["passed"] += report.passed
+        for kind in ("strictness", "disjoint", "coverage", "shortest"):
+            kinds[kind] += bool(getattr(report, f"{kind}_violations"))
+        dist = all_pairs_distances(graph)
+        kinds["unreachable"] += any(dist[f["vertex"], f["destination"]] == UNREACHABLE
+                                    for f in report.shortest_violations)
+    assert schemes >= 400
+    assert min(kinds.values()) > 0, kinds
