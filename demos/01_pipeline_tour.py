@@ -7,11 +7,12 @@ vertex's frame, and the finished routing scheme with a verification
 report and simulated routes.
 """
 
+import numpy as np
+
 from arcroute import (
     build_clique_cycle,
     build_scheme,
     build_vertex_order,
-    compute_frame,
     intersection_graph,
     interval_stats,
     parse_model,
@@ -32,25 +33,26 @@ def main() -> None:
     print(f"edges: {graph.edges()}  (the 4-cycle)\n")
 
     cycle = build_clique_cycle(model, graph)
-    print("clique-cycle (maximal point cliques, clockwise) and spans:")
-    print(cycle.dump())
+    print(f"clique-cycle: {cycle.k} maximal point cliques, clockwise; "
+          f"each vertex's clique run:")
+    for v in range(model.n):
+        print(f"  vertex {v}: cliques {cycle.left[v]} .. {cycle.right[v]} "
+              f"({cycle.span_len[v]} of them)")
     print()
 
     vorder = build_vertex_order(cycle)
     print(f"vertex order: {vorder.items}")
 
+    # the context holds every vertex's frame as arrays; the blocks are runs
+    # of offsets after the vertex: 1 .. lo-1, lo .. hi-1 and hi .. n-1
     ctx = LabelingContext(cycle, graph, vorder)
-    frame = compute_frame(ctx, 0)
-    print(f"frame of vertex 0: left vertex {frame.left_vertex}, "
-          f"middle vertex {frame.middle_vertex}")
-    # the blocks are runs of offsets after the vertex: 1 .. lo-1, lo .. hi-1
-    # and hi .. n-1
-    print(f"  right block  {ctx.run(0, 1, frame.lo).tolist()}  "
-          f"(adjacent, one singleton each)")
-    print(f"  facing block {ctx.run(0, frame.lo, frame.hi).tolist()}  "
-          f"(not adjacent, split by cases)")
-    print(f"  left block   {ctx.run(0, frame.hi, ctx.n).tolist()}  "
-          f"(served by its adjacent members)\n")
+    lo, hi = ctx.lo[0], ctx.hi[0]
+    print(f"frame of vertex 0: left vertex {ctx.left_of[0]}, "
+          f"middle vertex {ctx.middle_of[0]}, lo {lo}, hi {hi}")
+    after = np.roll(ctx.items, -ctx.pos[0])  # the order, from vertex 0 on
+    print(f"  right block  {after[1:lo].tolist()}  (adjacent, one singleton each)")
+    print(f"  facing block {after[lo:hi].tolist()}  (not adjacent, split by cases)")
+    print(f"  left block   {after[hi:].tolist()}  (served by its adjacent members)\n")
 
     scheme = build_scheme(model)
     print(f"scheme: {scheme.to_json()}\n")

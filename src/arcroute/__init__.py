@@ -19,14 +19,9 @@ from .arc_model import (
 )
 from .builder import (
     RoutingScheme,
-    VertexFrame,
     VertexOrder,
-    apex_number,
     build_scheme,
     build_vertex_order,
-    compute_frame,
-    right_vertex,
-    separator,
 )
 from .clique_cycle import (
     CliqueCycle,
@@ -71,15 +66,12 @@ __all__ = [
     "RoutingScheme",
     "StructuralSchemeError",
     "VerificationReport",
-    "VertexFrame",
     "VertexOrder",
     "all_pairs_distances",
-    "apex_number",
     "bfs_distances",
     "build_clique_cycle",
     "build_scheme",
     "build_vertex_order",
-    "compute_frame",
     "dominating_vertices",
     "first_vertices",
     "gen_complete",
@@ -91,10 +83,8 @@ __all__ = [
     "intersection_graph",
     "is_real",
     "parse_model",
-    "right_vertex",
     "ring_sequence",
     "route",
-    "separator",
     "validate_model",
     "verify_scheme",
 ]

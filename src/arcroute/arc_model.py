@@ -38,15 +38,6 @@ class ArcModel:
     def circle_size(self) -> int:
         return 2 * self.n
 
-    def gap_span(self, i: int) -> tuple[int, int]:
-        """(first covered gap, number of covered gaps) of arc ``i``."""
-        s, e = self.arcs[i]
-        return s, (e - s) % self.circle_size
-
-    def covers_gap(self, i: int, gap: int) -> bool:
-        s, length = self.gap_span(i)
-        return (gap - s) % self.circle_size < length
-
     def to_json(self) -> str:
         arcs = ", ".join(f"[{s}, {e}]" for s, e in self.arcs)
         return f'{{"n": {self.n}, "arcs": [{arcs}]}}'

@@ -19,7 +19,8 @@ runs no graph search.
 
 Each block is a run of offsets clockwise after the vertex, and each label
 assignment a run (source, target, offset, length).  One pass over the
-directed edges gives the frames of all vertices and the runs of every right
+directed edges gives the frame arrays of all vertices (``left_of``,
+``middle_of``, ``right_of``, ``lo`` and ``hi``) and the runs of every right
 and left block, one bulk pass plans every facing block, walking the chains
 of all vertices together, and one more joins all runs and checks the
 scheme's shape.
@@ -79,22 +80,6 @@ def build_vertex_order(cycle: CliqueCycle) -> VertexOrder:
     return VertexOrder(CyclicOrder(items.tolist()), head, tail)
 
 
-@dataclass
-class VertexFrame:
-    """Per-vertex view of the order: distinguished neighbors and blocks.
-
-    The blocks are three runs of offsets clockwise after v: offsets
-    ``1 .. lo - 1`` are the right block, ``lo .. hi - 1`` the facing block
-    and ``hi .. n - 1`` the left block, each empty when its bounds meet.
-    """
-
-    v: int
-    left_vertex: int | None
-    middle_vertex: int
-    lo: int
-    hi: int
-
-
 class LabelingContext:
     """Shared precomputed state for labeling all vertices of one graph.
 
@@ -118,10 +103,6 @@ class LabelingContext:
         self.n = graph.n
         self.order = vorder.order
         self.items = np.asarray(self.order.items, dtype=np.int64)
-        # the order written out twice: any block is one slice of it, and
-        # the slices handed out are views, so the array is read-only
-        self._ring = np.concatenate([self.items, self.items])
-        self._ring.flags.writeable = False
         self.pos = np.empty(self.n, dtype=np.int64)
         self.pos[self.items] = np.arange(self.n, dtype=np.int64)
         self.dominating = cycle.dominating
@@ -216,12 +197,6 @@ class LabelingContext:
         self.edges = (None if self.any_dominating or self.any_counter_pair
                       else src.astype(np.int64) * n + col)
 
-    def run(self, v: int, a: int, b: int) -> np.ndarray:
-        """Vertices at offsets ``a .. b - 1`` clockwise after v
-        (``0 <= a <= b <= n``)."""
-        p = int(self.pos[v])
-        return self._ring[p + a:p + b]
-
     def dominating_run(self) -> tuple[int, int]:
         """First and last of the dominating vertices in the order.
 
@@ -245,24 +220,6 @@ def _reject_first(bad: np.ndarray, message: str, names=None) -> None:
     if bad.any():
         vertex = np.argmax(bad) if names is None else names[bad].min()
         raise ConstructionError(message, vertex=int(vertex))
-
-
-def compute_frame(ctx: LabelingContext, v: int) -> VertexFrame:
-    """Distinguished neighbors and blocks of a non-dominating vertex, read
-    from the context's frame arrays.
-
-    The right block runs from v's successor through its middle vertex
-    (empty when the middle vertex is v itself), the left block from v's
-    left vertex up to v (empty without a left vertex), and the facing block
-    is what lies between them.
-    """
-    if ctx.dominating[v]:
-        raise ConstructionError("frames are undefined for dominating vertices",
-                                vertex=v)
-    lv = int(ctx.left_of[v])
-    return VertexFrame(v=v, left_vertex=None if lv == -1 else lv,
-                       middle_vertex=int(ctx.middle_of[v]),
-                       lo=int(ctx.lo[v]), hi=int(ctx.hi[v]))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +247,7 @@ def _plan_facings(ctx: LabelingContext) -> list[np.ndarray]:
     if ctx.any_dominating or ctx.any_counter_pair:
         # dominating members of each block, off prefix sums over the order
         # written twice
-        seen = np.concatenate([[0], np.cumsum(ctx.dominating[ctx._ring])])
+        seen = np.concatenate([[0], np.cumsum(np.tile(ctx.dominating[ctx.items], 2))])
         sliced = seen[ctx.pos[vs] + ctx.hi[vs]] > seen[ctx.pos[vs] + ctx.lo[vs]]
         if sliced.any():
             runs.append(_dominating_slices(ctx, vs[sliced]))
@@ -341,7 +298,7 @@ def _dominating_slices(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray
     first, last = _offsets(ctx, vs, d_head), _offsets(ctx, vs, d_tail)
     _reject_first(~(_facing(ctx, vs, first) & _facing(ctx, vs, last)),
                   "dominating run straddles the facing block boundary", vs)
-    doms = ctx.run(d_head, 0, ctx.pos[d_tail] - ctx.pos[d_head] + 1)
+    doms = ctx.items[ctx.pos[d_head]:ctx.pos[d_tail] + 1]
     bounds = np.column_stack([ctx.lo[vs], first[:, None] + np.arange(1, len(doms)),
                               ctx.hi[vs]])
     return (np.repeat(vs, len(doms)), np.tile(doms, len(vs)), bounds[:, :-1].ravel(),
@@ -415,7 +372,9 @@ def _cut_counts(ctx: LabelingContext, vs: np.ndarray, r: np.ndarray) -> np.ndarr
 
 
 def _right_vertices(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
-    """The right vertices of ``vs``, as ``right_vertex`` defines them."""
+    """The right vertices of ``vs``, their farthest-clockwise-reaching
+    neighbors (``right_of``); only defined when the graph has no dominating
+    vertices and the vertex has no counter partner."""
     if ctx.any_dominating:
         raise ConstructionError("right vertex undefined with dominating vertices")
     _reject_first(ctx.has_counter[vs], "right vertex undefined for counter vertices",
@@ -425,26 +384,16 @@ def _right_vertices(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
     return r
 
 
-def right_vertex(frame: VertexFrame, ctx: LabelingContext) -> int:
-    """Farthest-clockwise-reaching neighbor; only defined when the graph
-    has no dominating vertices and v has no counter partner."""
-    return int(_right_vertices(ctx, np.array([frame.v]))[0])
-
-
-def apex_number(frame: VertexFrame, ctx: LabelingContext) -> int:
-    """Depth at which the iterated left/right vertices of v meet.
-
-    Depth 1 means the spans of the two first-step neighbors already meet
-    around the far side of the clique cycle; otherwise it is the smallest
-    i > 1 with the i-th left and right iterates adjacent or equal.
-    """
-    return int(_walk_chains(ctx, np.array([frame.v]))[0][0])
-
-
 def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Apex numbers of ``vs``, with the left and right iterates one step
     before the chains meet (the first ones where the apex number is 1).
-    All chains advance together, one step per depth."""
+
+    The apex number of v is the depth at which its iterated left and right
+    vertices meet.  Depth 1 means the spans of the two first-step neighbors
+    already meet around the far side of the clique cycle; otherwise it is
+    the smallest i > 1 with the i-th left and right iterates adjacent or
+    equal.  All chains advance together, one step per depth.
+    """
     if ctx.any_dominating or ctx.any_counter_pair:
         raise ConstructionError("apex undefined with dominating or counter vertices")
     cycle, k = ctx.cycle, ctx.cycle.k
@@ -473,8 +422,9 @@ def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]
     return apex, li, ri
 
 
-def separator(frame: VertexFrame, ctx: LabelingContext) -> int:
-    """Boundary vertex splitting the facing block.
+def _separators(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
+    """The separators of ``vs``: the boundary vertices splitting their
+    facing blocks.
 
     Everything from the facing block's start through the separator routes
     via the right vertex; the rest routes via the left vertex.  With apex
@@ -482,14 +432,9 @@ def separator(frame: VertexFrame, ctx: LabelingContext) -> int:
     chains gives the left and right iterates one step before they meet,
     and the separator is the vertex before the first one, after the block
     of the right iterate's right clique, that is the left iterate or
-    adjacent to it.
+    adjacent to it: one search among the left iterate's neighbors, which
+    ``edges`` lists by position.
     """
-    return int(_separators(ctx, np.array([frame.v]))[0])
-
-
-def _separators(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
-    """The separators of ``vs``, each found by one search among the left
-    iterate's neighbors, which ``edges`` lists by position."""
     n = ctx.n
     apex, li, ri = _walk_chains(ctx, vs)
     walked = apex > 1
@@ -563,15 +508,21 @@ class RoutingScheme:
     def n(self) -> int:
         return len(self.order.items)
 
+    def _arc_opens(self) -> np.ndarray:
+        """Rows that open their arc: the rows are sorted by arc, so a row
+        opens one where src or dst changes from the row before."""
+        opens = np.ones(len(self.src), dtype=bool)
+        opens[1:] = ((self.src[1:] != self.src[:-1])
+                     | (self.dst[1:] != self.dst[:-1]))
+        return opens
+
     def to_json(self) -> str:
         items = np.asarray(self.order.items)
         first = items[self.start].tolist()
         last = items[(self.start + self.length - 1) % len(items)].tolist()
-        # the rows are sorted by arc: where src or dst changes, a row closes
-        # the entry before and opens its arc's, else it joins the same list
-        opens = np.ones(len(self.src), dtype=bool)
-        opens[1:] = ((self.src[1:] != self.src[:-1])
-                     | (self.dst[1:] != self.dst[:-1]))
+        # a row that opens its arc closes the entry before and opens its
+        # arc's, any other joins the same list
+        opens = self._arc_opens()
         rows = "".join(
             f']], "{v}->{w}": [[{a}, {b}' if new else f'], [{a}, {b}'
             for new, v, w, a, b in zip(opens.tolist(), self.src.tolist(),

@@ -131,8 +131,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a scheme against a model")
     p.add_argument("--model", required=True)
     p.add_argument("--scheme", required=True)
-    p.add_argument("--threads", type=int, default=None,
-                   help="ignored; verify runs on one thread")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("route", help="simulate a route between two vertices")
@@ -172,8 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     except ArcRouteError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # an unreadable file, or too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_STRUCTURAL
 
 

@@ -29,12 +29,10 @@ from .ring_order import _points_in_spans, expand_runs
 
 
 class CliqueCycle:
-    __slots__ = ("model", "graph", "anchors", "left", "right", "span_len",
-                 "dominating")
+    __slots__ = ("graph", "anchors", "left", "right", "span_len", "dominating")
 
-    def __init__(self, model: ArcModel, graph: Graph, anchors: np.ndarray,
-                 left: np.ndarray, right: np.ndarray, span_len: np.ndarray):
-        self.model = model
+    def __init__(self, graph: Graph, anchors: np.ndarray, left: np.ndarray,
+                 right: np.ndarray, span_len: np.ndarray):
         self.graph = graph
         self.anchors = np.asarray(anchors, dtype=np.int64)
         self.left = left
@@ -46,42 +44,6 @@ class CliqueCycle:
     def k(self) -> int:
         """Number of cliques on the cycle."""
         return len(self.anchors)
-
-    def members(self, clique: int) -> tuple[int, ...]:
-        """Vertices of a clique (arcs covering its anchor gap)."""
-        gap = int(self.anchors[clique])
-        return tuple(v for v in range(self.model.n)
-                     if self.model.covers_gap(v, gap))
-
-    def dump(self) -> str:
-        """Debug text: cliques in cyclic order, then per-vertex spans."""
-        lines = []
-        for c in range(self.k):
-            body = ", ".join(str(v) for v in self.members(c))
-            lines.append(f"{c}: {{{body}}}")
-        for v in range(self.model.n):
-            lines.append(f"{v}: lc={int(self.left[v])} rc={int(self.right[v])}")
-        return "\n".join(lines)
-
-    def validate(self) -> None:
-        """Exhaustive invariant check; O(n * k), intended for tests."""
-        k = self.k
-        if k > self.model.circle_size:
-            raise ConstructionError(f"{k} cliques exceed the 2n bound")
-        member_sets = [frozenset(self.members(c)) for c in range(k)]
-        for a in range(k):
-            for b in range(k):
-                if a != b and member_sets[a] <= member_sets[b]:
-                    raise ConstructionError(f"clique {a} not maximal (inside {b})")
-        for v in range(self.model.n):
-            run = {c for c in range(k) if v in member_sets[c]}
-            expected = {(int(self.left[v]) + i) % k
-                        for i in range(int(self.span_len[v]))}
-            if run != expected:
-                raise ConstructionError(
-                    f"clique run of vertex {v} is not the ring-interval "
-                    f"[{self.left[v]}, {self.right[v]}]"
-                )
 
 
 def counter_pairs(lc_u, len_u, lc_v, len_v, k: int):
@@ -106,7 +68,7 @@ def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCyc
         raise NotRealCircularArc("arcs do not cover the whole circle")
     if graph is None:
         graph = intersection_graph(model)
-    return CliqueCycle(model, graph, *clique_runs(model, sizes))
+    return CliqueCycle(graph, *clique_runs(model, sizes))
 
 
 def clique_runs(model: ArcModel, sizes: np.ndarray

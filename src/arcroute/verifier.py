@@ -313,15 +313,14 @@ class IntervalStats:
 
 
 def interval_stats(scheme: RoutingScheme) -> IntervalStats:
-    n = scheme.n
-    arcs, per_arc = np.unique(scheme.src * n + scheme.dst, return_counts=True)
-    doubles = np.bincount(arcs[per_arc >= 2] // n, minlength=n)
+    # arcs by their first rows, so that any ids count apart
+    first = np.flatnonzero(scheme._arc_opens())
+    per_arc = np.diff(first, append=len(scheme.src))
+    doubled, doubles = np.unique(scheme.src[first[per_arc >= 2]], return_counts=True)
     return IntervalStats(
         total_intervals=len(scheme.src),
         max_intervals_per_arc=int(per_arc.max(initial=0)),
-        double_labeled_arcs_per_vertex={
-            v: int(doubles[v]) for v in np.flatnonzero(doubles).tolist()
-        },
-        arc_count=len(arcs),
-        vertex_count=n,
+        double_labeled_arcs_per_vertex=dict(zip(doubled.tolist(), doubles.tolist())),
+        arc_count=len(first),
+        vertex_count=scheme.n,
     )

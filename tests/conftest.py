@@ -17,6 +17,7 @@ from arcroute import (
 )
 from arcroute.arc_model import arc_spans
 from arcroute.builder import LabelingContext
+from arcroute.errors import ConstructionError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,6 +51,11 @@ def context_for(model) -> LabelingContext:
     graph = intersection_graph(model)
     cycle = build_clique_cycle(model, graph)
     return LabelingContext(cycle, graph, build_vertex_order(cycle))
+
+
+def block(ctx, v, a, b) -> np.ndarray:
+    """Vertices at offsets ``a .. b - 1`` clockwise after v in the order."""
+    return ctx.items[(ctx.pos[v] + np.arange(a, b)) % ctx.n]
 
 
 def perturbed_ring(n, seed):
@@ -103,6 +109,39 @@ def reference_counter_matrix(cycle) -> np.ndarray:
             & (lc[:, None] != lc[None, :])
             & proper[:, None] & proper[None, :]
             & cycle.graph.adj)
+
+
+def covers_gap(model, i, gap) -> bool:
+    """Does arc ``i`` cover gap ``gap``?"""
+    s, e = model.arcs[i]
+    return (gap - s) % model.circle_size < (e - s) % model.circle_size
+
+
+def members(cycle, model, clique) -> tuple[int, ...]:
+    """Vertices of a clique (arcs covering its anchor gap)."""
+    gap = int(cycle.anchors[clique])
+    return tuple(v for v in range(model.n) if covers_gap(model, v, gap))
+
+
+def ref_validate_cycle(cycle, model) -> None:
+    """Exhaustive invariant check of a clique cycle; O(n * k)."""
+    k = cycle.k
+    if k > model.circle_size:
+        raise ConstructionError(f"{k} cliques exceed the 2n bound")
+    member_sets = [frozenset(members(cycle, model, c)) for c in range(k)]
+    for a in range(k):
+        for b in range(k):
+            if a != b and member_sets[a] <= member_sets[b]:
+                raise ConstructionError(f"clique {a} not maximal (inside {b})")
+    for v in range(model.n):
+        run = {c for c in range(k) if v in member_sets[c]}
+        expected = {(int(cycle.left[v]) + i) % k
+                    for i in range(int(cycle.span_len[v]))}
+        if run != expected:
+            raise ConstructionError(
+                f"clique run of vertex {v} is not the ring-interval "
+                f"[{cycle.left[v]}, {cycle.right[v]}]"
+            )
 
 
 def labels_of(scheme) -> dict[tuple[int, int], list[list[int]]]:

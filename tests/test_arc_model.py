@@ -26,7 +26,13 @@ from arcroute.errors import (
     PositionOutOfRangeError,
     UnreachablePairError,
 )
-from conftest import C4_MODEL, load, perturbed_ring, reference_intersection_graph
+from conftest import (
+    C4_MODEL,
+    covers_gap,
+    load,
+    perturbed_ring,
+    reference_intersection_graph,
+)
 
 
 def test_parse_single_vertex_model():
@@ -105,7 +111,7 @@ def test_intersection_matches_pairwise_gap_check():
         graph = intersection_graph(model)
         for i, j in itertools.combinations(range(model.n), 2):
             share = any(
-                model.covers_gap(i, g) and model.covers_gap(j, g)
+                covers_gap(model, i, g) and covers_gap(model, j, g)
                 for g in range(model.circle_size)
             )
             assert graph.adjacent(i, j) == share

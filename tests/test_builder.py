@@ -12,11 +12,9 @@ from arcroute import (
     Graph,
     RoutingScheme,
     all_pairs_distances,
-    apex_number,
     build_clique_cycle,
     build_scheme,
     build_vertex_order,
-    compute_frame,
     first_vertices,
     gen_complete,
     gen_random,
@@ -24,8 +22,6 @@ from arcroute import (
     gen_wheel,
     intersection_graph,
     is_real,
-    right_vertex,
-    separator,
     validate_model,
     verify_scheme,
 )
@@ -34,6 +30,7 @@ from arcroute.builder import (
     VertexOrder,
     _join_runs,
     _plan_facings,
+    _right_vertices,
     _separators,
     _walk_chains,
 )
@@ -43,13 +40,46 @@ from arcroute.verifier import route_lengths
 from conftest import (
     C4_MODEL,
     COUNTER_MODEL,
+    block,
     context_for,
+    covers_gap,
     labels_of,
     load,
     perturbed_ring,
     reference_counter_matrix,
     src_env,
 )
+
+
+# -- public surface ------------------------------------------------------------
+
+
+PUBLIC_NAMES = {
+    "ArcModel", "ArcRouteError", "CliqueCycle", "ConstructionError", "CyclicOrder",
+    "Graph", "IntervalStats", "ModelFormatError", "NotRealCircularArc",
+    "OracleResult", "RingInterval", "RoutingScheme", "StructuralSchemeError",
+    "VerificationReport", "VertexOrder", "all_pairs_distances", "bfs_distances",
+    "build_clique_cycle", "build_scheme", "build_vertex_order",
+    "dominating_vertices", "first_vertices", "gen_complete", "gen_random",
+    "gen_ring", "gen_wheel", "has_shortest_path_1irs", "intersection_graph",
+    "interval_stats", "is_real", "parse_model", "ring_sequence", "route",
+    "validate_model", "verify_scheme",
+}
+
+
+def test_public_surface_is_the_pipeline():
+    import arcroute
+    import arcroute.builder
+
+    assert set(arcroute.__all__) == PUBLIC_NAMES
+    assert len(arcroute.__all__) == len(PUBLIC_NAMES)
+    for name in arcroute.__all__:
+        assert getattr(arcroute, name) is not None, name
+    # the single-vertex readers are gone; the context's arrays hold frames
+    for name in ("VertexFrame", "compute_frame", "right_vertex", "apex_number",
+                 "separator"):
+        assert not hasattr(arcroute, name), name
+        assert not hasattr(arcroute.builder, name), name
 
 
 # -- positions in a context's vertex order -------------------------------------
@@ -164,15 +194,13 @@ def test_all_adjacent_vertices_close_the_block_of_clique_1():
 
 
 def test_c4_frame_of_vertex_0():
-    model = load(C4_MODEL)
-    ctx = context_for(model)
-    frame = compute_frame(ctx, 0)
-    assert frame.left_vertex == 3
-    assert frame.middle_vertex == 1
-    assert (frame.lo, frame.hi) == (2, 3)
-    assert ctx.run(0, 1, frame.lo).tolist() == [1]
-    assert ctx.run(0, frame.lo, frame.hi).tolist() == [2]
-    assert ctx.run(0, frame.hi, ctx.n).tolist() == [3]
+    ctx = context_for(load(C4_MODEL))
+    assert ctx.left_of[0] == 3
+    assert ctx.middle_of[0] == 1
+    assert (ctx.lo[0], ctx.hi[0]) == (2, 3)
+    assert block(ctx, 0, 1, ctx.lo[0]).tolist() == [1]
+    assert block(ctx, 0, ctx.lo[0], ctx.hi[0]).tolist() == [2]
+    assert block(ctx, 0, ctx.hi[0], ctx.n).tolist() == [3]
 
 
 def test_ring_frames_have_unit_side_blocks():
@@ -180,20 +208,19 @@ def test_ring_frames_have_unit_side_blocks():
         model = gen_ring(k)
         ctx = context_for(model)
         for v in range(k):
-            frame = compute_frame(ctx, v)
-            assert (frame.lo, frame.hi) == (2, k - 1)
-            assert ctx.run(v, 1, frame.lo).tolist() == [(v + 1) % k]
-            assert ctx.run(v, frame.hi, k).tolist() == [(v - 1) % k]
-            assert len(ctx.run(v, frame.lo, frame.hi)) == k - 3
+            lo, hi = ctx.lo[v], ctx.hi[v]
+            assert (lo, hi) == (2, k - 1)
+            assert block(ctx, v, 1, lo).tolist() == [(v + 1) % k]
+            assert block(ctx, v, hi, k).tolist() == [(v - 1) % k]
+            assert len(block(ctx, v, lo, hi)) == k - 3
 
 
-def test_frame_rejects_dominating_vertex():
-    model = gen_wheel(6)
-    ctx = context_for(model)
-    with pytest.raises(ConstructionError,
-                       match="frames are undefined for dominating vertices") as info:
-        compute_frame(ctx, 6)
-    assert info.value.vertex == 6
+def test_dominating_vertex_has_no_frame():
+    # the hub of W6 has no distinguished neighbors and one right block of
+    # everything
+    ctx = context_for(gen_wheel(6))
+    assert (ctx.left_of[6], ctx.middle_of[6], ctx.right_of[6]) == (-1, -1, -1)
+    assert (ctx.lo[6], ctx.hi[6]) == (ctx.n, ctx.n)
 
 
 def test_empty_right_block_when_vertex_closes_its_clique():
@@ -205,10 +232,9 @@ def test_empty_right_block_when_vertex_closes_its_clique():
     for v in range(30):
         if ctx.dominating[v]:
             continue
-        frame = compute_frame(ctx, v)
-        if frame.middle_vertex == v:
-            assert frame.lo == 1
-            assert len(ctx.run(v, 1, frame.lo)) == 0
+        if ctx.middle_of[v] == v:
+            assert ctx.lo[v] == 1
+            assert len(block(ctx, v, 1, ctx.lo[v])) == 0
             found = True
     assert found
 
@@ -220,21 +246,21 @@ def test_frames_partition_the_order():
         for v in range(n):
             if ctx.dominating[v]:
                 continue
-            frame = compute_frame(ctx, v)
-            assert 1 <= frame.lo <= frame.hi <= n
+            lo, hi = int(ctx.lo[v]), int(ctx.hi[v])
+            assert 1 <= lo <= hi <= n
             seen = {v}
-            for a, b in [(1, frame.lo), (frame.lo, frame.hi), (frame.hi, n)]:
-                members = {int(x) for x in ctx.run(v, a, b)}
+            for a, b in [(1, lo), (lo, hi), (hi, n)]:
+                members = {int(x) for x in block(ctx, v, a, b)}
                 assert len(members) == b - a
                 assert not (members & seen)
                 seen |= members
             assert seen == set(range(n))
-            if frame.lo > 1:
-                assert ctx.run(v, frame.lo - 1, frame.lo)[0] == frame.middle_vertex
-            if frame.left_vertex is None:
-                assert frame.hi == n
+            if lo > 1:
+                assert block(ctx, v, lo - 1, lo)[0] == ctx.middle_of[v]
+            if ctx.left_of[v] == -1:
+                assert hi == n
             else:
-                assert ctx.run(v, frame.hi, frame.hi + 1)[0] == frame.left_vertex
+                assert block(ctx, v, hi, hi + 1)[0] == ctx.left_of[v]
 
 
 def test_left_vertex_bounds_all_candidates():
@@ -314,14 +340,14 @@ def ref_middle_vertex(ctx, v):
 
 def ref_left_vertex(ctx, v):
     """The candidate neighbor farthest behind v in the order, or the head
-    of v's block when that lies further behind; None when neither lies
+    of v's block when that lies further behind; -1 when neither lies
     behind v.  Candidates reach strictly further counterclockwise than v
     and are neither dominating nor counter partners of v."""
     cycle = ctx.cycle
     k = cycle.k
     lc = int(cycle.left[v])
     counter = reference_counter_matrix(cycle)
-    best, best_dist = None, 0
+    best, best_dist = -1, 0
     for u in np.flatnonzero(ctx.graph.adj[v]).tolist():
         if ((lc - cycle.left[u]) % k < cycle.span_len[u] and cycle.left[u] != lc
                 and not ctx.dominating[u] and not counter[v, u]
@@ -354,21 +380,21 @@ def ref_right_vertex(ctx, v):
     return min(best_set, key=lambda u: fwd(ctx, v, u))
 
 
-def ref_plan_right(frame, ctx):
+def ref_plan_right(ctx, v):
     """Singleton (target, offset, length) for every right-block vertex."""
-    return [(int(w), a, 1) for a, w in enumerate(ctx.run(frame.v, 1, frame.lo), 1)]
+    return [(int(w), a, 1) for a, w in enumerate(block(ctx, v, 1, ctx.lo[v]), 1)]
 
 
-def ref_plan_left(frame, ctx):
+def ref_plan_left(ctx, v):
     """Split the left block at its v-adjacent members: each carries itself
     plus the non-adjacent vertices up to the next adjacent one."""
-    v = frame.v
-    members = ctx.run(v, frame.hi, ctx.n)
+    hi = int(ctx.hi[v])
+    members = block(ctx, v, hi, ctx.n)
     adjacent = ctx.graph.adj[v][members]
     if len(members) and not adjacent[0]:
         raise ConstructionError("left block must start at the left vertex",
                                 vertex=v)
-    offsets = (frame.hi + np.flatnonzero(adjacent)).tolist()
+    offsets = (hi + np.flatnonzero(adjacent)).tolist()
     return [(vertex_at(ctx, ctx.pos[v] + a), a, b - a)
             for a, b in zip(offsets, offsets[1:] + [ctx.n])]
 
@@ -384,52 +410,50 @@ def ref_right_vertex_of(ctx, v):
     return int(ctx.right_of[v])
 
 
-def ref_faces(frame, ctx, w):
-    return frame.lo <= fwd(ctx, frame.v, w) < frame.hi
+def ref_faces(ctx, v, w):
+    return ctx.lo[v] <= fwd(ctx, v, w) < ctx.hi[v]
 
 
-def ref_plan_facing(frame, ctx):
-    if frame.lo == frame.hi:
+def ref_plan_facing(ctx, v):
+    if ctx.lo[v] == ctx.hi[v]:
         return []
-    members = ctx.run(frame.v, frame.lo, frame.hi)
+    members = block(ctx, v, ctx.lo[v], ctx.hi[v])
     if ctx.dominating[members].any():
-        return ref_facing_via_dominating_members(frame, ctx)
-    if ctx.has_counter[frame.v] or ctx.any_dominating:
-        return ref_facing_via_shared_neighbor(frame, ctx, members)
+        return ref_facing_via_dominating_members(ctx, v)
+    if ctx.has_counter[v] or ctx.any_dominating:
+        return ref_facing_via_shared_neighbor(ctx, v, members)
     if ctx.any_counter_pair:
-        return ref_facing_near_counter_pair(frame, ctx, members)
-    return ref_facing_via_separator(frame, ctx)
+        return ref_facing_near_counter_pair(ctx, v, members)
+    return ref_facing_via_separator(ctx, v)
 
 
-def ref_facing_via_dominating_members(frame, ctx):
-    v = frame.v
+def ref_facing_via_dominating_members(ctx, v):
     d_head, d_tail = ctx.dominating_run()
-    if not (ref_faces(frame, ctx, d_head) and ref_faces(frame, ctx, d_tail)):
+    if not (ref_faces(ctx, v, d_head) and ref_faces(ctx, v, d_tail)):
         raise ConstructionError(
             "dominating run straddles the facing block boundary", vertex=v
         )
     first, last = fwd(ctx, v, d_head), fwd(ctx, v, d_tail)
-    bounds = [frame.lo, *range(first + 1, last + 1), frame.hi]
-    doms = ctx.run(v, first, last + 1).tolist()
+    bounds = [int(ctx.lo[v]), *range(first + 1, last + 1), int(ctx.hi[v])]
+    doms = block(ctx, v, first, last + 1).tolist()
     return [(d, a, b - a) for d, a, b in zip(doms, bounds, bounds[1:])]
 
 
-def ref_facing_via_shared_neighbor(frame, ctx, members):
-    v, m = frame.v, frame.middle_vertex
+def ref_facing_via_shared_neighbor(ctx, v, members):
+    m = int(ctx.middle_of[v])
     carriers = ctx.dominating | reference_counter_matrix(ctx.cycle)[v]
     if not carriers.any():
         raise ConstructionError("no carrier for the facing block", vertex=v)
     u = m if carriers[m] else int(np.argmax(carriers))
-    if ref_faces(frame, ctx, u):
+    if ref_faces(ctx, v, u):
         raise ConstructionError("carrier lies inside the facing block", vertex=v)
     if not ctx.graph.adj[u][members].all():
         raise ConstructionError("carrier misses part of the facing block",
                                 vertex=v)
-    return [(u, frame.lo, frame.hi - frame.lo)]
+    return [(u, int(ctx.lo[v]), int(ctx.hi[v] - ctx.lo[v]))]
 
 
-def ref_facing_near_counter_pair(frame, ctx, members):
-    v = frame.v
+def ref_facing_near_counter_pair(ctx, v, members):
     w0, c0 = sorted(np.argwhere(reference_counter_matrix(ctx.cycle))[0].tolist())
     adj = ctx.graph.adj
     a0, a1 = bool(adj[v, w0]), bool(adj[v, c0])
@@ -437,56 +461,56 @@ def ref_facing_near_counter_pair(frame, ctx, members):
         raise ConstructionError(
             "vertex sees neither member of the counter pair", vertex=v
         )
-    length = frame.hi - frame.lo
+    length = int(ctx.hi[v] - ctx.lo[v])
     if a0 and a1:
         for u in (w0, c0):
             if adj[u][members].all():
-                return [(u, frame.lo, length)]
+                return [(u, int(ctx.lo[v]), length)]
         raise ConstructionError(
             "neither counter member covers the facing block", vertex=v
         )
     r = ref_right_vertex_of(ctx, v)
-    reach = (fwd(ctx, v, int(ctx.middle_of[r])) - frame.lo) % ctx.n + 1
+    reach = (fwd(ctx, v, int(ctx.middle_of[r])) - ctx.lo[v]) % ctx.n + 1
     count = min(reach, length)
-    if count < length and frame.left_vertex is None:
+    if count < length and ctx.left_of[v] == -1:
         raise ConstructionError("left vertex missing near a counter pair",
                                 vertex=v)
-    return ref_split_facing(frame, r, count)
+    return ref_split_facing(ctx, v, r, count)
 
 
-def ref_facing_via_separator(frame, ctx):
-    v, lv, head = frame.v, frame.left_vertex, ctx.cut_head
+def ref_facing_via_separator(ctx, v):
+    lv, head = int(ctx.left_of[v]), ctx.cut_head
+    lo, hi = int(ctx.lo[v]), int(ctx.hi[v])
     r = ref_right_vertex_of(ctx, v)
     if not ctx.has_cut:
-        s = ref_separator(frame, ctx)
-        count = fwd(ctx, v, s) - frame.lo + 1 if ref_faces(frame, ctx, s) else 0
-    elif lv is None:
+        s = ref_separator(ctx, v)
+        count = fwd(ctx, v, s) - lo + 1 if ref_faces(ctx, v, s) else 0
+    elif lv == -1:
         if head != v:
             raise ConstructionError(
                 "vertex without a left vertex is not the cut head", vertex=v)
-        count = frame.hi - frame.lo
-    elif head != lv and not ref_faces(frame, ctx, head):
+        count = hi - lo
+    elif head != lv and not ref_faces(ctx, v, head):
         raise ConstructionError(
             "cut head is neither in the facing block nor the left vertex", vertex=v)
     elif ctx.cycle.left[r] == ctx.cycle.left[lv]:
-        count = frame.hi - frame.lo
+        count = hi - lo
     else:
-        count = fwd(ctx, v, head) - frame.lo
-    return ref_split_facing(frame, r, count)
+        count = fwd(ctx, v, head) - lo
+    return ref_split_facing(ctx, v, r, count)
 
 
-def ref_split_facing(frame, r, count):
-    lo, hi = frame.lo, frame.hi
-    plan = [(r, lo, count), (frame.left_vertex, lo + count, hi - lo - count)]
+def ref_split_facing(ctx, v, r, count):
+    lo, hi = int(ctx.lo[v]), int(ctx.hi[v])
+    plan = [(r, lo, count), (int(ctx.left_of[v]), lo + count, hi - lo - count)]
     return [run for run in plan if run[2] > 0]
 
 
-def ref_walk_chains(frame, ctx):
+def ref_walk_chains(ctx, v):
     """Apex number of v, with the left and right iterates one step before
     the chains meet (the first ones when the apex number is 1)."""
     if ctx.any_dominating or ctx.any_counter_pair:
         raise ConstructionError("apex undefined with dominating or counter vertices")
-    v = frame.v
     li = int(ctx.left_of[v])
     if li == -1:
         raise ConstructionError("left vertex missing", vertex=v)
@@ -520,12 +544,11 @@ def ref_interval_proper_subset(k, a, alen, b, blen):
     return (a - b) % k + alen <= blen
 
 
-def ref_separator(frame, ctx):
+def ref_separator(ctx, v):
     """Scan the order from after the right iterate's last block for the
     first vertex that is the left iterate or adjacent to it."""
-    apex, li, ri = ref_walk_chains(frame, ctx)
-    v = frame.v
-    lv = frame.left_vertex
+    apex, li, ri = ref_walk_chains(ctx, v)
+    lv = int(ctx.left_of[v])
     if apex == 1:
         return pred(ctx, lv)
     c = int(ctx.cycle.right[ri])
@@ -541,17 +564,17 @@ def ref_separator(frame, ctx):
     else:
         raise ConstructionError("separator scan exhausted the facing block",
                                 vertex=v)
-    if frame.lo < frame.hi and not frame.lo <= fwd(ctx, v, w) <= frame.hi:
+    if ctx.lo[v] < ctx.hi[v] and not ctx.lo[v] <= fwd(ctx, v, w) <= ctx.hi[v]:
         raise ConstructionError("separator landed outside the facing block",
                                 vertex=v)
     return pred(ctx, w)
 
 
-def facing_case(frame, ctx):
+def facing_case(ctx, v):
     """Which case of ``ref_plan_facing`` a nonempty facing block takes."""
-    if ctx.dominating[ctx.run(frame.v, frame.lo, frame.hi)].any():
+    if ctx.dominating[block(ctx, v, ctx.lo[v], ctx.hi[v])].any():
         return "dominating members"
-    if ctx.has_counter[frame.v] or ctx.any_dominating:
+    if ctx.has_counter[v] or ctx.any_dominating:
         return "shared neighbor"
     if ctx.any_counter_pair:
         return "near counter pair"
@@ -595,15 +618,14 @@ def test_frame_arrays_and_side_runs_match_the_per_vertex_references():
                                 for a in range(1, n)]
                 continue
             m, lv = ref_middle_vertex(ctx, v), ref_left_vertex(ctx, v)
-            frame = compute_frame(ctx, v)
-            assert (frame.middle_vertex, frame.left_vertex) == (m, lv), (model, v)
-            assert frame.lo == fwd(ctx, v, m) + 1, (model, v)
-            assert frame.hi == (n if lv is None else fwd(ctx, v, lv)), (model, v)
-            assert runs == ref_plan_right(frame, ctx) + ref_plan_left(frame, ctx)
+            assert (ctx.middle_of[v], ctx.left_of[v]) == (m, lv), (model, v)
+            assert ctx.lo[v] == fwd(ctx, v, m) + 1, (model, v)
+            assert ctx.hi[v] == (n if lv == -1 else fwd(ctx, v, lv)), (model, v)
+            assert runs == ref_plan_right(ctx, v) + ref_plan_left(ctx, v)
             if not ctx.any_dominating:
                 assert ctx.right_of[v] == ref_right_vertex(ctx, v), (model, v)
-            if frame.lo < frame.hi:
-                cases[facing_case(frame, ctx)] += 1
+            if ctx.lo[v] < ctx.hi[v]:
+                cases[facing_case(ctx, v)] += 1
     assert min(cases[case] for case in ("dominating members", "shared neighbor",
                                         "near counter pair", "cut",
                                         "separator")) >= 20, cases
@@ -625,10 +647,9 @@ def test_bulk_facing_plans_match_the_per_vertex_planners():
         ctx = context_for(model)
         plans, errors = {}, set()
         for v in np.flatnonzero(ctx.lo < ctx.hi).tolist():
-            frame = compute_frame(ctx, v)
-            cases[facing_case(frame, ctx)] += 1
+            cases[facing_case(ctx, v)] += 1
             try:
-                plans[v] = ref_plan_facing(frame, ctx)
+                plans[v] = ref_plan_facing(ctx, v)
             except ConstructionError as exc:
                 errors.add(str(exc))
         if errors:
@@ -645,12 +666,11 @@ def test_bulk_facing_plans_match_the_per_vertex_planners():
             continue
         # all chains walked together, against one walk per vertex
         vs = np.flatnonzero((ctx.lo < ctx.hi) & (ctx.left_of != -1))
-        frames = [compute_frame(ctx, v) for v in vs.tolist()]
         apex, li, ri = _walk_chains(ctx, vs)
         assert list(zip(apex.tolist(), li.tolist(), ri.tolist())) == [
-            ref_walk_chains(frame, ctx) for frame in frames], model
+            ref_walk_chains(ctx, v) for v in vs.tolist()], model
         assert _separators(ctx, vs).tolist() == [
-            ref_separator(frame, ctx) for frame in frames], model
+            ref_separator(ctx, v) for v in vs.tolist()], model
         walked += len(vs)
     assert min(cases[case] for case in ("dominating members", "shared neighbor",
                                         "near counter pair", "cut",
@@ -673,14 +693,12 @@ def side_rows(ctx, v, a, b):
 def test_label_right_assigns_singletons():
     # C4's order is 0..3
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx, 0)
-    assert side_rows(ctx, 0, 1, frame.lo) == [(1, 1, 1)]
+    assert side_rows(ctx, 0, 1, ctx.lo[0]) == [(1, 1, 1)]
 
 
 def test_label_left_c4():
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx, 0)
-    assert side_rows(ctx, 0, frame.hi, ctx.n) == [(3, 3, 1)]
+    assert side_rows(ctx, 0, ctx.hi[0], ctx.n) == [(3, 3, 1)]
 
 
 def test_label_left_carries_non_adjacent_riders():
@@ -695,14 +713,13 @@ def test_label_left_carries_non_adjacent_riders():
     for v in range(20):
         if ctx.dominating[v]:
             continue
-        frame = compute_frame(ctx, v)
-        members = ctx.run(v, frame.hi, ctx.n)
+        members = block(ctx, v, ctx.hi[v], ctx.n)
         if len(members) < 2 or graph.adj[v][members].all():
             continue
         covered = []
-        for w, offset, length in side_rows(ctx, v, frame.hi, ctx.n):
+        for w, offset, length in side_rows(ctx, v, ctx.hi[v], ctx.n):
             assert graph.adjacent(v, w)
-            stretch = ctx.run(v, offset, offset + length).tolist()
+            stretch = block(ctx, v, offset, offset + length).tolist()
             assert len(stretch) == length
             assert stretch[0] == w
             for u in stretch:
@@ -716,9 +733,8 @@ def test_label_left_carries_non_adjacent_riders():
 
 def test_right_vertex_c4():
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx, 0)
-    assert right_vertex(frame, ctx) == 1
-    assert frame.middle_vertex == 1  # the right vertex is the middle one here
+    assert _right_vertices(ctx, np.array([0])).tolist() == [1]
+    assert ctx.middle_of[0] == 1  # the right vertex is the middle one here
 
 
 def test_right_vertex_prefers_left_vertex_when_it_reaches_farthest():
@@ -728,10 +744,10 @@ def test_right_vertex_prefers_left_vertex_when_it_reaches_farthest():
         ctx = context_for(model)
         if ctx.any_dominating or ctx.any_counter_pair:
             continue
+        right = _right_vertices(ctx, np.arange(8))
         for v in range(8):
-            frame = compute_frame(ctx, v)
-            lv = frame.left_vertex
-            if lv is None:
+            lv = int(ctx.left_of[v])
+            if lv == -1:
                 continue
             cycle = ctx.cycle
             rc = int(cycle.right[v])
@@ -742,23 +758,21 @@ def test_right_vertex_prefers_left_vertex_when_it_reaches_farthest():
             cand = nb[((rc - cycle.left[nb]) % k) < cycle.span_len[nb]]
             reach = (cycle.right[cand] - rc) % k
             if (cycle.right[lv] - rc) % k == int(reach.max()):
-                assert right_vertex(frame, ctx) == lv
+                assert right[v] == lv
                 found = True
     assert found
 
 
 def test_apex_c4():
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx, 0)
-    assert apex_number(frame, ctx) == 2
+    assert _walk_chains(ctx, np.array([0]))[0].tolist() == [2]
 
 
 def test_apex_c6_chains_meet_at_depth_three():
     # on the 6-ring the depth-2 iterates (two hops out both ways) are
     # still two apart; the chains first touch at depth 3
     ctx = context_for(gen_ring(6))
-    frame = compute_frame(ctx, 0)
-    assert apex_number(frame, ctx) == 3
+    assert _walk_chains(ctx, np.array([0]))[0].tolist() == [3]
 
 
 def test_apex_one_when_first_neighbors_meet_around():
@@ -768,19 +782,14 @@ def test_apex_one_when_first_neighbors_meet_around():
         ctx = context_for(model)
         if ctx.any_dominating or ctx.any_counter_pair:
             continue
-        for v in range(7):
-            frame = compute_frame(ctx, v)
-            if frame.left_vertex is None:
-                continue
-            if apex_number(frame, ctx) == 1:
-                found = True
+        apex = _walk_chains(ctx, np.flatnonzero(ctx.left_of != -1))[0]
+        found |= bool((apex == 1).any())
     assert found
 
 
 def test_separator_c4():
     ctx = context_for(load(C4_MODEL))
-    frame = compute_frame(ctx, 0)
-    assert separator(frame, ctx) == 2
+    assert _separators(ctx, np.array([0])).tolist() == [2]
 
 
 def test_separator_split_matches_first_vertices():
@@ -793,16 +802,12 @@ def test_separator_split_matches_first_vertices():
         if ctx.any_dominating or ctx.any_counter_pair:
             continue
         graph = ctx.graph
-        for v in range(graph.n):
-            frame = compute_frame(ctx, v)
-            if frame.lo == frame.hi or frame.left_vertex is None:
-                continue
-            r = right_vertex(frame, ctx)
-            s = separator(frame, ctx)
-            for w in ctx.run(v, frame.lo, frame.hi):
-                w = int(w)
+        vs = np.flatnonzero((ctx.lo < ctx.hi) & (ctx.left_of != -1))
+        for v, r, s in zip(vs.tolist(), _right_vertices(ctx, vs).tolist(),
+                           _separators(ctx, vs).tolist()):
+            for w in block(ctx, v, ctx.lo[v], ctx.hi[v]).tolist():
                 goes_right = fwd(ctx, v, w) <= fwd(ctx, v, s)
-                carrier = r if goes_right else frame.left_vertex
+                carrier = r if goes_right else ctx.left_of[v]
                 assert carrier in first_vertices(graph, v, w), (v, w)
 
 
@@ -862,13 +867,11 @@ def test_one_chain_walk_matches_the_two_walk_apex_and_separator():
         if ctx.any_dominating or ctx.any_counter_pair or ctx.has_cut:
             continue
         models[family] += 1
-        for v in range(model.n):
-            frame = compute_frame(ctx, v)
-            if frame.lo == frame.hi:
-                continue
-            apex = apex_number(frame, ctx)
+        vs = np.flatnonzero(ctx.lo < ctx.hi)
+        for v, apex, s in zip(vs.tolist(), _walk_chains(ctx, vs)[0].tolist(),
+                              _separators(ctx, vs).tolist()):
             assert apex == two_walk_apex(ctx, v), (model, v)
-            assert separator(frame, ctx) == two_walk_separator(ctx, v), (model, v)
+            assert s == two_walk_separator(ctx, v), (model, v)
             apexes[min(apex, 3)] += 1
     assert models == {"ring": 61, "perturbed_ring": 38, "random": 27}
     assert min(apexes[a] for a in (1, 2, 3)) >= 20, apexes
@@ -884,8 +887,7 @@ def test_face_to_face_c4_compresses_to_one_interval():
 
 def test_face_to_face_noop_when_block_empty():
     ctx = context_for(gen_random(5, 22))
-    frame = compute_frame(ctx, 0)
-    assert frame.lo == frame.hi
+    assert ctx.lo[0] == ctx.hi[0]
     assert facing_rows(_plan_facings(ctx), 0) == []
 
 
@@ -917,8 +919,8 @@ def plan(ctx):
     return _plan_facings(ctx)
 
 
-def of_vertex_0(reader):
-    return lambda ctx: reader(compute_frame(ctx, 0), ctx)
+def of_vertex_0(bulk):
+    return lambda ctx: bulk(ctx, np.array([0]))
 
 
 PLANNER_CHECKS = [
@@ -950,35 +952,35 @@ PLANNER_CHECKS = [
      lambda ctx: set_row(ctx, "right_of", 3, -1), plan, "no neighbor shares the right clique", 3),
     ("no_right_vertex_in_chain", lambda: gen_ring(12),
      lambda ctx: set_row(ctx, "right_of", 2, -1),
-     of_vertex_0(apex_number), "no neighbor shares the right clique", 2),
+     of_vertex_0(_walk_chains), "no neighbor shares the right clique", 2),
     # the chains of 5 and 11 start at 6 and 0; both lack a right vertex at
     # depth 2, and the lower chain member is named
     ("no_right_vertex_in_two_chains", lambda: gen_ring(12),
      lambda ctx: (set_row(ctx, "right_of", 6, -1), set_row(ctx, "right_of", 0, -1)),
      lambda ctx: _walk_chains(ctx, np.array([5, 11])),
      "no neighbor shares the right clique", 0),
-    ("right_with_dominating", lambda: gen_wheel(5), None, of_vertex_0(right_vertex),
+    ("right_with_dominating", lambda: gen_wheel(5), None, of_vertex_0(_right_vertices),
      "right vertex undefined with dominating vertices", None),
     ("right_of_counter_vertex", lambda: gen_ring(12),
      lambda ctx: set_row(ctx, "has_counter", 2, True),
      plan, "right vertex undefined for counter vertices", 2),
     ("apex_with_dominating", lambda: gen_wheel(5), None,
-     of_vertex_0(apex_number), "apex undefined with dominating or counter vertices",
+     of_vertex_0(_walk_chains), "apex undefined with dominating or counter vertices",
      None),
     ("left_missing", lambda: gen_ring(12), lambda ctx: set_row(ctx, "left_of", 4, -1),
      plan, "left vertex missing", 4),
     ("chain_broke", lambda: gen_ring(12), lambda ctx: set_row(ctx, "left_of", 11, -1),
-     of_vertex_0(apex_number), "left chain broke", 0),
+     of_vertex_0(_walk_chains), "left chain broke", 0),
     ("never_met", lambda: gen_ring(12),
      lambda ctx: (set_row(ctx, "left_of", 11, 11), set_row(ctx, "right_of", 1, 1)),
-     of_vertex_0(apex_number), "left/right chains never met", 0),
+     of_vertex_0(_walk_chains), "left/right chains never met", 0),
     ("empty_tail", lambda: gen_ring(12), lambda ctx: ctx.vorder.tail.__setitem__(6, -1),
-     of_vertex_0(separator), "empty block at the right chain's last clique", 0),
+     of_vertex_0(_separators), "empty block at the right chain's last clique", 0),
     ("scan_exhausted", lambda: gen_ring(12),
      lambda ctx: ctx.vorder.tail.__setitem__(6, 8),
-     of_vertex_0(separator), "separator scan exhausted the facing block", 0),
+     of_vertex_0(_separators), "separator scan exhausted the facing block", 0),
     ("landed_outside", lambda: gen_ring(12), lambda ctx: set_row(ctx, "lo", 0, 8),
-     of_vertex_0(separator), "separator landed outside the facing block", 0),
+     of_vertex_0(_separators), "separator landed outside the facing block", 0),
 ]
 
 
@@ -1147,7 +1149,7 @@ def crossed_geometrically(model, cycle, c):
     a = int(cycle.anchors[c])
     b = int(cycle.anchors[(c + 1) % cycle.k])
     stretch = [(a + i) % size for i in range((b - a - 1) % size + 2)]
-    return any(all(model.covers_gap(v, g) for g in stretch)
+    return any(all(covers_gap(model, v, g) for g in stretch)
                for v in range(model.n))
 
 
@@ -1187,22 +1189,20 @@ def test_cut_flag_on_named_models(model, cut):
     assert context_for(model).has_cut is cut
 
 
-def distance_split(frame, ctx, dist):
+def distance_split(ctx, v, r, dist):
     """The facing-block split of a cut model by hop distances: the longest
     prefix one hop closer through the right vertex r routes via r, and
     every later facing vertex must be one hop closer through the left
-    vertex.  Returns r and the prefix length."""
-    v = frame.v
-    members = ctx.run(v, frame.lo, frame.hi)
-    r = right_vertex(frame, ctx)
+    vertex.  Returns the prefix length."""
+    members = block(ctx, v, ctx.lo[v], ctx.hi[v])
     right_ok = dist[r][members] == dist[v][members] - 1
     prefix = int(np.argmin(right_ok)) if not right_ok.all() else len(members)
     rest = members[prefix:]
-    if frame.left_vertex is None:
+    if ctx.left_of[v] == -1:
         assert len(rest) == 0, v
     else:
-        assert (dist[frame.left_vertex][rest] == dist[v][rest] - 1).all(), v
-    return r, prefix
+        assert (dist[ctx.left_of[v]][rest] == dist[v][rest] - 1).all(), v
+    return prefix
 
 
 def test_cut_split_equals_the_distance_split():
@@ -1218,15 +1218,13 @@ def test_cut_split_equals_the_distance_split():
             models += 1
             dist = all_pairs_distances(ctx.graph)
             runs = _plan_facings(ctx)
-            for v in range(n):
-                frame = compute_frame(ctx, v)
-                if frame.lo == frame.hi:
-                    continue
-                r, prefix = distance_split(frame, ctx, dist)
+            vs = np.flatnonzero(ctx.lo < ctx.hi)
+            for v, r in zip(vs.tolist(), _right_vertices(ctx, vs).tolist()):
+                prefix = distance_split(ctx, v, r, dist)
                 assert facing_rows(runs, v) == ref_split_facing(
-                    frame, r, prefix), (n, seed, v)
-                lv = frame.left_vertex
-                if lv is None:
+                    ctx, v, r, prefix), (n, seed, v)
+                lv = ctx.left_of[v]
+                if lv == -1:
                     branches["no left vertex"] += 1
                 elif ctx.cycle.left[r] == ctx.cycle.left[lv]:
                     branches["shared left clique"] += 1

@@ -134,14 +134,18 @@ def test_missing_file_is_structural(capsys):
 
 
 def test_verify_threads_flag(tmp_path, c4_file, capsys):
-    # verify runs on one thread; --threads is accepted and ignored so
-    # older scripts keep working
+    # verify runs on one thread and has no --threads option: argparse
+    # rejects it as a usage error
     out = tmp_path / "scheme.json"
     assert run(["build", "--model", c4_file, "--out", out]) == 0
+    assert run(["verify", "--model", c4_file, "--scheme", out]) == 0
     capsys.readouterr()
-    assert run(["verify", "--model", c4_file, "--scheme", out,
-                "--threads", 2]) == 0
-    assert json.loads(capsys.readouterr().out)["passed"] is True
+    with pytest.raises(SystemExit) as info:
+        run(["verify", "--model", c4_file, "--scheme", out, "--threads", 2])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --threads 2" in captured.err
 
 
 def test_bad_threads_env_is_a_clean_failure(monkeypatch, c4_file, capsys):
@@ -207,6 +211,18 @@ def test_route_to_itself_is_an_error(tmp_path, c4_file, capsys):
 def test_too_small_ring_is_an_error(capsys):
     assert run(["gen", "--family", "ring", "--n", 2]) == 2
     assert "bad-argument" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate")])
+def test_out_of_memory_is_a_clean_failure(monkeypatch, capsys, error):
+    # a model too large to generate ends with one error line, not a
+    # traceback; the generator is stubbed, so nothing large is allocated
+    def too_large(n, seed):
+        raise error
+
+    monkeypatch.setattr("arcroute.cli.gen_random", too_large)
+    assert run(["gen", "--family", "random", "--n", 10 ** 11]) == 2
+    assert one_error_line(capsys) == f"error: {str(error) or 'out of memory'}"
 
 
 def test_route_over_a_non_edge_is_structural(tmp_path, c4_file, capsys):

@@ -16,7 +16,7 @@ from arcroute import (
     intersection_graph,
     validate_model,
 )
-from arcroute.arc_model import gap_coverage, is_real
+from arcroute.arc_model import arc_spans, gap_coverage, is_real
 from arcroute.builder import LabelingContext
 from arcroute.clique_cycle import clique_runs, counter_pairs
 from arcroute.errors import NotRealCircularArc
@@ -24,8 +24,11 @@ from conftest import (
     C4_MODEL,
     COUNTER_MODEL,
     K3_MODEL,
+    covers_gap,
     load,
+    members,
     perturbed_ring,
+    ref_validate_cycle,
     reference_counter_matrix,
     reference_intersection_graph,
 )
@@ -33,12 +36,11 @@ from conftest import (
 
 def cycle_of(payload):
     model = load(payload)
-    graph = intersection_graph(model)
-    return build_clique_cycle(model, graph), graph
+    return build_clique_cycle(model), model
 
 
-def member_sets(cycle):
-    return [set(cycle.members(c)) for c in range(cycle.k)]
+def member_sets(cycle, model):
+    return [set(members(cycle, model, c)) for c in range(cycle.k)]
 
 
 def counter_partners(cycle, v):
@@ -53,20 +55,20 @@ def test_rejects_non_real_model():
 
 
 def test_c4_cliques_and_spans():
-    cycle, _ = cycle_of(C4_MODEL)
-    assert member_sets(cycle) == [{0, 3}, {0, 1}, {1, 2}, {2, 3}]
+    cycle, model = cycle_of(C4_MODEL)
+    assert member_sets(cycle, model) == [{0, 3}, {0, 1}, {1, 2}, {2, 3}]
     # vertex 0 sits in the wrap clique {0,3} first, then {0,1}
     assert int(cycle.left[0]) == 0 and int(cycle.right[0]) == 1
     assert int(cycle.left[3]) == 3 and int(cycle.right[3]) == 0
-    cycle.validate()
+    ref_validate_cycle(cycle, model)
 
 
 def test_k3_cliques_are_the_three_pairs():
     # the three mutually overlapping arcs never share a single point, so
     # the point cliques are exactly the pairwise ones
-    cycle, _ = cycle_of(K3_MODEL)
-    assert member_sets(cycle) == [{0, 2}, {0, 1}, {1, 2}]
-    cycle.validate()
+    cycle, model = cycle_of(K3_MODEL)
+    assert member_sets(cycle, model) == [{0, 2}, {0, 1}, {1, 2}]
+    ref_validate_cycle(cycle, model)
 
 
 def test_wheel_hub_spans_whole_cycle():
@@ -74,11 +76,11 @@ def test_wheel_hub_spans_whole_cycle():
     graph = intersection_graph(model)
     cycle = build_clique_cycle(model, graph)
     hub = 6
-    assert all(hub in cycle.members(c) for c in range(cycle.k))
+    assert all(hub in members(cycle, model, c) for c in range(cycle.k))
     assert int(cycle.span_len[hub]) == cycle.k
     # the all-adjacent hub closes the block of clique 1
     assert int(build_vertex_order(cycle).tail[1]) == hub
-    cycle.validate()
+    ref_validate_cycle(cycle, model)
 
 
 def test_clique_count_bounded_by_positions():
@@ -86,14 +88,14 @@ def test_clique_count_bounded_by_positions():
         model = gen_random(n, seed)
         cycle = build_clique_cycle(model)
         assert cycle.k <= model.circle_size
-        cycle.validate()
+        ref_validate_cycle(cycle, model)
 
 
 def test_counter_pair_detected():
-    cycle, _ = cycle_of(COUNTER_MODEL)
+    cycle, model = cycle_of(COUNTER_MODEL)
     assert counter_partners(cycle, 0) == {1}
     assert counter_partners(cycle, 2) == {3}
-    cycle.validate()
+    ref_validate_cycle(cycle, model)
 
 
 def test_c4_has_no_counter_pairs():
@@ -118,7 +120,7 @@ def test_counter_matches_membership_definition():
         model = gen_random(n, seed)
         graph = intersection_graph(model)
         cycle = build_clique_cycle(model, graph)
-        sets = member_sets(cycle)
+        sets = member_sets(cycle, model)
         for v, w in itertools.combinations(range(n), 2):
             if not graph.adjacent(v, w):
                 continue
@@ -150,8 +152,9 @@ def test_vertices_with_counter_partner_dominate_jointly():
 
 def test_span_membership_equals_clique_membership():
     for k in (4, 7):
-        cycle = build_clique_cycle(gen_ring(k))
-        sets = member_sets(cycle)
+        model = gen_ring(k)
+        cycle = build_clique_cycle(model)
+        sets = member_sets(cycle, model)
         for v in range(k):
             for c in range(cycle.k):
                 in_run = (c - cycle.left[v]) % cycle.k < cycle.span_len[v]
@@ -160,18 +163,11 @@ def test_span_membership_equals_clique_membership():
 
 def test_maximality_no_clique_inside_another():
     for n, seed in [(10, 4), (15, 8)]:
-        cycle = build_clique_cycle(gen_random(n, seed))
-        sets = member_sets(cycle)
+        model = gen_random(n, seed)
+        cycle = build_clique_cycle(model)
+        sets = member_sets(cycle, model)
         for a, b in itertools.permutations(range(cycle.k), 2):
             assert not sets[a] <= sets[b]
-
-
-def test_dump_format(c4_model):
-    cycle = build_clique_cycle(c4_model)
-    lines = cycle.dump().splitlines()
-    assert lines[0] == "0: {0, 3}"
-    assert lines[4] == "0: lc=0 rc=1"
-    assert len(lines) == cycle.k + 4
 
 
 def test_anchors_are_the_first_gaps_of_the_maximal_cliques():
@@ -185,7 +181,7 @@ def test_anchors_are_the_first_gaps_of_the_maximal_cliques():
         model = validate_model(n, list(zip(ends[::2], ends[1::2])))
         if not is_real(model):
             continue
-        sets = [frozenset(a for a in range(n) if model.covers_gap(a, g))
+        sets = [frozenset(a for a in range(n) if covers_gap(model, a, g))
                 for g in range(model.circle_size)]
         first: dict[frozenset, int] = {}
         for g, members in enumerate(sets):
@@ -275,7 +271,7 @@ def reference_clique_runs(model, drops):
     """Anchors, left, right and span_len by bitmask filter and bisection."""
     n = model.n
     size = model.circle_size
-    spans = [model.gap_span(i) for i in range(n)]
+    spans = list(zip(*(a.tolist() for a in arc_spans(model))))
     opens = np.zeros(size, dtype=bool)
     opens[[s for s, _ in model.arcs]] = True
     candidates = np.flatnonzero(opens & ~np.roll(opens, -1)).tolist()
@@ -307,7 +303,7 @@ def _far_overlap_count(model, candidates) -> int:
     found = 0
     for g in candidates:
         a, b = opening[g], closing[(g + 1) % size]
-        found += any(h != g and model.covers_gap(a, h) and model.covers_gap(b, h)
+        found += any(h != g and covers_gap(model, a, h) and covers_gap(model, b, h)
                      for h in candidates)
     return found
 

@@ -32,6 +32,7 @@ from arcroute.ring_order import expand_runs
 from arcroute.verifier import (
     AMBIGUOUS,
     UNCOVERED,
+    IntervalStats,
     VerificationReport,
     _check_structure,
     route_lengths,
@@ -599,6 +600,51 @@ def test_interval_stats_bound_fields():
     assert stats.arc_count == 2 * graph.m
     assert stats.total_intervals <= 2 * graph.m + 20
     assert stats.doubles_within_bound
+
+
+def test_interval_stats_count_arcs_apart_whatever_the_ids():
+    # arcs were once grouped on src * n + dst, which on two vertices made
+    # (0, 5) and (1, 3) one arc with two intervals, doubled at vertex 2
+    stats = interval_stats(
+        RoutingScheme(CyclicOrder([0, 1]), [0, 1], [5, 3], [1, 0], [1, 1]))
+    assert stats.arc_count == 2
+    assert stats.max_intervals_per_arc == 1
+    assert stats.double_labeled_arcs_per_vertex == {}
+    # huge and negative ids neither merge nor crash the count of doubles
+    huge = 2 ** 62
+    stats = interval_stats(RoutingScheme(
+        CyclicOrder([0, 1]), [huge, huge, -1, -1, 0], [0, 0, 7, 8, 1],
+        [0, 1, 0, 0, 1], [1, 1, 1, 1, 1]))
+    assert (stats.arc_count, stats.max_intervals_per_arc) == (4, 2)
+    assert stats.double_labeled_arcs_per_vertex == {huge: 1}
+    assert json.loads(stats.to_json())["double_labeled_arcs_per_vertex"] == {
+        str(huge): 1}
+
+
+def reference_interval_stats(scheme):
+    """The stats as counted when arcs were grouped on src * n + dst, which
+    is exact while every id lies in 0 .. n - 1."""
+    n = scheme.n
+    arcs, per_arc = np.unique(scheme.src * n + scheme.dst, return_counts=True)
+    doubles = np.bincount(arcs[per_arc >= 2] // n, minlength=n)
+    return IntervalStats(
+        total_intervals=len(scheme.src),
+        max_intervals_per_arc=int(per_arc.max(initial=0)),
+        double_labeled_arcs_per_vertex={
+            v: int(doubles[v]) for v in np.flatnonzero(doubles).tolist()},
+        arc_count=len(arcs),
+        vertex_count=n,
+    )
+
+
+def test_interval_stats_of_built_schemes_are_unchanged():
+    doubled = 0
+    for graph, scheme in verify_corpus():
+        stats = interval_stats(scheme)
+        assert stats == reference_interval_stats(scheme)
+        assert stats.to_json() == reference_interval_stats(scheme).to_json()
+        doubled += bool(stats.double_labeled_arcs_per_vertex)
+    assert doubled >= 100, doubled
 
 
 def test_report_json_shape():
