@@ -68,11 +68,6 @@ def validate_model(n: int, arcs: list[tuple[int, int]]) -> ArcModel:
     return ArcModel(n=n, arcs=tuple((int(s), int(e)) for s, e in arcs))
 
 
-def _is_json_int(value) -> bool:
-    """JSON integer; ``true`` / ``false`` decode to bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_model(data: bytes | str) -> ArcModel:
     """Parse the canonical JSON format ``{"n": ..., "arcs": [[s, e], ...]}``."""
     if isinstance(data, bytes):
@@ -81,22 +76,34 @@ def parse_model(data: bytes | str) -> ArcModel:
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"model is not UTF-8 text: {exc}") from exc
     try:
-        obj = json.loads(data)
+        obj = json.loads(data, object_pairs_hook=unique_keys(
+            ModelFormatError, "model JSON repeats an object key"))
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "arcs" not in obj:
         raise ModelFormatError('expected an object with keys "n" and "arcs"')
     n = obj["n"]
     raw = obj["arcs"]
-    if not _is_json_int(n) or not isinstance(raw, list):
+    if not is_id(n) or not isinstance(raw, list):
         raise ModelFormatError('"n" must be an int and "arcs" a list')
     arcs = []
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2
-                and all(_is_json_int(p) for p in entry)):
+                and all(is_id(p) for p in entry)):
             raise ModelFormatError(f"arc entry {entry!r} is not a pair of ints")
         arcs.append((entry[0], entry[1]))
     return validate_model(n, arcs)
+
+
+def unique_keys(error: type[Exception], message: str):
+    """``json.loads`` object hook that raises ``error(message)`` on a key
+    given twice."""
+    def hook(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            raise error(message)
+        return obj
+    return hook
 
 
 def arc_spans(model: ArcModel) -> tuple[np.ndarray, np.ndarray]:

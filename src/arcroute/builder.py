@@ -34,10 +34,10 @@ from itertools import chain
 
 import numpy as np
 
-from .arc_model import ArcModel, Graph, _is_json_int, intersection_graph
+from .arc_model import ArcModel, Graph, intersection_graph, unique_keys
 from .clique_cycle import CliqueCycle, build_clique_cycle, counter_pairs
 from .errors import ConstructionError, StructuralSchemeError
-from .ring_order import CyclicOrder, expand_runs, ring_coverage
+from .ring_order import CyclicOrder, expand_runs, is_id, ring_coverage
 
 
 @dataclass(eq=False)
@@ -541,13 +541,14 @@ class RoutingScheme:
             except UnicodeDecodeError as exc:
                 raise StructuralSchemeError(f"scheme is not UTF-8 text: {exc}") from exc
         try:
-            obj = json.loads(data, object_pairs_hook=_unique_keys)
+            obj = json.loads(data, object_pairs_hook=unique_keys(
+                StructuralSchemeError, "scheme JSON repeats an object key"))
         except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise StructuralSchemeError(f"invalid scheme JSON: {exc}") from exc
         if not isinstance(obj, dict) or "order" not in obj or "labels" not in obj:
             raise StructuralSchemeError('scheme needs "order" and "labels"')
         raw_order, raw_labels = obj["order"], obj["labels"]
-        if not (isinstance(raw_order, list) and all(map(_is_json_int, raw_order))):
+        if not (isinstance(raw_order, list) and all(map(is_id, raw_order))):
             raise StructuralSchemeError('"order" must be a list of integers')
         if not isinstance(raw_labels, dict):
             raise StructuralSchemeError('"labels" must be an object')
@@ -592,14 +593,6 @@ class RoutingScheme:
 
 # canonical arc key: two decimal vertex ids without sign or leading zero
 _ARC_KEY = re.compile(r"(?:0|[1-9][0-9]*)->(?:0|[1-9][0-9]*)")
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """``json.loads`` object hook that rejects a key given twice."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        raise StructuralSchemeError("scheme JSON repeats an object key")
-    return obj
 
 
 def _join_runs(pos: np.ndarray, src, dst, offset, length):

@@ -14,12 +14,7 @@ import numpy as np
 
 from .arc_model import intersection_graph, parse_model
 from .builder import RoutingScheme, build_scheme
-from .errors import (
-    ArcRouteError,
-    NotRealCircularArc,
-    RouteError,
-    StructuralSchemeError,
-)
+from .errors import ArcRouteError, RouteError
 from .generator import gen_complete, gen_random, gen_ring, gen_wheel
 from .oracle import DEFAULT_VERTEX_LIMIT, has_shortest_path_1irs
 from .ring_order import CyclicOrder
@@ -164,9 +159,6 @@ def main(argv: list[str] | None = None) -> int:
     except RouteError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except (NotRealCircularArc, StructuralSchemeError) as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
     except ArcRouteError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL

@@ -6,6 +6,10 @@ most one interval per directed arc.  Non-strict by default: the interval
 at an arc of ``v`` may also contain ``v`` itself.  Positive answers come
 with a witness that is re-certified against BFS distances before being
 returned.
+
+A neighbor u of v is one hop away, so only the arc (v, u) can carry it.
+Each arc of v therefore holds the one run around its own neighbor, and an
+order fits v when the runs of consecutive neighbors meet.
 """
 
 from __future__ import annotations
@@ -40,7 +44,10 @@ def has_shortest_path_1irs(
 ) -> OracleResult:
     """Existence of a shortest-path 1-interval scheme, by brute force.
 
-    Refuses graphs above ``vertex_limit`` (the search is factorial).
+    Refuses graphs above ``vertex_limit`` (the search is factorial).  Per
+    order and vertex no search is needed: only arc (v, u) can carry a
+    neighbor u, so each arc holds the run around its own neighbor, grown
+    forward as far as the arc allows.
     """
     n = graph.n
     if n > vertex_limit:
@@ -53,16 +60,9 @@ def has_shortest_path_1irs(
     if (dist < 0).any():
         return OracleResult(False)
 
-    # allowed[v][w]: bitmask of destinations u with w on a shortest v->u path
+    # allowed[v][w][u]: w starts a shortest path from v to u
+    allowed = (dist[None, :, :] == dist[:, None, :] - 1).tolist()
     nbrs = [np.flatnonzero(graph.adj[v]).tolist() for v in range(n)]
-    allowed: list[dict[int, int]] = [{} for _ in range(n)]
-    for v in range(n):
-        for w in nbrs[v]:
-            mask = 0
-            for u in range(n):
-                if u != v and dist[w, u] == dist[v, u] - 1:
-                    mask |= 1 << u
-            allowed[v][w] = mask
 
     by_degree = sorted(range(n), key=lambda v: int(graph.degrees[v]))
     started = time.perf_counter()
@@ -91,95 +91,56 @@ def has_shortest_path_1irs(
 
 
 def _segments_for_vertex(order, allowed, v, nbrs, strict):
-    """One interval per distinct arc (to a neighbor in ``nbrs``) covering
-    everyone but v, or None.
+    """One interval per arc (to a neighbor in ``nbrs``) covering everyone
+    but v, or None.
 
-    The cyclic order is cut just after v, giving a line of n-1 targets;
-    a non-strict solution may additionally let one arc's interval wrap
-    across v (a suffix plus a prefix of the line).
+    The cyclic order is cut just after v, giving a line of n-1 targets on
+    which the runs follow v's neighbors.  A non-strict solution may instead
+    let the first or the last neighbor's run wrap across v (a suffix plus a
+    prefix of the line).
     """
-    n = len(order)
-    pos = {u: i for i, u in enumerate(order)}
-    seq = [order[(pos[v] + 1 + i) % n] for i in range(n - 1)]
-    length = n - 1
-    masks = [allowed[v][w] for w in nbrs]
-    d = len(nbrs)
+    at = order.index(v)
+    seq = order[at + 1:] + order[:at]
+    length = len(seq)
+    line = sorted(nbrs, key=seq.index)
+    fits = allowed[v]
 
-    # reach[i][wi]: furthest j with seq[i..j] all fitting arc wi (i-1 if none)
-    reach = [[0] * d for _ in range(length)]
-    for wi in range(d):
-        mask = masks[wi]
-        run_end = -1
-        for i in range(length - 1, -1, -1):
-            if mask >> seq[i] & 1:
-                if run_end == -1:
-                    run_end = i
-                reach[i][wi] = run_end
-            else:
-                reach[i][wi] = i - 1
-                run_end = -1
+    def reach(w, i, step):
+        """Last index reached from i by steps of ``step`` over targets that
+        arc w allows."""
+        while 0 <= i + step < length and fits[w][seq[i + step]]:
+            i += step
+        return i
 
-    memo: dict[tuple[int, int, int], list | None] = {}
+    def chain(ws, start, stop):
+        """Runs of the arcs to ``ws`` exactly covering seq[start:stop], each
+        grown forward as far as its arc allows."""
+        runs = {}
+        for w in ws:
+            p = seq.index(w)
+            if reach(w, p, -1) > start:
+                return None
+            end = min(reach(w, p, 1), stop - 1)
+            runs[(v, w)] = RingInterval(seq[start], seq[end])
+            start = end + 1
+        return runs if start == stop else None
 
-    def cover(i: int, end: int, used: int):
-        """Exactly cover seq[i..end-1] with distinct unused arcs."""
-        if i == end:
-            return []
-        key = (i, end, used)
-        if key in memo:
-            return memo[key]
-        result = None
-        for wi in range(d):
-            if used >> wi & 1:
-                continue
-            top = min(reach[i][wi], end - 1)
-            for j in range(top, i - 1, -1):
-                tail = cover(j + 1, end, used | (1 << wi))
-                if tail is not None:
-                    result = [(wi, i, j)] + tail
-                    break
-            if result is not None:
-                break
-        memo[key] = result
-        return result
-
-    plain = cover(0, length, 0)
-    if plain is not None:
-        return _segments_to_labels(v, seq, nbrs, plain, None)
-    if strict:
-        return None
-
-    # wrap case: one arc takes a suffix, v itself, and a prefix of the line
-    for wi in range(d):
-        mask = masks[wi]
-        prefix_top = -1
-        while prefix_top + 1 < length and mask >> seq[prefix_top + 1] & 1:
-            prefix_top += 1
-        suffix_lo = length
-        while suffix_lo - 1 >= 0 and mask >> seq[suffix_lo - 1] & 1:
-            suffix_lo -= 1
-        for i in range(-1, prefix_top + 1):
-            for j in range(max(suffix_lo, i + 1), length + 1):
-                if i == -1 and j == length:
-                    continue  # interval would contain only v
-                middle = cover(i + 1, j, 1 << wi)
-                if middle is not None:
-                    return _segments_to_labels(
-                        v, seq, nbrs, middle, (wi, i, j)
-                    )
+    runs = chain(line, 0, length)
+    if runs is not None or strict or len(line) < 2:
+        return runs
+    # wrap case: only the first or the last neighbor's run can cross v (a
+    # lone arc would cover the whole line), with its shortest prefix and its
+    # longest suffix.  If both could, the strict check would have passed.
+    for w in (line[0], line[-1]):
+        rest = [u for u in line if u != w]
+        i = reach(rest[0], seq.index(rest[0]), -1) - 1
+        j = reach(w, length, -1)
+        runs = chain(rest, i + 1, j) if reach(w, -1, 1) >= i else None
+        if runs is not None:
+            runs[(v, w)] = RingInterval(seq[j] if j < length else v,
+                                        seq[i] if i >= 0 else v)
+            return runs
     return None
-
-
-def _segments_to_labels(v, seq, nbrs, middle, wrap):
-    labels: dict[tuple[int, int], RingInterval] = {}
-    for wi, i, j in middle:
-        labels[(v, nbrs[wi])] = RingInterval(seq[i], seq[j])
-    if wrap is not None:
-        wi, i, j = wrap
-        lo = seq[j] if j < len(seq) else v
-        hi = seq[i] if i >= 0 else v
-        labels[(v, nbrs[wi])] = RingInterval(lo, hi)
-    return labels
 
 
 def _certify_witness(graph, dist, order, labels, strict) -> None:

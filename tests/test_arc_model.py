@@ -81,6 +81,21 @@ def test_parse_rejects_json_booleans(payload):
         parse_model(payload)
 
 
+# the second "arcs" is C4, the first the counter model; neither may win
+REPEATED_KEY_MODEL = ('{"n": 4, "arcs": [[0, 5], [4, 1], [2, 7], [6, 3]], '
+                      '"arcs": [[0, 3], [2, 5], [4, 7], [6, 1]]}')
+
+
+@pytest.mark.parametrize("payload", [
+    REPEATED_KEY_MODEL,
+    '{"n": 1, "n": 1, "arcs": [[0, 1]]}',
+    '{"n": 1, "arcs": [[0, 1]], "note": {"a": 1, "a": 2}}',
+])
+def test_parse_rejects_repeated_keys(payload):
+    with pytest.raises(ModelFormatError, match="^model JSON repeats an object key$"):
+        parse_model(payload)
+
+
 def test_model_json_round_trip():
     model = load(C4_MODEL)
     again = parse_model(model.to_json())

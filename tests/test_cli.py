@@ -121,6 +121,29 @@ def test_oracle1_reports_absence(tmp_path, capsys):
     assert json.loads(captured.out) == {"exists_1irs": False}
 
 
+# the exact witness bytes, so that a change in the search order shows
+ORACLE1_STDOUT = {
+    "ring": '{"order": [0, 1, 2, 3, 4], "labels": {"0->1": [[1, 2]], "0->4": [[3, 4]], '
+            '"1->0": [[4, 0]], "1->2": [[2, 3]], "2->1": [[0, 1]], "2->3": [[3, 4]], '
+            '"3->2": [[1, 2]], "3->4": [[4, 0]], "4->0": [[0, 1]], "4->3": [[2, 3]]}}\n',
+    "wheel": '{"order": [0, 1, 2, 3, 4, 5], "labels": {"0->1": [[1, 2]], "0->4": [[3, 4]], '
+             '"0->5": [[5, 5]], "1->0": [[0, 0]], "1->2": [[2, 3]], "1->5": [[4, 5]], '
+             '"2->1": [[1, 1]], "2->3": [[3, 4]], "2->5": [[5, 0]], "3->2": [[2, 2]], '
+             '"3->4": [[4, 4]], "3->5": [[5, 1]], "4->0": [[0, 1]], "4->3": [[2, 3]], '
+             '"4->5": [[5, 5]], "5->0": [[0, 0]], "5->1": [[1, 1]], "5->2": [[2, 2]], '
+             '"5->3": [[3, 3]], "5->4": [[4, 4]]}}\n',
+}
+
+
+@pytest.mark.parametrize("family", ["ring", "wheel"])
+def test_oracle1_witness_bytes(tmp_path, capsys, family):
+    model = tmp_path / "model.json"
+    run(["gen", "--family", family, "--n", 5, "--out", model])
+    capsys.readouterr()
+    assert run(["oracle1", "--model", model]) == 0
+    assert capsys.readouterr() == (ORACLE1_STDOUT[family], "1-IRS exists\n")
+
+
 def test_oracle1_limit(tmp_path, capsys):
     model = tmp_path / "big.json"
     run(["gen", "--family", "random", "--n", 12, "--seed", 0, "--out", model])
@@ -185,6 +208,15 @@ def test_undecodable_model_is_a_format_error(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe" + '{"n": 4}'.encode("utf-16-le"))
     assert run(["build", "--model", path]) == 2
     assert "bad-format" in one_error_line(capsys)
+
+
+def test_model_with_a_repeated_key_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"n": 4, "arcs": [[0, 5], [4, 1], [2, 7], [6, 3]], '
+                    '"arcs": [[0, 3], [2, 5], [4, 7], [6, 1]]}')
+    assert run(["build", "--model", path]) == 2
+    assert capsys.readouterr() == (
+        "", "error [bad-format]: model JSON repeats an object key\n")
 
 
 def test_undecodable_scheme_is_structural(tmp_path, c4_file, capsys):
