@@ -41,7 +41,7 @@ def main() -> None:
     print()
 
     vorder = build_vertex_order(cycle)
-    print(f"vertex order: {vorder.items}")
+    print(f"vertex order: {vorder.order.items.tolist()}")
 
     # the context holds every vertex's frame as arrays; the blocks are runs
     # of offsets after the vertex: 1 .. lo-1, lo .. hi-1 and hi .. n-1

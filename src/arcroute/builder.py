@@ -14,8 +14,8 @@ up to v; served by its adjacent members), and the facing block in between
 (never adjacent to v unless a vertex dominates the graph).  Distributing
 the facing block is the delicate part and branches on whether dominating
 vertices or counter pairs exist, and in the plain case on whether the
-clique cycle has a cut.  Every case reads the arc geometry alone: a build
-runs no graph search.
+clique cycle has a cut.  Every case reads the arcs and their adjacency
+alone: a build runs no graph search.
 
 Each block is a run of offsets clockwise after the vertex, and each label
 assignment a run (source, target, offset, length).  One pass over the
@@ -52,10 +52,6 @@ class VertexOrder:
     head: np.ndarray
     tail: np.ndarray
 
-    @property
-    def items(self) -> tuple[int, ...]:
-        return self.order.items
-
 
 def build_vertex_order(cycle: CliqueCycle) -> VertexOrder:
     """Emit vertices clique block by clique block.
@@ -77,7 +73,7 @@ def build_vertex_order(cycle: CliqueCycle) -> VertexOrder:
     head, tail = np.full((2, k), -1, dtype=np.int64)
     head[starts[first]] = items[first]
     tail[starts[first]] = items[np.append(first[1:], len(items)) - 1]
-    return VertexOrder(CyclicOrder(items.tolist()), head, tail)
+    return VertexOrder(CyclicOrder(items), head, tail)
 
 
 class LabelingContext:
@@ -102,9 +98,7 @@ class LabelingContext:
         self.vorder = vorder
         self.n = graph.n
         self.order = vorder.order
-        self.items = np.asarray(self.order.items, dtype=np.int64)
-        self.pos = np.empty(self.n, dtype=np.int64)
-        self.pos[self.items] = np.arange(self.n, dtype=np.int64)
+        self.items, self.pos = self.order.items, self.order.pos
         self.dominating = cycle.dominating
         self.any_dominating = bool(self.dominating.any())
         k = cycle.k
@@ -506,7 +500,7 @@ class RoutingScheme:
 
     @property
     def n(self) -> int:
-        return len(self.order.items)
+        return self.order.n
 
     def _arc_opens(self) -> np.ndarray:
         """Rows that open their arc: the rows are sorted by arc, so a row
@@ -517,7 +511,7 @@ class RoutingScheme:
         return opens
 
     def to_json(self) -> str:
-        items = np.asarray(self.order.items)
+        items = self.order.items
         first = items[self.start].tolist()
         last = items[(self.start + self.length - 1) % len(items)].tolist()
         # a row that opens its arc closes the entry before and opens its
@@ -584,11 +578,10 @@ class RoutingScheme:
         if outside.any():
             a, b = ab[outside][0].tolist()
             raise StructuralSchemeError(f"interval [{a}, {b}] outside the order")
-        pos = np.argsort(np.asarray(order.items, dtype=np.int64))
-        start = pos[ab[:, 0]]
+        start, end = order.pos[ab.T]
         counts = list(map(len, lists))
         return cls(order, np.repeat(arcs[:, 0], counts), np.repeat(arcs[:, 1], counts),
-                   start, (pos[ab[:, 1]] - start) % n + 1)
+                   start, (end - start) % n + 1)
 
 
 # canonical arc key: two decimal vertex ids without sign or leading zero

@@ -98,10 +98,11 @@ def _cmd_oracle1(args) -> int:
     if result.exists_1irs:
         print("1-IRS exists", file=sys.stderr)
         order = CyclicOrder(result.witness_order)
-        rows = [(v, w, order.position(ivl.a), order.distance(ivl.a, ivl.b) + 1)
-                for (v, w), ivl in result.witness_labels.items()]
-        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-        witness = RoutingScheme(order, *columns).to_json()
+        rows = np.array([(v, w, ivl.a, ivl.b) for (v, w), ivl in
+                         result.witness_labels.items()], dtype=np.int64).reshape(-1, 4)
+        a, b = order.pos[rows[:, 2:]].T
+        witness = RoutingScheme(order, rows[:, 0], rows[:, 1], a,
+                                (b - a) % order.n + 1).to_json()
         print(witness)
         if args.witness_out:
             Path(args.witness_out).write_text(witness + "\n", encoding="utf-8")

@@ -147,15 +147,11 @@ def _certify_witness(graph, dist, order, labels, strict) -> None:
     """Re-check the witness against the relaxed scheme constraints."""
     n = graph.n
     cyc = CyclicOrder(order)
-    arcs = list(labels.items())
-    src = np.array([v for (v, _), _ in arcs], dtype=np.int64)
-    tgt = np.array([w for (_, w), _ in arcs], dtype=np.int64)
-    run, positions = expand_runs(
-        [cyc.position(ivl.a) for _, ivl in arcs],
-        [cyc.distance(ivl.a, ivl.b) + 1 for _, ivl in arcs],
-        n,
-    )
-    v, w, u = src[run], tgt[run], np.asarray(order, dtype=np.int64)[positions]
+    rows = np.array([(v, w, ivl.a, ivl.b) for (v, w), ivl in labels.items()],
+                    dtype=np.int64).reshape(-1, 4)
+    a, b = cyc.pos[rows[:, 2:]].T
+    run, positions = expand_runs(a, (b - a) % n + 1, n)
+    v, w, u = rows[run, 0], rows[run, 1], cyc.items[positions]
     own = u == v
     if strict and own.any():
         raise ConstructionError("strict witness covers itself")

@@ -1,11 +1,13 @@
 """Cyclic orders and ring-intervals.
 
-A cyclic order arranges ``n`` distinct element ids on a clock face; a
+A cyclic order arranges ``n`` distinct element ids on a clock face as two
+read-only int64 arrays that every module indexes: ``items`` (the element
+at each position) and ``pos`` (the position of each element).  A
 ring-interval ``[a, b]`` is the run of elements met when walking clockwise
 from ``a`` to ``b``, both included.  Only the oracle does its arithmetic on
 ``RingInterval``; the builder and the verifier store an interval as a run
 (start position, or offset from a vertex, and length) and expand runs with
-``expand_runs``.  All operations here are O(1) or output-sensitive.
+``expand_runs``.
 """
 
 from __future__ import annotations
@@ -26,58 +28,45 @@ def is_id(x: object) -> bool:
 class CyclicOrder:
     """Immutable cyclic arrangement of the dense ids ``0 .. n-1``.
 
-    ``items`` fixes a clockwise reading of the circle; ``items[0]`` is only
-    an anchor for serialization, not a distinguished first element.
+    ``items[p]`` is the element at position ``p`` and ``pos[x]`` the
+    position of element ``x``, so ``items[pos] == arange(n)``.  ``items``
+    fixes a clockwise reading of the circle; ``items[0]`` is only an anchor
+    for serialization, not a distinguished first element.
     """
 
-    __slots__ = ("items", "_pos")
+    __slots__ = ("items", "pos")
 
     def __init__(self, items: Sequence[int]):
-        items = tuple(items)
+        # numpy would read True as 1 and cut 1.9 to 1, so anything but an
+        # integer array is checked element by element
+        listed = not (isinstance(items, np.ndarray) and items.dtype.kind in "iu")
+        if listed:
+            items = list(items)
         n = len(items)
         if n == 0:
             raise ValueError("cyclic order needs at least one element")
-        pos = [-1] * n
-        for i, x in enumerate(items):
-            if not is_id(x) or not 0 <= x < n or pos[x] != -1:
-                raise ValueError(f"items must be a permutation of 0..{n - 1}")
-            pos[x] = i
-        self.items = tuple(map(int, items))
-        self._pos = pos
+        bad = ValueError(f"items must be a permutation of 0..{n - 1}")
+        if listed and not all(is_id(x) and 0 <= x < n for x in items):
+            raise bad
+        items = np.array(items, dtype=np.int64)
+        if (items.ndim != 1 or ((items < 0) | (items >= n)).any()
+                or (np.bincount(items, minlength=n) != 1).any()):
+            raise bad
+        pos = np.empty(n, dtype=np.int64)
+        pos[items] = np.arange(n, dtype=np.int64)
+        items.flags.writeable = pos.flags.writeable = False
+        self.items, self.pos = items, pos
 
     @property
     def n(self) -> int:
         return len(self.items)
 
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __contains__(self, x: object) -> bool:
-        return is_id(x) and 0 <= x < len(self.items)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CyclicOrder) and self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(self.items)
+        return (isinstance(other, CyclicOrder)
+                and np.array_equal(self.items, other.items))
 
     def __repr__(self) -> str:
-        return f"CyclicOrder({list(self.items)})"
-
-    def position(self, x: int) -> int:
-        if x not in self:
-            raise UnknownElementError(f"element {x!r} not in order of size {self.n}")
-        return self._pos[x]
-
-    def at(self, position: int) -> int:
-        return self.items[position % len(self.items)]
-
-    def successor(self, x: int) -> int:
-        return self.items[(self.position(x) + 1) % len(self.items)]
-
-    def distance(self, a: int, b: int) -> int:
-        """Clockwise steps from ``a`` to ``b`` (0 when equal)."""
-        return (self.position(b) - self.position(a)) % len(self.items)
+        return f"CyclicOrder({self.items.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -94,11 +83,12 @@ class RingInterval:
 
 def ring_sequence(order: CyclicOrder, a: int, b: int) -> list[int]:
     """Elements from ``a`` to ``b`` clockwise, as a list starting at ``a``."""
-    i = order.position(a)
-    j = order.position(b)
-    n = len(order.items)
-    steps = (j - i) % n
-    return [order.items[(i + k) % n] for k in range(steps + 1)]
+    n = order.n
+    for x in (a, b):
+        if not (is_id(x) and 0 <= x < n):
+            raise UnknownElementError(f"element {x!r} not in order of size {n}")
+    i, j = order.pos[a], order.pos[b]
+    return order.items[(i + np.arange((j - i) % n + 1)) % n].tolist()
 
 
 def expand_runs(starts, lengths, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from .errors import (
     RoutingLoopError,
     StructuralSchemeError,
 )
-from .ring_order import expand_runs
+from .ring_order import expand_runs, is_id
 
 AMBIGUOUS = -2
 UNCOVERED = -1
@@ -84,7 +84,7 @@ class VerificationReport:
 
 def _check_structure(graph: Graph, scheme: RoutingScheme) -> None:
     n = graph.n
-    if scheme.n != n or set(scheme.order.items) != set(range(n)):
+    if scheme.n != n:
         raise StructuralSchemeError(
             f"scheme order covers {scheme.n} vertices, graph has {n}"
         )
@@ -117,7 +117,7 @@ def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:
     _checked(scheme, graph)
     n = graph.n
     src, dst, start, length = scheme.src, scheme.dst, scheme.start, scheme.length
-    items = np.asarray(scheme.order.items, dtype=np.int64)
+    items, pos = scheme.order.items, scheme.order.pos
     flat = all_pairs_distances(graph).ravel()
     # pair i of the expansion: its row's source v holds destination u in
     # cell v * n + u, and the row's hop w must be one step nearer to u;
@@ -142,8 +142,8 @@ def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:
         w = dst[np.searchsorted(np.cumsum(length), index, side="right")]
         return zip((cell[index] // n).tolist(), (cell[index] % n).tolist(), w.tolist())
 
-    # rows that hold their own source; argsort(items)[v] is v's order position
-    held = np.flatnonzero((np.argsort(items)[src] - start) % n < length)
+    # rows that hold their own source
+    held = np.flatnonzero((pos[src] - start) % n < length)
     first = start[held]
     ends = items[np.column_stack([first, (first + length[held] - 1) % n])]
     strict = [{"vertex": v, "arc": [v, w], "interval": e} for v, w, e in
@@ -191,15 +191,15 @@ def route(scheme: RoutingScheme, graph: Graph, src: int, dst: int) -> list[int]:
     Raises CoverageHoleError / AmbiguousRouteError / RoutingLoopError when
     the scheme fails to route; the hop cap is the vertex count.  Raises
     StructuralSchemeError, as verify_scheme does, when the scheme does not
-    fit the graph.
+    fit the graph, and when an endpoint is not a vertex id of the graph.
     """
     n = graph.n
-    if not (0 <= src < n and 0 <= dst < n):
+    if not (is_id(src) and is_id(dst) and 0 <= src < n and 0 <= dst < n):
         raise StructuralSchemeError("route endpoints outside the graph")
     if src == dst:
         raise ValueError("route endpoints must differ")
-    column = _forwarding_table(scheme, graph)[:, scheme.order.position(dst)]
-    path = [src]
+    column = _forwarding_table(scheme, graph)[:, scheme.order.pos[dst]]
+    path = [int(src)]
     x = src
     for _ in range(n):
         nxt = int(column[x])
@@ -227,7 +227,7 @@ def route_lengths(scheme: RoutingScheme, graph: Graph) -> np.ndarray:
     """
     n = graph.n
     table = _forwarding_table(scheme, graph)
-    items = np.asarray(scheme.order.items, dtype=np.int64)
+    items = scheme.order.items
     positions = np.arange(n, dtype=np.int64)
     arrived = np.zeros((n, n), dtype=bool)
     arrived[items, positions] = True  # the cell of each position's vertex

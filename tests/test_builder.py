@@ -107,13 +107,13 @@ def pred(ctx, v):
 
 def test_c4_vertex_order():
     ctx = context_for(load(C4_MODEL))
-    assert ctx.vorder.items == (0, 1, 2, 3)
+    assert ctx.vorder.order.items.tolist() == [0, 1, 2, 3]
 
 
 def test_complete_graph_order_is_by_id():
     # every vertex is all-adjacent; they all close one block, by id
     ctx = context_for(gen_complete(4))
-    assert ctx.vorder.items == (0, 1, 2, 3)
+    assert ctx.vorder.order.items.tolist() == [0, 1, 2, 3]
 
 
 def test_blocks_are_contiguous_and_sorted_by_reach():
@@ -121,7 +121,7 @@ def test_blocks_are_contiguous_and_sorted_by_reach():
         model = gen_random(n, seed)
         ctx = context_for(model)
         cycle = ctx.cycle
-        items = ctx.vorder.items
+        items = ctx.items.tolist()
         # an all-adjacent vertex counts as starting at clique 1 and running
         # around the whole cycle
         start = np.where(ctx.dominating, 1 % cycle.k, cycle.left)
@@ -307,7 +307,7 @@ def test_frame_checks_name_the_first_offending_vertex(model, swap, head, message
     cycle = build_clique_cycle(model, graph)
     vorder = build_vertex_order(cycle)
     LabelingContext(cycle, graph, vorder)
-    items = list(vorder.items)
+    items = vorder.order.items.tolist()
     if swap:
         i, j = swap
         items[i], items[j] = items[j], items[i]
@@ -1055,7 +1055,7 @@ def reference_to_json(scheme):
     """The scheme's JSON by grouping the rows per arc through a dict and
     sorting the arcs, as ``to_json`` wrote it before it read the rows in
     their stored order."""
-    items = scheme.order.items
+    items = scheme.order.items.tolist()
     order = ", ".join(str(v) for v in items)
     grouped: dict[tuple[int, int], list[str]] = {}
     n = len(items)

@@ -240,6 +240,16 @@ def test_route_to_itself_is_an_error(tmp_path, c4_file, capsys):
     assert "bad-argument" in one_error_line(capsys)
 
 
+def test_route_from_outside_the_graph_is_structural(tmp_path, c4_file, capsys):
+    out = tmp_path / "scheme.json"
+    run(["build", "--model", c4_file, "--out", out])
+    capsys.readouterr()
+    assert run(["route", "--model", c4_file, "--scheme", out,
+                "--src", 99, "--dst", 1]) == 2
+    assert capsys.readouterr().err == (
+        "error [structural]: route endpoints outside the graph\n")
+
+
 def test_too_small_ring_is_an_error(capsys):
     assert run(["gen", "--family", "ring", "--n", 2]) == 2
     assert "bad-argument" in one_error_line(capsys)

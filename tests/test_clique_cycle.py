@@ -362,6 +362,13 @@ def test_counter_pairs_and_adjacency_match_the_n_by_n_references():
         assert not (pairs & ~graph.adj).any(), model.to_json()
         expected = reference_counter_matrix(cycle)
         assert (pairs == expected).all(), model.to_json()
+        # off the diagonal two arcs meet iff their clique runs share a clique,
+        # so the runs alone could stand in for the adjacency
+        k = cycle.k
+        share = (((lc[None] - lc[:, None]) % k < ln[:, None])
+                 | ((lc[:, None] - lc[None]) % k < ln[None]))
+        off = ~np.eye(model.n, dtype=bool)
+        assert (share == graph.adj)[off].all(), model.to_json()
         ctx = LabelingContext(cycle, graph, build_vertex_order(cycle))
         lowest = np.where(expected.any(axis=1), expected.argmax(axis=1), model.n)
         assert ctx.partner.tolist() == lowest.tolist(), model.to_json()

@@ -9,6 +9,7 @@ from arcroute import (
     gen_ring,
     has_shortest_path_1irs,
     intersection_graph,
+    ring_sequence,
 )
 from arcroute.errors import OracleLimitError
 
@@ -44,10 +45,7 @@ def test_witness_is_a_valid_scheme():
             if src != v:
                 continue
             assert graph.adjacent(v, w)
-            steps = order.distance(ivl.a, ivl.b)
-            stretch = [
-                order.at(order.position(ivl.a) + i) for i in range(steps + 1)
-            ]
+            stretch = ring_sequence(order, ivl.a, ivl.b)
             for u in stretch:
                 if u != v:
                     assert dist[w, u] == dist[v, u] - 1

@@ -24,59 +24,72 @@ def test_order_rejects_items_that_are_not_integers(items):
         CyclicOrder(items)
 
 
-def test_order_accepts_numpy_integers_and_keeps_python_ints():
-    order = CyclicOrder(np.array([2, 0, 1]))
-    assert order.items == (2, 0, 1)
-    assert {type(x) for x in order.items} == {int}
-    assert order.position(np.int32(0)) == 1
+def test_order_accepts_numpy_integers_and_stores_read_only_int64_arrays():
+    order = CyclicOrder(np.array([2, 0, 1], dtype=np.int32))
+    assert order.items.tolist() == [2, 0, 1]
+    assert order.pos.tolist() == [1, 2, 0]
+    for array in (order.items, order.pos):
+        assert array.dtype == np.int64 and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # the order copies its input, so the caller's array stays writable
+    raw = np.array([1, 0])
+    assert CyclicOrder(raw) == CyclicOrder([1, 0]) and raw.flags.writeable
+    assert CyclicOrder([0, 1]) != CyclicOrder([1, 0])
+    assert repr(CyclicOrder(raw)) == "CyclicOrder([1, 0])"
+
+
+def successor(order, x):
+    """The element after ``x`` clockwise, read off the two arrays."""
+    return int(order.items[(order.pos[x] + 1) % order.n])
 
 
 def test_successor_single_element_is_fixed_point():
     order = CyclicOrder([0])
-    assert order.successor(0) == 0
+    assert successor(order, 0) == 0
 
 
 def test_successor_wraps_around():
     order = CyclicOrder([0, 1, 2, 3])
-    assert order.successor(3) == 0
+    assert successor(order, 3) == 0
+    assert ring_sequence(order, 3, 0) == [3, 0]
 
 
 def test_successor_four_times_returns_to_start():
     order = CyclicOrder([0, 1, 2, 3])
     x = 1
     for _ in range(4):
-        x = order.successor(x)
+        x = successor(order, x)
     assert x == 1
 
 
 def test_successor_unknown_element():
+    # the arrays are not guarded; ring_sequence checks its ends itself
     order = CyclicOrder([0, 1, 2])
     with pytest.raises(UnknownElementError):
-        order.successor(7)
+        ring_sequence(order, 7, 0)
 
 
 @pytest.mark.parametrize("x", [-1, -3, 3, True, False, None, "1", 1.0, np.bool_(True)])
 def test_position_rejects_anything_but_an_element_id(x):
     # a negative id used to index from the end, and a boolean as 0 / 1
     order = CyclicOrder([0, 1, 2])
-    assert x not in order
-    with pytest.raises(UnknownElementError):
-        order.position(x)
+    for a, b in ((x, 0), (0, x)):
+        with pytest.raises(UnknownElementError):
+            ring_sequence(order, a, b)
 
 
 def test_negative_ids_are_unknown_to_every_position_reader():
     order = CyclicOrder([0, 1, 2])
-    for call in (lambda: order.distance(-1, 0), lambda: order.distance(0, -1),
-                 lambda: order.successor(-1), lambda: ring_sequence(order, -1, 0)):
-        with pytest.raises(UnknownElementError):
-            call()
+    for a, b in ((-1, 0), (0, -1), (-1, -1)):
+        with pytest.raises(UnknownElementError, match="-1"):
+            ring_sequence(order, a, b)
 
 
 def test_position_accepts_numpy_integers():
     order = CyclicOrder([2, 0, 1])
-    assert np.int64(1) in order
-    assert order.position(np.int64(1)) == 2
-    assert order.distance(np.int32(2), np.uint8(1)) == 2
+    assert order.pos[np.int64(1)] == 2
+    assert ring_sequence(order, np.int32(2), np.uint8(1)) == [2, 0, 1]
 
 
 def test_ring_sequence_base_case():
@@ -229,10 +242,10 @@ def test_join_puts_the_run_holding_the_target_first():
 
 @given(orders, st.data())
 def test_sequence_length_formula(order, data):
-    a = data.draw(st.sampled_from(order.items))
-    b = data.draw(st.sampled_from(order.items))
+    a = data.draw(st.sampled_from(order.items.tolist()))
+    b = data.draw(st.sampled_from(order.items.tolist()))
     seq = ring_sequence(order, a, b)
-    assert len(seq) == order.distance(a, b) + 1
+    assert len(seq) == (order.pos[b] - order.pos[a]) % order.n + 1
     assert seq[0] == a and seq[-1] == b
 
 
@@ -246,15 +259,16 @@ def test_expand_runs_matches_ring_sequence_exhaustively():
                                      [ln for _, ln in runs], n)
         assert run.tolist() == sorted(run.tolist())
         for i, (s, ln) in enumerate(runs):
-            got = [order.at(p) for p in positions[run == i].tolist()]
-            assert got == ring_sequence(order, order.at(s), order.at(s + ln - 1))
+            got = order.items[positions[run == i]].tolist()
+            assert got == ring_sequence(order, order.items[s],
+                                        order.items[(s + ln - 1) % n])
     assert [len(rows) for rows in expand_runs([], [], 5)] == [0, 0]
 
 
 def test_bijection_invariant():
     order = CyclicOrder([2, 0, 3, 1])
-    for i, x in enumerate(order.items):
-        assert order.position(x) == i
+    assert (order.items[order.pos] == np.arange(4)).all()
+    assert (order.pos[order.items] == np.arange(4)).all()
 
 
 def test_rejects_non_permutation():
@@ -262,3 +276,14 @@ def test_rejects_non_permutation():
         CyclicOrder([0, 0, 1])
     with pytest.raises(ValueError):
         CyclicOrder([1, 2, 3])
+
+
+@pytest.mark.parametrize("items", [
+    np.array([[0, 1], [1, 0]]), np.array([0, 0, 1]), np.array([1, 2, 3]),
+    np.array([2 ** 64 - 1, 0], dtype=np.uint64), [2 ** 70, 0],
+    np.array([True, False]), np.array([1.0, 0.0])])
+def test_order_rejects_arrays_and_ids_that_are_not_a_permutation(items):
+    # an integer array skips the per-element check, so its range and
+    # shape are checked on the array; a wide id fails the range test
+    with pytest.raises(ValueError, match="permutation of 0..1|permutation of 0..2"):
+        CyclicOrder(items)

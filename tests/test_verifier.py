@@ -369,7 +369,7 @@ def hop_by_hop_route_lengths(scheme, graph):
         run, positions = expand_runs(scheme.start[rows], scheme.length[rows], n)
         tables[v, positions] = scheme.dst[rows][run]
         tables[v, np.bincount(positions, minlength=n) > 1] = AMBIGUOUS
-    items = np.asarray(scheme.order.items, dtype=np.int64)
+    items = scheme.order.items
     cur = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, n))
     lengths = np.zeros((n, n), dtype=np.int64)
     active = cur != items[None, :]
@@ -510,6 +510,30 @@ def test_route_rejects_equal_endpoints():
     graph, scheme = c4_setup()
     with pytest.raises(ValueError):
         route(scheme, graph, 1, 1)
+
+
+def ring6_setup():
+    model = gen_ring(6)
+    return intersection_graph(model), build_scheme(model)
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 1.0, True, np.float64(1), np.bool_(True)],
+                         ids=["minus_one", "n", "float", "bool", "np_float", "np_bool"])
+def test_route_rejects_endpoints_that_are_not_vertex_ids(bad):
+    # a float source used to escape as IndexError and a bool one as
+    # TypeError; a bad target was caught only by the order's own reader
+    graph, scheme = ring6_setup()
+    for src, dst in ((bad, 3), (3, bad)):
+        with pytest.raises(StructuralSchemeError,
+                           match="^route endpoints outside the graph$"):
+            route(scheme, graph, src, dst)
+
+
+def test_route_takes_numpy_integer_endpoints_and_returns_python_ints():
+    graph, scheme = ring6_setup()
+    path = route(scheme, graph, np.int64(0), np.int32(3))
+    assert path == route(scheme, graph, 0, 3)
+    assert len(path) == 4 and {type(v) for v in path} == {int}
 
 
 # the C4 scheme whose arc (0, 2) is no graph edge: route 0 -> 2 would
@@ -695,7 +719,7 @@ def reference_verify_scheme(graph, scheme):
     _check_structure(graph, scheme)
     dist = all_pairs_distances(graph)
     report = VerificationReport(True, True, True, True)
-    items = np.asarray(scheme.order.items, dtype=np.int64)
+    items = scheme.order.items
     bounds = np.searchsorted(scheme.src, np.arange(graph.n + 1)).tolist()
     for v in range(graph.n):
         _reference_verify_vertex(dist, items, scheme, v, bounds[v], bounds[v + 1],
