@@ -1,11 +1,13 @@
 """Independent validation of routing schemes.
 
 The verifier never looks at arc geometry or clique-cycles: it recomputes
-shortest-path structure from the graph alone (one scipy all-pairs
-shortest-path matrix) and checks a scheme against the defining
-constraints — no interval holds its own source, the intervals at a
-vertex are disjoint and cover every other vertex, and every labeled
-destination is reached through a first vertex of some shortest path.
+shortest-path structure from the graph alone (one all-pairs hop-distance
+matrix from ``all_pairs_distances``: a breadth-first frontier of matrix
+products, or scipy's BFS on long-diameter graphs) and checks a scheme
+against the defining constraints — no interval holds its own source, the
+intervals at a vertex are disjoint and cover every other vertex, and
+every labeled destination is reached through a first vertex of some
+shortest path.
 It checks all rows in one pass (one expansion into (row, destination)
 pairs, one bincount over their cells) and never reads the forwarding
 table, so the route check below stays independent.  Route simulation

@@ -1,5 +1,8 @@
 import itertools
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from arcroute import (
     parse_model,
     validate_model,
 )
+from arcroute import arc_model
 from arcroute.arc_model import UNREACHABLE, all_pairs_distances
 from arcroute.errors import (
     DegenerateArcError,
@@ -32,6 +36,7 @@ from conftest import (
     load,
     perturbed_ring,
     reference_intersection_graph,
+    src_env,
 )
 
 
@@ -205,6 +210,184 @@ def test_from_edges_accepts_numpy_integer_ids():
     assert graph.edges() == [(0, 2), (1, 2)]
 
 
+def asymmetric_adjacency(n, u, v):
+    adj = np.zeros((n, n), dtype=bool)
+    adj[u, v] = True
+    return adj
+
+
+@pytest.mark.parametrize("n, adj", [
+    (3, asymmetric_adjacency(3, 0, 1)),  # counted as m = 1, read both ways
+    (3, ~np.eye(3, dtype=bool) ^ asymmetric_adjacency(3, 2, 0)),
+    (1100, asymmetric_adjacency(1100, 3, 1050)),  # outside the diagonal tiles
+    (1100, asymmetric_adjacency(1100, 1050, 3)),
+    (1100, asymmetric_adjacency(1100, 600, 601)),
+])
+def test_graph_rejects_an_asymmetric_adjacency(n, adj):
+    with pytest.raises(ValueError, match="symmetric"):
+        Graph(n, adj)
+
+
+def test_graph_rejects_a_true_diagonal():
+    # all-True made m = 4 on three vertices and no vertex dominating
+    with pytest.raises(ValueError, match="self-loops"):
+        Graph(3, np.ones((3, 3), dtype=bool))
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[1, 1] = True
+    with pytest.raises(ValueError, match="self-loops"):
+        Graph(3, adj)
+
+
+@pytest.mark.parametrize("n, adj", [
+    (3, np.zeros((2, 2), dtype=bool)),
+    (3, np.zeros((3, 2), dtype=bool)),
+    (2, np.zeros((2, 2, 1), dtype=bool)),
+    (2, np.zeros((2, 2), dtype=np.int64)),
+    (2, np.zeros((2, 2), dtype=np.float32)),
+    (2, [[False, True], [True, False]]),
+    (2.0, np.zeros((2, 2), dtype=bool)),
+    (True, np.zeros((1, 1), dtype=bool)),
+    (-1, np.zeros((0, 0), dtype=bool)),
+])
+def test_graph_rejects_what_is_not_an_n_by_n_boolean_array(n, adj):
+    with pytest.raises(ValueError, match="n x n boolean array"):
+        Graph(n, adj)
+
+
+def test_graph_accepts_a_symmetric_adjacency():
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 2] = adj[2, 0] = True
+    graph = Graph(np.int64(3), adj)
+    assert graph.n == 3 and type(graph.n) is int
+    assert graph.m == 1 and graph.edges() == [(0, 2)]
+    assert Graph(0, np.zeros((0, 0), dtype=bool)).m == 0
+
+
+@pytest.mark.parametrize("v", [-1, 5, True, np.True_, 1.0, "1", None])
+def test_graph_readers_reject_vertex_ids_outside_the_graph(v):
+    # -1 used to read vertex 4's row; True and 1.0 escaped as IndexError
+    graph = intersection_graph(gen_ring(5))
+    with pytest.raises(ValueError, match=r"vertex .* is not an id in 0\.\.4"):
+        bfs_distances(graph, v)
+    with pytest.raises(ValueError, match="is not an id"):
+        first_vertices(graph, v, 2)
+    with pytest.raises(ValueError, match="is not an id"):
+        first_vertices(graph, 0, v)
+    with pytest.raises(ValueError, match="is not an id"):
+        graph.adjacent(v, 0)
+    with pytest.raises(ValueError, match="is not an id"):
+        graph.adjacent(0, v)
+
+
+def test_graph_readers_accept_numpy_integer_ids():
+    graph = intersection_graph(gen_ring(5))
+    assert bfs_distances(graph, np.int32(2)).tolist() == bfs_distances(graph, 2).tolist()
+    assert first_vertices(graph, np.int64(0), np.uint8(2)) == {1}
+    assert graph.adjacent(np.int64(0), np.int8(4))
+
+
+def scipy_distances(graph):
+    """Hop distances from a direct scipy call, UNREACHABLE across components."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    dist = shortest_path(csr_matrix(graph.adj), unweighted=True, directed=False)
+    return np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int64)
+
+
+def clique_chain(cliques, size):
+    """``cliques`` cliques of ``size`` vertices, the last vertex of each
+    joined to the first of the next: dense inside, long end to end."""
+    n = cliques * size
+    adj = np.zeros((n, n), dtype=bool)
+    for c in range(cliques):
+        adj[c * size:(c + 1) * size, c * size:(c + 1) * size] = True
+        if c:
+            adj[c * size - 1, c * size] = adj[c * size, c * size - 1] = True
+    np.fill_diagonal(adj, False)
+    return Graph(n, adj)
+
+
+def two_cliques(size):
+    return Graph.from_edges(2 * size, [
+        e for part in (range(size), range(size, 2 * size))
+        for e in itertools.combinations(part, 2)])
+
+
+# name: (graph, whether the frontier finishes it, UNREACHABLE cells)
+RULE_CASES = {
+    "random-12": (lambda: intersection_graph(gen_random(12, 0)), True, 0),
+    "random-60": (lambda: intersection_graph(gen_random(60, 1)), True, 0),
+    "random-200": (lambda: intersection_graph(gen_random(200, 2)), True, 0),
+    "two-K5": (lambda: two_cliques(5), True, 2 * 5 * 5),
+    "n-0": (lambda: Graph.from_edges(0, []), True, 0),
+    "n-1": (lambda: Graph.from_edges(1, []), True, 0),
+    "perturbed-ring-300": (lambda: intersection_graph(perturbed_ring(300, 0)),
+                           False, 0),
+    "clique-chain-10x30": (lambda: clique_chain(10, 30), False, 0),
+}
+
+
+def checked_all_pairs(graph):
+    """``all_pairs_distances``, compared with a direct scipy call and with
+    ``bfs_distances`` from every source."""
+    dist = all_pairs_distances(graph)
+    assert dist.shape == (graph.n, graph.n) and dist.dtype == np.int64
+    assert (dist == scipy_distances(graph)).all()
+    for v in range(graph.n):
+        assert (dist[v] == bfs_distances(graph, v)).all()
+    return dist
+
+
+@pytest.mark.parametrize("name", list(RULE_CASES))
+def test_all_pairs_on_each_side_of_the_cost_rule(name):
+    make, frontier, unreachable = RULE_CASES[name]
+    graph = make()
+    assert (arc_model._frontier_distances(graph) is not None) == frontier
+    dist = checked_all_pairs(graph)
+    assert int((dist == UNREACHABLE).sum()) == unreachable
+
+
+VERIFY_BRANCHES = """
+import sys
+from arcroute import (build_scheme, gen_random, gen_wheel, has_shortest_path_1irs,
+                      intersection_graph, parse_model, verify_scheme)
+
+def verify(model):
+    assert verify_scheme(intersection_graph(model), build_scheme(model)).passed
+
+for seed in range(3):
+    verify(gen_random(200, seed))
+assert has_shortest_path_1irs(intersection_graph(gen_wheel(5))).exists_1irs
+assert "scipy" not in sys.modules, "a dense verify or the oracle loaded scipy"
+verify(parse_model(sys.argv[1]))
+assert "scipy" in sys.modules, "a long-diameter verify did not hand over to scipy"
+"""
+
+
+def test_dense_verifies_never_load_scipy_and_long_diameters_do():
+    # a fresh interpreter shows which branch of the cost rule ran, with no
+    # timing: only the hand-over imports scipy
+    done = subprocess.run(
+        [sys.executable, "-c", VERIFY_BRANCHES, perturbed_ring(300, 0).to_json()],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_all_pairs_memory_stays_near_six_float32_matrices():
+    # the int64 result counts as two float32 n-by-n matrices, the float32
+    # adjacency and its product as two more; a float64 or another int64
+    # n-by-n temporary would exceed the bound
+    graph = intersection_graph(gen_random(1000, 0))
+    tracemalloc.start()
+    try:
+        all_pairs_distances(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 4 * graph.n ** 2
+
+
 def test_all_pairs_matches_bfs():
     models = [load(C4_MODEL)]
     models += [gen_ring(k) for k in range(3, 14)]
@@ -217,11 +400,7 @@ def test_all_pairs_matches_bfs():
     graphs.append(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]))
     unreachable = 0
     for graph in graphs:
-        dist = all_pairs_distances(graph)
-        assert dist.shape == (graph.n, graph.n) and dist.dtype == np.int64
-        for v in range(graph.n):
-            assert (dist[v] == bfs_distances(graph, v)).all()
-        unreachable += int((dist == UNREACHABLE).sum())
+        unreachable += int((checked_all_pairs(graph) == UNREACHABLE).sum())
     assert unreachable == 2 * (4 * 2 + 4 * 1 + 2 * 1)
 
 
