@@ -292,10 +292,19 @@ def _scipy_distances(graph: Graph) -> np.ndarray:
 
     mat = csr_matrix(graph.adj)
     dist = shortest_path(mat, method="D", unweighted=True, directed=False)
-    # mark unreachable pairs in place and convert once, so the float64
-    # result and one boolean mask are the only n-by-n temporaries
-    dist[np.isinf(dist)] = UNREACHABLE
-    return dist.astype(np.int64)
+    # mark and cast a block of rows at a time into the float64 result's
+    # own buffer, so no n-by-n temporary is made beside it
+    out = dist.view(np.int64)
+    step = max(1, _CAST_CELLS // max(graph.n, 1))
+    for i in range(0, graph.n, step):
+        rows = dist[i:i + step]
+        rows[np.isinf(rows)] = UNREACHABLE
+        out[i:i + step] = rows.astype(np.int64)
+    return out
+
+
+# cells marked and cast at once when the scipy result becomes int64
+_CAST_CELLS = 1 << 16
 
 
 def first_vertices(graph: Graph, u: int, w: int) -> set[int]:

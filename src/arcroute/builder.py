@@ -28,6 +28,7 @@ scheme's shape.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -512,76 +513,222 @@ class RoutingScheme:
 
     def to_json(self) -> str:
         items = self.order.items
-        first = items[self.start].tolist()
-        last = items[(self.start + self.length - 1) % len(items)].tolist()
-        # a row that opens its arc closes the entry before and opens its
-        # arc's, any other joins the same list
         opens = self._arc_opens()
-        rows = "".join(
-            f']], "{v}->{w}": [[{a}, {b}' if new else f'], [{a}, {b}'
-            for new, v, w, a, b in zip(opens.tolist(), self.src.tolist(),
-                                       self.dst.tolist(), first, last))
-        labels = rows[len("]], "):] + "]]" if rows else ""
-        order = ", ".join(map(str, items.tolist()))
-        return f'{{"order": [{order}], "labels": {{{labels}}}}}'
+        return _scheme_text(items, self.src[opens], self.dst[opens], opens,
+                            items[self.start],
+                            items[(self.start + self.length - 1) % len(items)])
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "RoutingScheme":
-        import json
+        """Read a scheme written in the format of ``to_json``, with any JSON
+        whitespace, arcs in any order and arcs listed with no intervals.
 
-        if isinstance(data, bytes):
-            try:
-                data = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise StructuralSchemeError(f"scheme is not UTF-8 text: {exc}") from exc
+        The numbers are read first and trusted afterwards: ``_read_canonical``
+        takes every digit run in bulk and writes what it read back as compact
+        JSON, and the reading holds only if that text equals ``data`` with
+        every space, tab, CR and LF removed.  So a sign, a leading zero, a
+        float, an escape, digits run together, an extra key or a key out of
+        place all fail the comparison.  Such a document goes through
+        ``json.loads`` instead, which raises StructuralSchemeError naming
+        what is wrong, or returns the document in canonical form for a
+        second reading.
+        """
+        parsed = _read_canonical(data)
+        if parsed is None:
+            parsed = _read_canonical(_canonical_json(data))
+        order, src, dst, counts, ends = parsed
+        start, end = order.pos[ends[0::2]], order.pos[ends[1::2]]
+        return cls(order, np.repeat(src, counts), np.repeat(dst, counts),
+                   start, (end - start) % order.n + 1)
+
+
+# the words of the scheme text after the vertex ids: the quote opening
+# the first arc key, the close of an arc's list and the quote opening the
+# next key, the arrow inside a key, the close of a key and the open of its
+# list, the join of two intervals of one arc, the comma inside an
+# interval, and nothing, for the key slots of a row that continues its arc
+_QUOTE, _NEXT_ARC, _ARROW, _OPEN_LIST, _NEXT_INTERVAL, _COMMA, _NOTHING = range(7)
+# tokens joined into one string at a time, bounding the joined list
+_JOIN_TOKENS = 1 << 16
+
+
+def _scheme_text(items, key_src, key_dst, opens, a, b, sep=", ", colon=": ") -> str:
+    """The scheme JSON of an order and its interval rows, written in bulk.
+
+    Row ``i`` is interval ``[a[i], b[i]]``; ``opens`` marks the rows that
+    begin an arc's list, and ``key_src`` / ``key_dst`` name those arcs.
+    ``sep`` and ``colon`` are the separators between list items and after a
+    key.  Each row is eight tokens indexing one word table: the decimal
+    ids in use, then the fixed words, so the text is one join.
+    """
+    n = len(items)
+    ids, shift = np.arange(n), 0
+    if len(key_src) and (min(key_src.min(), key_dst.min()) < 0
+                         or max(key_src.max(), key_dst.max()) >= n):
+        # ids in use outside 0 .. n - 1: the sorted table holds 0 .. n - 1
+        # in one stretch, after the negative ids
+        ids, inverse = np.unique(np.concatenate([ids, key_src, key_dst]),
+                                 return_inverse=True)
+        shift = int(np.searchsorted(ids, 0))
+        key_src, key_dst = inverse[n:].reshape(2, -1)
+    words = np.array(list(map(str, ids.tolist())) + [
+        '"', f']]{sep}"', "->", f'"{colon}[[', f"]{sep}[", sep, ""], dtype=object)
+    fixed = len(ids) + np.arange(7)
+    tokens = np.empty((len(a), 8), dtype=np.int32)
+    tokens[:, :4] = fixed[_NOTHING]
+    tokens[opens, 0] = fixed[_NEXT_ARC]
+    tokens[opens, 1] = key_src
+    tokens[opens, 2] = fixed[_ARROW]
+    tokens[opens, 3] = key_dst
+    tokens[:, 4] = fixed[_NEXT_INTERVAL]
+    tokens[opens, 4] = fixed[_OPEN_LIST]
+    tokens[:, 5] = a
+    tokens[:, 6] = fixed[_COMMA]
+    tokens[:, 7] = b
+    tokens[:, 5::2] += shift
+    tokens[:1, 0] = fixed[_QUOTE]
+    flat = tokens.ravel()
+    return "".join([
+        '{"order"', colon, "[", sep.join(words[items + shift].tolist()), "]", sep,
+        '"labels"', colon, "{",
+        *("".join(words[flat[i:i + _JOIN_TOKENS]].tolist())
+          for i in range(0, len(flat), _JOIN_TOKENS)),
+        "]]}}" if len(a) else "}}"])
+
+
+_WHITESPACE = b" \t\n\r"
+# bytes.translate table turning every byte but a decimal digit into a space
+_DIGITS_ONLY = bytes(c if 48 <= c < 58 else 32 for c in range(256))
+
+
+def _numbers(text: bytes) -> np.ndarray:
+    """The digit runs of ``text`` as int64, saturating past its range."""
+    digits = text.translate(_DIGITS_ONLY)
+    if not digits or digits.isspace():  # numpy reads blank text as [0]
+        return np.empty(0, dtype=np.int64)
+    return np.fromstring(digits, dtype=np.int64, sep=" ")
+
+
+def _read_canonical(data: bytes | str):
+    """(order, arc sources, arc targets, intervals per arc, interval ends)
+    of a scheme in ``to_json``'s format, or None to leave ``data`` to
+    ``json.loads``.
+
+    Between its quotes lie the strings: ``order``, ``labels`` and one key
+    per arc.  One bulk read takes every number: the order's, then per arc
+    two for the key and two per interval, an arc's intervals being the
+    opening brackets of its list but one.  Every id must lie below n
+    before anything is written back, the text written back must equal
+    ``data`` without whitespace, and its strings must be as long as
+    those of ``data``, so that no string of ``data`` holds whitespace.
+    An arc with no intervals, a repeated arc and an order that is not a
+    permutation are left to ``json.loads`` too.
+    """
+    if isinstance(data, str):
         try:
-            obj = json.loads(data, object_pairs_hook=unique_keys(
-                StructuralSchemeError, "scheme JSON repeats an object key"))
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-            raise StructuralSchemeError(f"invalid scheme JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "order" not in obj or "labels" not in obj:
-            raise StructuralSchemeError('scheme needs "order" and "labels"')
-        raw_order, raw_labels = obj["order"], obj["labels"]
-        if not (isinstance(raw_order, list) and all(map(is_id, raw_order))):
-            raise StructuralSchemeError('"order" must be a list of integers')
-        if not isinstance(raw_labels, dict):
-            raise StructuralSchemeError('"labels" must be an object')
+            data = data.encode("ascii")
+        except UnicodeEncodeError:
+            return None
+    elif not isinstance(data, bytes):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    quotes = np.flatnonzero(raw == ord('"'))
+    if len(quotes) < 4 or len(quotes) % 2:
+        return None
+    order = _numbers(data[quotes[1]:quotes[2]])
+    n = len(order)
+    numbers = _numbers(data)[n:]
+    # each key's closing quote and the next quote (or the end) bound its list
+    edges = np.searchsorted(np.flatnonzero(raw == ord("[")),
+                            np.append(quotes[5:], len(raw)))
+    counts = edges[1::2] - edges[0:-1:2] - 1
+    if ((counts < 1).any() or len(numbers) != 2 * (len(counts) + counts.sum())
+            or any(x.size and x.max() >= n for x in (order, numbers))):
+        return None
+    # an arc's numbers: its key's two, then two per interval
+    per_arc = 2 + 2 * counts
+    first = np.cumsum(per_arc) - per_arc
+    is_key = np.zeros(len(numbers), dtype=bool)
+    is_key[first] = is_key[first + 1] = True
+    src, dst = numbers[is_key].reshape(-1, 2).T
+    ends = numbers[~is_key]
+    # the rewrite below is the peak, so what it does not need goes first
+    del numbers, is_key
+    # the bytes inside the strings of ``data``
+    strings = int((quotes[1::2] - quotes[0::2]).sum())
+    del quotes
+    opens = np.zeros(len(ends) // 2, dtype=bool)
+    opens[np.cumsum(counts) - counts] = True
+    text = _scheme_text(order, src, dst, opens, ends[0::2], ends[1::2],
+                        ",", ":").encode("ascii")
+    written = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord('"'))
+    if (text != data.translate(None, _WHITESPACE)
+            or (written[1::2] - written[0::2]).sum() != strings):
+        return None
+    try:
+        cyclic = CyclicOrder(order)
+    except ValueError:
+        return None
+    arc = src * n + dst
+    if (np.diff(arc) <= 0).any() and (np.diff(np.sort(arc)) == 0).any():
+        return None
+    return cyclic, src, dst, counts, ends
+
+
+def _canonical_json(data: bytes | str) -> str:
+    """``data`` in ``to_json``'s compact format through ``json.loads``,
+    without arcs listed with no intervals; StructuralSchemeError names
+    the first fault of a document that is no scheme."""
+    if isinstance(data, bytes):
         try:
-            order = CyclicOrder(raw_order)
-        except ValueError as exc:
-            raise StructuralSchemeError(str(exc)) from exc
-        n = order.n
-        keys, lists = list(raw_labels), list(raw_labels.values())
-        for key, ivls in zip(keys, lists):
-            if _ARC_KEY.fullmatch(key) is None or not isinstance(ivls, list):
-                raise StructuralSchemeError(f"bad labels entry {key!r}")
-        ends = list(chain.from_iterable(lists))
-        pairs = set(map(type, ends)) <= {list} and set(map(len, ends)) <= {2}
-        # type() is exact: JSON booleans decode to bool, a subclass of int
-        if not (pairs and set(map(type, chain.from_iterable(ends))) <= {int}):
-            key = next(k for k, ivls in zip(keys, lists) if not all(
-                type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
-                for e in ivls))
-            raise StructuralSchemeError(
-                f"bad labels entry {key!r}: intervals must be pairs of integers"
-            )
-        try:
-            arcs = np.array(" ".join(keys).replace("->", " ").split(),
-                            dtype=np.int64).reshape(-1, 2)
-            ab = np.array(ends, dtype=np.int64).reshape(-1, 2)
-        except OverflowError as exc:
-            raise StructuralSchemeError("vertex id outside the order") from exc
-        if (arcs >= n).any():
-            key = keys[int(np.flatnonzero((arcs >= n).any(axis=1))[0])]
-            raise StructuralSchemeError(f"arc {key!r} outside the order")
-        outside = ((ab < 0) | (ab >= n)).any(axis=1)
-        if outside.any():
-            a, b = ab[outside][0].tolist()
-            raise StructuralSchemeError(f"interval [{a}, {b}] outside the order")
-        start, end = order.pos[ab.T]
-        counts = list(map(len, lists))
-        return cls(order, np.repeat(arcs[:, 0], counts), np.repeat(arcs[:, 1], counts),
-                   start, (end - start) % n + 1)
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StructuralSchemeError(f"scheme is not UTF-8 text: {exc}") from exc
+    try:
+        obj = json.loads(data, object_pairs_hook=unique_keys(
+            StructuralSchemeError, "scheme JSON repeats an object key"))
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise StructuralSchemeError(f"invalid scheme JSON: {exc}") from exc
+    if not isinstance(obj, dict) or "order" not in obj or "labels" not in obj:
+        raise StructuralSchemeError('scheme needs "order" and "labels"')
+    raw_order, raw_labels = obj["order"], obj["labels"]
+    if not (isinstance(raw_order, list) and all(map(is_id, raw_order))):
+        raise StructuralSchemeError('"order" must be a list of integers')
+    if not isinstance(raw_labels, dict):
+        raise StructuralSchemeError('"labels" must be an object')
+    try:
+        n = CyclicOrder(raw_order).n
+    except ValueError as exc:
+        raise StructuralSchemeError(str(exc)) from exc
+    keys, lists = list(raw_labels), list(raw_labels.values())
+    for key, ivls in zip(keys, lists):
+        if _ARC_KEY.fullmatch(key) is None or not isinstance(ivls, list):
+            raise StructuralSchemeError(f"bad labels entry {key!r}")
+    ends = list(chain.from_iterable(lists))
+    pairs = set(map(type, ends)) <= {list} and set(map(len, ends)) <= {2}
+    # type() is exact: JSON booleans decode to bool, a subclass of int
+    if not (pairs and set(map(type, chain.from_iterable(ends))) <= {int}):
+        key = next(k for k, ivls in zip(keys, lists) if not all(
+            type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
+            for e in ivls))
+        raise StructuralSchemeError(
+            f"bad labels entry {key!r}: intervals must be pairs of integers"
+        )
+    try:
+        arcs = np.array(" ".join(keys).replace("->", " ").split(),
+                        dtype=np.int64).reshape(-1, 2)
+        ab = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise StructuralSchemeError("vertex id outside the order") from exc
+    if (arcs >= n).any():
+        key = keys[int(np.flatnonzero((arcs >= n).any(axis=1))[0])]
+        raise StructuralSchemeError(f"arc {key!r} outside the order")
+    outside = ((ab < 0) | (ab >= n)).any(axis=1)
+    if outside.any():
+        a, b = ab[outside][0].tolist()
+        raise StructuralSchemeError(f"interval [{a}, {b}] outside the order")
+    return json.dumps({"order": raw_order, "labels": {
+        key: ivls for key, ivls in zip(keys, lists) if ivls}}, separators=(",", ":"))
 
 
 # canonical arc key: two decimal vertex ids without sign or leading zero

@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -8,16 +10,19 @@ import pytest
 
 from arcroute import (
     ArcModel,
+    CyclicOrder,
     Graph,
+    RoutingScheme,
     build_clique_cycle,
     build_vertex_order,
     intersection_graph,
     parse_model,
     validate_model,
 )
-from arcroute.arc_model import arc_spans
+from arcroute.arc_model import arc_spans, unique_keys
 from arcroute.builder import LabelingContext
-from arcroute.errors import ConstructionError
+from arcroute.errors import ConstructionError, StructuralSchemeError
+from arcroute.ring_order import is_id
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -148,6 +153,99 @@ def labels_of(scheme) -> dict[tuple[int, int], list[list[int]]]:
     """A scheme's intervals as its JSON writes them, keyed by arc (v, w)."""
     labels = json.loads(scheme.to_json())["labels"]
     return {tuple(map(int, key.split("->"))): ivls for key, ivls in labels.items()}
+
+
+# References: the scheme JSON writer and reader that formatted and parsed
+# one interval at a time in Python, before both became bulk passes.
+
+
+def ref_to_json(scheme) -> str:
+    """The scheme's JSON, one formatted row per interval."""
+    items = scheme.order.items
+    first = items[scheme.start].tolist()
+    last = items[(scheme.start + scheme.length - 1) % len(items)].tolist()
+    # a row that opens its arc closes the entry before and opens its
+    # arc's, any other joins the same list
+    opens = np.ones(len(scheme.src), dtype=bool)
+    opens[1:] = ((scheme.src[1:] != scheme.src[:-1])
+                 | (scheme.dst[1:] != scheme.dst[:-1]))
+    rows = "".join(
+        f']], "{v}->{w}": [[{a}, {b}' if new else f'], [{a}, {b}'
+        for new, v, w, a, b in zip(opens.tolist(), scheme.src.tolist(),
+                                   scheme.dst.tolist(), first, last))
+    labels = rows[len("]], "):] + "]]" if rows else ""
+    order = ", ".join(map(str, items.tolist()))
+    return f'{{"order": [{order}], "labels": {{{labels}}}}}'
+
+
+_REF_ARC_KEY = re.compile(r"(?:0|[1-9][0-9]*)->(?:0|[1-9][0-9]*)")
+
+
+def ref_from_json(data) -> RoutingScheme:
+    """The scheme of ``data`` through ``json.loads``, checking every
+    interval in Python."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StructuralSchemeError(f"scheme is not UTF-8 text: {exc}") from exc
+    try:
+        obj = json.loads(data, object_pairs_hook=unique_keys(
+            StructuralSchemeError, "scheme JSON repeats an object key"))
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise StructuralSchemeError(f"invalid scheme JSON: {exc}") from exc
+    if not isinstance(obj, dict) or "order" not in obj or "labels" not in obj:
+        raise StructuralSchemeError('scheme needs "order" and "labels"')
+    raw_order, raw_labels = obj["order"], obj["labels"]
+    if not (isinstance(raw_order, list) and all(map(is_id, raw_order))):
+        raise StructuralSchemeError('"order" must be a list of integers')
+    if not isinstance(raw_labels, dict):
+        raise StructuralSchemeError('"labels" must be an object')
+    try:
+        order = CyclicOrder(raw_order)
+    except ValueError as exc:
+        raise StructuralSchemeError(str(exc)) from exc
+    n = order.n
+    keys, lists = list(raw_labels), list(raw_labels.values())
+    for key, ivls in zip(keys, lists):
+        if _REF_ARC_KEY.fullmatch(key) is None or not isinstance(ivls, list):
+            raise StructuralSchemeError(f"bad labels entry {key!r}")
+    ends = list(chain.from_iterable(lists))
+    pairs = set(map(type, ends)) <= {list} and set(map(len, ends)) <= {2}
+    # type() is exact: JSON booleans decode to bool, a subclass of int
+    if not (pairs and set(map(type, chain.from_iterable(ends))) <= {int}):
+        key = next(k for k, ivls in zip(keys, lists) if not all(
+            type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
+            for e in ivls))
+        raise StructuralSchemeError(
+            f"bad labels entry {key!r}: intervals must be pairs of integers"
+        )
+    try:
+        arcs = np.array(" ".join(keys).replace("->", " ").split(),
+                        dtype=np.int64).reshape(-1, 2)
+        ab = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise StructuralSchemeError("vertex id outside the order") from exc
+    if (arcs >= n).any():
+        key = keys[int(np.flatnonzero((arcs >= n).any(axis=1))[0])]
+        raise StructuralSchemeError(f"arc {key!r} outside the order")
+    outside = ((ab < 0) | (ab >= n)).any(axis=1)
+    if outside.any():
+        a, b = ab[outside][0].tolist()
+        raise StructuralSchemeError(f"interval [{a}, {b}] outside the order")
+    start, end = order.pos[ab.T]
+    counts = list(map(len, lists))
+    return RoutingScheme(order, np.repeat(arcs[:, 0], counts),
+                         np.repeat(arcs[:, 1], counts), start,
+                         (end - start) % n + 1)
+
+
+def same_scheme(a, b) -> bool:
+    """Equal order and equal rows, dtypes included."""
+    return a.order == b.order and all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("src", "dst", "start", "length"))
 
 
 @pytest.fixture

@@ -388,6 +388,25 @@ def test_all_pairs_memory_stays_near_six_float32_matrices():
     assert peak < 6 * 4 * graph.n ** 2
 
 
+def test_scipy_hand_over_memory_stays_near_one_int64_matrix():
+    # scipy's float64 result becomes the int64 one in place, a block of
+    # rows at a time: a full-size mask or a second n-by-n copy would read
+    # at least 9 or 16 bytes per vertex pair
+    from scipy.sparse.csgraph import shortest_path  # imported before tracing
+
+    graph = intersection_graph(perturbed_ring(2000, 0))
+    assert arc_model._frontier_distances(graph) is None
+    tracemalloc.start()
+    try:
+        dist = all_pairs_distances(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * graph.n ** 2
+    assert dist.dtype == np.int64 and dist.flags.c_contiguous
+    assert (dist == shortest_path(graph.adj, unweighted=True, directed=False)).all()
+
+
 def test_all_pairs_matches_bfs():
     models = [load(C4_MODEL)]
     models += [gen_ring(k) for k in range(3, 14)]

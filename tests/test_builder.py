@@ -46,7 +46,10 @@ from conftest import (
     labels_of,
     load,
     perturbed_ring,
+    ref_from_json,
+    ref_to_json,
     reference_counter_matrix,
+    same_scheme,
     src_env,
 )
 
@@ -1072,9 +1075,12 @@ def reference_to_json(scheme):
 
 
 def test_to_json_matches_the_grouping_reference():
+    # and the bulk writer and reader match the row-at-a-time references
     for model in digest_corpus():
         scheme = build_scheme(model)
-        assert scheme.to_json() == reference_to_json(scheme), model.to_json()
+        text = scheme.to_json()
+        assert text == reference_to_json(scheme) == ref_to_json(scheme), model.to_json()
+        assert same_scheme(RoutingScheme.from_json(text), ref_from_json(text))
     # keys out of order, arcs with two intervals in either order, and no arcs
     shuffled = RoutingScheme.from_json(
         '{"order": [2, 0, 3, 1], "labels": {"3->0": [[0, 0], [1, 2]], '

@@ -50,6 +50,28 @@ def test_verify_accepts_built_scheme(tmp_path, c4_file, capsys):
     assert report["passed"] is True
 
 
+def test_verify_reads_any_json_spacing(tmp_path, capsys):
+    # the same report for the built file, its indented form and its
+    # compact form, on a scheme with two-interval arcs
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"n": 4, "arcs": [[6, 3], [0, 1], [2, 5], [4, 7]]}))
+    built = tmp_path / "scheme.json"
+    run(["build", "--model", model, "--out", built])
+    scheme = json.loads(built.read_text())
+    assert any(len(ivls) == 2 for ivls in scheme["labels"].values())
+    reports = []
+    for name, text in [("built", built.read_text()),
+                       ("indented", json.dumps(scheme, indent=2)),
+                       ("compact", json.dumps(scheme, separators=(",", ":")))]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert run(["verify", "--model", model, "--scheme", path]) == 0
+        reports.append(capsys.readouterr().out)
+    assert json.loads(reports[0])["passed"] is True
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_verify_flags_tampered_scheme(tmp_path, c4_file, capsys):
     out = tmp_path / "scheme.json"
     run(["build", "--model", c4_file, "--out", out])

@@ -103,47 +103,193 @@ def test_clique_cycle_invariants_hold(params):
     ref_validate_cycle(cycle, model)
 
 
+# the message of every malformed payload, as the reader worded it when it
+# parsed all of them through json.loads
+BAD_KEY = "bad labels entry '{}'"
+PAIRS = "bad labels entry '{}': intervals must be pairs of integers"
+INVALID = "invalid scheme JSON: "
+NEEDS = 'scheme needs "order" and "labels"'
+NOT_IDS = '"order" must be a list of integers'
+REPEATS = "scheme JSON repeats an object key"
+OUTSIDE = "vertex id outside the order"
+ONE_TWO = '{"order": [0, 1, 2], "labels": {%s}}'
+
+
 def test_scheme_json_rejects_malformed_payloads():
     good = build_scheme(gen_random(5, 3)).to_json()
     obj = json.loads(good)
     broken = [
-        "not json",
-        "[]",
-        '{"order": [0, 1, 2]}',
-        json.dumps({"order": [0, 1, 1, 2, 3], "labels": obj["labels"]}),
-        json.dumps({"order": obj["order"], "labels": {"0-1": [[1, 2]]}}),
-        json.dumps({"order": obj["order"], "labels": {"0->x": [[1, 2]]}}),
-        json.dumps({"order": obj["order"], "labels": {"0->1": [[1, 99]]}}),
-        json.dumps({"order": obj["order"], "labels": {"0->1": [[1]]}}),
+        ("not json", INVALID + "Expecting value: line 1 column 1 (char 0)"),
+        ("[]", NEEDS),
+        ('{"order": [0, 1, 2]}', NEEDS),
+        (json.dumps({"order": [0, 1, 1, 2, 3], "labels": obj["labels"]}),
+         "items must be a permutation of 0..4"),
+        (json.dumps({"order": obj["order"], "labels": {"0-1": [[1, 2]]}}),
+         BAD_KEY.format("0-1")),
+        (json.dumps({"order": obj["order"], "labels": {"0->x": [[1, 2]]}}),
+         BAD_KEY.format("0->x")),
+        (json.dumps({"order": obj["order"], "labels": {"0->1": [[1, 99]]}}),
+         "interval [1, 99] outside the order"),
+        (json.dumps({"order": obj["order"], "labels": {"0->1": [[1]]}}),
+         PAIRS.format("0->1")),
         # non-integer values must not be truncated by int()
-        json.dumps({"order": [0, 1.9, 2],
-                    "labels": {"0->1": [[True, 1.5]], "0->2": [[2, 2]]}}),
-        json.dumps({"order": [0, True, 2], "labels": {}}),
-        json.dumps({"order": [0, 1, 2], "labels": {"0->1": [[True, True]]}}),
-        json.dumps({"order": [0, 1, 2], "labels": {"0->1": [[1, 1.0]]}}),
-        json.dumps({"order": obj["order"], "labels": [[0, 1]]}),
+        (json.dumps({"order": [0, 1.9, 2],
+                     "labels": {"0->1": [[True, 1.5]], "0->2": [[2, 2]]}}), NOT_IDS),
+        (json.dumps({"order": [0, True, 2], "labels": {}}), NOT_IDS),
+        (ONE_TWO % '"0->1": [[true, true]]', PAIRS.format("0->1")),
+        (ONE_TWO % '"0->1": [[1, 1.0]]', PAIRS.format("0->1")),
+        (json.dumps({"order": obj["order"], "labels": [[0, 1]]}),
+         '"labels" must be an object'),
         # arc keys must be canonical: decimal, no sign, leading zero or "_"
-        '{"order": [0, 1, 2], "labels": {"0->1": [[1, 1]], "00->1": [[2, 2]], '
-        '"1_0->2": [[0, 0]]}}',
-        *(json.dumps({"order": [0, 1, 2], "labels": {key: [[1, 1]]}})
-          for key in ["00->1", "0->01", "1_0->2", "+0->1", "-0->1", " 0->1",
-                      "0->1 ", "0->1\n", "0->1\n1->0", "0 ->1", "0->\u0661",
-                      "3->1", "0->3", "0->", "->1", "1->" + "9" * 30]),
+        (ONE_TWO % '"0->1": [[1, 1]], "00->1": [[2, 2]], "1_0->2": [[0, 0]]',
+         BAD_KEY.format("00->1")),
+        *((json.dumps({"order": [0, 1, 2], "labels": {key: [[1, 1]]}}),
+           BAD_KEY.format(shown))
+          for key, shown in [
+              ("00->1", "00->1"), ("0->01", "0->01"), ("1_0->2", "1_0->2"),
+              ("+0->1", "+0->1"), ("-0->1", "-0->1"), (" 0->1", " 0->1"),
+              ("0->1 ", "0->1 "), ("0->1\n", "0->1\\n"),
+              ("0->1\n1->0", "0->1\\n1->0"), ("0 ->1", "0 ->1"),
+              ("0->\u0661", "0->\u0661"), ("0->", "0->"), ("->1", "->1")]),
+        (ONE_TWO % '"3->1": [[1, 1]]', "arc '3->1' outside the order"),
+        (ONE_TWO % '"0->3": [[1, 1]]', "arc '0->3' outside the order"),
+        (ONE_TWO % f'"1->{"9" * 30}": [[1, 1]]', OUTSIDE),
         # a key given twice, also when the copies are identical
-        '{"order": [0, 1, 2], "labels": {"0->1": [[1, 1]], "0->1": [[2, 2]]}}',
-        '{"order": [0, 1, 2], "labels": {"0->1": [[1, 1]], "0->1": [[1, 1]]}}',
-        '{"order": [0, 1, 2], "order": [0, 1, 2], "labels": {}}',
+        (ONE_TWO % '"0->1": [[1, 1]], "0->1": [[2, 2]]', REPEATS),
+        (ONE_TWO % '"0->1": [[1, 1]], "0->1": [[1, 1]]', REPEATS),
+        ('{"order": [0, 1, 2], "order": [0, 1, 2], "labels": {}}', REPEATS),
         # ... or spelled with a JSON escape, which decodes to the same key
-        '{"order": [0, 1, 2], "labels": {"0->1": [[1, 1]], "\\u0030->1": [[2, 2]]}}',
+        (ONE_TWO % '"0->1": [[1, 1]], "\\u0030->1": [[2, 2]]', REPEATS),
+        # ... or apart, or once with no intervals
+        (ONE_TWO % '"0->1": [[1, 2]], "1->0": [[2, 0]], "0->1": [[2, 2]]', REPEATS),
+        (ONE_TWO % '"0->1": [[1, 2]], "0->2": [[2, 2]], "0->1": []', REPEATS),
         # an arc's intervals must be a list of pairs
-        json.dumps({"order": [0, 1, 2], "labels": {"0->1": {}}}),
-        json.dumps({"order": [0, 1, 2], "labels": {"0->1": "12"}}),
-        json.dumps({"order": [0, 1, 2], "labels": {"0->1": [[1, 2, 2]]}}),
-        json.dumps({"order": [0, 1, 2], "labels": {"0->1": [[1, 2 ** 70]]}}),
+        (ONE_TWO % '"0->1": {}', BAD_KEY.format("0->1")),
+        (ONE_TWO % '"0->1": "12"', BAD_KEY.format("0->1")),
+        (ONE_TWO % '"0->1": [[1, 2]], "1->0": null', BAD_KEY.format("1->0")),
+        (ONE_TWO % '"0->1": [[1, 2, 2]]', PAIRS.format("0->1")),
+        (ONE_TWO % '"0->1": [[1, 2], [2]]', PAIRS.format("0->1")),
+        (ONE_TWO % '"1->0": [0, 0]', PAIRS.format("1->0")),
+        (ONE_TWO % '"1->0": [[[0, 0]]]', PAIRS.format("1->0")),
+        (ONE_TWO % '"1->0": [null, null]', PAIRS.format("1->0")),
+        (ONE_TWO % f'"0->1": [[1, {2 ** 70}]]', OUTSIDE),
+        # escapes, signs, leading zeros and floats where the reader takes
+        # digit runs
+        ('{"order": [0, \\u0031, 2], "labels": {}}',
+         INVALID + "Expecting value: line 1 column 15 (char 14)"),
+        (ONE_TWO % '"0->1": [[1\\u0030, 2]]',
+         INVALID + "Expecting ',' delimiter: line 1 column 44 (char 43)"),
+        (ONE_TWO % '"0->1": [[1, "\\u0032"]]', PAIRS.format("0->1")),
+        ('{"order": [0, 01, 2], "labels": {}}',
+         INVALID + "Expecting ',' delimiter: line 1 column 16 (char 15)"),
+        (ONE_TWO % '"0->1": [[01, 2]]',
+         INVALID + "Expecting ',' delimiter: line 1 column 44 (char 43)"),
+        (ONE_TWO % '"0->1": [[-1, 2]]', "interval [-1, 2] outside the order"),
+        (ONE_TWO % '"0->1": [[-0, 3]]', "interval [0, 3] outside the order"),
+        (ONE_TWO % '"-0->1": [[1, 2]]', BAD_KEY.format("-0->1")),
+        ('{"order": [0, 1e0, 2], "labels": {}}', NOT_IDS),
+        ('{"order": [0, 1.0, 2], "labels": {}}', NOT_IDS),
+        (ONE_TWO % '"0->1": [[1, 1e0]]', PAIRS.format("0->1")),
+        (ONE_TWO % '"0->1": [[1.0, 2]]', PAIRS.format("0->1")),
+        # digits run together across whitespace
+        ('{"order": [0, 1 2], "labels": {}}',
+         INVALID + "Expecting ',' delimiter: line 1 column 17 (char 16)"),
+        (ONE_TWO % '"0->1": [[1, 2]], "1->0": [[2 0]]',
+         INVALID + "Expecting ',' delimiter: line 1 column 63 (char 62)"),
+        # whitespace inside a key, raw or escaped
+        (ONE_TWO % '"0->1": [[1, 2]], "1\t->0": [[2, 0]]',
+         INVALID + "Invalid control character at: line 1 column 53 (char 52)"),
+        (ONE_TWO % '"0->1": [[1, 2]], "1\\t->0": [[2, 0]]', BAD_KEY.format("1\\t->0")),
+        ('{"ord er": [0, 1, 2], "labels": {}}', NEEDS),
+        ('{"order": [0, 1, 2], "label s": {}}', NEEDS),
+        # 20-digit ids, past int64
+        (ONE_TWO % '"0->1": [[1, 12345678901234567890]]', OUTSIDE),
+        ('{"order": [0, 1, 12345678901234567890], "labels": {}}',
+         "items must be a permutation of 0..2"),
+        (ONE_TWO % '"12345678901234567890->1": [[1, 2]]', OUTSIDE),
+        # the id 10**18, inside int64
+        (ONE_TWO % '"0->1": [[1, 1000000000000000000]]',
+         "interval [1, 1000000000000000000] outside the order"),
+        ('{"order": [0, 1, 1000000000000000000], "labels": {}}',
+         "items must be a permutation of 0..2"),
+        (ONE_TWO % '"1000000000000000000->1": [[1, 2]]',
+         "arc '1000000000000000000->1' outside the order"),
+        (ONE_TWO % '"0->1000000000000000000": [[1, 2]]',
+         "arc '0->1000000000000000000' outside the order"),
+        ('{"order": [], "labels": {}}', "cyclic order needs at least one element"),
+        ('{"order": [], "labels": {"0->1": [[1, 1]]}}',
+         "cyclic order needs at least one element"),
+        # misplaced or missing commas and brackets
+        ('{"order": [0, 1, 2] "labels": {}}',
+         INVALID + "Expecting ',' delimiter: line 1 column 21 (char 20)"),
+        (ONE_TWO % '"0->1": [[1, 2]] "1->0": [[2, 0]]',
+         INVALID + "Expecting ',' delimiter: line 1 column 50 (char 49)"),
+        (ONE_TWO % '"0->1": [[1, 2]], "1->0": [[2, 0]],',
+         INVALID + "Expecting property name enclosed in double quotes: "
+         "line 1 column 68 (char 67)"),
+        ('{"order": [0, 1, 2,], "labels": {}}',
+         INVALID + "Expecting value: line 1 column 20 (char 19)"),
+        (ONE_TWO % '"0->1": [[1, 2]], "0->2": [[2, 2],]',
+         INVALID + "Expecting value: line 1 column 67 (char 66)"),
+        ('{"order": [[0], 2, 1], "labels": {}}', NOT_IDS),
+        ('{"order": {"0": 1}, "labels": {}}', NOT_IDS),
+        ('"order"', NEEDS),
+        ("  ", INVALID + "Expecting value: line 1 column 3 (char 2)"),
+        ("", INVALID + "Expecting value: line 1 column 1 (char 0)"),
+        (b"", INVALID + "Expecting value: line 1 column 1 (char 0)"),
+        ('{"order": [0, 1, 2], "labels": {"0->1": [[1, 2]]}',
+         INVALID + "Expecting ',' delimiter: line 1 column 50 (char 49)"),
+        # garbage after the closing brace
+        (ONE_TWO % '"0->1": [[1, 1]]' + " x",
+         INVALID + "Extra data: line 1 column 52 (char 51)"),
+        (ONE_TWO % '"0->1": [[1, 1]]' + "}",
+         INVALID + "Extra data: line 1 column 51 (char 50)"),
+        (ONE_TWO % '"0->1": [[1, 1]]' + "{}",
+         INVALID + "Extra data: line 1 column 51 (char 50)"),
+        # a byte order mark, in bytes and in text
+        (b"\xef\xbb\xbf" + (ONE_TWO % '"0->1": [[1, 1]]').encode(),
+         INVALID + "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)"),
+        ("\ufeff" + ONE_TWO % '"0->1": [[1, 1]]',
+         INVALID + "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)"),
+        # bytes that are no UTF-8, and text that encodes to none
+        (b'{"order": [0, 1, 2], "labels": {"0->1": [[1, 1]]}, "x": "\xff"}',
+         "scheme is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+         "position 57: invalid start byte"),
+        (b'{"order": [0, 1, 2], "labels": {"0->1": [[1, 1\xff]]}}',
+         "scheme is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+         "position 46: invalid start byte"),
+        (ONE_TWO % '"\ud800": [[1, 1]]', BAD_KEY.format("\\ud800")),
+        (ONE_TWO % '"0->1": [[1, 1]]' + "\ud800",
+         INVALID + "Extra data: line 1 column 51 (char 50)"),
+        (ONE_TWO % '"0->1": [[1,\ud800 1]]',
+         INVALID + "Expecting value: line 1 column 45 (char 44)"),
     ]
-    for payload in broken:
-        with pytest.raises(StructuralSchemeError):
+    for payload, message in broken:
+        with pytest.raises(StructuralSchemeError) as info:
             RoutingScheme.from_json(payload)
+        assert type(info.value) is StructuralSchemeError, payload
+        assert str(info.value) == message, payload
+
+
+def test_scheme_json_huge_ids_fail_without_a_large_allocation():
+    # every id is checked against n before anything is indexed by it
+    import tracemalloc
+
+    big = 10 ** 18
+    for payload in [ONE_TWO % f'"0->1": [[1, {big}]]',
+                    '{"order": [0, 1, %d], "labels": {}}' % big,
+                    ONE_TWO % f'"{big}->1": [[1, 2]]',
+                    ONE_TWO % f'"0->{big}": [[1, 2]]']:
+        tracemalloc.start()
+        try:
+            with pytest.raises(StructuralSchemeError, match="outside the order|permutation"):
+                RoutingScheme.from_json(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, payload
 
 
 @pytest.mark.parametrize("n,arcs", [
