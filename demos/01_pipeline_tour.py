@@ -30,7 +30,8 @@ def main() -> None:
     print(f"arc 3 covers gaps 6, 7, 0 (it wraps past position 0)\n")
 
     graph = intersection_graph(model)
-    print(f"edges: {graph.edges()}  (the 4-cycle)\n")
+    edges = [tuple(e) for e in np.argwhere(np.triu(graph.adj)).tolist()]
+    print(f"edges: {edges}  (the 4-cycle)\n")
 
     cycle = build_clique_cycle(model, graph)
     print(f"clique-cycle: {cycle.k} maximal point cliques, clockwise; "
@@ -45,7 +46,7 @@ def main() -> None:
 
     # the context holds every vertex's frame as arrays; the blocks are runs
     # of offsets after the vertex: 1 .. lo-1, lo .. hi-1 and hi .. n-1
-    ctx = LabelingContext(cycle, graph, vorder)
+    ctx = LabelingContext(cycle, vorder)
     lo, hi = ctx.lo[0], ctx.hi[0]
     print(f"frame of vertex 0: left vertex {ctx.left_of[0]}, "
           f"middle vertex {ctx.middle_of[0]}, lo {lo}, hi {hi}")

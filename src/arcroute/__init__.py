@@ -9,9 +9,6 @@ from .arc_model import (
     ArcModel,
     Graph,
     all_pairs_distances,
-    bfs_distances,
-    dominating_vertices,
-    first_vertices,
     intersection_graph,
     is_real,
     parse_model,
@@ -36,11 +33,7 @@ from .errors import (
 )
 from .generator import gen_complete, gen_random, gen_ring, gen_wheel
 from .oracle import OracleResult, has_shortest_path_1irs
-from .ring_order import (
-    CyclicOrder,
-    RingInterval,
-    ring_sequence,
-)
+from .ring_order import CyclicOrder, RingInterval
 from .verifier import (
     IntervalStats,
     VerificationReport,
@@ -68,12 +61,9 @@ __all__ = [
     "VerificationReport",
     "VertexOrder",
     "all_pairs_distances",
-    "bfs_distances",
     "build_clique_cycle",
     "build_scheme",
     "build_vertex_order",
-    "dominating_vertices",
-    "first_vertices",
     "gen_complete",
     "gen_random",
     "gen_ring",
@@ -83,7 +73,6 @@ __all__ = [
     "intersection_graph",
     "is_real",
     "parse_model",
-    "ring_sequence",
     "route",
     "validate_model",
     "verify_scheme",

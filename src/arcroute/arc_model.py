@@ -10,7 +10,6 @@ exactly when they share a covered gap.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .errors import (
     DuplicateEndpointError,
     ModelFormatError,
     PositionOutOfRangeError,
-    UnreachablePairError,
 )
 from .ring_order import _points_in_spans, expand_runs, is_id, ring_coverage
 
@@ -45,6 +43,8 @@ class ArcModel:
 
 def validate_model(n: int, arcs: list[tuple[int, int]]) -> ArcModel:
     """Check the model invariants and freeze the result."""
+    if not is_id(n):
+        raise ModelFormatError(f"vertex count must be an int, got {n!r}")
     if n < 1:
         raise ModelFormatError(f"vertex count must be positive, got {n}")
     if len(arcs) != n:
@@ -52,6 +52,10 @@ def validate_model(n: int, arcs: list[tuple[int, int]]) -> ArcModel:
     size = 2 * n
     seen: dict[int, int] = {}
     for i, (s, e) in enumerate(arcs):
+        # int() would cut 1.5 to 1 and read True as 1; plain ints skip the
+        # slower is_id, as every parsed model comes through here
+        if not (type(s) is type(e) is int or is_id(s) and is_id(e)):
+            raise ModelFormatError(f"arc {i}: ({s!r}, {e!r}) is not a pair of ints")
         for p in (s, e):
             if not 0 <= p < size:
                 raise PositionOutOfRangeError(
@@ -65,7 +69,7 @@ def validate_model(n: int, arcs: list[tuple[int, int]]) -> ArcModel:
                     f"position {p} used by arcs {seen[p]} and {i}"
                 )
             seen[p] = i
-    return ArcModel(n=n, arcs=tuple((int(s), int(e)) for s, e in arcs))
+    return ArcModel(n=int(n), arcs=tuple((int(s), int(e)) for s, e in arcs))
 
 
 def parse_model(data: bytes | str) -> ArcModel:
@@ -147,28 +151,6 @@ class Graph:
         self.degrees = adj.sum(axis=1).astype(np.int64)
         self.m = int(self.degrees.sum()) // 2
 
-    @classmethod
-    def from_edges(cls, n: int, edges: list[tuple[int, int]]) -> "Graph":
-        adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            if not (is_id(u) and is_id(v)):
-                raise ValueError(f"edge ({u!r}, {v!r}) has an id that is not "
-                                 "an integer")
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has an id outside 0..{n - 1}")
-            adj[u, v] = adj[v, u] = True
-        return cls(n, adj)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        _check_vertices(self, u, v)
-        return bool(self.adj[u, v])
-
-    def edges(self) -> list[tuple[int, int]]:
-        us, vs = np.nonzero(np.triu(self.adj))
-        return list(zip(us.tolist(), vs.tolist()))
-
 
 def _is_symmetric(adj: np.ndarray) -> bool:
     """``adj == adj.T``, compared in 512 x 512 tiles, so that no n-by-n
@@ -177,12 +159,6 @@ def _is_symmetric(adj: np.ndarray) -> bool:
     return all(np.array_equal(adj[i:i + tile, j:j + tile],
                               adj[j:j + tile, i:i + tile].T)
                for i in range(0, n, tile) for j in range(i, n, tile))
-
-
-def _check_vertices(graph: Graph, *ids: object) -> None:
-    for v in ids:
-        if not (is_id(v) and 0 <= v < graph.n):
-            raise ValueError(f"vertex {v!r} is not an id in 0..{graph.n - 1}")
 
 
 def intersection_graph(model: ArcModel) -> Graph:
@@ -198,22 +174,6 @@ def intersection_graph(model: ArcModel) -> Graph:
     adj[arc, other] = adj[other, arc] = True
     np.fill_diagonal(adj, False)
     return Graph(n, adj)
-
-
-def bfs_distances(graph: Graph, source: int) -> np.ndarray:
-    """Hop counts from ``source``; UNREACHABLE (-1) marks other components."""
-    _check_vertices(graph, source)
-    dist = np.full(graph.n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in np.flatnonzero(graph.adj[u]):
-            if dist[v] == UNREACHABLE:
-                dist[v] = du
-                queue.append(int(v))
-    return dist
 
 
 def all_pairs_distances(graph: Graph) -> np.ndarray:
@@ -305,20 +265,3 @@ def _scipy_distances(graph: Graph) -> np.ndarray:
 
 # cells marked and cast at once when the scipy result becomes int64
 _CAST_CELLS = 1 << 16
-
-
-def first_vertices(graph: Graph, u: int, w: int) -> set[int]:
-    """Neighbors of ``u`` that start some shortest path from ``u`` to ``w``."""
-    _check_vertices(graph, u, w)
-    if u == w:
-        raise ValueError("first vertices are defined for distinct endpoints")
-    dist = bfs_distances(graph, w)
-    if dist[u] == UNREACHABLE:
-        raise UnreachablePairError(f"no path between {u} and {w}")
-    target = dist[u] - 1
-    return {int(v) for v in np.flatnonzero(graph.adj[u]) if dist[v] == target}
-
-
-def dominating_vertices(graph: Graph) -> set[int]:
-    """Vertices adjacent to every other vertex."""
-    return {int(v) for v in np.flatnonzero(graph.degrees == graph.n - 1)}

@@ -78,7 +78,8 @@ def build_vertex_order(cycle: CliqueCycle) -> VertexOrder:
 
 
 class LabelingContext:
-    """Shared precomputed state for labeling all vertices of one graph.
+    """Shared precomputed state for labeling all vertices of the graph
+    that the clique cycle holds.
 
     ``has_cut``: a clique boundary ``c -> c + 1`` (a *cut*) is crossed by no
     clique run, so the arcs describe an interval graph.  ``cut_head`` is the
@@ -93,11 +94,11 @@ class LabelingContext:
     (source, target, offset, length) ``side_runs`` of all right and left blocks.
     """
 
-    def __init__(self, cycle: CliqueCycle, graph: Graph, vorder: VertexOrder):
+    def __init__(self, cycle: CliqueCycle, vorder: VertexOrder):
         self.cycle = cycle
-        self.graph = graph
+        self.graph = cycle.graph
         self.vorder = vorder
-        self.n = graph.n
+        self.n = self.graph.n
         self.order = vorder.order
         self.items, self.pos = self.order.items, self.order.pos
         self.dominating = cycle.dominating
@@ -801,6 +802,6 @@ def build_scheme(model: ArcModel) -> RoutingScheme:
     graph = intersection_graph(model)
     cycle = build_clique_cycle(model, graph)
     vorder = build_vertex_order(cycle)
-    ctx = LabelingContext(cycle, graph, vorder)
+    ctx = LabelingContext(cycle, vorder)
     runs = (np.concatenate(cols) for cols in zip(ctx.side_runs, _plan_facings(ctx)))
     return RoutingScheme(ctx.order, *_join_runs(ctx.pos, *runs))

@@ -68,6 +68,9 @@ def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCyc
         raise NotRealCircularArc("arcs do not cover the whole circle")
     if graph is None:
         graph = intersection_graph(model)
+    elif graph.n != model.n:
+        raise ValueError(f"graph has {graph.n} vertices but the model "
+                         f"{model.n} arcs")
     return CliqueCycle(graph, *clique_runs(model, sizes))
 
 

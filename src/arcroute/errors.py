@@ -36,18 +36,6 @@ class NotRealCircularArc(ArcRouteError):
     code = "not-real-circular-arc"
 
 
-class UnknownElementError(ArcRouteError):
-    """An element id was looked up in a cyclic order that does not hold it."""
-
-    code = "unknown-element"
-
-
-class UnreachablePairError(ArcRouteError):
-    """First-vertex query on a disconnected pair."""
-
-    code = "unreachable-pair"
-
-
 class ConstructionError(ArcRouteError):
     """Internal invariant of the scheme construction failed.
 

@@ -17,8 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnknownElementError
-
 
 def is_id(x: object) -> bool:
     """An integer, Python or numpy, but not a bool (``True`` is not id 1)."""
@@ -79,16 +77,6 @@ class RingInterval:
 
     a: int
     b: int
-
-
-def ring_sequence(order: CyclicOrder, a: int, b: int) -> list[int]:
-    """Elements from ``a`` to ``b`` clockwise, as a list starting at ``a``."""
-    n = order.n
-    for x in (a, b):
-        if not (is_id(x) and 0 <= x < n):
-            raise UnknownElementError(f"element {x!r} not in order of size {n}")
-    i, j = order.pos[a], order.pos[b]
-    return order.items[(i + np.arange((j - i) % n + 1)) % n].tolist()
 
 
 def expand_runs(starts, lengths, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,8 @@ import json
 import os
 import random
 import re
+import sys
+from collections import deque
 from itertools import chain
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from arcroute import (
     parse_model,
     validate_model,
 )
-from arcroute.arc_model import arc_spans, unique_keys
+from arcroute.arc_model import UNREACHABLE, arc_spans, unique_keys
 from arcroute.builder import LabelingContext
 from arcroute.errors import ConstructionError, StructuralSchemeError
 from arcroute.ring_order import is_id
@@ -53,9 +55,8 @@ def load(model_dict: dict) -> ArcModel:
 
 
 def context_for(model) -> LabelingContext:
-    graph = intersection_graph(model)
-    cycle = build_clique_cycle(model, graph)
-    return LabelingContext(cycle, graph, build_vertex_order(cycle))
+    cycle = build_clique_cycle(model)
+    return LabelingContext(cycle, build_vertex_order(cycle))
 
 
 def block(ctx, v, a, b) -> np.ndarray:
@@ -114,6 +115,56 @@ def reference_counter_matrix(cycle) -> np.ndarray:
             & (lc[:, None] != lc[None, :])
             & proper[:, None] & proper[None, :]
             & cycle.graph.adj)
+
+
+# References: the single-pair graph helpers, which no part of the library
+# needs; the scheme is built from the arcs and checked against all pairs.
+
+
+def check_ids(n, *ids) -> None:
+    """Reject anything but an integer id in 0..n-1: numpy would read -1 as
+    the last row and True as 1, and answer for the wrong vertex."""
+    for x in ids:
+        if not (is_id(x) and 0 <= x < n):
+            raise ValueError(f"{x!r} is not an id in 0..{n - 1}")
+
+
+def graph_from_edges(n, edges) -> Graph:
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        check_ids(n, u, v)
+        adj[u, v] = adj[v, u] = True
+    return Graph(n, adj)
+
+
+def ref_bfs_distances(graph, source) -> np.ndarray:
+    """Hop counts from ``source``; UNREACHABLE (-1) marks other components."""
+    check_ids(graph.n, source)
+    dist = np.full(graph.n, UNREACHABLE, dtype=np.int64)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in np.flatnonzero(graph.adj[u]):
+            if dist[v] == UNREACHABLE:
+                dist[v] = dist[u] + 1
+                queue.append(int(v))
+    return dist
+
+
+def ref_first_vertices(graph, u, w) -> set[int]:
+    """Neighbors of ``u`` that start some shortest path from ``u`` to ``w``
+    (none when ``w`` is unreachable)."""
+    check_ids(graph.n, u)
+    dist = ref_bfs_distances(graph, w)
+    return {int(v) for v in np.flatnonzero(graph.adj[u]) if dist[v] == dist[u] - 1}
+
+
+def ref_ring_sequence(order, a, b) -> list[int]:
+    """Elements from ``a`` to ``b`` clockwise, as a list starting at ``a``."""
+    check_ids(order.n, a, b)
+    i, j = order.pos[a], order.pos[b]
+    return order.items[(i + np.arange((j - i) % order.n + 1)) % order.n].tolist()
 
 
 def covers_gap(model, i, gap) -> bool:
@@ -268,13 +319,20 @@ def counter_model() -> ArcModel:
     return load(COUNTER_MODEL)
 
 
+# call counts of a run that searched no graph; see ``search_calls``
+NO_SEARCHES = dict.fromkeys(
+    ("all_pairs_distances", "_frontier_distances", "_scipy_distances"), 0)
+
+
 @pytest.fixture
 def search_calls(monkeypatch):
-    """Count calls of the per-source BFS and of the all-pairs matrix."""
+    """Count the calls of every graph search the library has, through every
+    binding of it in the package."""
     import arcroute.arc_model
-    import arcroute.builder
 
-    calls = {"bfs_distances": 0, "all_pairs_distances": 0}
+    calls = dict(NO_SEARCHES)
+    modules = [m for name, m in sys.modules.items()
+               if name.partition(".")[0] == "arcroute"]
 
     def counting(name):
         real = getattr(arcroute.arc_model, name)
@@ -283,9 +341,10 @@ def search_calls(monkeypatch):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        for module in (arcroute.arc_model, arcroute.builder):
-            monkeypatch.setattr(module, name, wrapper, raising=False)
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
 
-    counting("bfs_distances")
-    counting("all_pairs_distances")
+    for name in calls:
+        counting(name)
     return calls

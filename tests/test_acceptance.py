@@ -26,7 +26,7 @@ from arcroute import (
     verify_scheme,
 )
 from arcroute.verifier import route_lengths
-from conftest import context_for, labels_of, perturbed_ring
+from conftest import NO_SEARCHES, context_for, labels_of, perturbed_ring
 
 SWEEP_SIZES = (5, 10, 30, 64)
 SWEEP_SEEDS = 1000
@@ -106,7 +106,7 @@ def test_criterion_1_perturbed_ring_sweep(search_calls):
                for n, seed in ((6, 546), (5, 101), (8, 22))]
     failures, searched, cuts = [], [], 0
     for name, model in models:
-        search_calls.update(bfs_distances=0, all_pairs_distances=0)
+        search_calls.update(NO_SEARCHES)
         scheme = build_scheme(model)
         if any(search_calls.values()):
             searched.append(name)

@@ -9,9 +9,7 @@ import pytest
 
 from arcroute import (
     Graph,
-    bfs_distances,
-    dominating_vertices,
-    first_vertices,
+    build_clique_cycle,
     gen_complete,
     gen_random,
     gen_ring,
@@ -28,13 +26,15 @@ from arcroute.errors import (
     DuplicateEndpointError,
     ModelFormatError,
     PositionOutOfRangeError,
-    UnreachablePairError,
 )
 from conftest import (
     C4_MODEL,
     covers_gap,
+    graph_from_edges,
     load,
     perturbed_ring,
+    ref_bfs_distances,
+    ref_first_vertices,
     reference_intersection_graph,
     src_env,
 )
@@ -86,6 +86,26 @@ def test_parse_rejects_json_booleans(payload):
         parse_model(payload)
 
 
+@pytest.mark.parametrize("n, arcs", [
+    (2, [(0, 1.5), (1, 3)]),  # int() would cut it to (0, 1): two arcs end at 1
+    (2.0, [(0, 1), (2, 3)]),  # would give circle_size 4.0
+    (2, [(0, 1), (True, 3)]),  # would be read as position 1
+    (1, [(np.float64(0), 1)]),
+    (np.True_, [(0, 1)]),
+])
+def test_validate_model_rejects_what_is_not_an_int(n, arcs):
+    with pytest.raises(ModelFormatError, match="int") as info:
+        validate_model(n, arcs)
+    assert type(info.value) is ModelFormatError
+
+
+def test_validate_model_stores_numpy_integers_as_python_ints():
+    model = validate_model(np.int64(2), [(np.int32(0), np.uint8(1)), (2, 3)])
+    assert model == validate_model(2, [(0, 1), (2, 3)])
+    assert type(model.n) is int and type(model.circle_size) is int
+    assert {type(p) for arc in model.arcs for p in arc} == {int}
+
+
 # the second "arcs" is C4, the first the counter model; neither may win
 REPEATED_KEY_MODEL = ('{"n": 4, "arcs": [[0, 5], [4, 1], [2, 7], [6, 3]], '
                       '"arcs": [[0, 3], [2, 5], [4, 7], [6, 1]]}')
@@ -107,15 +127,20 @@ def test_model_json_round_trip():
     assert again == model
 
 
+def edges_of(graph) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, in row order."""
+    return [tuple(e) for e in np.argwhere(np.triu(graph.adj)).tolist()]
+
+
 def test_intersection_graph_c4():
     graph = intersection_graph(load(C4_MODEL))
     assert graph.m == 4
-    assert graph.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert edges_of(graph) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
 def test_intersection_graph_k2():
     graph = intersection_graph(parse_model('{"n": 2, "arcs": [[0, 2], [1, 3]]}'))
-    assert graph.edges() == [(0, 1)]
+    assert edges_of(graph) == [(0, 1)]
 
 
 def test_intersection_graph_isolated_pair():
@@ -134,7 +159,7 @@ def test_intersection_matches_pairwise_gap_check():
                 covers_gap(model, i, g) and covers_gap(model, j, g)
                 for g in range(model.circle_size)
             )
-            assert graph.adjacent(i, j) == share
+            assert graph.adj[i, j] == share
 
 
 def test_intersection_graph_matches_the_broadcast_reference():
@@ -170,44 +195,55 @@ def test_real_model_is_connected():
         model = load(payload)
         assert is_real(model)
         graph = intersection_graph(model)
-        assert (bfs_distances(graph, 0) != UNREACHABLE).all()
+        assert (all_pairs_distances(graph) != UNREACHABLE).all()
+
+
+# the BFS rows of the all-pairs matrix, each also checked against the
+# one-source reference
 
 
 def test_bfs_c4():
     graph = intersection_graph(load(C4_MODEL))
-    assert bfs_distances(graph, 0).tolist() == [0, 1, 2, 1]
+    assert all_pairs_distances(graph)[0].tolist() == [0, 1, 2, 1]
+    assert ref_bfs_distances(graph, 0).tolist() == [0, 1, 2, 1]
 
 
 def test_bfs_k2():
-    graph = Graph.from_edges(2, [(0, 1)])
-    assert bfs_distances(graph, 0).tolist() == [0, 1]
+    graph = graph_from_edges(2, [(0, 1)])
+    assert all_pairs_distances(graph)[0].tolist() == [0, 1]
+    assert ref_bfs_distances(graph, 0).tolist() == [0, 1]
 
 
 def test_bfs_unreachable_sentinel():
-    graph = Graph.from_edges(2, [])
-    assert bfs_distances(graph, 0).tolist() == [0, UNREACHABLE]
+    graph = graph_from_edges(2, [])
+    assert all_pairs_distances(graph)[0].tolist() == [0, UNREACHABLE]
+    assert ref_bfs_distances(graph, 0).tolist() == [0, UNREACHABLE]
+
+
+# the id checks of the references that tests build graphs and read
+# distances with: a wrong id must fail, not wrap to another vertex
 
 
 @pytest.mark.parametrize("edge", [(0, -1), (-3, 1), (0, 3), (7, 1)])
 def test_from_edges_rejects_ids_outside_the_graph(edge):
-    # a negative id used to wrap to the last vertex; one of n or more
-    # escaped as numpy's IndexError
-    with pytest.raises(ValueError, match="outside 0..2"):
-        Graph.from_edges(3, [(0, 1), edge])
+    # a negative id would wrap to the last vertex; one of n or more
+    # would escape as numpy's IndexError
+    with pytest.raises(ValueError, match="not an id in 0..2"):
+        graph_from_edges(3, [(0, 1), edge])
 
 
 @pytest.mark.parametrize("edge", [(True, 2), (0, False), (np.True_, 2), (0.0, 2),
                                   (1.5, 2), (0, "1")])
 def test_from_edges_rejects_ids_that_are_not_integers(edge):
-    # a boolean id used to act as a numpy mask, so (True, 2) became the
-    # self-loop (2, 2); a float id escaped as numpy's IndexError
-    with pytest.raises(ValueError, match="not an integer"):
-        Graph.from_edges(3, [edge])
+    # a boolean id would act as a numpy mask, so (True, 2) would become
+    # the self-loop (2, 2); a float id would escape as numpy's IndexError
+    with pytest.raises(ValueError, match="not an id"):
+        graph_from_edges(3, [edge])
 
 
 def test_from_edges_accepts_numpy_integer_ids():
-    graph = Graph.from_edges(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
-    assert graph.edges() == [(0, 2), (1, 2)]
+    graph = graph_from_edges(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
+    assert edges_of(graph) == [(0, 2), (1, 2)]
 
 
 def asymmetric_adjacency(n, u, v):
@@ -259,31 +295,28 @@ def test_graph_accepts_a_symmetric_adjacency():
     adj[0, 2] = adj[2, 0] = True
     graph = Graph(np.int64(3), adj)
     assert graph.n == 3 and type(graph.n) is int
-    assert graph.m == 1 and graph.edges() == [(0, 2)]
+    assert graph.m == 1 and edges_of(graph) == [(0, 2)]
     assert Graph(0, np.zeros((0, 0), dtype=bool)).m == 0
 
 
 @pytest.mark.parametrize("v", [-1, 5, True, np.True_, 1.0, "1", None])
 def test_graph_readers_reject_vertex_ids_outside_the_graph(v):
-    # -1 used to read vertex 4's row; True and 1.0 escaped as IndexError
+    # -1 would read vertex 4's row; True and 1.0 would escape as IndexError
     graph = intersection_graph(gen_ring(5))
-    with pytest.raises(ValueError, match=r"vertex .* is not an id in 0\.\.4"):
-        bfs_distances(graph, v)
+    with pytest.raises(ValueError, match=r" is not an id in 0\.\.4"):
+        ref_bfs_distances(graph, v)
     with pytest.raises(ValueError, match="is not an id"):
-        first_vertices(graph, v, 2)
+        ref_first_vertices(graph, v, 2)
     with pytest.raises(ValueError, match="is not an id"):
-        first_vertices(graph, 0, v)
-    with pytest.raises(ValueError, match="is not an id"):
-        graph.adjacent(v, 0)
-    with pytest.raises(ValueError, match="is not an id"):
-        graph.adjacent(0, v)
+        ref_first_vertices(graph, 0, v)
 
 
 def test_graph_readers_accept_numpy_integer_ids():
     graph = intersection_graph(gen_ring(5))
-    assert bfs_distances(graph, np.int32(2)).tolist() == bfs_distances(graph, 2).tolist()
-    assert first_vertices(graph, np.int64(0), np.uint8(2)) == {1}
-    assert graph.adjacent(np.int64(0), np.int8(4))
+    assert (ref_bfs_distances(graph, np.int32(2)).tolist()
+            == ref_bfs_distances(graph, 2).tolist())
+    assert ref_first_vertices(graph, np.int64(0), np.uint8(2)) == {1}
+    assert graph.adj[np.int64(0), np.int8(4)]
 
 
 def scipy_distances(graph):
@@ -309,7 +342,7 @@ def clique_chain(cliques, size):
 
 
 def two_cliques(size):
-    return Graph.from_edges(2 * size, [
+    return graph_from_edges(2 * size, [
         e for part in (range(size), range(size, 2 * size))
         for e in itertools.combinations(part, 2)])
 
@@ -320,8 +353,8 @@ RULE_CASES = {
     "random-60": (lambda: intersection_graph(gen_random(60, 1)), True, 0),
     "random-200": (lambda: intersection_graph(gen_random(200, 2)), True, 0),
     "two-K5": (lambda: two_cliques(5), True, 2 * 5 * 5),
-    "n-0": (lambda: Graph.from_edges(0, []), True, 0),
-    "n-1": (lambda: Graph.from_edges(1, []), True, 0),
+    "n-0": (lambda: graph_from_edges(0, []), True, 0),
+    "n-1": (lambda: graph_from_edges(1, []), True, 0),
     "perturbed-ring-300": (lambda: intersection_graph(perturbed_ring(300, 0)),
                            False, 0),
     "clique-chain-10x30": (lambda: clique_chain(10, 30), False, 0),
@@ -330,12 +363,12 @@ RULE_CASES = {
 
 def checked_all_pairs(graph):
     """``all_pairs_distances``, compared with a direct scipy call and with
-    ``bfs_distances`` from every source."""
+    the one-source BFS reference from every source."""
     dist = all_pairs_distances(graph)
     assert dist.shape == (graph.n, graph.n) and dist.dtype == np.int64
     assert (dist == scipy_distances(graph)).all()
     for v in range(graph.n):
-        assert (dist[v] == bfs_distances(graph, v)).all()
+        assert (dist[v] == ref_bfs_distances(graph, v)).all()
     return dist
 
 
@@ -416,7 +449,7 @@ def test_all_pairs_matches_bfs():
     models += [perturbed_ring(n, seed) for n in (8, 20, 50) for seed in range(2)]
     graphs = [intersection_graph(model) for model in models]
     # two components and an isolated vertex: rows with UNREACHABLE cells
-    graphs.append(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]))
+    graphs.append(graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]))
     unreachable = 0
     for graph in graphs:
         unreachable += int((checked_all_pairs(graph) == UNREACHABLE).sum())
@@ -425,33 +458,29 @@ def test_all_pairs_matches_bfs():
 
 def test_first_vertices_c4():
     graph = intersection_graph(load(C4_MODEL))
-    assert first_vertices(graph, 0, 2) == {1, 3}
-    assert first_vertices(graph, 0, 1) == {1}
+    assert ref_first_vertices(graph, 0, 2) == {1, 3}
+    assert ref_first_vertices(graph, 0, 1) == {1}
 
 
 def test_first_vertices_path():
-    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert first_vertices(graph, 0, 2) == {1}
+    graph = graph_from_edges(3, [(0, 1), (1, 2)])
+    assert ref_first_vertices(graph, 0, 2) == {1}
 
 
 def test_first_vertices_unreachable():
-    graph = Graph.from_edges(2, [])
-    with pytest.raises(UnreachablePairError):
-        first_vertices(graph, 0, 1)
+    graph = graph_from_edges(2, [])
+    assert ref_first_vertices(graph, 0, 1) == set()
 
 
 def test_first_vertices_nonempty_when_reachable():
     graph = intersection_graph(load(C4_MODEL))
     for u, w in itertools.permutations(range(4), 2):
-        assert first_vertices(graph, u, w)
+        assert ref_first_vertices(graph, u, w)
 
 
 def test_dominating_vertices():
-    k4 = Graph.from_edges(4, list(itertools.combinations(range(4), 2)))
-    assert dominating_vertices(k4) == {0, 1, 2, 3}
-    c4 = intersection_graph(load(C4_MODEL))
-    assert dominating_vertices(c4) == set()
-    hub_and_ring = Graph.from_edges(
-        7, [(6, i) for i in range(6)] + [(i, (i + 1) % 6) for i in range(6)]
-    )
-    assert dominating_vertices(hub_and_ring) == {6}
+    # the clique cycle marks the vertices adjacent to every other vertex
+    for model, hubs in ((gen_complete(4), [0, 1, 2, 3]), (load(C4_MODEL), []),
+                        (gen_wheel(6), [6])):
+        dominating = build_clique_cycle(model).dominating
+        assert np.flatnonzero(dominating).tolist() == hubs

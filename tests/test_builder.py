@@ -15,7 +15,6 @@ from arcroute import (
     build_clique_cycle,
     build_scheme,
     build_vertex_order,
-    first_vertices,
     gen_complete,
     gen_random,
     gen_ring,
@@ -35,18 +34,21 @@ from arcroute.builder import (
     _walk_chains,
 )
 from arcroute.errors import ConstructionError, NotRealCircularArc
-from arcroute.ring_order import CyclicOrder, ring_sequence
+from arcroute.ring_order import CyclicOrder
 from arcroute.verifier import route_lengths
 from conftest import (
     C4_MODEL,
     COUNTER_MODEL,
+    NO_SEARCHES,
     block,
     context_for,
     covers_gap,
     labels_of,
     load,
     perturbed_ring,
+    ref_first_vertices,
     ref_from_json,
+    ref_ring_sequence,
     ref_to_json,
     reference_counter_matrix,
     same_scheme,
@@ -61,11 +63,10 @@ PUBLIC_NAMES = {
     "ArcModel", "ArcRouteError", "CliqueCycle", "ConstructionError", "CyclicOrder",
     "Graph", "IntervalStats", "ModelFormatError", "NotRealCircularArc",
     "OracleResult", "RingInterval", "RoutingScheme", "StructuralSchemeError",
-    "VerificationReport", "VertexOrder", "all_pairs_distances", "bfs_distances",
-    "build_clique_cycle", "build_scheme", "build_vertex_order",
-    "dominating_vertices", "first_vertices", "gen_complete", "gen_random",
-    "gen_ring", "gen_wheel", "has_shortest_path_1irs", "intersection_graph",
-    "interval_stats", "is_real", "parse_model", "ring_sequence", "route",
+    "VerificationReport", "VertexOrder", "all_pairs_distances",
+    "build_clique_cycle", "build_scheme", "build_vertex_order", "gen_complete",
+    "gen_random", "gen_ring", "gen_wheel", "has_shortest_path_1irs",
+    "intersection_graph", "interval_stats", "is_real", "parse_model", "route",
     "validate_model", "verify_scheme",
 }
 
@@ -306,10 +307,9 @@ def test_frame_checks_name_the_first_offending_vertex(model, swap, head, message
                                                       vertex):
     # a doctored vertex order: two positions swapped, or block heads (and
     # the tails of emptied blocks) overwritten
-    graph = intersection_graph(model)
-    cycle = build_clique_cycle(model, graph)
+    cycle = build_clique_cycle(model)
     vorder = build_vertex_order(cycle)
-    LabelingContext(cycle, graph, vorder)
+    LabelingContext(cycle, vorder)
     items = vorder.order.items.tolist()
     if swap:
         i, j = swap
@@ -321,7 +321,7 @@ def test_frame_checks_name_the_first_offending_vertex(model, swap, head, message
             tails[c] = -1
     doctored = VertexOrder(CyclicOrder(items), heads, tails)
     with pytest.raises(ConstructionError, match=message) as info:
-        LabelingContext(cycle, graph, doctored)
+        LabelingContext(cycle, doctored)
     assert info.value.vertex == vertex
 
 
@@ -532,7 +532,7 @@ def ref_walk_chains(ctx, v):
         if nl == -1:
             raise ConstructionError("left chain broke", vertex=v)
         nr = ref_right_vertex_of(ctx, ri)
-        if nl == nr or ctx.graph.adjacent(nl, nr):
+        if nl == nr or ctx.graph.adj[nl, nr]:
             return i, li, ri
         li, ri = nl, nr
     raise ConstructionError("left/right chains never met", vertex=v)
@@ -561,7 +561,7 @@ def ref_separator(ctx, v):
                                 vertex=v)
     w = succ(ctx, tail)
     for _ in range(fwd(ctx, w, lv) + 1):
-        if w == li or ctx.graph.adjacent(w, li):
+        if w == li or ctx.graph.adj[w, li]:
             break
         w = succ(ctx, w)
     else:
@@ -721,13 +721,13 @@ def test_label_left_carries_non_adjacent_riders():
             continue
         covered = []
         for w, offset, length in side_rows(ctx, v, ctx.hi[v], ctx.n):
-            assert graph.adjacent(v, w)
+            assert graph.adj[v, w]
             stretch = block(ctx, v, offset, offset + length).tolist()
             assert len(stretch) == length
             assert stretch[0] == w
             for u in stretch:
                 # carrier starts a shortest path to everything it carries
-                assert w == u or w in first_vertices(graph, v, u)
+                assert w == u or w in ref_first_vertices(graph, v, u)
             covered.extend(stretch)
         assert sorted(covered) == sorted(int(x) for x in members)
         dist_ok += 1
@@ -811,7 +811,7 @@ def test_separator_split_matches_first_vertices():
             for w in block(ctx, v, ctx.lo[v], ctx.hi[v]).tolist():
                 goes_right = fwd(ctx, v, w) <= fwd(ctx, v, s)
                 carrier = r if goes_right else ctx.left_of[v]
-                assert carrier in first_vertices(graph, v, w), (v, w)
+                assert carrier in ref_first_vertices(graph, v, w), (v, w)
 
 
 def two_walk_apex(ctx, v):
@@ -829,7 +829,7 @@ def two_walk_apex(ctx, v):
     for i in range(2, ctx.n + 2):
         li = int(ctx.left_of[li])
         ri = int(ctx.right_of[ri])
-        if li == ri or ctx.graph.adjacent(li, ri):
+        if li == ri or ctx.graph.adj[li, ri]:
             return i
     raise AssertionError("chains never met")
 
@@ -846,7 +846,7 @@ def two_walk_separator(ctx, v):
         li = int(ctx.left_of[li])
         ri = int(ctx.right_of[ri])
     w = succ(ctx, int(ctx.vorder.tail[int(ctx.cycle.right[ri])]))
-    while not (w == li or ctx.graph.adjacent(w, li)):
+    while not (w == li or ctx.graph.adj[w, li]):
         w = succ(ctx, w)
     return pred(ctx, w)
 
@@ -1036,7 +1036,7 @@ def test_scheme_shape_invariants_on_random_corpus():
             if len(ivls) == 2:
                 per_vertex_doubles[v] = per_vertex_doubles.get(v, 0) + 1
             for a, b in ivls:
-                members = set(ring_sequence(order, a, b))
+                members = set(ref_ring_sequence(order, a, b))
                 assert v not in members
                 assert not (covered[v] & members)
                 covered[v] |= members
@@ -1248,7 +1248,7 @@ def test_cut_model_splits_at_the_cut_without_distances(search_calls):
     # block is split at the cut instead, with no distance computed
     model = gen_random(6, 546)
     scheme = build_scheme(model)
-    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 0}
+    assert search_calls == NO_SEARCHES
     graph = intersection_graph(model)
     assert verify_scheme(graph, scheme).passed
     assert (route_lengths(scheme, graph) == all_pairs_distances(graph)).all()
@@ -1277,8 +1277,11 @@ def test_cut_split_rejects_a_misplaced_cut_head():
                          ids=["ring32", "perturbed_ring40"])
 def test_separator_builds_compute_no_distances(model, search_calls):
     scheme = build_scheme(model)
-    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 0}
+    assert search_calls == NO_SEARCHES
     assert verify_scheme(intersection_graph(model), scheme).passed
+    # the fixture counts a search made through another module's binding
+    assert search_calls["all_pairs_distances"] == 1
+    assert search_calls["_frontier_distances"] == 1
 
 
 def test_perturbed_ring_has_no_dominating_vertex_or_counter_pair():
@@ -1290,7 +1293,7 @@ def test_cut_split_computes_no_distances(search_calls):
     # gen_random(8, 22) has a cut, and some vertex of it has no left vertex
     model = gen_random(8, 22)
     scheme = build_scheme(model)
-    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 0}
+    assert search_calls == NO_SEARCHES
     graph = intersection_graph(model)
     assert verify_scheme(graph, scheme).passed
     assert (route_lengths(scheme, graph) == all_pairs_distances(graph)).all()
@@ -1298,7 +1301,7 @@ def test_cut_split_computes_no_distances(search_calls):
 
 def test_dense_build_never_computes_distances(search_calls):
     build_scheme(gen_random(64, 3))
-    assert search_calls == {"bfs_distances": 0, "all_pairs_distances": 0}
+    assert search_calls == NO_SEARCHES
 
 
 BUILDS_WITHOUT_SCIPY = """

@@ -54,6 +54,16 @@ def test_rejects_non_real_model():
         build_clique_cycle(model)
 
 
+def test_rejects_a_graph_of_another_model():
+    # unchecked, a ring of five's graph would fail only later, in
+    # build_vertex_order, on numpy's "operands could not be broadcast"
+    with pytest.raises(ValueError, match="graph has 5 vertices but the model 4 arcs"):
+        build_clique_cycle(gen_ring(4), intersection_graph(gen_ring(5)))
+    model = gen_ring(5)
+    graph = intersection_graph(model)
+    assert build_clique_cycle(model, graph).graph is graph
+
+
 def test_c4_cliques_and_spans():
     cycle, model = cycle_of(C4_MODEL)
     assert member_sets(cycle, model) == [{0, 3}, {0, 1}, {1, 2}, {2, 3}]
@@ -122,7 +132,7 @@ def test_counter_matches_membership_definition():
         cycle = build_clique_cycle(model, graph)
         sets = member_sets(cycle, model)
         for v, w in itertools.combinations(range(n), 2):
-            if not graph.adjacent(v, w):
+            if not graph.adj[v, w]:
                 continue
             shared = sorted(c for c in range(cycle.k) if {v, w} <= sets[c])
             runs = 1
@@ -145,9 +155,9 @@ def test_vertices_with_counter_partner_dominate_jointly():
             if not partners:
                 continue
             for u in range(n):
-                if u == v or graph.adjacent(u, v):
+                if u == v or graph.adj[u, v]:
                     continue
-                assert all(graph.adjacent(u, w) or u == w for w in partners)
+                assert all(graph.adj[u, w] or u == w for w in partners)
 
 
 def test_span_membership_equals_clique_membership():
@@ -369,7 +379,7 @@ def test_counter_pairs_and_adjacency_match_the_n_by_n_references():
                  | ((lc[:, None] - lc[None]) % k < ln[None]))
         off = ~np.eye(model.n, dtype=bool)
         assert (share == graph.adj)[off].all(), model.to_json()
-        ctx = LabelingContext(cycle, graph, build_vertex_order(cycle))
+        ctx = LabelingContext(cycle, build_vertex_order(cycle))
         lowest = np.where(expected.any(axis=1), expected.argmax(axis=1), model.n)
         assert ctx.partner.tolist() == lowest.tolist(), model.to_json()
         models += 1

@@ -9,6 +9,9 @@ from conftest import ROOT, src_env
 
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# a line each demo must print, by script name
+PINNED = {"01_pipeline_tour": "edges: [(0, 1), (0, 3), (1, 2), (2, 3)]"}
+
 
 def test_demos_are_found():
     assert DEMOS
@@ -20,3 +23,4 @@ def test_demo_runs(script):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert PINNED.get(script.stem, "") in done.stdout

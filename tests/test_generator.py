@@ -1,9 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from arcroute import (
-    dominating_vertices,
+    build_clique_cycle,
     gen_complete,
     gen_random,
     gen_ring,
@@ -37,7 +38,7 @@ def test_ring_adjacency_is_cyclic():
         graph = intersection_graph(gen_ring(k))
         for i, j in itertools.combinations(range(k), 2):
             expected = (j - i) % k in (1, k - 1)
-            assert graph.adjacent(i, j) == expected
+            assert graph.adj[i, j] == expected
 
 
 def test_ring_rejects_small():
@@ -52,15 +53,15 @@ def test_wheel_shape():
         assert is_real(model)
         graph = intersection_graph(model)
         hub = k
-        assert all(graph.adjacent(hub, i) for i in range(k))
+        assert graph.adj[hub, :k].all()
         for i, j in itertools.combinations(range(k), 2):
-            assert graph.adjacent(i, j) == ((j - i) % k in (1, k - 1))
+            assert graph.adj[i, j] == ((j - i) % k in (1, k - 1))
 
 
 def test_wheel_hub_is_the_only_dominating_vertex():
     for k in range(4, 9):
-        graph = intersection_graph(gen_wheel(k))
-        assert dominating_vertices(graph) == {k}
+        dominating = build_clique_cycle(gen_wheel(k)).dominating
+        assert np.flatnonzero(dominating).tolist() == [k]
 
 
 def test_wheel_three_is_complete():

@@ -21,7 +21,7 @@ from arcroute import (
 )
 from arcroute.errors import RouteError
 from arcroute.verifier import route_lengths
-from conftest import labels_of
+from conftest import labels_of, ref_first_vertices, ref_ring_sequence
 
 
 def routes_shortest(scheme, graph) -> bool:
@@ -45,9 +45,6 @@ def corrupted_variants(scheme, graph, rng, count):
     is a first vertex for every member stay valid.  Both kinds must be
     classified identically by the two oracles.
     """
-    from arcroute import first_vertices
-    from arcroute.ring_order import ring_sequence
-
     labels = labels_of(scheme)
     arcs = sorted(labels)
     for _ in range(count):
@@ -61,10 +58,10 @@ def corrupted_variants(scheme, graph, rng, count):
             continue
         yield moved_interval(scheme, v, w, index, rng.choice(others))
         # a deliberate validity-preserving move, when one exists
-        members = ring_sequence(scheme.order, *ivls[index])
+        members = ref_ring_sequence(scheme.order, *ivls[index])
         shared = set(others)
         for u in members:
-            shared &= first_vertices(graph, v, int(u))
+            shared &= ref_first_vertices(graph, v, int(u))
             if not shared:
                 break
         if shared:

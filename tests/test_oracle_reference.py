@@ -13,7 +13,6 @@ from itertools import permutations
 import pytest
 
 from arcroute import (
-    Graph,
     all_pairs_distances,
     gen_complete,
     gen_random,
@@ -24,6 +23,7 @@ from arcroute import (
     oracle,
 )
 from arcroute.ring_order import RingInterval
+from conftest import graph_from_edges
 
 
 def ref_segments_for_vertex(order, allowed, v, nbrs, strict):
@@ -131,7 +131,7 @@ def random_graph(n, seed):
     rng = random.Random(seed)
     p = rng.uniform(0.3, 0.9)
     edges = [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 # every cyclic order of a 7-vertex graph costs about 0.4 s, so one random
@@ -152,7 +152,7 @@ def test_per_vertex_step_matches_the_cover_search(name, graph):
     n = graph.n
     dist = all_pairs_distances(graph)
     allowed = (dist[None, :, :] == dist[:, None, :] - 1).tolist()
-    nbrs = [[w for w in range(n) if graph.adjacent(v, w)] for v in range(n)]
+    nbrs = [[w for w in range(n) if graph.adj[v, w]] for v in range(n)]
     masks = [reference_masks(dist, v, nbrs[v]) for v in range(n)]
     for rest in permutations(range(1, n)):
         order = (0,) + rest

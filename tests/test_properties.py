@@ -11,7 +11,6 @@ from arcroute import (
     all_pairs_distances,
     build_clique_cycle,
     build_scheme,
-    first_vertices,
     gen_complete,
     gen_random,
     gen_ring,
@@ -22,9 +21,15 @@ from arcroute import (
     verify_scheme,
 )
 from arcroute.errors import StructuralSchemeError
-from arcroute.ring_order import ring_sequence
 from arcroute.verifier import route_lengths
-from conftest import labels_of, perturbed_ring, ref_validate_cycle
+from conftest import (
+    graph_from_edges,
+    labels_of,
+    perturbed_ring,
+    ref_first_vertices,
+    ref_ring_sequence,
+    ref_validate_cycle,
+)
 
 model_params = st.tuples(
     st.integers(min_value=3, max_value=24),
@@ -89,8 +94,8 @@ def test_every_interval_member_routes_through_its_arc(params):
     scheme = build_scheme(model)
     for (v, w), ivls in labels_of(scheme).items():
         for a, b in ivls:
-            for u in ring_sequence(scheme.order, a, b):
-                assert w == u or w in first_vertices(graph, v, int(u))
+            for u in ref_ring_sequence(scheme.order, a, b):
+                assert w == u or w in ref_first_vertices(graph, v, int(u))
 
 
 @settings(max_examples=40, deadline=None,
@@ -358,9 +363,9 @@ def test_two_vertex_covering_model():
 def test_single_vertex_scheme_verifies():
     import numpy as np
 
-    from arcroute import CyclicOrder, Graph
+    from arcroute import CyclicOrder
 
-    graph = Graph.from_edges(1, [])
+    graph = graph_from_edges(1, [])
     scheme = RoutingScheme(CyclicOrder([0]), np.empty(0), np.empty(0),
                            np.empty(0), np.empty(0))
     assert verify_scheme(graph, scheme).passed

