@@ -31,7 +31,7 @@ from .errors import (
     NotRealCircularArc,
     StructuralSchemeError,
 )
-from .generator import gen_complete, gen_random, gen_ring, gen_wheel
+from .generator import gen_complete, gen_perturbed_ring, gen_random, gen_ring, gen_wheel
 from .oracle import OracleResult, has_shortest_path_1irs
 from .ring_order import CyclicOrder, RingInterval
 from .verifier import (
@@ -65,6 +65,7 @@ __all__ = [
     "build_scheme",
     "build_vertex_order",
     "gen_complete",
+    "gen_perturbed_ring",
     "gen_random",
     "gen_ring",
     "gen_wheel",

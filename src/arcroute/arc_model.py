@@ -45,31 +45,38 @@ def validate_model(n: int, arcs: list[tuple[int, int]]) -> ArcModel:
     """Check the model invariants and freeze the result."""
     if not is_id(n):
         raise ModelFormatError(f"vertex count must be an int, got {n!r}")
+    n = int(n)  # 2 * n must not wrap in a small numpy type
     if n < 1:
         raise ModelFormatError(f"vertex count must be positive, got {n}")
-    if len(arcs) != n:
-        raise ModelFormatError(f"expected {n} arcs, got {len(arcs)}")
+    try:
+        count = len(arcs)
+    except TypeError:
+        raise ModelFormatError(f"arcs must be a list of pairs, got {arcs!r}") from None
+    if count != n:
+        raise ModelFormatError(f"expected {n} arcs, got {count}")
     size = 2 * n
-    seen: dict[int, int] = {}
-    for i, (s, e) in enumerate(arcs):
+    owner = [-1] * size  # the arc holding each position so far
+    frozen = []
+    for i, entry in enumerate(arcs):
+        try:
+            s, e = entry
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise ModelFormatError(f"arc {i}: {entry!r} is not a pair of ints") from None
         # int() would cut 1.5 to 1 and read True as 1; plain ints skip the
         # slower is_id, as every parsed model comes through here
         if not (type(s) is type(e) is int or is_id(s) and is_id(e)):
             raise ModelFormatError(f"arc {i}: ({s!r}, {e!r}) is not a pair of ints")
-        for p in (s, e):
-            if not 0 <= p < size:
-                raise PositionOutOfRangeError(
-                    f"arc {i}: position {p} outside [0, {size})"
-                )
+        if not (0 <= s < size and 0 <= e < size):
+            p = e if 0 <= s < size else s
+            raise PositionOutOfRangeError(f"arc {i}: position {p} outside [0, {size})")
         if s == e:
             raise DegenerateArcError(f"arc {i}: start equals end ({s})")
-        for p in (s, e):
-            if p in seen:
-                raise DuplicateEndpointError(
-                    f"position {p} used by arcs {seen[p]} and {i}"
-                )
-            seen[p] = i
-    return ArcModel(n=int(n), arcs=tuple((int(s), int(e)) for s, e in arcs))
+        if owner[s] != -1 or owner[e] != -1:
+            p = s if owner[s] != -1 else e
+            raise DuplicateEndpointError(f"position {p} used by arcs {owner[p]} and {i}")
+        owner[s] = owner[e] = i
+        frozen.append((int(s), int(e)))
+    return ArcModel(n=n, arcs=tuple(frozen))
 
 
 def parse_model(data: bytes | str) -> ArcModel:
@@ -90,13 +97,13 @@ def parse_model(data: bytes | str) -> ArcModel:
     raw = obj["arcs"]
     if not is_id(n) or not isinstance(raw, list):
         raise ModelFormatError('"n" must be an int and "arcs" a list')
-    arcs = []
     for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(is_id(p) for p in entry)):
+        # JSON numbers parse to int, float or bool, so this plain type test
+        # is is_id here; validate_model repeats only the same cheap test
+        if not (type(entry) is list and len(entry) == 2
+                and type(entry[0]) is type(entry[1]) is int):
             raise ModelFormatError(f"arc entry {entry!r} is not a pair of ints")
-        arcs.append((entry[0], entry[1]))
-    return validate_model(n, arcs)
+    return validate_model(n, raw)
 
 
 def unique_keys(error: type[Exception], message: str):

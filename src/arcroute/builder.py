@@ -21,9 +21,9 @@ Each block is a run of offsets clockwise after the vertex, and each label
 assignment a run (source, target, offset, length).  One pass over the
 directed edges gives the frame arrays of all vertices (``left_of``,
 ``middle_of``, ``right_of``, ``lo`` and ``hi``) and the runs of every right
-and left block, one bulk pass plans every facing block, walking the chains
-of all vertices together, and one more joins all runs and checks the
-scheme's shape.
+and left block, one bulk pass plans every facing block, finding where
+each vertex's chains meet by pointer doubling over the cliques they gain,
+and one more joins all runs and checks the scheme's shape.
 """
 
 from __future__ import annotations
@@ -388,11 +388,28 @@ def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]
     vertices meet.  Depth 1 means the spans of the two first-step neighbors
     already meet around the far side of the clique cycle; otherwise it is
     the smallest i > 1 with the i-th left and right iterates adjacent or
-    equal.  All chains advance together, one step per depth.
+    equal.
+
+    The chains are not stepped depth by depth.  A left step from u gains
+    the ``(lc[u] - lc[left_of[u]]) % k`` cliques it moves the left clique
+    counterclockwise, a right step from u the ``(rc[right_of[u]] - rc[u])
+    % k`` it moves the right clique clockwise, and the i-th iterates meet
+    (are equal or adjacent) when the gains of both chains' first i - 1
+    steps together reach the gap ``(lc[l1] - rc[r1]) % k`` between the
+    first iterates.  Gains never go negative, so that rule is monotone in
+    depth, and one descent over jump tables of 2^j steps (pointer
+    doubling) finds the first depth where it holds.  A step that does not
+    exist (no left or right vertex, or a right step from a counter vertex)
+    leads to a sink whose gain exceeds every gap, so a chain stops at the
+    depth where a depth-by-depth walk would raise, and raises the same
+    error.  The iterates at the found depth are checked to meet in the
+    graph, and
+    ``test_pointer_doubling_walk_matches_the_bulk_and_per_vertex_walks``
+    checks that no earlier depth meets, against the depth-by-depth walks.
     """
     if ctx.any_dominating or ctx.any_counter_pair:
         raise ConstructionError("apex undefined with dominating or counter vertices")
-    cycle, k = ctx.cycle, ctx.cycle.k
+    cycle, k, n = ctx.cycle, ctx.cycle.k, ctx.n
     li = ctx.left_of[vs].astype(np.int64)
     _reject_first(li == -1, "left vertex missing", vs)
     ri = _right_vertices(ctx, vs)
@@ -404,18 +421,62 @@ def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]
                               | ((cycle.left[vs] - rc_r1) % k + alen <= blen))
     apex = np.where((lc_l1 == rc_r1) | inside, 1, 0)
     walking = np.flatnonzero(apex == 0)
-    for depth in range(2, ctx.n + 2):
-        if len(walking) == 0:
-            break
-        nl = ctx.left_of[li[walking]]
-        _reject_first(nl == -1, "left chain broke", vs[walking])
-        nr = _right_vertices(ctx, ri[walking])
-        met = (nl == nr) | ctx.graph.adj[nl, nr]
-        apex[walking[met]] = depth
-        walking, nl, nr = walking[~met], nl[~met], nr[~met]
-        li[walking], ri[walking] = nl, nr
-    _reject_first(apex == 0, "left/right chains never met", vs)
+    if len(walking) == 0:
+        return apex, li, ri
+    names, gap = vs[walking], (lc_l1 - rc_r1)[walking] % k
+    steps, l, r = _lift_chains(ctx, li[walking], ri[walking], gap)
+    # the walk above tried steps 1 .. n, at depths 2 .. n + 1
+    depth, tried = steps + 2, steps < n
+    nl, nr = ctx.left_of[l], ctx.right_of[r]
+    left_broke = tried & (nl == -1)
+    counter, right_broke = tried & ctx.has_counter[r], tried & (nr == -1)
+    broke = left_broke | counter | right_broke
+    if broke.any():
+        first = broke & (depth == depth[broke].min())
+        _reject_first(left_broke & first, "left chain broke", names)
+        _reject_first(counter & first, "right vertex undefined for counter vertices", r)
+        _reject_first(right_broke & first, "no neighbor shares the right clique", r)
+    _reject_first(tried & (nl != nr) & ~ctx.graph.adj[nl, nr],
+                  "chains gained the gap without meeting", names)
+    _reject_first(~tried, "left/right chains never met", names)
+    apex[walking], li[walking], ri[walking] = depth, l, r
     return apex, li, ri
+
+
+def _lift_chains(ctx: LabelingContext, l: np.ndarray, r: np.ndarray,
+                 gap: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Step the left chains from ``l`` and the right chains from ``r`` as
+    far as their combined clique gain stays below ``gap``: the number of
+    steps taken and the iterates reached.
+
+    Vertex ``n`` is the sink that every missing step leads to; its gain
+    of ``k`` exceeds every gap.  Gains are capped at ``k``.  The tables
+    stop at 2^j steps once those reach every gap, and at most at
+    ``(n + 1).bit_length()`` tables, enough for the n steps a chain may take.
+    """
+    cycle, k, n = ctx.cycle, ctx.cycle.k, ctx.n
+    lc, rc = np.append(cycle.left, 0), np.append(cycle.right, 0)
+    left = np.append(ctx.left_of, -1)
+    right = np.append(np.where(ctx.has_counter, -1, ctx.right_of), -1)
+    sink_l, sink_r = left == -1, right == -1
+    left[sink_l], right[sink_r] = n, n
+    tables = [(left, np.where(sink_l, k, (lc - lc[left]) % k),
+               right, np.where(sink_r, k, (rc[right] - rc) % k))]
+    while len(tables) < (n + 1).bit_length():
+        jl, gl, jr, gr = tables[-1]
+        if (gl[l] + gr[r] >= gap).all():
+            break
+        tables.append((jl[jl], np.minimum(gl + gl[jl], k),
+                       jr[jr], np.minimum(gr + gr[jr], k)))
+    steps, gained = np.zeros_like(gap), np.zeros_like(gap)
+    for j in range(len(tables) - 1, -1, -1):
+        jl, gl, jr, gr = tables[j]
+        total = gained + gl[l] + gr[r]
+        take = total < gap
+        steps += take << j
+        gained = np.where(take, total, gained)
+        l, r = np.where(take, jl[l], l), np.where(take, jr[r], r)
+    return steps, l, r
 
 
 def _separators(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ import numpy as np
 from .arc_model import intersection_graph, parse_model
 from .builder import RoutingScheme, build_scheme
 from .errors import ArcRouteError, RouteError
-from .generator import gen_complete, gen_random, gen_ring, gen_wheel
+from .generator import (gen_complete, gen_perturbed_ring, gen_random, gen_ring,
+                        gen_wheel)
 from .oracle import DEFAULT_VERTEX_LIMIT, has_shortest_path_1irs
 from .ring_order import CyclicOrder
 from .verifier import interval_stats, route, verify_scheme
@@ -78,6 +79,8 @@ def _cmd_gen(args) -> int:
             model = gen_wheel(args.n)
         elif args.family == "complete":
             model = gen_complete(args.n)
+        elif args.family == "perturbed-ring":
+            model = gen_perturbed_ring(args.n, args.seed)
         else:
             model = gen_random(args.n, args.seed)
     except ValueError as exc:  # too few vertices for the family
@@ -137,7 +140,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_route)
 
     p = sub.add_parser("gen", help="generate an arc model")
-    p.add_argument("--family", choices=["ring", "wheel", "random", "complete"],
+    p.add_argument("--family", choices=["ring", "wheel", "random", "complete",
+                                         "perturbed-ring"],
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

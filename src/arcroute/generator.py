@@ -46,6 +46,34 @@ def gen_complete(n: int) -> ArcModel:
     return validate_model(n, [(2 * i, (2 * i + span) % size) for i in range(n)])
 
 
+def gen_perturbed_ring(n: int, seed: int) -> ArcModel:
+    """Seeded perturbed ring: sparse, covering, of diameter about n / 5.
+
+    Arc i starts at ring step i + u, u uniform in [0, 1), and runs 2 to 4
+    steps clockwise; the 2n real endpoints are ranked to the integer
+    positions.  Consecutive starts lie less than 2 steps apart, so the
+    arcs cover the circle.  From n = 10 on no arc dominates (it meets at
+    most the 8 arcs starting within 4 steps of it) and no two arcs overlap
+    at both ends (together they span at most 8 steps), so the builder
+    sends every vertex through its separator case; at n = 8 some seeds
+    give a dominating arc.
+    """
+    if n < 8:
+        raise ValueError(f"perturbed rings need at least 8 arcs, got {n}")
+    rng = random.Random(seed)
+    points = []  # (ring coordinate, arc, 0 for its start or 1 for its end)
+    for i in range(n):
+        start = i + rng.random()
+        end = start + rng.uniform(2.0, 4.0)
+        points.append((start % n, i, 0))
+        points.append((end % n, i, 1))
+    points.sort()
+    arcs = [[0, 0] for _ in range(n)]
+    for rank, (_, arc, side) in enumerate(points):
+        arcs[arc][side] = rank
+    return validate_model(n, arcs)
+
+
 def gen_random(n: int, seed: int) -> ArcModel:
     """Seeded random covering model: pair up all 2n positions into arcs.
 

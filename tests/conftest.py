@@ -1,6 +1,5 @@
 import json
 import os
-import random
 import re
 import sys
 from collections import deque
@@ -19,11 +18,11 @@ from arcroute import (
     build_vertex_order,
     intersection_graph,
     parse_model,
-    validate_model,
 )
 from arcroute.arc_model import UNREACHABLE, arc_spans, unique_keys
 from arcroute.builder import LabelingContext
 from arcroute.errors import ConstructionError, StructuralSchemeError
+from arcroute.generator import gen_perturbed_ring
 from arcroute.ring_order import is_id
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,23 +63,9 @@ def block(ctx, v, a, b) -> np.ndarray:
     return ctx.items[(ctx.pos[v] + np.arange(a, b)) % ctx.n]
 
 
-def perturbed_ring(n, seed):
-    """Arc i starts at ring step i + U[0, 1) and runs 2 to 4 steps; the 2n
-    real endpoints are ranked to integer positions.  Sparse, covering, with
-    no dominating vertex and no counter pair, so every vertex takes the
-    separator case."""
-    rng = random.Random(seed)
-    points = []
-    for i in range(n):
-        start = i + rng.random()
-        end = start + 2 + 2 * rng.random()
-        points.append((start % n, i, 0))
-        points.append((end % n, i, 1))
-    points.sort()
-    arcs = [[0, 0] for _ in range(n)]
-    for rank, (_, arc, side) in enumerate(points):
-        arcs[arc][side] = rank
-    return validate_model(n, [tuple(a) for a in arcs])
+# the separator-case family, sparse and of large diameter, under the name
+# the tests use
+perturbed_ring = gen_perturbed_ring
 
 
 # References: the n-by-n broadcasts that the sweep in ``intersection_graph``

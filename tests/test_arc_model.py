@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -52,37 +53,63 @@ def test_parse_c4_model():
     assert model.circle_size == 8
 
 
+def raises_exactly(error, message):
+    """``pytest.raises`` for ``error`` with exactly ``message``."""
+    return pytest.raises(error, match=f"^{re.escape(message)}$")
+
+
 def test_parse_duplicate_endpoint():
-    with pytest.raises(DuplicateEndpointError):
+    with raises_exactly(DuplicateEndpointError, "position 1 used by arcs 0 and 1"):
         parse_model('{"n": 2, "arcs": [[0, 1], [1, 2]]}')
+    with raises_exactly(DuplicateEndpointError, "position 0 used by arcs 0 and 1"):
+        parse_model('{"n": 2, "arcs": [[0, 3], [2, 0]]}')
 
 
 def test_parse_out_of_range():
-    with pytest.raises(PositionOutOfRangeError):
+    with raises_exactly(PositionOutOfRangeError, "arc 0: position 4 outside [0, 4)"):
         parse_model('{"n": 2, "arcs": [[0, 4], [1, 2]]}')
+    with raises_exactly(PositionOutOfRangeError, "arc 1: position -1 outside [0, 4)"):
+        parse_model('{"n": 2, "arcs": [[0, 1], [-1, 2]]}')
 
 
 def test_parse_degenerate_arc():
-    with pytest.raises(DegenerateArcError):
+    with raises_exactly(DegenerateArcError, "arc 0: start equals end (0)"):
         parse_model('{"n": 2, "arcs": [[0, 0], [1, 2]]}')
 
 
+GARBAGE = [
+    ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('{"n": 2}', 'expected an object with keys "n" and "arcs"'),
+    ('{"n": 2, "arcs": [[0, 1]]}', "expected 2 arcs, got 1"),
+    ('{"n": 2, "arcs": {}}', '"n" must be an int and "arcs" a list'),
+    ('{"n": 0, "arcs": []}', "vertex count must be positive, got 0"),
+    ('{"n": 2, "arcs": [[0, 2], [3]]}', "arc entry [3] is not a pair of ints"),
+    ('{"n": 2, "arcs": [[0, 2], [3, 1, 2]]}',
+     "arc entry [3, 1, 2] is not a pair of ints"),
+    ('{"n": 2, "arcs": [[0, 2], 5]}', "arc entry 5 is not a pair of ints"),
+    ('{"n": 2, "arcs": [[0, 2], [3, 1.0]]}', "arc entry [3, 1.0] is not a pair of ints"),
+    ('{"n": 2, "arcs": [[0, 2], ["3", 1]]}', "arc entry ['3', 1] is not a pair of ints"),
+]
+
+
 def test_parse_garbage():
-    with pytest.raises(ModelFormatError):
-        parse_model("not json")
-    with pytest.raises(ModelFormatError):
-        parse_model('{"n": 2}')
-    with pytest.raises(ModelFormatError):
-        parse_model('{"n": 2, "arcs": [[0, 1]]}')
+    for payload, message in GARBAGE:
+        with raises_exactly(ModelFormatError, message) as info:
+            parse_model(payload)
+        assert type(info.value) is ModelFormatError
 
 
-@pytest.mark.parametrize("payload", [
-    '{"n": true, "arcs": [[0, 1]]}',
-    '{"n": 2, "arcs": [[0, 2], [3, true]]}',
-    '{"n": 2, "arcs": [[false, 2], [3, 1]]}',
-])
+JSON_BOOLEANS = {
+    '{"n": true, "arcs": [[0, 1]]}': '"n" must be an int and "arcs" a list',
+    '{"n": 2, "arcs": [[0, 2], [3, true]]}': "arc entry [3, True] is not a pair of ints",
+    '{"n": 2, "arcs": [[false, 2], [3, 1]]}':
+        "arc entry [False, 2] is not a pair of ints",
+}
+
+
+@pytest.mark.parametrize("payload", list(JSON_BOOLEANS))
 def test_parse_rejects_json_booleans(payload):
-    with pytest.raises(ModelFormatError, match="int"):
+    with raises_exactly(ModelFormatError, JSON_BOOLEANS[payload]):
         parse_model(payload)
 
 
@@ -99,11 +126,30 @@ def test_validate_model_rejects_what_is_not_an_int(n, arcs):
     assert type(info.value) is ModelFormatError
 
 
+@pytest.mark.parametrize("n, arcs, message", [
+    (1, [(0,)], "arc 0: (0,) is not a pair of ints"),
+    (1, [(0, 1, 2)], "arc 0: (0, 1, 2) is not a pair of ints"),
+    (1, [0], "arc 0: 0 is not a pair of ints"),
+    (1, None, "arcs must be a list of pairs, got None"),
+])
+def test_validate_model_rejects_what_is_not_a_pair(n, arcs, message):
+    with raises_exactly(ModelFormatError, message) as info:
+        validate_model(n, arcs)
+    assert type(info.value) is ModelFormatError
+
+
 def test_validate_model_stores_numpy_integers_as_python_ints():
     model = validate_model(np.int64(2), [(np.int32(0), np.uint8(1)), (2, 3)])
     assert model == validate_model(2, [(0, 1), (2, 3)])
     assert type(model.n) is int and type(model.circle_size) is int
     assert {type(p) for arc in model.arcs for p in arc} == {int}
+
+
+def test_validate_model_sizes_the_circle_of_a_small_numpy_count():
+    # 2 * np.uint8(200) wraps to 144 and 2 * np.int8(100) to -56
+    for n in (np.uint8(200), np.int8(100)):
+        arcs = [(2 * i, 2 * i + 1) for i in range(int(n))]
+        assert validate_model(n, arcs) == validate_model(int(n), arcs)
 
 
 # the second "arcs" is C4, the first the counter model; neither may win

@@ -29,6 +29,7 @@ from arcroute.builder import (
     VertexOrder,
     _join_runs,
     _plan_facings,
+    _reject_first,
     _right_vertices,
     _separators,
     _walk_chains,
@@ -65,9 +66,9 @@ PUBLIC_NAMES = {
     "OracleResult", "RingInterval", "RoutingScheme", "StructuralSchemeError",
     "VerificationReport", "VertexOrder", "all_pairs_distances",
     "build_clique_cycle", "build_scheme", "build_vertex_order", "gen_complete",
-    "gen_random", "gen_ring", "gen_wheel", "has_shortest_path_1irs",
-    "intersection_graph", "interval_stats", "is_real", "parse_model", "route",
-    "validate_model", "verify_scheme",
+    "gen_perturbed_ring", "gen_random", "gen_ring", "gen_wheel",
+    "has_shortest_path_1irs", "intersection_graph", "interval_stats", "is_real",
+    "parse_model", "route", "validate_model", "verify_scheme",
 }
 
 
@@ -538,6 +539,35 @@ def ref_walk_chains(ctx, v):
     raise ConstructionError("left/right chains never met", vertex=v)
 
 
+def ref_bulk_walk_chains(ctx, vs):
+    """``_walk_chains`` as it stepped all chains together, one depth at a
+    time, before the walk took pointer-doubling jumps."""
+    if ctx.any_dominating or ctx.any_counter_pair:
+        raise ConstructionError("apex undefined with dominating or counter vertices")
+    cycle, k = ctx.cycle, ctx.cycle.k
+    li = ctx.left_of[vs].astype(np.int64)
+    _reject_first(li == -1, "left vertex missing", vs)
+    ri = _right_vertices(ctx, vs)
+    lc_l1, rc_r1 = cycle.left[li], cycle.right[ri]
+    alen, blen = cycle.span_len[vs], (lc_l1 - rc_r1) % k + 1
+    inside = (alen < blen) & ((blen >= k)
+                              | ((cycle.left[vs] - rc_r1) % k + alen <= blen))
+    apex = np.where((lc_l1 == rc_r1) | inside, 1, 0)
+    walking = np.flatnonzero(apex == 0)
+    for depth in range(2, ctx.n + 2):
+        if len(walking) == 0:
+            break
+        nl = ctx.left_of[li[walking]]
+        _reject_first(nl == -1, "left chain broke", vs[walking])
+        nr = _right_vertices(ctx, ri[walking])
+        met = (nl == nr) | ctx.graph.adj[nl, nr]
+        apex[walking[met]] = depth
+        walking, nl, nr = walking[~met], nl[~met], nr[~met]
+        li[walking], ri[walking] = nl, nr
+    _reject_first(apex == 0, "left/right chains never met", vs)
+    return apex, li, ri
+
+
 def ref_interval_proper_subset(k, a, alen, b, blen):
     """Is the clique interval (a, alen) strictly inside (b, blen)?"""
     if alen >= blen:
@@ -880,6 +910,99 @@ def test_one_chain_walk_matches_the_two_walk_apex_and_separator():
     assert min(apexes[a] for a in (1, 2, 3)) >= 20, apexes
 
 
+def test_pointer_doubling_walk_matches_the_bulk_and_per_vertex_walks():
+    # the benchmark's perturbed rings walk up to about n / 5 depths
+    models = [model for _, model in separator_case_models()]
+    models += [perturbed_ring(300, seed) for seed in range(5)]
+    models += [perturbed_ring(2000, 0)]
+    walked, deepest = 0, 0
+    for model in models:
+        ctx = context_for(model)
+        if ctx.any_dominating or ctx.any_counter_pair or ctx.has_cut:
+            continue
+        vs = np.flatnonzero(ctx.left_of != -1)
+        got = _walk_chains(ctx, vs)
+        for a, b in zip(got, ref_bulk_walk_chains(ctx, vs)):
+            assert a.tolist() == b.tolist(), model
+        assert list(zip(*(a.tolist() for a in got))) == [
+            ref_walk_chains(ctx, v) for v in vs.tolist()], model
+        walked += int((got[0] > 1).sum())
+        deepest = max(deepest, int(got[0].max()))
+    assert walked >= 7000, walked
+    assert deepest >= 300, deepest
+
+
+def doctor_chain(k, v, depth, side):
+    """Doctor ring C_k so that vertex v's chain on ``side`` has no step at
+    ``depth``.  v's iterates at depth d - 1, from which the chains step at
+    depth d, lie d - 1 vertices before and after v; a stall turns both
+    chains' first iterates into fixed points."""
+    at = (v - depth + 1 if side == "left" else v + depth - 1) % k
+    if side == "stall":
+        return lambda ctx: (set_row(ctx, "left_of", (v - 1) % k, (v - 1) % k),
+                            set_row(ctx, "right_of", (v + 1) % k, (v + 1) % k))
+    name, value = {"left": ("left_of", -1), "right": ("right_of", -1),
+                   "counter": ("has_counter", True)}[side]
+    return lambda ctx: set_row(ctx, name, at, value)
+
+
+LEFT, RIGHT = "left chain broke", "no neighbor shares the right clique"
+COUNTER = "right vertex undefined for counter vertices"
+NEVER = "left/right chains never met"
+
+# On ring C_k vertex 0's chains meet at depth k // 2 (6 on C12, 32 on C64).
+# A chain breaks at depths 2^j and 2^j + 1, where the jumps of the walk
+# begin and end, and at the meeting depth itself.  Each case lists
+# (ring size, walked vertices, [(vertex, depth, side)], message, vertex).
+CHAIN_BREAKS = [
+    case for k, depths in ((12, (2, 3, 4, 5, 6)), (64, (2, 3, 4, 5, 8, 9, 16, 17, 32)))
+    for depth in depths for case in (
+        (f"C{k}_left_at_{depth}", k, [0], [(0, depth, "left")], LEFT, 0),
+        (f"C{k}_right_at_{depth}", k, [0], [(0, depth, "right")], RIGHT, depth - 1),
+        (f"C{k}_counter_at_{depth}", k, [0], [(0, depth, "counter")], COUNTER,
+         depth - 1),
+        (f"C{k}_both_at_{depth}", k, [0], [(0, depth, "left"), (0, depth, "right")],
+         LEFT, 0),
+    )
+] + [
+    case for k in (12, 64) for case in (
+        # two chains failing at one depth: the left break wins, and among
+        # right breaks the lowest chain member is named
+        (f"C{k}_two_right", k, [0, 5], [(0, 4, "right"), (5, 4, "right")], RIGHT, 3),
+        (f"C{k}_left_beats_right", k, [0, 5], [(0, 4, "right"), (5, 4, "left")],
+         LEFT, 5),
+        (f"C{k}_counter_beats_right", k, [0, 5],
+         [(0, 4, "right"), (5, 4, "counter")], COUNTER, 8),
+        (f"C{k}_earlier_depth_wins", k, [0, 5], [(0, 4, "left"), (5, 3, "right")],
+         RIGHT, 7),
+        (f"C{k}_stalled", k, [0], [(0, 0, "stall")], NEVER, 0),
+        # a break at any depth comes before a chain that never meets
+        (f"C{k}_break_beats_stall", k, [0, k // 2],
+         [(0, 0, "stall"), (k // 2, k // 2 - 1, "left")], LEFT, k // 2),
+    )
+]
+
+
+@pytest.mark.parametrize("k,vs,breaks,message,vertex", [c[1:] for c in CHAIN_BREAKS],
+                         ids=[c[0] for c in CHAIN_BREAKS])
+def test_pointer_doubling_walk_raises_what_the_depth_by_depth_walk_raised(
+        k, vs, breaks, message, vertex):
+    ctx = context_for(gen_ring(k))
+    vs = np.array(vs)
+    _walk_chains(ctx, vs)  # the undoctored ring walks
+    for v, depth, side in breaks:
+        doctor_chain(k, v, depth, side)(ctx)
+    raised = []
+    walks = [_walk_chains, ref_bulk_walk_chains]
+    if len(vs) == 1 and message != COUNTER:  # the per-vertex walk has no counter check
+        walks.append(lambda ctx, vs: ref_walk_chains(ctx, int(vs[0])))
+    for walk in walks:
+        with pytest.raises(ConstructionError) as info:
+            walk(ctx, vs)
+        raised.append((str(info.value), info.value.vertex))
+    assert raised == [(f"vertex {vertex}: {message}", vertex)] * len(walks)
+
+
 def test_face_to_face_c4_compresses_to_one_interval():
     # the facing vertex 2 rides on the right-block arc (0, 1), and the two
     # runs join into the single interval [1, 2]
@@ -977,6 +1100,11 @@ PLANNER_CHECKS = [
     ("never_met", lambda: gen_ring(12),
      lambda ctx: (set_row(ctx, "left_of", 11, 11), set_row(ctx, "right_of", 1, 1)),
      of_vertex_0(_walk_chains), "left/right chains never met", 0),
+    # on C13 vertex 0's chains meet at depth 6, where the iterates 7 and 6
+    # are adjacent; without that edge the clique gain still says they meet
+    ("gained_without_meeting", lambda: gen_ring(13),
+     lambda ctx: drop_edges(ctx, (6, 7)),
+     of_vertex_0(_walk_chains), "chains gained the gap without meeting", 0),
     ("empty_tail", lambda: gen_ring(12), lambda ctx: ctx.vorder.tail.__setitem__(6, -1),
      of_vertex_0(_separators), "empty block at the right chain's last clique", 0),
     ("scan_exhausted", lambda: gen_ring(12),

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from arcroute import gen_perturbed_ring
 from arcroute.cli import main
 from conftest import C4_MODEL
 
@@ -105,7 +106,7 @@ def test_route_prints_path(tmp_path, c4_file, capsys):
 
 def test_gen_families(tmp_path, capsys):
     for family, n in [("ring", 5), ("wheel", 6), ("complete", 4),
-                      ("random", 8)]:
+                      ("random", 8), ("perturbed-ring", 12)]:
         out = tmp_path / f"{family}.json"
         assert run(["gen", "--family", family, "--n", n, "--seed", 3,
                     "--out", out]) == 0
@@ -275,6 +276,14 @@ def test_route_from_outside_the_graph_is_structural(tmp_path, c4_file, capsys):
 def test_too_small_ring_is_an_error(capsys):
     assert run(["gen", "--family", "ring", "--n", 2]) == 2
     assert "bad-argument" in one_error_line(capsys)
+
+
+def test_perturbed_ring_gen_is_the_library_model(capsys):
+    assert run(["gen", "--family", "perturbed-ring", "--n", 40, "--seed", 5]) == 0
+    assert capsys.readouterr().out == gen_perturbed_ring(40, 5).to_json() + "\n"
+    assert run(["gen", "--family", "perturbed-ring", "--n", 7]) == 2
+    assert one_error_line(capsys) == (
+        "error [bad-argument]: perturbed rings need at least 8 arcs, got 7")
 
 
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate")])

@@ -6,6 +6,7 @@ import pytest
 from arcroute import (
     build_clique_cycle,
     gen_complete,
+    gen_perturbed_ring,
     gen_random,
     gen_ring,
     gen_wheel,
@@ -15,6 +16,7 @@ from arcroute import (
     validate_model,
 )
 from arcroute.generator import _grow_to_cover
+from conftest import ROOT, context_for
 
 
 def test_ring_is_the_c4_model():
@@ -100,6 +102,40 @@ def test_random_models_are_real_and_valid():
 def test_random_rejects_small():
     with pytest.raises(ValueError):
         gen_random(2, 0)
+
+
+def benchmark_sparse_ring():
+    """``gen_sparse_ring`` of the benchmark's ``sparse_ring.py``, run from its
+    source, so that nothing is imported or cached under the benchmark."""
+    path = ROOT / "perfbench" / "sparse_ring.py"
+    namespace = {"__name__": "sparse_ring"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return namespace["gen_sparse_ring"]
+
+
+def test_perturbed_ring_is_the_benchmark_sparse_ring():
+    gen_sparse_ring = benchmark_sparse_ring()
+    cases = [(n, seed) for n in (8, 9, 16, 40, 120, 300) for seed in range(5)]
+    for n, seed in cases + [(2000, 0), (2000, 1)]:
+        assert gen_perturbed_ring(n, seed) == gen_sparse_ring(n, seed), (n, seed)
+
+
+def test_perturbed_rings_take_the_separator_case():
+    for n in (9, 10, 13, 40):
+        for seed in range(10):
+            model = gen_perturbed_ring(n, seed)
+            assert model == gen_perturbed_ring(n, seed)
+            endpoints = [p for arc in model.arcs for p in arc]
+            assert sorted(endpoints) == list(range(2 * n))
+            ctx = context_for(model)
+            assert not (ctx.any_dominating or ctx.any_counter_pair or ctx.has_cut), (
+                n, seed)
+    assert gen_perturbed_ring(40, 1) != gen_perturbed_ring(40, 2)
+
+
+def test_perturbed_ring_rejects_small():
+    with pytest.raises(ValueError, match="^perturbed rings need at least 8 arcs, got 7$"):
+        gen_perturbed_ring(7, 0)
 
 
 def test_coverage_repair_grows_to_real():
