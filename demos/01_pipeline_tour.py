@@ -33,7 +33,7 @@ def main() -> None:
     edges = [tuple(e) for e in np.argwhere(np.triu(graph.adj)).tolist()]
     print(f"edges: {edges}  (the 4-cycle)\n")
 
-    cycle = build_clique_cycle(model, graph)
+    cycle = build_clique_cycle(model)
     print(f"clique-cycle: {cycle.k} maximal point cliques, clockwise; "
           f"each vertex's clique run:")
     for v in range(model.n):

@@ -258,7 +258,8 @@ def _scipy_distances(graph: Graph) -> np.ndarray:
     from scipy.sparse.csgraph import shortest_path
 
     mat = csr_matrix(graph.adj)
-    dist = shortest_path(mat, method="D", unweighted=True, directed=False)
+    # Graph holds a symmetric adjacency, so scipy need not symmetrise it
+    dist = shortest_path(mat, method="D", unweighted=True, directed=True)
     # mark and cast a block of rows at a time into the float64 result's
     # own buffer, so no n-by-n temporary is made beside it
     out = dist.view(np.int64)

@@ -35,7 +35,7 @@ from itertools import chain
 
 import numpy as np
 
-from .arc_model import ArcModel, Graph, intersection_graph, unique_keys
+from .arc_model import ArcModel, Graph, unique_keys
 from .clique_cycle import CliqueCycle, build_clique_cycle, counter_pairs
 from .errors import ConstructionError, StructuralSchemeError
 from .ring_order import CyclicOrder, expand_runs, is_id, ring_coverage
@@ -524,9 +524,14 @@ class RoutingScheme:
     """A cyclic vertex order plus the intervals of every directed arc.
 
     Interval ``i`` labels arc ``(src[i], dst[i])`` with the ``length[i]``
-    order positions clockwise from ``start[i]``.  The four arrays are kept
-    sorted by arc, each arc's intervals in their given order; an arc
-    without intervals has no rows.
+    order positions clockwise from ``start[i]``.  The four arrays are
+    read-only int64 copies, sorted by arc, each arc's intervals in their
+    given order; an arc without intervals has no rows.
+
+    Every row must name an arc between two distinct vertices of the order
+    and an interval of it: ``0 <= start < n`` and ``1 <= length <= n``.
+    StructuralSchemeError names the lowest arc that is no such arc, else
+    the first arc with an interval outside the order.
     """
 
     __slots__ = ("order", "src", "dst", "start", "length", "_route_tables")
@@ -544,19 +549,28 @@ class RoutingScheme:
         # list is float64, so only non-empty arrays must hold integers
         if any(a.size and a.dtype.kind not in "iu" for a in arrays):
             raise bad
-        self.src, self.dst, self.start, self.length = (
-            a.astype(np.int64, copy=False) for a in arrays)
-        shapes = {a.shape for a in (self.src, self.dst, self.start, self.length)}
-        if len(shapes) != 1 or len(shapes.pop()) != 1:
+        if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
             raise bad
-        # rows by (source, target), compared as pairs so that any ids sort
-        s, d = self.src, self.dst
-        if ((s[1:] < s[:-1]) | ((s[1:] == s[:-1]) & (d[1:] < d[:-1]))).any():
-            idx = np.lexsort((d, s))
-            self.src = self.src[idx]
-            self.dst = self.dst[idx]
-            self.start = self.start[idx]
-            self.length = self.length[idx]
+        s, d, first, length = (a.astype(np.int64) for a in arrays)
+        n = order.n
+        invalid = (s < 0) | (s >= n) | (d < 0) | (d >= n) | (s == d)
+        if invalid.any():
+            s, d = s[invalid], d[invalid]
+            v = s.min()
+            raise StructuralSchemeError(
+                f"arc ({v}, {d[s == v].min()}) is not a valid arc")
+        arc = s * n + d
+        if (arc[1:] < arc[:-1]).any():
+            idx = np.argsort(arc, kind="stable")
+            s, d, first, length = s[idx], d[idx], first[idx], length[idx]
+        outside = (first < 0) | (first >= n) | (length < 1) | (length > n)
+        if outside.any():
+            i = np.argmax(outside)
+            raise StructuralSchemeError(
+                f"arc ({s[i]}, {d[i]}) has an interval outside the order")
+        for a in (s, d, first, length):
+            a.flags.writeable = False
+        self.src, self.dst, self.start, self.length = s, d, first, length
         # the graphs the verifier has checked the scheme against, each with
         # its forwarding table once a route needs it
         self._route_tables: dict[Graph, np.ndarray | None] = {}
@@ -621,21 +635,12 @@ def _scheme_text(items, key_src, key_dst, opens, a, b, sep=", ", colon=": ") -> 
     begin an arc's list, and ``key_src`` / ``key_dst`` name those arcs.
     ``sep`` and ``colon`` are the separators between list items and after a
     key.  Each row is eight tokens indexing one word table: the decimal
-    ids in use, then the fixed words, so the text is one join.
+    ids 0 .. n - 1, then the fixed words, so the text is one join.
     """
     n = len(items)
-    ids, shift = np.arange(n), 0
-    if len(key_src) and (min(key_src.min(), key_dst.min()) < 0
-                         or max(key_src.max(), key_dst.max()) >= n):
-        # ids in use outside 0 .. n - 1: the sorted table holds 0 .. n - 1
-        # in one stretch, after the negative ids
-        ids, inverse = np.unique(np.concatenate([ids, key_src, key_dst]),
-                                 return_inverse=True)
-        shift = int(np.searchsorted(ids, 0))
-        key_src, key_dst = inverse[n:].reshape(2, -1)
-    words = np.array(list(map(str, ids.tolist())) + [
+    words = np.array(list(map(str, range(n))) + [
         '"', f']]{sep}"', "->", f'"{colon}[[', f"]{sep}[", sep, ""], dtype=object)
-    fixed = len(ids) + np.arange(7)
+    fixed = n + np.arange(7)
     tokens = np.empty((len(a), 8), dtype=np.int32)
     tokens[:, :4] = fixed[_NOTHING]
     tokens[opens, 0] = fixed[_NEXT_ARC]
@@ -647,11 +652,10 @@ def _scheme_text(items, key_src, key_dst, opens, a, b, sep=", ", colon=": ") -> 
     tokens[:, 5] = a
     tokens[:, 6] = fixed[_COMMA]
     tokens[:, 7] = b
-    tokens[:, 5::2] += shift
     tokens[:1, 0] = fixed[_QUOTE]
     flat = tokens.ravel()
     return "".join([
-        '{"order"', colon, "[", sep.join(words[items + shift].tolist()), "]", sep,
+        '{"order"', colon, "[", sep.join(words[items].tolist()), "]", sep,
         '"labels"', colon, "{",
         *("".join(words[flat[i:i + _JOIN_TOKENS]].tolist())
           for i in range(0, len(flat), _JOIN_TOKENS)),
@@ -860,8 +864,7 @@ def build_scheme(model: ArcModel) -> RoutingScheme:
     Raises NotRealCircularArc (from ``build_clique_cycle``) when the arcs
     leave part of the circle uncovered.
     """
-    graph = intersection_graph(model)
-    cycle = build_clique_cycle(model, graph)
+    cycle = build_clique_cycle(model)
     vorder = build_vertex_order(cycle)
     ctx = LabelingContext(cycle, vorder)
     runs = (np.concatenate(cols) for cols in zip(ctx.side_runs, _plan_facings(ctx)))

@@ -55,23 +55,20 @@ def counter_pairs(lc_u, len_u, lc_v, len_v, k: int):
             & ((lc_v - lc_u) % k < len_u) & ((lc_u - lc_v) % k < len_v))
 
 
-def build_clique_cycle(model: ArcModel, graph: Graph | None = None) -> CliqueCycle:
-    """Derive the clique-cycle of a circle-covering model.
+def build_clique_cycle(model: ArcModel) -> CliqueCycle:
+    """Derive the clique-cycle of a circle-covering model, with its
+    intersection graph.
 
     Raises NotRealCircularArc when some gap is uncovered (interval-graph
-    models are out of scope for the scheme construction).  The per-gap
-    coverage serves both that check and as the point-clique sizes, which
-    ``clique_runs`` compares with arc counts to test containment exactly.
+    models are out of scope for the scheme construction), before the
+    graph is built.  The per-gap coverage serves both that check and as
+    the point-clique sizes, which ``clique_runs`` compares with arc counts
+    to test containment exactly.
     """
     sizes = gap_coverage(model)
     if not (sizes > 0).all():
         raise NotRealCircularArc("arcs do not cover the whole circle")
-    if graph is None:
-        graph = intersection_graph(model)
-    elif graph.n != model.n:
-        raise ValueError(f"graph has {graph.n} vertices but the model "
-                         f"{model.n} arcs")
-    return CliqueCycle(graph, *clique_runs(model, sizes))
+    return CliqueCycle(intersection_graph(model), *clique_runs(model, sizes))
 
 
 def clique_runs(model: ArcModel, sizes: np.ndarray

@@ -90,29 +90,22 @@ def _check_structure(graph: Graph, scheme: RoutingScheme) -> None:
         raise StructuralSchemeError(
             f"scheme order covers {scheme.n} vertices, graph has {n}"
         )
-    src, dst = scheme.src, scheme.dst
-    invalid = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
-    bad = invalid.copy()
-    bad[~invalid] = ~graph.adj[src[~invalid], dst[~invalid]]
+    # the rows are sorted by arc, so the first non-edge is the lowest
+    bad = ~graph.adj[scheme.src, scheme.dst]
     if bad.any():
-        first = np.lexsort((dst[bad], src[bad]))[0]
-        v, w = int(src[bad][first]), int(dst[bad][first])
-        problem = "a valid arc" if invalid[bad][first] else "a graph edge"
-        raise StructuralSchemeError(f"arc ({v}, {w}) is not {problem}")
-    # the arcs are valid, so the rows are in (source, target) order
-    start, length = scheme.start, scheme.length
-    outside = (start < 0) | (start >= n) | (length < 1) | (length > n)
-    if outside.any():
-        i = np.flatnonzero(outside)[0]
+        i = np.argmax(bad)
         raise StructuralSchemeError(
-            f"arc ({src[i]}, {dst[i]}) has an interval outside the order")
+            f"arc ({scheme.src[i]}, {scheme.dst[i]}) is not a graph edge")
 
 
 def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:
     """Check a scheme against the graph; collects every violation.
 
-    Raises StructuralSchemeError for malformed schemes (wrong vertex set,
-    intervals on non-edges); verification failures are reported, not
+    Raises StructuralSchemeError when the scheme does not fit the graph:
+    its order has another vertex count, or a row labels a non-edge.  A
+    row outside the order (an id that is no vertex, a loop, an interval
+    that is no run of the order) never gets here: ``RoutingScheme``
+    rejects it when it is built.  Verification failures are reported, not
     raised.  Every row is checked in one pass; each list runs by source
     vertex, then by row (strictness, shortest paths) or by destination.
     """
@@ -315,7 +308,6 @@ class IntervalStats:
 
 
 def interval_stats(scheme: RoutingScheme) -> IntervalStats:
-    # arcs by their first rows, so that any ids count apart
     first = np.flatnonzero(scheme._arc_opens())
     per_arc = np.diff(first, append=len(scheme.src))
     doubled, doubles = np.unique(scheme.src[first[per_arc >= 2]], return_counts=True)

@@ -54,14 +54,19 @@ def test_rejects_non_real_model():
         build_clique_cycle(model)
 
 
-def test_rejects_a_graph_of_another_model():
-    # unchecked, a ring of five's graph would fail only later, in
-    # build_vertex_order, on numpy's "operands could not be broadcast"
-    with pytest.raises(ValueError, match="graph has 5 vertices but the model 4 arcs"):
-        build_clique_cycle(gen_ring(4), intersection_graph(gen_ring(5)))
+def test_rejects_non_real_model_before_building_its_graph(monkeypatch):
+    def unreachable(model):
+        raise AssertionError("the graph of a model that does not cover")
+
+    monkeypatch.setattr("arcroute.clique_cycle.intersection_graph", unreachable)
+    with pytest.raises(NotRealCircularArc):
+        build_clique_cycle(load({"n": 2, "arcs": [[0, 1], [2, 3]]}))
+
+
+def test_cycle_holds_the_intersection_graph_of_its_model():
     model = gen_ring(5)
-    graph = intersection_graph(model)
-    assert build_clique_cycle(model, graph).graph is graph
+    graph = build_clique_cycle(model).graph
+    assert (graph.adj == intersection_graph(model).adj).all()
 
 
 def test_c4_cliques_and_spans():
@@ -83,8 +88,7 @@ def test_k3_cliques_are_the_three_pairs():
 
 def test_wheel_hub_spans_whole_cycle():
     model = gen_wheel(6)
-    graph = intersection_graph(model)
-    cycle = build_clique_cycle(model, graph)
+    cycle = build_clique_cycle(model)
     hub = 6
     assert all(hub in members(cycle, model, c) for c in range(cycle.k))
     assert int(cycle.span_len[hub]) == cycle.k
@@ -117,8 +121,8 @@ def test_c4_has_no_counter_pairs():
 def test_counter_relation_is_symmetric():
     for n, seed in [(8, 1), (12, 5), (16, 11)]:
         model = gen_random(n, seed)
-        graph = intersection_graph(model)
-        cycle = build_clique_cycle(model, graph)
+        cycle = build_clique_cycle(model)
+        graph = cycle.graph
         for v in range(n):
             for w in counter_partners(cycle, v):
                 assert v in counter_partners(cycle, w)
@@ -128,8 +132,8 @@ def test_counter_matches_membership_definition():
     # counter pair <=> the shared cliques are not one contiguous run
     for n, seed in [(8, 2), (10, 9)]:
         model = gen_random(n, seed)
-        graph = intersection_graph(model)
-        cycle = build_clique_cycle(model, graph)
+        cycle = build_clique_cycle(model)
+        graph = cycle.graph
         sets = member_sets(cycle, model)
         for v, w in itertools.combinations(range(n), 2):
             if not graph.adj[v, w]:
@@ -148,8 +152,8 @@ def test_vertices_with_counter_partner_dominate_jointly():
     # any vertex must see v or all of v's counter partners
     for n, seed in [(8, 1), (12, 5), (16, 11), (20, 2)]:
         model = gen_random(n, seed)
-        graph = intersection_graph(model)
-        cycle = build_clique_cycle(model, graph)
+        cycle = build_clique_cycle(model)
+        graph = cycle.graph
         for v in range(n):
             partners = counter_partners(cycle, v)
             if not partners:
@@ -361,10 +365,10 @@ def test_clique_runs_match_the_bitmask_reference():
 def test_counter_pairs_and_adjacency_match_the_n_by_n_references():
     models = with_pairs = 0
     for model in _differential_corpus():
-        graph = intersection_graph(model)
+        cycle = build_clique_cycle(model)
+        graph = cycle.graph
         assert (graph.adj == reference_intersection_graph(model).adj).all(), \
             model.to_json()
-        cycle = build_clique_cycle(model, graph)
         lc, ln = cycle.left, cycle.span_len
         pairs = counter_pairs(lc[:, None], ln[:, None], lc[None, :], ln[None, :],
                               cycle.k)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from arcroute import (
     parse_model,
     validate_model,
 )
-from arcroute.generator import _grow_to_cover
+from arcroute.arc_model import gap_coverage
 from conftest import ROOT, context_for
 
 
@@ -138,21 +139,64 @@ def test_perturbed_ring_rejects_small():
         gen_perturbed_ring(7, 0)
 
 
-def test_coverage_repair_grows_to_real():
-    # three short arcs leaving every other gap uncovered
-    arcs = [(0, 1), (2, 3), (4, 5)]
-    repaired = _grow_to_cover(arcs, 3)
-    model = validate_model(3, repaired)
-    assert is_real(model)
+def ref_gen_random(n, seed):
+    """``gen_random`` as it was with a coverage repair: after 32 draws
+    that miss, the last one is re-paired around its uncovered gaps."""
+    rng = random.Random(seed)
+    size = 2 * n
+    last = None
+    for _ in range(32):
+        positions = list(range(size))
+        rng.shuffle(positions)
+        arcs = []
+        for i in range(n):
+            a, b = positions[2 * i], positions[2 * i + 1]
+            arcs.append((a, b) if rng.getrandbits(1) else (b, a))
+        model = validate_model(n, arcs)
+        if is_real(model):
+            return model
+        last = arcs
+    return validate_model(n, ref_grow_to_cover(last, n))
 
 
-def test_coverage_repair_handles_near_full_arc():
-    # one arc covering all but gap 3; flipping another arc finishes it
-    arcs = [(4, 3), (0, 1), (5, 2)]
-    model = validate_model(3, arcs)
-    assert not is_real(model)
-    repaired = _grow_to_cover(arcs, 3)
-    assert is_real(validate_model(3, repaired))
+def ref_grow_to_cover(arcs, n):
+    """Re-pair the endpoints around each uncovered gap g: the arc ending
+    at g and the arc starting at g + 1 swap those ends, and both then
+    cover g; one arc covering all but g has another arc flipped."""
+    size = 2 * n
+    arcs = list(arcs)
+    for _ in range(size + 1):
+        uncovered = np.flatnonzero(gap_coverage(validate_model(n, arcs)) == 0)
+        if not len(uncovered):
+            return arcs
+        gap = int(uncovered[0])
+        left = next(i for i, (_, e) in enumerate(arcs) if e == gap)
+        right = next(i for i, (s, _) in enumerate(arcs) if s == (gap + 1) % size)
+        if left == right:
+            other = 0 if left != 0 else 1
+            arcs[other] = arcs[other][::-1]
+            continue
+        arcs[left] = (arcs[left][0], (gap + 1) % size)
+        arcs[right] = (gap, arcs[right][1])
+    raise AssertionError("coverage repair did not converge")
+
+
+def test_random_draws_until_covered_as_the_repairing_generator_did():
+    # the repair ran only after 32 uncovering draws, which has p ~ 1.6e-7
+    # even at n = 3, so no seed here reaches it and every model agrees
+    cases = [*itertools.product(range(3, 65), range(200)),
+             *((3, seed) for seed in range(5000)),
+             *((200, seed) for seed in range(10))]
+    for n, seed in cases:
+        assert gen_random(n, seed) == ref_gen_random(n, seed), (n, seed)
+
+
+def test_reference_repair_covers_the_circle():
+    # three short arcs leaving every other gap uncovered, and one arc
+    # covering all but gap 3, where another arc is flipped
+    for arcs in ([(0, 1), (2, 3), (4, 5)], [(4, 3), (0, 1), (5, 2)]):
+        assert not is_real(validate_model(3, arcs))
+        assert is_real(validate_model(3, ref_grow_to_cover(arcs, 3)))
 
 
 def test_generated_models_round_trip_canonical_json():

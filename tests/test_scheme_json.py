@@ -4,6 +4,7 @@ fast path and the memory both take."""
 
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -68,17 +69,18 @@ def test_every_spacing_reads_on_the_fast_path(monkeypatch, make):
         assert scheme.to_json() == ref_to_json(expected)
 
 
-def test_writer_matches_the_reference_on_ids_outside_the_order():
-    # the constructor takes any int64 id for an arc's ends
-    schemes = [
-        RoutingScheme(CyclicOrder([0, 1]), [-1, 5, 10 ** 15], [-1, -7, 3],
-                      [0, 1, 0], [1, 1, 2]),
-        RoutingScheme(CyclicOrder([1, 0, 2]), [0, 0, 4, 4, -3], [1, 1, 0, 0, 2],
-                      [0, 2, 1, 0, 2], [1, 1, 2, 1, 3]),
-        RoutingScheme(CyclicOrder([0]), [], [], [], []),
-    ]
-    for scheme in schemes:
-        assert scheme.to_json() == ref_to_json(scheme)
+def test_ids_outside_the_order_never_reach_the_writer():
+    # the constructor once took any int64 id for an arc's ends, and the
+    # writer remapped them
+    for order, src, dst, message in [
+        ([0, 1], [-1, 5, 10 ** 15], [-1, -7, 3], "arc (-1, -1) is not a valid arc"),
+        ([1, 0, 2], [0, 0, 4, 4, -3], [1, 1, 0, 0, 2], "arc (-3, 2) is not a valid arc"),
+    ]:
+        ones = [1] * len(src)
+        with pytest.raises(StructuralSchemeError, match=re.escape(message)):
+            RoutingScheme(CyclicOrder(order), src, dst, ones, ones)
+    empty = RoutingScheme(CyclicOrder([0]), [], [], [], [])
+    assert empty.to_json() == ref_to_json(empty)
 
 
 def test_built_scheme_file_reads_on_the_fast_path(monkeypatch, tmp_path):

@@ -154,18 +154,24 @@ def test_structural_error_on_non_edge_label():
 
 
 def test_structural_error_names_the_first_bad_arc():
-    graph, _ = c4_setup()
+    # an arc outside the order fails when the scheme is built, a non-edge
+    # when it is checked against the graph; each names the lowest such arc
     order = CyclicOrder([0, 1, 2, 3])
     for arcs, message in [
         ([(2, 0), (1, 1), (3, 9)], "arc (1, 1) is not a valid arc"),
-        ([(3, 9), (2, 0)], "arc (2, 0) is not a graph edge"),
+        ([(3, 9), (2, 0)], "arc (3, 9) is not a valid arc"),
         ([(0, 1), (3, -1)], "arc (3, -1) is not a valid arc"),
         ([(1, 1), (0, 9)], "arc (0, 9) is not a valid arc"),
     ]:
         src, dst = zip(*arcs)
         ones = [1] * len(arcs)
         with pytest.raises(StructuralSchemeError, match=re.escape(message)):
-            verify_scheme(graph, RoutingScheme(order, src, dst, ones, ones))
+            RoutingScheme(order, src, dst, ones, ones)
+    graph, _ = c4_setup()
+    scheme = RoutingScheme(order, [3, 2, 3], [0, 0, 1], [1, 1, 1], [1, 1, 1])
+    with pytest.raises(StructuralSchemeError, match=re.escape(
+            "arc (2, 0) is not a graph edge")):
+        verify_scheme(graph, scheme)
 
 
 def test_structural_error_names_the_first_interval_outside_the_order():
@@ -177,11 +183,11 @@ def test_structural_error_names_the_first_interval_outside_the_order():
         ([0, 1, 7, 3], [1, 9, 1, 1], "arc (1, 2) has an interval outside the order"),
         ([0, -1, 2, 3], [0, 1, 1, 1], "arc (0, 1) has an interval outside the order"),
         ([4, 1, 2, 3], [1, 1, 1, 1], "arc (0, 1) has an interval outside the order"),
+        ([0, 1, 7, 3], [1, 1, 1, 1], "arc (2, 3) has an interval outside the order"),
     ]:
         src, dst = zip(*arcs)
-        scheme = RoutingScheme(order, src, dst, starts, lengths)
         with pytest.raises(StructuralSchemeError, match=re.escape(message)):
-            verify_scheme(graph, scheme)
+            RoutingScheme(order, src, dst, starts, lengths)
     # the whole order is one interval: a strictness failure, not structural
     full = RoutingScheme(order, src, dst, [1, 2, 3, 0], [4, 4, 4, 4])
     assert not verify_scheme(graph, full).strictness_ok
@@ -265,24 +271,51 @@ def test_all_failures_enumerated():
     assert report.disjoint_violations and report.coverage_violations
 
 
-def test_rows_sort_by_source_then_target_whatever_the_ids():
-    # the rows were once sorted on src * n + dst, which put "1->0" before
-    # "0->5" on two vertices and overflows for huge ids
-    scheme = RoutingScheme(CyclicOrder([0, 1]), [0, 1], [5, 0], [1, 0], [1, 1])
-    assert scheme.to_json() == (
-        '{"order": [0, 1], "labels": {"0->5": [[1, 1]], "1->0": [[0, 0]]}}')
-    huge = 2 ** 62
-    scheme = RoutingScheme(CyclicOrder([0, 1]), [huge, 0, 0, -1], [0, huge, 3, 7],
-                           [1, 0, 1, 0], [1, 1, 2, 1])
-    assert scheme.src.tolist() == [-1, 0, 0, huge]
-    assert scheme.dst.tolist() == [7, 3, huge, 0]
-    # the first row opens its arc's entry even when its ids are -1
-    assert json.loads(RoutingScheme(
-        CyclicOrder([0, 1]), [-1], [-1], [0], [1]).to_json())["labels"] == {
-            "-1->-1": [[0, 0]]}
+def test_rows_sort_by_source_then_target():
+    # each arc keeps its intervals in their given order
+    scheme = RoutingScheme(CyclicOrder([0, 1, 2]), [2, 0, 1, 0, 0], [0, 2, 0, 1, 2],
+                           [1, 1, 2, 2, 0], [1, 1, 1, 1, 1])
+    assert scheme.src.tolist() == [0, 0, 0, 1, 2]
+    assert scheme.dst.tolist() == [1, 2, 2, 0, 0]
+    assert scheme.start.tolist() == [2, 1, 0, 2, 1]
+
+
+@pytest.mark.parametrize("src,dst,message", [
+    ([0, 1], [5, 0], "arc (0, 5) is not a valid arc"),
+    ([2 ** 62, 0, 0, -1], [0, 2 ** 62, 3, 7], "arc (-1, 7) is not a valid arc"),
+    ([-1], [-1], "arc (-1, -1) is not a valid arc"),
+], ids=["past_the_order", "huge_and_negative", "negative_loop"])
+def test_ids_outside_the_order_fail_when_the_scheme_is_built(src, dst, message):
+    # such rows once sorted pairwise, and the writer remapped their ids
+    ones = [1] * len(src)
+    with pytest.raises(StructuralSchemeError, match=re.escape(message)):
+        RoutingScheme(CyclicOrder([0, 1]), src, dst, [0] * len(src), ones)
+
+
+@pytest.mark.parametrize("starts,lengths", [
+    ([0, 1, 2, -1], [1, 1, 1, 1]),
+    ([0, 1, 2, 3], [1, 1, 1, 0]),
+    ([0, 1, 2, 9], [1, 1, 1, 1]),
+], ids=["start_minus_one", "length_zero", "start_nine"])
+def test_intervals_outside_the_order_fail_when_the_scheme_is_built(starts, lengths):
+    # these were written as [3, 3], [0, 3] and an IndexError, and the
+    # first two read back as start 3 and length 4
     with pytest.raises(StructuralSchemeError, match=re.escape(
-            "arc (-1, 7) is not a valid arc")):
-        verify_scheme(graph_from_edges(2, [(0, 1)]), scheme)
+            "arc (3, 0) has an interval outside the order")):
+        c4_arrays(starts, lengths)
+
+
+def test_scheme_arrays_are_read_only_copies():
+    _, built = c4_setup()
+    for name in ("src", "dst", "start", "length"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(built, name)[0] = 0
+    src = np.array([0, 1, 2, 3])
+    scheme = RoutingScheme(CyclicOrder([0, 1, 2, 3]), src, [1, 2, 3, 0],
+                           [1, 2, 3, 0], [1, 1, 1, 1])
+    assert src.flags.writeable
+    src[0] = 3
+    assert scheme.src.tolist() == [0, 1, 2, 3]
 
 
 def test_route_c4():
@@ -549,10 +582,8 @@ def c4_arrays(starts, lengths):
 
 @pytest.mark.parametrize("make,source", [
     (lambda: scheme_from([0, 1, 2, 3], PHANTOM_LABELS), 0),
-    (lambda: c4_arrays([0, 1, 2, 3], [1, 1, 1, -1]), 3),
-    (lambda: c4_arrays([0, 1, 7, 3], [1, 1, 1, 1]), 2),
     (lambda: scheme_from([0, 1, 2], {(0, 1): [(1, 2)]}), 0),
-], ids=["non_edge", "negative_length", "start_outside", "small_order"])
+], ids=["non_edge", "small_order"])
 def test_route_and_route_lengths_reject_what_verify_rejects(make, source):
     graph, _ = c4_setup()
     scheme = make()
@@ -625,23 +656,18 @@ def test_interval_stats_bound_fields():
     assert stats.doubles_within_bound
 
 
-def test_interval_stats_count_arcs_apart_whatever_the_ids():
+def test_interval_stats_count_arcs_apart():
     # arcs were once grouped on src * n + dst, which on two vertices made
-    # (0, 5) and (1, 3) one arc with two intervals, doubled at vertex 2
-    stats = interval_stats(
-        RoutingScheme(CyclicOrder([0, 1]), [0, 1], [5, 3], [1, 0], [1, 1]))
-    assert stats.arc_count == 2
-    assert stats.max_intervals_per_arc == 1
-    assert stats.double_labeled_arcs_per_vertex == {}
-    # huge and negative ids neither merge nor crash the count of doubles
-    huge = 2 ** 62
+    # (0, 5) and (1, 3) one arc; now no such scheme is built
+    with pytest.raises(StructuralSchemeError, match=re.escape(
+            "arc (0, 5) is not a valid arc")):
+        RoutingScheme(CyclicOrder([0, 1]), [0, 1], [5, 3], [1, 0], [1, 1])
     stats = interval_stats(RoutingScheme(
-        CyclicOrder([0, 1]), [huge, huge, -1, -1, 0], [0, 0, 7, 8, 1],
+        CyclicOrder([0, 1, 2]), [2, 2, 1, 1, 0], [0, 0, 0, 2, 1],
         [0, 1, 0, 0, 1], [1, 1, 1, 1, 1]))
     assert (stats.arc_count, stats.max_intervals_per_arc) == (4, 2)
-    assert stats.double_labeled_arcs_per_vertex == {huge: 1}
-    assert json.loads(stats.to_json())["double_labeled_arcs_per_vertex"] == {
-        str(huge): 1}
+    assert stats.double_labeled_arcs_per_vertex == {2: 1}
+    assert json.loads(stats.to_json())["double_labeled_arcs_per_vertex"] == {"2": 1}
 
 
 def reference_interval_stats(scheme):
