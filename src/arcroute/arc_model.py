@@ -140,6 +140,11 @@ class Graph:
     Keeps a boolean adjacency matrix so that hot paths get O(1) adjacency
     tests; fine for the n <= a few thousand instances this package
     targets.  A vertex's sorted neighbors are ``np.flatnonzero(adj[v])``.
+
+    The caller hands ``adj`` over: the graph keeps a read-only view of it,
+    not a copy, so the array must not be written afterwards.  ``adj`` and
+    ``degrees`` are read-only, so that ``m`` and the checks cached on the
+    graph stay true.
     """
 
     __slots__ = ("n", "m", "adj", "degrees")
@@ -154,8 +159,8 @@ class Graph:
         if not _is_symmetric(adj):
             raise ValueError("adjacency must be symmetric")
         self.n = int(n)
-        self.adj = adj
-        self.degrees = adj.sum(axis=1).astype(np.int64)
+        self.adj, self.degrees = adj.view(), adj.sum(axis=1).astype(np.int64)
+        self.adj.flags.writeable = self.degrees.flags.writeable = False
         self.m = int(self.degrees.sum()) // 2
 
 

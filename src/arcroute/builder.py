@@ -590,29 +590,21 @@ class RoutingScheme:
     def to_json(self) -> str:
         items = self.order.items
         opens = self._arc_opens()
-        return _scheme_text(items, self.src[opens], self.dst[opens], opens,
-                            items[self.start],
-                            items[(self.start + self.length - 1) % len(items)])
+        return "".join(_scheme_pieces(
+            items, self.src[opens], self.dst[opens], opens, items[self.start],
+            items[(self.start + self.length - 1) % len(items)]))
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "RoutingScheme":
         """Read a scheme written in the format of ``to_json``, with any JSON
         whitespace, arcs in any order and arcs listed with no intervals.
 
-        The numbers are read first and trusted afterwards: ``_read_canonical``
-        takes every digit run in bulk and writes what it read back as compact
-        JSON, and the reading holds only if that text equals ``data`` with
-        every space, tab, CR and LF removed.  So a sign, a leading zero, a
-        float, an escape, digits run together, an extra key or a key out of
-        place all fail the comparison.  Such a document goes through
-        ``json.loads`` instead, which raises StructuralSchemeError naming
-        what is wrong, or returns the document in canonical form for a
-        second reading.
+        The bytes ``to_json`` writes, with arcs in any order and at most one
+        final newline, are read in bulk by ``_read_written``.  Any other
+        document goes through ``json.loads`` in ``_read_json``, which raises
+        StructuralSchemeError naming what is wrong.
         """
-        parsed = _read_canonical(data)
-        if parsed is None:
-            parsed = _read_canonical(_canonical_json(data))
-        order, src, dst, counts, ends = parsed
+        order, src, dst, counts, ends = _read_written(data) or _read_json(data)
         start, end = order.pos[ends[0::2]], order.pos[ends[1::2]]
         return cls(order, np.repeat(src, counts), np.repeat(dst, counts),
                    start, (end - start) % order.n + 1)
@@ -624,22 +616,22 @@ class RoutingScheme:
 # list, the join of two intervals of one arc, the comma inside an
 # interval, and nothing, for the key slots of a row that continues its arc
 _QUOTE, _NEXT_ARC, _ARROW, _OPEN_LIST, _NEXT_INTERVAL, _COMMA, _NOTHING = range(7)
-# tokens joined into one string at a time, bounding the joined list
+# tokens joined into one piece at a time, bounding the joined list
 _JOIN_TOKENS = 1 << 16
 
 
-def _scheme_text(items, key_src, key_dst, opens, a, b, sep=", ", colon=": ") -> str:
-    """The scheme JSON of an order and its interval rows, written in bulk.
+def _scheme_pieces(items, key_src, key_dst, opens, a, b):
+    """The scheme JSON of an order and its interval rows, written in bulk
+    and yielded in pieces, so that the reader compares it without joining.
 
     Row ``i`` is interval ``[a[i], b[i]]``; ``opens`` marks the rows that
     begin an arc's list, and ``key_src`` / ``key_dst`` name those arcs.
-    ``sep`` and ``colon`` are the separators between list items and after a
-    key.  Each row is eight tokens indexing one word table: the decimal
-    ids 0 .. n - 1, then the fixed words, so the text is one join.
+    Each row is eight tokens indexing one word table: the decimal
+    ids 0 .. n - 1, then the fixed words, so each piece is one join.
     """
     n = len(items)
     words = np.array(list(map(str, range(n))) + [
-        '"', f']]{sep}"', "->", f'"{colon}[[', f"]{sep}[", sep, ""], dtype=object)
+        '"', ']], "', "->", '": [[', "], [", ", ", ""], dtype=object)
     fixed = n + np.arange(7)
     tokens = np.empty((len(a), 8), dtype=np.int32)
     tokens[:, :4] = fixed[_NOTHING]
@@ -654,15 +646,12 @@ def _scheme_text(items, key_src, key_dst, opens, a, b, sep=", ", colon=": ") -> 
     tokens[:, 7] = b
     tokens[:1, 0] = fixed[_QUOTE]
     flat = tokens.ravel()
-    return "".join([
-        '{"order"', colon, "[", sep.join(words[items].tolist()), "]", sep,
-        '"labels"', colon, "{",
-        *("".join(words[flat[i:i + _JOIN_TOKENS]].tolist())
-          for i in range(0, len(flat), _JOIN_TOKENS)),
-        "]]}}" if len(a) else "}}"])
+    yield '{"order": [' + ", ".join(words[items].tolist()) + '], "labels": {'
+    for i in range(0, len(flat), _JOIN_TOKENS):
+        yield "".join(words[flat[i:i + _JOIN_TOKENS]].tolist())
+    yield "]]}}" if len(a) else "}}"
 
 
-_WHITESPACE = b" \t\n\r"
 # bytes.translate table turning every byte but a decimal digit into a space
 _DIGITS_ONLY = bytes(c if 48 <= c < 58 else 32 for c in range(256))
 
@@ -675,20 +664,22 @@ def _numbers(text: bytes) -> np.ndarray:
     return np.fromstring(digits, dtype=np.int64, sep=" ")
 
 
-def _read_canonical(data: bytes | str):
+def _read_written(data: bytes | str):
     """(order, arc sources, arc targets, intervals per arc, interval ends)
-    of a scheme in ``to_json``'s format, or None to leave ``data`` to
+    of ``data`` if it is text that ``to_json`` writes, with its arcs in any
+    order and at most one final newline, else None to leave ``data`` to
     ``json.loads``.
 
     Between its quotes lie the strings: ``order``, ``labels`` and one key
     per arc.  One bulk read takes every number: the order's, then per arc
     two for the key and two per interval, an arc's intervals being the
     opening brackets of its list but one.  Every id must lie below n
-    before anything is written back, the text written back must equal
-    ``data`` without whitespace, and its strings must be as long as
-    those of ``data``, so that no string of ``data`` holds whitespace.
-    An arc with no intervals, a repeated arc and an order that is not a
-    permutation are left to ``json.loads`` too.
+    before anything is written back, and the text written back in
+    ``to_json``'s format must be ``data`` byte for byte, so a sign, a
+    leading zero, a float, an escape, other whitespace, an extra key or a
+    key out of place all leave ``data`` to ``json.loads``.  So do an arc
+    with no intervals, a repeated arc and an order that is not a
+    permutation.
     """
     if isinstance(data, str):
         try:
@@ -707,6 +698,7 @@ def _read_canonical(data: bytes | str):
     # each key's closing quote and the next quote (or the end) bound its list
     edges = np.searchsorted(np.flatnonzero(raw == ord("[")),
                             np.append(quotes[5:], len(raw)))
+    del quotes
     counts = edges[1::2] - edges[0:-1:2] - 1
     if ((counts < 1).any() or len(numbers) != 2 * (len(counts) + counts.sum())
             or any(x.size and x.max() >= n for x in (order, numbers))):
@@ -720,16 +712,14 @@ def _read_canonical(data: bytes | str):
     ends = numbers[~is_key]
     # the rewrite below is the peak, so what it does not need goes first
     del numbers, is_key
-    # the bytes inside the strings of ``data``
-    strings = int((quotes[1::2] - quotes[0::2]).sum())
-    del quotes
     opens = np.zeros(len(ends) // 2, dtype=bool)
     opens[np.cumsum(counts) - counts] = True
-    text = _scheme_text(order, src, dst, opens, ends[0::2], ends[1::2],
-                        ",", ":").encode("ascii")
-    written = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord('"'))
-    if (text != data.translate(None, _WHITESPACE)
-            or (written[1::2] - written[0::2]).sum() != strings):
+    at = 0
+    for piece in _scheme_pieces(order, src, dst, opens, ends[0::2], ends[1::2]):
+        if not data.startswith(piece.encode("ascii"), at):
+            return None
+        at += len(piece)
+    if data[at:] not in (b"", b"\n"):
         return None
     try:
         cyclic = CyclicOrder(order)
@@ -741,10 +731,10 @@ def _read_canonical(data: bytes | str):
     return cyclic, src, dst, counts, ends
 
 
-def _canonical_json(data: bytes | str) -> str:
-    """``data`` in ``to_json``'s compact format through ``json.loads``,
-    without arcs listed with no intervals; StructuralSchemeError names
-    the first fault of a document that is no scheme."""
+def _read_json(data: bytes | str):
+    """(order, arc sources, arc targets, intervals per arc, interval ends)
+    of a scheme document read through ``json.loads``; StructuralSchemeError
+    names the first fault of a document that is no scheme."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -763,9 +753,10 @@ def _canonical_json(data: bytes | str) -> str:
     if not isinstance(raw_labels, dict):
         raise StructuralSchemeError('"labels" must be an object')
     try:
-        n = CyclicOrder(raw_order).n
+        order = CyclicOrder(raw_order)
     except ValueError as exc:
         raise StructuralSchemeError(str(exc)) from exc
+    n = order.n
     keys, lists = list(raw_labels), list(raw_labels.values())
     for key, ivls in zip(keys, lists):
         if _ARC_KEY.fullmatch(key) is None or not isinstance(ivls, list):
@@ -793,8 +784,8 @@ def _canonical_json(data: bytes | str) -> str:
     if outside.any():
         a, b = ab[outside][0].tolist()
         raise StructuralSchemeError(f"interval [{a}, {b}] outside the order")
-    return json.dumps({"order": raw_order, "labels": {
-        key: ivls for key, ivls in zip(keys, lists) if ivls}}, separators=(",", ":"))
+    counts = np.array(list(map(len, lists)), dtype=np.int64)
+    return order, arcs[:, 0], arcs[:, 1], counts, ab.ravel()
 
 
 # canonical arc key: two decimal vertex ids without sign or leading zero

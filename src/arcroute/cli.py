@@ -10,15 +10,12 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .arc_model import intersection_graph, parse_model
 from .builder import RoutingScheme, build_scheme
 from .errors import ArcRouteError, RouteError
 from .generator import (gen_complete, gen_perturbed_ring, gen_random, gen_ring,
                         gen_wheel)
-from .oracle import DEFAULT_VERTEX_LIMIT, has_shortest_path_1irs
-from .ring_order import CyclicOrder
+from .oracle import DEFAULT_VERTEX_LIMIT, has_shortest_path_1irs, witness_rows
 from .verifier import interval_stats, route, verify_scheme
 
 EXIT_OK = 0
@@ -71,18 +68,19 @@ def _cmd_route(args) -> int:
     return EXIT_OK
 
 
+# the generator of each ``gen --family``, in the order usage lists them
+_FAMILIES = {
+    "ring": lambda n, seed: gen_ring(n),
+    "wheel": lambda n, seed: gen_wheel(n),
+    "random": lambda n, seed: gen_random(n, seed),
+    "complete": lambda n, seed: gen_complete(n),
+    "perturbed-ring": lambda n, seed: gen_perturbed_ring(n, seed),
+}
+
+
 def _cmd_gen(args) -> int:
     try:
-        if args.family == "ring":
-            model = gen_ring(args.n)
-        elif args.family == "wheel":
-            model = gen_wheel(args.n)
-        elif args.family == "complete":
-            model = gen_complete(args.n)
-        elif args.family == "perturbed-ring":
-            model = gen_perturbed_ring(args.n, args.seed)
-        else:
-            model = gen_random(args.n, args.seed)
+        model = _FAMILIES[args.family](args.n, args.seed)
     except ValueError as exc:  # too few vertices for the family
         raise BadArgumentError(str(exc)) from exc
     text = model.to_json()
@@ -100,12 +98,8 @@ def _cmd_oracle1(args) -> int:
                                     strict=args.strict)
     if result.exists_1irs:
         print("1-IRS exists", file=sys.stderr)
-        order = CyclicOrder(result.witness_order)
-        rows = np.array([(v, w, ivl.a, ivl.b) for (v, w), ivl in
-                         result.witness_labels.items()], dtype=np.int64).reshape(-1, 4)
-        a, b = order.pos[rows[:, 2:]].T
-        witness = RoutingScheme(order, rows[:, 0], rows[:, 1], a,
-                                (b - a) % order.n + 1).to_json()
+        witness = RoutingScheme(*witness_rows(
+            result.witness_order, result.witness_labels)).to_json()
         print(witness)
         if args.witness_out:
             Path(args.witness_out).write_text(witness + "\n", encoding="utf-8")
@@ -140,9 +134,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_route)
 
     p = sub.add_parser("gen", help="generate an arc model")
-    p.add_argument("--family", choices=["ring", "wheel", "random", "complete",
-                                         "perturbed-ring"],
-                   required=True)
+    p.add_argument("--family", choices=list(_FAMILIES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

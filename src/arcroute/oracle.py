@@ -143,15 +143,23 @@ def _segments_for_vertex(order, allowed, v, nbrs, strict):
     return None
 
 
-def _certify_witness(graph, dist, order, labels, strict) -> None:
-    """Re-check the witness against the relaxed scheme constraints."""
-    n = graph.n
+def witness_rows(order, labels) -> tuple:
+    """A witness order and its labels as the arguments of ``RoutingScheme``:
+    the cyclic order, then each interval's source, target, start position
+    and length."""
     cyc = CyclicOrder(order)
     rows = np.array([(v, w, ivl.a, ivl.b) for (v, w), ivl in labels.items()],
                     dtype=np.int64).reshape(-1, 4)
     a, b = cyc.pos[rows[:, 2:]].T
-    run, positions = expand_runs(a, (b - a) % n + 1, n)
-    v, w, u = rows[run, 0], rows[run, 1], cyc.items[positions]
+    return cyc, rows[:, 0], rows[:, 1], a, (b - a) % cyc.n + 1
+
+
+def _certify_witness(graph, dist, order, labels, strict) -> None:
+    """Re-check the witness against the relaxed scheme constraints."""
+    n = graph.n
+    cyc, src, dst, start, length = witness_rows(order, labels)
+    run, positions = expand_runs(start, length, n)
+    v, w, u = src[run], dst[run], cyc.items[positions]
     own = u == v
     if strict and own.any():
         raise ConstructionError("strict witness covers itself")

@@ -345,6 +345,18 @@ def test_graph_accepts_a_symmetric_adjacency():
     assert Graph(0, np.zeros((0, 0), dtype=bool)).m == 0
 
 
+def test_graph_arrays_are_read_only_views():
+    # a write once deleted an edge under a verified scheme, which then
+    # routed over it, and left degrees and m stale
+    graph = intersection_graph(gen_ring(5))
+    assert graph.adj.base is not None  # a view, not an n x n copy
+    with pytest.raises(ValueError, match="read-only"):
+        graph.adj[0, 1] = False
+    with pytest.raises(ValueError, match="read-only"):
+        graph.degrees[0] = 0
+    assert graph.adj[0, 1] and graph.degrees[0] == 2 and graph.m == 5
+
+
 @pytest.mark.parametrize("v", [-1, 5, True, np.True_, 1.0, "1", None])
 def test_graph_readers_reject_vertex_ids_outside_the_graph(v):
     # -1 would read vertex 4's row; True and 1.0 would escape as IndexError

@@ -1,6 +1,6 @@
 """The scheme JSON writer and reader against their one-row-at-a-time
 references (the corpus is compared in ``test_builder.py``), the reader's
-fast path and the memory both take."""
+bulk path for the writer's own bytes and the memory both take."""
 
 import json
 import random
@@ -32,16 +32,21 @@ def read_counting(monkeypatch, data):
 
 
 def spacings(text):
-    """``text`` with other JSON whitespace, as bytes and as text."""
+    """``text`` as the writer writes it, and with other JSON whitespace,
+    as ``(data, reads in bulk)`` pairs: only the writer's bytes, with arcs
+    in any order and at most one final newline, read in bulk."""
     obj = json.loads(text)
     keys = list(obj["labels"])
     random.Random(len(keys)).shuffle(keys)
     shuffled = {"order": obj["order"], "labels": {k: obj["labels"][k] for k in keys}}
-    return [text, text + "\n", text.encode(), (text + "\r\n").encode(),
-            json.dumps(obj, indent=2), json.dumps(obj, separators=(",", ":")),
-            json.dumps(obj, separators=(",\t", ":\r\n")),
-            json.dumps(obj, indent="\t").replace("\n", "\r\n"),
-            json.dumps(shuffled), json.dumps(shuffled, indent=2)]
+    written = [text, text + "\n", text.encode(), (text + "\n").encode(),
+               json.dumps(shuffled)]
+    other = [text + "\n\n", (text + "\r\n").encode(),
+             json.dumps(obj, indent=2), json.dumps(obj, separators=(",", ":")),
+             json.dumps(obj, separators=(",\t", ":\r\n")),
+             json.dumps(obj, indent="\t").replace("\n", "\r\n"),
+             json.dumps(shuffled, indent=2)]
+    return [(data, True) for data in written] + [(data, False) for data in other]
 
 
 def two_interval_scheme():
@@ -51,19 +56,29 @@ def two_interval_scheme():
             '"2->1": [[1, 1]]}}')
 
 
-@pytest.mark.parametrize("make", [
+SCHEMES = [
     lambda: build_scheme(gen_random(40, 3)).to_json(),
     lambda: build_scheme(gen_ring(9)).to_json(),
     lambda: build_scheme(perturbed_ring(40, 1)).to_json(),
     two_interval_scheme,
     lambda: '{"order": [0], "labels": {}}',
-], ids=["random", "ring", "perturbed", "two-interval", "one-vertex"])
-def test_every_spacing_reads_on_the_fast_path(monkeypatch, make):
+]
+SCHEME_IDS = ["random", "ring", "perturbed", "two-interval", "one-vertex"]
+
+
+@pytest.mark.parametrize("make", SCHEMES, ids=SCHEME_IDS)
+def test_only_the_writers_bytes_read_in_bulk(monkeypatch, make):
+    for data, bulk in spacings(make()):
+        _, calls = read_counting(monkeypatch, data)
+        assert calls == (0 if bulk else 1), data
+
+
+@pytest.mark.parametrize("make", SCHEMES, ids=SCHEME_IDS)
+def test_every_spacing_reads_as_the_reference(make):
     text = make()
     expected = ref_from_json(text)
-    for data in spacings(text):
-        scheme, calls = read_counting(monkeypatch, data)
-        assert calls == 0, data
+    for data, _ in spacings(text):
+        scheme = RoutingScheme.from_json(data)
         assert same_scheme(scheme, ref_from_json(data)), data
         assert same_scheme(scheme, expected), data
         assert scheme.to_json() == ref_to_json(expected)
