@@ -226,28 +226,23 @@ def _frontier_distances(graph: Graph) -> np.ndarray | None:
     n, adj = graph.n, graph.adj
     budget = FRONTIER_WORK * (n + 2 * graph.m)
     reached = n + 2 * graph.m  # pairs at hop distance 0 or 1
-    level, grew, dist = 1, graph.m > 0, None
-    while grew and reached < n * n:
+    level, count, dist = 1, graph.m, None
+    while count > 0 and reached < n * n:
         level += 1
         if level * n * n > budget:
             return None
         if dist is None:  # the first product: set up from level 1
             dist = _level_one(adj)
-            unseen, new = dist < 0, np.empty(adj.shape, dtype=bool)
+            unseen = dist < 0
             frontier = a32 = adj.astype(np.float32)
-            spare = None
-        # float32 buffers: the adjacency and at most two frontiers
-        product = np.matmul(frontier, a32, out=spare)
-        np.greater(product, 0, out=new)
+        new = frontier @ a32 > 0
         new &= unseen
         unseen ^= new
         dist[new] = level
-        product[...] = new
-        spare = None if frontier is a32 else frontier
-        frontier = product
         count = np.count_nonzero(new)
         reached += count
-        grew = count > 0
+        frontier = new.astype(np.float32)
+        del new  # else it would sit beside the next product and its mask
     return _level_one(adj) if dist is None else dist
 
 

@@ -129,17 +129,16 @@ class LabelingContext:
         # ``np.repeat(x, deg)`` is the faster ``x[src]``
         adj, deg = self.graph.adj[:, self.items], self.graph.degrees
         src, col = (a.astype(np.int32) for a in np.nonzero(adj))
-        # ``starts[i]:ends[i]`` holds the edges of the i-th source that has any
-        has = deg > 0
-        ends = np.cumsum(deg)[has]
-        starts = ends - deg[has]
+        # ``starts[v]:ends[v]`` holds the edges of v, and no v is isolated: the
+        # arc covering the gap before v's start cannot end there, so it meets v
+        ends = np.cumsum(deg)
+        starts = ends - deg
         tgt = items[col]
         off = (col - np.repeat(pos, deg)) % n
         # the counter pairs are edges, so one test per edge finds them all
         lc_src, lc_tgt, span_tgt = np.repeat(lc, deg), lc[tgt], span[tgt]
         counter = counter_pairs(lc_src, np.repeat(span, deg), lc_tgt, span_tgt, k)
-        self.partner = np.full(n, n, dtype=np.int32)
-        self.partner[has] = np.minimum.reduceat(np.where(counter, tgt, n), starts)
+        self.partner = np.minimum.reduceat(np.where(counter, tgt, n), starts)
         self.has_counter = self.partner < n
         self.any_counter_pair = bool(self.has_counter.any())
         # left vertex: the candidate neighbor farthest behind v (reaching
@@ -147,8 +146,7 @@ class LabelingContext:
         # the head of v's block when that lies further behind
         cand = (((lc_src - lc_tgt) % k < span_tgt) & (lc_tgt != lc_src) & ~dom[tgt]
                 & ~counter)
-        back = np.zeros(n, dtype=np.int32)
-        back[has] = np.maximum.reduceat(np.where(cand, n - off, 0), starts)
+        back = np.maximum.reduceat(np.where(cand, n - off, 0), starts)
         back = np.where(dom, 0, np.maximum(back, (pos - pos[head[lc]]) % n))
         self.left_of = np.where(back > 0, items[(pos - back) % n], -1)
         self.middle_of = np.where(dom, -1, middle)
@@ -178,8 +176,7 @@ class LabelingContext:
             # then the smallest offset, which it leaves as ``-key % n``
             reach = (rc[tgt] - rc_src) % k
             key = (reach * 3 + 3 - rank).astype(np.int64) * n - off
-            best = np.zeros(n, dtype=np.int64)
-            best[has] = np.maximum.reduceat(np.where(holds, key, 0), starts)
+            best = np.maximum.reduceat(np.where(holds, key, 0), starts)
             self.right_of[best > 0] = items[(pos - best)[best > 0] % n]
         # a side-block neighbor carries itself and the non-neighbors up to
         # the next neighbor clockwise, never past the end of its block

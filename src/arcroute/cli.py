@@ -98,11 +98,8 @@ def _cmd_oracle1(args) -> int:
                                     strict=args.strict)
     if result.exists_1irs:
         print("1-IRS exists", file=sys.stderr)
-        witness = RoutingScheme(*witness_rows(
-            result.witness_order, result.witness_labels)).to_json()
-        print(witness)
-        if args.witness_out:
-            Path(args.witness_out).write_text(witness + "\n", encoding="utf-8")
+        print(RoutingScheme(*witness_rows(
+            result.witness_order, result.witness_labels)).to_json())
     else:
         print("no 1-IRS", file=sys.stderr)
         print('{"exists_1irs": false}')
@@ -144,7 +141,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--limit", type=int, default=DEFAULT_VERTEX_LIMIT)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--witness-out", default=None)
     p.set_defaults(func=_cmd_oracle1)
     return parser
 

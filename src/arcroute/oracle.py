@@ -14,8 +14,6 @@ order fits v when the runs of consecutive neighbors meet.
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -24,8 +22,6 @@ import numpy as np
 from .arc_model import Graph, all_pairs_distances
 from .errors import ConstructionError, OracleLimitError
 from .ring_order import CyclicOrder, RingInterval, expand_runs
-
-log = logging.getLogger(__name__)
 
 DEFAULT_VERTEX_LIMIT = 9
 
@@ -54,8 +50,8 @@ def has_shortest_path_1irs(
         raise OracleLimitError(
             f"{n} vertices exceed the oracle limit of {vertex_limit}"
         )
-    if n == 1:
-        return OracleResult(True, (0,), {})
+    if n <= 1:
+        return OracleResult(True, tuple(range(n)), {})
     dist = all_pairs_distances(graph)
     if (dist < 0).any():
         return OracleResult(False)
@@ -65,13 +61,10 @@ def has_shortest_path_1irs(
     nbrs = [np.flatnonzero(graph.adj[v]).tolist() for v in range(n)]
 
     by_degree = sorted(range(n), key=lambda v: int(graph.degrees[v]))
-    started = time.perf_counter()
-    tried = 0
     for rest in permutations(range(1, n)):
         if n >= 3 and rest[0] > rest[-1]:
             continue  # reflected duplicate
         order = (0,) + rest
-        tried += 1
         assignment: dict[tuple[int, int], RingInterval] = {}
         feasible = True
         for v in by_degree:
@@ -81,12 +74,8 @@ def has_shortest_path_1irs(
                 break
             assignment.update(segs)
         if feasible:
-            log.debug("1-IRS witness after %d orders in %.3fs",
-                      tried, time.perf_counter() - started)
             _certify_witness(graph, dist, order, assignment, strict)
             return OracleResult(True, order, assignment)
-    log.debug("no 1-IRS among %d orders in %.3fs",
-              tried, time.perf_counter() - started)
     return OracleResult(False)
 
 

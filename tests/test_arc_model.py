@@ -11,6 +11,7 @@ import pytest
 from arcroute import (
     Graph,
     build_clique_cycle,
+    build_scheme,
     gen_complete,
     gen_random,
     gen_ring,
@@ -244,6 +245,31 @@ def test_real_model_is_connected():
         assert (all_pairs_distances(graph) != UNREACHABLE).all()
 
 
+def test_every_vertex_of_a_covering_model_has_a_neighbor():
+    # the frame pass relies on it: the arc covering the gap just before v's
+    # start is not v and cannot end at v's start, so it also covers v's
+    # first gap
+    models = [validate_model(2, [(0, 3), (2, 1)])]
+    models += [gen_ring(k) for k in range(3, 12)]
+    models += [gen_wheel(k) for k in range(3, 12)]
+    models += [gen_complete(n) for n in range(2, 12)]
+    models += [perturbed_ring(n, seed) for n in (8, 16, 40) for seed in range(3)]
+    models += [gen_random(n, seed) for n in (3, 5, 30, 200) for seed in range(3)]
+    rng = random.Random(25)
+    permutations = 0
+    while permutations < 2000:
+        n = rng.randint(2, 8)
+        ends = rng.sample(range(2 * n), 2 * n)
+        model = validate_model(n, list(zip(ends[::2], ends[1::2])))
+        if is_real(model):
+            models.append(model)
+            permutations += 1
+    for model in models:
+        assert is_real(model), model.to_json()
+        assert (intersection_graph(model).degrees > 0).all(), model.to_json()
+    assert build_scheme(models[0]).order.n == 2
+
+
 # the BFS rows of the all-pairs matrix, each also checked against the
 # one-source reference
 
@@ -468,15 +494,19 @@ def test_dense_verifies_never_load_scipy_and_long_diameters_do():
 def test_all_pairs_memory_stays_near_six_float32_matrices():
     # the int64 result counts as two float32 n-by-n matrices, the float32
     # adjacency and its product as two more; a float64 or another int64
-    # n-by-n temporary would exceed the bound
-    graph = intersection_graph(gen_random(1000, 0))
-    tracemalloc.start()
-    try:
-        all_pairs_distances(graph)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 4 * graph.n ** 2
+    # n-by-n temporary would exceed the bound.  Diameter 2 stops after one
+    # product; the joined cliques (diameter 3) also hold a frontier cast
+    # from level 2 while level 3 is multiplied, 5.5 float32 matrices
+    joined = two_cliques(500).adj.copy()
+    joined[499, 500] = joined[500, 499] = True
+    for graph in (intersection_graph(gen_random(1000, 0)), Graph(1000, joined)):
+        tracemalloc.start()
+        try:
+            all_pairs_distances(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 4 * graph.n ** 2
 
 
 def test_scipy_hand_over_memory_stays_near_one_int64_matrix():

@@ -125,13 +125,26 @@ def test_oracle1_ring(tmp_path, capsys):
     model = tmp_path / "ring.json"
     run(["gen", "--family", "ring", "--n", 5, "--out", model])
     capsys.readouterr()
-    witness = tmp_path / "witness.json"
-    assert run(["oracle1", "--model", model, "--witness-out", witness]) == 0
+    assert run(["oracle1", "--model", model]) == 0
     captured = capsys.readouterr()
     assert "1-IRS exists" in captured.err
-    payload = json.loads(witness.read_text())
+    payload = json.loads(captured.out)
     assert sorted(payload["order"]) == [0, 1, 2, 3, 4]
-    assert witness.read_text() == captured.out
+
+
+def test_oracle1_has_no_witness_out_flag(tmp_path, capsys):
+    # oracle1 writes its witness to stdout only, so argparse rejects
+    # --witness-out as a usage error
+    model = tmp_path / "ring.json"
+    run(["gen", "--family", "ring", "--n", 5, "--out", model])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        run(["oracle1", "--model", model, "--witness-out", tmp_path / "w.json"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --witness-out" in captured.err
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_oracle1_reports_absence(tmp_path, capsys):

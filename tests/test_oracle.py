@@ -2,6 +2,7 @@ import pytest
 
 from arcroute import (
     CyclicOrder,
+    OracleResult,
     all_pairs_distances,
     gen_complete,
     gen_random,
@@ -84,3 +85,9 @@ def test_single_vertex_graph():
     graph = graph_from_edges(1, [])
     result = has_shortest_path_1irs(graph)
     assert result.exists_1irs and result.witness_labels == {}
+    assert result.witness_order == (0,)
+
+
+def test_empty_graph_names_no_vertex():
+    result = has_shortest_path_1irs(graph_from_edges(0, []))
+    assert result == OracleResult(True, (), {})
