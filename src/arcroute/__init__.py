@@ -7,15 +7,12 @@ for 1-interval schemes with ``has_shortest_path_1irs``.
 
 from .arc_model import (
     ArcModel,
-    Graph,
-    all_pairs_distances,
     intersection_graph,
     is_real,
     parse_model,
     validate_model,
 )
 from .builder import (
-    RoutingScheme,
     VertexOrder,
     build_scheme,
     build_vertex_order,
@@ -32,8 +29,10 @@ from .errors import (
     StructuralSchemeError,
 )
 from .generator import gen_complete, gen_perturbed_ring, gen_random, gen_ring, gen_wheel
+from .graph import Graph, all_pairs_distances
 from .oracle import OracleResult, has_shortest_path_1irs
 from .ring_order import CyclicOrder, RingInterval
+from .scheme import RoutingScheme
 from .verifier import (
     IntervalStats,
     VerificationReport,

@@ -11,11 +11,12 @@ import sys
 from pathlib import Path
 
 from .arc_model import intersection_graph, parse_model
-from .builder import RoutingScheme, build_scheme
+from .builder import build_scheme
 from .errors import ArcRouteError, RouteError
 from .generator import (gen_complete, gen_perturbed_ring, gen_random, gen_ring,
                         gen_wheel)
-from .oracle import DEFAULT_VERTEX_LIMIT, has_shortest_path_1irs, witness_rows
+from .oracle import DEFAULT_VERTEX_LIMIT, has_shortest_path_1irs, witness_scheme
+from .scheme import RoutingScheme
 from .verifier import interval_stats, route, verify_scheme
 
 EXIT_OK = 0
@@ -98,8 +99,7 @@ def _cmd_oracle1(args) -> int:
                                     strict=args.strict)
     if result.exists_1irs:
         print("1-IRS exists", file=sys.stderr)
-        print(RoutingScheme(*witness_rows(
-            result.witness_order, result.witness_labels)).to_json())
+        print(witness_scheme(result.witness_order, result.witness_labels).to_json())
     else:
         print("no 1-IRS", file=sys.stderr)
         print('{"exists_1irs": false}')

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arc_model import ArcModel, Graph, arc_spans, gap_coverage, intersection_graph
+from .arc_model import ArcModel, arc_spans, gap_coverage, intersection_graph
 from .errors import ConstructionError, NotRealCircularArc
+from .graph import Graph
 from .ring_order import _points_in_spans, expand_runs
 
 

@@ -19,9 +19,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .arc_model import Graph, all_pairs_distances
 from .errors import ConstructionError, OracleLimitError
+from .graph import Graph, all_pairs_distances
 from .ring_order import CyclicOrder, RingInterval, expand_runs
+from .scheme import RoutingScheme
 
 DEFAULT_VERTEX_LIMIT = 9
 
@@ -132,23 +133,21 @@ def _segments_for_vertex(order, allowed, v, nbrs, strict):
     return None
 
 
-def witness_rows(order, labels) -> tuple:
-    """A witness order and its labels as the arguments of ``RoutingScheme``:
-    the cyclic order, then each interval's source, target, start position
-    and length."""
+def witness_scheme(order, labels) -> RoutingScheme:
+    """A witness order and its labels as a ``RoutingScheme``."""
     cyc = CyclicOrder(order)
     rows = np.array([(v, w, ivl.a, ivl.b) for (v, w), ivl in labels.items()],
                     dtype=np.int64).reshape(-1, 4)
     a, b = cyc.pos[rows[:, 2:]].T
-    return cyc, rows[:, 0], rows[:, 1], a, (b - a) % cyc.n + 1
+    return RoutingScheme(cyc, rows[:, 0], rows[:, 1], a, (b - a) % cyc.n + 1)
 
 
 def _certify_witness(graph, dist, order, labels, strict) -> None:
     """Re-check the witness against the relaxed scheme constraints."""
     n = graph.n
-    cyc, src, dst, start, length = witness_rows(order, labels)
-    run, positions = expand_runs(start, length, n)
-    v, w, u = src[run], dst[run], cyc.items[positions]
+    scheme = witness_scheme(order, labels)
+    run, positions = expand_runs(scheme.start, scheme.length, n)
+    v, w, u = scheme.src[run], scheme.dst[run], scheme.order.items[positions]
     own = u == v
     if strict and own.any():
         raise ConstructionError("strict witness covers itself")

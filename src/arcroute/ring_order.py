@@ -23,6 +23,17 @@ def is_id(x: object) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def unique_keys(error: type[Exception], message: str):
+    """``json.loads`` object hook that raises ``error(message)`` on a key
+    given twice."""
+    def hook(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            raise error(message)
+        return obj
+    return hook
+
+
 class CyclicOrder:
     """Immutable cyclic arrangement of the dense ids ``0 .. n-1``.
 

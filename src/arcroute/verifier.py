@@ -1,13 +1,13 @@
 """Independent validation of routing schemes.
 
-The verifier never looks at arc geometry or clique-cycles: it recomputes
-shortest-path structure from the graph alone (one all-pairs hop-distance
-matrix from ``all_pairs_distances``: a breadth-first frontier of matrix
-products, or scipy's BFS on long-diameter graphs) and checks a scheme
-against the defining constraints — no interval holds its own source, the
-intervals at a vertex are disjoint and cover every other vertex, and
-every labeled destination is reached through a first vertex of some
-shortest path.
+The verifier is part of the oracle half: it imports only ``graph``,
+``scheme``, ``ring_order`` and ``errors``, never arc geometry or
+clique-cycles.  It recomputes shortest-path structure from the graph
+alone (one hop-distance matrix from ``all_pairs_distances``) and checks a
+scheme against the defining constraints — no interval holds its own
+source, the intervals at a vertex are disjoint and cover every other
+vertex, and every labeled destination is reached through a first vertex
+of some shortest path.
 It checks all rows in one pass (one expansion into (row, destination)
 pairs, one bincount over their cells) and never reads the forwarding
 table, so the route check below stays independent.  Route simulation
@@ -22,20 +22,21 @@ route has covered, instead of one round per hop.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
 
-from .arc_model import Graph, all_pairs_distances
-from .builder import RoutingScheme
 from .errors import (
     AmbiguousRouteError,
     CoverageHoleError,
     RoutingLoopError,
     StructuralSchemeError,
 )
+from .graph import Graph, all_pairs_distances
 from .ring_order import expand_runs, is_id
+from .scheme import RoutingScheme
 
 AMBIGUOUS = -2
 UNCOVERED = -1
@@ -63,8 +64,6 @@ class VerificationReport:
                 and self.coverage_ok and self.shortest_ok)
 
     def to_json(self) -> str:
-        import json
-
         payload = {
             "passed": self.passed,
             "strictness_ok": self.strictness_ok,
@@ -73,15 +72,19 @@ class VerificationReport:
             "shortest_ok": self.shortest_ok,
             "total_intervals": self.total_intervals,
             "max_intervals_per_arc": self.max_intervals_per_arc,
-            "double_labeled_arcs_per_vertex": {
-                str(v): c for v, c in sorted(self.double_labeled_arcs_per_vertex.items())
-            },
+            "double_labeled_arcs_per_vertex": _by_vertex(
+                self.double_labeled_arcs_per_vertex),
             "strictness_violations": self.strictness_violations,
             "disjoint_violations": self.disjoint_violations,
             "coverage_violations": self.coverage_violations,
             "shortest_violations": self.shortest_violations,
         }
         return json.dumps(payload, indent=2)
+
+
+def _by_vertex(counts: dict[int, int]) -> dict[str, int]:
+    """Per-vertex counts as a JSON object, keyed by vertex id in order."""
+    return {str(v): c for v, c in sorted(counts.items())}
 
 
 def _check_structure(graph: Graph, scheme: RoutingScheme) -> None:
@@ -290,15 +293,11 @@ class IntervalStats:
         return all(c <= 1 for c in self.double_labeled_arcs_per_vertex.values())
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps({
             "total_intervals": self.total_intervals,
             "max_intervals_per_arc": self.max_intervals_per_arc,
-            "double_labeled_arcs_per_vertex": {
-                str(v): c
-                for v, c in sorted(self.double_labeled_arcs_per_vertex.items())
-            },
+            "double_labeled_arcs_per_vertex": _by_vertex(
+                self.double_labeled_arcs_per_vertex),
             "arc_count": self.arc_count,
             "vertex_count": self.vertex_count,
             "total_within_bound": self.total_within_bound,

@@ -19,10 +19,11 @@ from arcroute import (
     intersection_graph,
     parse_model,
 )
-from arcroute.arc_model import UNREACHABLE, arc_spans, unique_keys
+from arcroute.arc_model import arc_spans, unique_keys
 from arcroute.builder import LabelingContext
 from arcroute.errors import ConstructionError, StructuralSchemeError
 from arcroute.generator import gen_perturbed_ring
+from arcroute.graph import UNREACHABLE
 from arcroute.ring_order import is_id
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -313,14 +314,14 @@ NO_SEARCHES = dict.fromkeys(
 def search_calls(monkeypatch):
     """Count the calls of every graph search the library has, through every
     binding of it in the package."""
-    import arcroute.arc_model
+    import arcroute.graph
 
     calls = dict(NO_SEARCHES)
     modules = [m for name, m in sys.modules.items()
                if name.partition(".")[0] == "arcroute"]
 
     def counting(name):
-        real = getattr(arcroute.arc_model, name)
+        real = getattr(arcroute.graph, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1

@@ -21,14 +21,14 @@ from arcroute import (
     parse_model,
     validate_model,
 )
-from arcroute import arc_model
-from arcroute.arc_model import UNREACHABLE, all_pairs_distances
+from arcroute.arc_model import all_pairs_distances
 from arcroute.errors import (
     DegenerateArcError,
     DuplicateEndpointError,
     ModelFormatError,
     PositionOutOfRangeError,
 )
+from arcroute.graph import UNREACHABLE, _frontier_distances
 from conftest import (
     C4_MODEL,
     covers_gap,
@@ -460,7 +460,7 @@ def checked_all_pairs(graph):
 def test_all_pairs_on_each_side_of_the_cost_rule(name):
     make, frontier, unreachable = RULE_CASES[name]
     graph = make()
-    assert (arc_model._frontier_distances(graph) is not None) == frontier
+    assert (_frontier_distances(graph) is not None) == frontier
     dist = checked_all_pairs(graph)
     assert int((dist == UNREACHABLE).sum()) == unreachable
 
@@ -516,7 +516,7 @@ def test_scipy_hand_over_memory_stays_near_one_int64_matrix():
     from scipy.sparse.csgraph import shortest_path  # imported before tracing
 
     graph = intersection_graph(perturbed_ring(2000, 0))
-    assert arc_model._frontier_distances(graph) is None
+    assert _frontier_distances(graph) is None
     tracemalloc.start()
     try:
         dist = all_pairs_distances(graph)

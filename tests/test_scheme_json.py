@@ -9,8 +9,8 @@ import tracemalloc
 
 import pytest
 
+import arcroute.scheme
 from arcroute import CyclicOrder, RoutingScheme, build_scheme, gen_random, gen_ring
-from arcroute import builder
 from arcroute.cli import main
 from arcroute.errors import StructuralSchemeError
 from conftest import perturbed_ring, ref_from_json, ref_to_json, same_scheme
@@ -19,14 +19,14 @@ from conftest import perturbed_ring, ref_from_json, ref_to_json, same_scheme
 def read_counting(monkeypatch, data):
     """``from_json(data)`` and the number of ``json.loads`` calls it made."""
     calls = []
-    real = builder.json.loads
+    real = arcroute.scheme.json.loads
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(builder.json, "loads", counting)
+        patch.setattr(arcroute.scheme.json, "loads", counting)
         scheme = RoutingScheme.from_json(data)
     return scheme, len(calls)
 

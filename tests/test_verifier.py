@@ -20,13 +20,14 @@ from arcroute import (
     route,
     verify_scheme,
 )
-from arcroute.arc_model import UNREACHABLE, validate_model
+from arcroute.arc_model import validate_model
 from arcroute.errors import (
     AmbiguousRouteError,
     CoverageHoleError,
     RoutingLoopError,
     StructuralSchemeError,
 )
+from arcroute.graph import UNREACHABLE
 from arcroute.ring_order import expand_runs
 from arcroute.verifier import (
     AMBIGUOUS,
