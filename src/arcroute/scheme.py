@@ -14,7 +14,6 @@ from itertools import chain
 import numpy as np
 
 from .errors import StructuralSchemeError
-from .graph import Graph
 from .ring_order import CyclicOrder, is_id, unique_keys
 
 
@@ -32,7 +31,7 @@ class RoutingScheme:
     the first arc with an interval outside the order.
     """
 
-    __slots__ = ("order", "src", "dst", "start", "length", "_route_tables")
+    __slots__ = ("order", "src", "dst", "start", "length", "__weakref__")
 
     def __init__(self, order: CyclicOrder, src, dst, start, length):
         self.order = order
@@ -69,9 +68,6 @@ class RoutingScheme:
         for a in (s, d, first, length):
             a.flags.writeable = False
         self.src, self.dst, self.start, self.length = s, d, first, length
-        # the graphs the verifier has checked the scheme against, each with
-        # its forwarding table once a route needs it
-        self._route_tables: dict[Graph, np.ndarray | None] = {}
 
     @property
     def n(self) -> int:
@@ -102,20 +98,20 @@ class RoutingScheme:
         document goes through ``json.loads`` in ``_read_json``, which raises
         StructuralSchemeError naming what is wrong.
         """
-        order, src, dst, counts, ends = _read_written(data) or _read_json(data)
-        start, end = order.pos[ends[0::2]], order.pos[ends[1::2]]
+        order, src, dst, counts, a, b = _read_written(data) or _read_json(data)
+        start, end = order.pos[a], order.pos[b]
         return cls(order, np.repeat(src, counts), np.repeat(dst, counts),
                    start, (end - start) % order.n + 1)
 
 
-# the words of the scheme text after the vertex ids: the quote opening
-# the first arc key, the close of an arc's list and the quote opening the
-# next key, the arrow inside a key, the close of a key and the open of its
-# list, the join of two intervals of one arc, the comma inside an
-# interval, and nothing, for the key slots of a row that continues its arc
-_QUOTE, _NEXT_ARC, _ARROW, _OPEN_LIST, _NEXT_INTERVAL, _COMMA, _NOTHING = range(7)
+# the texts a word writes before its vertex id, one block of n words
+# each: the close of an arc's list and the quote opening the next key, the
+# arrow inside a key, the close of a key and the open of its list, the
+# join of two intervals of one arc, and the comma inside an interval
+_PREFIXES = (']], "', "->", '": [[', "], [", ", ")
+_NEXT_ARC, _ARROW, _OPEN_LIST, _NEXT_INTERVAL, _COMMA = range(5)
 # tokens joined into one piece at a time, bounding the joined list
-_JOIN_TOKENS = 1 << 16
+_JOIN_TOKENS = 1 << 15
 
 
 def _scheme_pieces(items, key_src, key_dst, opens, a, b):
@@ -124,27 +120,33 @@ def _scheme_pieces(items, key_src, key_dst, opens, a, b):
 
     Row ``i`` is interval ``[a[i], b[i]]``; ``opens`` marks the rows that
     begin an arc's list, and ``key_src`` / ``key_dst`` name those arcs.
-    Each row is eight tokens indexing one word table: the decimal
-    ids 0 .. n - 1, then the fixed words, so each piece is one join.
+    Each row is four tokens indexing one word table, every word a vertex
+    id with the fixed text before it.  A row that opens an arc writes
+    ``]], "src``, ``->dst``, ``": [[a`` and ``, b``; a row that continues
+    one writes two empty words, ``], [a`` and ``, b``.  The table holds
+    the five prefixed copies of the ids 0 .. n - 1, then the first row's
+    ``"src``, then the empty word, so each piece is one join.
     """
     n = len(items)
-    words = np.array(list(map(str, range(n))) + [
-        '"', ']], "', "->", '": [[', "], [", ", ", ""], dtype=object)
-    fixed = n + np.arange(7)
-    tokens = np.empty((len(a), 8), dtype=np.int32)
-    tokens[:, :4] = fixed[_NOTHING]
-    tokens[opens, 0] = fixed[_NEXT_ARC]
-    tokens[opens, 1] = key_src
-    tokens[opens, 2] = fixed[_ARROW]
-    tokens[opens, 3] = key_dst
-    tokens[:, 4] = fixed[_NEXT_INTERVAL]
-    tokens[opens, 4] = fixed[_OPEN_LIST]
-    tokens[:, 5] = a
-    tokens[:, 6] = fixed[_COMMA]
-    tokens[:, 7] = b
-    tokens[:1, 0] = fixed[_QUOTE]
+    ids = list(map(str, range(n)))
+    head = '"' + ids[key_src[0]] if len(key_src) else ""
+    words = np.array([p + i for p in _PREFIXES for i in ids] + [head, ""],
+                     dtype=object)
+    first, empty = len(words) - 2, len(words) - 1
+    tokens = np.empty((len(a), 4), dtype=np.int32)
+    tokens[:, 0] = tokens[:, 1] = empty
+    rows = np.flatnonzero(opens)
+    tokens[rows, 0] = key_src + _NEXT_ARC * n
+    tokens[rows, 1] = key_dst + _ARROW * n
+    tokens[:1, 0] = first
+    tokens[:, 2] = a
+    tokens[:, 2] += np.where(opens, _OPEN_LIST * n, _NEXT_INTERVAL * n)
+    tokens[:, 3] = b
+    tokens[:, 3] += _COMMA * n
     flat = tokens.ravel()
-    yield '{"order": [' + ", ".join(words[items].tolist()) + '], "labels": {'
+    yield ('{"order": [' + ", ".join([ids[v] for v in items.tolist()])
+           + '], "labels": {')
+    del ids
     for i in range(0, len(flat), _JOIN_TOKENS):
         yield "".join(words[flat[i:i + _JOIN_TOKENS]].tolist())
     yield "]]}}" if len(a) else "}}"
@@ -163,21 +165,22 @@ def _numbers(text: bytes) -> np.ndarray:
 
 
 def _read_written(data: bytes | str):
-    """(order, arc sources, arc targets, intervals per arc, interval ends)
-    of ``data`` if it is text that ``to_json`` writes, with its arcs in any
-    order and at most one final newline, else None to leave ``data`` to
-    ``json.loads``.
+    """(order, arc sources, arc targets, intervals per arc, interval first
+    ends, interval last ends) of ``data`` if it is text that ``to_json``
+    writes, with its arcs in any order and at most one final newline, else
+    None to leave ``data`` to ``json.loads``.
 
     Between its quotes lie the strings: ``order``, ``labels`` and one key
     per arc.  One bulk read takes every number: the order's, then per arc
     two for the key and two per interval, an arc's intervals being the
-    opening brackets of its list but one.  Every id must lie below n
-    before anything is written back, and the text written back in
-    ``to_json``'s format must be ``data`` byte for byte, so a sign, a
-    leading zero, a float, an escape, other whitespace, an extra key or a
-    key out of place all leave ``data`` to ``json.loads``.  So do an arc
-    with no intervals, a repeated arc and an order that is not a
-    permutation.
+    opening brackets between its key's closing quote and the next one (or
+    the end) but one.  Every id must lie below n before anything is
+    written back, and the text written back in ``to_json``'s format must
+    be ``data`` byte for byte.  That proves the split, since the writer
+    puts no bracket in a key, and it leaves a sign, a leading zero, a
+    float, an escape, other whitespace, an extra key or a key out of place
+    to ``json.loads``.  So do an arc with no intervals, a repeated arc and
+    an order that is not a permutation.
     """
     if isinstance(data, str):
         try:
@@ -193,27 +196,24 @@ def _read_written(data: bytes | str):
     order = _numbers(data[quotes[1]:quotes[2]])
     n = len(order)
     numbers = _numbers(data)[n:]
-    # each key's closing quote and the next quote (or the end) bound its list
-    edges = np.searchsorted(np.flatnonzero(raw == ord("[")),
-                            np.append(quotes[5:], len(raw)))
+    counts = np.diff(np.searchsorted(np.flatnonzero(raw == ord("[")),
+                                     np.append(quotes[5::2], len(raw)))) - 1
     del quotes
-    counts = edges[1::2] - edges[0:-1:2] - 1
     if ((counts < 1).any() or len(numbers) != 2 * (len(counts) + counts.sum())
             or any(x.size and x.max() >= n for x in (order, numbers))):
         return None
-    # an arc's numbers: its key's two, then two per interval
-    per_arc = 2 + 2 * counts
-    first = np.cumsum(per_arc) - per_arc
-    is_key = np.zeros(len(numbers), dtype=bool)
-    is_key[first] = is_key[first + 1] = True
-    src, dst = numbers[is_key].reshape(-1, 2).T
-    ends = numbers[~is_key]
-    # the rewrite below is the peak, so what it does not need goes first
-    del numbers, is_key
-    opens = np.zeros(len(ends) // 2, dtype=bool)
+    opens = np.zeros(counts.sum(), dtype=bool)
     opens[np.cumsum(counts) - counts] = True
+    # arc k's key is numbers 2k + 2r and 2k + 2r + 1, r its first row; row
+    # r's interval is numbers 2r + 2k + 2 and 2r + 2k + 3, k its arc
+    key = 2 * np.flatnonzero(opens) + np.arange(0, 2 * len(counts), 2)
+    src, dst = numbers[key], numbers[key + 1]
+    row = 2 * np.cumsum(opens) + np.arange(0, 2 * len(opens), 2)
+    a, b = numbers[row], numbers[row + 1]
+    # the rewrite below is the peak, so what it does not need goes first
+    del numbers, key, row
     at = 0
-    for piece in _scheme_pieces(order, src, dst, opens, ends[0::2], ends[1::2]):
+    for piece in _scheme_pieces(order, src, dst, opens, a, b):
         if not data.startswith(piece.encode("ascii"), at):
             return None
         at += len(piece)
@@ -226,13 +226,14 @@ def _read_written(data: bytes | str):
     arc = src * n + dst
     if (np.diff(arc) <= 0).any() and (np.diff(np.sort(arc)) == 0).any():
         return None
-    return cyclic, src, dst, counts, ends
+    return cyclic, src, dst, counts, a, b
 
 
 def _read_json(data: bytes | str):
-    """(order, arc sources, arc targets, intervals per arc, interval ends)
-    of a scheme document read through ``json.loads``; StructuralSchemeError
-    names the first fault of a document that is no scheme."""
+    """(order, arc sources, arc targets, intervals per arc, interval first
+    ends, interval last ends) of a scheme document read through
+    ``json.loads``; StructuralSchemeError names the first fault of a
+    document that is no scheme."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -283,7 +284,7 @@ def _read_json(data: bytes | str):
         a, b = ab[outside][0].tolist()
         raise StructuralSchemeError(f"interval [{a}, {b}] outside the order")
     counts = np.array(list(map(len, lists)), dtype=np.int64)
-    return order, arcs[:, 0], arcs[:, 1], counts, ab.ravel()
+    return order, arcs[:, 0], arcs[:, 1], counts, ab[:, 0], ab[:, 1]
 
 
 # canonical arc key: two decimal vertex ids without sign or leading zero

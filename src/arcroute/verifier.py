@@ -23,6 +23,7 @@ route has covered, instead of one round per hop.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -40,6 +41,11 @@ from .scheme import RoutingScheme
 
 AMBIGUOUS = -2
 UNCOVERED = -1
+
+# per scheme, the graphs it has been checked against, each with its
+# forwarding table once a route needs it; an entry goes with its scheme
+_ROUTE_TABLES: weakref.WeakKeyDictionary[
+    RoutingScheme, dict[Graph, np.ndarray | None]] = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -159,19 +165,25 @@ def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:
         stats.max_intervals_per_arc, stats.double_labeled_arcs_per_vertex)
 
 
-def _checked(scheme: RoutingScheme, graph: Graph) -> None:
-    """Check the scheme against the graph, once per graph."""
-    if graph not in scheme._route_tables:
+def _checked(scheme: RoutingScheme,
+             graph: Graph) -> dict[Graph, np.ndarray | None]:
+    """Check the scheme against the graph, once per graph; the scheme's
+    forwarding tables by graph."""
+    tables = _ROUTE_TABLES.get(scheme)
+    if tables is None:  # setdefault would make a new weak reference each call
+        tables = _ROUTE_TABLES[scheme] = {}
+    if graph not in tables:
         _check_structure(graph, scheme)
-        scheme._route_tables[graph] = None
+        tables[graph] = None
+    return tables
 
 
 def _forwarding_table(scheme: RoutingScheme, graph: Graph) -> np.ndarray:
     """``table[v, p]``: where v forwards a packet for the vertex at order
     position p; UNCOVERED where no interval at v holds p, AMBIGUOUS where
     several do.  Checked and built once per graph, from all rows at once."""
-    _checked(scheme, graph)
-    table = scheme._route_tables[graph]
+    tables = _checked(scheme, graph)
+    table = tables[graph]
     if table is None:
         n = scheme.n
         run, cells = expand_runs(scheme.start, scheme.length, n)
@@ -179,7 +191,7 @@ def _forwarding_table(scheme: RoutingScheme, graph: Graph) -> np.ndarray:
         table = np.full(n * n, UNCOVERED, dtype=np.int64)
         table[cells] = scheme.dst[run]
         table[np.bincount(cells, minlength=n * n) > 1] = AMBIGUOUS
-        table = scheme._route_tables[graph] = table.reshape(n, n)
+        table = tables[graph] = table.reshape(n, n)
     return table
 
 

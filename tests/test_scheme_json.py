@@ -56,14 +56,20 @@ def two_interval_scheme():
             '"2->1": [[1, 1]]}}')
 
 
+# ids of one to four digits: the writer's word table has a block of
+# prefixed ids, so its digit boundaries are covered
 SCHEMES = [
     lambda: build_scheme(gen_random(40, 3)).to_json(),
     lambda: build_scheme(gen_ring(9)).to_json(),
+    lambda: build_scheme(gen_ring(10)).to_json(),
+    lambda: build_scheme(gen_random(100, 2)).to_json(),
     lambda: build_scheme(perturbed_ring(40, 1)).to_json(),
+    lambda: build_scheme(perturbed_ring(1200, 1)).to_json(),
     two_interval_scheme,
     lambda: '{"order": [0], "labels": {}}',
 ]
-SCHEME_IDS = ["random", "ring", "perturbed", "two-interval", "one-vertex"]
+SCHEME_IDS = ["random", "ring", "ring-10", "random-100", "perturbed",
+              "perturbed-1200", "two-interval", "one-vertex"]
 
 
 @pytest.mark.parametrize("make", SCHEMES, ids=SCHEME_IDS)
@@ -133,8 +139,13 @@ def test_other_documents_go_through_json_loads(monkeypatch, data):
     assert scheme.to_json() == ref_to_json(scheme)
 
 
-def test_reading_and_writing_take_less_memory_than_the_reference():
-    scheme = build_scheme(gen_random(200, 5))
+# the writer's word table grows with n, its tokens with the rows: a dense
+# and a sparse model
+@pytest.mark.parametrize("make", [lambda: gen_random(200, 5),
+                                  lambda: perturbed_ring(2000, 1)],
+                         ids=["random-200", "perturbed-2000"])
+def test_reading_and_writing_take_less_memory_than_the_reference(make):
+    scheme = build_scheme(make())
     text = scheme.to_json()
     peaks = {}
     for name, call in [("reference", lambda: ref_from_json(text)),

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -619,6 +621,13 @@ def test_a_scheme_is_checked_once_per_graph(monkeypatch):
     same_edges = intersection_graph(load(C4_MODEL))
     route(scheme, same_edges, 0, 2)
     assert calls == [graph, same_edges]
+    # the verifier's cache holds a scheme weakly: its tables go with it
+    tables = arcroute.verifier._ROUTE_TABLES
+    assert set(tables[scheme]) == {graph, same_edges}
+    alive = weakref.ref(scheme)
+    del scheme
+    gc.collect()
+    assert alive() is None
 
 
 def test_route_checks_a_cached_scheme_against_each_graph():
