@@ -4,8 +4,8 @@ A model places ``n`` closed arcs on a circle with ``2n`` distinct endpoint
 positions.  All geometry is integer-exact: the circle is cut into ``2n``
 gaps (gap ``g`` sits between positions ``g`` and ``g+1``), arc ``(s, e)``
 covers gaps ``s, s+1, ..., e-1`` modulo ``2n``, and two arcs intersect
-exactly when they share a covered gap.  ``intersection_graph`` turns a
-model into a ``graph.Graph``, which the oracle half reads on its own.
+exactly when they share a covered gap.  A build reads the edge list of
+``intersection_edges``; the oracle half reads ``intersection_graph``.
 """
 
 from __future__ import annotations
@@ -124,16 +124,23 @@ def is_real(model: ArcModel) -> bool:
     return bool((gap_coverage(model) > 0).all())
 
 
-def intersection_graph(model: ArcModel) -> Graph:
-    """Graph with one vertex per arc, edges between intersecting arcs."""
+def intersection_edges(model: ArcModel) -> tuple[np.ndarray, np.ndarray]:
+    """Every directed edge ``(src, tgt)`` once, as int32 arrays.  Arcs meet
+    iff one holds the other's first gap: an arc has an edge to each arc whose
+    first gap it holds, and back from it unless that arc holds its first gap."""
     n, size = model.n, model.circle_size
     starts, lengths = arc_spans(model)
-    # arcs i, j intersect iff one's first gap lies within the other's range
     by_start = np.argsort(starts)
     lo, count = _points_in_spans(starts[by_start], starts, lengths, size)
-    arc, at = expand_runs(lo, count, n)
+    arc, at = expand_runs(lo + 1, count - 1, n)
     other = by_start[at]
-    adj = np.zeros((n, n), dtype=bool)
-    adj[arc, other] = adj[other, arc] = True
-    np.fill_diagonal(adj, False)
-    return Graph(n, adj)
+    back = (np.repeat(starts, count - 1) - starts[other]) % size >= lengths[other]
+    return tuple(np.concatenate(pair, dtype=np.int32, casting="same_kind")
+                 for pair in ((arc, other[back]), (other, arc[back])))
+
+
+def intersection_graph(model: ArcModel) -> Graph:
+    """Graph with one vertex per arc, edges between intersecting arcs."""
+    adj = np.zeros((model.n, model.n), dtype=bool)
+    adj[intersection_edges(model)] = True
+    return Graph(model.n, adj)

@@ -14,8 +14,8 @@ up to v; served by its adjacent members), and the facing block in between
 (never adjacent to v unless a vertex dominates the graph).  Distributing
 the facing block is the delicate part and branches on whether dominating
 vertices or counter pairs exist, and in the plain case on whether the
-clique cycle has a cut.  Every case reads the arcs and their adjacency
-alone: a build runs no graph search.
+clique cycle has a cut.  Every case reads the arcs and the arc sweep's
+edge list alone: a build runs no graph search and makes no ``Graph``.
 
 Each block is a run of offsets clockwise after the vertex, and each label
 assignment a run (source, target, offset, length).  One pass over the
@@ -36,7 +36,7 @@ import numpy as np
 from .arc_model import ArcModel
 from .clique_cycle import CliqueCycle, build_clique_cycle, counter_pairs
 from .errors import ConstructionError
-from .ring_order import CyclicOrder, expand_runs, ring_coverage
+from .ring_order import CyclicOrder, ring_coverage
 from .scheme import RoutingScheme
 
 
@@ -77,8 +77,9 @@ def build_vertex_order(cycle: CliqueCycle) -> VertexOrder:
 
 
 class LabelingContext:
-    """Shared precomputed state for labeling all vertices of the graph
-    that the clique cycle holds.
+    """Shared state for labeling all vertices, from the clique cycle's runs
+    and its edges: ``edges`` keys every directed edge as source * n + target
+    position, ascending, and answers every adjacency test of the planner.
 
     ``has_cut``: a clique boundary ``c -> c + 1`` (a *cut*) is crossed by no
     clique run, so the arcs describe an interval graph.  ``cut_head`` is the
@@ -95,10 +96,9 @@ class LabelingContext:
 
     def __init__(self, cycle: CliqueCycle, vorder: VertexOrder):
         self.cycle = cycle
-        self.graph = cycle.graph
         self.vorder = vorder
-        self.n = self.graph.n
         self.order = vorder.order
+        self.n = self.order.n
         self.items, self.pos = self.order.items, self.order.pos
         self.dominating = cycle.dominating
         self.any_dominating = bool(self.dominating.any())
@@ -123,11 +123,13 @@ class LabelingContext:
         _reject_first(~dom & ((last - lc) % k >= span),
                       "no block found inside own span")
         middle = tail[last]
-        # every directed edge, by source and then clockwise by the target's
-        # position; ``off`` counts the steps from source to target, and
-        # ``np.repeat(x, deg)`` is the faster ``x[src]``
-        adj, deg = self.graph.adj[:, self.items], self.graph.degrees
-        src, col = (a.astype(np.int32) for a in np.nonzero(adj))
+        # every directed edge as source * n + target position, ascending; ``off``
+        # counts the steps from source to target, and ``np.repeat(x, deg)``
+        # is the faster ``x[src]``
+        (src, tgt), deg = cyc.edges, cyc.degrees
+        self.edges = np.sort(np.multiply(src, n, dtype=np.int64) + self.pos[tgt])
+        src = np.repeat(np.arange(n, dtype=np.int32), deg)
+        col = (self.edges - np.multiply(src, n, dtype=np.int64)).astype(np.int32)
         # ``starts[v]:ends[v]`` holds the edges of v, and no v is isolated: the
         # arc covering the gap before v's start cannot end there, so it meets v
         ends = np.cumsum(deg)
@@ -153,14 +155,14 @@ class LabelingContext:
         self.hi = hi = n - back
         _reject_first(lo > hi, "blocks wrapped onto themselves")
         # right block all adjacent, facing block non-adjacent except dominating
-        lo_src = np.repeat(lo, deg)
+        lo_src, hi_src = np.repeat(lo, deg), np.repeat(hi, deg)
         right = off < lo_src
         _reject_first(np.bincount(src[right], minlength=n) != lo - 1,
                       "right block holds a non-neighbor")
-        side = right | (off >= np.repeat(hi, deg))
+        side = right | (off >= hi_src)
         _reject_first(np.bincount(src[~side & ~dom[tgt]], minlength=n) > 0,
                       "facing block holds a non-dominating neighbor")
-        _reject_first((hi < n) & ~adj[np.arange(n), (pos + hi) % n],
+        _reject_first(np.bincount(src[off == hi_src], minlength=n) < (hi < n),
                       "left block must start at the left vertex")
         # right vertex: among the neighbors holding v's right clique, one
         # reaching farthest clockwise; the left vertex first, then the
@@ -183,11 +185,6 @@ class LabelingContext:
         gap[ends - 1] = col[starts] + n - col[ends - 1]
         length = np.minimum(gap, np.where(right, lo_src, n) - off)
         self.side_runs = (src[side], tgt[side], off[side], length[side])
-        # every edge as source * n + target position, ascending, for the
-        # separator search, which contexts with dominating vertices or
-        # counter pairs never run
-        self.edges = (None if self.any_dominating or self.any_counter_pair
-                      else src.astype(np.int64) * n + col)
 
     def dominating_run(self) -> tuple[int, int]:
         """First and last of the dominating vertices in the order.
@@ -274,12 +271,20 @@ def _offsets(ctx: LabelingContext, vs: np.ndarray, ws) -> np.ndarray:
     return (ctx.pos[ws] - ctx.pos[vs]) % ctx.n
 
 
+def _sees_all(ctx: LabelingContext, us, start, length) -> np.ndarray:
+    """Is ``us[i]`` adjacent to all ``length[i]`` vertices from position
+    ``start[i]`` on?  Two searches of ``edges``, and the degree if they wrap."""
+    n, start = ctx.n, start % ctx.n
+    key = np.multiply(us, n, dtype=np.int64) + start
+    wraps = start + length > n
+    return (np.searchsorted(ctx.edges, key + length - n * wraps)
+            - np.searchsorted(ctx.edges, key) + ctx.cycle.degrees[us] * wraps == length)
+
+
 def _sees_facing(ctx: LabelingContext, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Is ``us[i]`` adjacent to every facing vertex of ``vs[i]``?"""
     lo = ctx.lo[vs]
-    row, position = expand_runs(ctx.pos[vs] + lo, ctx.hi[vs] - lo, ctx.n)
-    missed = ~ctx.graph.adj[us[row], ctx.items[position]]
-    return np.bincount(row[missed], minlength=len(vs)) == 0
+    return _sees_all(ctx, us, ctx.pos[vs] + lo, ctx.hi[vs] - lo)
 
 
 def _dominating_slices(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -325,7 +330,7 @@ def _counter_split(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ..
     # the lowest counter vertex and its lowest partner, which lies above it
     w0 = int(np.argmax(ctx.has_counter))
     c0 = int(ctx.partner[w0])
-    a0, a1 = ctx.graph.adj[vs, w0], ctx.graph.adj[vs, c0]
+    a0, a1 = (_sees_all(ctx, vs, ctx.pos[u], 1) for u in (w0, c0))
     _reject_first(~(a0 | a1), "vertex sees neither member of the counter pair", vs)
     both = a0 & a1
     r = np.empty(len(vs), dtype=np.int64)
@@ -398,8 +403,8 @@ def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]
     exist (no left or right vertex, or a right step from a counter vertex)
     leads to a sink whose gain exceeds every gap, so a chain stops at the
     depth where a depth-by-depth walk would raise, and raises the same
-    error.  The iterates at the found depth are checked to meet in the
-    graph, and
+    error.  The iterates at the found depth are checked to meet in
+    ``edges``, and
     ``test_pointer_doubling_walk_matches_the_bulk_and_per_vertex_walks``
     checks that no earlier depth meets, against the depth-by-depth walks.
     """
@@ -432,7 +437,7 @@ def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]
         _reject_first(left_broke & first, "left chain broke", names)
         _reject_first(counter & first, "right vertex undefined for counter vertices", r)
         _reject_first(right_broke & first, "no neighbor shares the right clique", r)
-    _reject_first(tried & (nl != nr) & ~ctx.graph.adj[nl, nr],
+    _reject_first(tried & (nl != nr) & ~_sees_all(ctx, nl, ctx.pos[nr], 1),
                   "chains gained the gap without meeting", names)
     _reject_first(~tried, "left/right chains never met", names)
     apex[walking], li[walking], ri[walking] = depth, l, r
@@ -580,7 +585,8 @@ def build_scheme(model: ArcModel) -> RoutingScheme:
     leave part of the circle uncovered.
     """
     cycle = build_clique_cycle(model)
-    vorder = build_vertex_order(cycle)
-    ctx = LabelingContext(cycle, vorder)
-    runs = (np.concatenate(cols) for cols in zip(ctx.side_runs, _plan_facings(ctx)))
-    return RoutingScheme(ctx.order, *_join_runs(ctx.pos, *runs))
+    ctx = LabelingContext(cycle, build_vertex_order(cycle))
+    runs = [np.concatenate(cols) for cols in zip(ctx.side_runs, _plan_facings(ctx))]
+    order = ctx.order
+    del cycle, ctx  # the join is the peak, so what it does not need goes first
+    return RoutingScheme(order, *_join_runs(order.pos, *runs))

@@ -17,29 +17,31 @@ Only a vertex adjacent to all others can own a run of all k cliques, but
 such a vertex may own a shorter run too.  Following the construction, the
 vertex order ignores the runs of these all-adjacent vertices and places
 them together, in id order, at the end of the block of clique ``1 % k``.
+The cycle holds the edges ``intersection_edges`` lists, and the degrees
+that tell these vertices: all a build reads of the adjacency.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .arc_model import ArcModel, arc_spans, gap_coverage, intersection_graph
+from .arc_model import ArcModel, arc_spans, gap_coverage, intersection_edges
 from .errors import ConstructionError, NotRealCircularArc
-from .graph import Graph
 from .ring_order import _points_in_spans, expand_runs
 
 
 class CliqueCycle:
-    __slots__ = ("graph", "anchors", "left", "right", "span_len", "dominating")
+    __slots__ = ("edges", "degrees", "anchors", "left", "right", "span_len",
+                 "dominating")
 
-    def __init__(self, graph: Graph, anchors: np.ndarray, left: np.ndarray,
-                 right: np.ndarray, span_len: np.ndarray):
-        self.graph = graph
+    def __init__(self, edges: tuple[np.ndarray, np.ndarray], anchors: np.ndarray,
+                 left: np.ndarray, right: np.ndarray, span_len: np.ndarray):
+        self.edges, self.degrees = edges, np.bincount(edges[0], minlength=len(left))
         self.anchors = np.asarray(anchors, dtype=np.int64)
         self.left = left
         self.right = right
         self.span_len = span_len
-        self.dominating = graph.degrees == graph.n - 1
+        self.dominating = self.degrees == len(left) - 1
 
     @property
     def k(self) -> int:
@@ -57,19 +59,19 @@ def counter_pairs(lc_u, len_u, lc_v, len_v, k: int):
 
 
 def build_clique_cycle(model: ArcModel) -> CliqueCycle:
-    """Derive the clique-cycle of a circle-covering model, with its
-    intersection graph.
+    """Derive the clique-cycle of a circle-covering model, with the edges
+    of its intersection graph.
 
     Raises NotRealCircularArc when some gap is uncovered (interval-graph
     models are out of scope for the scheme construction), before the
-    graph is built.  The per-gap coverage serves both that check and as
+    edges are listed.  The per-gap coverage serves both that check and as
     the point-clique sizes, which ``clique_runs`` compares with arc counts
     to test containment exactly.
     """
     sizes = gap_coverage(model)
     if not (sizes > 0).all():
         raise NotRealCircularArc("arcs do not cover the whole circle")
-    return CliqueCycle(intersection_graph(model), *clique_runs(model, sizes))
+    return CliqueCycle(intersection_edges(model), *clique_runs(model, sizes))
 
 
 def clique_runs(model: ArcModel, sizes: np.ndarray

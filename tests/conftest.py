@@ -55,8 +55,13 @@ def load(model_dict: dict) -> ArcModel:
 
 
 def context_for(model) -> LabelingContext:
+    """The labeling context of ``model``, with the model's intersection
+    graph attached as ``graph`` for the references to read; a build reads
+    the cycle's edge list and makes no graph."""
     cycle = build_clique_cycle(model)
-    return LabelingContext(cycle, build_vertex_order(cycle))
+    ctx = LabelingContext(cycle, build_vertex_order(cycle))
+    ctx.graph = intersection_graph(model)
+    return ctx
 
 
 def block(ctx, v, a, b) -> np.ndarray:
@@ -83,7 +88,7 @@ def reference_intersection_graph(model) -> Graph:
     return Graph(model.n, adj)
 
 
-def reference_counter_matrix(cycle) -> np.ndarray:
+def reference_counter_matrix(cycle, graph) -> np.ndarray:
     """Boolean n-by-n matrix of counter pairs.
 
     ``u`` and ``v`` form a counter pair when they are adjacent and their
@@ -100,7 +105,7 @@ def reference_counter_matrix(cycle) -> np.ndarray:
     return (contains & contains.T
             & (lc[:, None] != lc[None, :])
             & proper[:, None] & proper[None, :]
-            & cycle.graph.adj)
+            & graph.adj)
 
 
 # References: the single-pair graph helpers, which no part of the library

@@ -21,7 +21,7 @@ from arcroute import (
     parse_model,
     validate_model,
 )
-from arcroute.arc_model import all_pairs_distances
+from arcroute.arc_model import all_pairs_distances, intersection_edges
 from arcroute.errors import (
     DegenerateArcError,
     DuplicateEndpointError,
@@ -31,6 +31,7 @@ from arcroute.errors import (
 from arcroute.graph import UNREACHABLE, _frontier_distances
 from conftest import (
     C4_MODEL,
+    COUNTER_MODEL,
     covers_gap,
     graph_from_edges,
     load,
@@ -221,6 +222,26 @@ def test_intersection_graph_matches_the_broadcast_reference():
         assert (intersection_graph(model).adj == expected).all(), model.to_json()
         uncovered += not is_real(model)
     assert uncovered > 500
+
+
+def test_intersection_edges_list_each_directed_edge_once():
+    models = [gen_ring(k) for k in range(3, 12)] + [gen_wheel(k) for k in range(3, 10)]
+    models += [gen_complete(n) for n in range(2, 9)] + [load(COUNTER_MODEL)]
+    models += [gen_random(n, seed) for n in (5, 12, 40, 200) for seed in range(5)]
+    # random endpoint permutations, covering the circle or not
+    rng = random.Random(28)
+    for _ in range(1000):
+        n = rng.randint(1, 13)
+        ends = rng.sample(range(2 * n), 2 * n)
+        models.append(validate_model(n, list(zip(ends[::2], ends[1::2]))))
+    for model in models:
+        src, tgt = intersection_edges(model)
+        assert src.dtype == tgt.dtype == np.int32
+        keys = np.sort(src.astype(np.int64) * model.n + tgt)
+        assert (np.diff(keys) > 0).all() and not (src == tgt).any(), model.to_json()
+        # row-major, so the pairs of np.nonzero as keys u * n + v
+        expected = np.flatnonzero(reference_intersection_graph(model).adj)
+        assert np.array_equal(keys, expected), model.to_json()
 
 
 def test_is_real_c4():

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from arcroute import (
-    Graph,
     RoutingScheme,
     all_pairs_distances,
     build_clique_cycle,
@@ -274,7 +273,7 @@ def test_left_vertex_bounds_all_candidates():
         model = gen_random(n, seed)
         ctx = context_for(model)
         cycle, graph = ctx.cycle, ctx.graph
-        counter = reference_counter_matrix(cycle)
+        counter = reference_counter_matrix(cycle, graph)
         for v in range(n):
             if ctx.dominating[v]:
                 continue
@@ -350,7 +349,7 @@ def ref_left_vertex(ctx, v):
     cycle = ctx.cycle
     k = cycle.k
     lc = int(cycle.left[v])
-    counter = reference_counter_matrix(cycle)
+    counter = reference_counter_matrix(cycle, ctx.graph)
     best, best_dist = -1, 0
     for u in np.flatnonzero(ctx.graph.adj[v]).tolist():
         if ((lc - cycle.left[u]) % k < cycle.span_len[u] and cycle.left[u] != lc
@@ -445,7 +444,7 @@ def ref_facing_via_dominating_members(ctx, v):
 
 def ref_facing_via_shared_neighbor(ctx, v, members):
     m = int(ctx.middle_of[v])
-    carriers = ctx.dominating | reference_counter_matrix(ctx.cycle)[v]
+    carriers = ctx.dominating | reference_counter_matrix(ctx.cycle, ctx.graph)[v]
     if not carriers.any():
         raise ConstructionError("no carrier for the facing block", vertex=v)
     u = m if carriers[m] else int(np.argmax(carriers))
@@ -458,8 +457,9 @@ def ref_facing_via_shared_neighbor(ctx, v, members):
 
 
 def ref_facing_near_counter_pair(ctx, v, members):
-    w0, c0 = sorted(np.argwhere(reference_counter_matrix(ctx.cycle))[0].tolist())
     adj = ctx.graph.adj
+    w0, c0 = sorted(np.argwhere(reference_counter_matrix(ctx.cycle, ctx.graph))[0]
+                    .tolist())
     a0, a1 = bool(adj[v, w0]), bool(adj[v, c0])
     if not (a0 or a1):
         raise ConstructionError(
@@ -1029,10 +1029,9 @@ def test_face_to_face_noop_when_block_empty():
 
 
 def drop_edges(ctx, *pairs):
-    adj = ctx.graph.adj.copy()
-    for u, w in pairs:
-        adj[u, w] = adj[w, u] = False
-    ctx.graph = Graph(ctx.n, adj)
+    keys = [u * ctx.n + ctx.pos[w] for a, b in pairs for u, w in ((a, b), (b, a))]
+    assert np.isin(keys, ctx.edges).all()
+    ctx.edges = np.setdiff1d(ctx.edges, keys)
 
 
 def set_row(ctx, name, index, value):
@@ -1453,6 +1452,19 @@ def test_sparse_build_holds_no_n_by_n_int64_array():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def test_sparse_build_holds_no_n_by_n_array():
+    # the smallest n-by-n array, a boolean adjacency, takes n^2 bytes: 15.3
+    # MiB at n = 4000, about five times what the build needs
+    model = perturbed_ring(4000, 1)
+    tracemalloc.start()
+    try:
+        build_scheme(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.n ** 2
 
 
 def test_builds_never_load_scipy():

@@ -43,9 +43,10 @@ def member_sets(cycle, model):
     return [set(members(cycle, model, c)) for c in range(cycle.k)]
 
 
-def counter_partners(cycle, v):
+def counter_partners(cycle, model, v):
     """Neighbors of v whose shared clique run splits in two pieces."""
-    return {int(w) for w in np.flatnonzero(reference_counter_matrix(cycle)[v])}
+    counter = reference_counter_matrix(cycle, intersection_graph(model))
+    return {int(w) for w in np.flatnonzero(counter[v])}
 
 
 def test_rejects_non_real_model():
@@ -58,15 +59,18 @@ def test_rejects_non_real_model_before_building_its_graph(monkeypatch):
     def unreachable(model):
         raise AssertionError("the graph of a model that does not cover")
 
-    monkeypatch.setattr("arcroute.clique_cycle.intersection_graph", unreachable)
+    monkeypatch.setattr("arcroute.clique_cycle.intersection_edges", unreachable)
     with pytest.raises(NotRealCircularArc):
         build_clique_cycle(load({"n": 2, "arcs": [[0, 1], [2, 3]]}))
 
 
 def test_cycle_holds_the_intersection_graph_of_its_model():
     model = gen_ring(5)
-    graph = build_clique_cycle(model).graph
-    assert (graph.adj == intersection_graph(model).adj).all()
+    cycle = build_clique_cycle(model)
+    adj = np.zeros((model.n, model.n), dtype=bool)
+    adj[cycle.edges] = True
+    assert (adj == intersection_graph(model).adj).all()
+    assert cycle.degrees.tolist() == [2] * 5 and not cycle.dominating.any()
 
 
 def test_c4_cliques_and_spans():
@@ -107,25 +111,24 @@ def test_clique_count_bounded_by_positions():
 
 def test_counter_pair_detected():
     cycle, model = cycle_of(COUNTER_MODEL)
-    assert counter_partners(cycle, 0) == {1}
-    assert counter_partners(cycle, 2) == {3}
+    assert counter_partners(cycle, model, 0) == {1}
+    assert counter_partners(cycle, model, 2) == {3}
     ref_validate_cycle(cycle, model)
 
 
 def test_c4_has_no_counter_pairs():
-    cycle, _ = cycle_of(C4_MODEL)
+    cycle, model = cycle_of(C4_MODEL)
     for v in range(4):
-        assert counter_partners(cycle, v) == set()
+        assert counter_partners(cycle, model, v) == set()
 
 
 def test_counter_relation_is_symmetric():
     for n, seed in [(8, 1), (12, 5), (16, 11)]:
         model = gen_random(n, seed)
         cycle = build_clique_cycle(model)
-        graph = cycle.graph
         for v in range(n):
-            for w in counter_partners(cycle, v):
-                assert v in counter_partners(cycle, w)
+            for w in counter_partners(cycle, model, v):
+                assert v in counter_partners(cycle, model, w)
 
 
 def test_counter_matches_membership_definition():
@@ -133,7 +136,7 @@ def test_counter_matches_membership_definition():
     for n, seed in [(8, 2), (10, 9)]:
         model = gen_random(n, seed)
         cycle = build_clique_cycle(model)
-        graph = cycle.graph
+        graph = intersection_graph(model)
         sets = member_sets(cycle, model)
         for v, w in itertools.combinations(range(n), 2):
             if not graph.adj[v, w]:
@@ -145,7 +148,7 @@ def test_counter_matches_membership_definition():
                     runs += 1
             if shared and shared[0] == 0 and shared[-1] == cycle.k - 1 and runs > 1:
                 runs -= 1  # wrap joins the two border runs
-            assert (w in counter_partners(cycle, v)) == (runs > 1)
+            assert (w in counter_partners(cycle, model, v)) == (runs > 1)
 
 
 def test_vertices_with_counter_partner_dominate_jointly():
@@ -153,9 +156,9 @@ def test_vertices_with_counter_partner_dominate_jointly():
     for n, seed in [(8, 1), (12, 5), (16, 11), (20, 2)]:
         model = gen_random(n, seed)
         cycle = build_clique_cycle(model)
-        graph = cycle.graph
+        graph = intersection_graph(model)
         for v in range(n):
-            partners = counter_partners(cycle, v)
+            partners = counter_partners(cycle, model, v)
             if not partners:
                 continue
             for u in range(n):
@@ -366,7 +369,7 @@ def test_counter_pairs_and_adjacency_match_the_n_by_n_references():
     models = with_pairs = 0
     for model in _differential_corpus():
         cycle = build_clique_cycle(model)
-        graph = cycle.graph
+        graph = intersection_graph(model)
         assert (graph.adj == reference_intersection_graph(model).adj).all(), \
             model.to_json()
         lc, ln = cycle.left, cycle.span_len
@@ -374,7 +377,7 @@ def test_counter_pairs_and_adjacency_match_the_n_by_n_references():
                               cycle.k)
         # the predicate reads no adjacency: a counter pair shares a clique
         assert not (pairs & ~graph.adj).any(), model.to_json()
-        expected = reference_counter_matrix(cycle)
+        expected = reference_counter_matrix(cycle, graph)
         assert (pairs == expected).all(), model.to_json()
         # off the diagonal two arcs meet iff their clique runs share a clique,
         # so the runs alone could stand in for the adjacency
