@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -109,9 +110,10 @@ def parse_model(data: bytes | str) -> ArcModel:
 
 def arc_spans(model: ArcModel) -> tuple[np.ndarray, np.ndarray]:
     """(first covered gap, number of covered gaps) of every arc, as arrays."""
-    arcs = np.asarray(model.arcs, dtype=np.int64)
-    starts = arcs[:, 0]
-    return starts, (arcs[:, 1] - starts) % model.circle_size
+    ends = np.fromiter(chain.from_iterable(model.arcs), dtype=np.int64,
+                       count=model.circle_size)
+    starts = ends[::2]
+    return starts, (ends[1::2] - starts) % model.circle_size
 
 
 def gap_coverage(model: ArcModel) -> np.ndarray:
@@ -121,26 +123,35 @@ def gap_coverage(model: ArcModel) -> np.ndarray:
 
 def is_real(model: ArcModel) -> bool:
     """True when the arcs jointly cover every gap of the circle."""
-    return bool((gap_coverage(model) > 0).all())
+    return bool(gap_coverage(model).all())
 
 
-def intersection_edges(model: ArcModel) -> tuple[np.ndarray, np.ndarray]:
-    """Every directed edge ``(src, tgt)`` once, as int32 arrays.  Arcs meet
-    iff one holds the other's first gap: an arc has an edge to each arc whose
-    first gap it holds, and back from it unless that arc holds its first gap."""
-    n, size = model.n, model.circle_size
-    starts, lengths = arc_spans(model)
-    by_start = np.argsort(starts)
+def _forward_pairs(starts: np.ndarray, lengths: np.ndarray, size: int):
+    """Each ``(arc, other)`` where ``arc`` holds the first gap of ``other``,
+    and their count per arc; each edge is one such pair, or two."""
+    by_start = starts.argsort()
     lo, count = _points_in_spans(starts[by_start], starts, lengths, size)
-    arc, at = expand_runs(lo + 1, count - 1, n)
-    other = by_start[at]
-    back = (np.repeat(starts, count - 1) - starts[other]) % size >= lengths[other]
-    return tuple(np.concatenate(pair, dtype=np.int32, casting="same_kind")
-                 for pair in ((arc, other[back]), (other, arc[back])))
+    arc, at = expand_runs(lo + 1, count - 1, len(starts))
+    return arc, by_start[at], count - 1
+
+
+def intersection_edges(starts: np.ndarray, lengths: np.ndarray, size: int):
+    """Every directed edge ``(src, tgt)`` once, as int32 arrays, and the
+    degree of every arc, from the spans of ``arc_spans`` on a circle of
+    ``size`` gaps.  Arcs meet iff one holds the other's first gap: an arc
+    has an edge to each arc whose first gap it holds, and back from it
+    unless that arc holds its first gap."""
+    arc, other, forward = _forward_pairs(starts, lengths, size)
+    back = (starts.repeat(forward) - starts[other]) % size >= lengths[other]
+    back_from = other[back]
+    edges = tuple(np.concatenate(pair, dtype=np.int32, casting="same_kind")
+                  for pair in ((arc, back_from), (other, arc[back])))
+    return edges, forward + np.bincount(back_from, minlength=len(starts))
 
 
 def intersection_graph(model: ArcModel) -> Graph:
     """Graph with one vertex per arc, edges between intersecting arcs."""
+    arc, other, _ = _forward_pairs(*arc_spans(model), model.circle_size)
     adj = np.zeros((model.n, model.n), dtype=bool)
-    adj[intersection_edges(model)] = True
+    adj[arc, other] = adj[other, arc] = True
     return Graph(model.n, adj)

@@ -36,7 +36,7 @@ import numpy as np
 from .arc_model import ArcModel
 from .clique_cycle import CliqueCycle, build_clique_cycle, counter_pairs
 from .errors import ConstructionError
-from .ring_order import CyclicOrder, ring_coverage
+from .ring_order import CyclicOrder, changes, ring_coverage
 from .scheme import RoutingScheme
 
 
@@ -69,10 +69,10 @@ def build_vertex_order(cycle: CliqueCycle) -> VertexOrder:
     # stable, so ties keep id order
     items = np.lexsort((np.where(dom, 0, cycle.span_len), dom, start))
     starts = start[items]
-    first = np.flatnonzero(np.diff(starts, prepend=-1))
+    first = changes(starts).nonzero()[0]
     head, tail = np.full((2, k), -1, dtype=np.int64)
     head[starts[first]] = items[first]
-    tail[starts[first]] = items[np.append(first[1:], len(items)) - 1]
+    tail[starts[first]] = items[np.concatenate((first[1:], [len(items)])) - 1]
     return VertexOrder(CyclicOrder(items), head, tail)
 
 
@@ -104,7 +104,7 @@ class LabelingContext:
         self.any_dominating = bool(self.dominating.any())
         k = cycle.k
         # run v crosses the boundaries after its first span_len[v] - 1 cliques
-        cuts = np.flatnonzero(ring_coverage(cycle.left, cycle.span_len - 1, k) == 0)
+        cuts = (ring_coverage(cycle.left, cycle.span_len - 1, k) == 0).nonzero()[0]
         self.has_cut = len(cuts) > 0
         self.cut_head = int(vorder.head[(cuts[0] + 1) % k]) if len(cuts) else None
         self._compute_frames()
@@ -118,27 +118,27 @@ class LabelingContext:
             cyc.left, cyc.right, cyc.span_len, self.pos, self.items))
         # middle vertex: the tail of the last nonempty block at or before
         # v's right clique, read off the block heads written out twice
-        marks = np.where(np.tile(head != -1, 2), np.arange(2 * k), -1)
+        marks = np.where(np.concatenate((head, head)) != -1, np.arange(2 * k), -1)
         last = np.maximum.accumulate(marks)[k + rc] % k
         _reject_first(~dom & ((last - lc) % k >= span),
                       "no block found inside own span")
         middle = tail[last]
         # every directed edge as source * n + target position, ascending; ``off``
-        # counts the steps from source to target, and ``np.repeat(x, deg)``
-        # is the faster ``x[src]``
+        # counts the steps from source to target, and ``x.repeat(deg)`` is
+        # the faster ``x[src]``
         (src, tgt), deg = cyc.edges, cyc.degrees
         self.edges = np.sort(np.multiply(src, n, dtype=np.int64) + self.pos[tgt])
-        src = np.repeat(np.arange(n, dtype=np.int32), deg)
+        src = np.arange(n, dtype=np.int32).repeat(deg)
         col = (self.edges - np.multiply(src, n, dtype=np.int64)).astype(np.int32)
         # ``starts[v]:ends[v]`` holds the edges of v, and no v is isolated: the
         # arc covering the gap before v's start cannot end there, so it meets v
-        ends = np.cumsum(deg)
+        ends = deg.cumsum()
         starts = ends - deg
         tgt = items[col]
-        off = (col - np.repeat(pos, deg)) % n
+        off = (col - pos.repeat(deg)) % n
         # the counter pairs are edges, so one test per edge finds them all
-        lc_src, lc_tgt, span_tgt = np.repeat(lc, deg), lc[tgt], span[tgt]
-        counter = counter_pairs(lc_src, np.repeat(span, deg), lc_tgt, span_tgt, k)
+        lc_src, lc_tgt, span_tgt = lc.repeat(deg), lc[tgt], span[tgt]
+        counter = counter_pairs(lc_src, span.repeat(deg), lc_tgt, span_tgt, k)
         self.partner = np.minimum.reduceat(np.where(counter, tgt, n), starts)
         self.has_counter = self.partner < n
         self.any_counter_pair = bool(self.has_counter.any())
@@ -155,7 +155,7 @@ class LabelingContext:
         self.hi = hi = n - back
         _reject_first(lo > hi, "blocks wrapped onto themselves")
         # right block all adjacent, facing block non-adjacent except dominating
-        lo_src, hi_src = np.repeat(lo, deg), np.repeat(hi, deg)
+        lo_src, hi_src = lo.repeat(deg), hi.repeat(deg)
         right = off < lo_src
         _reject_first(np.bincount(src[right], minlength=n) != lo - 1,
                       "right block holds a non-neighbor")
@@ -169,10 +169,10 @@ class LabelingContext:
         # middle vertex, then the one soonest after v
         self.right_of = np.full(n, -1, dtype=np.int64)
         if not self.any_dominating:
-            rc_src = np.repeat(rc, deg)
+            rc_src = rc.repeat(deg)
             holds = (rc_src - lc_tgt) % k < span[tgt]
-            rank = np.where(tgt == np.repeat(self.left_of, deg), 0,
-                            np.where(tgt == np.repeat(middle, deg), 1, 2))
+            rank = np.where(tgt == self.left_of.repeat(deg), 0,
+                            np.where(tgt == middle.repeat(deg), 1, 2))
             # the largest key has the farthest reach, then the lowest rank,
             # then the smallest offset, which it leaves as ``-key % n``
             reach = (rc[tgt] - rc_src) % k
@@ -181,7 +181,7 @@ class LabelingContext:
             self.right_of[best > 0] = items[(pos - best)[best > 0] % n]
         # a side-block neighbor carries itself and the non-neighbors up to
         # the next neighbor clockwise, never past the end of its block
-        gap = np.roll(col, -1) - col
+        gap = np.concatenate((col[1:], col[:1])) - col
         gap[ends - 1] = col[starts] + n - col[ends - 1]
         length = np.minimum(gap, np.where(right, lo_src, n) - off)
         self.side_runs = (src[side], tgt[side], off[side], length[side])
@@ -193,10 +193,10 @@ class LabelingContext:
         end of the block of clique ``1 % k``, so they are the first and the
         last dominating id, also when every vertex dominates.
         """
-        doms = np.flatnonzero(self.dominating)
+        doms = self.dominating.nonzero()[0]
         if len(doms) == 0:
             raise ConstructionError("no dominating vertices to locate")
-        if (np.diff(self.pos[doms]) != 1).any():
+        if (self.pos[doms] != self.pos[doms[0]] + np.arange(len(doms))).any():
             raise ConstructionError(
                 "dominating vertices are not consecutive in the order"
             )
@@ -207,7 +207,7 @@ def _reject_first(bad: np.ndarray, message: str, names=None) -> None:
     """Raise ``message`` naming the lowest vertex flagged in ``bad``, whose
     entry i stands for vertex ``names[i]`` (vertex i without ``names``)."""
     if bad.any():
-        vertex = np.argmax(bad) if names is None else names[bad].min()
+        vertex = bad.argmax() if names is None else names[bad].min()
         raise ConstructionError(message, vertex=int(vertex))
 
 
@@ -231,18 +231,19 @@ def _plan_facings(ctx: LabelingContext) -> list[np.ndarray]:
     Outside the first case v's first ``count`` facing vertices route via a
     carrier ``r`` and the rest via v's left vertex.
     """
-    vs = np.flatnonzero(ctx.lo < ctx.hi)
+    vs = (ctx.lo < ctx.hi).nonzero()[0]
     runs = []
     if ctx.any_dominating or ctx.any_counter_pair:
         # dominating members of each block, off prefix sums over the order
         # written twice
-        seen = np.concatenate([[0], np.cumsum(np.tile(ctx.dominating[ctx.items], 2))])
+        doms = ctx.dominating[ctx.items]
+        seen = np.concatenate(([0], doms, doms)).cumsum()
         sliced = seen[ctx.pos[vs] + ctx.hi[vs]] > seen[ctx.pos[vs] + ctx.lo[vs]]
         if sliced.any():
             runs.append(_dominating_slices(ctx, vs[sliced]))
         vs = vs[~sliced]
         shared = ctx.has_counter[vs] | ctx.any_dominating
-        r, count = np.zeros_like(vs), ctx.hi[vs] - ctx.lo[vs]
+        r, count = np.empty_like(vs), ctx.hi[vs] - ctx.lo[vs]
         r[shared] = _shared_carriers(ctx, vs[shared])
         if not shared.all():
             r[~shared], count[~shared] = _counter_split(ctx, vs[~shared])
@@ -277,8 +278,8 @@ def _sees_all(ctx: LabelingContext, us, start, length) -> np.ndarray:
     n, start = ctx.n, start % ctx.n
     key = np.multiply(us, n, dtype=np.int64) + start
     wraps = start + length > n
-    return (np.searchsorted(ctx.edges, key + length - n * wraps)
-            - np.searchsorted(ctx.edges, key) + ctx.cycle.degrees[us] * wraps == length)
+    return (ctx.edges.searchsorted(key + length - n * wraps)
+            - ctx.edges.searchsorted(key) + ctx.cycle.degrees[us] * wraps == length)
 
 
 def _sees_facing(ctx: LabelingContext, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -296,17 +297,17 @@ def _dominating_slices(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray
     _reject_first(~(_facing(ctx, vs, first) & _facing(ctx, vs, last)),
                   "dominating run straddles the facing block boundary", vs)
     doms = ctx.items[ctx.pos[d_head]:ctx.pos[d_tail] + 1]
-    bounds = np.column_stack([ctx.lo[vs], first[:, None] + np.arange(1, len(doms)),
-                              ctx.hi[vs]])
-    return (np.repeat(vs, len(doms)), np.tile(doms, len(vs)), bounds[:, :-1].ravel(),
-            np.diff(bounds).ravel())
+    bounds = np.concatenate((ctx.lo[vs, None], first[:, None] + np.arange(1, len(doms)),
+                             ctx.hi[vs, None]), axis=1)
+    return (vs.repeat(len(doms)), doms[None].repeat(len(vs), axis=0).ravel(),
+            bounds[:, :-1].ravel(), (bounds[:, 1:] - bounds[:, :-1]).ravel())
 
 
 def _shared_carriers(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
     """A counter partner of v or a dominating vertex is adjacent to every
     facing vertex and to v: v's middle vertex if it is one, else the one
     with the lowest id carries the block."""
-    first_dom = np.argmax(ctx.dominating) if ctx.any_dominating else ctx.n
+    first_dom = ctx.dominating.argmax() if ctx.any_dominating else ctx.n
     lowest = np.minimum(ctx.partner[vs], first_dom)
     _reject_first(lowest == ctx.n, "no carrier for the facing block", vs)
     cyc, m = ctx.cycle, ctx.middle_of[vs]
@@ -328,7 +329,7 @@ def _counter_split(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ..
     vertex carries the part of the block inside the right vertex's right
     block."""
     # the lowest counter vertex and its lowest partner, which lies above it
-    w0 = int(np.argmax(ctx.has_counter))
+    w0 = int(ctx.has_counter.argmax())
     c0 = int(ctx.partner[w0])
     a0, a1 = (_sees_all(ctx, vs, ctx.pos[u], 1) for u in (w0, c0))
     _reject_first(~(a0 | a1), "vertex sees neither member of the counter pair", vs)
@@ -421,7 +422,7 @@ def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]
     inside = (alen < blen) & ((blen >= k)
                               | ((cycle.left[vs] - rc_r1) % k + alen <= blen))
     apex = np.where((lc_l1 == rc_r1) | inside, 1, 0)
-    walking = np.flatnonzero(apex == 0)
+    walking = (apex == 0).nonzero()[0]
     if len(walking) == 0:
         return apex, li, ri
     names, gap = vs[walking], (lc_l1 - rc_r1)[walking] % k
@@ -456,9 +457,9 @@ def _lift_chains(ctx: LabelingContext, l: np.ndarray, r: np.ndarray,
     ``(n + 1).bit_length()`` tables, enough for the n steps a chain may take.
     """
     cycle, k, n = ctx.cycle, ctx.cycle.k, ctx.n
-    lc, rc = np.append(cycle.left, 0), np.append(cycle.right, 0)
-    left = np.append(ctx.left_of, -1)
-    right = np.append(np.where(ctx.has_counter, -1, ctx.right_of), -1)
+    lc, rc = np.concatenate((cycle.left, [0])), np.concatenate((cycle.right, [0]))
+    left = np.concatenate((ctx.left_of, [-1]))
+    right = np.concatenate((np.where(ctx.has_counter, -1, ctx.right_of), [-1]))
     sink_l, sink_r = left == -1, right == -1
     left[sink_l], right[sink_r] = n, n
     tables = [(left, np.where(sink_l, k, (lc - lc[left]) % k),
@@ -469,7 +470,7 @@ def _lift_chains(ctx: LabelingContext, l: np.ndarray, r: np.ndarray,
             break
         tables.append((jl[jl], np.minimum(gl + gl[jl], k),
                        jr[jr], np.minimum(gr + gr[jr], k)))
-    steps, gained = np.zeros_like(gap), np.zeros_like(gap)
+    steps, gained = np.zeros((2, len(gap)), dtype=np.int64)
     for j in range(len(tables) - 1, -1, -1):
         jl, gl, jr, gr = tables[j]
         total = gained + gl[l] + gr[r]
@@ -503,7 +504,7 @@ def _separators(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
     # li's first neighbor at or after ``start`` clockwise, else its first
     # one; li has neighbors, as it is the left vertex of a vertex
     base = li * n
-    first, at, end = (np.searchsorted(ctx.edges, base + x) for x in (0, start, n))
+    first, at, end = (ctx.edges.searchsorted(base + x) for x in (0, start, n))
     hit = ctx.edges[np.where(at < end, at, first)]
     step = np.minimum((hit - base - start) % n, (ctx.pos[li] - start) % n)
     lv = ctx.left_of[vs]
@@ -540,36 +541,37 @@ def _join_runs(pos: np.ndarray, src, dst, offset, length):
     n = len(pos)
     # one key per sort: (source, offset), then (source, target, the run
     # holding its target first); no key outlives its sort
-    idx = np.argsort(np.multiply(src, n, dtype=np.int64) + offset, kind="stable")
+    idx = (np.multiply(src, n, dtype=np.int64) + offset).argsort(kind="stable")
     src, dst, offset, length = src[idx], dst[idx], offset[idx], length[idx]
     end = offset + length
-    new = np.ones(len(src), dtype=bool)
-    new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (offset[1:] != end[:-1])
+    new = changes(src, dst)
+    new[1:] |= offset[1:] != end[:-1]
     # a joined run ends where its last row ends, the row before the next new one
-    end = end[np.roll(new, -1)]
+    end = end[np.concatenate((new[1:], new[:1]))]
     src, dst, offset = src[new], dst[new], offset[new]
     _reject_first((offset < 1) | (offset >= n) | (end > n),
                   "interval covers its own source", src)
     length = end - offset
     totals = np.bincount(src, weights=length, minlength=n).astype(np.int64)
     if (totals != n - 1).any():
-        v = int(np.argmax(totals != n - 1))
+        v = int((totals != n - 1).argmax())
         raise ConstructionError(
             f"intervals cover {int(totals[v])} of {n - 1} destinations", vertex=v
         )
     # with every total exact, a source's rows tile its offsets 1 .. n - 1
     # iff each starts where the one before it ends, the first at 1
-    expected = np.where(np.diff(src, prepend=-1) != 0, 1, np.roll(end, 1))
+    expected = np.where(changes(src), 1, np.concatenate((end[-1:], end[:-1])))
     _reject_first(offset != expected, "intervals overlap or leave a hole", src)
     target = (pos[dst] - pos[src]) % n
     holds = (offset <= target) & (target < end)
-    idx = np.argsort((np.multiply(src, n, dtype=np.int64) + dst) * 2 + ~holds,
-                     kind="stable")
+    idx = ((np.multiply(src, n, dtype=np.int64) + dst) * 2 + ~holds).argsort(
+        kind="stable")
     src, dst, offset, length = src[idx], dst[idx], offset[idx], length[idx]
-    arc = np.flatnonzero(np.diff(np.multiply(src, n, dtype=np.int64) + dst, prepend=-1))
-    per_arc = np.diff(arc, append=len(src))
-    _reject_first(per_arc > 2, "an arc carries more than two intervals", src[arc])
-    _reject_first(np.bincount(src[arc[per_arc == 2]], minlength=n) > 1,
+    # a row that opens no arc is an arc's second interval, or a later one
+    more = ~changes(src, dst)
+    _reject_first(more[1:] & more[:-1], "an arc carries more than two intervals",
+                  src[1:])
+    _reject_first(np.bincount(src[more], minlength=n) > 1,
                   "more than one outgoing arc carries two intervals")
     return src, dst, (pos[src] + offset) % n, length
 

@@ -25,23 +25,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arc_model import ArcModel, arc_spans, gap_coverage, intersection_edges
+from .arc_model import ArcModel, arc_spans, intersection_edges
 from .errors import ConstructionError, NotRealCircularArc
-from .ring_order import _points_in_spans, expand_runs
+from .ring_order import _points_in_spans, expand_runs, ring_coverage
 
 
 class CliqueCycle:
     __slots__ = ("edges", "degrees", "anchors", "left", "right", "span_len",
                  "dominating")
 
-    def __init__(self, edges: tuple[np.ndarray, np.ndarray], anchors: np.ndarray,
-                 left: np.ndarray, right: np.ndarray, span_len: np.ndarray):
-        self.edges, self.degrees = edges, np.bincount(edges[0], minlength=len(left))
-        self.anchors = np.asarray(anchors, dtype=np.int64)
-        self.left = left
-        self.right = right
-        self.span_len = span_len
-        self.dominating = self.degrees == len(left) - 1
+    def __init__(self, edges: tuple[np.ndarray, np.ndarray], degrees: np.ndarray,
+                 anchors: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 span_len: np.ndarray):
+        self.edges, self.degrees, self.anchors = edges, degrees, anchors
+        self.left, self.right, self.span_len = left, right, span_len
+        self.dominating = degrees == len(left) - 1
 
     @property
     def k(self) -> int:
@@ -64,20 +62,22 @@ def build_clique_cycle(model: ArcModel) -> CliqueCycle:
 
     Raises NotRealCircularArc when some gap is uncovered (interval-graph
     models are out of scope for the scheme construction), before the
-    edges are listed.  The per-gap coverage serves both that check and as
-    the point-clique sizes, which ``clique_runs`` compares with arc counts
-    to test containment exactly.
+    edges are listed.  The arcs are read once, and the per-gap coverage
+    serves both that check and as the point-clique sizes, which
+    ``clique_runs`` compares with arc counts to test containment exactly.
     """
-    sizes = gap_coverage(model)
-    if not (sizes > 0).all():
+    spans = arc_spans(model)
+    sizes = ring_coverage(*spans, model.circle_size)
+    if not sizes.all():
         raise NotRealCircularArc("arcs do not cover the whole circle")
-    return CliqueCycle(intersection_edges(model), *clique_runs(model, sizes))
+    return CliqueCycle(*intersection_edges(*spans, len(sizes)),
+                       *clique_runs(*spans, sizes))
 
 
-def clique_runs(model: ArcModel, sizes: np.ndarray
+def clique_runs(starts: np.ndarray, lengths: np.ndarray, sizes: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Anchors of the maximal cliques, then each arc's left clique, right
-    clique and run length, from the arc geometry alone.
+    clique and run length, from the arc spans and the gap coverage ``sizes``.
 
     Only a candidate gap ``g`` (position ``g`` opens an arc ``a`` and
     position ``g + 1`` closes an arc ``b``) can anchor a maximal clique.
@@ -94,35 +94,33 @@ def clique_runs(model: ArcModel, sizes: np.ndarray
     the candidate memberships plus the (candidate, far-overlap candidate)
     pairs; no member set is ever written out.
     """
-    size = model.circle_size
-    starts, lengths = arc_spans(model)
+    size = len(sizes)
     # a gap opened by an arc start and closed by an arc end holds one arc
     # more than both neighbours; any other gap has a neighbour holding its
-    # arcs plus one, so only these gaps can carry a maximal clique
-    opens = np.zeros(size, dtype=bool)
-    opens[starts] = True
-    cand = np.flatnonzero(opens & ~np.roll(opens, -1))
+    # arcs plus one, so only these gaps can carry a maximal clique.  Each
+    # position holds the length of the arc it opens, or minus the length of
+    # the arc it closes, and position ``size`` is position 0 again
+    signed = np.zeros(size + 1, dtype=np.int64)
+    signed[starts], signed[(starts + lengths) % size] = lengths, -lengths
+    signed[size] = signed[0]
+    cand = ((signed[:-1] > 0) & (signed[1:] < 0)).nonzero()[0]
+    len_a, len_b = signed[cand], -signed[cand + 1]
     n_cand = len(cand)
 
     # (arc, covered candidate) pairs, keyed by candidate and the number of
     # gaps the arc runs on past it; one sort answers every count below
     lo, count = _points_in_spans(cand, starts, lengths, size)
     arc, at = expand_runs(lo, count, n_cand)
-    keys = np.sort(at * size + lengths[arc] - 1 - (cand[at] - starts[arc]) % size)
-    block_end = np.searchsorted(keys, np.arange(1, n_cand + 1) * size)
+    keys = at * size + lengths[arc] - 1 - (cand[at] - starts[arc]) % size
+    keys.sort()
+    block_end = keys.searchsorted(np.arange(1, n_cand + 1) * size)
 
     def running_on(c, d):
         """Arcs covering candidate ``c`` that run on at least ``d`` gaps."""
-        return block_end[c] - np.searchsorted(keys, c * size + d)
+        return block_end[c] - keys.searchsorted(c * size + d)
 
     # pair each candidate with the candidates in the far overlap of the
     # arcs opening and closing it; an index order is a gap order
-    opened = np.zeros(size, dtype=np.int64)
-    opened[starts] = lengths
-    closed = np.zeros(size, dtype=np.int64)
-    closed[(starts + lengths) % size] = lengths
-    len_a = opened[cand]
-    len_b = closed[(cand + 1) % size]
     lo, count = _points_in_spans(cand, cand + size - len_b + 1,
                                  len_a + len_b - size - 1, size)
     g, h = expand_runs(lo, count, n_cand)
@@ -137,7 +135,7 @@ def clique_runs(model: ArcModel, sizes: np.ndarray
     k = len(anchors)
     lo, count = _points_in_spans(anchors, starts, lengths, size)
     if (count < 1).any():
-        v = int(np.flatnonzero(count < 1)[0])
+        v = int((count < 1).argmax())
         raise ConstructionError(f"arc {v} covers no maximal clique anchor",
                                 vertex=v)
     # a span is shorter than the circle, so it holds each anchor once

@@ -97,13 +97,12 @@ def expand_runs(starts, lengths, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``starts[i] + 1``, ... modulo ``n``; the rows list the runs in input
     order, each one clockwise from its start.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    run = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    starts, lengths = (np.asarray(a, dtype=np.int64) for a in (starts, lengths))
+    run = np.arange(len(lengths), dtype=np.int64).repeat(lengths)
     # row r of run i sits at starts[i] + r - (first row of run i); built in
     # place so the rows cost three int64 arrays at most
     positions = np.arange(len(run), dtype=np.int64)
-    positions += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    positions += (starts - (lengths.cumsum() - lengths)).repeat(lengths)
     positions %= n
     return run, positions
 
@@ -114,15 +113,25 @@ def _points_in_spans(points: np.ndarray, starts: np.ndarray,
     span of ``lengths`` positions from ``starts`` covers, on a ring of
     ``size`` (none for a length below one); the indices run into ``points``
     written out twice, so a span may cross position 0."""
-    twice = np.concatenate([points, points + size])
-    lo = np.searchsorted(twice, starts)
-    return lo, np.searchsorted(twice, starts + np.maximum(lengths, 0)) - lo
+    twice = np.concatenate((points, points + size))
+    lo = twice.searchsorted(starts)
+    return lo, twice.searchsorted(starts + np.maximum(lengths, 0)) - lo
 
 
 def ring_coverage(starts, lengths, size: int) -> np.ndarray:
     """How many spans (``lengths[i]`` positions from ``starts[i]``) cover
     each position of a ring of ``size``: one difference-array sweep over the
     ring written out twice, so a span may cross position 0."""
-    coverage = np.cumsum(np.bincount(starts, minlength=2 * size)
-                         - np.bincount(starts + lengths, minlength=2 * size))
+    coverage = (np.bincount(starts, minlength=2 * size)
+                - np.bincount(starts + lengths, minlength=2 * size)).cumsum()
     return coverage[:size] + coverage[size:]
+
+
+def changes(key: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """True at row 0 and wherever some key differs from the row before."""
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    for other in more:
+        new[1:] |= other[1:] != other[:-1]
+    return new

@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import StructuralSchemeError
-from .ring_order import CyclicOrder, is_id, unique_keys
+from .ring_order import CyclicOrder, changes, is_id, unique_keys
 
 
 class RoutingScheme:
@@ -76,10 +76,7 @@ class RoutingScheme:
     def _arc_opens(self) -> np.ndarray:
         """Rows that open their arc: the rows are sorted by arc, so a row
         opens one where src or dst changes from the row before."""
-        opens = np.ones(len(self.src), dtype=bool)
-        opens[1:] = ((self.src[1:] != self.src[:-1])
-                     | (self.dst[1:] != self.dst[:-1]))
-        return opens
+        return changes(self.src, self.dst)
 
     def to_json(self) -> str:
         items = self.order.items

@@ -18,6 +18,7 @@ from arcroute import (
     build_vertex_order,
     intersection_graph,
     parse_model,
+    validate_model,
 )
 from arcroute.arc_model import arc_spans, unique_keys
 from arcroute.builder import LabelingContext
@@ -72,6 +73,45 @@ def block(ctx, v, a, b) -> np.ndarray:
 # the separator-case family, sparse and of large diameter, under the name
 # the tests use
 perturbed_ring = gen_perturbed_ring
+
+
+def _matchings(points: list[int]):
+    """Every way to pair up ``points``, each pair (lower, higher)."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for i, other in enumerate(rest):
+        for pairs in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, other)] + pairs
+
+
+def covering_models(n: int) -> list[ArcModel]:
+    """One model of every class of circle-covering models with ``n`` arcs
+    up to rotation and reflection, in ascending order of its arcs.
+
+    A model is a set of oriented endpoint pairs on the ``2n`` positions.
+    The 4n symmetries rotate positions by ``r`` and reflect ``p`` to
+    ``-p``, which turns arc ``(s, e)`` into ``(-e, -s)``; a class keeps the
+    least sorted arc tuple among its images.  Arc ids follow that tuple."""
+    size = 2 * n
+    full = (1 << size) - 1
+    classes = set()
+    for pairs in _matchings(list(range(size))):
+        for flips in range(1 << n):
+            arcs = [(e, s) if flips >> i & 1 else (s, e)
+                    for i, (s, e) in enumerate(pairs)]
+            # gaps s .. e - 1 of every arc, as bits of the doubled circle
+            covered = 0
+            for s, e in arcs:
+                covered |= ((1 << (e - s) % size) - 1) << s
+            if (covered | covered >> size) & full != full:
+                continue
+            mirror = [(-e, -s) for s, e in arcs]
+            images = [[((s + r) % size, (e + r) % size) for s, e in image]
+                      for image in (arcs, mirror) for r in range(size)]
+            classes.add(min(tuple(sorted(image)) for image in images))
+    return [validate_model(n, list(arcs)) for arcs in sorted(classes)]
 
 
 # References: the n-by-n broadcasts that the sweep in ``intersection_graph``

@@ -21,7 +21,7 @@ from arcroute import (
     parse_model,
     validate_model,
 )
-from arcroute.arc_model import all_pairs_distances, intersection_edges
+from arcroute.arc_model import all_pairs_distances, arc_spans, intersection_edges
 from arcroute.errors import (
     DegenerateArcError,
     DuplicateEndpointError,
@@ -235,8 +235,9 @@ def test_intersection_edges_list_each_directed_edge_once():
         ends = rng.sample(range(2 * n), 2 * n)
         models.append(validate_model(n, list(zip(ends[::2], ends[1::2]))))
     for model in models:
-        src, tgt = intersection_edges(model)
+        (src, tgt), degrees = intersection_edges(*arc_spans(model), model.circle_size)
         assert src.dtype == tgt.dtype == np.int32
+        assert np.array_equal(degrees, np.bincount(src, minlength=model.n))
         keys = np.sort(src.astype(np.int64) * model.n + tgt)
         assert (np.diff(keys) > 0).all() and not (src == tgt).any(), model.to_json()
         # row-major, so the pairs of np.nonzero as keys u * n + v

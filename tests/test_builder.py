@@ -33,6 +33,8 @@ from arcroute.builder import (
     _separators,
     _walk_chains,
 )
+import arcroute.arc_model
+import arcroute.ring_order
 from arcroute.errors import ConstructionError, NotRealCircularArc
 from arcroute.ring_order import CyclicOrder
 from arcroute.verifier import route_lengths
@@ -1477,20 +1479,33 @@ def test_builds_never_load_scipy():
 
 
 def test_coverage_is_checked_once_per_build(monkeypatch):
-    import arcroute.arc_model
-    import arcroute.builder
-    import arcroute.clique_cycle
+    # a build reads the arcs once and counts the arcs over the circle's
+    # 2n gaps once, through any binding of either function; the cut test
+    # counts clique runs over k < 2n cliques, so it is not counted
+    calls = Counter()
+    circle = 12
 
-    calls = []
-    real = arcroute.arc_model.gap_coverage
-    for module in (arcroute.arc_model, arcroute.builder, arcroute.clique_cycle):
-        monkeypatch.setattr(module, "gap_coverage",
-                            lambda model: calls.append(1) or real(model),
-                            raising=False)
+    def count_calls(module, name, counts):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += counts(*args)
+            return real(*args)
+
+        for bound in list(sys.modules.values()):
+            if (getattr(bound, "__name__", "").partition(".")[0] == "arcroute"
+                    and getattr(bound, name, None) is real):
+                monkeypatch.setattr(bound, name, wrapper)
+
+    count_calls(arcroute.arc_model, "arc_spans", lambda model: 1)
+    count_calls(arcroute.ring_order, "ring_coverage",
+                lambda starts, lengths, size: size == circle)
     build_scheme(gen_ring(6))
-    assert len(calls) == 1
+    assert calls == {"arc_spans": 1, "ring_coverage": 1}
+    circle = 4
     with pytest.raises(NotRealCircularArc):
         build_scheme(load({"n": 2, "arcs": [[0, 1], [2, 3]]}))
+    assert calls == {"arc_spans": 2, "ring_coverage": 2}
 
 
 # sha256 of to_json(), recorded before the distance checks moved from

@@ -56,7 +56,7 @@ def test_rejects_non_real_model():
 
 
 def test_rejects_non_real_model_before_building_its_graph(monkeypatch):
-    def unreachable(model):
+    def unreachable(*spans):
         raise AssertionError("the graph of a model that does not cover")
 
     monkeypatch.setattr("arcroute.clique_cycle.intersection_edges", unreachable)
@@ -352,7 +352,8 @@ def test_clique_runs_match_the_bitmask_reference():
     drops = {"far": 0, "inside": 0, "equal": 0}
     models = 0
     for model in _differential_corpus():
-        anchors, left, right, span_len = clique_runs(model, gap_coverage(model))
+        sizes = gap_coverage(model)
+        anchors, left, right, span_len = clique_runs(*arc_spans(model), sizes)
         expected = reference_clique_runs(model, drops)
         got = (anchors.tolist(), left.tolist(), right.tolist(), span_len.tolist())
         assert got == expected, model.to_json()
@@ -402,7 +403,7 @@ def test_clique_runs_memory_is_linear_in_the_arcs():
     sizes = gap_coverage(model)
     tracemalloc.start()
     try:
-        anchors, left, right, span_len = clique_runs(model, sizes)
+        anchors, left, right, span_len = clique_runs(*arc_spans(model), sizes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 """Cross-cutting randomized properties tying the halves together."""
 
+import hashlib
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from arcroute import (
 from arcroute.errors import StructuralSchemeError
 from arcroute.verifier import route_lengths
 from conftest import (
+    covering_models,
     graph_from_edges,
     labels_of,
     perturbed_ring,
@@ -106,6 +108,30 @@ def test_clique_cycle_invariants_hold(params):
     model = gen_random(min(n, 16), seed)
     cycle = build_clique_cycle(model)
     ref_validate_cycle(cycle, model)
+
+
+# sha256 over the scheme JSON of every class below, in class order,
+# recorded before the build's numpy calls were cut; it holds every builder
+# case on small models byte for byte, counter pairs, cuts and dominating
+# runs included
+SMALL_CLASSES = {3: 8, 4: 88, 5: 1256}
+SMALL_DIGEST = "c46d46bb8436f09c8b77ed4890ef0970d8a7fff41c0bd04b5b1eab4111243b53"
+
+
+def test_every_small_covering_model_builds_a_verified_scheme():
+    digest = hashlib.sha256()
+    for n, count in SMALL_CLASSES.items():
+        models = covering_models(n)
+        assert len(models) == count
+        for model in models:
+            scheme = build_scheme(model)
+            report = verify_scheme(intersection_graph(model), scheme)
+            assert report.passed, model.to_json()
+            stats = interval_stats(scheme)
+            assert stats.total_within_bound and stats.per_arc_within_bound
+            assert stats.doubles_within_bound, model.to_json()
+            digest.update(scheme.to_json().encode())
+    assert digest.hexdigest() == SMALL_DIGEST
 
 
 # the message of every malformed payload, as the reader worded it when it
