@@ -125,19 +125,20 @@ class LabelingContext:
         middle = tail[last]
         # every directed edge as source * n + target position, ascending; ``off``
         # counts the steps from source to target, and ``x.repeat(deg)`` is
-        # the faster ``x[src]``
+        # the faster ``x[src]``.  The per-edge gathers use ``take``: numpy
+        # indexes with an int32 array about three times slower than with intp
         (src, tgt), deg = cyc.edges, cyc.degrees
-        self.edges = np.sort(np.multiply(src, n, dtype=np.int64) + self.pos[tgt])
+        self.edges = np.sort(np.multiply(src, n, dtype=np.int64) + self.pos.take(tgt))
         src = np.arange(n, dtype=np.int32).repeat(deg)
         col = (self.edges - np.multiply(src, n, dtype=np.int64)).astype(np.int32)
         # ``starts[v]:ends[v]`` holds the edges of v, and no v is isolated: the
         # arc covering the gap before v's start cannot end there, so it meets v
         ends = deg.cumsum()
         starts = ends - deg
-        tgt = items[col]
+        tgt = items.take(col)
         off = (col - pos.repeat(deg)) % n
         # the counter pairs are edges, so one test per edge finds them all
-        lc_src, lc_tgt, span_tgt = lc.repeat(deg), lc[tgt], span[tgt]
+        lc_src, lc_tgt, span_tgt = lc.repeat(deg), lc.take(tgt), span.take(tgt)
         counter = counter_pairs(lc_src, span.repeat(deg), lc_tgt, span_tgt, k)
         self.partner = np.minimum.reduceat(np.where(counter, tgt, n), starts)
         self.has_counter = self.partner < n
@@ -145,9 +146,10 @@ class LabelingContext:
         # left vertex: the candidate neighbor farthest behind v (reaching
         # further counterclockwise, not dominating, no counter partner), or
         # the head of v's block when that lies further behind
-        cand = (((lc_src - lc_tgt) % k < span_tgt) & (lc_tgt != lc_src) & ~dom[tgt]
-                & ~counter)
-        back = np.maximum.reduceat(np.where(cand, n - off, 0), starts)
+        dom_tgt = dom.take(tgt)
+        cand = ((lc_src - lc_tgt) % k < span_tgt) & (lc_tgt != lc_src) & ~dom_tgt & ~counter
+        # masked maxima as products: both factors are non-negative
+        back = np.maximum.reduceat(cand * (n - off), starts)
         back = np.where(dom, 0, np.maximum(back, (pos - pos[head[lc]]) % n))
         self.left_of = np.where(back > 0, items[(pos - back) % n], -1)
         self.middle_of = np.where(dom, -1, middle)
@@ -160,7 +162,7 @@ class LabelingContext:
         _reject_first(np.bincount(src[right], minlength=n) != lo - 1,
                       "right block holds a non-neighbor")
         side = right | (off >= hi_src)
-        _reject_first(np.bincount(src[~side & ~dom[tgt]], minlength=n) > 0,
+        _reject_first(np.bincount(src[~side & ~dom_tgt], minlength=n) > 0,
                       "facing block holds a non-dominating neighbor")
         _reject_first(np.bincount(src[off == hi_src], minlength=n) < (hi < n),
                       "left block must start at the left vertex")
@@ -170,14 +172,14 @@ class LabelingContext:
         self.right_of = np.full(n, -1, dtype=np.int64)
         if not self.any_dominating:
             rc_src = rc.repeat(deg)
-            holds = (rc_src - lc_tgt) % k < span[tgt]
+            holds = (rc_src - lc_tgt) % k < span_tgt
             rank = np.where(tgt == self.left_of.repeat(deg), 0,
                             np.where(tgt == middle.repeat(deg), 1, 2))
             # the largest key has the farthest reach, then the lowest rank,
             # then the smallest offset, which it leaves as ``-key % n``
-            reach = (rc[tgt] - rc_src) % k
+            reach = (rc.take(tgt) - rc_src) % k
             key = (reach * 3 + 3 - rank).astype(np.int64) * n - off
-            best = np.maximum.reduceat(np.where(holds, key, 0), starts)
+            best = np.maximum.reduceat(holds * key, starts)
             self.right_of[best > 0] = items[(pos - best)[best > 0] % n]
         # a side-block neighbor carries itself and the non-neighbors up to
         # the next neighbor clockwise, never past the end of its block
@@ -539,8 +541,9 @@ def _join_runs(pos: np.ndarray, src, dst, offset, length):
     Joining merges only abutting runs of one arc, so it changes no verdict.
     """
     n = len(pos)
-    # one key per sort: (source, offset), then (source, target, the run
-    # holding its target first); no key outlives its sort
+    # one key per sort: (source, offset), stable since each source's runs come
+    # as a rotated ascending run that timsort merges fast, then (source,
+    # target, the run holding its target first); no key outlives its sort
     idx = (np.multiply(src, n, dtype=np.int64) + offset).argsort(kind="stable")
     src, dst, offset, length = src[idx], dst[idx], offset[idx], length[idx]
     end = offset + length
@@ -564,8 +567,7 @@ def _join_runs(pos: np.ndarray, src, dst, offset, length):
     _reject_first(offset != expected, "intervals overlap or leave a hole", src)
     target = (pos[dst] - pos[src]) % n
     holds = (offset <= target) & (target < end)
-    idx = ((np.multiply(src, n, dtype=np.int64) + dst) * 2 + ~holds).argsort(
-        kind="stable")
+    idx = ((np.multiply(src, n, dtype=np.int64) + dst) * 2 + ~holds).argsort()
     src, dst, offset, length = src[idx], dst[idx], offset[idx], length[idx]
     # a row that opens no arc is an arc's second interval, or a later one
     more = ~changes(src, dst)
@@ -573,6 +575,13 @@ def _join_runs(pos: np.ndarray, src, dst, offset, length):
                   src[1:])
     _reject_first(np.bincount(src[more], minlength=n) > 1,
                   "more than one outgoing arc carries two intervals")
+    # that sort is not stable, and an arc's two rows tie when both hold or both
+    # miss its target: put them back in row order (no arc has three rows now)
+    second = more.nonzero()[0]
+    was, now = idx[second - 1], idx[second]
+    turned = second[(was > now) & (holds[was] == holds[now])]
+    offset[turned - 1], offset[turned] = offset[turned], offset[turned - 1]
+    length[turned - 1], length[turned] = length[turned], length[turned - 1]
     return src, dst, (pos[src] + offset) % n, length
 
 

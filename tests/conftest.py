@@ -21,11 +21,11 @@ from arcroute import (
     validate_model,
 )
 from arcroute.arc_model import arc_spans, unique_keys
-from arcroute.builder import LabelingContext
+from arcroute.builder import LabelingContext, _reject_first
 from arcroute.errors import ConstructionError, StructuralSchemeError
 from arcroute.generator import gen_perturbed_ring
 from arcroute.graph import UNREACHABLE
-from arcroute.ring_order import is_id
+from arcroute.ring_order import changes, is_id
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -328,6 +328,63 @@ def same_scheme(a, b) -> bool:
         getattr(a, name).dtype == getattr(b, name).dtype
         and np.array_equal(getattr(a, name), getattr(b, name))
         for name in ("src", "dst", "start", "length"))
+
+
+# Reference: the join as it was while its second sort was stable.
+
+
+def reference_join_runs(pos: np.ndarray, src, dst, offset, length):
+    """Join runs into the scheme's interval rows in one bulk pass, checking
+    the scheme's shape.
+
+    Run ``i`` assigns the ``length[i]`` vertices from ``offset[i]`` steps
+    clockwise after ``src[i]`` on to arc ``(src[i], dst[i])``; ``pos`` maps
+    a vertex to its order position.  Taken by source and offset, runs of
+    one arc that abut become one.  The rows come out sorted by arc, the run
+    that holds its target first, with offsets turned into start positions.
+
+    ConstructionError names the lowest vertex with a joined row that starts
+    at it or runs past it, with rows that cover other than n - 1 vertices,
+    with rows that overlap or leave a hole when taken by offset, with an arc
+    that carries more than two intervals, or with two arcs that carry two.
+    Joining merges only abutting runs of one arc, so it changes no verdict.
+    """
+    n = len(pos)
+    # one key per sort: (source, offset), then (source, target, the run
+    # holding its target first); no key outlives its sort
+    idx = (np.multiply(src, n, dtype=np.int64) + offset).argsort(kind="stable")
+    src, dst, offset, length = src[idx], dst[idx], offset[idx], length[idx]
+    end = offset + length
+    new = changes(src, dst)
+    new[1:] |= offset[1:] != end[:-1]
+    # a joined run ends where its last row ends, the row before the next new one
+    end = end[np.concatenate((new[1:], new[:1]))]
+    src, dst, offset = src[new], dst[new], offset[new]
+    _reject_first((offset < 1) | (offset >= n) | (end > n),
+                  "interval covers its own source", src)
+    length = end - offset
+    totals = np.bincount(src, weights=length, minlength=n).astype(np.int64)
+    if (totals != n - 1).any():
+        v = int((totals != n - 1).argmax())
+        raise ConstructionError(
+            f"intervals cover {int(totals[v])} of {n - 1} destinations", vertex=v
+        )
+    # with every total exact, a source's rows tile its offsets 1 .. n - 1
+    # iff each starts where the one before it ends, the first at 1
+    expected = np.where(changes(src), 1, np.concatenate((end[-1:], end[:-1])))
+    _reject_first(offset != expected, "intervals overlap or leave a hole", src)
+    target = (pos[dst] - pos[src]) % n
+    holds = (offset <= target) & (target < end)
+    idx = ((np.multiply(src, n, dtype=np.int64) + dst) * 2 + ~holds).argsort(
+        kind="stable")
+    src, dst, offset, length = src[idx], dst[idx], offset[idx], length[idx]
+    # a row that opens no arc is an arc's second interval, or a later one
+    more = ~changes(src, dst)
+    _reject_first(more[1:] & more[:-1], "an arc carries more than two intervals",
+                  src[1:])
+    _reject_first(np.bincount(src[more], minlength=n) > 1,
+                  "more than one outgoing arc carries two intervals")
+    return src, dst, (pos[src] + offset) % n, length
 
 
 @pytest.fixture

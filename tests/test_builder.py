@@ -34,6 +34,7 @@ from arcroute.builder import (
     _walk_chains,
 )
 import arcroute.arc_model
+import arcroute.builder
 import arcroute.ring_order
 from arcroute.errors import ConstructionError, NotRealCircularArc
 from arcroute.ring_order import CyclicOrder
@@ -44,6 +45,7 @@ from conftest import (
     NO_SEARCHES,
     block,
     context_for,
+    covering_models,
     covers_gap,
     labels_of,
     load,
@@ -53,6 +55,7 @@ from conftest import (
     ref_ring_sequence,
     ref_to_json,
     reference_counter_matrix,
+    reference_join_runs,
     same_scheme,
     src_env,
 )
@@ -1244,6 +1247,9 @@ def join_runs(rows, n):
     ([(3, 1, 2), (1, 3, 5)], "interval covers its own source"),
     ([(3, 1, 1), (4, 2, 1), (3, 3, 1), (5, 4, 1), (3, 5, 1), (6, 6, 1)],
      "an arc carries more than two intervals"),
+    # the same with all three missing the target, so that they share a key
+    ([(4, 1, 1), (3, 2, 1), (5, 3, 1), (3, 4, 1), (6, 5, 1), (3, 6, 1)],
+     "an arc carries more than two intervals"),
     ([(3, 1, 1), (4, 2, 1), (3, 3, 1), (4, 4, 1), (5, 5, 2)],
      "more than one outgoing arc carries two intervals"),
     # a vertex without any run, which a check over the sources that have
@@ -1258,6 +1264,142 @@ def test_shape_check_rejects_broken_arrays(runs, message):
     with pytest.raises(ConstructionError, match=message) as info:
         join_runs(broken, n)
     assert info.value.vertex == 2
+
+
+@pytest.fixture(scope="module")
+def builder_joins():
+    """The order positions and runs that ``build_scheme`` hands to
+    ``_join_runs``, with the rows it gets back, for every covering class
+    with at most five arcs and for models of the benchmark's sizes."""
+    models = [model for n in range(3, 6) for model in covering_models(n)]
+    models += [gen_random(200, seed) for seed in range(15)]
+    models += [perturbed_ring(300, seed) for seed in range(6)]
+    calls = []
+
+    def spy(pos, *runs):
+        rows = _join_runs(pos, *runs)
+        calls.append((pos, runs, rows))
+        return rows
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arcroute.builder, "_join_runs", spy)
+        for model in models:
+            build_scheme(model)
+    assert len(calls) == len(models) == 1352 + 21
+    return calls
+
+
+def join_outcome(join, pos, runs):
+    """The rows ``join`` returns, as (dtype, values) per column, or the
+    message and the vertex of the ConstructionError it raises."""
+    try:
+        return [(col.dtype, col.tolist()) for col in join(pos, *runs)]
+    except ConstructionError as exc:
+        return str(exc), exc.vertex
+
+
+def random_run_set(rng, n):
+    """A random vertex order on n vertices, as ``pos``, and runs that cut
+    each source's offsets 1 .. n - 1 at random, with targets chosen so that
+    arcs often carry two intervals, sometimes both missing the target; a
+    quarter of the sets are then corrupted, and the rows are shuffled."""
+    pos = np.array(rng.sample(range(n), n), dtype=np.int64)
+    rows = []
+    for v in range(n):
+        cuts = sorted(rng.sample(range(2, n), rng.randrange(n - 1)))
+        bounds = [1, *cuts, n]
+        others = [w for w in range(n) if w != v]
+        if rng.random() < 0.1:
+            # few targets: arcs with three intervals, two doubled arcs
+            targets = [rng.choice(others[:2]) for _ in bounds[1:]]
+        else:
+            targets = rng.sample(others, len(bounds) - 1)
+            if len(targets) > 2 and rng.random() < 0.7:
+                i, j = rng.sample(range(len(targets)), 2)
+                targets[j] = targets[i]
+        rows += [[v, w, a, b - a] for w, a, b in zip(targets, bounds, bounds[1:])]
+    if rows and rng.random() < 0.25:
+        v = rng.choice([row[0] for row in rows])
+        mine = [row for row in rows if row[0] == v]
+        kind = rng.randrange(7)
+        if kind == 0:  # an overlap, or a run past the source
+            rng.choice(mine)[3] += 1
+        elif kind == 1 and len(mine) >= 2:  # an overlap and a hole, same total
+            max(mine, key=lambda row: row[2])[2] -= 1
+        elif kind == 2:  # a hole
+            row = rng.choice(mine)
+            if row[3] > 1:
+                row[3] -= 1
+            else:
+                rows.remove(row)
+        elif kind == 3:  # an offset of 0 or n
+            rng.choice(mine)[2] = rng.choice([0, n])
+        elif kind == 4 and len(mine) >= 3:  # a third interval on one arc
+            for row in rng.sample(mine, 3):
+                row[1] = mine[0][1]
+        elif kind == 5 and len(mine) >= 4:  # a second doubled arc at one source
+            mine[2][1], mine[3][1] = mine[0][1], mine[1][1]
+        elif kind == 6:  # rows of one arc that all miss its target
+            w = rng.choice([u for u in range(n) if u != v])
+            t = (pos[w] - pos[v]) % n
+            missing = [row for row in mine if not row[2] <= t < row[2] + row[3]]
+            for row in rng.sample(missing, min(3, len(missing))):
+                row[1] = w
+    # abutting pieces of one run, which the join merges again
+    for row in list(rows):
+        if row[3] > 1 and rng.random() < 0.2:
+            cut = rng.randrange(1, row[3])
+            rows.append([row[0], row[1], row[2] + cut, row[3] - cut])
+            row[3] = cut
+    rng.shuffle(rows)
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return pos, tuple(cols)
+
+
+def doubled_arcs_missing_target(pos, rows):
+    """Arcs whose two joined rows both miss the arc's target."""
+    src, dst, start, length = rows
+    n = len(pos)
+    misses = (pos[dst] - start) % n >= length
+    second = ~arcroute.ring_order.changes(src, dst)
+    return int((second[1:] & misses[1:] & misses[:-1]).sum())
+
+
+def test_join_matches_the_stable_sort_reference(builder_joins):
+    # the builder's runs as given and shuffled, then random run sets, valid
+    # or corrupted: equal rows or the same error naming the same vertex
+    rng = random.Random(30)
+    for pos, runs, _ in builder_joins:
+        shuffled = np.array(rng.sample(range(len(runs[0])), len(runs[0])), dtype=np.int64)
+        for cols in (runs, tuple(col[shuffled] for col in runs)):
+            assert join_outcome(_join_runs, pos, cols) == join_outcome(
+                reference_join_runs, pos, cols)
+    outcomes, tied = Counter(), 0
+    sizes = [rng.randint(2, 12) for _ in range(2400)] + [150] * 20
+    for n in sizes:
+        pos, runs = random_run_set(rng, n)
+        got = join_outcome(_join_runs, pos, runs)
+        assert got == join_outcome(reference_join_runs, pos, runs), (pos, runs)
+        if isinstance(got, tuple):
+            # the message without its vertex and counts
+            outcomes[" ".join(word for word in got[0].partition(": ")[2].split()
+                              if not word.isdigit())] += 1
+        else:
+            outcomes["joined"] += 1
+            tied += doubled_arcs_missing_target(
+                pos, [np.array(values) for _, values in got]) > 0
+    # every verdict occurs, and many joined sets hold a tied pair of rows
+    assert min(outcomes.values()) >= 40 and len(outcomes) == 6, outcomes
+    assert tied >= 300, (tied, outcomes)
+
+
+def test_builder_rows_need_no_resort(builder_joins):
+    # rows ascend by arc with at most two per arc, so RoutingScheme takes
+    # them as they are and never sorts them again
+    for pos, _, (src, dst, _, _) in builder_joins:
+        arc = src * len(pos) + dst
+        assert (arc[1:] >= arc[:-1]).all()
+        assert not (arc[2:] == arc[:-2]).any()
 
 
 def test_interval_model_with_covering_arcs_still_routes():
