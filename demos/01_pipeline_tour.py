@@ -30,7 +30,9 @@ def main() -> None:
     print(f"arc 3 covers gaps 6, 7, 0 (it wraps past position 0)\n")
 
     graph = intersection_graph(model)
-    edges = [tuple(e) for e in np.argwhere(np.triu(graph.adj)).tolist()]
+    # each edge (u, v) is kept both ways as the sorted key u * n + v
+    u, v = np.divmod(graph.keys, graph.n)
+    edges = [e for e in zip(u.tolist(), v.tolist()) if e[0] < e[1]]
     print(f"edges: {edges}  (the 4-cycle)\n")
 
     cycle = build_clique_cycle(model)

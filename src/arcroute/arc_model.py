@@ -126,22 +126,17 @@ def is_real(model: ArcModel) -> bool:
     return bool(gap_coverage(model).all())
 
 
-def _forward_pairs(starts: np.ndarray, lengths: np.ndarray, size: int):
-    """Each ``(arc, other)`` where ``arc`` holds the first gap of ``other``,
-    and their count per arc; each edge is one such pair, or two."""
-    by_start = starts.argsort()
-    lo, count = _points_in_spans(starts[by_start], starts, lengths, size)
-    arc, at = expand_runs(lo + 1, count - 1, len(starts))
-    return arc, by_start[at], count - 1
-
-
 def intersection_edges(starts: np.ndarray, lengths: np.ndarray, size: int):
     """Every directed edge ``(src, tgt)`` once, as int32 arrays, and the
     degree of every arc, from the spans of ``arc_spans`` on a circle of
     ``size`` gaps.  Arcs meet iff one holds the other's first gap: an arc
     has an edge to each arc whose first gap it holds, and back from it
     unless that arc holds its first gap."""
-    arc, other, forward = _forward_pairs(starts, lengths, size)
+    by_start = starts.argsort()
+    lo, count = _points_in_spans(starts[by_start], starts, lengths, size)
+    forward = count - 1
+    arc, at = expand_runs(lo + 1, forward, len(starts))
+    other = by_start[at]
     back = (starts.repeat(forward) - starts[other]) % size >= lengths[other]
     back_from = other[back]
     edges = tuple(np.concatenate(pair, dtype=np.int32, casting="same_kind")
@@ -151,7 +146,5 @@ def intersection_edges(starts: np.ndarray, lengths: np.ndarray, size: int):
 
 def intersection_graph(model: ArcModel) -> Graph:
     """Graph with one vertex per arc, edges between intersecting arcs."""
-    arc, other, _ = _forward_pairs(*arc_spans(model), model.circle_size)
-    adj = np.zeros((model.n, model.n), dtype=bool)
-    adj[arc, other] = adj[other, arc] = True
-    return Graph(model.n, adj)
+    edges, _ = intersection_edges(*arc_spans(model), model.circle_size)
+    return Graph(model.n, *edges)

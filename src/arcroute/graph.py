@@ -1,7 +1,7 @@
 """Graphs with dense vertex ids and their all-pairs hop distances.
 
 The oracle half reads a circular-arc graph only through this module: a
-``Graph`` is a read-only boolean adjacency, and ``all_pairs_distances``
+``Graph`` is a read-only sorted edge list, and ``all_pairs_distances``
 searches it breadth-first from every source at once.  Nothing here knows
 arcs or cliques.
 """
@@ -14,44 +14,47 @@ from .ring_order import is_id
 
 UNREACHABLE = -1
 
+MAX_VERTICES = 3037000499  # the largest n whose keys u * n + v fit in int64
+
 
 class Graph:
     """Undirected graph with dense ids, immutable after construction.
 
-    Keeps a boolean adjacency matrix so that hot paths get O(1) adjacency
-    tests; fine for the n <= a few thousand instances this package
-    targets.  A vertex's sorted neighbors are ``np.flatnonzero(adj[v])``.
-
-    The caller hands ``adj`` over: the graph keeps a read-only view of it,
-    not a copy, so the array must not be written afterwards.  ``adj`` and
-    ``degrees`` are read-only, so that ``m`` and the checks cached on the
-    graph stay true.
+    Takes every edge once in each direction, as ``np.nonzero`` of a
+    symmetric matrix or ``intersection_edges`` list them, and keeps edge
+    (u, v) as the sorted key ``u * n + v``, its row-major cell.  Row v is
+    ``keys[indptr[v]:indptr[v + 1]]``, v's neighbours that slice minus
+    ``v * n``.  The arrays are read-only, so ``m`` and cached checks hold.
     """
 
-    __slots__ = ("n", "m", "adj", "degrees")
+    __slots__ = ("n", "m", "keys", "indptr", "degrees")
 
-    def __init__(self, n: int, adj: np.ndarray):
-        if not (is_id(n) and isinstance(adj, np.ndarray) and adj.dtype == bool
-                and adj.shape == (n, n)):
-            raise ValueError(f"adjacency must be an n x n boolean array with "
-                             f"n = {n!r}")
-        if adj.diagonal().any():
+    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
+        if not (is_id(n) and 0 <= n <= MAX_VERTICES):
+            raise ValueError(f"vertex count must be an int in 0..{MAX_VERTICES}, "
+                             f"got {n!r}")
+        # bools would read as ids 0 and 1, and floats be cut to ints
+        if not (all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
+                    and np.can_cast(a.dtype, np.int64) for a in (src, dst))
+                and len(src) == len(dst)):
+            raise ValueError("edges must be two 1-D integer arrays of equal length")
+        n = int(n)
+        if any(len(a) and not 0 <= a.min() <= a.max() < n for a in (src, dst)):
+            raise ValueError(f"edge ends must be vertex ids in 0..{n - 1}")
+        if (src == dst).any():
             raise ValueError("self-loops are not allowed")
-        if not _is_symmetric(adj):
+        keys, back = (np.sort(u.astype(np.int64) * n + v)
+                      for u, v in ((src, dst), (dst, src)))
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("an edge is listed twice")
+        if not np.array_equal(keys, back):
             raise ValueError("adjacency must be symmetric")
-        self.n = int(n)
-        self.adj, self.degrees = adj.view(), adj.sum(axis=1).astype(np.int64)
-        self.adj.flags.writeable = self.degrees.flags.writeable = False
-        self.m = int(self.degrees.sum()) // 2
+        self.n, self.m, self.keys = n, len(keys) // 2, keys
+        self.indptr = keys.searchsorted(np.arange(n + 1, dtype=np.int64) * n)
+        self.degrees = np.diff(self.indptr)
+        for a in (self.keys, self.indptr, self.degrees):
+            a.flags.writeable = False
 
-
-def _is_symmetric(adj: np.ndarray) -> bool:
-    """``adj == adj.T``, compared in 512 x 512 tiles, so that no n-by-n
-    temporary is made and each transposed tile stays in cache."""
-    n, tile = len(adj), 512
-    return all(np.array_equal(adj[i:i + tile, j:j + tile],
-                              adj[j:j + tile, i:i + tile].T)
-               for i in range(0, n, tile) for j in range(i, n, tile))
 
 def all_pairs_distances(graph: Graph) -> np.ndarray:
     """Full hop-distance matrix (UNREACHABLE for disconnected pairs).
@@ -88,7 +91,7 @@ FRONTIER_WORK = 8
 def _frontier_distances(graph: Graph) -> np.ndarray | None:
     """The frontier search of ``all_pairs_distances``, or None once its
     cost rule hands over to scipy."""
-    n, adj = graph.n, graph.adj
+    n = graph.n
     budget = FRONTIER_WORK * (n + 2 * graph.m)
     reached = n + 2 * graph.m  # pairs at hop distance 0 or 1
     level, count, dist = 1, graph.m, None
@@ -97,9 +100,9 @@ def _frontier_distances(graph: Graph) -> np.ndarray | None:
         if level * n * n > budget:
             return None
         if dist is None:  # the first product: set up from level 1
-            dist = _level_one(adj)
+            dist = _level_one(graph)
             unseen = dist < 0
-            frontier = a32 = adj.astype(np.float32)
+            frontier = a32 = (dist > 0).astype(np.float32)
         new = frontier @ a32 > 0
         new &= unseen
         unseen ^= new
@@ -108,12 +111,12 @@ def _frontier_distances(graph: Graph) -> np.ndarray | None:
         reached += count
         frontier = new.astype(np.float32)
         del new  # else it would sit beside the next product and its mask
-    return _level_one(adj) if dist is None else dist
+    return _level_one(graph) if dist is None else dist
 
 
-def _level_one(adj: np.ndarray) -> np.ndarray:
-    dist = np.full(adj.shape, UNREACHABLE, dtype=np.int64)
-    dist[adj] = 1
+def _level_one(graph: Graph) -> np.ndarray:
+    dist = np.full((graph.n, graph.n), UNREACHABLE, dtype=np.int64)
+    np.put(dist, graph.keys, 1)  # a key is its edge's row-major cell
     np.fill_diagonal(dist, 0)
     return dist
 
@@ -122,14 +125,15 @@ def _scipy_distances(graph: Graph) -> np.ndarray:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
-    mat = csr_matrix(graph.adj)
+    n, keys = graph.n, graph.keys
+    mat = csr_matrix((np.ones(len(keys)), keys % n, graph.indptr), shape=(n, n))
     # Graph holds a symmetric adjacency, so scipy need not symmetrise it
     dist = shortest_path(mat, method="D", unweighted=True, directed=True)
     # mark and cast a block of rows at a time into the float64 result's
     # own buffer, so no n-by-n temporary is made beside it
     out = dist.view(np.int64)
-    step = max(1, _CAST_CELLS // max(graph.n, 1))
-    for i in range(0, graph.n, step):
+    step = max(1, _CAST_CELLS // max(n, 1))
+    for i in range(0, n, step):
         rows = dist[i:i + step]
         rows[np.isinf(rows)] = UNREACHABLE
         out[i:i + step] = rows.astype(np.int64)

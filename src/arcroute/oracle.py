@@ -59,7 +59,7 @@ def has_shortest_path_1irs(
 
     # allowed[v][w][u]: w starts a shortest path from v to u
     allowed = (dist[None, :, :] == dist[:, None, :] - 1).tolist()
-    nbrs = [np.flatnonzero(graph.adj[v]).tolist() for v in range(n)]
+    nbrs = [row.tolist() for row in np.split(graph.keys % n, graph.indptr[1:-1])]
 
     by_degree = sorted(range(n), key=lambda v: int(graph.degrees[v]))
     for rest in permutations(range(1, n)):

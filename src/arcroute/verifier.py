@@ -99,12 +99,14 @@ def _check_structure(graph: Graph, scheme: RoutingScheme) -> None:
         raise StructuralSchemeError(
             f"scheme order covers {scheme.n} vertices, graph has {n}"
         )
-    # the rows are sorted by arc, so the first non-edge is the lowest
-    bad = ~graph.adj[scheme.src, scheme.dst]
-    if bad.any():
-        i = np.argmax(bad)
-        raise StructuralSchemeError(
-            f"arc ({scheme.src[i]}, {scheme.dst[i]}) is not a graph edge")
+    # a scheme that passes labels every edge (see IntervalStats), so its
+    # distinct arcs, sorted like the keys, are the keys; else name the lowest
+    arcs = (scheme.src * n + scheme.dst)[scheme._arc_opens()]
+    if not np.array_equal(arcs, graph.keys):
+        bad = ~np.isin(arcs, graph.keys)
+        if bad.any():
+            v, w = divmod(int(arcs[bad][0]), n)
+            raise StructuralSchemeError(f"arc ({v}, {w}) is not a graph edge")
 
 
 def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:

@@ -57,12 +57,27 @@ def load(model_dict: dict) -> ArcModel:
 
 def context_for(model) -> LabelingContext:
     """The labeling context of ``model``, with the model's intersection
-    graph attached as ``graph`` for the references to read; a build reads
-    the cycle's edge list and makes no graph."""
+    graph attached as ``graph`` and its boolean matrix as ``adj`` for the
+    references to read; a build reads the cycle's edge list and makes no
+    graph."""
     cycle = build_clique_cycle(model)
     ctx = LabelingContext(cycle, build_vertex_order(cycle))
     ctx.graph = intersection_graph(model)
+    ctx.adj = adjacency(ctx.graph)
     return ctx
+
+
+def graph_from_matrix(adj) -> Graph:
+    """The graph of a symmetric boolean matrix with a false diagonal."""
+    return Graph(len(adj), *np.nonzero(adj))
+
+
+def adjacency(graph) -> np.ndarray:
+    """The n-by-n boolean matrix of ``graph``, which the library keeps
+    nowhere: a key ``u * n + v`` is the cell of edge (u, v)."""
+    adj = np.zeros((graph.n, graph.n), dtype=bool)
+    np.put(adj, graph.keys, True)
+    return adj
 
 
 def block(ctx, v, a, b) -> np.ndarray:
@@ -125,7 +140,7 @@ def reference_intersection_graph(model) -> Graph:
     rel = (starts[None, :] - starts[:, None]) % model.circle_size
     adj = (rel < lengths[:, None]) | (rel.T < lengths[None, :])
     np.fill_diagonal(adj, False)
-    return Graph(model.n, adj)
+    return graph_from_matrix(adj)
 
 
 def reference_counter_matrix(cycle, graph) -> np.ndarray:
@@ -145,7 +160,7 @@ def reference_counter_matrix(cycle, graph) -> np.ndarray:
     return (contains & contains.T
             & (lc[:, None] != lc[None, :])
             & proper[:, None] & proper[None, :]
-            & graph.adj)
+            & adjacency(graph))
 
 
 # References: the single-pair graph helpers, which no part of the library
@@ -165,18 +180,19 @@ def graph_from_edges(n, edges) -> Graph:
     for u, v in edges:
         check_ids(n, u, v)
         adj[u, v] = adj[v, u] = True
-    return Graph(n, adj)
+    return graph_from_matrix(adj)
 
 
 def ref_bfs_distances(graph, source) -> np.ndarray:
     """Hop counts from ``source``; UNREACHABLE (-1) marks other components."""
     check_ids(graph.n, source)
+    adj = adjacency(graph)
     dist = np.full(graph.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in np.flatnonzero(graph.adj[u]):
+        for v in np.flatnonzero(adj[u]):
             if dist[v] == UNREACHABLE:
                 dist[v] = dist[u] + 1
                 queue.append(int(v))
@@ -188,7 +204,8 @@ def ref_first_vertices(graph, u, w) -> set[int]:
     (none when ``w`` is unreachable)."""
     check_ids(graph.n, u)
     dist = ref_bfs_distances(graph, w)
-    return {int(v) for v in np.flatnonzero(graph.adj[u]) if dist[v] == dist[u] - 1}
+    return {int(v) for v in np.flatnonzero(adjacency(graph)[u])
+            if dist[v] == dist[u] - 1}
 
 
 def ref_ring_sequence(order, a, b) -> list[int]:
@@ -328,6 +345,26 @@ def same_scheme(a, b) -> bool:
         getattr(a, name).dtype == getattr(b, name).dtype
         and np.array_equal(getattr(a, name), getattr(b, name))
         for name in ("src", "dst", "start", "length"))
+
+
+# Reference: the structure check of the verifier while ``Graph`` kept a
+# boolean matrix, one gather of every row's arc.
+
+
+def ref_check_structure(graph, scheme) -> None:
+    """Raise StructuralSchemeError when the scheme's order has another
+    vertex count than the graph, or a row's arc is no graph edge."""
+    n = graph.n
+    if scheme.n != n:
+        raise StructuralSchemeError(
+            f"scheme order covers {scheme.n} vertices, graph has {n}"
+        )
+    # the rows are sorted by arc, so the first non-edge is the lowest
+    bad = ~adjacency(graph)[scheme.src, scheme.dst]
+    if bad.any():
+        i = np.argmax(bad)
+        raise StructuralSchemeError(
+            f"arc ({scheme.src[i]}, {scheme.dst[i]}) is not a graph edge")
 
 
 # Reference: the join as it was while its second sort was stable.

@@ -28,12 +28,14 @@ from arcroute.errors import (
     ModelFormatError,
     PositionOutOfRangeError,
 )
-from arcroute.graph import UNREACHABLE, _frontier_distances
+from arcroute.graph import MAX_VERTICES, UNREACHABLE, _frontier_distances
 from conftest import (
     C4_MODEL,
     COUNTER_MODEL,
+    adjacency,
     covers_gap,
     graph_from_edges,
+    graph_from_matrix,
     load,
     perturbed_ring,
     ref_bfs_distances,
@@ -177,7 +179,7 @@ def test_model_json_round_trip():
 
 def edges_of(graph) -> list[tuple[int, int]]:
     """The edges (u, v), u < v, in row order."""
-    return [tuple(e) for e in np.argwhere(np.triu(graph.adj)).tolist()]
+    return [tuple(e) for e in np.argwhere(np.triu(adjacency(graph))).tolist()]
 
 
 def test_intersection_graph_c4():
@@ -201,13 +203,13 @@ def test_intersection_matches_pairwise_gap_check():
     for model in (load(C4_MODEL),
                   parse_model('{"n": 3, "arcs": [[0, 3], [2, 5], [4, 1]]}'),
                   parse_model('{"n": 4, "arcs": [[0, 5], [4, 1], [2, 7], [6, 3]]}')):
-        graph = intersection_graph(model)
+        adj = adjacency(intersection_graph(model))
         for i, j in itertools.combinations(range(model.n), 2):
             share = any(
                 covers_gap(model, i, g) and covers_gap(model, j, g)
                 for g in range(model.circle_size)
             )
-            assert graph.adj[i, j] == share
+            assert adj[i, j] == share
 
 
 def test_intersection_graph_matches_the_broadcast_reference():
@@ -218,8 +220,8 @@ def test_intersection_graph_matches_the_broadcast_reference():
         n = rng.randint(1, 13)
         ends = rng.sample(range(2 * n), 2 * n)
         model = validate_model(n, list(zip(ends[::2], ends[1::2])))
-        expected = reference_intersection_graph(model).adj
-        assert (intersection_graph(model).adj == expected).all(), model.to_json()
+        expected = reference_intersection_graph(model).keys
+        assert np.array_equal(intersection_graph(model).keys, expected), model.to_json()
         uncovered += not is_real(model)
     assert uncovered > 500
 
@@ -241,8 +243,22 @@ def test_intersection_edges_list_each_directed_edge_once():
         keys = np.sort(src.astype(np.int64) * model.n + tgt)
         assert (np.diff(keys) > 0).all() and not (src == tgt).any(), model.to_json()
         # row-major, so the pairs of np.nonzero as keys u * n + v
-        expected = np.flatnonzero(reference_intersection_graph(model).adj)
+        expected = np.flatnonzero(adjacency(reference_intersection_graph(model)))
         assert np.array_equal(keys, expected), model.to_json()
+
+
+def test_intersection_graph_memory_stays_linear():
+    # the sweep's edge list and its sorted keys take a few int64 words per
+    # vertex and per directed edge (33 bytes measured); the n x n boolean
+    # matrix a graph once kept was 400 MB alone at this size
+    model = perturbed_ring(20000, 1)
+    tracemalloc.start()
+    try:
+        graph = intersection_graph(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * (graph.n + 2 * graph.m)
 
 
 def test_is_real_c4():
@@ -349,60 +365,101 @@ def asymmetric_adjacency(n, u, v):
 @pytest.mark.parametrize("n, adj", [
     (3, asymmetric_adjacency(3, 0, 1)),  # counted as m = 1, read both ways
     (3, ~np.eye(3, dtype=bool) ^ asymmetric_adjacency(3, 2, 0)),
-    (1100, asymmetric_adjacency(1100, 3, 1050)),  # outside the diagonal tiles
+    # the boundaries of the 512 x 512 tiles an n x n check once compared
+    (1100, asymmetric_adjacency(1100, 3, 1050)),
     (1100, asymmetric_adjacency(1100, 1050, 3)),
     (1100, asymmetric_adjacency(1100, 600, 601)),
 ])
 def test_graph_rejects_an_asymmetric_adjacency(n, adj):
     with pytest.raises(ValueError, match="symmetric"):
-        Graph(n, adj)
+        Graph(n, *np.nonzero(adj))
 
 
 def test_graph_rejects_a_true_diagonal():
     # all-True made m = 4 on three vertices and no vertex dominating
     with pytest.raises(ValueError, match="self-loops"):
-        Graph(3, np.ones((3, 3), dtype=bool))
-    adj = np.zeros((3, 3), dtype=bool)
-    adj[1, 1] = True
+        Graph(3, *np.nonzero(np.ones((3, 3), dtype=bool)))
     with pytest.raises(ValueError, match="self-loops"):
-        Graph(3, adj)
+        Graph(3, np.array([1]), np.array([1]))
 
 
-@pytest.mark.parametrize("n, adj", [
-    (3, np.zeros((2, 2), dtype=bool)),
-    (3, np.zeros((3, 2), dtype=bool)),
-    (2, np.zeros((2, 2, 1), dtype=bool)),
-    (2, np.zeros((2, 2), dtype=np.int64)),
-    (2, np.zeros((2, 2), dtype=np.float32)),
-    (2, [[False, True], [True, False]]),
-    (2.0, np.zeros((2, 2), dtype=bool)),
-    (True, np.zeros((1, 1), dtype=bool)),
-    (-1, np.zeros((0, 0), dtype=bool)),
+@pytest.mark.parametrize("src, dst", [
+    ([0, 1, 0], [1, 0, 1]),  # both directions listed, one of them twice
+    ([0, 1, 0, 1], [1, 0, 1, 0]),
 ])
-def test_graph_rejects_what_is_not_an_n_by_n_boolean_array(n, adj):
-    with pytest.raises(ValueError, match="n x n boolean array"):
-        Graph(n, adj)
+def test_graph_rejects_a_repeated_edge(src, dst):
+    # a repeat would count twice in m and in the degrees
+    with pytest.raises(ValueError, match="an edge is listed twice"):
+        Graph(3, np.array(src), np.array(dst))
+
+
+@pytest.mark.parametrize("n, src, dst", [
+    (3, [0, 3], [3, 0]),
+    (3, [2, 0], [0, 7]),
+    (3, [-1, 0], [0, -1]),  # a key would wrap to another vertex's row
+    (1, [0, 1], [1, 0]),
+])
+def test_graph_rejects_ids_outside_the_graph(n, src, dst):
+    with pytest.raises(ValueError, match=rf"^edge ends must be vertex ids in 0\.\.{n - 1}$"):
+        Graph(n, np.array(src), np.array(dst))
+
+
+EDGE_LIST_ERROR = "edges must be two 1-D integer arrays of equal length"
+VERTEX_COUNT_ERROR = "vertex count must be an int in 0.."
+
+
+@pytest.mark.parametrize("n, src, dst, message", [
+    (3, np.array([0, 1]), np.array([1]), EDGE_LIST_ERROR),
+    (2, np.array([[0], [1]]), np.array([[1], [0]]), EDGE_LIST_ERROR),
+    (2, np.array([0, 1]), np.array(1), EDGE_LIST_ERROR),
+    # a bool would read as id 0 or 1, a float be cut to an int
+    (2, np.array([False, True]), np.array([True, False]), EDGE_LIST_ERROR),
+    (2, np.array([0.0, 1.0]), np.array([1.0, 0.0]), EDGE_LIST_ERROR),
+    (2, np.array([0, 1]), np.array([1.5, 0.0]), EDGE_LIST_ERROR),
+    # uint64 ids have no exact int64 key
+    (2, np.array([0, 1], dtype=np.uint64), np.array([1, 0], dtype=np.uint64),
+     EDGE_LIST_ERROR),
+    (2, [0, 1], [1, 0], EDGE_LIST_ERROR),
+    (2.0, np.array([0, 1]), np.array([1, 0]), VERTEX_COUNT_ERROR),
+    (True, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+     VERTEX_COUNT_ERROR),
+    (-1, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+     VERTEX_COUNT_ERROR),
+    # the key u * n + v of an n this large could wrap past int64
+    (MAX_VERTICES + 1, np.array([0, 1]), np.array([1, 0]), VERTEX_COUNT_ERROR),
+])
+def test_graph_rejects_what_is_not_an_edge_list(n, src, dst, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Graph(n, src, dst)
 
 
 def test_graph_accepts_a_symmetric_adjacency():
-    adj = np.zeros((3, 3), dtype=bool)
-    adj[0, 2] = adj[2, 0] = True
-    graph = Graph(np.int64(3), adj)
-    assert graph.n == 3 and type(graph.n) is int
-    assert graph.m == 1 and edges_of(graph) == [(0, 2)]
-    assert Graph(0, np.zeros((0, 0), dtype=bool)).m == 0
+    for ids in (np.int64, np.int32, np.uint8):
+        graph = Graph(np.int64(3), np.array([2, 0], dtype=ids),
+                      np.array([0, 2], dtype=ids))
+        assert graph.n == 3 and type(graph.n) is int
+        assert graph.m == 1 and edges_of(graph) == [(0, 2)]
+        assert graph.keys.tolist() == [2, 6] and graph.keys.dtype == np.int64
+        assert graph.indptr.tolist() == [0, 1, 1, 2]
+        assert graph.degrees.tolist() == [1, 0, 1]
+    empty = np.array([], dtype=np.int64)
+    assert Graph(0, empty, empty).m == 0
+    assert Graph(3, empty, empty).indptr.tolist() == [0, 0, 0, 0]
 
 
-def test_graph_arrays_are_read_only_views():
+def test_graph_arrays_are_read_only():
     # a write once deleted an edge under a verified scheme, which then
     # routed over it, and left degrees and m stale
+    src, dst = np.array([0, 1]), np.array([1, 0])
+    graph = Graph(2, src, dst)
+    src[0] = dst[1] = 1  # the caller's arrays stay its own
+    assert graph.keys.tolist() == [1, 2]
     graph = intersection_graph(gen_ring(5))
-    assert graph.adj.base is not None  # a view, not an n x n copy
-    with pytest.raises(ValueError, match="read-only"):
-        graph.adj[0, 1] = False
-    with pytest.raises(ValueError, match="read-only"):
-        graph.degrees[0] = 0
-    assert graph.adj[0, 1] and graph.degrees[0] == 2 and graph.m == 5
+    for name in ("keys", "indptr", "degrees"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(graph, name)[0] = 0
+    assert graph.keys[0] == 1 and graph.indptr[1] == 2
+    assert graph.degrees[0] == 2 and graph.m == 5
 
 
 @pytest.mark.parametrize("v", [-1, 5, True, np.True_, 1.0, "1", None])
@@ -422,7 +479,7 @@ def test_graph_readers_accept_numpy_integer_ids():
     assert (ref_bfs_distances(graph, np.int32(2)).tolist()
             == ref_bfs_distances(graph, 2).tolist())
     assert ref_first_vertices(graph, np.int64(0), np.uint8(2)) == {1}
-    assert graph.adj[np.int64(0), np.int8(4)]
+    assert adjacency(graph)[np.int64(0), np.int8(4)]
 
 
 def scipy_distances(graph):
@@ -430,7 +487,7 @@ def scipy_distances(graph):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
-    dist = shortest_path(csr_matrix(graph.adj), unweighted=True, directed=False)
+    dist = shortest_path(csr_matrix(adjacency(graph)), unweighted=True, directed=False)
     return np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int64)
 
 
@@ -444,7 +501,7 @@ def clique_chain(cliques, size):
         if c:
             adj[c * size - 1, c * size] = adj[c * size, c * size - 1] = True
     np.fill_diagonal(adj, False)
-    return Graph(n, adj)
+    return graph_from_matrix(adj)
 
 
 def two_cliques(size):
@@ -519,9 +576,9 @@ def test_all_pairs_memory_stays_near_six_float32_matrices():
     # n-by-n temporary would exceed the bound.  Diameter 2 stops after one
     # product; the joined cliques (diameter 3) also hold a frontier cast
     # from level 2 while level 3 is multiplied, 5.5 float32 matrices
-    joined = two_cliques(500).adj.copy()
+    joined = adjacency(two_cliques(500))
     joined[499, 500] = joined[500, 499] = True
-    for graph in (intersection_graph(gen_random(1000, 0)), Graph(1000, joined)):
+    for graph in (intersection_graph(gen_random(1000, 0)), graph_from_matrix(joined)):
         tracemalloc.start()
         try:
             all_pairs_distances(graph)
@@ -547,7 +604,7 @@ def test_scipy_hand_over_memory_stays_near_one_int64_matrix():
         tracemalloc.stop()
     assert peak <= 10 * graph.n ** 2
     assert dist.dtype == np.int64 and dist.flags.c_contiguous
-    assert (dist == shortest_path(graph.adj, unweighted=True, directed=False)).all()
+    assert (dist == shortest_path(adjacency(graph), unweighted=True, directed=False)).all()
 
 
 def test_all_pairs_matches_bfs():

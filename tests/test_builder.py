@@ -286,7 +286,7 @@ def test_left_vertex_bounds_all_candidates():
             if lv == -1:
                 continue
             span = fwd(ctx, lv, v)
-            for u in np.flatnonzero(graph.adj[v]):
+            for u in np.flatnonzero(ctx.adj[v]):
                 u = int(u)
                 further_left = (
                     (cycle.left[v] - cycle.left[u]) % cycle.k < cycle.span_len[u]
@@ -356,7 +356,7 @@ def ref_left_vertex(ctx, v):
     lc = int(cycle.left[v])
     counter = reference_counter_matrix(cycle, ctx.graph)
     best, best_dist = -1, 0
-    for u in np.flatnonzero(ctx.graph.adj[v]).tolist():
+    for u in np.flatnonzero(ctx.adj[v]).tolist():
         if ((lc - cycle.left[u]) % k < cycle.span_len[u] and cycle.left[u] != lc
                 and not ctx.dominating[u] and not counter[v, u]
                 and fwd(ctx, u, v) > best_dist):
@@ -374,7 +374,7 @@ def ref_right_vertex(ctx, v):
     k = cycle.k
     rc = int(cycle.right[v])
     reach = {u: int((cycle.right[u] - rc) % k)
-             for u in np.flatnonzero(ctx.graph.adj[v]).tolist()
+             for u in np.flatnonzero(ctx.adj[v]).tolist()
              if (rc - cycle.left[u]) % k < cycle.span_len[u]}
     if not reach:
         raise ConstructionError("no neighbor shares the right clique", vertex=v)
@@ -398,7 +398,7 @@ def ref_plan_left(ctx, v):
     plus the non-adjacent vertices up to the next adjacent one."""
     hi = int(ctx.hi[v])
     members = block(ctx, v, hi, ctx.n)
-    adjacent = ctx.graph.adj[v][members]
+    adjacent = ctx.adj[v][members]
     if len(members) and not adjacent[0]:
         raise ConstructionError("left block must start at the left vertex",
                                 vertex=v)
@@ -455,14 +455,14 @@ def ref_facing_via_shared_neighbor(ctx, v, members):
     u = m if carriers[m] else int(np.argmax(carriers))
     if ref_faces(ctx, v, u):
         raise ConstructionError("carrier lies inside the facing block", vertex=v)
-    if not ctx.graph.adj[u][members].all():
+    if not ctx.adj[u][members].all():
         raise ConstructionError("carrier misses part of the facing block",
                                 vertex=v)
     return [(u, int(ctx.lo[v]), int(ctx.hi[v] - ctx.lo[v]))]
 
 
 def ref_facing_near_counter_pair(ctx, v, members):
-    adj = ctx.graph.adj
+    adj = ctx.adj
     w0, c0 = sorted(np.argwhere(reference_counter_matrix(ctx.cycle, ctx.graph))[0]
                     .tolist())
     a0, a1 = bool(adj[v, w0]), bool(adj[v, c0])
@@ -538,7 +538,7 @@ def ref_walk_chains(ctx, v):
         if nl == -1:
             raise ConstructionError("left chain broke", vertex=v)
         nr = ref_right_vertex_of(ctx, ri)
-        if nl == nr or ctx.graph.adj[nl, nr]:
+        if nl == nr or ctx.adj[nl, nr]:
             return i, li, ri
         li, ri = nl, nr
     raise ConstructionError("left/right chains never met", vertex=v)
@@ -565,7 +565,7 @@ def ref_bulk_walk_chains(ctx, vs):
         nl = ctx.left_of[li[walking]]
         _reject_first(nl == -1, "left chain broke", vs[walking])
         nr = _right_vertices(ctx, ri[walking])
-        met = (nl == nr) | ctx.graph.adj[nl, nr]
+        met = (nl == nr) | ctx.adj[nl, nr]
         apex[walking[met]] = depth
         walking, nl, nr = walking[~met], nl[~met], nr[~met]
         li[walking], ri[walking] = nl, nr
@@ -596,7 +596,7 @@ def ref_separator(ctx, v):
                                 vertex=v)
     w = succ(ctx, tail)
     for _ in range(fwd(ctx, w, lv) + 1):
-        if w == li or ctx.graph.adj[w, li]:
+        if w == li or ctx.adj[w, li]:
             break
         w = succ(ctx, w)
     else:
@@ -752,11 +752,11 @@ def test_label_left_carries_non_adjacent_riders():
         if ctx.dominating[v]:
             continue
         members = block(ctx, v, ctx.hi[v], ctx.n)
-        if len(members) < 2 or graph.adj[v][members].all():
+        if len(members) < 2 or ctx.adj[v][members].all():
             continue
         covered = []
         for w, offset, length in side_rows(ctx, v, ctx.hi[v], ctx.n):
-            assert graph.adj[v, w]
+            assert ctx.adj[v, w]
             stretch = block(ctx, v, offset, offset + length).tolist()
             assert len(stretch) == length
             assert stretch[0] == w
@@ -792,7 +792,7 @@ def test_right_vertex_prefers_left_vertex_when_it_reaches_farthest():
             k = cycle.k
             if (rc - cycle.left[lv]) % k >= cycle.span_len[lv]:
                 continue
-            nb = np.flatnonzero(ctx.graph.adj[v])
+            nb = np.flatnonzero(ctx.adj[v])
             cand = nb[((rc - cycle.left[nb]) % k) < cycle.span_len[nb]]
             reach = (cycle.right[cand] - rc) % k
             if (cycle.right[lv] - rc) % k == int(reach.max()):
@@ -864,7 +864,7 @@ def two_walk_apex(ctx, v):
     for i in range(2, ctx.n + 2):
         li = int(ctx.left_of[li])
         ri = int(ctx.right_of[ri])
-        if li == ri or ctx.graph.adj[li, ri]:
+        if li == ri or ctx.adj[li, ri]:
             return i
     raise AssertionError("chains never met")
 
@@ -881,7 +881,7 @@ def two_walk_separator(ctx, v):
         li = int(ctx.left_of[li])
         ri = int(ctx.right_of[ri])
     w = succ(ctx, int(ctx.vorder.tail[int(ctx.cycle.right[ri])]))
-    while not (w == li or ctx.graph.adj[w, li]):
+    while not (w == li or ctx.adj[w, li]):
         w = succ(ctx, w)
     return pred(ctx, w)
 

@@ -24,6 +24,7 @@ from conftest import (
     C4_MODEL,
     COUNTER_MODEL,
     K3_MODEL,
+    adjacency,
     covers_gap,
     load,
     members,
@@ -69,7 +70,7 @@ def test_cycle_holds_the_intersection_graph_of_its_model():
     cycle = build_clique_cycle(model)
     adj = np.zeros((model.n, model.n), dtype=bool)
     adj[cycle.edges] = True
-    assert (adj == intersection_graph(model).adj).all()
+    assert (adj == adjacency(intersection_graph(model))).all()
     assert cycle.degrees.tolist() == [2] * 5 and not cycle.dominating.any()
 
 
@@ -136,10 +137,10 @@ def test_counter_matches_membership_definition():
     for n, seed in [(8, 2), (10, 9)]:
         model = gen_random(n, seed)
         cycle = build_clique_cycle(model)
-        graph = intersection_graph(model)
+        adj = adjacency(intersection_graph(model))
         sets = member_sets(cycle, model)
         for v, w in itertools.combinations(range(n), 2):
-            if not graph.adj[v, w]:
+            if not adj[v, w]:
                 continue
             shared = sorted(c for c in range(cycle.k) if {v, w} <= sets[c])
             runs = 1
@@ -156,15 +157,15 @@ def test_vertices_with_counter_partner_dominate_jointly():
     for n, seed in [(8, 1), (12, 5), (16, 11), (20, 2)]:
         model = gen_random(n, seed)
         cycle = build_clique_cycle(model)
-        graph = intersection_graph(model)
+        adj = adjacency(intersection_graph(model))
         for v in range(n):
             partners = counter_partners(cycle, model, v)
             if not partners:
                 continue
             for u in range(n):
-                if u == v or graph.adj[u, v]:
+                if u == v or adj[u, v]:
                     continue
-                assert all(graph.adj[u, w] or u == w for w in partners)
+                assert all(adj[u, w] or u == w for w in partners)
 
 
 def test_span_membership_equals_clique_membership():
@@ -371,13 +372,14 @@ def test_counter_pairs_and_adjacency_match_the_n_by_n_references():
     for model in _differential_corpus():
         cycle = build_clique_cycle(model)
         graph = intersection_graph(model)
-        assert (graph.adj == reference_intersection_graph(model).adj).all(), \
+        adj = adjacency(graph)
+        assert (adj == adjacency(reference_intersection_graph(model))).all(), \
             model.to_json()
         lc, ln = cycle.left, cycle.span_len
         pairs = counter_pairs(lc[:, None], ln[:, None], lc[None, :], ln[None, :],
                               cycle.k)
         # the predicate reads no adjacency: a counter pair shares a clique
-        assert not (pairs & ~graph.adj).any(), model.to_json()
+        assert not (pairs & ~adj).any(), model.to_json()
         expected = reference_counter_matrix(cycle, graph)
         assert (pairs == expected).all(), model.to_json()
         # off the diagonal two arcs meet iff their clique runs share a clique,
@@ -386,7 +388,7 @@ def test_counter_pairs_and_adjacency_match_the_n_by_n_references():
         share = (((lc[None] - lc[:, None]) % k < ln[:, None])
                  | ((lc[:, None] - lc[None]) % k < ln[None]))
         off = ~np.eye(model.n, dtype=bool)
-        assert (share == graph.adj)[off].all(), model.to_json()
+        assert (share == adj)[off].all(), model.to_json()
         ctx = LabelingContext(cycle, build_vertex_order(cycle))
         lowest = np.where(expected.any(axis=1), expected.argmax(axis=1), model.n)
         assert ctx.partner.tolist() == lowest.tolist(), model.to_json()

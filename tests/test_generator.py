@@ -17,7 +17,7 @@ from arcroute import (
     validate_model,
 )
 from arcroute.arc_model import gap_coverage
-from conftest import ROOT, context_for
+from conftest import ROOT, adjacency, context_for
 
 
 def test_ring_is_the_c4_model():
@@ -38,10 +38,10 @@ def test_ring_edge_counts():
 
 def test_ring_adjacency_is_cyclic():
     for k in (5, 9):
-        graph = intersection_graph(gen_ring(k))
+        adj = adjacency(intersection_graph(gen_ring(k)))
         for i, j in itertools.combinations(range(k), 2):
             expected = (j - i) % k in (1, k - 1)
-            assert graph.adj[i, j] == expected
+            assert adj[i, j] == expected
 
 
 def test_ring_rejects_small():
@@ -54,11 +54,11 @@ def test_wheel_shape():
         model = gen_wheel(k)
         assert model.n == k + 1
         assert is_real(model)
-        graph = intersection_graph(model)
+        adj = adjacency(intersection_graph(model))
         hub = k
-        assert graph.adj[hub, :k].all()
+        assert adj[hub, :k].all()
         for i, j in itertools.combinations(range(k), 2):
-            assert graph.adj[i, j] == ((j - i) % k in (1, k - 1))
+            assert adj[i, j] == ((j - i) % k in (1, k - 1))
 
 
 def test_wheel_hub_is_the_only_dominating_vertex():

@@ -11,7 +11,7 @@ from arcroute import (
     intersection_graph,
 )
 from arcroute.errors import OracleLimitError
-from conftest import graph_from_edges, ref_ring_sequence
+from conftest import adjacency, graph_from_edges, ref_ring_sequence
 
 
 def test_ring_c5_has_single_interval_scheme():
@@ -44,7 +44,7 @@ def test_witness_is_a_valid_scheme():
         for (src, w), ivl in result.witness_labels.items():
             if src != v:
                 continue
-            assert graph.adj[v, w]
+            assert adjacency(graph)[v, w]
             stretch = ref_ring_sequence(order, ivl.a, ivl.b)
             for u in stretch:
                 if u != v:

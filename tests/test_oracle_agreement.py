@@ -21,7 +21,7 @@ from arcroute import (
 )
 from arcroute.errors import RouteError
 from arcroute.verifier import route_lengths
-from conftest import labels_of, ref_first_vertices, ref_ring_sequence
+from conftest import adjacency, labels_of, ref_first_vertices, ref_ring_sequence
 
 
 def routes_shortest(scheme, graph) -> bool:
@@ -47,13 +47,14 @@ def corrupted_variants(scheme, graph, rng, count):
     """
     labels = labels_of(scheme)
     arcs = sorted(labels)
+    adj = adjacency(graph)
     for _ in range(count):
         (v, w) = arcs[rng.randrange(len(arcs))]
         ivls = labels[(v, w)]
         if not ivls:
             continue
         index = rng.randrange(len(ivls))
-        others = [int(u) for u in np.flatnonzero(graph.adj[v]) if int(u) != w]
+        others = [int(u) for u in np.flatnonzero(adj[v]) if int(u) != w]
         if not others:
             continue
         yield moved_interval(scheme, v, w, index, rng.choice(others))

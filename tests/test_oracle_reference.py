@@ -23,7 +23,7 @@ from arcroute import (
     oracle,
 )
 from arcroute.ring_order import RingInterval
-from conftest import graph_from_edges
+from conftest import adjacency, graph_from_edges
 
 
 def ref_segments_for_vertex(order, allowed, v, nbrs, strict):
@@ -152,7 +152,8 @@ def test_per_vertex_step_matches_the_cover_search(name, graph):
     n = graph.n
     dist = all_pairs_distances(graph)
     allowed = (dist[None, :, :] == dist[:, None, :] - 1).tolist()
-    nbrs = [[w for w in range(n) if graph.adj[v, w]] for v in range(n)]
+    adj = adjacency(graph)
+    nbrs = [[w for w in range(n) if adj[v, w]] for v in range(n)]
     masks = [reference_masks(dist, v, nbrs[v]) for v in range(n)]
     for rest in permutations(range(1, n)):
         order = (0,) + rest

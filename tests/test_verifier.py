@@ -39,7 +39,14 @@ from arcroute.verifier import (
     _check_structure,
     route_lengths,
 )
-from conftest import C4_MODEL, graph_from_edges, load, perturbed_ring
+from conftest import (
+    C4_MODEL,
+    adjacency,
+    graph_from_edges,
+    load,
+    perturbed_ring,
+    ref_check_structure,
+)
 from test_oracle_agreement import corrupted_variants
 
 
@@ -215,6 +222,60 @@ def test_arc_written_without_intervals_is_no_arc():
     stats = interval_stats(emptied)
     assert (stats.arc_count, stats.edge_count, stats.total_intervals) == (7, 3, 7)
     assert stats.total_within_bound
+
+
+def structure_cases(rng):
+    """(graph, scheme) pairs of built schemes: rows retargeted to a
+    non-neighbour, schemes checked against another graph with the same n,
+    and against an edgeless graph."""
+    models = [gen_random(n, seed) for n in (6, 12, 30, 64) for seed in range(3)]
+    models += [gen_ring(9), gen_wheel(8), perturbed_ring(40, 1)]
+    for model in models:
+        graph, scheme = intersection_graph(model), build_scheme(model)
+        adj = adjacency(graph)
+        for _ in range(4):
+            i = rng.randrange(len(scheme.src))
+            v = int(scheme.src[i])
+            strangers = np.flatnonzero(~adj[v]).tolist()
+            strangers.remove(v)
+            if not strangers:
+                continue
+            dst = scheme.dst.copy()
+            dst[i] = rng.choice(strangers)
+            yield graph, RoutingScheme(scheme.order, scheme.src, dst,
+                                       scheme.start, scheme.length)
+        n = model.n
+        yield intersection_graph(gen_random(n, rng.randrange(100, 200))), scheme
+        yield intersection_graph(gen_ring(n)), scheme
+        yield graph_from_edges(n, []), scheme
+
+
+def test_structure_check_matches_the_boolean_gather_reference():
+    # the check merges the scheme's arcs into the graph's sorted keys; the
+    # reference gathers every row from the n x n matrix.  Each entry point
+    # must raise the reference's exact message, and none where it passes
+    rng = random.Random(31)
+    failed = 0
+    for graph, scheme in structure_cases(rng):
+        try:
+            ref_check_structure(graph, scheme)
+            expected = None
+        except StructuralSchemeError as exc:
+            expected = str(exc)
+        for call in (lambda: verify_scheme(graph, scheme),
+                     lambda: route_lengths(scheme, graph),
+                     lambda: route(scheme, graph, 0, 1),
+                     lambda: _check_structure(graph, scheme)):
+            try:
+                call()
+                got = None
+            except StructuralSchemeError as exc:
+                got = str(exc)
+            except (CoverageHoleError, AmbiguousRouteError, RoutingLoopError):
+                got = None  # past the structure check, the scheme fits
+            assert got == expected, (graph.n, expected, got)
+        failed += expected is not None
+    assert failed >= 60
 
 
 def test_structural_error_on_vertex_mismatch():
@@ -449,7 +510,7 @@ def corrupt_one_row(scheme, graph, rng):
     i = rng.randrange(len(src))
     kind = rng.randrange(3)
     if kind == 0:
-        others = [w for w in np.flatnonzero(graph.adj[src[i]]).tolist()
+        others = [w for w in np.flatnonzero(adjacency(graph)[src[i]]).tolist()
                   if w != dst[i]]
         dst[i] = rng.choice(others or [int(dst[i])])
     elif kind == 1:
@@ -776,8 +837,9 @@ def random_scheme(graph, rng):
     items = list(range(graph.n))
     rng.shuffle(items)
     labels = {}
+    adj = adjacency(graph)
     for v, w in itertools.permutations(range(graph.n), 2):
-        if graph.adj[v, w]:
+        if adj[v, w]:
             labels[(v, w)] = [[rng.choice(items), rng.choice(items)]
                               for _ in range(rng.randrange(3))]
     return scheme_from(items, labels)
