@@ -116,14 +116,9 @@ def arc_spans(model: ArcModel) -> tuple[np.ndarray, np.ndarray]:
     return starts, (ends[1::2] - starts) % model.circle_size
 
 
-def gap_coverage(model: ArcModel) -> np.ndarray:
-    """Number of arcs covering each gap of the circle."""
-    return ring_coverage(*arc_spans(model), model.circle_size)
-
-
 def is_real(model: ArcModel) -> bool:
     """True when the arcs jointly cover every gap of the circle."""
-    return bool(gap_coverage(model).all())
+    return bool(ring_coverage(*arc_spans(model), model.circle_size).all())
 
 
 def intersection_edges(starts: np.ndarray, lengths: np.ndarray, size: int):

@@ -425,8 +425,6 @@ def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]
                               | ((cycle.left[vs] - rc_r1) % k + alen <= blen))
     apex = np.where((lc_l1 == rc_r1) | inside, 1, 0)
     walking = (apex == 0).nonzero()[0]
-    if len(walking) == 0:
-        return apex, li, ri
     names, gap = vs[walking], (lc_l1 - rc_r1)[walking] % k
     steps, l, r = _lift_chains(ctx, li[walking], ri[walking], gap)
     # the walk above tried steps 1 .. n, at depths 2 .. n + 1

@@ -36,14 +36,18 @@ def _load_scheme(path: str) -> RoutingScheme:
     return RoutingScheme.from_json(Path(path).read_bytes())
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` and a newline to the file ``out``, or to stdout."""
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
+
+
 def _cmd_build(args) -> int:
     model = _load_model(args.model)
     scheme = build_scheme(model)
-    text = scheme.to_json()
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _write(scheme.to_json(), args.out)
     print(interval_stats(scheme).to_json(), file=sys.stderr)
     return EXIT_OK
 
@@ -84,11 +88,7 @@ def _cmd_gen(args) -> int:
         model = _FAMILIES[args.family](args.n, args.seed)
     except ValueError as exc:  # too few vertices for the family
         raise BadArgumentError(str(exc)) from exc
-    text = model.to_json()
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _write(model.to_json(), args.out)
     return EXIT_OK
 
 

@@ -90,10 +90,10 @@ class RoutingScheme:
         """Read a scheme written in the format of ``to_json``, with any JSON
         whitespace, arcs in any order and arcs listed with no intervals.
 
-        The bytes ``to_json`` writes, with arcs in any order and at most one
-        final newline, are read in bulk by ``_read_written``.  Any other
-        document goes through ``json.loads`` in ``_read_json``, which raises
-        StructuralSchemeError naming what is wrong.
+        The bytes ``to_json`` writes, with arcs in the writer's order and at
+        most one final newline, are read in bulk by ``_read_written``.  Any
+        other document goes through ``json.loads`` in ``_read_json``, which
+        raises StructuralSchemeError naming what is wrong.
         """
         order, src, dst, counts, a, b = _read_written(data) or _read_json(data)
         start, end = order.pos[a], order.pos[b]
@@ -164,20 +164,21 @@ def _numbers(text: bytes) -> np.ndarray:
 def _read_written(data: bytes | str):
     """(order, arc sources, arc targets, intervals per arc, interval first
     ends, interval last ends) of ``data`` if it is text that ``to_json``
-    writes, with its arcs in any order and at most one final newline, else
-    None to leave ``data`` to ``json.loads``.
+    writes, with its arcs in the writer's order and at most one final
+    newline, else None to leave ``data`` to ``json.loads``.
 
     Between its quotes lie the strings: ``order``, ``labels`` and one key
     per arc.  One bulk read takes every number: the order's, then per arc
     two for the key and two per interval, an arc's intervals being the
     opening brackets between its key's closing quote and the next one (or
-    the end) but one.  Every id must lie below n before anything is
-    written back, and the text written back in ``to_json``'s format must
-    be ``data`` byte for byte.  That proves the split, since the writer
-    puts no bracket in a key, and it leaves a sign, a leading zero, a
-    float, an escape, other whitespace, an extra key or a key out of place
-    to ``json.loads``.  So do an arc with no intervals, a repeated arc and
-    an order that is not a permutation.
+    the end) but one, so the order holds the numbers the arcs leave over.
+    Every id must lie below n and the arc keys must strictly ascend before
+    anything is written back, and the text written back in ``to_json``'s
+    format must be ``data`` byte for byte.  That proves the split, since
+    the writer puts no bracket in a key, and it leaves a sign, a leading
+    zero, a float, an escape, other whitespace, an extra key or a key out
+    of place to ``json.loads``.  So do an arc with no intervals, arcs out
+    of the writer's order and an order that is not a permutation.
     """
     if isinstance(data, str):
         try:
@@ -190,21 +191,22 @@ def _read_written(data: bytes | str):
     quotes = np.flatnonzero(raw == ord('"'))
     if len(quotes) < 4 or len(quotes) % 2:
         return None
-    order = _numbers(data[quotes[1]:quotes[2]])
-    n = len(order)
-    numbers = _numbers(data)[n:]
     counts = np.diff(np.searchsorted(np.flatnonzero(raw == ord("[")),
                                      np.append(quotes[5::2], len(raw)))) - 1
     del quotes
-    if ((counts < 1).any() or len(numbers) != 2 * (len(counts) + counts.sum())
-            or any(x.size and x.max() >= n for x in (order, numbers))):
+    numbers = _numbers(data)
+    n = len(numbers) - 2 * (len(counts) + counts.sum())
+    if (counts < 1).any() or n < 0 or numbers.size and numbers.max() >= n:
         return None
+    order, numbers = numbers[:n].copy(), numbers[n:]
     opens = np.zeros(counts.sum(), dtype=bool)
     opens[np.cumsum(counts) - counts] = True
     # arc k's key is numbers 2k + 2r and 2k + 2r + 1, r its first row; row
     # r's interval is numbers 2r + 2k + 2 and 2r + 2k + 3, k its arc
     key = 2 * np.flatnonzero(opens) + np.arange(0, 2 * len(counts), 2)
     src, dst = numbers[key], numbers[key + 1]
+    if (np.diff(src * n + dst) <= 0).any():
+        return None
     row = 2 * np.cumsum(opens) + np.arange(0, 2 * len(opens), 2)
     a, b = numbers[row], numbers[row + 1]
     # the rewrite below is the peak, so what it does not need goes first
@@ -219,9 +221,6 @@ def _read_written(data: bytes | str):
     try:
         cyclic = CyclicOrder(order)
     except ValueError:
-        return None
-    arc = src * n + dst
-    if (np.diff(arc) <= 0).any() and (np.diff(np.sort(arc)) == 0).any():
         return None
     return cyclic, src, dst, counts, a, b
 

@@ -50,12 +50,9 @@ _ROUTE_TABLES: weakref.WeakKeyDictionary[
 
 @dataclass
 class VerificationReport:
-    """Outcome of one scheme verification, all failures enumerated."""
+    """Outcome of one scheme verification, all failures enumerated; each
+    constraint holds when its list of violations is empty."""
 
-    strictness_ok: bool
-    disjoint_ok: bool
-    coverage_ok: bool
-    shortest_ok: bool
     strictness_violations: list[dict] = field(default_factory=list)
     disjoint_violations: list[dict] = field(default_factory=list)
     coverage_violations: list[dict] = field(default_factory=list)
@@ -63,6 +60,11 @@ class VerificationReport:
     total_intervals: int = 0
     max_intervals_per_arc: int = 0
     double_labeled_arcs_per_vertex: dict[int, int] = field(default_factory=dict)
+
+    strictness_ok = property(lambda self: not self.strictness_violations)
+    disjoint_ok = property(lambda self: not self.disjoint_violations)
+    coverage_ok = property(lambda self: not self.coverage_violations)
+    shortest_ok = property(lambda self: not self.shortest_violations)
 
     @property
     def passed(self) -> bool:
@@ -162,7 +164,6 @@ def verify_scheme(graph: Graph, scheme: RoutingScheme) -> VerificationReport:
                 for v, u, w in pairs(detours)]
     stats = interval_stats(scheme)
     return VerificationReport(
-        not strict, not disjoint, not coverage, not shortest,
         strict, disjoint, coverage, shortest, stats.total_intervals,
         stats.max_intervals_per_arc, stats.double_labeled_arcs_per_vertex)
 

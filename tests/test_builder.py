@@ -920,12 +920,16 @@ def test_pointer_doubling_walk_matches_the_bulk_and_per_vertex_walks():
     models = [model for _, model in separator_case_models()]
     models += [perturbed_ring(300, seed) for seed in range(5)]
     models += [perturbed_ring(2000, 0)]
+    cases = [(model, None) for model in models]
+    # vertices 2 and 3 both have apex number 1, so no chain walks at all
+    cases.append((gen_random(5, 22), np.array([2, 3])))
     walked, deepest = 0, 0
-    for model in models:
+    for model, vs in cases:
         ctx = context_for(model)
         if ctx.any_dominating or ctx.any_counter_pair or ctx.has_cut:
             continue
-        vs = np.flatnonzero(ctx.left_of != -1)
+        if vs is None:
+            vs = np.flatnonzero(ctx.left_of != -1)
         got = _walk_chains(ctx, vs)
         for a, b in zip(got, ref_bulk_walk_chains(ctx, vs)):
             assert a.tolist() == b.tolist(), model

@@ -286,9 +286,24 @@ def test_route_from_outside_the_graph_is_structural(tmp_path, c4_file, capsys):
         "error [structural]: route endpoints outside the graph\n")
 
 
-def test_too_small_ring_is_an_error(capsys):
-    assert run(["gen", "--family", "ring", "--n", 2]) == 2
+@pytest.mark.parametrize("family, n", [("ring", 2), ("wheel", 2), ("complete", 1)])
+def test_too_small_ring_is_an_error(capsys, family, n):
+    assert run(["gen", "--family", family, "--n", n]) == 2
     assert "bad-argument" in one_error_line(capsys)
+
+
+def test_route_through_a_hole_is_a_failure(tmp_path, c4_file, capsys):
+    out = tmp_path / "scheme.json"
+    run(["build", "--model", c4_file, "--out", out])
+    scheme = json.loads(out.read_text())
+    scheme["labels"]["0->1"] = [[1, 1]]  # 0's interval for 2 cut away
+    out.write_text(json.dumps(scheme))
+    capsys.readouterr()
+    assert run(["route", "--model", c4_file, "--scheme", out,
+                "--src", 0, "--dst", 2]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error [coverage-hole]: no interval at 0 contains 2\n"
 
 
 def test_perturbed_ring_gen_is_the_library_model(capsys):

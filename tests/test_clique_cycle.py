@@ -16,10 +16,11 @@ from arcroute import (
     intersection_graph,
     validate_model,
 )
-from arcroute.arc_model import arc_spans, gap_coverage, is_real
+from arcroute.arc_model import arc_spans, is_real
 from arcroute.builder import LabelingContext
 from arcroute.clique_cycle import clique_runs, counter_pairs
 from arcroute.errors import NotRealCircularArc
+from arcroute.ring_order import ring_coverage
 from conftest import (
     C4_MODEL,
     COUNTER_MODEL,
@@ -293,8 +294,8 @@ def reference_clique_runs(model, drops):
     opens = np.zeros(size, dtype=bool)
     opens[[s for s, _ in model.arcs]] = True
     candidates = np.flatnonzero(opens & ~np.roll(opens, -1)).tolist()
-    anchors = _exact_maximal_anchors(model, spans, gap_coverage(model),
-                                     candidates, drops)
+    sizes = ring_coverage(*arc_spans(model), size)
+    anchors = _exact_maximal_anchors(model, spans, sizes, candidates, drops)
     drops["far"] += _far_overlap_count(model, candidates)
 
     k = len(anchors)
@@ -353,7 +354,7 @@ def test_clique_runs_match_the_bitmask_reference():
     drops = {"far": 0, "inside": 0, "equal": 0}
     models = 0
     for model in _differential_corpus():
-        sizes = gap_coverage(model)
+        sizes = ring_coverage(*arc_spans(model), model.circle_size)
         anchors, left, right, span_len = clique_runs(*arc_spans(model), sizes)
         expected = reference_clique_runs(model, drops)
         got = (anchors.tolist(), left.tolist(), right.tolist(), span_len.tolist())
@@ -402,7 +403,7 @@ def test_clique_runs_memory_is_linear_in_the_arcs():
     # any k-by-n membership structure (k ~ n cliques) would take hundreds
     # of MiB at n = 20000, and even a bitset 50 MB
     model = perturbed_ring(20000, 0)
-    sizes = gap_coverage(model)
+    sizes = ring_coverage(*arc_spans(model), model.circle_size)
     tracemalloc.start()
     try:
         anchors, left, right, span_len = clique_runs(*arc_spans(model), sizes)

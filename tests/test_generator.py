@@ -16,7 +16,8 @@ from arcroute import (
     parse_model,
     validate_model,
 )
-from arcroute.arc_model import gap_coverage
+from arcroute.arc_model import arc_spans
+from arcroute.ring_order import ring_coverage
 from conftest import ROOT, adjacency, context_for
 
 
@@ -166,7 +167,8 @@ def ref_grow_to_cover(arcs, n):
     size = 2 * n
     arcs = list(arcs)
     for _ in range(size + 1):
-        uncovered = np.flatnonzero(gap_coverage(validate_model(n, arcs)) == 0)
+        spans = arc_spans(validate_model(n, arcs))
+        uncovered = np.flatnonzero(ring_coverage(*spans, size) == 0)
         if not len(uncovered):
             return arcs
         gap = int(uncovered[0])

@@ -10,7 +10,9 @@ from arcroute import (
     has_shortest_path_1irs,
     intersection_graph,
 )
-from arcroute.errors import OracleLimitError
+from arcroute.errors import ConstructionError, OracleLimitError
+from arcroute.oracle import _certify_witness
+from arcroute.ring_order import RingInterval
 from conftest import adjacency, graph_from_edges, ref_ring_sequence
 
 
@@ -91,3 +93,26 @@ def test_single_vertex_graph():
 def test_empty_graph_names_no_vertex():
     result = has_shortest_path_1irs(graph_from_edges(0, []))
     assert result == OracleResult(True, (), {})
+
+
+# a strict 1-interval scheme of C4 (0-1-2-3-0) under the order 0 1 2 3:
+# each vertex sends its far vertex clockwise
+C4_WITNESS = {(0, 1): (1, 2), (0, 3): (3, 3), (1, 2): (2, 3), (1, 0): (0, 0),
+              (2, 3): (3, 0), (2, 1): (1, 1), (3, 0): (0, 1), (3, 2): (2, 2)}
+
+
+@pytest.mark.parametrize("broken, strict, message", [
+    ({(0, 3): (3, 0)}, True, "strict witness covers itself"),
+    # 3 is one hop from 0 but two from 1
+    ({(0, 1): (3, 1), (0, 3): (2, 2)}, False, "witness labels a non-shortest hop"),
+    ({(0, 3): (2, 3)}, False, "witness intervals overlap"),
+    ({(0, 1): (1, 1)}, False, "witness misses a destination"),
+])
+def test_broken_witness_is_rejected(broken, strict, message):
+    graph = intersection_graph(gen_ring(4))
+    dist = all_pairs_distances(graph)
+    labels = {arc: RingInterval(*ends) for arc, ends in C4_WITNESS.items()}
+    _certify_witness(graph, dist, (0, 1, 2, 3), labels, True)
+    labels.update({arc: RingInterval(*ends) for arc, ends in broken.items()})
+    with pytest.raises(ConstructionError, match=message):
+        _certify_witness(graph, dist, (0, 1, 2, 3), labels, strict)

@@ -34,7 +34,9 @@ def read_counting(monkeypatch, data):
 def spacings(text):
     """``text`` as the writer writes it, and with other JSON whitespace,
     as ``(data, reads in bulk)`` pairs: only the writer's bytes, with arcs
-    in any order and at most one final newline, read in bulk."""
+    in the writer's order and at most one final newline, read in bulk, so
+    ``text`` with its arcs shuffled, or already out of order, goes through
+    ``json.loads``."""
     obj = json.loads(text)
     keys = list(obj["labels"])
     random.Random(len(keys)).shuffle(keys)
@@ -46,7 +48,15 @@ def spacings(text):
              json.dumps(obj, separators=(",\t", ":\r\n")),
              json.dumps(obj, indent="\t").replace("\n", "\r\n"),
              json.dumps(shuffled, indent=2)]
-    return [(data, True) for data in written] + [(data, False) for data in other]
+    return ([(data, in_writers_order(data)) for data in written]
+            + [(data, False) for data in other])
+
+
+def in_writers_order(data):
+    """Do the arc keys of scheme ``data`` strictly ascend, as the writer
+    writes them?"""
+    arcs = [tuple(map(int, key.split("->"))) for key in json.loads(data)["labels"]]
+    return all(x < y for x, y in zip(arcs, arcs[1:]))
 
 
 def two_interval_scheme():

@@ -777,6 +777,15 @@ def test_report_json_shape():
     assert payload["passed"] is True
 
 
+def test_report_verdicts_are_read_from_its_violations():
+    detour = {"vertex": 0, "arc": [0, 1], "destination": 3}
+    report = VerificationReport(shortest_violations=[detour])
+    assert report.shortest_ok is False
+    assert report.passed is False
+    assert report.strictness_ok and report.disjoint_ok and report.coverage_ok
+    assert VerificationReport().passed is True
+
+
 # Reference: verify_scheme as it was before the bulk pass, one expansion
 # and one bincount per vertex.
 
@@ -814,16 +823,12 @@ def _reference_verify_vertex(dist, items, scheme, v, lo, hi, report):
 def reference_verify_scheme(graph, scheme):
     _check_structure(graph, scheme)
     dist = all_pairs_distances(graph)
-    report = VerificationReport(True, True, True, True)
+    report = VerificationReport()
     items = scheme.order.items
     bounds = np.searchsorted(scheme.src, np.arange(graph.n + 1)).tolist()
     for v in range(graph.n):
         _reference_verify_vertex(dist, items, scheme, v, bounds[v], bounds[v + 1],
                                  report)
-    report.strictness_ok = not report.strictness_violations
-    report.disjoint_ok = not report.disjoint_violations
-    report.coverage_ok = not report.coverage_violations
-    report.shortest_ok = not report.shortest_violations
     stats = interval_stats(scheme)
     report.total_intervals = stats.total_intervals
     report.max_intervals_per_arc = stats.max_intervals_per_arc
