@@ -188,22 +188,6 @@ class LabelingContext:
         length = np.minimum(gap, np.where(right, lo_src, n) - off)
         self.side_runs = (src[side], tgt[side], off[side], length[side])
 
-    def dominating_run(self) -> tuple[int, int]:
-        """First and last of the dominating vertices in the order.
-
-        ``build_vertex_order`` places them consecutively in id order at the
-        end of the block of clique ``1 % k``, so they are the first and the
-        last dominating id, also when every vertex dominates.
-        """
-        doms = self.dominating.nonzero()[0]
-        if len(doms) == 0:
-            raise ConstructionError("no dominating vertices to locate")
-        if (self.pos[doms] != self.pos[doms[0]] + np.arange(len(doms))).any():
-            raise ConstructionError(
-                "dominating vertices are not consecutive in the order"
-            )
-        return int(doms[0]), int(doms[-1])
-
 
 def _reject_first(bad: np.ndarray, message: str, names=None) -> None:
     """Raise ``message`` naming the lowest vertex flagged in ``bad``, whose
@@ -231,7 +215,8 @@ def _plan_facings(ctx: LabelingContext) -> list[np.ndarray]:
       otherwise -> split between right and left vertex, at the separator,
       or at the cut when the clique cycle has one.
     Outside the first case v's first ``count`` facing vertices route via a
-    carrier ``r`` and the rest via v's left vertex.
+    carrier ``r`` and the rest via v's left vertex.  Only these masks choose a
+    case; the functions they call check geometry, not the dispatch.
     """
     vs = (ctx.lo < ctx.hi).nonzero()[0]
     runs = []
@@ -291,14 +276,13 @@ def _sees_facing(ctx: LabelingContext, us: np.ndarray, vs: np.ndarray) -> np.nda
 
 
 def _dominating_slices(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Dominating vertices sit consecutively; slice each block around them.
-    The first slice reaches back to the block's start, the last one on to
-    its end."""
-    d_head, d_tail = ctx.dominating_run()
-    first, last = _offsets(ctx, vs, d_head), _offsets(ctx, vs, d_tail)
+    """Slice each block around the dominating vertices, which ``_plan_facings``
+    found in it and ``build_vertex_order`` put in a row in id order.  The
+    first slice reaches back to the block's start, the last one on to its end."""
+    doms = ctx.dominating.nonzero()[0]
+    first, last = _offsets(ctx, vs, doms[0]), _offsets(ctx, vs, doms[-1])
     _reject_first(~(_facing(ctx, vs, first) & _facing(ctx, vs, last)),
                   "dominating run straddles the facing block boundary", vs)
-    doms = ctx.items[ctx.pos[d_head]:ctx.pos[d_tail] + 1]
     bounds = np.concatenate((ctx.lo[vs, None], first[:, None] + np.arange(1, len(doms)),
                              ctx.hi[vs, None]), axis=1)
     return (vs.repeat(len(doms)), doms[None].repeat(len(vs), axis=0).ravel(),
@@ -306,12 +290,11 @@ def _dominating_slices(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray
 
 
 def _shared_carriers(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
-    """A counter partner of v or a dominating vertex is adjacent to every
-    facing vertex and to v: v's middle vertex if it is one, else the one
-    with the lowest id carries the block."""
+    """A counter partner of v or a dominating vertex, one of which
+    ``_plan_facings`` found for each v, is adjacent to every facing vertex
+    and to v: v's middle vertex if it is one, else the lowest id carries."""
     first_dom = ctx.dominating.argmax() if ctx.any_dominating else ctx.n
     lowest = np.minimum(ctx.partner[vs], first_dom)
-    _reject_first(lowest == ctx.n, "no carrier for the facing block", vs)
     cyc, m = ctx.cycle, ctx.middle_of[vs]
     carries = ctx.dominating[m] | counter_pairs(cyc.left[vs], cyc.span_len[vs],
                                                 cyc.left[m], cyc.span_len[m], cyc.k)
@@ -373,12 +356,8 @@ def _cut_counts(ctx: LabelingContext, vs: np.ndarray, r: np.ndarray) -> np.ndarr
 
 def _right_vertices(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
     """The right vertices of ``vs``, their farthest-clockwise-reaching
-    neighbors (``right_of``); only defined when the graph has no dominating
-    vertices and the vertex has no counter partner."""
-    if ctx.any_dominating:
-        raise ConstructionError("right vertex undefined with dominating vertices")
-    _reject_first(ctx.has_counter[vs], "right vertex undefined for counter vertices",
-                  vs)
+    neighbors (``right_of``), defined as ``_plan_facings`` asks for them: for
+    vertices without a counter partner when no vertex dominates."""
     r = ctx.right_of[vs]
     _reject_first(r == -1, "no neighbor shares the right clique", vs)
     return r
@@ -403,16 +382,13 @@ def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]
     first iterates.  Gains never go negative, so that rule is monotone in
     depth, and one descent over jump tables of 2^j steps (pointer
     doubling) finds the first depth where it holds.  A step that does not
-    exist (no left or right vertex, or a right step from a counter vertex)
+    exist (no left or right vertex; the plain case has no counter vertex)
     leads to a sink whose gain exceeds every gap, so a chain stops at the
     depth where a depth-by-depth walk would raise, and raises the same
-    error.  The iterates at the found depth are checked to meet in
-    ``edges``, and
+    error.  The iterates at the found depth are checked to meet in ``edges``, and
     ``test_pointer_doubling_walk_matches_the_bulk_and_per_vertex_walks``
     checks that no earlier depth meets, against the depth-by-depth walks.
     """
-    if ctx.any_dominating or ctx.any_counter_pair:
-        raise ConstructionError("apex undefined with dominating or counter vertices")
     cycle, k, n = ctx.cycle, ctx.cycle.k, ctx.n
     li = ctx.left_of[vs].astype(np.int64)
     _reject_first(li == -1, "left vertex missing", vs)
@@ -430,13 +406,11 @@ def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]
     # the walk above tried steps 1 .. n, at depths 2 .. n + 1
     depth, tried = steps + 2, steps < n
     nl, nr = ctx.left_of[l], ctx.right_of[r]
-    left_broke = tried & (nl == -1)
-    counter, right_broke = tried & ctx.has_counter[r], tried & (nr == -1)
-    broke = left_broke | counter | right_broke
+    left_broke, right_broke = tried & (nl == -1), tried & (nr == -1)
+    broke = left_broke | right_broke
     if broke.any():
         first = broke & (depth == depth[broke].min())
         _reject_first(left_broke & first, "left chain broke", names)
-        _reject_first(counter & first, "right vertex undefined for counter vertices", r)
         _reject_first(right_broke & first, "no neighbor shares the right clique", r)
     _reject_first(tried & (nl != nr) & ~_sees_all(ctx, nl, ctx.pos[nr], 1),
                   "chains gained the gap without meeting", names)
@@ -458,8 +432,7 @@ def _lift_chains(ctx: LabelingContext, l: np.ndarray, r: np.ndarray,
     """
     cycle, k, n = ctx.cycle, ctx.cycle.k, ctx.n
     lc, rc = np.concatenate((cycle.left, [0])), np.concatenate((cycle.right, [0]))
-    left = np.concatenate((ctx.left_of, [-1]))
-    right = np.concatenate((np.where(ctx.has_counter, -1, ctx.right_of), [-1]))
+    left, right = np.append(ctx.left_of, -1), np.append(ctx.right_of, -1)
     sink_l, sink_r = left == -1, right == -1
     left[sink_l], right[sink_r] = n, n
     tables = [(left, np.where(sink_l, k, (lc - lc[left]) % k),

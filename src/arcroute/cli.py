@@ -1,12 +1,13 @@
 """Command-line front end: build, verify, route, gen, oracle1.
 
 Data goes to stdout (JSON or plain ids), diagnostics to stderr.
-Exit codes: 0 success, 1 verification failure, 2 unusable input of any kind.
+Exit codes: 0 success, 1 verification failure, 2 unusable input, 141 closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .verifier import interval_stats, route, verify_scheme
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_STRUCTURAL = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command it killed
 
 
 class BadArgumentError(ArcRouteError):
@@ -148,7 +150,12 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:  # no input error; the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except RouteError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL

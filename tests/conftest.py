@@ -85,6 +85,18 @@ def block(ctx, v, a, b) -> np.ndarray:
     return ctx.items[(ctx.pos[v] + np.arange(a, b)) % ctx.n]
 
 
+def facing_case(ctx, v) -> str:
+    """Which case of the facing-block planner v's nonempty facing block
+    takes, decided as ``_plan_facings``' masks decide it."""
+    if ctx.dominating[block(ctx, v, ctx.lo[v], ctx.hi[v])].any():
+        return "dominating members"
+    if ctx.has_counter[v] or ctx.any_dominating:
+        return "shared neighbor"
+    if ctx.any_counter_pair:
+        return "near counter pair"
+    return "cut" if ctx.has_cut else "separator"
+
+
 # the separator-case family, sparse and of large diameter, under the name
 # the tests use
 perturbed_ring = gen_perturbed_ring

@@ -47,6 +47,7 @@ from conftest import (
     context_for,
     covering_models,
     covers_gap,
+    facing_case,
     labels_of,
     load,
     perturbed_ring,
@@ -194,7 +195,9 @@ def test_all_adjacent_vertices_close_the_block_of_clique_1():
                  for i in range(len(others) + len(doms))]
         assert block == others + doms
         assert int(ctx.vorder.tail[c]) == doms[-1]
-        assert ctx.dominating_run() == (doms[0], doms[-1])
+        # the facing-block planner takes the first and the last dominating
+        # id as the ends of one run in the order
+        assert (ctx.pos[doms] == ctx.pos[doms[0]] + np.arange(len(doms))).all()
         checked += 1
     assert checked >= 60
 
@@ -436,7 +439,8 @@ def ref_plan_facing(ctx, v):
 
 
 def ref_facing_via_dominating_members(ctx, v):
-    d_head, d_tail = ctx.dominating_run()
+    doms = np.flatnonzero(ctx.dominating)
+    d_head, d_tail = int(doms[0]), int(doms[-1])
     if not (ref_faces(ctx, v, d_head) and ref_faces(ctx, v, d_tail)):
         raise ConstructionError(
             "dominating run straddles the facing block boundary", vertex=v
@@ -606,17 +610,6 @@ def ref_separator(ctx, v):
         raise ConstructionError("separator landed outside the facing block",
                                 vertex=v)
     return pred(ctx, w)
-
-
-def facing_case(ctx, v):
-    """Which case of ``ref_plan_facing`` a nonempty facing block takes."""
-    if ctx.dominating[block(ctx, v, ctx.lo[v], ctx.hi[v])].any():
-        return "dominating members"
-    if ctx.has_counter[v] or ctx.any_dominating:
-        return "shared neighbor"
-    if ctx.any_counter_pair:
-        return "near counter pair"
-    return "cut" if ctx.has_cut else "separator"
 
 
 def frame_corpus():
@@ -950,13 +943,11 @@ def doctor_chain(k, v, depth, side):
     if side == "stall":
         return lambda ctx: (set_row(ctx, "left_of", (v - 1) % k, (v - 1) % k),
                             set_row(ctx, "right_of", (v + 1) % k, (v + 1) % k))
-    name, value = {"left": ("left_of", -1), "right": ("right_of", -1),
-                   "counter": ("has_counter", True)}[side]
-    return lambda ctx: set_row(ctx, name, at, value)
+    name = {"left": "left_of", "right": "right_of"}[side]
+    return lambda ctx: set_row(ctx, name, at, -1)
 
 
 LEFT, RIGHT = "left chain broke", "no neighbor shares the right clique"
-COUNTER = "right vertex undefined for counter vertices"
 NEVER = "left/right chains never met"
 
 # On ring C_k vertex 0's chains meet at depth k // 2 (6 on C12, 32 on C64).
@@ -968,8 +959,6 @@ CHAIN_BREAKS = [
     for depth in depths for case in (
         (f"C{k}_left_at_{depth}", k, [0], [(0, depth, "left")], LEFT, 0),
         (f"C{k}_right_at_{depth}", k, [0], [(0, depth, "right")], RIGHT, depth - 1),
-        (f"C{k}_counter_at_{depth}", k, [0], [(0, depth, "counter")], COUNTER,
-         depth - 1),
         (f"C{k}_both_at_{depth}", k, [0], [(0, depth, "left"), (0, depth, "right")],
          LEFT, 0),
     )
@@ -980,8 +969,6 @@ CHAIN_BREAKS = [
         (f"C{k}_two_right", k, [0, 5], [(0, 4, "right"), (5, 4, "right")], RIGHT, 3),
         (f"C{k}_left_beats_right", k, [0, 5], [(0, 4, "right"), (5, 4, "left")],
          LEFT, 5),
-        (f"C{k}_counter_beats_right", k, [0, 5],
-         [(0, 4, "right"), (5, 4, "counter")], COUNTER, 8),
         (f"C{k}_earlier_depth_wins", k, [0, 5], [(0, 4, "left"), (5, 3, "right")],
          RIGHT, 7),
         (f"C{k}_stalled", k, [0], [(0, 0, "stall")], NEVER, 0),
@@ -1003,7 +990,7 @@ def test_pointer_doubling_walk_raises_what_the_depth_by_depth_walk_raised(
         doctor_chain(k, v, depth, side)(ctx)
     raised = []
     walks = [_walk_chains, ref_bulk_walk_chains]
-    if len(vs) == 1 and message != COUNTER:  # the per-vertex walk has no counter check
+    if len(vs) == 1:
         walks.append(lambda ctx, vs: ref_walk_chains(ctx, int(vs[0])))
     for walk in walks:
         with pytest.raises(ConstructionError) as info:
@@ -1035,6 +1022,8 @@ def test_face_to_face_noop_when_block_empty():
 # members and has facing block 3 4 5, vertex 7 sees 6 only and splits its
 # block.  C12 has order 0 .. 11; vertex 0 has facing block 2 .. 10, its
 # chains meet at depth 6 with iterates 7 and 5, and its separator is 6.
+# The case a vertex takes is not doctored: ``_plan_facings``' masks alone
+# choose it, and the functions they call do not check it again.
 
 
 def drop_edges(ctx, *pairs):
@@ -1060,14 +1049,6 @@ def of_vertex_0(bulk):
 PLANNER_CHECKS = [
     ("straddle", lambda: gen_random(5, 0), lambda ctx: set_row(ctx, "hi", 1, 4),
      plan, "dominating run straddles the facing block boundary", 1),
-    ("not_consecutive", lambda: gen_random(5, 0),
-     lambda ctx: set_row(ctx, "dominating", 4, True),
-     plan, "dominating vertices are not consecutive in the order", None),
-    ("no_dominating", lambda: load(C4_MODEL), None,
-     lambda ctx: ctx.dominating_run(), "no dominating vertices to locate", None),
-    ("no_carrier", lambda: gen_random(8, 118),
-     lambda ctx: set_row(ctx, "has_counter", 2, True),
-     plan, "no carrier for the facing block", 2),
     ("carrier_inside", lambda: gen_random(8, 118),
      lambda ctx: (set_row(ctx, "partner", 1, 7), set_row(ctx, "middle_of", 1, 7)),
      plan, "carrier lies inside the facing block", 1),
@@ -1093,14 +1074,6 @@ PLANNER_CHECKS = [
      lambda ctx: (set_row(ctx, "right_of", 6, -1), set_row(ctx, "right_of", 0, -1)),
      lambda ctx: _walk_chains(ctx, np.array([5, 11])),
      "no neighbor shares the right clique", 0),
-    ("right_with_dominating", lambda: gen_wheel(5), None, of_vertex_0(_right_vertices),
-     "right vertex undefined with dominating vertices", None),
-    ("right_of_counter_vertex", lambda: gen_ring(12),
-     lambda ctx: set_row(ctx, "has_counter", 2, True),
-     plan, "right vertex undefined for counter vertices", 2),
-    ("apex_with_dominating", lambda: gen_wheel(5), None,
-     of_vertex_0(_walk_chains), "apex undefined with dominating or counter vertices",
-     None),
     ("left_missing", lambda: gen_ring(12), lambda ctx: set_row(ctx, "left_of", 4, -1),
      plan, "left vertex missing", 4),
     ("chain_broke", lambda: gen_ring(12), lambda ctx: set_row(ctx, "left_of", 11, -1),
@@ -1129,14 +1102,12 @@ PLANNER_CHECKS = [
 def test_planner_checks_name_the_offending_vertex(make, doctor, call, message,
                                                   vertex):
     ctx = context_for(make())
-    if doctor is not None:  # else the reader rejects the context as it is
-        call(ctx)  # the undoctored context passes every check
-        doctor(ctx)
+    call(ctx)  # the undoctored context passes every check
+    doctor(ctx)
     with pytest.raises(ConstructionError, match=message) as info:
         call(ctx)
     assert info.value.vertex == vertex
-    assert str(info.value).startswith(f"vertex {vertex}: " if vertex is not None
-                                      else message)
+    assert str(info.value).startswith(f"vertex {vertex}: ")
 
 
 # -- full schemes ---------------------------------------------------------------

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from arcroute import gen_perturbed_ring
 from arcroute.cli import main
-from conftest import C4_MODEL
+from conftest import C4_MODEL, src_env
 
 
 @pytest.fixture
@@ -355,3 +358,29 @@ def test_deeply_nested_scheme_is_structural(tmp_path, c4_file, capsys):
     assert run(["verify", "--model", c4_file,
                 "--scheme", deeply_nested(tmp_path)]) == 2
     assert "structural" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("buffering", [1, -1], ids=["line-buffered", "buffered"])
+def test_closed_stdout_exits_141_and_prints_nothing(monkeypatch, capsys, buffering):
+    # a pipe whose reader is gone: a write to it raises BrokenPipeError, as
+    # Python ignores SIGPIPE.  Line-buffered, print raises; buffered, the
+    # flush that ends ``main`` does
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", buffering=buffering) as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert run(["gen", "--family", "ring", "--n", 6]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_the_pipe_ends_gen_with_141_and_an_empty_stderr():
+    # 20,000 arcs are about 300 kB of JSON, more than a pipe holds, so gen
+    # is still writing when the reader closes the pipe after 5 bytes
+    command = [sys.executable, "-m", "arcroute.cli", "gen", "--family", "random",
+               "--n", "20000", "--seed", "1"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=src_env()) as proc:
+        assert proc.stdout.read(5) == b'{"n":'
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+    assert proc.returncode == 141

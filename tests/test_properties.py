@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,9 @@ from arcroute import (
 from arcroute.errors import StructuralSchemeError
 from arcroute.verifier import route_lengths
 from conftest import (
+    context_for,
     covering_models,
+    facing_case,
     graph_from_edges,
     labels_of,
     perturbed_ring,
@@ -132,6 +136,55 @@ def test_every_small_covering_model_builds_a_verified_scheme():
             assert stats.doubles_within_bound, model.to_json()
             digest.update(scheme.to_json().encode())
     assert digest.hexdigest() == SMALL_DIGEST
+
+
+def facing_cases(model) -> Counter:
+    """How many of the model's vertices take each facing-block case."""
+    ctx = context_for(model)
+    return Counter(facing_case(ctx, v) for v in np.flatnonzero(ctx.lo < ctx.hi))
+
+
+# per n: the classes with at least one vertex in a case, the vertices in
+# it, and the classes where no vertex has a facing block.  No class up to
+# n = 5 reaches the counter split ("near counter pair"): each with a
+# counter pair also has a dominating vertex.  ``frame_corpus`` in
+# test_builder.py holds models that do, and gen_random(n, s) for s < 200
+# reaches it in 1 model at n = 6 and n = 8 and in 4 at n = 9 and n = 10
+SMALL_CASES = {
+    3: ({"dominating members": 1, "shared neighbor": 1},
+        {"dominating members": 1, "shared neighbor": 1}, 7),
+    4: ({"dominating members": 35, "shared neighbor": 35, "cut": 1, "separator": 1},
+        {"dominating members": 38, "shared neighbor": 42, "cut": 4, "separator": 4},
+        51),
+    5: ({"dominating members": 752, "shared neighbor": 752, "cut": 12,
+         "separator": 11},
+        {"dominating members": 912, "shared neighbor": 1192, "cut": 60,
+         "separator": 51}, 481),
+}
+
+
+@pytest.mark.parametrize("n", SMALL_CASES)
+def test_small_covering_models_take_the_pinned_facing_cases(n):
+    classes, vertices, no_facing = Counter(), Counter(), 0
+    for model in covering_models(n):
+        cases = facing_cases(model)
+        classes.update(cases.keys())
+        vertices.update(cases)
+        no_facing += not cases
+    assert (classes, vertices, no_facing) == SMALL_CASES[n]
+
+
+@pytest.mark.parametrize("model,cases", [
+    (gen_ring(8), {"separator": 8}),
+    (perturbed_ring(40, 1), {"separator": 40}),
+    (gen_wheel(6), {"dominating members": 3, "shared neighbor": 3}),
+    (gen_random(8, 118), {"near counter pair": 4, "shared neighbor": 2}),
+    (gen_random(8, 22), {"cut": 8}),
+    (gen_complete(5), {}),
+], ids=["ring-8", "perturbed-ring-40-1", "wheel-6", "random-8-118",
+        "random-8-22", "complete-5"])
+def test_named_models_take_the_pinned_facing_cases(model, cases):
+    assert facing_cases(model) == cases
 
 
 # the message of every malformed payload, as the reader worded it when it
