@@ -612,6 +612,19 @@ def ref_separator(ctx, v):
     return pred(ctx, w)
 
 
+def endpoint_permutations(count, seed):
+    """``count`` covering models of 2 to 10 arcs, from shuffled endpoints."""
+    rng, models = random.Random(seed), []
+    while len(models) < count:
+        n = rng.randint(2, 10)
+        ends = list(range(2 * n))
+        rng.shuffle(ends)
+        model = validate_model(n, list(zip(ends[::2], ends[1::2])))
+        if is_real(model):
+            models.append(model)
+    return models
+
+
 def frame_corpus():
     """Dominating vertices, counter pairs, cut models, separator-case rings
     and perturbed rings, small random models, and 1,000 covering random
@@ -622,17 +635,7 @@ def frame_corpus():
     models += [gen_ring(k) for k in range(3, 41)]
     models += [perturbed_ring(n, seed) for n in (8, 16, 40) for seed in range(5)]
     models += [gen_random(n, seed) for n in range(4, 13) for seed in range(40)]
-    rng = random.Random(3)
-    permutations = 0
-    while permutations < 1000:
-        n = rng.randint(2, 10)
-        ends = list(range(2 * n))
-        rng.shuffle(ends)
-        model = validate_model(n, list(zip(ends[::2], ends[1::2])))
-        if is_real(model):
-            models.append(model)
-            permutations += 1
-    return models
+    return models + endpoint_permutations(1000, 3)
 
 
 def test_frame_arrays_and_side_runs_match_the_per_vertex_references():
@@ -1023,7 +1026,8 @@ def test_face_to_face_noop_when_block_empty():
 # block.  C12 has order 0 .. 11; vertex 0 has facing block 2 .. 10, its
 # chains meet at depth 6 with iterates 7 and 5, and its separator is 6.
 # The case a vertex takes is not doctored: ``_plan_facings``' masks alone
-# choose it, and the functions they call do not check it again.
+# choose it, and the functions they call do not check it again (what they
+# assume of it is tested on whole model families after the checks below).
 
 
 def drop_edges(ctx, *pairs):
@@ -1074,6 +1078,12 @@ PLANNER_CHECKS = [
      lambda ctx: (set_row(ctx, "right_of", 6, -1), set_row(ctx, "right_of", 0, -1)),
      lambda ctx: _walk_chains(ctx, np.array([5, 11])),
      "no neighbor shares the right clique", 0),
+    # with a dominating vertex ``right_of`` is -1 throughout, so a direct
+    # call for a wheel's rim vertex 0 meets the right-vertex check
+    ("right_with_dominating", lambda: gen_wheel(5), None, of_vertex_0(_right_vertices),
+     "no neighbor shares the right clique", 0),
+    ("apex_with_dominating", lambda: gen_wheel(5), None,
+     of_vertex_0(_walk_chains), "no neighbor shares the right clique", 0),
     ("left_missing", lambda: gen_ring(12), lambda ctx: set_row(ctx, "left_of", 4, -1),
      plan, "left vertex missing", 4),
     ("chain_broke", lambda: gen_ring(12), lambda ctx: set_row(ctx, "left_of", 11, -1),
@@ -1102,12 +1112,93 @@ PLANNER_CHECKS = [
 def test_planner_checks_name_the_offending_vertex(make, doctor, call, message,
                                                   vertex):
     ctx = context_for(make())
-    call(ctx)  # the undoctored context passes every check
-    doctor(ctx)
+    if doctor is not None:  # else the check rejects the context as it is
+        call(ctx)  # the undoctored context passes every check
+        doctor(ctx)
     with pytest.raises(ConstructionError, match=message) as info:
         call(ctx)
     assert info.value.vertex == vertex
     assert str(info.value).startswith(f"vertex {vertex}: ")
+
+
+# The helper of each case, and the families of models handed to the planner
+# with the cases their vertices reach.
+CASE_HELPERS = {"_dominating_slices": "dominating members",
+                "_shared_carriers": "shared neighbor",
+                "_counter_split": "near counter pair",
+                "_cut_counts": "cut", "_separators": "separator"}
+
+
+PLANNER_FAMILIES = [
+    ("rings", lambda: [gen_ring(k) for k in range(3, 41)], {"separator"}),
+    ("perturbed_rings",
+     lambda: [perturbed_ring(n, seed) for n in (8, 16, 40) for seed in range(5)],
+     {"dominating members", "shared neighbor", "separator"}),
+    ("wheels", lambda: [gen_wheel(k) for k in range(3, 20)],
+     {"dominating members", "shared neighbor"}),
+    ("complete", lambda: [gen_complete(n) for n in range(2, 12)], set()),
+    ("counter_pairs_and_cuts", lambda: [load(COUNTER_MODEL), gen_random(6, 546),
+                                        gen_random(5, 101), gen_random(8, 118)],
+     {"near counter pair", "shared neighbor", "cut"}),
+    ("random_small",
+     lambda: [gen_random(n, seed) for n in range(4, 13) for seed in range(40)],
+     set(CASE_HELPERS.values())),
+    ("random_large",
+     lambda: [gen_random(n, seed) for n in (20, 40) for seed in range(20)],
+     {"dominating members", "shared neighbor"}),
+    ("covering_3", lambda: covering_models(3), {"dominating members", "shared neighbor"}),
+    ("covering_4", lambda: covering_models(4),
+     {"dominating members", "shared neighbor", "cut", "separator"}),
+    ("covering_5", lambda: covering_models(5),
+     {"dominating members", "shared neighbor", "cut", "separator"}),
+    ("endpoint_permutations", lambda: endpoint_permutations(300, 3),
+     {"dominating members", "shared neighbor", "cut", "separator"}),
+]
+
+
+@pytest.mark.parametrize("make,reached", [f[1:] for f in PLANNER_FAMILIES],
+                         ids=[f[0] for f in PLANNER_FAMILIES])
+def test_planner_hands_each_helper_only_the_vertices_of_its_case(monkeypatch, make,
+                                                                 reached):
+    # what the helpers assume of the dispatch, and no longer check: each
+    # vertex with a facing block goes to the helper of its case once, and
+    # the helpers get the state their case guarantees
+    calls = []
+
+    def recording(name, helper):
+        def record(ctx, vs, *rest):
+            calls.append((name, vs.tolist()))
+            return helper(ctx, vs, *rest)
+        return record
+
+    for name in (*CASE_HELPERS, "_right_vertices", "_walk_chains"):
+        monkeypatch.setattr(arcroute.builder, name,
+                            recording(name, getattr(arcroute.builder, name)))
+    seen = Counter()
+    for model in make():
+        ctx = context_for(model)
+        calls.clear()
+        _plan_facings(ctx)
+        handed = []
+        for name, vs in calls:
+            if name in CASE_HELPERS:
+                assert {facing_case(ctx, v) for v in vs} <= {CASE_HELPERS[name]}, model
+                handed += vs
+                seen.update(facing_case(ctx, v) for v in vs)
+            if name == "_dominating_slices":
+                # they exist, and ``build_vertex_order`` put them in a row
+                doms = np.flatnonzero(ctx.dominating)
+                assert len(doms) > 0, model
+                assert (ctx.pos[doms] == ctx.pos[doms[0]] + np.arange(len(doms))).all()
+            elif name == "_shared_carriers":
+                # each has a counter partner, or some vertex dominates
+                assert ctx.any_dominating or (ctx.partner[vs] < ctx.n).all(), model
+            elif name == "_right_vertices":
+                assert not ctx.any_dominating and not ctx.has_counter[vs].any(), model
+            elif name == "_walk_chains":
+                assert not (ctx.any_dominating or ctx.has_counter.any()), model
+        assert sorted(handed) == np.flatnonzero(ctx.lo < ctx.hi).tolist(), model
+    assert set(seen) == reached
 
 
 # -- full schemes ---------------------------------------------------------------
