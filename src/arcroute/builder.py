@@ -151,7 +151,8 @@ class LabelingContext:
         # masked maxima as products: both factors are non-negative
         back = np.maximum.reduceat(cand * (n - off), starts)
         back = np.where(dom, 0, np.maximum(back, (pos - pos[head[lc]]) % n))
-        self.left_of = np.where(back > 0, items[(pos - back) % n], -1)
+        # int64 like the other frames: ``_separators`` keys edges by left_of * n
+        self.left_of = np.where(back > 0, self.items[(pos - back) % n], -1)
         self.middle_of = np.where(dom, -1, middle)
         self.lo = lo = np.where(dom, n, (pos[middle] - pos) % n + 1)
         self.hi = hi = n - back
@@ -216,7 +217,9 @@ def _plan_facings(ctx: LabelingContext) -> list[np.ndarray]:
       or at the cut when the clique cycle has one.
     Outside the first case v's first ``count`` facing vertices route via a
     carrier ``r`` and the rest via v's left vertex.  Only these masks choose a
-    case; the functions they call check geometry, not the dispatch.
+    case; the functions they call check geometry, not the dispatch.  The
+    cases reading ``right_of`` run with no dominating vertex, and then v's
+    right clique, being maximal, holds a neighbor of v: v has a right vertex.
     """
     vs = (ctx.lo < ctx.hi).nonzero()[0]
     runs = []
@@ -235,7 +238,7 @@ def _plan_facings(ctx: LabelingContext) -> list[np.ndarray]:
         if not shared.all():
             r[~shared], count[~shared] = _counter_split(ctx, vs[~shared])
     else:
-        r = _right_vertices(ctx, vs)
+        r = ctx.right_of[vs]
         if ctx.has_cut:
             count = _cut_counts(ctx, vs, r)
         else:
@@ -312,7 +315,8 @@ def _counter_split(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ..
     pair's runs cross every clique boundary).  Seeing both members, v gives
     its block to the first one adjacent to all of it; seeing one, its right
     vertex carries the part of the block inside the right vertex's right
-    block."""
+    block and its left vertex the rest, the vertex of the run crossing into
+    v's left clique or one further behind."""
     # the lowest counter vertex and its lowest partner, which lies above it
     w0 = int(ctx.has_counter.argmax())
     c0 = int(ctx.partner[w0])
@@ -324,13 +328,10 @@ def _counter_split(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ..
     _reject_first(~(covers[0] | covers[1]),
                   "neither counter member covers the facing block", vs[both])
     r[both] = np.where(covers[0], w0, c0)
-    r[~both] = _right_vertices(ctx, vs[~both])
+    r[~both] = ctx.right_of[vs[~both]]
     length = ctx.hi[vs] - ctx.lo[vs]
     reach = (_offsets(ctx, vs, ctx.middle_of[r]) - ctx.lo[vs]) % ctx.n + 1
-    count = np.where(both, length, np.minimum(reach, length))
-    _reject_first((count < length) & (ctx.left_of[vs] == -1),
-                  "left vertex missing near a counter pair", vs)
-    return r, count
+    return r, np.where(both, length, np.minimum(reach, length))
 
 
 def _cut_counts(ctx: LabelingContext, vs: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -354,15 +355,6 @@ def _cut_counts(ctx: LabelingContext, vs: np.ndarray, r: np.ndarray) -> np.ndarr
     return np.where(whole, ctx.hi[vs], to_head) - ctx.lo[vs]
 
 
-def _right_vertices(ctx: LabelingContext, vs: np.ndarray) -> np.ndarray:
-    """The right vertices of ``vs``, their farthest-clockwise-reaching
-    neighbors (``right_of``), defined as ``_plan_facings`` asks for them: for
-    vertices without a counter partner when no vertex dominates."""
-    r = ctx.right_of[vs]
-    _reject_first(r == -1, "no neighbor shares the right clique", vs)
-    return r
-
-
 def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Apex numbers of ``vs``, with the left and right iterates one step
     before the chains meet (the first ones where the apex number is 1).
@@ -381,18 +373,16 @@ def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]
     steps together reach the gap ``(lc[l1] - rc[r1]) % k`` between the
     first iterates.  Gains never go negative, so that rule is monotone in
     depth, and one descent over jump tables of 2^j steps (pointer
-    doubling) finds the first depth where it holds.  A step that does not
-    exist (no left or right vertex; the plain case has no counter vertex)
-    leads to a sink whose gain exceeds every gap, so a chain stops at the
-    depth where a depth-by-depth walk would raise, and raises the same
-    error.  The iterates at the found depth are checked to meet in ``edges``, and
-    ``test_pointer_doubling_walk_matches_the_bulk_and_per_vertex_walks``
-    checks that no earlier depth meets, against the depth-by-depth walks.
+    doubling) finds the first depth where it holds.  Every step exists and
+    every right step gains a clique: with no cut, dominating vertex or
+    counter pair, the runs crossing into u's left clique and out of its
+    right clique (u's own is shorter than k) give u a left vertex and a
+    right vertex reaching past it.  The iterates found are checked to meet
+    in ``edges``; that no earlier depth meets is tested against the
+    depth-by-depth walks.
     """
-    cycle, k, n = ctx.cycle, ctx.cycle.k, ctx.n
-    li = ctx.left_of[vs].astype(np.int64)
-    _reject_first(li == -1, "left vertex missing", vs)
-    ri = _right_vertices(ctx, vs)
+    cycle, k = ctx.cycle, ctx.cycle.k
+    li, ri = ctx.left_of[vs], ctx.right_of[vs]
     # depth 1: the first iterates share a clique, or v's clique run lies
     # strictly inside the one from ri's right clique to li's left clique
     lc_l1, rc_r1 = cycle.left[li], cycle.right[ri]
@@ -403,19 +393,10 @@ def _walk_chains(ctx: LabelingContext, vs: np.ndarray) -> tuple[np.ndarray, ...]
     walking = (apex == 0).nonzero()[0]
     names, gap = vs[walking], (lc_l1 - rc_r1)[walking] % k
     steps, l, r = _lift_chains(ctx, li[walking], ri[walking], gap)
-    # the walk above tried steps 1 .. n, at depths 2 .. n + 1
-    depth, tried = steps + 2, steps < n
     nl, nr = ctx.left_of[l], ctx.right_of[r]
-    left_broke, right_broke = tried & (nl == -1), tried & (nr == -1)
-    broke = left_broke | right_broke
-    if broke.any():
-        first = broke & (depth == depth[broke].min())
-        _reject_first(left_broke & first, "left chain broke", names)
-        _reject_first(right_broke & first, "no neighbor shares the right clique", r)
-    _reject_first(tried & (nl != nr) & ~_sees_all(ctx, nl, ctx.pos[nr], 1),
+    _reject_first((nl != nr) & ~_sees_all(ctx, nl, ctx.pos[nr], 1),
                   "chains gained the gap without meeting", names)
-    _reject_first(~tried, "left/right chains never met", names)
-    apex[walking], li[walking], ri[walking] = depth, l, r
+    apex[walking], li[walking], ri[walking] = steps + 2, l, r
     return apex, li, ri
 
 
@@ -425,24 +406,18 @@ def _lift_chains(ctx: LabelingContext, l: np.ndarray, r: np.ndarray,
     far as their combined clique gain stays below ``gap``: the number of
     steps taken and the iterates reached.
 
-    Vertex ``n`` is the sink that every missing step leads to; its gain
-    of ``k`` exceeds every gap.  Gains are capped at ``k``.  The tables
-    stop at 2^j steps once those reach every gap, and at most at
-    ``(n + 1).bit_length()`` tables, enough for the n steps a chain may take.
+    Every gap is below ``k`` and every right step gains a clique (see
+    ``_walk_chains``), so no chain takes ``k - 1`` steps: ``k.bit_length()``
+    tables suffice, and they stop sooner once 2^j steps reach every gap.
     """
-    cycle, k, n = ctx.cycle, ctx.cycle.k, ctx.n
-    lc, rc = np.concatenate((cycle.left, [0])), np.concatenate((cycle.right, [0]))
-    left, right = np.append(ctx.left_of, -1), np.append(ctx.right_of, -1)
-    sink_l, sink_r = left == -1, right == -1
-    left[sink_l], right[sink_r] = n, n
-    tables = [(left, np.where(sink_l, k, (lc - lc[left]) % k),
-               right, np.where(sink_r, k, (rc[right] - rc) % k))]
-    while len(tables) < (n + 1).bit_length():
+    k, lc, rc = ctx.cycle.k, ctx.cycle.left, ctx.cycle.right
+    left, right = ctx.left_of, ctx.right_of
+    tables = [(left, (lc - lc[left]) % k, right, (rc[right] - rc) % k)]
+    while len(tables) < k.bit_length():
         jl, gl, jr, gr = tables[-1]
         if (gl[l] + gr[r] >= gap).all():
             break
-        tables.append((jl[jl], np.minimum(gl + gl[jl], k),
-                       jr[jr], np.minimum(gr + gr[jr], k)))
+        tables.append((jl[jl], gl + gl[jl], jr[jr], gr + gr[jr]))
     steps, gained = np.zeros((2, len(gap)), dtype=np.int64)
     for j in range(len(tables) - 1, -1, -1):
         jl, gl, jr, gr = tables[j]

@@ -97,6 +97,27 @@ def facing_case(ctx, v) -> str:
     return "cut" if ctx.has_cut else "separator"
 
 
+def check_frame_guarantees(ctx) -> None:
+    """Assert what the facing-block cases read of the frames unchecked.
+
+    Every vertex whose case reads ``right_of`` (near counter pair, cut and
+    separator) has a right vertex.  In a model that takes the plain case
+    (no dominating vertex, no counter pair) and has no cut, every vertex
+    has a left and a right vertex, and every right step gains a clique;
+    with a cut, only the cut head may lack a left vertex."""
+    vs = [v for v in np.flatnonzero(ctx.lo < ctx.hi).tolist()
+          if facing_case(ctx, v) in ("near counter pair", "cut", "separator")]
+    assert (ctx.right_of[vs] != -1).all(), vs
+    if ctx.any_dominating or ctx.any_counter_pair:
+        return
+    if ctx.has_cut:
+        assert set(np.flatnonzero(ctx.left_of == -1).tolist()) <= {ctx.cut_head}
+        return
+    assert (ctx.left_of != -1).all() and (ctx.right_of != -1).all()
+    right = ctx.cycle.right
+    assert ((right[ctx.right_of] - right) % ctx.cycle.k > 0).all()
+
+
 # the separator-case family, sparse and of large diameter, under the name
 # the tests use
 perturbed_ring = gen_perturbed_ring

@@ -29,7 +29,6 @@ from arcroute.builder import (
     _join_runs,
     _plan_facings,
     _reject_first,
-    _right_vertices,
     _separators,
     _walk_chains,
 )
@@ -44,6 +43,7 @@ from conftest import (
     COUNTER_MODEL,
     NO_SEARCHES,
     block,
+    check_frame_guarantees,
     context_for,
     covering_models,
     covers_gap,
@@ -554,9 +554,9 @@ def ref_bulk_walk_chains(ctx, vs):
     if ctx.any_dominating or ctx.any_counter_pair:
         raise ConstructionError("apex undefined with dominating or counter vertices")
     cycle, k = ctx.cycle, ctx.cycle.k
-    li = ctx.left_of[vs].astype(np.int64)
+    li, ri = ctx.left_of[vs], ctx.right_of[vs]
     _reject_first(li == -1, "left vertex missing", vs)
-    ri = _right_vertices(ctx, vs)
+    _reject_first(ri == -1, "no neighbor shares the right clique", vs)
     lc_l1, rc_r1 = cycle.left[li], cycle.right[ri]
     alen, blen = cycle.span_len[vs], (lc_l1 - rc_r1) % k + 1
     inside = (alen < blen) & ((blen >= k)
@@ -568,7 +568,8 @@ def ref_bulk_walk_chains(ctx, vs):
             break
         nl = ctx.left_of[li[walking]]
         _reject_first(nl == -1, "left chain broke", vs[walking])
-        nr = _right_vertices(ctx, ri[walking])
+        nr = ctx.right_of[ri[walking]]
+        _reject_first(nr == -1, "no neighbor shares the right clique", ri[walking])
         met = (nl == nr) | ctx.adj[nl, nr]
         apex[walking[met]] = depth
         walking, nl, nr = walking[~met], nl[~met], nr[~met]
@@ -767,7 +768,7 @@ def test_label_left_carries_non_adjacent_riders():
 
 def test_right_vertex_c4():
     ctx = context_for(load(C4_MODEL))
-    assert _right_vertices(ctx, np.array([0])).tolist() == [1]
+    assert ctx.right_of[0] == 1
     assert ctx.middle_of[0] == 1  # the right vertex is the middle one here
 
 
@@ -778,7 +779,7 @@ def test_right_vertex_prefers_left_vertex_when_it_reaches_farthest():
         ctx = context_for(model)
         if ctx.any_dominating or ctx.any_counter_pair:
             continue
-        right = _right_vertices(ctx, np.arange(8))
+        right = ctx.right_of
         for v in range(8):
             lv = int(ctx.left_of[v])
             if lv == -1:
@@ -837,7 +838,7 @@ def test_separator_split_matches_first_vertices():
             continue
         graph = ctx.graph
         vs = np.flatnonzero((ctx.lo < ctx.hi) & (ctx.left_of != -1))
-        for v, r, s in zip(vs.tolist(), _right_vertices(ctx, vs).tolist(),
+        for v, r, s in zip(vs.tolist(), ctx.right_of[vs].tolist(),
                            _separators(ctx, vs).tolist()):
             for w in block(ctx, v, ctx.lo[v], ctx.hi[v]).tolist():
                 goes_right = fwd(ctx, v, w) <= fwd(ctx, v, s)
@@ -937,71 +938,6 @@ def test_pointer_doubling_walk_matches_the_bulk_and_per_vertex_walks():
     assert deepest >= 300, deepest
 
 
-def doctor_chain(k, v, depth, side):
-    """Doctor ring C_k so that vertex v's chain on ``side`` has no step at
-    ``depth``.  v's iterates at depth d - 1, from which the chains step at
-    depth d, lie d - 1 vertices before and after v; a stall turns both
-    chains' first iterates into fixed points."""
-    at = (v - depth + 1 if side == "left" else v + depth - 1) % k
-    if side == "stall":
-        return lambda ctx: (set_row(ctx, "left_of", (v - 1) % k, (v - 1) % k),
-                            set_row(ctx, "right_of", (v + 1) % k, (v + 1) % k))
-    name = {"left": "left_of", "right": "right_of"}[side]
-    return lambda ctx: set_row(ctx, name, at, -1)
-
-
-LEFT, RIGHT = "left chain broke", "no neighbor shares the right clique"
-NEVER = "left/right chains never met"
-
-# On ring C_k vertex 0's chains meet at depth k // 2 (6 on C12, 32 on C64).
-# A chain breaks at depths 2^j and 2^j + 1, where the jumps of the walk
-# begin and end, and at the meeting depth itself.  Each case lists
-# (ring size, walked vertices, [(vertex, depth, side)], message, vertex).
-CHAIN_BREAKS = [
-    case for k, depths in ((12, (2, 3, 4, 5, 6)), (64, (2, 3, 4, 5, 8, 9, 16, 17, 32)))
-    for depth in depths for case in (
-        (f"C{k}_left_at_{depth}", k, [0], [(0, depth, "left")], LEFT, 0),
-        (f"C{k}_right_at_{depth}", k, [0], [(0, depth, "right")], RIGHT, depth - 1),
-        (f"C{k}_both_at_{depth}", k, [0], [(0, depth, "left"), (0, depth, "right")],
-         LEFT, 0),
-    )
-] + [
-    case for k in (12, 64) for case in (
-        # two chains failing at one depth: the left break wins, and among
-        # right breaks the lowest chain member is named
-        (f"C{k}_two_right", k, [0, 5], [(0, 4, "right"), (5, 4, "right")], RIGHT, 3),
-        (f"C{k}_left_beats_right", k, [0, 5], [(0, 4, "right"), (5, 4, "left")],
-         LEFT, 5),
-        (f"C{k}_earlier_depth_wins", k, [0, 5], [(0, 4, "left"), (5, 3, "right")],
-         RIGHT, 7),
-        (f"C{k}_stalled", k, [0], [(0, 0, "stall")], NEVER, 0),
-        # a break at any depth comes before a chain that never meets
-        (f"C{k}_break_beats_stall", k, [0, k // 2],
-         [(0, 0, "stall"), (k // 2, k // 2 - 1, "left")], LEFT, k // 2),
-    )
-]
-
-
-@pytest.mark.parametrize("k,vs,breaks,message,vertex", [c[1:] for c in CHAIN_BREAKS],
-                         ids=[c[0] for c in CHAIN_BREAKS])
-def test_pointer_doubling_walk_raises_what_the_depth_by_depth_walk_raised(
-        k, vs, breaks, message, vertex):
-    ctx = context_for(gen_ring(k))
-    vs = np.array(vs)
-    _walk_chains(ctx, vs)  # the undoctored ring walks
-    for v, depth, side in breaks:
-        doctor_chain(k, v, depth, side)(ctx)
-    raised = []
-    walks = [_walk_chains, ref_bulk_walk_chains]
-    if len(vs) == 1:
-        walks.append(lambda ctx, vs: ref_walk_chains(ctx, int(vs[0])))
-    for walk in walks:
-        with pytest.raises(ConstructionError) as info:
-            walk(ctx, vs)
-        raised.append((str(info.value), info.value.vertex))
-    assert raised == [(f"vertex {vertex}: {message}", vertex)] * len(walks)
-
-
 def test_face_to_face_c4_compresses_to_one_interval():
     # the facing vertex 2 rides on the right-block arc (0, 1), and the two
     # runs join into the single interval [1, 2]
@@ -1025,9 +961,10 @@ def test_face_to_face_noop_when_block_empty():
 # members and has facing block 3 4 5, vertex 7 sees 6 only and splits its
 # block.  C12 has order 0 .. 11; vertex 0 has facing block 2 .. 10, its
 # chains meet at depth 6 with iterates 7 and 5, and its separator is 6.
-# The case a vertex takes is not doctored: ``_plan_facings``' masks alone
-# choose it, and the functions they call do not check it again (what they
-# assume of it is tested on whole model families after the checks below).
+# Neither the case a vertex takes nor its left and right vertices are
+# doctored: ``_plan_facings``' masks alone choose the case, ``_compute_frames``
+# gives every vertex the frame its case reads, and the functions they call
+# check neither again (both are tested on whole model families below).
 
 
 def drop_edges(ctx, *pairs):
@@ -1064,33 +1001,6 @@ PLANNER_CHECKS = [
     ("neither_covers", lambda: gen_random(8, 118),
      lambda ctx: drop_edges(ctx, (1, 4), (6, 4)),
      plan, "neither counter member covers the facing block", 2),
-    ("left_missing_near_pair", lambda: gen_random(8, 118),
-     lambda ctx: set_row(ctx, "left_of", 7, -1),
-     plan, "left vertex missing near a counter pair", 7),
-    ("no_right_vertex", lambda: gen_ring(12),
-     lambda ctx: set_row(ctx, "right_of", 3, -1), plan, "no neighbor shares the right clique", 3),
-    ("no_right_vertex_in_chain", lambda: gen_ring(12),
-     lambda ctx: set_row(ctx, "right_of", 2, -1),
-     of_vertex_0(_walk_chains), "no neighbor shares the right clique", 2),
-    # the chains of 5 and 11 start at 6 and 0; both lack a right vertex at
-    # depth 2, and the lower chain member is named
-    ("no_right_vertex_in_two_chains", lambda: gen_ring(12),
-     lambda ctx: (set_row(ctx, "right_of", 6, -1), set_row(ctx, "right_of", 0, -1)),
-     lambda ctx: _walk_chains(ctx, np.array([5, 11])),
-     "no neighbor shares the right clique", 0),
-    # with a dominating vertex ``right_of`` is -1 throughout, so a direct
-    # call for a wheel's rim vertex 0 meets the right-vertex check
-    ("right_with_dominating", lambda: gen_wheel(5), None, of_vertex_0(_right_vertices),
-     "no neighbor shares the right clique", 0),
-    ("apex_with_dominating", lambda: gen_wheel(5), None,
-     of_vertex_0(_walk_chains), "no neighbor shares the right clique", 0),
-    ("left_missing", lambda: gen_ring(12), lambda ctx: set_row(ctx, "left_of", 4, -1),
-     plan, "left vertex missing", 4),
-    ("chain_broke", lambda: gen_ring(12), lambda ctx: set_row(ctx, "left_of", 11, -1),
-     of_vertex_0(_walk_chains), "left chain broke", 0),
-    ("never_met", lambda: gen_ring(12),
-     lambda ctx: (set_row(ctx, "left_of", 11, 11), set_row(ctx, "right_of", 1, 1)),
-     of_vertex_0(_walk_chains), "left/right chains never met", 0),
     # on C13 vertex 0's chains meet at depth 6, where the iterates 7 and 6
     # are adjacent; without that edge the clique gain still says they meet
     ("gained_without_meeting", lambda: gen_ring(13),
@@ -1112,9 +1022,8 @@ PLANNER_CHECKS = [
 def test_planner_checks_name_the_offending_vertex(make, doctor, call, message,
                                                   vertex):
     ctx = context_for(make())
-    if doctor is not None:  # else the check rejects the context as it is
-        call(ctx)  # the undoctored context passes every check
-        doctor(ctx)
+    call(ctx)  # the undoctored context passes every check
+    doctor(ctx)
     with pytest.raises(ConstructionError, match=message) as info:
         call(ctx)
     assert info.value.vertex == vertex
@@ -1160,9 +1069,10 @@ PLANNER_FAMILIES = [
                          ids=[f[0] for f in PLANNER_FAMILIES])
 def test_planner_hands_each_helper_only_the_vertices_of_its_case(monkeypatch, make,
                                                                  reached):
-    # what the helpers assume of the dispatch, and no longer check: each
-    # vertex with a facing block goes to the helper of its case once, and
-    # the helpers get the state their case guarantees
+    # what the helpers assume of the dispatch and of the frames, and no
+    # longer check: each vertex with a facing block goes to the helper of
+    # its case once, the helpers get the state their case guarantees, and
+    # every left or right vertex they read exists
     calls = []
 
     def recording(name, helper):
@@ -1171,7 +1081,7 @@ def test_planner_hands_each_helper_only_the_vertices_of_its_case(monkeypatch, ma
             return helper(ctx, vs, *rest)
         return record
 
-    for name in (*CASE_HELPERS, "_right_vertices", "_walk_chains"):
+    for name in (*CASE_HELPERS, "_walk_chains"):
         monkeypatch.setattr(arcroute.builder, name,
                             recording(name, getattr(arcroute.builder, name)))
     seen = Counter()
@@ -1193,11 +1103,10 @@ def test_planner_hands_each_helper_only_the_vertices_of_its_case(monkeypatch, ma
             elif name == "_shared_carriers":
                 # each has a counter partner, or some vertex dominates
                 assert ctx.any_dominating or (ctx.partner[vs] < ctx.n).all(), model
-            elif name == "_right_vertices":
-                assert not ctx.any_dominating and not ctx.has_counter[vs].any(), model
             elif name == "_walk_chains":
                 assert not (ctx.any_dominating or ctx.has_counter.any()), model
         assert sorted(handed) == np.flatnonzero(ctx.lo < ctx.hi).tolist(), model
+        check_frame_guarantees(ctx)
     assert set(seen) == reached
 
 
@@ -1562,7 +1471,7 @@ def test_cut_split_equals_the_distance_split():
             dist = all_pairs_distances(ctx.graph)
             runs = _plan_facings(ctx)
             vs = np.flatnonzero(ctx.lo < ctx.hi)
-            for v, r in zip(vs.tolist(), _right_vertices(ctx, vs).tolist()):
+            for v, r in zip(vs.tolist(), ctx.right_of[vs].tolist()):
                 prefix = distance_split(ctx, v, r, dist)
                 assert facing_rows(runs, v) == ref_split_facing(
                     ctx, v, r, prefix), (n, seed, v)
@@ -1780,3 +1689,37 @@ def test_benchmark_size_schemes_are_byte_identical_to_the_recorded_ones():
     texts = [build_scheme(model).to_json() for model in models]
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == BENCH_SIZE_DIGEST
 
+
+# sha256 of the to_json() text of perturbed_ring(100000, 1), recorded
+# before the left vertices became int64: n * n lies past the int32 range,
+# so a separator search keyed by an int32 left iterate times n would wrap
+LARGE_RING_DIGEST = "12d5fb48fca281b9f11b14a5cfdadb17e2d02505385831936d1570e7025cd174"
+
+
+def test_build_past_the_int32_key_range_is_recorded_and_shortest():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    model = perturbed_ring(100000, 1)
+    scheme = build_scheme(model)
+    assert hashlib.sha256(scheme.to_json().encode()).hexdigest() == LARGE_RING_DIGEST
+    # every row of 64 spread sources against hop distances from the source
+    # and its carriers: the first hop must be one step closer to every
+    # destination
+    graph = intersection_graph(model)
+    n, keys = graph.n, graph.keys
+    mat = csr_matrix((np.ones(len(keys)), keys % n, graph.indptr), shape=(n, n))
+    items = scheme.order.items
+    rows = 0
+    for s in np.linspace(0, n - 1, 64).astype(np.int64).tolist():
+        first, end = scheme.src.searchsorted([s, s + 1])
+        carriers = np.unique(scheme.dst[first:end])
+        dist = shortest_path(mat, method="D", unweighted=True, indices=[s, *carriers])
+        assert np.isfinite(dist).all()
+        for i in range(first, end):
+            hop = scheme.dst[i]
+            targets = items[(scheme.start[i] + np.arange(scheme.length[i])) % n]
+            closer = dist[1 + carriers.searchsorted(hop), targets]
+            assert (closer == dist[0, targets] - 1).all(), (s, hop)
+            rows += 1
+    assert rows >= 64 * 2

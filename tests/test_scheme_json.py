@@ -13,7 +13,7 @@ import arcroute.scheme
 from arcroute import CyclicOrder, RoutingScheme, build_scheme, gen_random, gen_ring
 from arcroute.cli import main
 from arcroute.errors import StructuralSchemeError
-from conftest import perturbed_ring, ref_from_json, ref_to_json, same_scheme
+from conftest import ROOT, perturbed_ring, ref_from_json, ref_to_json, same_scheme
 
 
 def read_counting(monkeypatch, data):
@@ -124,6 +124,17 @@ def test_built_scheme_file_reads_on_the_fast_path(monkeypatch, tmp_path):
     scheme, calls = read_counting(monkeypatch, data)
     assert calls == 0
     assert same_scheme(scheme, ref_from_json(data))
+
+
+def test_readme_scheme_example_is_what_build_writes_for_its_model(tmp_path):
+    # README's "File formats" shows a model, then a scheme of it
+    blocks = re.findall(r"```json\n(.*?)\n```", (ROOT / "README.md").read_text(),
+                        re.DOTALL)
+    assert len(blocks) == 2
+    model, out = tmp_path / "model.json", tmp_path / "scheme.json"
+    model.write_text(blocks[0])
+    assert main(["build", "--model", str(model), "--out", str(out)]) == 0
+    assert out.read_text() == blocks[1] + "\n"
 
 
 @pytest.mark.parametrize("data", [
