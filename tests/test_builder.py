@@ -938,6 +938,29 @@ def test_pointer_doubling_walk_matches_the_bulk_and_per_vertex_walks():
     assert deepest >= 300, deepest
 
 
+# On ring C_k every vertex's chains meet at depth k // 2, so the rings 4-64
+# put the meeting at each depth from 2 to 32, among them the depths 2^j and
+# 2^j + 1 where the walk's jumps begin and end.
+@pytest.mark.parametrize("k", range(4, 65), ids=[f"C{k}" for k in range(4, 65)])
+def test_ring_chains_meet_halfway_round_at_every_depth(k):
+    ctx = context_for(gen_ring(k))
+    assert not (ctx.any_dominating or ctx.any_counter_pair or ctx.has_cut)
+    assert {a.dtype for a in (ctx.left_of, ctx.middle_of, ctx.right_of)} == {
+        np.dtype(np.int64)}
+    check_frame_guarantees(ctx)
+    vs = np.arange(k)
+    half = k // 2
+    got = _walk_chains(ctx, vs)
+    apex, li, ri = (a.tolist() for a in got)
+    assert apex == [half] * k
+    assert li == ((vs - half + 1) % k).tolist()
+    assert ri == ((vs + half - 1) % k).tolist()
+    for a, b in zip(got, ref_bulk_walk_chains(ctx, vs)):
+        assert a.tolist() == b.tolist()
+    assert list(zip(apex, li, ri)) == [ref_walk_chains(ctx, v) for v in range(k)]
+    assert _separators(ctx, vs).tolist() == ((vs + half) % k).tolist()
+
+
 def test_face_to_face_c4_compresses_to_one_interval():
     # the facing vertex 2 rides on the right-block arc (0, 1), and the two
     # runs join into the single interval [1, 2]
